@@ -19,7 +19,6 @@ from .operator_core import (
     adjoint,
     compress,
     defect_pair,
-    evaluate_state,
     operator_norm,
     psd_sqrt,
     purify,
@@ -45,8 +44,6 @@ from .dilation import (
     double_commutation_residual,
     doubly_commuting_dilation,
     finite_unitary_dilation,
-    minimal_reducing_subspace,
-    signed_power,
     verify_power_dilation,
 )
 from .ncprob import (
@@ -54,7 +51,7 @@ from .ncprob import (
     Element,
     FaithfulnessReport,
     Word,
-    all_set_partitions,
+    alternating_words_within,
     center,
     evaluate_word,
     faithfulness_check,
@@ -62,13 +59,13 @@ from .ncprob import (
     free_independence_check,
     free_mixed_moment_oracle,
     haar_unitary_marginal,
-    is_noncrossing,
     make_tensor_independent,
     matrix_marginal,
     moments_from_cumulants,
     noncrossing_partitions,
+    ordered_words,
     parse_word,
-    random_element,
+    signed_alternating_words,
     tensor_independence_check,
     trace_check,
     word_moment,
@@ -78,13 +75,12 @@ from .free_product import (
     FockDimensionError,
     FreeDilationScenario,
     PointedSpace,
-    alternating_words_within,
     build_fock,
-    dilated_state,
     fock_dimension,
     free_unitary_dilation,
     left_representation,
     restricted_unitarity_residual,
+    verify_free_dilation,
 )
 from .harness import (
     IngestError,
@@ -96,13 +92,11 @@ from .harness import (
     evaluate_product,
     ingest,
     moment_budget_check,
-    ordered_words,
     parse_product,
     render_text,
     report_fingerprint,
     run_theorem_suite,
     scenario_from_obj,
-    signed_alternating_words,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
 from .dilation import BudgetError
 from .harness import (
+    CHECKS,
     IngestError,
     Scenario,
     build_model,
@@ -26,19 +28,14 @@ from .harness import (
     render_text,
     run_theorem_suite,
 )
-from .harness import _check_faithfulness
 from .ncprob import (
-    CheckReport,
     Word,
-    faithfulness_check,
     free_cumulants,
-    free_independence_check,
     free_mixed_moment_oracle,
+    matrix_marginal,
     moments_from_cumulants,
     noncrossing_partitions,
     parse_word,
-    tensor_independence_check,
-    trace_check,
     word_moment,
 )
 
@@ -46,8 +43,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
-CHECK_PROPERTIES = ("tensor", "free", "trace", "faithful")
-_PROPERTY_TO_CHECK = {
+CHECK_PROPERTIES = {
     "tensor": "tensor_independence",
     "free": "free_independence",
     "trace": "traciality",
@@ -71,8 +67,8 @@ def _overrides(args: argparse.Namespace) -> dict:
     return {
         "tol": args.tol,
         "degree": args.degree,
-        "trunc": getattr(args, "trunc_len", None),
-        "max_alt": getattr(args, "max_alt", None),
+        "trunc": args.trunc_len,
+        "max_alt": args.max_alt,
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -91,20 +87,7 @@ def _write(args: argparse.Namespace, obj: dict) -> None:
 
 def _load_scenario(args: argparse.Namespace, force_mode: str | None = None) -> Scenario:
     sc = ingest(args.input, _overrides(args))
-    if force_mode is not None and sc.mode != force_mode:
-        sc = Scenario(
-            mode=force_mode,
-            factors=sc.factors,
-            degree=sc.degree,
-            trunc=sc.trunc,
-            check_degree=sc.check_degree,
-            max_alt=sc.max_alt,
-            samples=sc.samples,
-            tol=sc.tol,
-            seed=sc.seed,
-            sources=sc.sources,
-        )
-    return sc
+    return sc if force_mode is None else replace(sc, mode=force_mode)
 
 
 def _run_suite(args: argparse.Namespace, force_mode: str | None = None, subset=None) -> int:
@@ -144,41 +127,13 @@ def _build_or_refuse(sc: Scenario):
 
 def _cmd_check(args) -> int:
     force = args.property if args.property in ("tensor", "free") else None
-    sc = _load_scenario(args)
-    if force is not None and sc.mode != force:
-        sc = _load_scenario(args, force_mode=force)
+    sc = _load_scenario(args, force_mode=force)
     if args.check_degree is not None:
-        sc.check_degree = args.check_degree
+        sc = replace(sc, check_degree=args.check_degree)
+    if args.property == "free" and len(sc.factors) < 2:
+        raise IngestError(f"property free needs at least two factors, got {len(sc.factors)}")
     model = _build_or_refuse(sc)
-    if args.property == "tensor":
-        rep = tensor_independence_check(
-            model.state, model.gens, degree=min(sc.check_degree, 3),
-            samples=sc.samples, tol=sc.tol, seed=sc.seed,
-        )
-    elif args.property == "free":
-        rep = free_independence_check(
-            model.state, model.gens, max_len=min(sc.max_alt, sc.trunc),
-            degree=min(sc.check_degree, sc.degree), samples=sc.samples,
-            tol=sc.tol, seed=sc.seed,
-        )
-    elif args.property == "trace":
-        rep = trace_check(
-            model.state, model.gens, degree=min(sc.check_degree, 3),
-            samples=sc.samples, tol=sc.tol, seed=sc.seed,
-        )
-    else:
-        if model.factor_models:
-            rep = _check_faithfulness(sc, model)
-        else:
-            fr = faithfulness_check(model.state, model.gens, min(sc.check_degree, sc.degree))
-            rep = CheckReport(
-                name="faithfulness",
-                residual=float(fr.rank_gap),
-                tol=0.5,
-                passed=fr.faithful_on_span,
-                witness={"span_dim": fr.span_dim, "gram_rank": fr.gram_rank},
-                details=fr.to_obj(),
-            )
+    rep = CHECKS[CHECK_PROPERTIES[args.property]](sc, model)
     obj = {
         "property": args.property,
         "budgets": {
@@ -223,8 +178,7 @@ def _cmd_oracle(args) -> int:
     sc = _load_scenario(args, force_mode="free")
     model = _build_or_refuse(sc)
     marginals = {
-        i: (lambda w, g=g, s=s: word_moment(s, g, w))
-        for i, (g, s) in enumerate(model.factor_models, start=1)
+        i: matrix_marginal(g[i], s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
     results = []
     worst = 0.0

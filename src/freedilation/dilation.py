@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ncprob import Word
 from .operator_core import (
     DEFAULT_TOL,
     ContractionError,
@@ -165,56 +166,6 @@ def double_commutation_residual(ops: Sequence[np.ndarray]) -> float:
     return worst
 
 
-def orthonormal_columns(m: np.ndarray, rank_rtol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span, with a relative rank cutoff."""
-    if m.size == 0:
-        return m.reshape(m.shape[0], 0)
-    q, s, _ = np.linalg.svd(m, full_matrices=False)
-    keep = s > rank_rtol * s[0] if s.size else np.zeros(0, dtype=bool)
-    return q[:, keep]
-
-
-def minimal_reducing_subspace(
-    us: Sequence[np.ndarray], e: Embedding, tol: float = DEFAULT_TOL, rank_rtol: float = 1e-10
-) -> Embedding:
-    """Smallest subspace containing ``range(e)`` invariant under every ``U_i`` and ``U_i*``.
-
-    Alternates span growth (apply all generators and adjoints to the current
-    basis) with SVD orthonormalization until the dimension stops increasing.
-    """
-    dim = e.big_dim
-    for i, u in enumerate(us):
-        u = as_matrix(u)
-        if u.shape != (dim, dim):
-            raise ValueError(f"unitary {i + 1} has shape {u.shape}, expected ({dim}, {dim})")
-        res = operator_norm(adjoint(u) @ u - np.eye(dim))
-        if res > tol:
-            raise ValueError(f"operator {i + 1} is not unitary: ||U*U - I|| = {res:.3e}")
-
-    basis = orthonormal_columns(e.isometry, rank_rtol)
-    while True:
-        blocks = [basis]
-        for u in us:
-            blocks.append(u @ basis)
-            blocks.append(adjoint(u) @ basis)
-        grown = orthonormal_columns(np.concatenate(blocks, axis=1), rank_rtol)
-        if grown.shape[1] == basis.shape[1]:
-            return Embedding(grown)
-        basis = grown
-
-
-def _merged_runs(word: SignedPowerWord) -> list[tuple[int, int]]:
-    runs: list[tuple[int, int]] = []
-    for factor, k in word:
-        if k == 0:
-            continue
-        if runs and runs[-1][0] == factor and (runs[-1][1] >= 0) == (k >= 0):
-            runs[-1] = (factor, runs[-1][1] + k)
-        else:
-            runs.append((factor, int(k)))
-    return runs
-
-
 @dataclass(frozen=True)
 class WordResidual:
     word: tuple[tuple[int, int], ...]
@@ -223,32 +174,23 @@ class WordResidual:
     passed: bool
 
 
-def verify_power_dilation(res, ts, word: SignedPowerWord, tol: float = 1e-10) -> WordResidual:
-    """Residual of one joint power-dilation identity.
+def verify_power_dilation(
+    res: DilationResult, ts: Sequence[np.ndarray], word: SignedPowerWord, tol: float = 1e-10
+) -> WordResidual:
+    """Residual of the ordered joint power-dilation identity
+    ``compress(U_1(k_1) ... U_n(k_n)) = T_1(k_1) ... T_n(k_n)``.
 
-    Two variants, chosen by the type of ``res``:
-
-    * a :class:`DilationResult` checks the ordered identity
-      ``compress(U_1(k_1) ... U_n(k_n)) = T_1(k_1) ... T_n(k_n)`` — factors
-      must appear in increasing order, one letter each, ``|k| <= degree``;
-    * a free-product scenario (anything exposing ``unitaries``, ``s_ops``,
-      ``embedding``, ``degree``, ``trunc``) checks
-      ``J* U_{i1}^{k1} ... U_{im}^{km} J = S_{i1}^{k1} ... S_{im}^{km}`` for
-      arbitrary factor sequences with nonnegative powers, total power
-      ``<= degree`` and merged alternation length ``<= trunc``.
-
-    Words outside the applicable budget raise :class:`BudgetError` — they are
-    never silently evaluated.
+    Factors must appear in increasing order, one signed power each, with
+    ``|k| <= degree``; other words raise :class:`BudgetError`, they are never
+    silently evaluated.
     """
     word = tuple((int(f), int(k)) for f, k in word)
-    if hasattr(res, "trunc") and hasattr(res, "s_ops"):
-        return _verify_free(res, word, tol)
-    return _verify_ordered(res, ts, word, tol)
-
-
-def _verify_ordered(res: DilationResult, ts, word, tol) -> WordResidual:
     n = len(res.unitaries)
-    runs = _merged_runs(word)
+    # refused before the runs are expanded into letters and merged
+    total = sum(abs(k) for _, k in word)
+    if total > n * res.degree:
+        raise BudgetError(f"total |power| {total} exceeds {n} factors times degree {res.degree}")
+    runs = Word.from_runs(word).runs()
     factors = [f for f, _ in runs]
     if any(not 1 <= f <= n for f in factors):
         raise BudgetError(f"word uses factor outside 1..{n}: {factors}")
@@ -265,29 +207,4 @@ def _verify_ordered(res: DilationResult, ts, word, tol) -> WordResidual:
         big = big @ signed_power(res.unitaries[f - 1], k)
         small = small @ signed_power(as_matrix(ts[f - 1]), k)
     residual = operator_norm(compress(big, res.embedding) - small)
-    return WordResidual(word=word, residual=residual, tol=tol, passed=residual <= tol)
-
-
-def _verify_free(fds, word, tol) -> WordResidual:
-    runs = _merged_runs(word)
-    n = len(fds.unitaries)
-    if any(not 1 <= f <= n for f, _ in runs):
-        raise BudgetError(f"word uses factor outside 1..{n}")
-    if any(k < 0 for _, k in runs):
-        raise BudgetError("free variant admits nonnegative powers only")
-    total = sum(k for _, k in runs)
-    if total > fds.degree:
-        raise BudgetError(f"total power {total} exceeds dilation degree {fds.degree}")
-    if len(runs) > fds.trunc:
-        raise BudgetError(
-            f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
-        )
-    j = fds.embedding.isometry
-    lhs = j.copy()
-    rhs = np.eye(j.shape[1], dtype=complex)
-    for f, k in reversed(runs):
-        for _ in range(k):
-            lhs = fds.unitaries[f - 1] @ lhs
-            rhs = fds.s_ops[f - 1] @ rhs
-    residual = operator_norm(adjoint(j) @ lhs - rhs)
     return WordResidual(word=word, residual=residual, tol=tol, passed=residual <= tol)

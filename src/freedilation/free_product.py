@@ -10,13 +10,19 @@ and every verifier states its budget.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dilation import DilationResult, finite_unitary_dilation
+from .dilation import (
+    BudgetError,
+    DilationResult,
+    SignedPowerWord,
+    WordResidual,
+    finite_unitary_dilation,
+)
+from .ncprob import Word
 from .operator_core import (
     DEFAULT_TOL,
     Embedding,
@@ -231,9 +237,6 @@ class FreeDilationScenario:
     def fock_gens(self) -> dict[int, np.ndarray]:
         return {i + 1: u for i, u in enumerate(self.unitaries)}
 
-    def base_gens(self) -> dict[int, np.ndarray]:
-        return {i + 1: s for i, s in enumerate(self.s_ops)}
-
     def factor_model(self, factor: int) -> tuple[dict[int, np.ndarray], State]:
         """The single-factor dilation with its pointed state, on the small
         dilation space (exactly unitary, no truncation artifacts)."""
@@ -297,11 +300,6 @@ def free_unitary_dilation(
         pointed_k.append(PointedSpace(base_vector=j @ ps.base_vector, complement_basis=comp_k))
 
     ids = range(1, len(factors) + 1)
-    compl_k = {i: pointed_k[i - 1].complement_dim for i in ids}
-    dim_k = fock_dimension(compl_k, trunc_len)
-    if dim_k > dim_cap:
-        raise FockDimensionError(dim_k, dim_cap)
-
     fock_k = build_fock({i: pointed_k[i - 1] for i in ids}, trunc_len, dim_cap)
     fock_h = build_fock({i: pointed_h[i - 1] for i in ids}, trunc_len, dim_cap)
 
@@ -329,11 +327,6 @@ def free_unitary_dilation(
     )
 
 
-def dilated_state(fds: FreeDilationScenario) -> State:
-    """The joint state of the dilated family: the vacuum vector state."""
-    return fds.vacuum
-
-
 def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> float:
     """``max(||(U*U - I) P||, ||(U U* - I) P||)`` over columns of length < trunc.
 
@@ -350,25 +343,37 @@ def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> flo
     return max(res1, res2)
 
 
-def alternating_words_within(
-    n_factors: int, max_alt: int, max_total: int
-) -> list[tuple[tuple[int, int], ...]]:
-    """All nonempty alternating signed-power run sequences with at most
-    ``max_alt`` runs, positive powers summing to at most ``max_total``."""
-    out: list[tuple[tuple[int, int], ...]] = []
-    ids = list(range(1, n_factors + 1))
+def verify_free_dilation(
+    fds: FreeDilationScenario, word: SignedPowerWord, tol: float = 1e-10
+) -> WordResidual:
+    """Residual of the free dilation identity
+    ``J* U_{i1}^{k1} ... U_{im}^{km} J = S_{i1}^{k1} ... S_{im}^{km}``.
 
-    def rec(prefix: tuple[tuple[int, int], ...], budget: int) -> None:
-        if prefix:
-            out.append(prefix)
-        if len(prefix) == max_alt or budget == 0:
-            return
-        for i in ids:
-            if prefix and prefix[-1][0] == i:
-                continue
-            for k in range(1, budget + 1):
-                rec(prefix + ((i, k),), budget - k)
-
-    rec((), max_total)
-    out.sort(key=lambda runs: (sum(k for _, k in runs), len(runs), runs))
-    return out
+    Any factor sequence is allowed, with nonnegative powers, total power
+    ``<= degree`` and merged alternation length ``<= trunc``; other words
+    raise :class:`BudgetError`, they are never silently evaluated.
+    """
+    word = tuple((int(f), int(k)) for f, k in word)
+    # refused before the runs are expanded into letters and merged
+    total = sum(abs(k) for _, k in word)
+    if total > fds.degree:
+        raise BudgetError(f"total power {total} exceeds dilation degree {fds.degree}")
+    runs = Word.from_runs(word).runs()
+    n = fds.n_factors
+    if any(not 1 <= f <= n for f, _ in runs):
+        raise BudgetError(f"word uses factor outside 1..{n}")
+    if any(k < 0 for _, k in runs):
+        raise BudgetError("free variant admits nonnegative powers only")
+    if len(runs) > fds.trunc:
+        raise BudgetError(
+            f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
+        )
+    j = fds.embedding.isometry
+    lhs = j.copy()
+    rhs = np.eye(j.shape[1], dtype=complex)
+    for f, k in reversed(runs):
+        for _ in range(k):
+            lhs = fds.unitaries[f - 1] @ lhs
+            rhs = fds.s_ops[f - 1] @ rhs
+    residual = operator_norm(adjoint(j) @ lhs - rhs)
+    return WordResidual(word=word, residual=residual, tol=tol, passed=residual <= tol)

@@ -13,6 +13,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -29,20 +30,24 @@ from .dilation import (
 )
 from .free_product import (
     FreeDilationScenario,
-    alternating_words_within,
     free_unitary_dilation,
     restricted_unitarity_residual,
+    verify_free_dilation,
 )
 from .ncprob import (
     CheckReport,
     Element,
     Word,
+    alternating_words_within,
     center,
     faithfulness_check,
     free_independence_check,
     free_mixed_moment_oracle,
     make_tensor_independent,
+    matrix_marginal,
+    ordered_words,
     parse_word,
+    signed_alternating_words,
     state_moment,
     tensor_independence_check,
     trace_check,
@@ -328,13 +333,18 @@ def evaluate_product(text: str, model: Model) -> complex:
 
 
 def moment_budget_check(sc: Scenario, word: Word) -> None:
-    """Refuse vacuum-moment words outside the free truncation budget.
+    """Refuse words the scenario's model cannot evaluate exactly.
 
-    A product touches words of length at most its factor-block count, so the
-    moment is exact iff that count stays within the truncation length; any
-    centered expansion only shortens words, so checking the full concatenation
-    covers every term.
+    Every factor id must name one of the scenario's factors.  In free mode a
+    product touches words of length at most its factor-block count, so the
+    vacuum moment is exact iff that count stays within the truncation length;
+    any centered expansion only shortens words, so checking the full
+    concatenation covers every term.
     """
+    n = len(sc.factors)
+    unknown = sorted({f for f, _ in word.letters} - set(range(1, n + 1)))
+    if unknown:
+        raise IngestError(f"word uses factor ids {unknown}; the scenario has factors 1..{n}")
     if sc.mode != "free":
         return
     blocks = word.blocks()
@@ -343,60 +353,6 @@ def moment_budget_check(sc: Scenario, word: Word) -> None:
             f"word has {len(blocks)} factor blocks, exceeding the truncation length {sc.trunc}; "
             "vacuum moments are exact only up to that alternation depth"
         )
-
-
-# ---------------------------------------------------------------------------
-# word sweeps
-
-
-def signed_alternating_words(
-    n_factors: int, max_blocks: int, per_run_max: int, total_max: int
-) -> list[tuple[tuple[int, int], ...]]:
-    """Signed-power run sequences: adjacent runs differ in factor or sign,
-    factor blocks at most ``max_blocks``, each ``|k| <= per_run_max``, total
-    ``sum |k| <= total_max``."""
-    out: list[tuple[tuple[int, int], ...]] = []
-    ids = list(range(1, n_factors + 1))
-
-    def blocks_of(runs) -> int:
-        count = 0
-        last = None
-        for f, _ in runs:
-            if f != last:
-                count += 1
-                last = f
-        return count
-
-    def rec(prefix: tuple[tuple[int, int], ...], budget: int) -> None:
-        if prefix:
-            out.append(prefix)
-        if budget == 0:
-            return
-        for i in ids:
-            for sign in (1, -1):
-                if prefix and prefix[-1][0] == i and (prefix[-1][1] > 0) == (sign > 0):
-                    continue
-                for k in range(1, min(per_run_max, budget) + 1):
-                    cand = prefix + ((i, sign * k),)
-                    if blocks_of(cand) > max_blocks:
-                        continue
-                    rec(cand, budget - k)
-
-    rec((), total_max)
-    out.sort(key=lambda runs: (sum(abs(k) for _, k in runs), len(runs), runs))
-    return out
-
-
-def ordered_words(n_factors: int, max_power: int) -> list[tuple[tuple[int, int], ...]]:
-    """One signed power per factor in order 1..n, all ``|k| <= max_power``."""
-    import itertools
-
-    powers = range(-max_power, max_power + 1)
-    out = []
-    for combo in itertools.product(powers, repeat=n_factors):
-        word = tuple((i + 1, k) for i, k in enumerate(combo) if k != 0)
-        out.append(word)
-    return sorted(set(out), key=lambda w: (len(w), w))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +395,7 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
             model.free.n_factors, min(sc.max_alt, sc.trunc), sc.degree
         )
         for runs in words:
-            r = verify_power_dilation(model.free, None, runs, sc.tol)
+            r = verify_free_dilation(model.free, runs, sc.tol)
             if r.residual > worst:
                 worst = r.residual
                 witness = {"word": _fmt_runs(runs)}
@@ -478,15 +434,46 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     )
 
 
+def _check_tensor_independence(sc: Scenario, model: Model) -> CheckReport:
+    return tensor_independence_check(
+        model.state,
+        model.gens,
+        degree=min(sc.check_degree, 3),
+        samples=sc.samples,
+        tol=sc.tol,
+        seed=sc.seed,
+    )
+
+
+def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
+    return free_independence_check(
+        model.state,
+        model.gens,
+        max_len=min(sc.max_alt, sc.trunc),
+        degree=min(sc.check_degree, sc.degree),
+        samples=sc.samples,
+        tol=sc.tol,
+        seed=sc.seed,
+    )
+
+
+def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
+    return trace_check(
+        model.state,
+        model.gens,
+        degree=min(sc.check_degree, 3),
+        samples=sc.samples,
+        tol=sc.tol,
+        seed=sc.seed,
+    )
+
+
 def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
-    fds = model.free
-    marginals = {}
-    for i, (fm_gens, fm_state) in enumerate(model.factor_models, start=1):
-        marginals[i] = (
-            lambda w, g=fm_gens, s=fm_state: word_moment(s, g, w)
-        )
+    marginals = {
+        i: matrix_marginal(g[i], s) for i, (g, s) in enumerate(model.factor_models, start=1)
+    }
     words = signed_alternating_words(
-        fds.n_factors, min(sc.max_alt, sc.trunc), sc.degree, 2 * sc.degree
+        model.free.n_factors, min(sc.max_alt, sc.trunc), sc.degree, 2 * sc.degree
     )
     worst = 0.0
     witness = None
@@ -515,6 +502,17 @@ def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
 
 def _check_faithfulness(sc: Scenario, model: Model) -> CheckReport:
     degree = min(sc.check_degree, sc.degree)
+    if not model.factor_models:
+        # doubly mode keeps no per-factor models: certify the joint word span
+        fr = faithfulness_check(model.state, model.gens, degree)
+        return CheckReport(
+            name="faithfulness",
+            residual=float(fr.rank_gap),
+            tol=0.5,
+            passed=fr.faithful_on_span,
+            witness={"span_dim": fr.span_dim, "gram_rank": fr.gram_rank},
+            details=fr.to_obj(),
+        )
     worst_gap = 0
     witness = None
     all_ok = True
@@ -551,61 +549,31 @@ def _check_double_commutation(sc: Scenario, model: Model) -> CheckReport:
     )
 
 
+CHECKS: dict[str, Callable[[Scenario, Model], CheckReport]] = {
+    "unitarity": _check_unitarity,
+    "power_dilation": _check_power_dilation,
+    "dilation_identity": _check_power_dilation,
+    "double_commutation": _check_double_commutation,
+    "tensor_independence": _check_tensor_independence,
+    "free_independence": _check_free_independence,
+    "traciality": _check_traciality,
+    "oracle_equivalence": _check_oracle,
+    "faithfulness": _check_faithfulness,
+}
+
+
 def suite_plan(sc: Scenario, model: Model) -> list[tuple[str, Callable[[], CheckReport]]]:
     """Named check thunks applicable to the scenario's mode, in run order."""
-    plan: list[tuple[str, Callable[[], CheckReport]]] = [
-        ("unitarity", lambda: _check_unitarity(sc, model)),
-    ]
-    name = "dilation_identity" if sc.mode == "free" else "power_dilation"
-    plan.append((name, lambda: _check_power_dilation(sc, model)))
+    names = ["unitarity", "dilation_identity" if sc.mode == "free" else "power_dilation"]
     if sc.mode == "doubly":
-        plan.append(("double_commutation", lambda: _check_double_commutation(sc, model)))
+        names.append("double_commutation")
     if sc.mode == "tensor":
-        plan.append(
-            (
-                "tensor_independence",
-                lambda: tensor_independence_check(
-                    model.state,
-                    model.gens,
-                    degree=min(sc.check_degree, 3),
-                    samples=sc.samples,
-                    tol=sc.tol,
-                    seed=sc.seed,
-                ),
-            )
-        )
+        names.append("tensor_independence")
     if sc.mode == "free" and model.free.n_factors >= 2:
-        plan.append(
-            (
-                "free_independence",
-                lambda: free_independence_check(
-                    model.state,
-                    model.gens,
-                    max_len=min(sc.max_alt, sc.trunc),
-                    degree=min(sc.check_degree, sc.degree),
-                    samples=sc.samples,
-                    tol=sc.tol,
-                    seed=sc.seed,
-                ),
-            )
-        )
-        plan.append(
-            (
-                "traciality",
-                lambda: trace_check(
-                    model.state,
-                    model.gens,
-                    degree=min(sc.check_degree, 3),
-                    samples=sc.samples,
-                    tol=sc.tol,
-                    seed=sc.seed,
-                ),
-            )
-        )
-        plan.append(("oracle_equivalence", lambda: _check_oracle(sc, model)))
+        names += ["free_independence", "traciality", "oracle_equivalence"]
     if sc.mode in ("single", "tensor", "free"):
-        plan.append(("faithfulness", lambda: _check_faithfulness(sc, model)))
-    return plan
+        names.append("faithfulness")
+    return [(name, partial(CHECKS[name], sc, model)) for name in names]
 
 
 @dataclass
@@ -661,12 +629,7 @@ def run_theorem_suite(sc: Scenario, subset: Sequence[str] | None = None) -> Repo
                 "seconds": round(time.perf_counter() - t0, 6),
             }
         )
-        return Report(
-            scenario=sc.to_obj(),
-            checks=entries,
-            overall_pass=False,
-            inputs=[{"path": p, "sha256": h} for p, h in sc.sources],
-        )
+        return _finalize_report(sc, entries)
 
     for name, thunk in suite_plan(sc, model):
         if subset is not None and name not in subset:

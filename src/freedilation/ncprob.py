@@ -1,4 +1,5 @@
-"""Noncommutative probability toolkit: words, moments, independence certificates.
+"""Noncommutative probability toolkit: words and their enumeration, moments,
+independence certificates.
 
 Everything here works against a plain ``gens`` dictionary mapping 1-based
 factor ids to square matrices, together with a :class:`~.operator_core.State`
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +25,21 @@ MAX_GRAM_WORDS = 4096
 
 # ---------------------------------------------------------------------------
 # words and elements
+
+
+# a factor block: (factor id, star flags of its consecutive letters)
+Block = tuple[int, tuple[bool, ...]]
+
+
+def _merge_blocks(blocks: Iterable[Block]) -> tuple[Block, ...]:
+    """Concatenate adjacent blocks of the same factor."""
+    out: list[Block] = []
+    for f, stars in blocks:
+        if out and out[-1][0] == f:
+            out[-1] = (f, out[-1][1] + stars)
+        else:
+            out.append((f, stars))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -68,15 +84,9 @@ class Word:
                 out.append((f, step))
         return tuple(out)
 
-    def blocks(self) -> tuple[tuple[int, tuple[bool, ...]], ...]:
+    def blocks(self) -> tuple[Block, ...]:
         """Maximal same-factor blocks (stars may mix inside a block)."""
-        out: list[tuple[int, list[bool]]] = []
-        for f, s in self.letters:
-            if out and out[-1][0] == f:
-                out[-1][1].append(s)
-            else:
-                out.append((f, [s]))
-        return tuple((f, tuple(ss)) for f, ss in out)
+        return _merge_blocks((f, (s,)) for f, s in self.letters)
 
     def format(self) -> str:
         if not self.letters:
@@ -142,9 +152,6 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         return Element(self.terms + other.terms)
-
-    def scaled(self, c: complex) -> "Element":
-        return Element(tuple((c * coeff, w) for coeff, w in self.terms))
 
     @property
     def adjoint(self) -> "Element":
@@ -230,22 +237,84 @@ def center(el: Element, state: State, gens: Gens) -> Element:
     return el + Element.unit(-element_moment(state, gens, el))
 
 
-def single_factor_words(factor: int, max_len: int, include_adjoints: bool = True) -> list[Word]:
-    """All words of length 1..max_len in one generator (and its adjoint)."""
-    flags = (False, True) if include_adjoints else (False,)
-    out: list[Word] = []
+# ---------------------------------------------------------------------------
+# word enumeration; sweeps over signed power runs ``(factor id, k)`` return
+# run tuples, the form ``Word.from_runs`` takes
+
+Runs = tuple[tuple[int, int], ...]
+
+
+def _all_words(ids: Sequence[int], max_len: int) -> list[Word]:
+    """The unit, then every word of length 1..max_len in the factors and their
+    adjoints, by length and then in product order."""
+    letters = [(f, s) for f in ids for s in (False, True)]
+    out: list[Word] = [Word(())]
     for length in range(1, max_len + 1):
-        for pattern in itertools.product(flags, repeat=length):
-            out.append(Word(tuple((factor, s) for s in pattern)))
+        out.extend(Word(combo) for combo in itertools.product(letters, repeat=length))
     return out
 
 
-def random_element(
-    rng: np.random.Generator, factor: int, degree: int, include_adjoints: bool = True
-) -> Element:
+def _alternating_runs(
+    ids: Sequence[int],
+    signs: tuple[int, ...],
+    max_blocks: int,
+    per_run_max: int,
+    total_max: int,
+) -> list[Runs]:
+    """Nonempty power run sequences in the factors ``ids`` with run signs
+    drawn from ``signs``: adjacent runs differ in factor or sign, factor
+    blocks at most ``max_blocks``, each ``|k| <= per_run_max``, total
+    ``sum |k| <= total_max``; ordered by total power, then run count, then
+    the runs themselves."""
+    out: list[Runs] = []
+
+    def rec(prefix: Runs, blocks: int, budget: int) -> None:
+        if prefix:
+            out.append(prefix)
+        for i in ids:
+            new_block = not prefix or prefix[-1][0] != i
+            if blocks + new_block > max_blocks:
+                continue
+            for sign in signs:
+                if not new_block and (prefix[-1][1] > 0) == (sign > 0):
+                    continue
+                for k in range(1, min(per_run_max, budget) + 1):
+                    rec(prefix + ((i, sign * k),), blocks + new_block, budget - k)
+
+    rec((), 0, total_max)
+    out.sort(key=lambda runs: (sum(abs(k) for _, k in runs), len(runs), runs))
+    return out
+
+
+def signed_alternating_words(
+    n_factors: int, max_blocks: int, per_run_max: int, total_max: int
+) -> list[Runs]:
+    """Signed-power run sequences in factors ``1..n_factors``: adjacent runs
+    differ in factor or sign, factor blocks at most ``max_blocks``, each
+    ``|k| <= per_run_max``, total ``sum |k| <= total_max``."""
+    return _alternating_runs(range(1, n_factors + 1), (1, -1), max_blocks, per_run_max, total_max)
+
+
+def alternating_words_within(n_factors: int, max_alt: int, max_total: int) -> list[Runs]:
+    """All nonempty alternating signed-power run sequences with at most
+    ``max_alt`` runs, positive powers summing to at most ``max_total``."""
+    return _alternating_runs(range(1, n_factors + 1), (1,), max_alt, max_total, max_total)
+
+
+def ordered_words(n_factors: int, max_power: int) -> list[Runs]:
+    """One signed power per factor in order 1..n, all ``|k| <= max_power``."""
+    powers = range(-max_power, max_power + 1)
+    words = {
+        tuple((i + 1, k) for i, k in enumerate(combo) if k != 0)
+        for combo in itertools.product(powers, repeat=n_factors)
+    }
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def random_element(rng: np.random.Generator, factor: int, degree: int) -> Element:
     """Random combination of all words of length <= degree in one factor,
     coefficients uniform on the complex unit disc."""
-    words = [Word(())] + single_factor_words(factor, degree, include_adjoints)
+    words = _all_words([factor], degree)
     radii = np.sqrt(rng.uniform(0.0, 1.0, size=len(words)))
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=len(words)))
     return Element(tuple((complex(r * p), w) for r, p, w in zip(radii, phases, words)))
@@ -302,8 +371,8 @@ def tensor_independence_check(
     witness: dict | None = None
 
     for ia, ib in itertools.combinations(ids, 2):
-        words_a = single_factor_words(ia, degree)
-        words_b = single_factor_words(ib, degree)
+        words_a = _all_words([ia], degree)[1:]
+        words_b = _all_words([ib], degree)[1:]
         mats_a = [evaluate_word(w, gens) for w in words_a]
         mats_b = [evaluate_word(w, gens) for w in words_b]
         for wa, ma in zip(words_a, mats_a):
@@ -343,16 +412,6 @@ def tensor_independence_check(
 # free independence
 
 
-def _alternating_sequences(ids: Sequence[int], max_len: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for length in range(2, max_len + 1):
-        stack: list[tuple[int, ...]] = [(i,) for i in ids]
-        for _ in range(length - 1):
-            stack = [seq + (j,) for seq in stack for j in ids if j != seq[-1]]
-        out.extend(stack)
-    return out
-
-
 def _centered_monomials(
     state: State, gens: Gens, factor: int, degree: int
 ) -> list[tuple[str, Element]]:
@@ -383,7 +442,12 @@ def free_independence_check(
     ids = sorted(gens)
     if len(ids) < 2:
         raise ValueError("free independence needs at least two factors")
-    sequences = _alternating_sequences(ids, max_len)
+    # alternating factor sequences of length 2..max_len, one letter per slot
+    sequences = [
+        tuple(f for f, _ in runs)
+        for runs in _alternating_runs(ids, (1,), max_len, 1, max_len)
+        if len(runs) >= 2
+    ]
     worst = 0.0
     witness: dict | None = None
 
@@ -522,15 +586,6 @@ class FaithfulnessReport:
         }
 
 
-def _all_words(ids: Sequence[int], degree: int) -> list[Word]:
-    letters = [(f, s) for f in ids for s in (False, True)]
-    out: list[Word] = [Word(())]
-    for length in range(1, degree + 1):
-        for combo in itertools.product(letters, repeat=length):
-            out.append(Word(tuple(combo)))
-    return out
-
-
 def _gram_rank(gram: np.ndarray, rank_rtol: float) -> int:
     s = np.linalg.svd(gram, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
@@ -627,45 +682,6 @@ def noncrossing_partitions(k: int) -> list[Partition]:
     ]
 
 
-def is_noncrossing(partition: Partition) -> bool:
-    """Blocks cross iff their sorted merge alternates through 4+ runs."""
-    blocks = [set(b) for b in partition]
-    for bi, bj in itertools.combinations(blocks, 2):
-        merged = sorted((x, x in bi) for x in bi | bj)
-        runs = 1
-        for (_, a), (_, b) in zip(merged, merged[1:]):
-            if a != b:
-                runs += 1
-        if runs >= 4:
-            return False
-    return True
-
-
-def all_set_partitions(k: int) -> list[Partition]:
-    """Every set partition of ``{1, ..., k}`` via restricted growth strings."""
-    if not 1 <= k <= 8:
-        raise ValueError(f"set partition enumeration capped at 8, got {k}")
-    out: list[Partition] = []
-
-    def rec(i: int, assignment: list[int], nblocks: int) -> None:
-        if i == k:
-            blocks: list[list[int]] = [[] for _ in range(nblocks)]
-            for pos, b in enumerate(assignment):
-                blocks[b].append(pos + 1)
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in range(nblocks):
-            assignment.append(b)
-            rec(i + 1, assignment, nblocks)
-            assignment.pop()
-        assignment.append(nblocks)
-        rec(i + 1, assignment, nblocks + 1)
-        assignment.pop()
-
-    rec(0, [], 0)
-    return out
-
-
 def free_cumulants(moments: Sequence[complex]) -> list[complex]:
     """Free cumulants ``kappa_1..kappa_k`` from moments ``m_1..m_k`` by the
     noncrossing moment-cumulant recursion."""
@@ -751,20 +767,11 @@ def free_mixed_moment_oracle(
 
     memo: dict[tuple, complex] = {}
 
-    def block_phi(block: tuple[int, tuple[bool, ...]]) -> complex:
+    def block_phi(block: Block) -> complex:
         f, stars = block
         return marginals[f](Word(tuple((f, s) for s in stars)))
 
-    def merge(blocks: Sequence[tuple[int, tuple[bool, ...]]]) -> tuple:
-        out: list[tuple[int, tuple[bool, ...]]] = []
-        for f, stars in blocks:
-            if out and out[-1][0] == f:
-                out[-1] = (f, out[-1][1] + stars)
-            else:
-                out.append((f, stars))
-        return tuple(out)
-
-    def rec(blocks: tuple) -> complex:
+    def rec(blocks: tuple[Block, ...]) -> complex:
         if not blocks:
             return 1.0 + 0.0j
         if len(blocks) == 1:
@@ -777,7 +784,7 @@ def free_mixed_moment_oracle(
         for mask in range(1, 1 << m):
             coeff = 1.0 + 0.0j
             sign = -1.0
-            kept: list[tuple[int, tuple[bool, ...]]] = []
+            kept: list[Block] = []
             for j in range(m):
                 if mask >> j & 1:
                     coeff *= phis[j]
@@ -786,7 +793,7 @@ def free_mixed_moment_oracle(
                     kept.append(blocks[j])
             if coeff == 0:
                 continue
-            total += sign * coeff * rec(merge(kept))
+            total += sign * coeff * rec(_merge_blocks(kept))
         memo[blocks] = total
         return total
 

@@ -61,15 +61,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a)).T
 
 
-def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
-
-
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value, via Hermitian eigendecomposition of a*a."""
     a = np.asarray(a, dtype=complex)
@@ -77,11 +68,6 @@ def operator_norm(a: np.ndarray) -> float:
         return 0.0
     w = np.linalg.eigvalsh(adjoint(a) @ a)
     return float(np.sqrt(max(w[-1], 0.0)))
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and operator_norm(a - adjoint(a)) <= tol
 
 
 def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -145,10 +131,6 @@ class Embedding:
         res = operator_norm(gram - np.eye(self.small_dim))
         if res > tol:
             raise ValueError(f"not an isometry: ||V*V - I|| = {res:.3e} > {tol:g}")
-
-    @staticmethod
-    def identity(dim: int) -> "Embedding":
-        return Embedding(np.eye(dim, dtype=complex))
 
     @staticmethod
     def coordinate(big_dim: int, indices) -> "Embedding":
@@ -226,16 +208,6 @@ class State:
     @staticmethod
     def maximally_mixed(dim: int) -> "State":
         return State.from_density(np.eye(dim, dtype=complex) / dim)
-
-
-def evaluate_state(s: State, a: np.ndarray) -> complex:
-    """``<a xi, xi>`` for a vector state, ``trace(rho a)`` for a density state."""
-    a = as_matrix(a)
-    if a.shape != (s.dim, s.dim):
-        raise ShapeMismatchError(f"evaluate_state: operator {a.shape} vs state dim {s.dim}")
-    if s.kind == "vector":
-        return complex(np.vdot(s.vector, a @ s.vector))
-    return complex(np.trace(s.density @ a))
 
 
 def purify(rho: State):

@@ -16,29 +16,28 @@ from freedilation.dilation import (
     verify_power_dilation,
 )
 from freedilation.free_product import (
-    alternating_words_within,
     free_unitary_dilation,
+    verify_free_dilation,
 )
 from freedilation.harness import (
     Scenario,
-    ordered_words,
     report_fingerprint,
     run_theorem_suite,
-    signed_alternating_words,
 )
 from freedilation.ncprob import (
     Word,
-    all_set_partitions,
+    alternating_words_within,
     faithfulness_check,
     free_cumulants,
     free_independence_check,
     free_mixed_moment_oracle,
     haar_unitary_marginal,
-    is_noncrossing,
     make_tensor_independent,
     matrix_marginal,
     moments_from_cumulants,
     noncrossing_partitions,
+    ordered_words,
+    signed_alternating_words,
     tensor_independence_check,
     trace_check,
     word_moment,
@@ -48,6 +47,7 @@ from freedilation.operator_core import (
     random_contraction,
     random_unitary,
 )
+from partition_oracles import all_set_partitions, is_noncrossing
 
 
 def _verdict(capsys, num, name, ok, detail):
@@ -162,7 +162,7 @@ def test_04_free_dilation_identity(capsys, scalar_pair):
     for _, fds in scenarios:
         dims.append(fds.dim)
         for runs in alternating_words_within(fds.n_factors, 4, 3):
-            worst = max(worst, verify_power_dilation(fds, None, runs).residual)
+            worst = max(worst, verify_free_dilation(fds, runs).residual)
             words += 1
     _verdict(
         capsys, 4, "free_dilation_identity", worst <= 1e-8,

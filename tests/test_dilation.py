@@ -7,13 +7,11 @@ from freedilation.dilation import (
     double_commutation_residual,
     doubly_commuting_dilation,
     finite_unitary_dilation,
-    minimal_reducing_subspace,
     signed_power,
     verify_power_dilation,
 )
 from freedilation.operator_core import (
     ContractionError,
-    Embedding,
     adjoint,
     compress,
     operator_norm,
@@ -127,6 +125,8 @@ def test_verify_rejects_out_of_budget_words():
     res = finite_unitary_dilation(t, 2)
     with pytest.raises(BudgetError):
         verify_power_dilation(res, [t], [(1, 3)])
+    with pytest.raises(BudgetError):
+        verify_power_dilation(res, [t], [(1, 10**12)])
     a = np.diag([0.5, 0.3])
     b = np.diag([0.2, 0.7])
     res2 = doubly_commuting_dilation([a, b], 2)
@@ -135,27 +135,3 @@ def test_verify_rejects_out_of_budget_words():
     with pytest.raises(BudgetError):
         verify_power_dilation(res2, [a, b], [(1, 1), (3, 1)])
 
-
-def test_minimal_reducing_subspace_cyclic_vector():
-    # dilation of the zero contraction is a cyclic shift: e0 generates everything
-    res = finite_unitary_dilation(np.array([[0.0]]), 3)
-    e = Embedding.coordinate(4, [0])
-    grown = minimal_reducing_subspace(res.unitaries, e)
-    assert grown.small_dim == 4
-
-
-def test_minimal_reducing_subspace_invariant_start():
-    u = np.diag([1.0, -1.0, 1.0j])
-    e = Embedding.coordinate(3, [1])
-    grown = minimal_reducing_subspace([u], e)
-    assert grown.small_dim == 1
-    # idempotent: same subspace (projections agree)
-    again = minimal_reducing_subspace([u], grown)
-    p1 = grown.isometry @ adjoint(grown.isometry)
-    p2 = again.isometry @ adjoint(again.isometry)
-    np.testing.assert_allclose(p1, p2, atol=1e-10)
-
-
-def test_minimal_reducing_subspace_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        minimal_reducing_subspace([np.diag([0.5, 1.0])], Embedding.coordinate(2, [0]))

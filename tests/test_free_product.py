@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from freedilation.dilation import BudgetError, verify_power_dilation
+from freedilation.dilation import BudgetError
 from freedilation.free_product import (
     FockDimensionError,
     PointedSpace,
-    alternating_words_within,
     build_fock,
-    dilated_state,
     fock_dimension,
     free_unitary_dilation,
     left_representation,
     restricted_unitarity_residual,
+    verify_free_dilation,
 )
-from freedilation.ncprob import Word, parse_word, word_moment
+from freedilation.ncprob import Word, alternating_words_within, parse_word, word_moment
 from freedilation.operator_core import State, adjoint, operator_norm
 
 
@@ -120,7 +119,7 @@ def test_scalar_pair_dimensions():
 def test_single_factor_moments_match_input_state():
     fds = _scalar_pair()
     gens = fds.fock_gens()
-    vac = dilated_state(fds)
+    vac = fds.vacuum
     for k in range(4):
         assert word_moment(vac, gens, Word.from_runs([(1, k)])) == pytest.approx(
             0.5**k, abs=1e-12
@@ -144,7 +143,7 @@ def test_vacuum_embedded():
     assert big[0] == 1.0
     assert np.count_nonzero(big) == 1
     # vacuum lies in the embedded subspace: <J J* vac, vac> = 1
-    vac = dilated_state(fds).vector
+    vac = fds.vacuum.vector
     assert np.vdot(vac, j @ (adjoint(j) @ vac)) == pytest.approx(1.0)
 
 
@@ -157,18 +156,20 @@ def test_restricted_unitarity():
 def test_dilation_identity_within_budget():
     fds = _scalar_pair()
     for runs in alternating_words_within(2, 4, 3):
-        r = verify_power_dilation(fds, None, runs, 1e-10)
+        r = verify_free_dilation(fds, runs, 1e-10)
         assert r.passed, (runs, r.residual)
 
 
 def test_dilation_identity_budget_refusals():
     fds = _scalar_pair()
     with pytest.raises(BudgetError):
-        verify_power_dilation(fds, None, [(1, 4)])
+        verify_free_dilation(fds, [(1, 4)])
     with pytest.raises(BudgetError):
-        verify_power_dilation(fds, None, [(1, -1)])
+        verify_free_dilation(fds, [(1, 10**12)])
     with pytest.raises(BudgetError):
-        verify_power_dilation(fds, None, [(1, 1), (2, 1), (1, 1), (2, 1), (1, 1)])
+        verify_free_dilation(fds, [(1, -1)])
+    with pytest.raises(BudgetError):
+        verify_free_dilation(fds, [(1, 1), (2, 1), (1, 1), (2, 1), (1, 1)])
 
 
 def test_matrix_factor_moments():
@@ -215,7 +216,7 @@ def test_one_factor_reduces_to_single_dilation():
     # one-factor free product of the dilation space is the dilation space
     assert fds.dim == fds.dilations[0].ambient_dim
     for runs in [[(1, 1)], [(1, 2)], [(1, 3)]]:
-        r = verify_power_dilation(fds, None, runs, 1e-10)
+        r = verify_free_dilation(fds, runs, 1e-10)
         assert r.passed
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +14,17 @@ from freedilation.harness import (
     evaluate_product,
     ingest,
     moment_budget_check,
-    ordered_words,
     parse_product,
     render_text,
     report_fingerprint,
     run_theorem_suite,
     scenario_from_obj,
-    signed_alternating_words,
 )
-from freedilation.ncprob import Word
+from freedilation.ncprob import Word, ordered_words, signed_alternating_words
 from freedilation.operator_core import State
 from freedilation.serialization import matrix_to_obj, state_to_obj
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 def _scalar(value):
@@ -331,6 +332,94 @@ def test_cli_check_trace_on_single(tmp_path, capsys):
     code = main(["check", "--input", path, "--property", "trace", "--format", "text"])
     assert code == 0
     capsys.readouterr()
+
+
+def _tensor_obj():
+    return {
+        "mode": "tensor",
+        "factors": [
+            {"matrix": matrix_to_obj(_scalar(0.5))},
+            {"matrix": matrix_to_obj(np.array([[0.0, 0.4], [0.1, 0.2]], dtype=complex))},
+        ],
+        "degree": 2,
+        "samples": 5,
+        "seed": 3,
+    }
+
+
+@pytest.mark.parametrize(
+    ("scenario", "prop", "check"),
+    [
+        ("tensor", "tensor", "tensor_independence"),
+        ("tensor", "faithful", "faithfulness"),
+        ("free", "free", "free_independence"),
+        ("free", "trace", "traciality"),
+        ("free", "faithful", "faithfulness"),
+        ("single_half", "faithful", "faithfulness"),
+    ],
+)
+def test_cli_check_matches_suite_entry(tmp_path, capsys, scenario, prop, check):
+    if scenario == "tensor":
+        path = _write_scenario(tmp_path, _tensor_obj())
+    elif scenario == "free":
+        path = _write_scenario(tmp_path, _free_obj(degree=2, trunc=3, samples=3, seed=9))
+    else:
+        path = str(SCENARIOS / f"{scenario}.json")
+    report = run_theorem_suite(ingest(path), subset=[check])
+    entry = json.loads(json.dumps(report.checks[-1]))
+    assert entry["name"] == check
+    code = main(["check", "--input", path, "--property", prop])
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["max_residual"] == entry["residual"]
+    assert obj["worst_witness"] == entry["witness"]
+    assert obj["pass"] == entry["passed"]
+    assert obj["details"] == entry["details"]
+    assert code == (0 if entry["passed"] else 1)
+
+
+def test_cli_check_faithful_without_factor_models(capsys):
+    # doubly mode has no per-factor models: the joint span is checked instead
+    code = main(["check", "--input", str(SCENARIOS / "doubly_diag.json"), "--property", "faithful"])
+    assert code == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["max_residual"] == 4.0 and obj["pass"] is False
+    assert obj["worst_witness"] == {"span_dim": 13, "gram_rank": 9}
+    assert obj["details"] == {
+        "faithful_on_span": False,
+        "span_dim": 13,
+        "gram_rank": 9,
+        "rank_gap": 4,
+        "word_count": 21,
+        "degree": 2,
+        "rank_rtol": 1e-09,
+    }
+
+
+def _assert_refused(code, capsys, match):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and match in err
+
+
+@pytest.mark.parametrize("prop", ["tensor", "free", "trace", "faithful"])
+def test_cli_check_degree_is_validated(capsys, prop):
+    path = str(SCENARIOS / "free_pair.json")
+    code = main(["check", "--input", path, "--property", prop, "--check-degree", "0"])
+    _assert_refused(code, capsys, "check_degree must be >= 1")
+
+
+def test_cli_check_free_needs_two_factors(capsys):
+    code = main(["check", "--input", str(SCENARIOS / "single_half.json"), "--property", "free"])
+    _assert_refused(code, capsys, "at least two factors")
+
+
+@pytest.mark.parametrize(
+    ("command", "scenario", "word"),
+    [("moments", "free_pair", "7^1"), ("oracle", "free_pair", "7^1"), ("moments", "single_half", "2^1")],
+)
+def test_cli_word_with_unknown_factor_is_refused(capsys, command, scenario, word):
+    code = main([command, "--input", str(SCENARIOS / f"{scenario}.json"), "--word", word])
+    _assert_refused(code, capsys, "factor ids")
 
 
 def test_cli_cumulants_semicircle(tmp_path, capsys):

@@ -5,7 +5,7 @@ from freedilation.dilation import finite_unitary_dilation
 from freedilation.ncprob import (
     Element,
     Word,
-    all_set_partitions,
+    alternating_words_within,
     center,
     element_moment,
     evaluate_word,
@@ -14,7 +14,6 @@ from freedilation.ncprob import (
     free_independence_check,
     free_mixed_moment_oracle,
     haar_unitary_marginal,
-    is_noncrossing,
     make_tensor_independent,
     matrix_marginal,
     moments_from_cumulants,
@@ -27,6 +26,7 @@ from freedilation.ncprob import (
     word_moment,
 )
 from freedilation.operator_core import State, adjoint
+from partition_oracles import all_set_partitions, is_noncrossing
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -58,6 +58,13 @@ def test_word_adjoint_and_blocks():
     assert w.adjoint.format() == "2^1 1^-2"
     assert w.blocks() == ((1, (False, False)), (2, (True,)))
     assert parse_word("1^1 1^-1 2^1").blocks() == ((1, (False, True)), (2, (False,)))
+
+
+def test_positive_alternating_words_one_factor():
+    # one factor, one block: the positive words are the 30 single runs,
+    # generated directly rather than filtered from the signed words
+    words = alternating_words_within(1, 4, 30)
+    assert words == [((1, k),) for k in range(1, 31)]
 
 
 def test_evaluate_word_diagonal():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freedilation.ncprob import parse_word, word_moment
 from freedilation.operator_core import (
     ContractionError,
     Embedding,
@@ -12,9 +13,6 @@ from freedilation.operator_core import (
     as_matrix,
     compress,
     defect_pair,
-    direct_sum,
-    evaluate_state,
-    is_hermitian,
     operator_norm,
     psd_sqrt,
     purify,
@@ -33,18 +31,10 @@ def test_operator_norm_frozen_values():
 def test_adjoint_and_hermitian():
     m = np.array([[1.0, 2.0 + 1.0j], [0.0, 3.0]])
     np.testing.assert_allclose(adjoint(m), m.conj().T)
-    assert is_hermitian(np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]]))
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_direct_sum_block_layout():
-    a = np.array([[1.0]])
-    b = np.array([[2.0, 3.0], [4.0, 5.0]])
-    s = direct_sum(a, b)
-    assert s.shape == (3, 3)
-    assert s[0, 0] == 1.0
-    np.testing.assert_allclose(s[1:, 1:], b)
-    assert s[0, 1] == 0.0 and s[1, 0] == 0.0
+    h = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]])
+    assert np.array_equal(adjoint(h), h)
+    n = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert operator_norm(n - adjoint(n)) == pytest.approx(1.0)
 
 
 def test_psd_sqrt_scalar_and_2x2():
@@ -131,14 +121,15 @@ def test_state_evaluation_vector_vs_density():
     v = np.array([0.6, 0.8])
     s_vec = State.from_vector(v)
     s_den = State.from_density(np.outer(v, v))
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert evaluate_state(s_vec, a) == pytest.approx(evaluate_state(s_den, a))
+    gens = {1: np.array([[1.0, 2.0], [3.0, 4.0]])}
+    w = parse_word("1^1")
+    assert word_moment(s_vec, gens, w) == pytest.approx(word_moment(s_den, gens, w))
 
 
 def test_maximally_mixed_is_normalized_trace():
     s = State.maximally_mixed(3)
     a = np.diag([1.0, 2.0, 3.0])
-    assert evaluate_state(s, a) == pytest.approx(2.0)
+    assert np.trace(s.density @ a) == pytest.approx(2.0)
 
 
 def test_purify_reproduces_density_moments():
@@ -146,8 +137,8 @@ def test_purify_reproduces_density_moments():
     rho_state = random_state(rng, 3, kind="density")
     pure, lift = purify(rho_state)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert evaluate_state(pure, lift(a)) == pytest.approx(
-        evaluate_state(rho_state, a), abs=1e-12
+    assert np.vdot(pure.vector, lift(a) @ pure.vector) == pytest.approx(
+        np.trace(rho_state.density @ a), abs=1e-12
     )
 
 
