@@ -21,7 +21,7 @@ from freedilation.ncprob import Word
 
 s = State.basis_vector(1, 0)
 fds = free_unitary_dilation([(np.zeros((1, 1)), s), (np.zeros((1, 1)), s)], 3, 4)
-gens = fds.fock_gens()
+gens = fds.unitaries
 vac = fds.vacuum
 
 print("two zero scalars, degree 3, truncation length 4")

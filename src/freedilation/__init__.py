@@ -12,7 +12,6 @@ from ._version import __version__
 from .operator_core import (
     ContractionError,
     Embedding,
-    PSDError,
     ShapeMismatchError,
     State,
     StateError,
@@ -20,7 +19,6 @@ from .operator_core import (
     compress,
     defect_pair,
     operator_norm,
-    psd_sqrt,
     purify,
     random_contraction,
     random_state,
@@ -50,6 +48,7 @@ from .ncprob import (
     CheckReport,
     Element,
     FaithfulnessReport,
+    GenSet,
     Word,
     alternating_words_within,
     center,

@@ -178,7 +178,7 @@ def _cmd_oracle(args) -> int:
     sc = _load_scenario(args, force_mode="free")
     model = _build_or_refuse(sc)
     marginals = {
-        i: matrix_marginal(g[i], s) for i, (g, s) in enumerate(model.factor_models, start=1)
+        i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
     results = []
     worst = 0.0

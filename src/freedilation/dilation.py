@@ -10,19 +10,18 @@ outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .ncprob import Word
+from .ncprob import GenSet, Word, apply_word
 from .operator_core import (
     DEFAULT_TOL,
     ContractionError,
     Embedding,
     adjoint,
     as_matrix,
-    compress,
     defect_pair,
     operator_norm,
 )
@@ -45,14 +44,6 @@ class NotDoublyCommutingError(ValueError):
         )
 
 
-def signed_power(a: np.ndarray, k: int) -> np.ndarray:
-    """``a^k`` for ``k >= 0``, ``(a*)^{-k}`` for ``k < 0``."""
-    a = as_matrix(a)
-    if k >= 0:
-        return np.linalg.matrix_power(a, k)
-    return np.linalg.matrix_power(adjoint(a), -k)
-
-
 @dataclass(frozen=True)
 class DilationResult:
     """Unitaries on an ambient space together with the embedding of the original one."""
@@ -60,6 +51,11 @@ class DilationResult:
     unitaries: tuple[np.ndarray, ...]
     embedding: Embedding
     degree: int
+    gens: GenSet = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # keyed 1..n, sharing the unitaries' arrays
+        object.__setattr__(self, "gens", GenSet(dict(enumerate(self.unitaries, start=1))))
 
     @property
     def ambient_dim(self) -> int:
@@ -178,7 +174,8 @@ def verify_power_dilation(
     res: DilationResult, ts: Sequence[np.ndarray], word: SignedPowerWord, tol: float = 1e-10
 ) -> WordResidual:
     """Residual of the ordered joint power-dilation identity
-    ``compress(U_1(k_1) ... U_n(k_n)) = T_1(k_1) ... T_n(k_n)``.
+    ``J* U_1(k_1) ... U_n(k_n) J = T_1(k_1) ... T_n(k_n)``, with the word
+    applied to the embedding's columns ``J``, never as a dense power.
 
     Factors must appear in increasing order, one signed power each, with
     ``|k| <= degree``; other words raise :class:`BudgetError`, they are never
@@ -190,7 +187,8 @@ def verify_power_dilation(
     total = sum(abs(k) for _, k in word)
     if total > n * res.degree:
         raise BudgetError(f"total |power| {total} exceeds {n} factors times degree {res.degree}")
-    runs = Word.from_runs(word).runs()
+    w = Word.from_runs(word)
+    runs = w.runs()
     factors = [f for f, _ in runs]
     if any(not 1 <= f <= n for f in factors):
         raise BudgetError(f"word uses factor outside 1..{n}: {factors}")
@@ -201,10 +199,9 @@ def verify_power_dilation(
     for f, k in runs:
         if abs(k) > res.degree:
             raise BudgetError(f"|power| {abs(k)} of factor {f} exceeds dilation degree {res.degree}")
-    big = np.eye(res.ambient_dim, dtype=complex)
-    small = np.eye(res.embedding.small_dim, dtype=complex)
-    for f, k in runs:
-        big = big @ signed_power(res.unitaries[f - 1], k)
-        small = small @ signed_power(as_matrix(ts[f - 1]), k)
-    residual = operator_norm(compress(big, res.embedding) - small)
+    j = res.embedding.isometry
+    small = GenSet(dict(enumerate(ts, start=1)))
+    lhs = adjoint(j) @ apply_word(w, res.gens, j)
+    rhs = apply_word(w, small, np.eye(res.embedding.small_dim, dtype=complex))
+    residual = operator_norm(lhs - rhs)
     return WordResidual(word=word, residual=residual, tol=tol, passed=residual <= tol)

@@ -22,7 +22,7 @@ from .dilation import (
     WordResidual,
     finite_unitary_dilation,
 )
-from .ncprob import Word
+from .ncprob import GenSet, Word, apply_word
 from .operator_core import (
     DEFAULT_TOL,
     Embedding,
@@ -207,7 +207,8 @@ class FreeDilationScenario:
     the truncated free product of the dilation spaces.
 
     ``unitaries[i]`` acts on the big product space, ``s_ops[i]`` is the same
-    construction applied to the original contractions, and ``embedding`` is
+    construction applied to the original contractions (both keyed by factor
+    id 1..n), and ``embedding`` is
     the isometry between the two product spaces (labels map identically).
     ``vacuum`` is the joint state; single-factor moments match the input
     states exactly, and mixed moments realize free independence inside the
@@ -221,30 +222,28 @@ class FreeDilationScenario:
     dilations: tuple[DilationResult, ...]
     fock_h: FockBasis
     fock_k: FockBasis
-    unitaries: tuple[np.ndarray, ...]
-    s_ops: tuple[np.ndarray, ...]
+    unitaries: GenSet
+    s_ops: GenSet
     embedding: Embedding
     vacuum: State
 
     @property
     def n_factors(self) -> int:
-        return len(self.unitaries)
+        return len(self.factor_ops)
 
     @property
     def dim(self) -> int:
         return self.fock_k.dim
 
-    def fock_gens(self) -> dict[int, np.ndarray]:
-        return {i + 1: u for i, u in enumerate(self.unitaries)}
-
-    def factor_model(self, factor: int) -> tuple[dict[int, np.ndarray], State]:
-        """The single-factor dilation with its pointed state, on the small
-        dilation space (exactly unitary, no truncation artifacts)."""
+    def factor_model(self, factor: int) -> tuple[GenSet, State]:
+        """The single-factor dilation, keyed by ``factor``, with its pointed
+        state, on the small dilation space (exactly unitary, no truncation
+        artifacts)."""
         if not 1 <= factor <= self.n_factors:
             raise ValueError(f"factor id {factor} outside 1..{self.n_factors}")
         res = self.dilations[factor - 1]
         xi = res.embedding.isometry @ self.pointed[factor - 1].base_vector
-        return {factor: res.unitaries[0]}, State.from_vector(xi)
+        return GenSet({factor: res.unitaries[0]}), State.from_vector(xi)
 
 
 def _as_pointed_factor(t: np.ndarray, state) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +302,11 @@ def free_unitary_dilation(
     fock_k = build_fock({i: pointed_k[i - 1] for i in ids}, trunc_len, dim_cap)
     fock_h = build_fock({i: pointed_h[i - 1] for i in ids}, trunc_len, dim_cap)
 
-    unitaries = tuple(
-        left_representation(i, dils[i - 1].unitaries[0], fock_k) for i in ids
+    # left representations of operators that passed as_matrix: finite
+    unitaries = GenSet.of_finite(
+        {i: left_representation(i, dils[i - 1].unitaries[0], fock_k) for i in ids}
     )
-    s_ops = tuple(left_representation(i, mats[i - 1], fock_h) for i in ids)
+    s_ops = GenSet.of_finite({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
 
     j_mat = np.zeros((fock_k.dim, fock_h.dim), dtype=complex)
     for idx_h, lab in enumerate(fock_h.labels):
@@ -335,7 +335,7 @@ def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> flo
     """
     if not 1 <= factor <= fds.n_factors:
         raise ValueError(f"factor id {factor} outside 1..{fds.n_factors}")
-    u = fds.unitaries[factor - 1]
+    u = fds.unitaries[factor]
     eye = np.eye(fds.dim)
     cols = fds.fock_k.short_indices()
     res1 = operator_norm((adjoint(u) @ u - eye)[:, cols])
@@ -358,7 +358,8 @@ def verify_free_dilation(
     total = sum(abs(k) for _, k in word)
     if total > fds.degree:
         raise BudgetError(f"total power {total} exceeds dilation degree {fds.degree}")
-    runs = Word.from_runs(word).runs()
+    w = Word.from_runs(word)
+    runs = w.runs()
     n = fds.n_factors
     if any(not 1 <= f <= n for f, _ in runs):
         raise BudgetError(f"word uses factor outside 1..{n}")
@@ -369,11 +370,7 @@ def verify_free_dilation(
             f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
         )
     j = fds.embedding.isometry
-    lhs = j.copy()
-    rhs = np.eye(j.shape[1], dtype=complex)
-    for f, k in reversed(runs):
-        for _ in range(k):
-            lhs = fds.unitaries[f - 1] @ lhs
-            rhs = fds.s_ops[f - 1] @ rhs
-    residual = operator_norm(adjoint(j) @ lhs - rhs)
+    lhs = adjoint(j) @ apply_word(w, fds.unitaries, j)
+    rhs = apply_word(w, fds.s_ops, np.eye(j.shape[1], dtype=complex))
+    residual = operator_norm(lhs - rhs)
     return WordResidual(word=word, residual=residual, tol=tol, passed=residual <= tol)

@@ -37,6 +37,7 @@ from .free_product import (
 from .ncprob import (
     CheckReport,
     Element,
+    GenSet,
     Word,
     alternating_words_within,
     center,
@@ -224,12 +225,11 @@ def emit(sc: Scenario, path: str | Path | None = None) -> str:
 class Model:
     """A constructed dilation model: generators, state, and the raw parts."""
 
-    gens: dict[int, np.ndarray]
+    gens: GenSet
     state: State
     dilation: DilationResult | None = None
     free: FreeDilationScenario | None = None
-    factor_models: list[tuple[dict[int, np.ndarray], State]] = field(default_factory=list)
-    ambient_dim: int = 0
+    factor_models: list[tuple[GenSet, State]] = field(default_factory=list)
 
 
 def _embedded_state(res: DilationResult, st: State) -> State:
@@ -246,44 +246,32 @@ def build_model(sc: Scenario) -> Model:
         res = finite_unitary_dilation(t, sc.degree, sc.tol)
         emb = _embedded_state(res, st)
         return Model(
-            gens={1: res.unitaries[0]},
+            gens=res.gens,
             state=emb,
             dilation=res,
-            factor_models=[({1: res.unitaries[0]}, emb)],
-            ambient_dim=res.ambient_dim,
+            factor_models=[(res.gens, emb)],
         )
     if sc.mode == "doubly":
         ts = [t for t, _ in sc.factors]
         res = doubly_commuting_dilation(ts, sc.degree, sc.tol)
         emb = _embedded_state(res, sc.factors[0][1])
-        return Model(
-            gens={i + 1: u for i, u in enumerate(res.unitaries)},
-            state=emb,
-            dilation=res,
-            ambient_dim=res.ambient_dim,
-        )
+        return Model(gens=res.gens, state=emb, dilation=res)
     if sc.mode == "tensor":
         parts = []
         factor_models = []
-        for t, st in sc.factors:
+        for i, (t, st) in enumerate(sc.factors, start=1):
             r = finite_unitary_dilation(t, sc.degree, sc.tol)
             emb = _embedded_state(r, st)
             parts.append((r.unitaries[0], emb))
-            factor_models.append(({1: r.unitaries[0]}, emb))
+            factor_models.append((GenSet({i: r.unitaries[0]}), emb))
         gens, joint = make_tensor_independent(parts)
-        return Model(
-            gens=gens,
-            state=joint,
-            factor_models=factor_models,
-            ambient_dim=joint.vector.size if joint.kind == "vector" else joint.density.shape[0],
-        )
+        return Model(gens=gens, state=joint, factor_models=factor_models)
     fds = free_unitary_dilation(sc.factors, sc.degree, sc.trunc, sc.tol)
     return Model(
-        gens=fds.fock_gens(),
+        gens=fds.unitaries,
         state=fds.vacuum,
         free=fds,
         factor_models=[fds.factor_model(i) for i in range(1, fds.n_factors + 1)],
-        ambient_dim=fds.dim,
     )
 
 
@@ -374,8 +362,9 @@ def _check_unitarity(sc: Scenario, model: Model) -> CheckReport:
                     witness = {"factor": i, "restricted_to": f"words shorter than {sc.trunc}"}
                 worst = max(worst, res)
     else:
-        eye = np.eye(model.ambient_dim)
-        for i, u in sorted(model.gens.items()):
+        eye = np.eye(model.gens.dim)
+        for i in model.gens.ids:
+            u = model.gens[i]
             res = operator_norm(adjoint(u) @ u - eye)
             if res >= worst:
                 if res > worst or witness is None:
@@ -403,7 +392,7 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     elif sc.mode == "tensor":
         for i, (fm_gens, _) in enumerate(model.factor_models, start=1):
             t = ts[i - 1]
-            u = fm_gens[1]
+            u = fm_gens[i]
             small = t.shape[0]
             res = DilationResult(
                 unitaries=(u,),
@@ -470,7 +459,7 @@ def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
 
 def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
     marginals = {
-        i: matrix_marginal(g[i], s) for i, (g, s) in enumerate(model.factor_models, start=1)
+        i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
     words = signed_alternating_words(
         model.free.n_factors, min(sc.max_alt, sc.trunc), sc.degree, 2 * sc.degree
@@ -537,7 +526,7 @@ def _check_faithfulness(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_double_commutation(sc: Scenario, model: Model) -> CheckReport:
-    ops = [model.gens[i] for i in sorted(model.gens)]
+    ops = [model.gens[i] for i in model.gens.ids]
     res = double_commutation_residual(ops)
     return CheckReport(
         name="double_commutation",
@@ -610,7 +599,7 @@ def run_theorem_suite(sc: Scenario, subset: Sequence[str] | None = None) -> Repo
             "tol": sc.tol,
             "passed": True,
             "witness": None,
-            "details": {"ambient_dim": model.ambient_dim, "mode": sc.mode},
+            "details": {"ambient_dim": model.gens.dim, "mode": sc.mode},
         }
         if model.free is not None:
             construction["details"]["fock_dim"] = model.free.dim

@@ -1,17 +1,18 @@
 """Noncommutative probability toolkit: words and their enumeration, moments,
 independence certificates.
 
-Everything here works against a plain ``gens`` dictionary mapping 1-based
-factor ids to square matrices, together with a :class:`~.operator_core.State`
-on the common space.  Checks return structured reports carrying the worst
-residual and a witness sufficient to reproduce it.
+Everything here works against a :class:`GenSet`, the square generators of
+one common space keyed by 1-based factor id, together with a
+:class:`~.operator_core.State` on that space; :func:`apply_word` is the one
+place a generator letter is applied.  Checks return structured reports
+carrying the worst residual and a witness sufficient to reproduce it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -158,43 +159,76 @@ class Element:
         return Element(tuple((np.conj(c), w.adjoint) for c, w in self.terms))
 
 
-Gens = Mapping[int, np.ndarray]
+@dataclass(frozen=True, eq=False)
+class GenSet:
+    """Square generators of one common space, keyed by 1-based factor id.
+
+    Validated once, by the constructor: every matrix passes ``as_matrix``
+    (finite complex entries), all share one square shape, and there is at
+    least one; :meth:`of_finite` skips only the entry scan.  Complex arrays
+    are shared with the caller, not copied, and no adjoint is stored.
+    """
+
+    mats: Mapping[int, np.ndarray]
+
+    def __post_init__(self):
+        self._keep({f: as_matrix(m) for f, m in self.mats.items()})
+
+    @classmethod
+    def of_finite(cls, mats: Mapping[int, np.ndarray]) -> "GenSet":
+        """Complex matrices the caller built from operators that already
+        passed ``as_matrix``, so finite by construction: only the shapes are
+        checked.  Rescanning the entries of the two 39 MB Fock generators of
+        a 1,561-dimensional free model would add about 70% to building it."""
+        gens = object.__new__(cls)
+        gens._keep(mats)
+        return gens
+
+    def _keep(self, mats: Mapping[int, np.ndarray]) -> None:
+        """Check the shapes and store the matrices in factor id order."""
+        if not mats:
+            raise ValueError("a generator set needs at least one generator")
+        shapes = {m.shape for m in mats.values()}
+        if len(shapes) != 1 or any(a != b for a, b in shapes):
+            raise ValueError(
+                f"generators must be square matrices on a common space, got shapes {sorted(shapes)}"
+            )
+        object.__setattr__(self, "mats", dict(sorted(mats.items())))
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(self.mats)
+
+    @property
+    def dim(self) -> int:
+        return next(iter(self.mats.values())).shape[0]
+
+    def __getitem__(self, factor: int) -> np.ndarray:
+        try:
+            return self.mats[factor]
+        except KeyError:
+            raise KeyError(f"unknown factor id {factor}; known ids: {list(self.mats)}") from None
 
 
-def _gen(gens: Gens, factor: int, starred: bool) -> np.ndarray:
-    try:
-        m = gens[factor]
-    except KeyError:
-        raise KeyError(
-            f"unknown factor id {factor}; known ids: {sorted(gens)}"
-        ) from None
-    return adjoint(m) if starred else as_matrix(m)
+def apply_word(word: Word, gens: GenSet, panel: np.ndarray) -> np.ndarray:
+    """Apply a word to a vector or column panel, rightmost letter first.
 
-
-def _common_dim(gens: Gens) -> int:
-    dims = {as_matrix(m).shape for m in gens.values()}
-    if len(dims) != 1 or any(a != b for a, b in dims):
-        raise ValueError(f"generators must be square matrices on a common space, got shapes {dims}")
-    return next(iter(dims))[0]
-
-
-def evaluate_word(word: Word, gens: Gens) -> np.ndarray:
-    dim = _common_dim(gens)
-    out = np.eye(dim, dtype=complex)
-    for f, s in word.letters:
-        out = out @ _gen(gens, f, s)
-    return out
-
-
-def apply_word(word: Word, gens: Gens, panel: np.ndarray) -> np.ndarray:
-    """Apply a word to a vector or column panel, rightmost letter first."""
+    A starred letter is applied as ``conj(m.T @ conj(panel))``, which equals
+    ``m* @ panel`` without forming the adjoint.
+    """
     out = np.asarray(panel, dtype=complex)
     for f, s in reversed(word.letters):
-        out = _gen(gens, f, s) @ out
+        m = gens[f]
+        out = np.conj(m.T @ np.conj(out)) if s else m @ out
     return out
 
 
-def apply_element(el: Element, gens: Gens, panel: np.ndarray) -> np.ndarray:
+def evaluate_word(word: Word, gens: GenSet) -> np.ndarray:
+    """The matrix of a word: the word applied to the identity."""
+    return apply_word(word, gens, np.eye(gens.dim, dtype=complex))
+
+
+def apply_element(el: Element, gens: GenSet, panel: np.ndarray) -> np.ndarray:
     panel = np.asarray(panel, dtype=complex)
     out = np.zeros(panel.shape, dtype=complex)
     for coeff, word in el.terms:
@@ -211,7 +245,7 @@ def _state_panel(state: State) -> tuple[np.ndarray, np.ndarray]:
     return v[:, keep], w[keep]
 
 
-def state_moment(state: State, gens: Gens, factors: Sequence[Element | Word]) -> complex:
+def state_moment(state: State, gens: GenSet, factors: Sequence[Element | Word]) -> complex:
     """``phi(a_1 a_2 ... a_m)`` evaluated by applying factors to the state columns."""
     panel, weights = _state_panel(state)
     out = panel
@@ -224,15 +258,15 @@ def state_moment(state: State, gens: Gens, factors: Sequence[Element | Word]) ->
     return complex(np.sum(weights * vals))
 
 
-def word_moment(state: State, gens: Gens, word: Word) -> complex:
+def word_moment(state: State, gens: GenSet, word: Word) -> complex:
     return state_moment(state, gens, [word])
 
 
-def element_moment(state: State, gens: Gens, el: Element) -> complex:
+def element_moment(state: State, gens: GenSet, el: Element) -> complex:
     return state_moment(state, gens, [el])
 
 
-def center(el: Element, state: State, gens: Gens) -> Element:
+def center(el: Element, state: State, gens: GenSet) -> Element:
     """Subtract the state mean: the result has vanishing moment."""
     return el + Element.unit(-element_moment(state, gens, el))
 
@@ -354,7 +388,7 @@ def _derive_rng(seed: int, *salt: int) -> np.random.Generator:
 
 def tensor_independence_check(
     state: State,
-    gens: Gens,
+    gens: GenSet,
     degree: int = 2,
     samples: int = 100,
     tol: float = 1e-8,
@@ -366,7 +400,7 @@ def tensor_independence_check(
     distinct factors; part (b) checks ``phi(a_1 ... a_n) = prod phi(a_i)``
     over random one-per-factor tuples.
     """
-    ids = sorted(gens)
+    ids = list(gens.ids)
     worst = 0.0
     witness: dict | None = None
 
@@ -413,7 +447,7 @@ def tensor_independence_check(
 
 
 def _centered_monomials(
-    state: State, gens: Gens, factor: int, degree: int
+    state: State, gens: GenSet, factor: int, degree: int
 ) -> list[tuple[str, Element]]:
     """Centered ``T^p`` and ``(T*)^p`` for ``1 <= p <= min(degree, 3)``."""
     out: list[tuple[str, Element]] = []
@@ -426,7 +460,7 @@ def _centered_monomials(
 
 def free_independence_check(
     state: State,
-    gens: Gens,
+    gens: GenSet,
     max_len: int = 4,
     degree: int = 2,
     samples: int = 20,
@@ -439,7 +473,7 @@ def free_independence_check(
     alternating factor sequence), then a seeded random pass with centered
     random elements in each slot.
     """
-    ids = sorted(gens)
+    ids = list(gens.ids)
     if len(ids) < 2:
         raise ValueError("free independence needs at least two factors")
     # alternating factor sequences of length 2..max_len, one letter per slot
@@ -502,14 +536,14 @@ def free_independence_check(
 
 def trace_check(
     state: State,
-    gens: Gens,
+    gens: GenSet,
     degree: int = 3,
     samples: int = 100,
     tol: float = 1e-8,
     seed: int = 0,
 ) -> CheckReport:
     """Check ``phi(ab) = phi(ba)``: all single-letter pairs, then random word pairs."""
-    ids = sorted(gens)
+    ids = list(gens.ids)
     letters = [Word(((f, s),)) for f in ids for s in (False, True)]
     worst = 0.0
     witness: dict | None = None
@@ -595,7 +629,7 @@ def _gram_rank(gram: np.ndarray, rank_rtol: float) -> int:
 
 def faithfulness_check(
     state: State,
-    gens: Gens,
+    gens: GenSet,
     degree: int = 2,
     rank_rtol: float = 1e-9,
     max_words: int = MAX_GRAM_WORDS,
@@ -607,7 +641,7 @@ def faithfulness_check(
     ``G[u, v] = phi(u* v)``.  Equality certifies that no nonzero element of
     the span is annihilated by the state's seminorm.
     """
-    ids = sorted(gens)
+    ids = list(gens.ids)
     words = _all_words(ids, degree)
     if len(words) > max_words:
         raise ValueError(
@@ -724,15 +758,10 @@ def moments_from_cumulants(kappas: Sequence[complex]) -> list[complex]:
 Marginal = Callable[[Word], complex]
 
 
-def matrix_marginal(mat: np.ndarray, state: State) -> Marginal:
-    """Marginal distribution of one matrix factor under a state."""
-    gens = {1: as_matrix(mat)}
-
-    def phi(word: Word) -> complex:
-        relabeled = Word(tuple((1, s) for _, s in word.letters))
-        return word_moment(state, gens, relabeled)
-
-    return phi
+def matrix_marginal(gens: GenSet, state: State) -> Marginal:
+    """Marginal distribution of one factor's generators under a state; the
+    words it is asked for name that factor's own id."""
+    return partial(word_moment, state, gens)
 
 
 def haar_unitary_marginal() -> Marginal:
@@ -806,10 +835,10 @@ def free_mixed_moment_oracle(
 
 def make_tensor_independent(
     factors: Sequence[tuple[np.ndarray, State]], dim_cap: int = 4096
-) -> tuple[dict[int, np.ndarray], State]:
+) -> tuple[GenSet, State]:
     """Ampliate factors onto the tensor product space with the product state.
 
-    Returns a ``gens`` dict keyed 1..n and the joint state; tensor
+    Returns the generators keyed 1..n and the joint state; tensor
     independence holds by construction.
     """
     mats = [as_matrix(t) for t, _ in factors]
@@ -819,13 +848,14 @@ def make_tensor_independent(
     if total > dim_cap:
         raise ValueError(f"tensor product dimension {total} exceeds cap {dim_cap}")
 
-    gens: dict[int, np.ndarray] = {}
+    ampliated: dict[int, np.ndarray] = {}
     for i, m in enumerate(mats):
         before = int(np.prod(dims[:i])) if i else 1
         after = int(np.prod(dims[i + 1 :])) if i + 1 < len(dims) else 1
-        gens[i + 1] = np.kron(
+        ampliated[i + 1] = np.kron(
             np.eye(before, dtype=complex), np.kron(m, np.eye(after, dtype=complex))
         )
+    gens = GenSet(ampliated)
 
     if all(s.kind == "vector" for s in states):
         vec = np.array([1.0 + 0.0j])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Contraction / PSD tolerance used when the caller does not pass one.
+# Contraction tolerance used when the caller does not pass one.
 DEFAULT_TOL = 1e-9
 
 
@@ -29,15 +29,6 @@ class ContractionError(ValueError):
         self.norm = float(norm)
         self.tol = float(tol)
         super().__init__(f"not a contraction: operator norm {norm:.6e} > 1 + {tol:g}")
-
-
-class PSDError(ValueError):
-    """Matrix is not positive semidefinite; carries the offending eigenvalue."""
-
-    def __init__(self, eigenvalue: float, tol: float):
-        self.eigenvalue = float(eigenvalue)
-        self.tol = float(tol)
-        super().__init__(f"not PSD: eigenvalue {eigenvalue:.6e} < -{tol:g}")
 
 
 class StateError(ValueError):
@@ -70,39 +61,26 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.sqrt(max(w[-1], 0.0)))
 
 
-def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian square root of a Hermitian PSD matrix.
-
-    Eigenvalues in ``[-tol, tol]`` are clamped to 0 before square-rooting, so
-    the defect of a near-isometry comes out exactly rank-deficient instead of
-    leaking tiny imaginary parts.  An eigenvalue below ``-tol`` raises
-    :class:`PSDError` carrying the value.
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"psd_sqrt needs a square matrix, got {m.shape}")
-    herm = 0.5 * (m + adjoint(m))
-    if operator_norm(m - herm) > tol * max(1.0, operator_norm(herm)):
-        raise ValueError("psd_sqrt: matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(herm)
-    if w[0] < -tol:
-        raise PSDError(w[0], tol)
-    w = np.where(w <= tol, 0.0, w)
-    return (v * np.sqrt(w)) @ adjoint(v)
-
-
 def defect_pair(t: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Defect operators ``((I - t*t)^{1/2}, (I - t t*)^{1/2})`` of a contraction."""
+    """Defect operators ``((I - t*t)^{1/2}, (I - t t*)^{1/2})`` of a contraction.
+
+    Both come from one SVD ``t = W S V*``: ``D_t = V sqrt(1 - S^2) V*`` and
+    ``D_t* = W sqrt(1 - S^2) W*``, so ``t D_t = D_t* t`` holds by
+    construction.  A singular value above ``1 + tol`` raises
+    :class:`ContractionError`; the rest are clipped to ``[0, 1]``, and those
+    within a few ulps of 1 (scaled by the dimension, never by ``tol``) are
+    set to 1, so the defect of a unitary is exactly zero.
+    """
     t = as_matrix(t)
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatchError(f"defect_pair needs a square matrix, got {t.shape}")
-    norm = operator_norm(t)
-    if norm > 1.0 + tol:
-        raise ContractionError(norm, tol)
-    eye = np.eye(t.shape[0], dtype=complex)
-    d_t = psd_sqrt(eye - adjoint(t) @ t, tol)
-    d_tstar = psd_sqrt(eye - t @ adjoint(t), tol)
-    return d_t, d_tstar
+    w, s, vh = np.linalg.svd(t)
+    if s.size and s[0] > 1.0 + tol:
+        raise ContractionError(s[0], tol)
+    s = np.clip(s, 0.0, 1.0)
+    s[1.0 - s <= 8 * t.shape[0] * np.finfo(float).eps] = 1.0
+    d = np.sqrt((1.0 - s) * (1.0 + s))
+    return (adjoint(vh) * d) @ vh, (w * d) @ adjoint(w)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from freedilation.harness import (
     run_theorem_suite,
 )
 from freedilation.ncprob import (
+    GenSet,
     Word,
     alternating_words_within,
     faithfulness_check,
@@ -172,12 +173,12 @@ def test_04_free_dilation_identity(capsys, scalar_pair):
 
 def test_05_freeness_with_negative_control(capsys, scalar_pair):
     rep = free_independence_check(
-        scalar_pair.vacuum, scalar_pair.fock_gens(),
+        scalar_pair.vacuum, scalar_pair.unitaries,
         max_len=4, degree=3, samples=25, tol=1e-9,
     )
-    u1 = scalar_pair.unitaries[0]
+    u1 = scalar_pair.unitaries[1]
     twin = free_independence_check(
-        scalar_pair.vacuum, {1: u1, 2: u1}, max_len=4, degree=3, samples=0, tol=1e-9
+        scalar_pair.vacuum, GenSet({1: u1, 2: u1}), max_len=4, degree=3, samples=0, tol=1e-9
     )
     ok = rep.passed and rep.residual <= 1e-9 and not twin.passed and twin.residual >= 0.1
     _verdict(
@@ -192,8 +193,8 @@ def test_06_oracle_equivalence(capsys, scalar_pair):
     marginals = {}
     for i in range(1, 3):
         fm_gens, fm_state = scalar_pair.factor_model(i)
-        marginals[i] = matrix_marginal(fm_gens[i], fm_state)
-    gens = scalar_pair.fock_gens()
+        marginals[i] = matrix_marginal(fm_gens, fm_state)
+    gens = scalar_pair.unitaries
     for runs in signed_alternating_words(2, 4, 3, 6):
         w = Word.from_runs(runs)
         if len(w.blocks()) > 4:
@@ -210,7 +211,7 @@ def test_06_oracle_equivalence(capsys, scalar_pair):
 
 def test_07_traciality(capsys, scalar_pair):
     rep = trace_check(
-        scalar_pair.vacuum, scalar_pair.fock_gens(),
+        scalar_pair.vacuum, scalar_pair.unitaries,
         degree=3, samples=100, tol=1e-9,
     )
     _verdict(
@@ -222,10 +223,10 @@ def test_07_traciality(capsys, scalar_pair):
 def test_08_faithfulness_shadow(capsys):
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
     xi = State.from_vector(res.embedding.isometry @ np.array([1.0]))
-    gens = {1: res.unitaries[0]}
+    gens = res.gens
     positives = [faithfulness_check(xi, gens, d).faithful_on_span for d in (1, 2, 3)]
     counter = faithfulness_check(
-        State.basis_vector(2, 0), {1: np.diag([0.5, 0.25]).astype(complex)}, 1
+        State.basis_vector(2, 0), GenSet({1: np.diag([0.5, 0.25]).astype(complex)}), 1
     )
     ok = (
         all(positives)
@@ -240,7 +241,7 @@ def test_08_faithfulness_shadow(capsys):
 
 
 def test_09_free_haar_emergence(capsys, zero_pair):
-    gens = zero_pair.fock_gens()
+    gens = zero_pair.unitaries
     vac = zero_pair.vacuum
     worst = 0.0
     for i in (1, 2):

@@ -3,19 +3,21 @@ import pytest
 
 from freedilation.dilation import (
     BudgetError,
+    DilationResult,
     NotDoublyCommutingError,
     double_commutation_residual,
     doubly_commuting_dilation,
     finite_unitary_dilation,
-    signed_power,
     verify_power_dilation,
 )
 from freedilation.operator_core import (
     ContractionError,
+    Embedding,
     adjoint,
     compress,
     operator_norm,
     random_contraction,
+    random_unitary,
 )
 
 SQ75 = 0.8660254037844386  # sqrt(1 - 0.25)
@@ -76,16 +78,7 @@ def test_rejects_bad_degree():
         finite_unitary_dilation(np.array([[0.5]]), 0)
 
 
-def test_signed_power():
-    t = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(signed_power(t, 2), t @ t)
-    np.testing.assert_allclose(signed_power(t, -1), adjoint(t))
-    np.testing.assert_allclose(signed_power(t, 0), np.eye(2))
-
-
 def _commuting_normal_pair(rng, dim):
-    from freedilation.operator_core import random_unitary
-
     q = random_unitary(rng, dim)
     a = q @ np.diag(rng.uniform(0.1, 0.9, dim) * np.exp(2j * np.pi * rng.uniform(size=dim))) @ adjoint(q)
     b = q @ np.diag(rng.uniform(0.1, 0.9, dim) * np.exp(2j * np.pi * rng.uniform(size=dim))) @ adjoint(q)
@@ -135,3 +128,69 @@ def test_verify_rejects_out_of_budget_words():
     with pytest.raises(BudgetError):
         verify_power_dilation(res2, [a, b], [(1, 1), (3, 1)])
 
+
+
+# ---------------------------------------------------------------------------
+# the panel-based identity against a dense reference
+
+
+def _dense_power(a, k):
+    """``a^k`` for ``k >= 0``, ``(a*)^{-k}`` for ``k < 0``, as a dense matrix."""
+    a = np.asarray(a, dtype=complex)
+    return np.linalg.matrix_power(a if k >= 0 else adjoint(a), abs(k))
+
+
+def _dense_residual(res, ts, runs):
+    big = np.eye(res.ambient_dim, dtype=complex)
+    small = np.eye(res.embedding.small_dim, dtype=complex)
+    for f, k in runs:
+        big = big @ _dense_power(res.unitaries[f - 1], k)
+        small = small @ _dense_power(ts[f - 1], k)
+    return operator_norm(compress(big, res.embedding) - small)
+
+
+def _assert_matches_dense(res, ts, words):
+    for runs in words:
+        got = verify_power_dilation(res, ts, runs, tol=np.inf).residual
+        want = _dense_residual(res, ts, runs)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (runs, got, want)
+
+
+def test_power_identity_matches_dense_reference_single():
+    rng = np.random.default_rng(31)
+    t = random_contraction(rng, 3)
+    res = finite_unitary_dilation(t, 3)
+    words = [[(1, k)] for k in range(-3, 4)]
+    _assert_matches_dense(res, [t], words)
+    # a rotated copy: the word acts on J's columns, which are no longer coordinates
+    q = random_unitary(rng, res.ambient_dim)
+    rotated = DilationResult(
+        unitaries=(q @ res.unitaries[0] @ adjoint(q),),
+        embedding=Embedding(q @ res.embedding.isometry),
+        degree=3,
+    )
+    _assert_matches_dense(rotated, [t], words)
+    assert max(verify_power_dilation(rotated, [t], w).residual for w in words) < 1e-12
+    # a unitary that is no dilation of t gives O(1) residuals, which must agree too
+    wrong = DilationResult(
+        unitaries=(random_unitary(rng, res.ambient_dim),),
+        embedding=res.embedding,
+        degree=3,
+    )
+    _assert_matches_dense(wrong, [t], words)
+    assert max(verify_power_dilation(wrong, [t], w).residual for w in words) > 0.1
+
+
+def test_power_identity_matches_dense_reference_doubly():
+    rng = np.random.default_rng(32)
+    a, b = _commuting_normal_pair(rng, 2)
+    res = doubly_commuting_dilation([a, b], 2)
+    words = [
+        [(1, ka), (2, kb)] for ka in range(-2, 3) for kb in range(-2, 3) if ka and kb
+    ]
+    _assert_matches_dense(res, [a, b], words)
+    swapped = DilationResult(
+        unitaries=res.unitaries[::-1], embedding=res.embedding, degree=2
+    )
+    _assert_matches_dense(swapped, [a, b], words)
+    assert max(verify_power_dilation(swapped, [a, b], w).residual for w in words) > 0.1

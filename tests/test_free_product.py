@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,14 @@ from freedilation.free_product import (
     restricted_unitarity_residual,
     verify_free_dilation,
 )
-from freedilation.ncprob import Word, alternating_words_within, parse_word, word_moment
-from freedilation.operator_core import State, adjoint, operator_norm
+from freedilation.ncprob import (
+    GenSet,
+    Word,
+    alternating_words_within,
+    parse_word,
+    word_moment,
+)
+from freedilation.operator_core import State, adjoint, compress, operator_norm
 
 
 def _scalar_pair(n_degree=3, trunc=4):
@@ -118,7 +126,7 @@ def test_scalar_pair_dimensions():
 
 def test_single_factor_moments_match_input_state():
     fds = _scalar_pair()
-    gens = fds.fock_gens()
+    gens = fds.unitaries
     vac = fds.vacuum
     for k in range(4):
         assert word_moment(vac, gens, Word.from_runs([(1, k)])) == pytest.approx(
@@ -179,7 +187,7 @@ def test_matrix_factor_moments():
     s2 = State.basis_vector(1, 0)
     fds = free_unitary_dilation([(t1, s1), (t2, s2)], 3, 4)
     assert fds.dim == 1145
-    gens = fds.fock_gens()
+    gens = fds.unitaries
     vac = fds.vacuum
     for k in range(4):
         expected = (np.linalg.matrix_power(t1, k))[0, 0]
@@ -197,7 +205,7 @@ def test_density_state_factor_purified():
     fds = free_unitary_dilation(
         [(t1, State.from_density(rho)), (t2, State.basis_vector(1, 0))], 2, 3
     )
-    gens = fds.fock_gens()
+    gens = fds.unitaries
     for k in range(3):
         expected = np.trace(rho @ np.linalg.matrix_power(t1, k))
         assert word_moment(fds.vacuum, gens, Word.from_runs([(1, k)])) == pytest.approx(
@@ -233,3 +241,29 @@ def test_scenario_dim_cap():
     s = State.from_vector(np.array([1.0, 0.0]))
     with pytest.raises(FockDimensionError):
         free_unitary_dilation([(t, s), (t, s)], 3, 4)  # would be 5601-dimensional
+
+
+def _dense_free_residual(fds, runs):
+    big = np.eye(fds.dim, dtype=complex)
+    small = np.eye(fds.fock_h.dim, dtype=complex)
+    for f, k in runs:
+        big = big @ np.linalg.matrix_power(fds.unitaries[f], k)
+        small = small @ np.linalg.matrix_power(fds.s_ops[f], k)
+    return operator_norm(compress(big, fds.embedding) - small)
+
+
+def test_free_identity_matches_dense_reference():
+    t1 = np.array([[0.3, 0.4], [0.1, -0.2]])
+    rho = State.from_density(np.array([[0.7, 0.1], [0.1, 0.3]]))
+    fds = free_unitary_dilation(
+        [(t1, rho), (np.array([[0.6]]), State.basis_vector(1, 0))], 2, 3
+    )
+    # S_1 and S_2 exchanged: the identity fails, by the same amount both ways
+    crossed = replace(fds, s_ops=GenSet({1: fds.s_ops[2], 2: fds.s_ops[1]}))
+    words = alternating_words_within(2, 3, 2)
+    for model in (fds, crossed):
+        for runs in words:
+            got = verify_free_dilation(model, runs, np.inf).residual
+            want = _dense_free_residual(model, runs)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (runs, got, want)
+    assert max(verify_free_dilation(crossed, runs).residual for runs in words) > 0.1

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freedilation.dilation import finite_unitary_dilation
 from freedilation.ncprob import (
     Element,
+    GenSet,
     Word,
     alternating_words_within,
+    apply_word,
     center,
     element_moment,
     evaluate_word,
@@ -67,21 +71,102 @@ def test_positive_alternating_words_one_factor():
     assert words == [((1, k),) for k in range(1, 31)]
 
 
+# ---------------------------------------------------------------------------
+# generator sets and the letter primitive
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        {1: np.array([[np.nan, 0.0], [0.0, 1.0]])},
+        {1: np.array([[0.0, np.inf], [0.0, 1.0]])},
+        {1: np.ones((2, 3))},
+        {1: np.eye(2), 2: np.eye(3)},
+        {},
+    ],
+    ids=["nan", "inf", "non-square", "mismatched", "empty"],
+)
+def test_genset_rejects_bad_generators(mats):
+    with pytest.raises(ValueError):
+        GenSet(mats)
+
+
+def test_genset_shares_complex_arrays():
+    u = np.eye(3, dtype=complex)
+    gens = GenSet({2: u, 1: 0.5 * u})
+    assert gens[2] is u
+    assert gens.ids == (1, 2)
+    assert gens.dim == 3
+
+
+def test_genset_of_finite_checks_shapes_only():
+    u = np.eye(2, dtype=complex)
+    assert GenSet.of_finite({1: u}).mats[1] is u
+    for mats in ({1: np.eye(2), 2: np.eye(3)}, {1: np.ones((2, 3))}, {}):
+        with pytest.raises(ValueError):
+            GenSet.of_finite(mats)
+
+
+def test_genset_unknown_factor_names_known_ids():
+    gens = GenSet({1: np.eye(2), 4: np.eye(2)})
+    with pytest.raises(KeyError, match=r"known ids: \[1, 4\]"):
+        gens[3]
+
+
+@st.composite
+def _words_and_panels(draw):
+    """Generators (non-normal, some rank-deficient), a word of length <= 6,
+    and a vector or a panel to apply it to."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    mats = {}
+    for f in range(1, n + 1):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rank = draw(st.integers(0, dim))
+        if rank < dim:
+            u, s, vh = np.linalg.svd(m)
+            s[rank:] = 0.0
+            m = (u * s) @ vh
+        mats[f] = m
+    letters = draw(
+        st.lists(st.tuples(st.integers(1, n), st.booleans()), max_size=6)
+    )
+    cols = draw(st.sampled_from([None, 1, 3]))
+    shape = (dim,) if cols is None else (dim, cols)
+    panel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return mats, Word(tuple(letters)), panel
+
+
+@settings(max_examples=200, deadline=None)
+@given(_words_and_panels())
+def test_apply_word_matches_letter_product(case):
+    mats, word, panel = case
+    want = panel.astype(complex)
+    for f, starred in reversed(word.letters):
+        want = (adjoint(mats[f]) if starred else mats[f]) @ want
+    got = apply_word(word, GenSet(mats), panel)
+    assert got.shape == panel.shape
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-13 * scale
+
+
 def test_evaluate_word_diagonal():
-    gens = {1: np.diag([0.5, 0.25])}
+    gens = GenSet({1: np.diag([0.5, 0.25])})
     m = evaluate_word(parse_word("1^2"), gens)
     np.testing.assert_allclose(m, np.diag([0.25, 0.0625]))
 
 
 def test_evaluate_word_unknown_factor():
     with pytest.raises(KeyError):
-        evaluate_word(parse_word("3^1"), {1: np.eye(2)})
+        evaluate_word(parse_word("3^1"), GenSet({1: np.eye(2)}))
 
 
 def test_state_moment_vector_vs_density():
     rng = np.random.default_rng(9)
     t = rng.normal(size=(3, 3)) * 0.3
-    gens = {1: t}
+    gens = GenSet({1: t})
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
     s = State.from_density(rho)
     w = parse_word("1^2 1^-1")
@@ -90,7 +175,7 @@ def test_state_moment_vector_vs_density():
 
 
 def test_center_kills_mean():
-    gens = {1: np.diag([0.5, 0.25])}
+    gens = GenSet({1: np.diag([0.5, 0.25])})
     s = State.from_vector(np.array([0.6, 0.8]))
     el = Element.from_word(parse_word("1^1"))
     assert abs(element_moment(s, gens, center(el, s, gens))) < 1e-14
@@ -119,7 +204,7 @@ def test_tensor_independence_positive():
 
 def test_tensor_independence_detects_noncommuting():
     a = np.array([[0.0, 0.5], [0.0, 0.0]])
-    gens = {1: a, 2: adjoint(a)}
+    gens = GenSet({1: a, 2: adjoint(a)})
     s = State.basis_vector(2, 0)
     rep = tensor_independence_check(s, gens, degree=1, samples=0, tol=1e-8, seed=0)
     assert not rep.passed
@@ -140,7 +225,7 @@ def test_free_independence_negative_control_two_copies():
     u = res.unitaries[0]
     xi = res.embedding.isometry[:, 0]
     s = State.from_vector(xi)
-    rep = free_independence_check(s, {1: u, 2: u}, max_len=2, degree=1, samples=0, tol=1e-8, seed=0)
+    rep = free_independence_check(s, GenSet({1: u, 2: u}), max_len=2, degree=1, samples=0, tol=1e-8, seed=0)
     assert not rep.passed
     assert rep.residual >= 0.1
     assert rep.witness["part"] == "monomial"
@@ -151,14 +236,14 @@ def test_trace_check_positive_maximally_mixed():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     s = State.maximally_mixed(3)
-    rep = trace_check(s, {1: a * 0.1, 2: b * 0.1}, degree=3, samples=40, tol=1e-10, seed=2)
+    rep = trace_check(s, GenSet({1: a * 0.1, 2: b * 0.1}), degree=3, samples=40, tol=1e-10, seed=2)
     assert rep.passed, rep.residual
 
 
 def test_trace_check_negative_shift():
     shift = np.array([[0.0, 0.0], [1.0, 0.0]])
     s = State.basis_vector(2, 0)
-    rep = trace_check(s, {1: shift}, degree=2, samples=0, tol=1e-8, seed=0)
+    rep = trace_check(s, GenSet({1: shift}), degree=2, samples=0, tol=1e-8, seed=0)
     assert not rep.passed
     assert rep.residual >= 0.99  # phi(S*S) = 1 vs phi(SS*) = 0
 
@@ -170,13 +255,13 @@ def test_trace_check_negative_shift():
 def test_faithfulness_positive_cyclic():
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
     s = State.from_vector(res.embedding.isometry[:, 0])
-    rep = faithfulness_check(s, {1: res.unitaries[0]}, degree=2)
+    rep = faithfulness_check(s, res.gens, degree=2)
     assert rep.faithful_on_span
     assert rep.span_dim == rep.gram_rank
 
 
 def test_faithfulness_negative_rank_gap():
-    gens = {1: np.diag([0.5, 0.25])}
+    gens = GenSet({1: np.diag([0.5, 0.25])})
     s = State.basis_vector(2, 0)
     rep = faithfulness_check(s, gens, degree=1)
     assert not rep.faithful_on_span
@@ -187,7 +272,9 @@ def test_faithfulness_negative_rank_gap():
 
 def test_faithfulness_word_cap():
     with pytest.raises(ValueError):
-        faithfulness_check(State.basis_vector(2, 0), {1: np.eye(2), 2: np.eye(2)}, degree=9)
+        faithfulness_check(
+            State.basis_vector(2, 0), GenSet({1: np.eye(2), 2: np.eye(2)}), degree=9
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +336,8 @@ def test_cumulant_round_trip_random():
 
 
 def test_oracle_scalar_product():
-    phi1 = matrix_marginal(np.array([[0.5]]), State.basis_vector(1, 0))
-    phi2 = matrix_marginal(np.array([[0.5]]), State.basis_vector(1, 0))
+    phi1 = matrix_marginal(GenSet({1: np.array([[0.5]])}), State.basis_vector(1, 0))
+    phi2 = matrix_marginal(GenSet({2: np.array([[0.5]])}), State.basis_vector(1, 0))
     val = free_mixed_moment_oracle({1: phi1, 2: phi2}, parse_word("1^1 2^1"))
     assert val == pytest.approx(0.25)
 
@@ -265,7 +352,9 @@ def test_oracle_haar_words():
 def test_oracle_alternating_centered_vanishes():
     # freeness produces zero for alternating centered blocks; check one case
     # against the definition: phi((a - phi(a))(b - phi(b))) = 0
-    phi1 = matrix_marginal(np.diag([0.5, 0.25]), State.from_vector(np.array([0.6, 0.8])))
+    phi1 = matrix_marginal(
+        GenSet({1: np.diag([0.5, 0.25])}), State.from_vector(np.array([0.6, 0.8]))
+    )
     phi2 = haar_unitary_marginal()
     marg = {1: phi1, 2: phi2}
     w_ab = parse_word("1^1 2^1")
@@ -276,7 +365,9 @@ def test_oracle_alternating_centered_vanishes():
 
 
 def test_oracle_single_block_is_marginal():
-    phi1 = matrix_marginal(np.diag([0.5, 0.25]), State.from_vector(np.array([0.6, 0.8])))
+    phi1 = matrix_marginal(
+        GenSet({1: np.diag([0.5, 0.25])}), State.from_vector(np.array([0.6, 0.8]))
+    )
     w = parse_word("1^2 1^-1")
     assert free_mixed_moment_oracle({1: phi1}, w) == pytest.approx(phi1(w))
 
@@ -291,7 +382,7 @@ def test_oracle_guards():
 
 def test_state_moment_of_element_product():
     # phi(a b) with explicit elements equals the expanded combination
-    gens = {1: np.diag([0.5, 0.25]), 2: np.array([[0.0, 0.3], [0.3, 0.0]])}
+    gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.array([[0.0, 0.3], [0.3, 0.0]])})
     s = State.from_vector(np.array([0.6, 0.8]))
     a = Element.from_word(parse_word("1^1"), 2.0) + Element.unit(1.0)
     b = Element.from_word(parse_word("2^1"), 1.0j)

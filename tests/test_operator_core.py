@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from freedilation.ncprob import parse_word, word_moment
+from freedilation.dilation import finite_unitary_dilation
+from freedilation.ncprob import GenSet, parse_word, word_moment
 from freedilation.operator_core import (
     ContractionError,
     Embedding,
-    PSDError,
     ShapeMismatchError,
     State,
     StateError,
@@ -14,7 +14,6 @@ from freedilation.operator_core import (
     compress,
     defect_pair,
     operator_norm,
-    psd_sqrt,
     purify,
     random_contraction,
     random_state,
@@ -35,33 +34,6 @@ def test_adjoint_and_hermitian():
     assert np.array_equal(adjoint(h), h)
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert operator_norm(n - adjoint(n)) == pytest.approx(1.0)
-
-
-def test_psd_sqrt_scalar_and_2x2():
-    np.testing.assert_allclose(psd_sqrt(np.array([[0.25]])), [[0.5]])
-    # eigenvalues 1 and 3 with (1, +-1)/sqrt(2) eigenvectors
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    r = psd_sqrt(m)
-    expected = np.array(
-        [
-            [1.3660254037844386, 0.3660254037844386],
-            [0.3660254037844386, 1.3660254037844386],
-        ]
-    )
-    np.testing.assert_allclose(r, expected, atol=1e-12)
-    np.testing.assert_allclose(r @ r, m, atol=1e-12)
-
-
-def test_psd_sqrt_clamps_tiny_negatives_to_zero():
-    r = psd_sqrt(np.array([[-1e-12]]), tol=1e-9)
-    assert r[0, 0] == 0.0
-
-
-def test_psd_sqrt_rejects_negative_and_nonhermitian():
-    with pytest.raises(PSDError):
-        psd_sqrt(np.array([[-0.5]]))
-    with pytest.raises(ValueError):
-        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_defect_pair_frozen_value():
@@ -87,6 +59,18 @@ def test_defect_of_unitary_is_exactly_zero():
     d_t, d_ts = defect_pair(u)
     assert np.all(d_t == 0.0)
     assert np.all(d_ts == 0.0)
+
+
+def test_defect_exact_near_unit_singular_value():
+    # a singular value 2e-10 below 1 is a genuine (tiny) defect, not a zero:
+    # the block dilation stays unitary to machine precision
+    res = finite_unitary_dilation(np.diag([1.0 - 2e-10, 0.3]), 3)
+    assert res.unitarity_residual() <= 1e-14
+    # the edges: a norm inside 1 + tol is clipped to 1, a zero has full defects
+    d_t, d_ts = defect_pair(np.array([[1.0 + 1e-12]]))
+    assert d_t[0, 0] == 0.0 and d_ts[0, 0] == 0.0
+    d_t, d_ts = defect_pair(np.zeros((2, 2)))
+    assert np.array_equal(d_t, np.eye(2)) and np.array_equal(d_ts, np.eye(2))
 
 
 def test_defect_rejects_expansion():
@@ -121,7 +105,7 @@ def test_state_evaluation_vector_vs_density():
     v = np.array([0.6, 0.8])
     s_vec = State.from_vector(v)
     s_den = State.from_density(np.outer(v, v))
-    gens = {1: np.array([[1.0, 2.0], [3.0, 4.0]])}
+    gens = GenSet({1: np.array([[1.0, 2.0], [3.0, 4.0]])})
     w = parse_word("1^1")
     assert word_moment(s_vec, gens, w) == pytest.approx(word_moment(s_den, gens, w))
 
