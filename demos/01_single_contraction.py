@@ -21,7 +21,7 @@ np.set_printoptions(precision=4, suppress=True, linewidth=120)
 t = np.array([[0.5]])
 degree = 3
 res = finite_unitary_dilation(t, degree)
-u = res.unitaries[0]
+u = res.gens[1]
 
 print("contraction t =", t[0, 0].real)
 print("dilation degree N =", degree)
@@ -40,8 +40,8 @@ print()
 print("compressions of powers, k = 0..N and adjoints:")
 for k in range(degree + 1):
     for sign in (1, -1):
-        r = verify_power_dilation(res, [t], ((1, sign * k),))
-        print(f"  k = {sign * k:+d}: residual {r.residual:.3e}")
+        r = verify_power_dilation(res, ((1, sign * k),))
+        print(f"  k = {sign * k:+d}: residual {r:.3e}")
 print()
 
 print("one step past the degree the compression wraps around the cycle:")

@@ -32,14 +32,13 @@ res = doubly_commuting_dilation(ops, degree)
 print("input dims:", dim, "x", dim, "| degree:", degree)
 print("ambient dimension after two iterations:", res.ambient_dim)
 print("double commutation residual of the dilated pair:",
-      f"{double_commutation_residual(res.unitaries):.3e}")
+      f"{double_commutation_residual(res.gens):.3e}")
 print()
 
 print("ordered words U1^k1 U2^k2 with |ki| <= 2:")
 worst = 0.0
 for word in ordered_words(2, degree):
-    r = verify_power_dilation(res, ops, word)
-    worst = max(worst, r.residual)
+    worst = max(worst, verify_power_dilation(res, word))
 print(f"  {len(ordered_words(2, degree))} words, max residual {worst:.3e}")
 print()
 

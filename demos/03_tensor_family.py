@@ -24,7 +24,7 @@ for dim in (1, 2):
     t = random_contraction(rng, dim)
     res = finite_unitary_dilation(t, 2)
     xi = res.embedding.isometry @ State.basis_vector(dim, 0).vector
-    parts.append((res.unitaries[0], State.from_vector(xi)))
+    parts.append((res.gens[1], State.from_vector(xi)))
     print(f"factor on C^{dim}: dilated to C^{res.ambient_dim}")
 
 gens, joint = make_tensor_independent(parts)

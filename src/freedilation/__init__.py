@@ -38,10 +38,10 @@ from .dilation import (
     BudgetError,
     DilationResult,
     NotDoublyCommutingError,
-    WordResidual,
     double_commutation_residual,
     doubly_commuting_dilation,
     finite_unitary_dilation,
+    unitarity_residual,
     verify_power_dilation,
 )
 from .ncprob import (

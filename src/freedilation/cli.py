@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -231,6 +232,9 @@ def _parse_moment_list(obj: object) -> list[complex]:
 
 
 def _cmd_cumulants(args) -> int:
+    tol = args.tol if args.tol is not None else 1e-10
+    if not 0 < tol < math.inf:
+        raise IngestError(f"tol must be a positive finite number, got {tol}")
     try:
         data = json.loads(Path(args.input).read_text())
     except OSError as exc:
@@ -244,7 +248,6 @@ def _cmd_cumulants(args) -> int:
     except ValueError as exc:
         raise IngestError(str(exc)) from None
     residual = max(abs(a - b) for a, b in zip(moments, back))
-    tol = args.tol if args.tol is not None else 1e-10
     obj = {
         "property": "cumulants",
         "budgets": {"orders": len(moments)},

@@ -10,7 +10,8 @@ outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .operator_core import (
     Embedding,
     adjoint,
     as_matrix,
+    check_dim_cap,
     defect_pair,
     operator_norm,
 )
@@ -46,24 +48,36 @@ class NotDoublyCommutingError(ValueError):
 
 @dataclass(frozen=True)
 class DilationResult:
-    """Unitaries on an ambient space together with the embedding of the original one."""
+    """A finite dilation: unitaries ``gens`` on the ambient space, the
+    contractions they dilate, both keyed 1..n, and the embedding ``J`` with
+    ``J* U_w J = T_w`` for every ordered word ``w`` with powers up to
+    ``degree``."""
 
-    unitaries: tuple[np.ndarray, ...]
+    gens: GenSet
+    contractions: GenSet
     embedding: Embedding
     degree: int
-    gens: GenSet = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # keyed 1..n, sharing the unitaries' arrays
-        object.__setattr__(self, "gens", GenSet(dict(enumerate(self.unitaries, start=1))))
 
     @property
     def ambient_dim(self) -> int:
         return self.embedding.big_dim
 
     def unitarity_residual(self) -> float:
-        eye = np.eye(self.ambient_dim)
-        return max(operator_norm(adjoint(u) @ u - eye) for u in self.unitaries)
+        return max(unitarity_residual(self.gens, f) for f in self.gens.ids)
+
+
+def unitarity_residual(gens: GenSet, factor: int, cols: Sequence[int] | None = None) -> float:
+    """``||(U*U - I) P||`` for ``U = gens[factor]`` and ``P`` the identity
+    columns ``cols`` (default all), applied to that panel, never as a dense
+    product.  On a strict subset of the columns ``||(U U* - I) P||`` counts
+    too; on all columns of a square ``U`` the two norms coincide."""
+    dim = gens.dim
+    cols = np.arange(dim) if cols is None else np.asarray(cols, dtype=int)
+    panel = np.zeros((dim, cols.size), dtype=complex)
+    panel[cols, np.arange(cols.size)] = 1.0
+    u, u_star = (factor, False), (factor, True)
+    words = [Word((u_star, u))] + ([Word((u, u_star))] if cols.size < dim else [])
+    return max(operator_norm(apply_word(w, gens, panel) - panel) for w in words)
 
 
 def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_TOL) -> DilationResult:
@@ -87,9 +101,10 @@ def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_T
     if n_degree < 1:
         raise ValueError(f"dilation degree must be >= 1, got {n_degree}")
     d = t.shape[0]
+    nb = n_degree + 1
+    check_dim_cap(nb * d, "dilation")
     d_t, d_tstar = defect_pair(t, tol)
 
-    nb = n_degree + 1
     u = np.zeros((nb * d, nb * d), dtype=complex)
 
     def block(i: int, j: int, value: np.ndarray) -> None:
@@ -102,8 +117,21 @@ def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_T
     for j in range(1, n_degree):
         block(j + 1, j, np.eye(d))
 
-    embedding = Embedding.coordinate(nb * d, range(d))
-    return DilationResult(unitaries=(u,), embedding=embedding, degree=n_degree)
+    return DilationResult(
+        gens=GenSet.of_finite({1: u}),
+        contractions=GenSet.of_finite({1: t}),
+        embedding=Embedding.coordinate(nb * d, range(d)),
+        degree=n_degree,
+    )
+
+
+def _commutator_norms(gens: GenSet):
+    """``(i, j, norm, starred)`` for each pair ``i < j``: ``||[A_i, A_j]||``
+    first, then ``||[A_i*, A_j]||``; lazy, so a caller can stop early."""
+    for i, j in itertools.combinations(gens.ids, 2):
+        x, y = gens[i], gens[j]
+        yield i, j, operator_norm(x @ y - y @ x), False
+        yield i, j, operator_norm(adjoint(x) @ y - y @ adjoint(x)), True
 
 
 def doubly_commuting_dilation(
@@ -116,73 +144,56 @@ def doubly_commuting_dilation(
     ampliated by ``I_{N+1} (x) .``; double commutation survives each step
     because the defect operators are functions of the dilated factor alone.
     """
-    ops = [as_matrix(t) for t in ts]
-    if not ops:
-        raise ValueError("doubly_commuting_dilation needs at least one contraction")
-    d = ops[0].shape[0]
-    for i, t in enumerate(ops):
-        if t.shape != (d, d):
-            raise ValueError(f"factor {i + 1} has shape {t.shape}, expected ({d}, {d})")
+    inputs = GenSet(dict(enumerate(ts, start=1)))
+    ops = list(inputs.mats.values())
+    d = inputs.dim
+    check_dim_cap((n_degree + 1) ** len(ops) * d, "doubly commuting dilation")
+    for t in ops:
         norm = operator_norm(t)
         if norm > 1.0 + tol:
             raise ContractionError(norm, tol)
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            plain = operator_norm(ops[i] @ ops[j] - ops[j] @ ops[i])
-            if plain > tol:
-                raise NotDoublyCommutingError(i + 1, j + 1, plain, starred=False)
-            starred = operator_norm(adjoint(ops[i]) @ ops[j] - ops[j] @ adjoint(ops[i]))
-            if starred > tol:
-                raise NotDoublyCommutingError(i + 1, j + 1, starred, starred=True)
+    for i, j, residual, starred in _commutator_norms(inputs):
+        if residual > tol:
+            raise NotDoublyCommutingError(i, j, residual, starred)
 
-    embed = np.eye(d, dtype=complex)
     eye_nb = np.eye(n_degree + 1, dtype=complex)
-    e0 = np.zeros((n_degree + 1, 1), dtype=complex)
-    e0[0, 0] = 1.0
     for j in range(len(ops)):
-        step = finite_unitary_dilation(ops[j], n_degree, tol)
-        big = step.unitaries[0]
-        prev_dim = ops[j].shape[0]
-        for i in range(len(ops)):
-            ops[i] = big if i == j else np.kron(eye_nb, ops[i])
-        embed = np.kron(e0, np.eye(prev_dim, dtype=complex)) @ embed
+        big = finite_unitary_dilation(ops[j], n_degree, tol).gens[1]
+        ops = [big if i == j else np.kron(eye_nb, op) for i, op in enumerate(ops)]
 
-    return DilationResult(unitaries=tuple(ops), embedding=Embedding(embed), degree=n_degree)
+    # each step keeps the previous space as its block 0: the original space
+    # is the span of the first d coordinates
+    return DilationResult(
+        gens=GenSet.of_finite(dict(enumerate(ops, start=1))),
+        contractions=inputs,
+        embedding=Embedding.coordinate(ops[0].shape[0], range(d)),
+        degree=n_degree,
+    )
 
 
-def double_commutation_residual(ops: Sequence[np.ndarray]) -> float:
+def double_commutation_residual(gens: GenSet) -> float:
     """Max over pairs of ``||[A_i, A_j]||`` and ``||[A_i*, A_j]||``."""
-    worst = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            worst = max(worst, operator_norm(ops[i] @ ops[j] - ops[j] @ ops[i]))
-            worst = max(
-                worst, operator_norm(adjoint(ops[i]) @ ops[j] - ops[j] @ adjoint(ops[i]))
-            )
-    return worst
+    return max((r for _, _, r, _ in _commutator_norms(gens)), default=0.0)
 
 
-@dataclass(frozen=True)
-class WordResidual:
-    word: tuple[tuple[int, int], ...]
-    residual: float
-    tol: float
-    passed: bool
+def identity_residual(gens: GenSet, contractions: GenSet, j: np.ndarray, word: Word) -> float:
+    """``||J* w(U) J - w(T)||``, with the word applied to the columns of the
+    isometry ``j`` and of the identity, never as a dense power."""
+    lhs = adjoint(j) @ apply_word(word, gens, j)
+    rhs = apply_word(word, contractions, np.eye(j.shape[1], dtype=complex))
+    return operator_norm(lhs - rhs)
 
 
-def verify_power_dilation(
-    res: DilationResult, ts: Sequence[np.ndarray], word: SignedPowerWord, tol: float = 1e-10
-) -> WordResidual:
+def verify_power_dilation(res: DilationResult, word: SignedPowerWord) -> float:
     """Residual of the ordered joint power-dilation identity
-    ``J* U_1(k_1) ... U_n(k_n) J = T_1(k_1) ... T_n(k_n)``, with the word
-    applied to the embedding's columns ``J``, never as a dense power.
+    ``J* U_1(k_1) ... U_n(k_n) J = T_1(k_1) ... T_n(k_n)``.
 
     Factors must appear in increasing order, one signed power each, with
     ``|k| <= degree``; other words raise :class:`BudgetError`, they are never
     silently evaluated.
     """
     word = tuple((int(f), int(k)) for f, k in word)
-    n = len(res.unitaries)
+    n = len(res.gens.ids)
     # refused before the runs are expanded into letters and merged
     total = sum(abs(k) for _, k in word)
     if total > n * res.degree:
@@ -199,9 +210,4 @@ def verify_power_dilation(
     for f, k in runs:
         if abs(k) > res.degree:
             raise BudgetError(f"|power| {abs(k)} of factor {f} exceeds dilation degree {res.degree}")
-    j = res.embedding.isometry
-    small = GenSet(dict(enumerate(ts, start=1)))
-    lhs = adjoint(j) @ apply_word(w, res.gens, j)
-    rhs = apply_word(w, small, np.eye(res.embedding.small_dim, dtype=complex))
-    residual = operator_norm(lhs - rhs)
-    return WordResidual(word=word, residual=residual, tol=tol, passed=residual <= tol)
+    return identity_residual(res.gens, res.contractions, res.embedding.isometry, w)

@@ -19,11 +19,13 @@ from .dilation import (
     BudgetError,
     DilationResult,
     SignedPowerWord,
-    WordResidual,
     finite_unitary_dilation,
+    identity_residual,
+    unitarity_residual,
 )
-from .ncprob import GenSet, Word, apply_word
+from .ncprob import GenSet, Word
 from .operator_core import (
+    DEFAULT_DIM_CAP,
     DEFAULT_TOL,
     Embedding,
     State,
@@ -32,8 +34,6 @@ from .operator_core import (
     operator_norm,
     purify,
 )
-
-DEFAULT_DIM_CAP = 5000
 
 # a basis word: tuple of (factor id, complement index), adjacent factors distinct
 FockLabel = tuple[tuple[int, int], ...]
@@ -124,9 +124,7 @@ def fock_dimension(complement_dims: Mapping[int, int], max_len: int) -> int:
 
 
 def build_fock(
-    factors: Mapping[int, PointedSpace] | Sequence[PointedSpace],
-    max_len: int,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    factors: Mapping[int, PointedSpace] | Sequence[PointedSpace], max_len: int
 ) -> FockBasis:
     if not isinstance(factors, Mapping):
         factors = {i + 1: ps for i, ps in enumerate(factors)}
@@ -137,8 +135,8 @@ def build_fock(
     ids = sorted(factors)
     compl = {i: factors[i].complement_dim for i in ids}
     dim = fock_dimension(compl, max_len)
-    if dim > dim_cap:
-        raise FockDimensionError(dim, dim_cap)
+    if dim > DEFAULT_DIM_CAP:
+        raise FockDimensionError(dim, DEFAULT_DIM_CAP)
 
     labels: list[FockLabel] = [()]
     for length in range(1, max_len + 1):
@@ -243,7 +241,7 @@ class FreeDilationScenario:
             raise ValueError(f"factor id {factor} outside 1..{self.n_factors}")
         res = self.dilations[factor - 1]
         xi = res.embedding.isometry @ self.pointed[factor - 1].base_vector
-        return GenSet({factor: res.unitaries[0]}), State.from_vector(xi)
+        return GenSet({factor: res.gens[1]}), State.from_vector(xi)
 
 
 def _as_pointed_factor(t: np.ndarray, state) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +263,6 @@ def free_unitary_dilation(
     n_degree: int,
     trunc_len: int,
     tol: float = DEFAULT_TOL,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> FreeDilationScenario:
     """Build the joint freely independent dilation of a family of contractions.
 
@@ -299,12 +296,12 @@ def free_unitary_dilation(
         pointed_k.append(PointedSpace(base_vector=j @ ps.base_vector, complement_basis=comp_k))
 
     ids = range(1, len(factors) + 1)
-    fock_k = build_fock({i: pointed_k[i - 1] for i in ids}, trunc_len, dim_cap)
-    fock_h = build_fock({i: pointed_h[i - 1] for i in ids}, trunc_len, dim_cap)
+    fock_k = build_fock({i: pointed_k[i - 1] for i in ids}, trunc_len)
+    fock_h = build_fock({i: pointed_h[i - 1] for i in ids}, trunc_len)
 
     # left representations of operators that passed as_matrix: finite
     unitaries = GenSet.of_finite(
-        {i: left_representation(i, dils[i - 1].unitaries[0], fock_k) for i in ids}
+        {i: left_representation(i, dils[i - 1].gens[1], fock_k) for i in ids}
     )
     s_ops = GenSet.of_finite({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
 
@@ -328,24 +325,18 @@ def free_unitary_dilation(
 
 
 def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> float:
-    """``max(||(U*U - I) P||, ||(U U* - I) P||)`` over columns of length < trunc.
+    """``max(||(U*U - I) P||, ||(U U* - I) P||)`` over the columns ``P`` of
+    words shorter than the truncation length.
 
     The left action of a unitary is isometric except where the truncation
     drops a prepended letter, so the residual vanishes on short words.
     """
     if not 1 <= factor <= fds.n_factors:
         raise ValueError(f"factor id {factor} outside 1..{fds.n_factors}")
-    u = fds.unitaries[factor]
-    eye = np.eye(fds.dim)
-    cols = fds.fock_k.short_indices()
-    res1 = operator_norm((adjoint(u) @ u - eye)[:, cols])
-    res2 = operator_norm((u @ adjoint(u) - eye)[:, cols])
-    return max(res1, res2)
+    return unitarity_residual(fds.unitaries, factor, fds.fock_k.short_indices())
 
 
-def verify_free_dilation(
-    fds: FreeDilationScenario, word: SignedPowerWord, tol: float = 1e-10
-) -> WordResidual:
+def verify_free_dilation(fds: FreeDilationScenario, word: SignedPowerWord) -> float:
     """Residual of the free dilation identity
     ``J* U_{i1}^{k1} ... U_{im}^{km} J = S_{i1}^{k1} ... S_{im}^{km}``.
 
@@ -369,8 +360,4 @@ def verify_free_dilation(
         raise BudgetError(
             f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
         )
-    j = fds.embedding.isometry
-    lhs = adjoint(j) @ apply_word(w, fds.unitaries, j)
-    rhs = apply_word(w, fds.s_ops, np.eye(j.shape[1], dtype=complex))
-    residual = operator_norm(lhs - rhs)
-    return WordResidual(word=word, residual=residual, tol=tol, passed=residual <= tol)
+    return identity_residual(fds.unitaries, fds.s_ops, fds.embedding.isometry, w)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field, replace
@@ -26,6 +27,7 @@ from .dilation import (
     doubly_commuting_dilation,
     double_commutation_residual,
     finite_unitary_dilation,
+    unitarity_residual,
     verify_power_dilation,
 )
 from .free_product import (
@@ -54,7 +56,7 @@ from .ncprob import (
     trace_check,
     word_moment,
 )
-from .operator_core import Embedding, State, adjoint, operator_norm
+from .operator_core import State, adjoint, check_dim_cap
 from .serialization import (
     matrix_from_obj,
     matrix_to_obj,
@@ -96,8 +98,8 @@ class Scenario:
                 raise IngestError(f"budget {key} must be >= 1, got {getattr(self, key)}")
         if self.samples < 0:
             raise IngestError(f"samples must be >= 0, got {self.samples}")
-        if self.tol <= 0:
-            raise IngestError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise IngestError(f"tol must be a positive finite number, got {self.tol}")
         for idx, (mat, st) in enumerate(self.factors):
             dim = st.vector.size if st.kind == "vector" else st.density.shape[0]
             if mat.shape != (dim, dim):
@@ -223,11 +225,12 @@ def emit(sc: Scenario, path: str | Path | None = None) -> str:
 
 @dataclass
 class Model:
-    """A constructed dilation model: generators, state, and the raw parts."""
+    """A constructed dilation model: generators, state, and the raw parts;
+    one dilation record in single and doubly mode, one per tensor factor."""
 
     gens: GenSet
     state: State
-    dilation: DilationResult | None = None
+    dilations: tuple[DilationResult, ...] = ()
     free: FreeDilationScenario | None = None
     factor_models: list[tuple[GenSet, State]] = field(default_factory=list)
 
@@ -245,27 +248,24 @@ def build_model(sc: Scenario) -> Model:
         t, st = sc.factors[0]
         res = finite_unitary_dilation(t, sc.degree, sc.tol)
         emb = _embedded_state(res, st)
-        return Model(
-            gens=res.gens,
-            state=emb,
-            dilation=res,
-            factor_models=[(res.gens, emb)],
-        )
+        return Model(gens=res.gens, state=emb, dilations=(res,), factor_models=[(res.gens, emb)])
     if sc.mode == "doubly":
-        ts = [t for t, _ in sc.factors]
-        res = doubly_commuting_dilation(ts, sc.degree, sc.tol)
+        res = doubly_commuting_dilation([t for t, _ in sc.factors], sc.degree, sc.tol)
         emb = _embedded_state(res, sc.factors[0][1])
-        return Model(gens=res.gens, state=emb, dilation=res)
+        return Model(gens=res.gens, state=emb, dilations=(res,))
     if sc.mode == "tensor":
-        parts = []
-        factor_models = []
+        # refused before any factor is dilated
+        dims = [(sc.degree + 1) * t.shape[0] for t, _ in sc.factors]
+        check_dim_cap(math.prod(dims), "tensor product")
+        dilations, parts, factor_models = [], [], []
         for i, (t, st) in enumerate(sc.factors, start=1):
             r = finite_unitary_dilation(t, sc.degree, sc.tol)
             emb = _embedded_state(r, st)
-            parts.append((r.unitaries[0], emb))
-            factor_models.append((GenSet({i: r.unitaries[0]}), emb))
+            dilations.append(r)
+            parts.append((r.gens[1], emb))
+            factor_models.append((GenSet({i: r.gens[1]}), emb))
         gens, joint = make_tensor_independent(parts)
-        return Model(gens=gens, state=joint, factor_models=factor_models)
+        return Model(gens=gens, state=joint, dilations=tuple(dilations), factor_models=factor_models)
     fds = free_unitary_dilation(sc.factors, sc.degree, sc.trunc, sc.tol)
     return Model(
         gens=fds.unitaries,
@@ -352,66 +352,44 @@ def _fmt_runs(runs) -> str:
 
 
 def _check_unitarity(sc: Scenario, model: Model) -> CheckReport:
-    worst = 0.0
-    witness = None
     if model.free is not None:
-        for i in range(1, model.free.n_factors + 1):
-            res = restricted_unitarity_residual(model.free, i)
-            if res >= worst:
-                if res > worst or witness is None:
-                    witness = {"factor": i, "restricted_to": f"words shorter than {sc.trunc}"}
-                worst = max(worst, res)
+        residual = partial(restricted_unitarity_residual, model.free)
+        witness = {"restricted_to": f"words shorter than {sc.trunc}"}
     else:
-        eye = np.eye(model.gens.dim)
-        for i in model.gens.ids:
-            u = model.gens[i]
-            res = operator_norm(adjoint(u) @ u - eye)
-            if res >= worst:
-                if res > worst or witness is None:
-                    witness = {"factor": i}
-                worst = max(worst, res)
+        residual, witness = partial(unitarity_residual, model.gens), {}
+    residuals = {i: residual(i) for i in model.gens.ids}
+    witness["factor"] = max(residuals, key=residuals.get)  # the first of the worst
+    worst = residuals[witness["factor"]]
     return CheckReport(
         name="unitarity", residual=worst, tol=sc.tol, passed=worst <= sc.tol, witness=witness
     )
 
 
 def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
-    ts = [t for t, _ in sc.factors]
-    worst = -1.0
-    witness = None
     if model.free is not None:
+        name = "dilation_identity"
         words = alternating_words_within(
             model.free.n_factors, min(sc.max_alt, sc.trunc), sc.degree
         )
-        for runs in words:
-            r = verify_free_dilation(model.free, runs, sc.tol)
-            if r.residual > worst:
-                worst = r.residual
-                witness = {"word": _fmt_runs(runs)}
-        name = "dilation_identity"
-    elif sc.mode == "tensor":
-        for i, (fm_gens, _) in enumerate(model.factor_models, start=1):
-            t = ts[i - 1]
-            u = fm_gens[i]
-            small = t.shape[0]
-            res = DilationResult(
-                unitaries=(u,),
-                embedding=Embedding.coordinate(u.shape[0], range(small)),
-                degree=sc.degree,
-            )
-            for k in range(-sc.degree, sc.degree + 1):
-                r = verify_power_dilation(res, [t], [(1, k)], sc.tol)
-                if r.residual > worst:
-                    worst = r.residual
-                    witness = {"factor": i, "word": _fmt_runs([(1, k)])}
-        name = "power_dilation"
+        sweeps = [({}, partial(verify_free_dilation, model.free), words)]
     else:
-        for runs in ordered_words(len(ts), sc.degree):
-            r = verify_power_dilation(model.dilation, ts, runs, sc.tol)
-            if r.residual > worst:
-                worst = r.residual
-                witness = {"word": _fmt_runs(runs) if runs else "1"}
         name = "power_dilation"
+        sweeps = [
+            (
+                {"factor": i} if sc.mode == "tensor" else {},
+                partial(verify_power_dilation, res),
+                ordered_words(len(res.gens.ids), sc.degree),
+            )
+            for i, res in enumerate(model.dilations, start=1)
+        ]
+    worst = -1.0
+    witness = None
+    for where, verify, words in sweeps:
+        for runs in words:
+            r = verify(runs)
+            if r > worst:
+                worst = r
+                witness = {**where, "word": _fmt_runs(runs)}
     worst = max(worst, 0.0)
     return CheckReport(
         name=name,
@@ -526,15 +504,14 @@ def _check_faithfulness(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_double_commutation(sc: Scenario, model: Model) -> CheckReport:
-    ops = [model.gens[i] for i in model.gens.ids]
-    res = double_commutation_residual(ops)
+    res = double_commutation_residual(model.gens)
     return CheckReport(
         name="double_commutation",
         residual=res,
         tol=sc.tol,
         passed=res <= sc.tol,
         witness=None,
-        details={"operators": len(ops)},
+        details={"operators": len(model.gens.ids)},
     )
 
 

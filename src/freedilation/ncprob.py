@@ -11,13 +11,14 @@ carrying the worst residual and a witness sufficient to reproduce it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .operator_core import State, adjoint, as_matrix, operator_norm
+from .operator_core import State, adjoint, as_matrix, check_dim_cap, operator_norm
 
 MAX_PARTITION_SIZE = 12
 MAX_ORACLE_LETTERS = 16
@@ -833,9 +834,7 @@ def free_mixed_moment_oracle(
 # tensor product model
 
 
-def make_tensor_independent(
-    factors: Sequence[tuple[np.ndarray, State]], dim_cap: int = 4096
-) -> tuple[GenSet, State]:
+def make_tensor_independent(factors: Sequence[tuple[np.ndarray, State]]) -> tuple[GenSet, State]:
     """Ampliate factors onto the tensor product space with the product state.
 
     Returns the generators keyed 1..n and the joint state; tensor
@@ -844,14 +843,11 @@ def make_tensor_independent(
     mats = [as_matrix(t) for t, _ in factors]
     states = [s for _, s in factors]
     dims = [m.shape[0] for m in mats]
-    total = int(np.prod(dims))
-    if total > dim_cap:
-        raise ValueError(f"tensor product dimension {total} exceeds cap {dim_cap}")
+    check_dim_cap(math.prod(dims), "tensor product")
 
     ampliated: dict[int, np.ndarray] = {}
     for i, m in enumerate(mats):
-        before = int(np.prod(dims[:i])) if i else 1
-        after = int(np.prod(dims[i + 1 :])) if i + 1 < len(dims) else 1
+        before, after = math.prod(dims[:i]), math.prod(dims[i + 1 :])
         ampliated[i + 1] = np.kron(
             np.eye(before, dtype=complex), np.kron(m, np.eye(after, dtype=complex))
         )

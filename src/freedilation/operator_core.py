@@ -17,6 +17,9 @@ import numpy as np
 # Contraction tolerance used when the caller does not pass one.
 DEFAULT_TOL = 1e-9
 
+# Largest space any construction builds (a dense complex matrix: 400 MB).
+DEFAULT_DIM_CAP = 5000
+
 
 class ShapeMismatchError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
@@ -45,6 +48,12 @@ def as_matrix(a) -> np.ndarray:
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
+
+
+def check_dim_cap(dim: int, what: str) -> None:
+    """Refuse a ``what`` space above :data:`DEFAULT_DIM_CAP`, before allocating it."""
+    if dim > DEFAULT_DIM_CAP:
+        raise ValueError(f"{what} dimension {dim} exceeds cap {DEFAULT_DIM_CAP}")
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

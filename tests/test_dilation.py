@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from freedilation.dilation import (
     double_commutation_residual,
     doubly_commuting_dilation,
     finite_unitary_dilation,
+    unitarity_residual,
     verify_power_dilation,
 )
+from freedilation.ncprob import GenSet, ordered_words
 from freedilation.operator_core import (
     ContractionError,
     Embedding,
@@ -26,14 +30,14 @@ SQ75 = 0.8660254037844386  # sqrt(1 - 0.25)
 def test_degree_one_block_structure():
     res = finite_unitary_dilation(np.array([[0.5]]), 1)
     expected = np.array([[0.5, SQ75], [SQ75, -0.5]])
-    np.testing.assert_allclose(res.unitaries[0], expected, atol=1e-12)
+    np.testing.assert_allclose(res.gens[1], expected, atol=1e-12)
 
 
 def test_block_layout_degree_three():
     rng = np.random.default_rng(1)
     t = random_contraction(rng, 2)
     res = finite_unitary_dilation(t, 3)
-    u = res.unitaries[0]
+    u = res.gens[1]
     assert u.shape == (8, 8)
     d = 2
     np.testing.assert_allclose(u[:d, :d], t)
@@ -52,7 +56,7 @@ def test_unitarity_and_power_exactness_random():
         t = random_contraction(rng, dim)
         res = finite_unitary_dilation(t, degree)
         assert res.unitarity_residual() < 1e-12
-        u = res.unitaries[0]
+        u = res.gens[1]
         for k in range(degree + 1):
             c = compress(np.linalg.matrix_power(u, k), res.embedding)
             assert operator_norm(c - np.linalg.matrix_power(t, k)) < 1e-12
@@ -64,7 +68,7 @@ def test_power_beyond_degree_wraps():
     # t = 0.5, N = 3: U^4 compressed picks up the defect cycle,
     # 0.5^4 + (1 - 0.25) = 0.8125 instead of 0.0625
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
-    c = compress(np.linalg.matrix_power(res.unitaries[0], 4), res.embedding)
+    c = compress(np.linalg.matrix_power(res.gens[1], 4), res.embedding)
     assert c[0, 0].real == pytest.approx(0.8125, abs=1e-12)
 
 
@@ -91,11 +95,11 @@ def test_doubly_commuting_dilation_pair():
     res = doubly_commuting_dilation([a, b], 2)
     assert res.ambient_dim == 27
     assert res.unitarity_residual() < 1e-12
-    assert double_commutation_residual(res.unitaries) < 1e-12
+    assert double_commutation_residual(res.gens) < 1e-12
     for ka in range(-2, 3):
         for kb in range(-2, 3):
-            r = verify_power_dilation(res, [a, b], [(1, ka), (2, kb)])
-            assert r.residual < 1e-10, (ka, kb, r.residual)
+            r = verify_power_dilation(res, [(1, ka), (2, kb)])
+            assert r < 1e-10, (ka, kb, r)
 
 
 def test_doubly_commuting_rejects_noncommuting():
@@ -117,16 +121,16 @@ def test_verify_rejects_out_of_budget_words():
     t = np.array([[0.5]])
     res = finite_unitary_dilation(t, 2)
     with pytest.raises(BudgetError):
-        verify_power_dilation(res, [t], [(1, 3)])
+        verify_power_dilation(res, [(1, 3)])
     with pytest.raises(BudgetError):
-        verify_power_dilation(res, [t], [(1, 10**12)])
+        verify_power_dilation(res, [(1, 10**12)])
     a = np.diag([0.5, 0.3])
     b = np.diag([0.2, 0.7])
     res2 = doubly_commuting_dilation([a, b], 2)
     with pytest.raises(BudgetError):
-        verify_power_dilation(res2, [a, b], [(2, 1), (1, 1)])
+        verify_power_dilation(res2, [(2, 1), (1, 1)])
     with pytest.raises(BudgetError):
-        verify_power_dilation(res2, [a, b], [(1, 1), (3, 1)])
+        verify_power_dilation(res2, [(1, 1), (3, 1)])
 
 
 
@@ -140,19 +144,19 @@ def _dense_power(a, k):
     return np.linalg.matrix_power(a if k >= 0 else adjoint(a), abs(k))
 
 
-def _dense_residual(res, ts, runs):
+def _dense_residual(res, runs):
     big = np.eye(res.ambient_dim, dtype=complex)
     small = np.eye(res.embedding.small_dim, dtype=complex)
     for f, k in runs:
-        big = big @ _dense_power(res.unitaries[f - 1], k)
-        small = small @ _dense_power(ts[f - 1], k)
+        big = big @ _dense_power(res.gens[f], k)
+        small = small @ _dense_power(res.contractions[f], k)
     return operator_norm(compress(big, res.embedding) - small)
 
 
-def _assert_matches_dense(res, ts, words):
+def _assert_matches_dense(res, words):
     for runs in words:
-        got = verify_power_dilation(res, ts, runs, tol=np.inf).residual
-        want = _dense_residual(res, ts, runs)
+        got = verify_power_dilation(res, runs)
+        want = _dense_residual(res, runs)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (runs, got, want)
 
 
@@ -161,24 +165,26 @@ def test_power_identity_matches_dense_reference_single():
     t = random_contraction(rng, 3)
     res = finite_unitary_dilation(t, 3)
     words = [[(1, k)] for k in range(-3, 4)]
-    _assert_matches_dense(res, [t], words)
+    _assert_matches_dense(res, words)
     # a rotated copy: the word acts on J's columns, which are no longer coordinates
     q = random_unitary(rng, res.ambient_dim)
     rotated = DilationResult(
-        unitaries=(q @ res.unitaries[0] @ adjoint(q),),
+        gens=GenSet({1: q @ res.gens[1] @ adjoint(q)}),
+        contractions=res.contractions,
         embedding=Embedding(q @ res.embedding.isometry),
         degree=3,
     )
-    _assert_matches_dense(rotated, [t], words)
-    assert max(verify_power_dilation(rotated, [t], w).residual for w in words) < 1e-12
+    _assert_matches_dense(rotated, words)
+    assert max(verify_power_dilation(rotated, w) for w in words) < 1e-12
     # a unitary that is no dilation of t gives O(1) residuals, which must agree too
     wrong = DilationResult(
-        unitaries=(random_unitary(rng, res.ambient_dim),),
+        gens=GenSet({1: random_unitary(rng, res.ambient_dim)}),
+        contractions=res.contractions,
         embedding=res.embedding,
         degree=3,
     )
-    _assert_matches_dense(wrong, [t], words)
-    assert max(verify_power_dilation(wrong, [t], w).residual for w in words) > 0.1
+    _assert_matches_dense(wrong, words)
+    assert max(verify_power_dilation(wrong, w) for w in words) > 0.1
 
 
 def test_power_identity_matches_dense_reference_doubly():
@@ -188,9 +194,66 @@ def test_power_identity_matches_dense_reference_doubly():
     words = [
         [(1, ka), (2, kb)] for ka in range(-2, 3) for kb in range(-2, 3) if ka and kb
     ]
-    _assert_matches_dense(res, [a, b], words)
+    _assert_matches_dense(res, words)
     swapped = DilationResult(
-        unitaries=res.unitaries[::-1], embedding=res.embedding, degree=2
+        gens=GenSet({1: res.gens[2], 2: res.gens[1]}),
+        contractions=res.contractions,
+        embedding=res.embedding,
+        degree=2,
     )
-    _assert_matches_dense(swapped, [a, b], words)
-    assert max(verify_power_dilation(swapped, [a, b], w).residual for w in words) > 0.1
+    _assert_matches_dense(swapped, words)
+    assert max(verify_power_dilation(swapped, w) for w in words) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the dilation record
+
+
+def test_doubly_record_keeps_its_inputs():
+    rng = np.random.default_rng(33)
+    a, b = _commuting_normal_pair(rng, 2)
+    res = doubly_commuting_dilation([a, b], 2)
+    assert res.contractions.ids == (1, 2)
+    np.testing.assert_array_equal(res.contractions[1], a)
+    np.testing.assert_array_equal(res.contractions[2], b)
+    words = ordered_words(2, 2)
+    assert all(type(verify_power_dilation(res, w)) is float for w in words)
+    assert max(verify_power_dilation(res, w) for w in words) < 1e-12
+    # the same unitaries do not dilate the inputs in the other order
+    swapped = replace(res, contractions=GenSet({1: b, 2: a}))
+    assert max(verify_power_dilation(swapped, w) for w in words) > 0.1
+
+
+def test_dimension_cap_refused_before_allocation():
+    # (N+1) d and (N+1)^n d are far beyond any memory: refused, never allocated
+    with pytest.raises(ValueError, match="dilation dimension 10000001 exceeds cap 5000"):
+        finite_unitary_dilation(np.array([[0.5]]), 10**7)
+    with pytest.raises(ValueError, match="exceeds cap 5000"):
+        doubly_commuting_dilation([np.diag([0.5, 0.3]), np.diag([0.2, 0.7])], 10**7)
+
+
+# ---------------------------------------------------------------------------
+# unitarity on column panels
+
+
+def _dense_unitarity(u):
+    return operator_norm(adjoint(u) @ u - np.eye(u.shape[0]))
+
+
+def test_unitarity_residual_matches_dense_reference():
+    rng = np.random.default_rng(34)
+    a, b = _commuting_normal_pair(rng, 2)
+    for res in (
+        finite_unitary_dilation(random_contraction(rng, 3), 3),
+        doubly_commuting_dilation([a, b], 2),
+    ):
+        for f in res.gens.ids:
+            got = unitarity_residual(res.gens, f)
+            assert got <= 1e-14
+            assert got == pytest.approx(_dense_unitarity(res.gens[f]), abs=1e-15)
+        assert res.unitarity_residual() == max(
+            unitarity_residual(res.gens, f) for f in res.gens.ids
+        )
+    # far from unitary, so the comparison is not lost in rounding
+    t = random_contraction(rng, 5, 0.5)
+    assert unitarity_residual(GenSet({1: t}), 1) == pytest.approx(_dense_unitarity(t), rel=1e-12)

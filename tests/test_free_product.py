@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from freedilation.dilation import BudgetError
+from freedilation.dilation import BudgetError, unitarity_residual
 from freedilation.free_product import (
     FockDimensionError,
     PointedSpace,
@@ -73,7 +74,7 @@ def test_build_fock_canonical_order():
 def test_build_fock_dim_cap():
     p = PointedSpace.from_state_vector(np.eye(8)[:, 0])
     with pytest.raises(FockDimensionError):
-        build_fock({1: p, 2: p}, 4, dim_cap=100)
+        build_fock({1: p, 2: p}, 4)  # 5,601 > 5,000
 
 
 def test_left_representation_identity_is_identity():
@@ -161,11 +162,61 @@ def test_restricted_unitarity():
         assert restricted_unitarity_residual(fds, i) < 1e-12
 
 
+def _dense_restricted_unitarity(u, cols):
+    """The dense reference: both products formed, then cut to ``cols``."""
+    eye = np.eye(u.shape[0])
+    return max(
+        operator_norm((adjoint(u) @ u - eye)[:, cols]),
+        operator_norm((u @ adjoint(u) - eye)[:, cols]),
+    )
+
+
+def test_restricted_unitarity_matches_dense_reference():
+    fds = _scalar_pair()
+    cols = fds.fock_k.short_indices()
+    for i in (1, 2):
+        u = fds.unitaries[i]
+        got = restricted_unitarity_residual(fds, i)
+        assert got == pytest.approx(_dense_restricted_unitarity(u, cols), abs=1e-15)
+        # a scaled copy is far from unitary, so rounding cannot hide a difference
+        scaled = GenSet({i: 0.9 * u})
+        assert unitarity_residual(scaled, i, cols) == pytest.approx(
+            _dense_restricted_unitarity(0.9 * u, cols), rel=1e-12
+        )
+
+
+def test_truncation_breaks_unitarity_only_on_long_words():
+    fds = _scalar_pair()
+    short = fds.fock_k.short_indices()
+    assert len(short) < fds.dim
+    for i in (1, 2):
+        assert unitarity_residual(fds.unitaries, i) > 0.5
+        assert unitarity_residual(fds.unitaries, i, short) <= 1e-12
+
+
+def test_restricted_unitarity_forms_no_dense_product():
+    factors = [
+        (np.array([[0.3, 0.4], [0.1, -0.2]]), State.from_vector(np.array([0.6, 0.8]))),
+        (0.5 * np.array([[0.0, 1.0], [1.0, 0.5]]), State.basis_vector(2, 0)),
+    ]
+    fds = free_unitary_dilation(factors, 2, 3)
+    assert fds.dim == 311 and len(fds.fock_k.short_indices()) == 61
+    dense_bytes = fds.dim * fds.dim * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert restricted_unitarity_residual(fds, 1) <= 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes, (peak, dense_bytes)
+
+
 def test_dilation_identity_within_budget():
     fds = _scalar_pair()
     for runs in alternating_words_within(2, 4, 3):
-        r = verify_free_dilation(fds, runs, 1e-10)
-        assert r.passed, (runs, r.residual)
+        r = verify_free_dilation(fds, runs)
+        assert type(r) is float and r <= 1e-10, (runs, r)
 
 
 def test_dilation_identity_budget_refusals():
@@ -224,8 +275,7 @@ def test_one_factor_reduces_to_single_dilation():
     # one-factor free product of the dilation space is the dilation space
     assert fds.dim == fds.dilations[0].ambient_dim
     for runs in [[(1, 1)], [(1, 2)], [(1, 3)]]:
-        r = verify_free_dilation(fds, runs, 1e-10)
-        assert r.passed
+        assert verify_free_dilation(fds, runs) <= 1e-10
 
 
 def test_factor_model_is_exactly_unitary():
@@ -263,7 +313,7 @@ def test_free_identity_matches_dense_reference():
     words = alternating_words_within(2, 3, 2)
     for model in (fds, crossed):
         for runs in words:
-            got = verify_free_dilation(model, runs, np.inf).residual
+            got = verify_free_dilation(model, runs)
             want = _dense_free_residual(model, runs)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (runs, got, want)
-    assert max(verify_free_dilation(crossed, runs).residual for runs in words) > 0.1
+    assert max(verify_free_dilation(crossed, runs) for runs in words) > 0.1

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from freedilation.cli import main
 from freedilation.dilation import BudgetError
 from freedilation.harness import (
+    CHECKS,
     IngestError,
     Scenario,
     build_model,
@@ -20,7 +22,7 @@ from freedilation.harness import (
     run_theorem_suite,
     scenario_from_obj,
 )
-from freedilation.ncprob import Word, ordered_words, signed_alternating_words
+from freedilation.ncprob import GenSet, Word, ordered_words, signed_alternating_words
 from freedilation.operator_core import State
 from freedilation.serialization import matrix_to_obj, state_to_obj
 
@@ -420,6 +422,59 @@ def test_cli_check_free_needs_two_factors(capsys):
 def test_cli_word_with_unknown_factor_is_refused(capsys, command, scenario, word):
     code = main([command, "--input", str(SCENARIOS / f"{scenario}.json"), "--word", word])
     _assert_refused(code, capsys, "factor ids")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+def test_cli_tol_must_be_positive_finite(capsys, tol):
+    code = main(["suite", "--input", str(SCENARIOS / "single_half.json"), f"--tol={tol}"])
+    _assert_refused(code, capsys, "tol must be a positive finite number")
+
+
+def test_scenario_file_nan_tol_is_refused(tmp_path, capsys):
+    # Python's json reads the NaN literal
+    obj = {"factors": [{"matrix": matrix_to_obj(_scalar(0.5))}], "tol": float("nan")}
+    code = main(["suite", "--input", _write_scenario(tmp_path, obj)])
+    _assert_refused(code, capsys, "tol must be a positive finite number")
+
+
+def test_cli_cumulants_nan_tol_is_refused(capsys):
+    path = str(SCENARIOS / "semicircle_moments.json")
+    code = main(["cumulants", "--input", path, "--tol", "nan"])
+    _assert_refused(code, capsys, "tol must be a positive finite number")
+
+
+@pytest.mark.parametrize("mode", ["single", "doubly", "tensor", "free"])
+def test_suite_dimension_cap_in_every_mode(mode):
+    # far beyond any memory: refused before allocation, as a failing entry
+    factors = [_scalar_factor(0.5), _scalar_factor(0.3)][: 1 if mode == "single" else 2]
+    report = run_theorem_suite(Scenario(mode=mode, factors=factors, degree=10**7))
+    assert [c["name"] for c in report.checks] == ["construction"]
+    assert "exceeds cap 5000" in report.checks[0]["witness"]["error"]
+
+
+def test_cli_dimension_cap(capsys):
+    path = str(SCENARIOS / "single_half.json")
+    assert main(["suite", "--input", path, "--degree", str(10**7)]) == 1
+    out = capsys.readouterr()
+    entry = json.loads(out.out)["checks"][0]
+    assert entry["name"] == "construction" and "exceeds cap 5000" in entry["witness"]["error"]
+    assert "Traceback" not in out.err
+    code = main(["moments", "--input", path, "--degree", str(10**7), "--word", "1^1"])
+    _assert_refused(code, capsys, "exceeds cap 5000")
+
+
+def test_tensor_power_dilation_covers_each_factor():
+    sc = Scenario(mode="tensor", factors=[_scalar_factor(0.5), _scalar_factor(0.3 + 0.2j)])
+    model = build_model(sc)
+    assert len(model.dilations) == 2
+    for res, (t, _) in zip(model.dilations, sc.factors):
+        np.testing.assert_array_equal(res.contractions[1], t)
+    assert CHECKS["power_dilation"](sc, model).passed
+    # a wrong record for factor 2 alone is caught and named
+    wrong = replace(model.dilations[1], contractions=GenSet({1: _scalar(0.9)}))
+    rep = CHECKS["power_dilation"](sc, replace(model, dilations=(model.dilations[0], wrong)))
+    assert not rep.passed and rep.residual > 0.1
+    assert rep.witness["factor"] == 2
 
 
 def test_cli_cumulants_semicircle(tmp_path, capsys):

@@ -215,14 +215,14 @@ def test_make_tensor_independent_dim_cap():
     t = np.eye(8) * 0.5
     s = State.basis_vector(8, 0)
     with pytest.raises(ValueError):
-        make_tensor_independent([(t, s)] * 5, dim_cap=4096)
+        make_tensor_independent([(t, s)] * 5)
 
 
 def test_free_independence_negative_control_two_copies():
     # two labels pointing at the same dilated unitary are maximally non-free:
     # phi(c(U*) c(U)) = 1 - |t|^2
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
-    u = res.unitaries[0]
+    u = res.gens[1]
     xi = res.embedding.isometry[:, 0]
     s = State.from_vector(xi)
     rep = free_independence_check(s, GenSet({1: u, 2: u}), max_len=2, degree=1, samples=0, tol=1e-8, seed=0)

@@ -4,6 +4,7 @@ import pytest
 from freedilation.dilation import finite_unitary_dilation
 from freedilation.ncprob import GenSet, parse_word, word_moment
 from freedilation.operator_core import (
+    DEFAULT_DIM_CAP,
     ContractionError,
     Embedding,
     ShapeMismatchError,
@@ -11,6 +12,7 @@ from freedilation.operator_core import (
     StateError,
     adjoint,
     as_matrix,
+    check_dim_cap,
     compress,
     defect_pair,
     operator_norm,
@@ -19,6 +21,12 @@ from freedilation.operator_core import (
     random_state,
     random_unitary,
 )
+
+
+def test_dim_cap_is_inclusive():
+    check_dim_cap(DEFAULT_DIM_CAP, "test")
+    with pytest.raises(ValueError, match="test dimension 5001 exceeds cap 5000"):
+        check_dim_cap(DEFAULT_DIM_CAP + 1, "test")
 
 
 def test_operator_norm_frozen_values():
