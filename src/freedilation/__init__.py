@@ -68,6 +68,7 @@ from .ncprob import (
     tensor_independence_check,
     trace_check,
     word_moment,
+    word_moments,
 )
 from .free_product import (
     FockBasis,

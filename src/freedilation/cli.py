@@ -37,7 +37,7 @@ from .ncprob import (
     moments_from_cumulants,
     noncrossing_partitions,
     parse_word,
-    word_moment,
+    word_moments,
 )
 
 EXIT_PASS = 0
@@ -181,13 +181,15 @@ def _cmd_oracle(args) -> int:
     marginals = {
         i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
+    words = []
+    for text in args.word:
+        words.append(parse_word(text))
+        moment_budget_check(sc, words[-1])
+    oracle = [free_mixed_moment_oracle(marginals, w) for w in words]
+    vacuum = word_moments(model.state, model.gens, words)
     results = []
     worst = 0.0
-    for text in args.word:
-        w = parse_word(text)
-        moment_budget_check(sc, w)
-        oracle_value = free_mixed_moment_oracle(marginals, w)
-        vacuum_value = word_moment(model.state, model.gens, w)
+    for w, oracle_value, vacuum_value in zip(words, oracle, map(complex, vacuum)):
         res = abs(oracle_value - vacuum_value)
         worst = max(worst, res)
         results.append(

@@ -10,8 +10,9 @@ and every verifier states its budget.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,12 +41,16 @@ FockLabel = tuple[tuple[int, int], ...]
 
 
 class FockDimensionError(ValueError):
-    def __init__(self, dim: int, cap: int):
+    """The truncated free product is too large: its words up to ``length``
+    letters alone span ``dim > cap`` dimensions."""
+
+    def __init__(self, dim: int, cap: int, length: int):
         self.dim = dim
         self.cap = cap
+        self.length = length
         super().__init__(
-            f"truncated free product dimension {dim} exceeds cap {cap}; "
-            "reduce the truncation length or factor dimensions"
+            f"truncated free product dimension exceeds cap {cap}: words of length "
+            f"<= {length} already span {dim}; reduce the truncation length or factor dimensions"
         )
 
 
@@ -111,16 +116,26 @@ class FockBasis:
         return [p for p, lab in enumerate(self.labels) if len(lab) < self.max_len]
 
 
-def fock_dimension(complement_dims: Mapping[int, int], max_len: int) -> int:
+def _fock_dims(complement_dims: Mapping[int, int]) -> Iterator[int]:
+    """Dimensions of the free product truncated at word lengths 0, 1, 2, ...;
+    ends once no word of the next length exists, the dimension being constant
+    from there on."""
     ids = sorted(complement_dims)
     total = 1
-    ways = {i: complement_dims[i] for i in ids}
-    for _ in range(max_len):
+    ways = {i: complement_dims[i] for i in ids}  # next-length words by first factor
+    while True:
+        yield total
+        if not any(ways.values()):
+            return
         total += sum(ways.values())
         ways = {
             i: complement_dims[i] * sum(ways[j] for j in ids if j != i) for i in ids
         }
-    return total
+
+
+def fock_dimension(complement_dims: Mapping[int, int], max_len: int) -> int:
+    *_, dim = itertools.islice(_fock_dims(complement_dims), max_len + 1)
+    return dim
 
 
 def build_fock(
@@ -134,9 +149,11 @@ def build_fock(
         raise ValueError(f"truncation length must be >= 1, got {max_len}")
     ids = sorted(factors)
     compl = {i: factors[i].complement_dim for i in ids}
-    dim = fock_dimension(compl, max_len)
-    if dim > DEFAULT_DIM_CAP:
-        raise FockDimensionError(dim, DEFAULT_DIM_CAP)
+    # refused at the first length past the cap, before the exact dimension of
+    # a huge truncation length is computed
+    for length, dim in enumerate(itertools.islice(_fock_dims(compl), max_len + 1)):
+        if dim > DEFAULT_DIM_CAP:
+            raise FockDimensionError(dim, DEFAULT_DIM_CAP, length)
 
     labels: list[FockLabel] = [()]
     for length in range(1, max_len + 1):
@@ -149,6 +166,8 @@ def build_fock(
                 if not lab or lab[-1][0] != i
                 for m in range(compl[i])
             ]
+        if not stack:
+            break  # no word of this length, so none longer either
         labels.extend(sorted(stack))
     position = {lab: p for p, lab in enumerate(labels)}
     return FockBasis(

@@ -45,16 +45,15 @@ from .ncprob import (
     center,
     faithfulness_check,
     free_independence_check,
-    free_mixed_moment_oracle,
     make_tensor_independent,
     matrix_marginal,
+    oracle_equivalence_check,
     ordered_words,
     parse_word,
     signed_alternating_words,
     state_moment,
     tensor_independence_check,
     trace_check,
-    word_moment,
 )
 from .operator_core import State, adjoint, check_dim_cap
 from .serialization import (
@@ -439,32 +438,16 @@ def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
     marginals = {
         i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
-    words = signed_alternating_words(
-        model.free.n_factors, min(sc.max_alt, sc.trunc), sc.degree, 2 * sc.degree
-    )
-    worst = 0.0
-    witness = None
-    for runs in words:
-        w = Word.from_runs(runs)
-        lhs = word_moment(model.state, model.gens, w)
-        rhs = free_mixed_moment_oracle(marginals, w)
-        res = abs(lhs - rhs)
-        if res >= worst:
-            if res > worst or witness is None:
-                witness = {
-                    "word": w.format(),
-                    "vacuum_moment": [lhs.real, lhs.imag],
-                    "oracle_moment": [rhs.real, rhs.imag],
-                }
-            worst = max(worst, res)
-    return CheckReport(
-        name="oracle_equivalence",
-        residual=worst,
-        tol=sc.tol,
-        passed=worst <= sc.tol,
-        witness=witness,
-        details={"words": len(words), "max_blocks": min(sc.max_alt, sc.trunc)},
-    )
+    max_blocks = min(sc.max_alt, sc.trunc)
+    words = [
+        Word.from_runs(runs)
+        for runs in signed_alternating_words(
+            model.free.n_factors, max_blocks, sc.degree, 2 * sc.degree
+        )
+    ]
+    rep = oracle_equivalence_check(model.state, model.gens, marginals, words, sc.tol)
+    rep.details["max_blocks"] = max_blocks
+    return rep
 
 
 def _check_faithfulness(sc: Scenario, model: Model) -> CheckReport:

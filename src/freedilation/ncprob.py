@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,16 +44,24 @@ def _merge_blocks(blocks: Iterable[Block]) -> tuple[Block, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _letter(factor: int, star: bool) -> tuple[int, bool]:
+    return (factor, star)
+
+
+@dataclass(frozen=True, slots=True)
 class Word:
     """Finite product of generators and adjoints; ``letters`` is a tuple of
-    ``(factor id, star flag)`` pairs, empty meaning the unit."""
+    ``(factor id, star flag)`` pairs, empty meaning the unit.
+
+    Words share one tuple per distinct letter and keep no ``__dict__``, so a
+    sweep over thousands of words costs about a pointer per letter."""
 
     letters: tuple[tuple[int, bool], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(
-            self, "letters", tuple((int(f), bool(s)) for f, s in self.letters)
+            self, "letters", tuple(_letter(int(f), bool(s)) for f, s in self.letters)
         )
 
     @staticmethod
@@ -259,8 +267,79 @@ def state_moment(state: State, gens: GenSet, factors: Sequence[Element | Word]) 
     return complex(np.sum(weights * vals))
 
 
+@lru_cache(maxsize=None)
+def _letter_word(letter: tuple[int, bool]) -> Word:
+    return Word((letter,))
+
+
+class _Sweep:
+    """A state's columns and a generator set, for word sweeps that share work.
+
+    Every letter goes through :meth:`apply`, one :func:`apply_word` call per
+    letter, and ``letters`` counts them: the work a sweep actually did.
+    """
+
+    def __init__(self, state: State, gens: GenSet):
+        self.gens = gens
+        self.panel, self.weights = _state_panel(state)
+        self._conj_panel = np.conj(self.panel)
+        self.letters = 0
+
+    def apply(self, letter: tuple[int, bool], panel: np.ndarray) -> np.ndarray:
+        self.letters += 1
+        return apply_word(_letter_word(letter), self.gens, panel)
+
+    def moment(self, applied: np.ndarray) -> complex:
+        """``phi(a)`` from ``a`` applied to the state columns."""
+        vals = np.einsum("ik,ik->k", self._conj_panel, applied)
+        return complex(np.sum(self.weights * vals))
+
+    def walk(self, words: Sequence[Word], panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(i, words[i] applied to panel)`` for every word.
+
+        The words are visited sorted by their reversed letters, so words
+        that end alike are adjacent: a stack keeps the applied suffix of the
+        current word, and each distinct suffix costs one letter.  Only the
+        stack, at most the longest word plus one panels, is live.  The sort
+        runs on a small integer array of letter codes, not on Python tuples.
+        """
+        codes: dict[tuple[int, bool], int] = {}
+        width = max([1, *map(len, words)])  # lexsort needs one key at least
+        rows = np.zeros((len(words), width), dtype=np.intp)
+        for i, w in enumerate(words):
+            for j, letter in enumerate(reversed(w.letters)):
+                rows[i, j] = codes.setdefault(letter, len(codes) + 1)
+        order = np.lexsort(rows.T[::-1])  # column 0, the last letter, sorts first
+        del rows
+        stack = [panel]  # stack[k]: the last k letters of ``done`` applied
+        done: tuple[tuple[int, bool], ...] = ()
+        for i in order:
+            todo = words[i].letters[::-1]
+            keep = 0
+            while keep < len(done) and keep < len(todo) and done[keep] == todo[keep]:
+                keep += 1
+            del stack[keep + 1 :]
+            for letter in todo[keep:]:
+                stack.append(self.apply(letter, stack[-1]))
+            done = todo
+            yield i, stack[-1]
+
+    def word_moments(self, words: Sequence[Word]) -> np.ndarray:
+        out = np.empty(len(words), dtype=complex)
+        for i, applied in self.walk(words, self.panel):
+            out[i] = self.moment(applied)
+        return out
+
+
+def word_moments(state: State, gens: GenSet, words: Sequence[Word]) -> np.ndarray:
+    """``phi(w)`` for every word, sharing suffixes: a word set with ``s``
+    distinct nonempty suffixes costs ``s`` letter applications.  Each word's
+    letters are applied in the same order as :func:`apply_word` applies them."""
+    return _Sweep(state, gens).word_moments(words)
+
+
 def word_moment(state: State, gens: GenSet, word: Word) -> complex:
-    return state_moment(state, gens, [word])
+    return complex(word_moments(state, gens, [word])[0])
 
 
 def element_moment(state: State, gens: GenSet, el: Element) -> complex:
@@ -302,8 +381,11 @@ def _alternating_runs(
     ``sum |k| <= total_max``; ordered by total power, then run count, then
     the runs themselves."""
     out: list[Runs] = []
-
-    def rec(prefix: Runs, blocks: int, budget: int) -> None:
+    # an explicit stack, not a recursive closure, whose reference cycle would
+    # keep ``out`` alive until the next garbage collection
+    stack: list[tuple[Runs, int, int]] = [((), 0, total_max)]
+    while stack:
+        prefix, blocks, budget = stack.pop()
         if prefix:
             out.append(prefix)
         for i in ids:
@@ -314,10 +396,12 @@ def _alternating_runs(
                 if not new_block and (prefix[-1][1] > 0) == (sign > 0):
                     continue
                 for k in range(1, min(per_run_max, budget) + 1):
-                    rec(prefix + ((i, sign * k),), blocks + new_block, budget - k)
-
-    rec((), 0, total_max)
-    out.sort(key=lambda runs: (sum(abs(k) for _, k in runs), len(runs), runs))
+                    stack.append((prefix + ((i, sign * k),), blocks + new_block, budget - k))
+    # by (total power, run count, runs), as three stable sorts whose keys are
+    # small cached ints rather than one tuple per sequence
+    out.sort()
+    out.sort(key=len)
+    out.sort(key=lambda runs: sum(abs(k) for _, k in runs))
     return out
 
 
@@ -346,13 +430,19 @@ def ordered_words(n_factors: int, max_power: int) -> list[Runs]:
     return sorted(words, key=lambda w: (len(w), w))
 
 
+def _disc_coefficients(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws uniform on the complex unit disc."""
+    radii = np.sqrt(rng.uniform(0.0, 1.0, size=count))
+    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=count))
+    return radii * phases
+
+
 def random_element(rng: np.random.Generator, factor: int, degree: int) -> Element:
     """Random combination of all words of length <= degree in one factor,
     coefficients uniform on the complex unit disc."""
     words = _all_words([factor], degree)
-    radii = np.sqrt(rng.uniform(0.0, 1.0, size=len(words)))
-    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=len(words)))
-    return Element(tuple((complex(r * p), w) for r, p, w in zip(radii, phases, words)))
+    coeffs = _disc_coefficients(rng, len(words))
+    return Element(tuple((complex(c), w) for c, w in zip(coeffs, words)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +537,6 @@ def tensor_independence_check(
 # free independence
 
 
-def _centered_monomials(
-    state: State, gens: GenSet, factor: int, degree: int
-) -> list[tuple[str, Element]]:
-    """Centered ``T^p`` and ``(T*)^p`` for ``1 <= p <= min(degree, 3)``."""
-    out: list[tuple[str, Element]] = []
-    for p in range(1, min(degree, 3) + 1):
-        for starred in (False, True):
-            word = Word.from_runs([(factor, -p if starred else p)])
-            out.append((f"c({word.format()})", center(Element.from_word(word), state, gens)))
-    return out
-
-
 def free_independence_check(
     state: State,
     gens: GenSet,
@@ -473,6 +551,12 @@ def free_independence_check(
     Runs a deterministic pass over centered monomials (exhaustive per
     alternating factor sequence), then a seeded random pass with centered
     random elements in each slot.
+
+    The monomial pass walks the tree of alternating slot choices depth first
+    from the rightmost slot, so a product shares every vector of its right
+    part with its siblings and each node costs one letter per power.  The
+    random pass centers an element by a dot product with the factor's word
+    moments and applies it by one walk over its words.
     """
     ids = list(gens.ids)
     if len(ids) < 2:
@@ -483,29 +567,71 @@ def free_independence_check(
         for runs in _alternating_runs(ids, (1,), max_len, 1, max_len)
         if len(runs) >= 2
     ]
+    sweep = _Sweep(state, gens)
     worst = 0.0
     witness: dict | None = None
 
-    monomials = {f: _centered_monomials(state, gens, f, degree) for f in ids}
-    for seq in sequences:
-        slot_options = [monomials[f] for f in seq]
-        for combo in itertools.product(*slot_options):
-            res = abs(state_moment(state, gens, [el for _, el in combo]))
-            if res > worst:
-                worst = res
-                witness = {
-                    "part": "monomial",
-                    "sequence": list(seq),
-                    "slots": [label for label, _ in combo],
-                }
+    # centered T^p and (T*)^p for 1 <= p <= min(degree, 3); option 2(p-1) + star
+    powers = min(degree, 3)
+    monomials = {
+        f: [Word(((f, s),) * p) for p in range(1, powers + 1) for s in (False, True)]
+        for f in ids
+    }
+    means = {f: sweep.word_moments(words) for f, words in monomials.items()}
+    # residuals[seq][o_1, ..., o_m]: |phi| of the product with option o_k in slot k
+    residuals = {seq: np.zeros((2 * powers,) * len(seq)) for seq in sequences}
 
+    def centered(f: int, panel: np.ndarray) -> list[np.ndarray]:
+        out: list[np.ndarray] = [panel] * (2 * powers)
+        for s in (False, True):
+            power = panel
+            for p in range(powers):
+                power = sweep.apply((f, s), power)
+                out[2 * p + s] = power - means[f][2 * p + s] * panel
+        return out
+
+    # depth first over slot choices; slots and options run from the rightmost
+    # slot leftwards
+    stack: list[tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]] = [(sweep.panel, (), ())]
+    while stack:
+        panel, slots, options = stack.pop()
+        for f in ids:
+            if slots and slots[-1] == f:
+                continue
+            for o, applied in enumerate(centered(f, panel)):
+                here, chosen = slots + (f,), options + (o,)
+                if len(here) >= 2:
+                    residuals[here[::-1]][chosen[::-1]] = abs(sweep.moment(applied))
+                if len(here) < max_len:
+                    stack.append((applied, here, chosen))
+    for seq in sequences:
+        res = residuals[seq]
+        at = int(np.argmax(res))  # the first of the worst, in product order
+        if res.flat[at] > worst:
+            worst = float(res.flat[at])
+            combo = np.unravel_index(at, res.shape)
+            witness = {
+                "part": "monomial",
+                "sequence": list(seq),
+                "slots": [
+                    f"c({monomials[f][o].format()})" for f, o in zip(seq, combo)
+                ],
+            }
+
+    words = {f: _all_words([f], degree) for f in ids}
+    phis = {f: sweep.word_moments(ws) for f, ws in words.items()}
     for si, seq in enumerate(sequences):
         for s in range(samples):
             rng = _derive_rng(seed, 2, si, s)
-            elements = [
-                center(random_element(rng, f, degree), state, gens) for f in seq
-            ]
-            res = abs(state_moment(state, gens, elements))
+            # drawn slot by slot from the left, as random_element draws them
+            coeffs = [_disc_coefficients(rng, len(words[f])) for f in seq]
+            applied = sweep.panel
+            for f, c in zip(reversed(seq), reversed(coeffs)):
+                out = -(c @ phis[f]) * applied
+                for i, term in sweep.walk(words[f], applied):
+                    out += c[i] * term
+                applied = out
+            res = abs(sweep.moment(applied))
             if res > worst:
                 worst = res
                 witness = {
@@ -527,6 +653,7 @@ def free_independence_check(
             "samples": samples,
             "factors": ids,
             "sequences": len(sequences),
+            "letters_applied": sweep.letters,
         },
     )
 
@@ -543,35 +670,27 @@ def trace_check(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> CheckReport:
-    """Check ``phi(ab) = phi(ba)``: all single-letter pairs, then random word pairs."""
+    """Check ``phi(ab) = phi(ba)``: all single-letter pairs, then random word
+    pairs; every product's moment comes from one shared-suffix sweep."""
     ids = list(gens.ids)
     letters = [Word(((f, s),)) for f in ids for s in (False, True)]
-    worst = 0.0
-    witness: dict | None = None
-
-    for wa in letters:
-        for wb in letters:
-            res = abs(
-                word_moment(state, gens, wa * wb) - word_moment(state, gens, wb * wa)
-            )
-            if res > worst:
-                worst = res
-                witness = {"part": "letters", "left": wa.format(), "right": wb.format()}
-
+    pairs = [(wa, wb) for wa in letters for wb in letters]
+    first_random = len(pairs)
     for s in range(samples):
         rng = _derive_rng(seed, 3, s)
         wa = _random_word(rng, ids, degree)
-        wb = _random_word(rng, ids, degree)
-        res = abs(word_moment(state, gens, wa * wb) - word_moment(state, gens, wb * wa))
+        pairs.append((wa, _random_word(rng, ids, degree)))
+    sweep = _Sweep(state, gens)
+    moments = sweep.word_moments([w for wa, wb in pairs for w in (wa * wb, wb * wa)])
+    worst = 0.0
+    witness: dict | None = None
+    for k, (wa, wb) in enumerate(pairs):
+        res = abs(complex(moments[2 * k]) - complex(moments[2 * k + 1]))
         if res > worst:
             worst = res
-            witness = {
-                "part": "random",
-                "left": wa.format(),
-                "right": wb.format(),
-                "sample": s,
-                "seed": seed,
-            }
+            witness = {"part": "letters", "left": wa.format(), "right": wb.format()}
+            if k >= first_random:
+                witness |= {"part": "random", "sample": k - first_random, "seed": seed}
 
     return CheckReport(
         name="traciality",
@@ -579,7 +698,12 @@ def trace_check(
         tol=tol,
         passed=worst <= tol,
         witness=witness,
-        details={"degree": degree, "samples": samples, "factors": ids},
+        details={
+            "degree": degree,
+            "samples": samples,
+            "factors": ids,
+            "letters_applied": sweep.letters,
+        },
     )
 
 
@@ -761,8 +885,9 @@ Marginal = Callable[[Word], complex]
 
 def matrix_marginal(gens: GenSet, state: State) -> Marginal:
     """Marginal distribution of one factor's generators under a state; the
-    words it is asked for name that factor's own id."""
-    return partial(word_moment, state, gens)
+    words it is asked for name that factor's own id.  Each word's moment is
+    computed once and cached, so the oracle's many words share block values."""
+    return lru_cache(maxsize=None)(partial(word_moment, state, gens))
 
 
 def haar_unitary_marginal() -> Marginal:
@@ -795,39 +920,80 @@ def free_mixed_moment_oracle(
         if f not in marginals:
             raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
 
-    memo: dict[tuple, complex] = {}
+    block_values: dict[Block, complex] = {}
 
     def block_phi(block: Block) -> complex:
-        f, stars = block
-        return marginals[f](Word(tuple((f, s) for s in stars)))
+        if block not in block_values:
+            f, stars = block
+            block_values[block] = marginals[f](Word(tuple((f, s) for s in stars)))
+        return block_values[block]
 
-    def rec(blocks: tuple[Block, ...]) -> complex:
-        if not blocks:
-            return 1.0 + 0.0j
-        if len(blocks) == 1:
-            return block_phi(blocks[0])
-        if blocks in memo:
-            return memo[blocks]
-        m = len(blocks)
-        phis = [block_phi(b) for b in blocks]
-        total = 0.0 + 0.0j
-        for mask in range(1, 1 << m):
-            coeff = 1.0 + 0.0j
-            sign = -1.0
-            kept: list[Block] = []
-            for j in range(m):
-                if mask >> j & 1:
-                    coeff *= phis[j]
-                    sign = -sign
-                else:
-                    kept.append(blocks[j])
-            if coeff == 0:
-                continue
-            total += sign * coeff * rec(_merge_blocks(kept))
-        memo[blocks] = total
-        return total
+    return _expand_blocks(word.blocks(), block_phi, {})
 
-    return rec(word.blocks())
+
+def _expand_blocks(
+    blocks: tuple[Block, ...], block_phi: Callable[[Block], complex], memo: dict
+) -> complex:
+    """The oracle's recursion over the blocks of one word; a module function,
+    not a closure, so no reference cycle keeps a word's memo alive."""
+    if not blocks:
+        return 1.0 + 0.0j
+    if len(blocks) == 1:
+        return block_phi(blocks[0])
+    if blocks in memo:
+        return memo[blocks]
+    m = len(blocks)
+    phis = [block_phi(b) for b in blocks]
+    total = 0.0 + 0.0j
+    for mask in range(1, 1 << m):
+        coeff = 1.0 + 0.0j
+        sign = -1.0
+        kept: list[Block] = []
+        for j in range(m):
+            if mask >> j & 1:
+                coeff *= phis[j]
+                sign = -sign
+            else:
+                kept.append(blocks[j])
+        if coeff == 0:
+            continue
+        total += sign * coeff * _expand_blocks(_merge_blocks(kept), block_phi, memo)
+    memo[blocks] = total
+    return total
+
+
+def oracle_equivalence_check(
+    state: State,
+    gens: GenSet,
+    marginals: Mapping[int, Marginal],
+    words: Sequence[Word],
+    tol: float = 1e-8,
+) -> CheckReport:
+    """Compare each word's moment in the model with the free mixed moment
+    oracle of the marginals; the model side is one shared-suffix sweep."""
+    sweep = _Sweep(state, gens)
+    worst = 0.0
+    witness: dict | None = None
+    for w, lhs in zip(words, sweep.word_moments(words)):
+        lhs = complex(lhs)
+        rhs = free_mixed_moment_oracle(marginals, w)
+        res = abs(lhs - rhs)
+        if res >= worst:
+            if res > worst or witness is None:
+                witness = {
+                    "word": w.format(),
+                    "vacuum_moment": [lhs.real, lhs.imag],
+                    "oracle_moment": [rhs.real, rhs.imag],
+                }
+            worst = max(worst, res)
+    return CheckReport(
+        name="oracle_equivalence",
+        residual=worst,
+        tol=tol,
+        passed=worst <= tol,
+        witness=witness,
+        details={"words": len(words), "letters_applied": sweep.letters},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,14 @@ def test_build_fock_dim_cap():
         build_fock({1: p, 2: p}, 4)  # 5,601 > 5,000
 
 
+def test_build_fock_one_factor_huge_truncation():
+    # one factor has no word longer than one letter: both loops stop there
+    p = PointedSpace.from_state_vector(np.eye(3)[:, 0])
+    assert fock_dimension({1: 2}, 200_000) == 3
+    fb = build_fock({1: p}, 200_000)
+    assert fb.labels == ((), ((1, 0),), ((1, 1),))
+
+
 def test_left_representation_identity_is_identity():
     p = PointedSpace.from_state_vector(np.array([0.6, 0.8]))
     fb = build_fock({1: p, 2: p}, 3)

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,16 @@ from freedilation.harness import (
     run_theorem_suite,
     scenario_from_obj,
 )
-from freedilation.ncprob import GenSet, Word, ordered_words, signed_alternating_words
+from freedilation.ncprob import (
+    GenSet,
+    Word,
+    free_mixed_moment_oracle,
+    matrix_marginal,
+    ordered_words,
+    signed_alternating_words,
+    word_moment,
+    word_moments,
+)
 from freedilation.operator_core import State
 from freedilation.serialization import matrix_to_obj, state_to_obj
 
@@ -461,6 +471,46 @@ def test_cli_dimension_cap(capsys):
     assert "Traceback" not in out.err
     code = main(["moments", "--input", path, "--degree", str(10**7), "--word", "1^1"])
     _assert_refused(code, capsys, "exceeds cap 5000")
+
+
+def test_cli_huge_truncation_is_refused_at_the_cap(capsys):
+    path = str(SCENARIOS / "free_pair.json")
+    t0 = time.perf_counter()
+    code = main(["suite", "--input", path, "--trunc-len", "200000"])
+    elapsed = time.perf_counter() - t0
+    entry = json.loads(capsys.readouterr().out)["checks"][0]
+    assert code == 1 and elapsed < 1.0
+    assert entry["name"] == "construction" and "exceeds cap 5000" in entry["witness"]["error"]
+
+
+def test_oracle_check_matches_per_word_loop():
+    sc = ingest(SCENARIOS / "free_pair.json")
+    model = build_model(sc)
+    rep = CHECKS["oracle_equivalence"](sc, model)
+    marginals = {
+        i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
+    }
+    words = [
+        Word.from_runs(runs)
+        for runs in signed_alternating_words(2, min(sc.max_alt, sc.trunc), sc.degree, 2 * sc.degree)
+    ]
+    swept = word_moments(model.state, model.gens, words)
+    worst, witness = 0.0, None
+    for w, lhs_swept in zip(words, swept):
+        lhs = word_moment(model.state, model.gens, w)
+        assert lhs == lhs_swept  # same letters in the same order: same digits
+        rhs = free_mixed_moment_oracle(marginals, w)
+        res = abs(lhs - rhs)
+        if res >= worst:
+            if res > worst or witness is None:
+                witness = {
+                    "word": w.format(),
+                    "vacuum_moment": [lhs.real, lhs.imag],
+                    "oracle_moment": [rhs.real, rhs.imag],
+                }
+            worst = max(worst, res)
+    assert rep.residual == worst and rep.witness == witness
+    assert rep.details == {"words": len(words), "letters_applied": 4436, "max_blocks": 4}
 
 
 def test_tensor_power_dilation_covers_each_factor():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freedilation.ncprob as ncprob
 from freedilation.dilation import finite_unitary_dilation
 from freedilation.ncprob import (
     Element,
@@ -28,8 +29,11 @@ from freedilation.ncprob import (
     tensor_independence_check,
     trace_check,
     word_moment,
+    word_moments,
 )
-from freedilation.operator_core import State, adjoint
+from freedilation.free_product import free_unitary_dilation
+from freedilation.operator_core import State, adjoint, random_contraction, random_state
+from free_independence_oracle import nested_free_independence_check
 from partition_oracles import all_set_partitions, is_noncrossing
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
@@ -152,6 +156,82 @@ def test_apply_word_matches_letter_product(case):
     assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-13 * scale
 
 
+@st.composite
+def _states_and_word_lists(draw):
+    """Contractions, a vector or density state (possibly rank-deficient), and
+    up to 12 words, each a few letters prefixed to the unit or to an earlier
+    word: shared suffixes, duplicates and the unit word all occur."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    mats = {f: random_contraction(rng, dim) for f in range(1, n + 1)}
+    if draw(st.booleans()):
+        state = random_state(rng, dim)
+    else:
+        g = rng.standard_normal((dim, draw(st.integers(1, dim))))
+        rho = g @ g.T
+        state = State.from_density(rho / np.trace(rho))
+    letters = st.tuples(st.integers(1, n), st.booleans())
+    words: list[Word] = []
+    for _ in range(draw(st.integers(0, 12))):
+        base = draw(st.sampled_from(words)) if words and draw(st.booleans()) else Word()
+        words.append(Word(tuple(draw(st.lists(letters, max_size=3)))) * base)
+    return mats, state, words
+
+
+def _dense_moment(mats, state, word):
+    """``phi(w)`` from the dense product of the word's letters."""
+    dim = next(iter(mats.values())).shape[0]
+    w = np.eye(dim, dtype=complex)
+    for f, starred in word.letters:
+        w = w @ (adjoint(mats[f]) if starred else mats[f])
+    if state.kind == "vector":
+        return np.vdot(state.vector, w @ state.vector)
+    return np.trace(state.density @ w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_states_and_word_lists())
+def test_word_moments_match_letter_products(case):
+    mats, state, words = case
+    got = word_moments(state, GenSet(mats), words)
+    assert got.shape == (len(words),)
+    for w, value in zip(words, got):
+        assert abs(value - _dense_moment(mats, state, w)) <= 1e-13
+
+
+def test_word_moments_edge_lists():
+    gens = GenSet({1: np.array([[0.0, 1.0], [0.5, 0.0]]), 2: np.diag([0.3, 0.7])})
+    s = State.basis_vector(2, 0)
+    assert word_moments(s, gens, []).shape == (0,)
+    w = parse_word("1^1 2^1 1^-1")
+    got = word_moments(s, gens, [Word(), w, w, Word()])
+    assert got[0] == got[3] == 1.0
+    assert got[1] == got[2] == word_moment(s, gens, w)
+
+
+def test_word_moments_apply_each_distinct_suffix_once(monkeypatch):
+    gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.eye(2) * 0.5})
+    s = State.basis_vector(2, 0)
+    # distinct nonempty suffixes: 2, 1 2, 2 1 2, 1, 2 1
+    words = [parse_word(t) for t in ("2 1 2", "1 2", "2", "2 1", "1 2", "")]
+    applied = []
+    original = ncprob.apply_word
+    monkeypatch.setattr(
+        ncprob, "apply_word", lambda word, g, panel: applied.append(word) or original(word, g, panel)
+    )
+    word_moments(s, gens, words)
+    assert [len(w) for w in applied] == [1] * 5
+
+
+def test_trace_check_reports_letters_applied():
+    gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.eye(2) * 0.5})
+    rep = trace_check(State.basis_vector(2, 0), gens, degree=1, samples=0)
+    # 4 one-letter suffixes, then the 16 products of two letters
+    assert rep.details["letters_applied"] == 20
+
+
 def test_evaluate_word_diagonal():
     gens = GenSet({1: np.diag([0.5, 0.25])})
     m = evaluate_word(parse_word("1^2"), gens)
@@ -229,6 +309,27 @@ def test_free_independence_negative_control_two_copies():
     assert not rep.passed
     assert rep.residual >= 0.1
     assert rep.witness["part"] == "monomial"
+
+
+def _two_by_two_free_model():
+    rng = np.random.default_rng(21)
+    factors = [(random_contraction(rng, 2, 0.8), random_state(rng, 2)) for _ in range(2)]
+    return free_unitary_dilation(factors, 2, 3)
+
+
+@pytest.mark.parametrize("twin", [False, True])
+def test_free_independence_matches_nested_loops(twin):
+    fds = _two_by_two_free_model()
+    gens = GenSet({1: fds.unitaries[1], 2: fds.unitaries[1]}) if twin else fds.unitaries
+    args = dict(max_len=3, degree=2, samples=0 if twin else 6, tol=1e-9, seed=4)
+    got = free_independence_check(fds.vacuum, gens, **args)
+    want = nested_free_independence_check(fds.vacuum, gens, **args)
+    assert got.passed == want.passed == (not twin)
+    assert abs(got.residual - want.residual) <= 1e-12
+    assert got.witness["part"] == want.witness["part"]
+    if twin:
+        assert got.witness == want.witness
+    assert got.details["letters_applied"] > 0
 
 
 def test_trace_check_positive_maximally_mixed():

@@ -150,3 +150,19 @@ def test_random_unitary_is_unitary():
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [complex(np.nan, 0.0), complex(-np.inf, 0.0), complex(0.0, np.nan), complex(0.0, np.inf)],
+)
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_as_matrix_rejects_nonfinite_real_or_imaginary_part(entry, layout):
+    m = np.zeros((3, 4), dtype=complex, order="F" if layout == "F" else "C")
+    m[1, 2] = entry
+    if layout == "strided":
+        m = m[:, ::2]
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        as_matrix(m)
+    m[1, ...] = 0.5 - 0.25j
+    np.testing.assert_array_equal(as_matrix(m), m)
