@@ -68,7 +68,6 @@ from .ncprob import (
     tensor_independence_check,
     trace_check,
     word_moment,
-    word_moments,
 )
 from .free_product import (
     FockBasis,

@@ -561,6 +561,8 @@ def free_independence_check(
     ids = list(gens.ids)
     if len(ids) < 2:
         raise ValueError("free independence needs at least two factors")
+    if degree < 1:
+        raise ValueError(f"free independence needs degree >= 1, got {degree}")
     # alternating factor sequences of length 2..max_len, one letter per slot
     sequences = [
         tuple(f for f, _ in runs)
@@ -920,30 +922,26 @@ def free_mixed_moment_oracle(
         if f not in marginals:
             raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
 
-    block_values: dict[Block, complex] = {}
-
-    def block_phi(block: Block) -> complex:
-        if block not in block_values:
-            f, stars = block
-            block_values[block] = marginals[f](Word(tuple((f, s) for s in stars)))
-        return block_values[block]
-
-    return _expand_blocks(word.blocks(), block_phi, {})
+    return _expand_blocks(word.blocks(), marginals, {})
 
 
 def _expand_blocks(
-    blocks: tuple[Block, ...], block_phi: Callable[[Block], complex], memo: dict
+    blocks: tuple[Block, ...], marginals: Mapping[int, Marginal], memo: dict
 ) -> complex:
-    """The oracle's recursion over the blocks of one word; a module function,
-    not a closure, so no reference cycle keeps a word's memo alive."""
+    """The oracle's recursion over the blocks of one word, memoized per block
+    sequence, single blocks included; a module function, not a closure, so no
+    reference cycle keeps a word's memo alive."""
     if not blocks:
         return 1.0 + 0.0j
-    if len(blocks) == 1:
-        return block_phi(blocks[0])
     if blocks in memo:
         return memo[blocks]
+    if len(blocks) == 1:
+        f, stars = blocks[0]
+        total = marginals[f](Word(tuple((f, s) for s in stars)))
+        memo[blocks] = total
+        return total
     m = len(blocks)
-    phis = [block_phi(b) for b in blocks]
+    phis = [_expand_blocks((b,), marginals, memo) for b in blocks]
     total = 0.0 + 0.0j
     for mask in range(1, 1 << m):
         coeff = 1.0 + 0.0j
@@ -957,7 +955,7 @@ def _expand_blocks(
                 kept.append(blocks[j])
         if coeff == 0:
             continue
-        total += sign * coeff * _expand_blocks(_merge_blocks(kept), block_phi, memo)
+        total += sign * coeff * _expand_blocks(_merge_blocks(kept), marginals, memo)
     memo[blocks] = total
     return total
 

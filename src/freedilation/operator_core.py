@@ -45,9 +45,7 @@ def as_matrix(a) -> np.ndarray:
         m = m.reshape(1, 1)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a matrix, got ndim={m.ndim}")
-    # one pass; C-ordered entries are scanned as their float view, which
-    # numpy checks faster than complex entries
-    if not np.isfinite(m.view(float) if m.flags.c_contiguous else m).all():
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 

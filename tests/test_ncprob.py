@@ -311,6 +311,12 @@ def test_free_independence_negative_control_two_copies():
     assert rep.witness["part"] == "monomial"
 
 
+def test_free_independence_refuses_degree_zero():
+    s = State.basis_vector(2, 0)
+    with pytest.raises(ValueError, match="degree >= 1"):
+        free_independence_check(s, GenSet({1: np.eye(2), 2: np.eye(2)}), degree=0)
+
+
 def _two_by_two_free_model():
     rng = np.random.default_rng(21)
     factors = [(random_contraction(rng, 2, 0.8), random_state(rng, 2)) for _ in range(2)]
