@@ -24,7 +24,7 @@ from .dilation import (
     identity_residual,
     unitarity_residual,
 )
-from .ncprob import GenSet, Word
+from .ncprob import GenSet, LetterAction, Word
 from .operator_core import (
     DEFAULT_DIM_CAP,
     DEFAULT_TOL,
@@ -175,13 +175,62 @@ def build_fock(
     )
 
 
-def left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> np.ndarray:
-    """Matrix of the left action of ``a`` (an operator on factor ``factor``'s
-    space) on the truncated free product.
+@dataclass(frozen=True, eq=False)
+class FockAction(LetterAction):
+    """Left action of one factor's operator ``a`` on a truncated free
+    product, kept as one small block instead of a ``dim x dim`` matrix.
 
-    Only the first letter of a word is touched: the base-vector component of
-    the image stays or shortens, the complement component prepends or rewrites
-    a letter.  Components that would exceed the truncation length are dropped.
+    The action touches only the first letter of a word.  Each word ``t``
+    shorter than the truncation length that does not start with the factor
+    heads a group ``(t, (i,0)+t, ..., (i,c-1)+t)`` whose span the action maps
+    into itself by ``block = F* a F``, ``F = [xi | complement basis]``.  The
+    remaining words, of full length and not starting with the factor, would
+    leave the truncated space under a prepended letter; they are only
+    scaled, by ``block[0, 0] = <a xi, xi>``.
+
+    ``order`` lists the basis positions group-major: its first ``grouped``
+    entries, read as a ``(c+1, G)`` array, hold group ``g`` in column ``g``;
+    the full-length words follow.  A letter is one gather by ``order``, one
+    ``(c+1) x (c+1)`` matrix product, one scaling, and one gather back by
+    ``inverse``.
+    """
+
+    order: np.ndarray
+    inverse: np.ndarray
+    grouped: int
+    block: np.ndarray
+    block_star: np.ndarray  # the adjoint of ``block``, for starred letters
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.order.size, self.order.size)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(x.nbytes for x in (self.order, self.inverse, self.block, self.block_star))
+
+    def apply(self, panel: np.ndarray, star: bool) -> np.ndarray:
+        if panel.shape[:1] != self.shape[:1]:
+            raise ValueError(
+                f"operand of shape {panel.shape} does not match Fock dim {self.shape[0]}"
+            )
+        block = self.block_star if star else self.block
+        rows, g = block.shape[0], self.grouped
+        x = panel.take(self.order, axis=0)
+        out = np.empty(x.shape, dtype=complex)
+        np.matmul(block, x[:g].reshape(rows, -1), out=out[:g].reshape(rows, -1))
+        np.multiply(x[g:], block[0, 0], out=out[g:])
+        return out.take(self.inverse, axis=0)
+
+
+def left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> FockAction:
+    """The left action of ``a`` (an operator on factor ``factor``'s space) on
+    the truncated free product, as a :class:`FockAction`.
+
+    The base-vector component of the image of a word's first letter keeps or
+    shortens the word, the complement component prepends or rewrites a
+    letter, and components that would exceed the truncation length are
+    dropped.
     """
     if factor not in fb.factors:
         raise KeyError(f"unknown factor id {factor}; known ids: {sorted(fb.factors)}")
@@ -189,33 +238,30 @@ def left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> np.ndarray
     a = as_matrix(a)
     if a.shape != (ps.dim, ps.dim):
         raise ValueError(f"operator shape {a.shape} does not match factor dim {ps.dim}")
-    xi = ps.base_vector
-    comp = ps.complement_basis
-    c = ps.complement_dim
+    frame = np.concatenate([ps.base_vector.reshape(-1, 1), ps.complement_basis], axis=1)
+    block = adjoint(frame) @ a @ frame
 
-    a_xi = a @ xi
-    alpha = complex(np.vdot(xi, a_xi))
-    prepend = adjoint(comp) @ a_xi  # components of a(xi) in the complement
-    a_comp = a @ comp
-    shorten = (np.conj(xi) @ a_comp).reshape(-1)  # <a e_m, xi> per complement vector
-    rewrite = adjoint(comp) @ a_comp  # complement-to-complement part
-
-    dim = fb.dim
-    out = np.zeros((dim, dim), dtype=complex)
     pos = fb.position
+    prefixes = [((factor, m),) for m in range(ps.complement_dim)]
+    groups: list[list[int]] = []
+    singles: list[int] = []
     for p, lab in enumerate(fb.labels):
         if lab and lab[0][0] == factor:
-            m0 = lab[0][1]
-            tail = lab[1:]
-            out[pos[tail], p] += shorten[m0]
-            for m in range(c):
-                out[pos[((factor, m),) + tail], p] += rewrite[m, m0]
+            continue  # a group member, placed with its tail
+        if len(lab) < fb.max_len:
+            groups.append([p] + [pos[head + lab] for head in prefixes])
         else:
-            out[p, p] += alpha
-            if len(lab) < fb.max_len:
-                for m in range(c):
-                    out[pos[((factor, m),) + lab], p] += prepend[m]
-    return out
+            singles.append(p)
+    order = np.concatenate(
+        [np.array(groups, dtype=np.intp).T.ravel(), np.array(singles, dtype=np.intp)]
+    )
+    return FockAction(
+        order=order,
+        inverse=np.argsort(order),
+        grouped=order.size - len(singles),
+        block=block,
+        block_star=adjoint(block).copy(),
+    )
 
 
 @dataclass(frozen=True)
@@ -225,8 +271,9 @@ class FreeDilationScenario:
 
     ``unitaries[i]`` acts on the big product space, ``s_ops[i]`` is the same
     construction applied to the original contractions (both keyed by factor
-    id 1..n), and ``embedding`` is
-    the isometry between the two product spaces (labels map identically).
+    id 1..n, both :class:`FockAction` letters, never dense matrices), and
+    ``embedding`` is the isometry between the two product spaces (labels
+    map identically).
     ``vacuum`` is the joint state; single-factor moments match the input
     states exactly, and mixed moments realize free independence inside the
     stated budgets.
@@ -318,11 +365,8 @@ def free_unitary_dilation(
     fock_k = build_fock({i: pointed_k[i - 1] for i in ids}, trunc_len)
     fock_h = build_fock({i: pointed_h[i - 1] for i in ids}, trunc_len)
 
-    # left representations of operators that passed as_matrix: finite
-    unitaries = GenSet.of_finite(
-        {i: left_representation(i, dils[i - 1].gens[1], fock_k) for i in ids}
-    )
-    s_ops = GenSet.of_finite({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
+    unitaries = GenSet({i: left_representation(i, dils[i - 1].gens[1], fock_k) for i in ids})
+    s_ops = GenSet({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
 
     j_mat = np.zeros((fock_k.dim, fock_h.dim), dtype=complex)
     for idx_h, lab in enumerate(fock_h.labels):

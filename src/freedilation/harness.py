@@ -350,17 +350,38 @@ def _fmt_runs(runs) -> str:
     return Word.from_runs(runs).format()
 
 
+def _free_dims(model: Model) -> dict:
+    """The two truncated free product dimensions, for a free model's details."""
+    if model.free is None:
+        return {}
+    return {"fock_dim": model.free.dim, "fock_h_dim": model.free.fock_h.dim}
+
+
 def _check_unitarity(sc: Scenario, model: Model) -> CheckReport:
     if model.free is not None:
         residual = partial(restricted_unitarity_residual, model.free)
         witness = {"restricted_to": f"words shorter than {sc.trunc}"}
+        columns = len(model.free.fock_k.short_indices())
     else:
         residual, witness = partial(unitarity_residual, model.gens), {}
+        columns = model.gens.dim
     residuals = {i: residual(i) for i in model.gens.ids}
     witness["factor"] = max(residuals, key=residuals.get)  # the first of the worst
     worst = residuals[witness["factor"]]
+    # U*U on the column panel, and U U* too when the columns are a strict subset
+    words = len(residuals) * (1 if columns == model.gens.dim else 2)
     return CheckReport(
-        name="unitarity", residual=worst, tol=sc.tol, passed=worst <= sc.tol, witness=witness
+        name="unitarity",
+        residual=worst,
+        tol=sc.tol,
+        passed=worst <= sc.tol,
+        witness=witness,
+        details={
+            "columns": columns,
+            "words": words,
+            "letters_applied": 2 * words,
+            **_free_dims(model),
+        },
     )
 
 
@@ -383,9 +404,13 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
         ]
     worst = -1.0
     witness = None
+    count = letters = 0
     for where, verify, words in sweeps:
         for runs in words:
             r = verify(runs)
+            count += 1
+            # the word's letters, once on the dilation and once on the contractions
+            letters += 2 * sum(abs(k) for _, k in runs)
             if r > worst:
                 worst = r
                 witness = {**where, "word": _fmt_runs(runs)}
@@ -396,7 +421,12 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
         tol=sc.tol,
         passed=worst <= sc.tol,
         witness=witness,
-        details={"degree": sc.degree},
+        details={
+            "degree": sc.degree,
+            "words": count,
+            "letters_applied": letters,
+            **_free_dims(model),
+        },
     )
 
 
@@ -424,10 +454,16 @@ def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
+    degree = min(sc.check_degree, 3)
+    if model.free is not None:
+        # a product of two words of at most ``trunc`` letters each goes no
+        # deeper than ``trunc`` on a path back to the vacuum, so its vacuum
+        # moment is exact
+        degree = min(degree, sc.trunc)
     return trace_check(
         model.state,
         model.gens,
-        degree=min(sc.check_degree, 3),
+        degree=degree,
         samples=sc.samples,
         tol=sc.tol,
         seed=sc.seed,
@@ -564,6 +600,9 @@ def run_theorem_suite(sc: Scenario, subset: Sequence[str] | None = None) -> Repo
         if model.free is not None:
             construction["details"]["fock_dim"] = model.free.dim
             construction["details"]["base_fock_dim"] = model.free.fock_h.dim
+            construction["details"]["gen_bytes"] = (
+                model.free.unitaries.nbytes + model.free.s_ops.nbytes
+            )
         construction["seconds"] = round(time.perf_counter() - t0, 6)
         entries.append(construction)
     except (ValueError, KeyError) as exc:

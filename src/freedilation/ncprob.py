@@ -168,33 +168,61 @@ class Element:
         return Element(tuple((np.conj(c), w.adjoint) for c, w in self.terms))
 
 
+class LetterAction:
+    """A generator given by how it acts, not by a stored matrix.
+
+    :meth:`apply` returns the generator, or with ``star`` its adjoint,
+    applied to a vector or to the columns of a panel; ``shape`` is the
+    generator's and ``nbytes`` counts the data the action holds."""
+
+    shape: tuple[int, int]
+    nbytes: int
+
+    def apply(self, panel: np.ndarray, star: bool) -> np.ndarray:
+        raise NotImplementedError
+
+
+def _apply_dense(m: np.ndarray, panel: np.ndarray, star: bool) -> np.ndarray:
+    """A starred letter is ``conj(m.T @ conj(panel))``, which equals
+    ``m* @ panel`` without forming the adjoint."""
+    return np.conj(m.T @ np.conj(panel)) if star else m @ panel
+
+
 @dataclass(frozen=True, eq=False)
 class GenSet:
-    """Square generators of one common space, keyed by 1-based factor id.
+    """Square generators of one common space, keyed by 1-based factor id:
+    matrices, or :class:`LetterAction` objects that apply a generator
+    without storing its matrix.
 
     Validated once, by the constructor: every matrix passes ``as_matrix``
-    (finite complex entries), all share one square shape, and there is at
-    least one; :meth:`of_finite` skips only the entry scan.  Complex arrays
-    are shared with the caller, not copied, and no adjoint is stored.
+    (finite complex entries), all generators share one square shape, and
+    there is at least one; :meth:`of_finite` skips only the entry scan.
+    Complex arrays are shared with the caller, not copied, and no adjoint is
+    stored.  :meth:`apply` is the one place a letter meets its generator.
     """
 
-    mats: Mapping[int, np.ndarray]
+    mats: Mapping[int, np.ndarray | LetterAction]
 
     def __post_init__(self):
-        self._keep({f: as_matrix(m) for f, m in self.mats.items()})
+        self._keep(
+            {
+                f: m if isinstance(m, LetterAction) else as_matrix(m)
+                for f, m in self.mats.items()
+            }
+        )
 
     @classmethod
     def of_finite(cls, mats: Mapping[int, np.ndarray]) -> "GenSet":
         """Complex matrices the caller built from operators that already
         passed ``as_matrix``, so finite by construction: only the shapes are
-        checked.  Rescanning the entries of the two 39 MB Fock generators of
-        a 1,561-dimensional free model would add about 70% to building it."""
+        checked, and a large dilation is not scanned a second time."""
         gens = object.__new__(cls)
         gens._keep(mats)
         return gens
 
-    def _keep(self, mats: Mapping[int, np.ndarray]) -> None:
-        """Check the shapes and store the matrices in factor id order."""
+    def _keep(self, mats: Mapping[int, np.ndarray | LetterAction]) -> None:
+        """Check the shapes, store the generators in factor id order, and
+        bind each one's letter application."""
         if not mats:
             raise ValueError("a generator set needs at least one generator")
         shapes = {m.shape for m in mats.values()}
@@ -202,7 +230,16 @@ class GenSet:
             raise ValueError(
                 f"generators must be square matrices on a common space, got shapes {sorted(shapes)}"
             )
-        object.__setattr__(self, "mats", dict(sorted(mats.items())))
+        mats = dict(sorted(mats.items()))
+        object.__setattr__(self, "mats", mats)
+        object.__setattr__(
+            self,
+            "_letters",
+            {
+                f: m.apply if isinstance(m, LetterAction) else partial(_apply_dense, m)
+                for f, m in mats.items()
+            },
+        )
 
     @property
     def ids(self) -> tuple[int, ...]:
@@ -212,23 +249,36 @@ class GenSet:
     def dim(self) -> int:
         return next(iter(self.mats.values())).shape[0]
 
-    def __getitem__(self, factor: int) -> np.ndarray:
+    @property
+    def nbytes(self) -> int:
+        """Bytes the generators hold: their matrices or their actions' data."""
+        return sum(m.nbytes for m in self.mats.values())
+
+    def __getitem__(self, factor: int) -> np.ndarray | LetterAction:
         try:
             return self.mats[factor]
         except KeyError:
-            raise KeyError(f"unknown factor id {factor}; known ids: {list(self.mats)}") from None
+            raise self._unknown(factor) from None
+
+    def apply(self, letter: tuple[int, bool], panel: np.ndarray) -> np.ndarray:
+        """The letter ``(factor, star)`` applied to a complex vector or panel."""
+        factor, star = letter
+        try:
+            apply = self._letters[factor]
+        except KeyError:
+            raise self._unknown(factor) from None
+        return apply(panel, star)
+
+    def _unknown(self, factor: int) -> KeyError:
+        return KeyError(f"unknown factor id {factor}; known ids: {list(self.mats)}")
 
 
 def apply_word(word: Word, gens: GenSet, panel: np.ndarray) -> np.ndarray:
-    """Apply a word to a vector or column panel, rightmost letter first.
-
-    A starred letter is applied as ``conj(m.T @ conj(panel))``, which equals
-    ``m* @ panel`` without forming the adjoint.
-    """
+    """Apply a word to a vector or column panel, rightmost letter first, one
+    :meth:`GenSet.apply` per letter."""
     out = np.asarray(panel, dtype=complex)
-    for f, s in reversed(word.letters):
-        m = gens[f]
-        out = np.conj(m.T @ np.conj(out)) if s else m @ out
+    for letter in reversed(word.letters):
+        out = gens.apply(letter, out)
     return out
 
 

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freedilation.dilation import BudgetError, unitarity_residual
 from freedilation.free_product import (
@@ -23,6 +25,8 @@ from freedilation.ncprob import (
     word_moment,
 )
 from freedilation.operator_core import State, adjoint, compress, operator_norm
+
+from fock_oracle import dense, dense_left_representation
 
 
 def _scalar_pair(n_degree=3, trunc=4):
@@ -88,7 +92,7 @@ def test_build_fock_one_factor_huge_truncation():
 def test_left_representation_identity_is_identity():
     p = PointedSpace.from_state_vector(np.array([0.6, 0.8]))
     fb = build_fock({1: p, 2: p}, 3)
-    m = left_representation(1, np.eye(2), fb)
+    m = dense(left_representation(1, np.eye(2), fb))
     np.testing.assert_allclose(m, np.eye(fb.dim), atol=1e-12)
 
 
@@ -99,7 +103,7 @@ def test_left_representation_state_compatibility():
     fb = build_fock({1: p, 2: p}, 3)
     for _ in range(50):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m = left_representation(1, a, fb)
+        m = dense(left_representation(1, a, fb))
         assert m[0, 0] == pytest.approx(np.vdot(p.base_vector, a @ p.base_vector), abs=1e-12)
 
 
@@ -109,10 +113,54 @@ def test_left_representation_respects_adjoints():
     fb = build_fock({1: p, 2: p}, 3)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     np.testing.assert_allclose(
-        adjoint(left_representation(1, a, fb)),
-        left_representation(1, adjoint(a), fb),
+        adjoint(dense(left_representation(1, a, fb))),
+        dense(left_representation(1, adjoint(a), fb)),
         atol=1e-12,
     )
+    # a starred letter applies the same adjoint
+    np.testing.assert_allclose(
+        dense(left_representation(1, a, fb), star=True),
+        dense_left_representation(1, adjoint(a), fb),
+        atol=1e-12,
+    )
+
+
+@st.composite
+def _fock_operands(draw):
+    """Factors of different dimensions (a 1-dim factor has no complement),
+    a non-normal operator of any rank on one of them, a truncation length
+    1..4, and a vector or panel on the truncated free product."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    factors = {}
+    for i, d in enumerate(dims, start=1):
+        xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        factors[i] = PointedSpace.from_state_vector(xi / np.linalg.norm(xi))
+    fb = build_fock(factors, draw(st.integers(1, 4)))
+    factor = draw(st.integers(1, len(dims)))
+    d = dims[factor - 1]
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rank = draw(st.integers(0, d))
+    u, sv, vh = np.linalg.svd(a)
+    sv[rank:] = 0.0
+    a = (u * sv) @ vh
+    cols = draw(st.sampled_from([None, 1, 3]))
+    shape = (fb.dim,) if cols is None else (fb.dim, cols)
+    panel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return factor, a, fb, panel, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fock_operands())
+def test_left_representation_matches_dense_oracle(case):
+    factor, a, fb, panel, star = case
+    action = left_representation(factor, a, fb)
+    m = dense_left_representation(factor, a, fb)
+    want = (adjoint(m) if star else m) @ panel
+    got = action.apply(panel, star)
+    assert got.shape == panel.shape and action.shape == m.shape
+    scale = operator_norm(a) * np.linalg.norm(panel)
+    assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
 
 
 def test_left_representation_dimension_mismatch():
@@ -120,6 +168,9 @@ def test_left_representation_dimension_mismatch():
     fb = build_fock({1: p}, 2)
     with pytest.raises(ValueError):
         left_representation(1, np.eye(3), fb)
+    action = left_representation(1, np.eye(2), fb)
+    with pytest.raises(ValueError, match="Fock dim 2"):
+        action.apply(np.ones(3, dtype=complex), False)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +234,7 @@ def test_restricted_unitarity_matches_dense_reference():
     fds = _scalar_pair()
     cols = fds.fock_k.short_indices()
     for i in (1, 2):
-        u = fds.unitaries[i]
+        u = dense(fds.unitaries[i])
         got = restricted_unitarity_residual(fds, i)
         assert got == pytest.approx(_dense_restricted_unitarity(u, cols), abs=1e-15)
         # a scaled copy is far from unitary, so rounding cannot hide a difference
@@ -257,6 +308,24 @@ def test_matrix_factor_moments():
     assert mixed == pytest.approx(t1[0, 0] * 0.6, abs=1e-12)
 
 
+def test_free_dilation_allocates_no_dense_fock_matrix():
+    factors = [
+        (np.array([[0.3, 0.4], [0.1, -0.2]]), State.from_vector(np.array([1.0, 0.0]))),
+        (np.array([[0.6]]), State.basis_vector(1, 0)),
+    ]
+    free_unitary_dilation(factors, 3, 4)  # first-call imports and caches stay out
+    tracemalloc.start()
+    try:
+        fds = free_unitary_dilation(factors, 3, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fds.dim == 1145
+    dense_bytes = fds.dim * fds.dim * np.dtype(complex).itemsize  # 21 MB
+    assert peak < dense_bytes // 10, (peak, dense_bytes)
+    assert fds.unitaries.nbytes + fds.s_ops.nbytes < dense_bytes // 100
+
+
 def test_density_state_factor_purified():
     rho = np.array([[0.7, 0.1], [0.1, 0.3]])
     t1 = np.array([[0.3, 0.4], [0.1, -0.2]])
@@ -305,8 +374,8 @@ def _dense_free_residual(fds, runs):
     big = np.eye(fds.dim, dtype=complex)
     small = np.eye(fds.fock_h.dim, dtype=complex)
     for f, k in runs:
-        big = big @ np.linalg.matrix_power(fds.unitaries[f], k)
-        small = small @ np.linalg.matrix_power(fds.s_ops[f], k)
+        big = big @ np.linalg.matrix_power(dense(fds.unitaries[f]), k)
+        small = small @ np.linalg.matrix_power(dense(fds.s_ops[f]), k)
     return operator_norm(compress(big, fds.embedding) - small)
 
 

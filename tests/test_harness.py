@@ -26,6 +26,7 @@ from freedilation.harness import (
 from freedilation.ncprob import (
     GenSet,
     Word,
+    alternating_words_within,
     free_mixed_moment_oracle,
     matrix_marginal,
     ordered_words,
@@ -481,6 +482,51 @@ def test_cli_huge_truncation_is_refused_at_the_cap(capsys):
     entry = json.loads(capsys.readouterr().out)["checks"][0]
     assert code == 1 and elapsed < 1.0
     assert entry["name"] == "construction" and "exceeds cap 5000" in entry["witness"]["error"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cli_traciality_within_truncation_one(capsys, seed):
+    # products of two words of one letter each: exact in the vacuum at L = 1
+    path = str(SCENARIOS / "free_pair.json")
+    code = main(["suite", "--input", path, "--trunc-len", "1", "--seed", str(seed)])
+    entry = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}["traciality"]
+    assert code == 0 and entry["passed"] and entry["residual"] <= 1e-15
+    assert entry["details"]["degree"] == 1
+    code = main(["check", "--input", path, "--property", "trace", "--trunc-len", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["pass"] and out["details"]["degree"] == 1
+
+
+def test_suite_counters_in_free_and_dense_modes():
+    sc = ingest(SCENARIOS / "free_pair.json")
+    report = run_theorem_suite(sc, subset=("unitarity", "dilation_identity")).to_obj()
+    entries = {c["name"]: c for c in report["checks"]}
+    model = build_model(sc)
+    fds = model.free
+    words = alternating_words_within(2, min(sc.max_alt, sc.trunc), sc.degree)
+    assert entries["construction"]["details"]["gen_bytes"] == (
+        fds.unitaries.nbytes + fds.s_ops.nbytes
+    )
+    assert entries["construction"]["details"]["gen_bytes"] < fds.dim**2 * 16
+    assert entries["unitarity"]["details"] == {
+        "columns": 79,  # the words shorter than L = 4: 1 + 6 + 18 + 54
+        "words": 4,
+        "letters_applied": 8,
+        "fock_dim": 241,
+        "fock_h_dim": 1,
+    }
+    assert entries["dilation_identity"]["details"] == {
+        "degree": 3,
+        "words": len(words),
+        "letters_applied": sum(2 * sum(k for _, k in runs) for runs in words),
+        "fock_dim": 241,
+        "fock_h_dim": 1,
+    }
+    single = run_theorem_suite(ingest(SCENARIOS / "single_half.json")).to_obj()
+    entries = {c["name"]: c for c in single["checks"]}
+    dim = entries["construction"]["details"]["ambient_dim"]
+    assert entries["unitarity"]["details"] == {"columns": dim, "words": 1, "letters_applied": 2}
+    assert set(entries["power_dilation"]["details"]) == {"degree", "words", "letters_applied"}
 
 
 def test_oracle_check_matches_per_word_loop():
