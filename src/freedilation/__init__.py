@@ -46,7 +46,6 @@ from .dilation import (
 )
 from .ncprob import (
     CheckReport,
-    Element,
     FaithfulnessReport,
     GenSet,
     Word,

@@ -154,12 +154,20 @@ def _cmd_check(args) -> int:
     return EXIT_PASS if rep.passed else EXIT_CHECK_FAILED
 
 
+def _parse_or_refuse(parse, text: str):
+    """A malformed ``--word`` is refused input, not a failed check."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise IngestError(f"--word {text!r}: {exc}") from None
+
+
 def _cmd_moments(args) -> int:
     sc = _load_scenario(args)
     model = _build_or_refuse(sc)
     results = []
     for text in args.word:
-        parts = parse_product(text)
+        parts = _parse_or_refuse(parse_product, text)
         concatenated = sum((w.letters for _, w in parts), ())
         moment_budget_check(sc, Word(concatenated))
         value = evaluate_product(text, model)
@@ -181,10 +189,9 @@ def _cmd_oracle(args) -> int:
     marginals = {
         i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
-    words = []
-    for text in args.word:
-        words.append(parse_word(text))
-        moment_budget_check(sc, words[-1])
+    words = [_parse_or_refuse(parse_word, text) for text in args.word]
+    for w in words:
+        moment_budget_check(sc, w)
     oracle = [free_mixed_moment_oracle(marginals, w) for w in words]
     vacuum = word_moments(model.state, model.gens, words)
     results = []

@@ -368,10 +368,6 @@ def free_unitary_dilation(
     unitaries = GenSet({i: left_representation(i, dils[i - 1].gens[1], fock_k) for i in ids})
     s_ops = GenSet({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
 
-    j_mat = np.zeros((fock_k.dim, fock_h.dim), dtype=complex)
-    for idx_h, lab in enumerate(fock_h.labels):
-        j_mat[fock_k.position[lab], idx_h] = 1.0
-
     return FreeDilationScenario(
         degree=n_degree,
         trunc=trunc_len,
@@ -382,7 +378,9 @@ def free_unitary_dilation(
         fock_k=fock_k,
         unitaries=unitaries,
         s_ops=s_ops,
-        embedding=Embedding(j_mat),
+        embedding=Embedding.coordinate(
+            fock_k.dim, [fock_k.position[lab] for lab in fock_h.labels]
+        ),
         vacuum=State.basis_vector(fock_k.dim, 0),
     )
 

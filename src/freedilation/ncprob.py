@@ -26,7 +26,7 @@ MAX_GRAM_WORDS = 4096
 
 
 # ---------------------------------------------------------------------------
-# words and elements
+# words and combinations
 
 
 # a factor block: (factor id, star flags of its consecutive letters)
@@ -136,36 +136,8 @@ def parse_word(text: str) -> Word:
     return Word.from_runs(runs)
 
 
-@dataclass(frozen=True)
-class Element:
-    """Finite linear combination of words; immutable, terms collected."""
-
-    terms: tuple[tuple[complex, Word], ...] = ()
-
-    def __post_init__(self):
-        collected: dict[Word, complex] = {}
-        for coeff, word in self.terms:
-            collected[word] = collected.get(word, 0.0) + complex(coeff)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple((c, w) for w, c in collected.items() if c != 0),
-        )
-
-    @staticmethod
-    def from_word(word: Word, coeff: complex = 1.0) -> "Element":
-        return Element(((coeff, word),))
-
-    @staticmethod
-    def unit(coeff: complex = 1.0) -> "Element":
-        return Element(((coeff, Word(())),))
-
-    def __add__(self, other: "Element") -> "Element":
-        return Element(self.terms + other.terms)
-
-    @property
-    def adjoint(self) -> "Element":
-        return Element(tuple((np.conj(c), w.adjoint) for c, w in self.terms))
+# a linear combination of words, as the words and their complex coefficients
+Combination = tuple[Sequence[Word], Sequence[complex]]
 
 
 class LetterAction:
@@ -287,14 +259,6 @@ def evaluate_word(word: Word, gens: GenSet) -> np.ndarray:
     return apply_word(word, gens, np.eye(gens.dim, dtype=complex))
 
 
-def apply_element(el: Element, gens: GenSet, panel: np.ndarray) -> np.ndarray:
-    panel = np.asarray(panel, dtype=complex)
-    out = np.zeros(panel.shape, dtype=complex)
-    for coeff, word in el.terms:
-        out = out + coeff * apply_word(word, gens, panel)
-    return out
-
-
 def _state_panel(state: State) -> tuple[np.ndarray, np.ndarray]:
     """Columns to propagate and their weights: ``phi(a) = sum_k w_k <a v_k, v_k>``."""
     if state.kind == "vector":
@@ -302,19 +266,6 @@ def _state_panel(state: State) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(state.density)
     keep = w > 1e-14
     return v[:, keep], w[keep]
-
-
-def state_moment(state: State, gens: GenSet, factors: Sequence[Element | Word]) -> complex:
-    """``phi(a_1 a_2 ... a_m)`` evaluated by applying factors to the state columns."""
-    panel, weights = _state_panel(state)
-    out = panel
-    for a in reversed(list(factors)):
-        if isinstance(a, Word):
-            out = apply_word(a, gens, out)
-        else:
-            out = apply_element(a, gens, out)
-    vals = np.einsum("ik,ik->k", np.conj(panel), out)
-    return complex(np.sum(weights * vals))
 
 
 @lru_cache(maxsize=None)
@@ -380,6 +331,14 @@ class _Sweep:
             out[i] = self.moment(applied)
         return out
 
+    def combine(self, comb: Combination, panel: np.ndarray, mean: complex = 0j) -> np.ndarray:
+        """``sum_i coeffs[i] words[i] - mean`` applied to panel, by one walk."""
+        words, coeffs = comb
+        out = -mean * panel
+        for i, term in self.walk(words, panel):
+            out += coeffs[i] * term
+        return out
+
 
 def word_moments(state: State, gens: GenSet, words: Sequence[Word]) -> np.ndarray:
     """``phi(w)`` for every word, sharing suffixes: a word set with ``s``
@@ -392,13 +351,20 @@ def word_moment(state: State, gens: GenSet, word: Word) -> complex:
     return complex(word_moments(state, gens, [word])[0])
 
 
-def element_moment(state: State, gens: GenSet, el: Element) -> complex:
-    return state_moment(state, gens, [el])
+def state_moment(state: State, gens: GenSet, factors: Sequence[Combination]) -> complex:
+    """``phi(a_1 a_2 ... a_m)`` for combinations ``a_k``, applied right to left
+    to the state columns on one sweep; a word ``w`` alone is ``((w,), [1])``."""
+    sweep = _Sweep(state, gens)
+    applied = sweep.panel
+    for comb in reversed(factors):
+        applied = sweep.combine(comb, applied)
+    return sweep.moment(applied)
 
 
-def center(el: Element, state: State, gens: GenSet) -> Element:
-    """Subtract the state mean: the result has vanishing moment."""
-    return el + Element.unit(-element_moment(state, gens, el))
+def center(comb: Combination, state: State, gens: GenSet) -> Combination:
+    """Subtract the state mean: the unit word joins at coefficient ``-phi(a)``."""
+    words, coeffs = comb
+    return (*words, Word(())), np.append(coeffs, -state_moment(state, gens, [comb]))
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +453,6 @@ def _disc_coefficients(rng: np.random.Generator, count: int) -> np.ndarray:
     return radii * phases
 
 
-def random_element(rng: np.random.Generator, factor: int, degree: int) -> Element:
-    """Random combination of all words of length <= degree in one factor,
-    coefficients uniform on the complex unit disc."""
-    words = _all_words([factor], degree)
-    coeffs = _disc_coefficients(rng, len(words))
-    return Element(tuple((complex(c), w) for c, w in zip(coeffs, words)))
-
-
 # ---------------------------------------------------------------------------
 # check reports
 
@@ -539,17 +497,20 @@ def tensor_independence_check(
 
     Part (a) checks ``[w_i, w_j] = 0`` for all words up to the degree in
     distinct factors; part (b) checks ``phi(a_1 ... a_n) = prod phi(a_i)``
-    over random one-per-factor tuples.
+    over random one-per-factor tuples, each tuple applied right to left by
+    one walk per factor on a shared sweep.
     """
     ids = list(gens.ids)
+    words = {f: _all_words([f], degree) for f in ids}
     worst = 0.0
     witness: dict | None = None
+    commutators = 0
 
     for ia, ib in itertools.combinations(ids, 2):
-        words_a = _all_words([ia], degree)[1:]
-        words_b = _all_words([ib], degree)[1:]
+        words_a, words_b = words[ia][1:], words[ib][1:]
         mats_a = [evaluate_word(w, gens) for w in words_a]
         mats_b = [evaluate_word(w, gens) for w in words_b]
+        commutators += len(words_a) * len(words_b)
         for wa, ma in zip(words_a, mats_a):
             for wb, mb in zip(words_b, mats_b):
                 res = operator_norm(ma @ mb - mb @ ma)
@@ -561,14 +522,17 @@ def tensor_independence_check(
                         "right": wb.format(),
                     }
 
+    sweep = _Sweep(state, gens)
+    phis = {f: sweep.word_moments(ws) for f, ws in words.items()}
     for s in range(samples):
         rng = _derive_rng(seed, 1, s)
-        elements = [random_element(rng, i, degree) for i in ids]
-        joint = state_moment(state, gens, elements)
-        split = 1.0 + 0.0j
-        for el in elements:
-            split *= element_moment(state, gens, el)
-        res = abs(joint - split)
+        # drawn factor by factor in id order
+        coeffs = {f: _disc_coefficients(rng, len(words[f])) for f in ids}
+        applied = sweep.panel
+        for f in reversed(ids):
+            applied = sweep.combine((words[f], coeffs[f]), applied)
+        split = math.prod(complex(coeffs[f] @ phis[f]) for f in ids)
+        res = abs(sweep.moment(applied) - split)
         if res > worst:
             worst = res
             witness = {"part": "factorization", "sample": s, "seed": seed}
@@ -579,7 +543,13 @@ def tensor_independence_check(
         tol=tol,
         passed=worst <= tol,
         witness=witness,
-        details={"degree": degree, "samples": samples, "factors": ids},
+        details={
+            "degree": degree,
+            "samples": samples,
+            "factors": ids,
+            "commutators": commutators,
+            "letters_applied": sweep.letters,
+        },
     )
 
 
@@ -599,14 +569,14 @@ def free_independence_check(
     """Certify free independence: centered alternating products have zero moment.
 
     Runs a deterministic pass over centered monomials (exhaustive per
-    alternating factor sequence), then a seeded random pass with centered
-    random elements in each slot.
+    alternating factor sequence), then a seeded random pass with a centered
+    random combination of the factor's words in each slot.
 
     The monomial pass walks the tree of alternating slot choices depth first
     from the rightmost slot, so a product shares every vector of its right
     part with its siblings and each node costs one letter per power.  The
-    random pass centers an element by a dot product with the factor's word
-    moments and applies it by one walk over its words.
+    random pass takes each slot's mean as a dot product with the factor's
+    word moments and applies the slot by :meth:`_Sweep.combine`.
     """
     ids = list(gens.ids)
     if len(ids) < 2:
@@ -675,14 +645,11 @@ def free_independence_check(
     for si, seq in enumerate(sequences):
         for s in range(samples):
             rng = _derive_rng(seed, 2, si, s)
-            # drawn slot by slot from the left, as random_element draws them
+            # drawn slot by slot from the left
             coeffs = [_disc_coefficients(rng, len(words[f])) for f in seq]
             applied = sweep.panel
             for f, c in zip(reversed(seq), reversed(coeffs)):
-                out = -(c @ phis[f]) * applied
-                for i, term in sweep.walk(words[f], applied):
-                    out += c[i] * term
-                applied = out
+                applied = sweep.combine((words[f], c), applied, mean=c @ phis[f])
             res = abs(sweep.moment(applied))
             if res > worst:
                 worst = res

@@ -290,6 +290,16 @@ def test_dilation_identity_budget_refusals():
         verify_free_dilation(fds, [(1, 1), (2, 1), (1, 1), (2, 1), (1, 1)])
 
 
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4])
+def test_dilation_identity_alternation_edge(trunc):
+    # degree L + 1, so only the alternation length refuses L + 1 runs
+    fds = _scalar_pair(n_degree=trunc + 1, trunc=trunc)
+    runs = [(1 + k % 2, 1) for k in range(trunc + 1)]
+    assert verify_free_dilation(fds, runs[:-1]) <= 1e-10  # exactly L runs
+    with pytest.raises(BudgetError, match="alternation length"):
+        verify_free_dilation(fds, runs)
+
+
 def test_matrix_factor_moments():
     t1 = np.array([[0.3, 0.4], [0.1, -0.2]])
     t2 = np.array([[0.6]])

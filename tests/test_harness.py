@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import time
 from dataclasses import replace
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import freedilation
 from freedilation.cli import main
 from freedilation.dilation import BudgetError
 from freedilation.harness import (
@@ -205,11 +207,13 @@ def test_evaluate_product_centered_mean_is_zero(tmp_path):
     assert evaluate_product("1^1", model) == pytest.approx(0.5)
 
 
-def test_moment_budget_check_refuses_deep_alternation():
-    sc = Scenario(mode="free", factors=[_scalar_factor(0.5), _scalar_factor(0.4)], trunc=4)
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4, 5])
+def test_moment_budget_check_refuses_deep_alternation(trunc):
+    sc = Scenario(mode="free", factors=[_scalar_factor(0.5), _scalar_factor(0.4)], trunc=trunc)
+    blocks = [(1 + k % 2, 1) for k in range(trunc + 1)]
     with pytest.raises(BudgetError, match="factor blocks"):
-        moment_budget_check(sc, Word.from_runs([(1, 1), (2, 1), (1, 1), (2, 1), (1, 1)]))
-    moment_budget_check(sc, Word.from_runs([(1, 1), (2, 1), (1, 1), (2, 1)]))  # in budget
+        moment_budget_check(sc, Word.from_runs(blocks))
+    moment_budget_check(sc, Word.from_runs(blocks[:-1]))  # exactly L blocks: in budget
     # non-free modes have no truncation to respect
     sc2 = Scenario(mode="single", factors=[_scalar_factor(0.5)])
     moment_budget_check(sc2, Word.from_runs([(1, 9)]))
@@ -435,6 +439,13 @@ def test_cli_word_with_unknown_factor_is_refused(capsys, command, scenario, word
     _assert_refused(code, capsys, "factor ids")
 
 
+@pytest.mark.parametrize("word", ["1^a", "x", "0^1", "c(1^1"])
+@pytest.mark.parametrize("command", ["moments", "oracle"])
+def test_cli_malformed_word_is_refused(capsys, command, word):
+    code = main([command, "--input", str(SCENARIOS / "free_pair.json"), "--word", word])
+    _assert_refused(code, capsys, "bad word token")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
 def test_cli_tol_must_be_positive_finite(capsys, tol):
     code = main(["suite", "--input", str(SCENARIOS / "single_half.json"), f"--tol={tol}"])
@@ -527,6 +538,30 @@ def test_suite_counters_in_free_and_dense_modes():
     dim = entries["construction"]["details"]["ambient_dim"]
     assert entries["unitarity"]["details"] == {"columns": dim, "words": 1, "letters_applied": 2}
     assert set(entries["power_dilation"]["details"]) == {"degree", "words", "letters_applied"}
+    # check_degree 2: 6 nonempty words per factor, each a distinct suffix
+    rng = np.random.default_rng(3)
+    factors = [(np.diag(rng.uniform(-0.8, 0.8, 2)).astype(complex), State.basis_vector(2, 0))]
+    tensor = Scenario(mode="tensor", factors=factors * 2, degree=1, check_degree=2, samples=5)
+    details = run_theorem_suite(tensor, subset=("tensor_independence",)).checks[1]["details"]
+    assert details["commutators"] == 6 * 6  # one factor pair
+    assert details["letters_applied"] == 2 * 6 * (5 + 1)  # the word moments, then each sample
+    doubly = Scenario(mode="doubly", factors=factors * 3, degree=1)
+    details = run_theorem_suite(doubly, subset=("double_commutation",)).checks[1]["details"]
+    assert details == {"operators": 3, "commutators": 6}  # [A_i, A_j] and [A_i*, A_j] per pair
+
+
+def test_traced_suite_names_resolve():
+    # the benchmark's tracer binds package functions by name: a rename in src
+    # must fail here, not only under ``perfbench/run.py --trace 1``
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_suite.py"
+    spec = importlib.util.spec_from_file_location("traced_suite", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for table in (traced.SPANNED, traced.COUNTED):
+        for module, names in table.items():
+            for name in names:
+                assert callable(getattr(getattr(freedilation, module), name)), (module, name)
+    assert callable(freedilation.harness.suite_plan)
 
 
 def test_oracle_check_matches_per_word_loop():

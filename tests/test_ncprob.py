@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 import freedilation.ncprob as ncprob
 from freedilation.dilation import finite_unitary_dilation
 from freedilation.ncprob import (
-    Element,
     GenSet,
     Word,
     alternating_words_within,
     apply_word,
     center,
-    element_moment,
     evaluate_word,
     faithfulness_check,
     free_cumulants,
@@ -24,7 +22,6 @@ from freedilation.ncprob import (
     moments_from_cumulants,
     noncrossing_partitions,
     parse_word,
-    random_element,
     state_moment,
     tensor_independence_check,
     trace_check,
@@ -33,7 +30,7 @@ from freedilation.ncprob import (
 )
 from freedilation.free_product import free_unitary_dilation
 from freedilation.operator_core import State, adjoint, random_contraction, random_state
-from free_independence_oracle import nested_free_independence_check
+from free_independence_oracle import nested_free_independence_check, nested_tensor_factorization
 from partition_oracles import all_set_partitions, is_noncrossing
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
@@ -257,15 +254,21 @@ def test_state_moment_vector_vs_density():
 def test_center_kills_mean():
     gens = GenSet({1: np.diag([0.5, 0.25])})
     s = State.from_vector(np.array([0.6, 0.8]))
-    el = Element.from_word(parse_word("1^1"))
-    assert abs(element_moment(s, gens, center(el, s, gens))) < 1e-14
+    comb = ((parse_word("1^1"),), [1])
+    words, coeffs = center(comb, s, gens)
+    assert words == (parse_word("1^1"), Word(()))  # the unit joins at -phi
+    assert coeffs[1] == -word_moment(s, gens, parse_word("1^1"))
+    assert abs(state_moment(s, gens, [(words, coeffs)])) < 1e-14
 
 
 def test_random_element_coefficients_on_disc():
+    # a random combination of one factor's words: one disc draw per word
     rng = np.random.default_rng(1)
-    el = random_element(rng, 1, 2)
-    assert len(el.terms) == 7  # unit + 2 letters + 4 two-letter words
-    assert all(abs(c) <= 1.0 + 1e-12 for c, _ in el.terms)
+    words = ncprob._all_words([1], 2)
+    coeffs = ncprob._disc_coefficients(rng, len(words))
+    assert len(words) == len(coeffs) == 7  # unit + 2 letters + 4 two-letter words
+    assert len(set(words)) == 7
+    assert all(abs(c) <= 1.0 + 1e-12 for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +292,20 @@ def test_tensor_independence_detects_noncommuting():
     rep = tensor_independence_check(s, gens, degree=1, samples=0, tol=1e-8, seed=0)
     assert not rep.passed
     assert rep.witness["part"] == "commutation"
+
+
+def test_tensor_factorization_matches_reference():
+    # commuting but not tensor independent: diagonal operators under a mixed
+    # state; the sweep sums each combination in another order than the reference
+    rng = np.random.default_rng(8)
+    gens = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
+    s = State.from_density(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    rep = tensor_independence_check(s, gens, degree=2, samples=20, tol=1e-8, seed=3)
+    worst, sample = nested_tensor_factorization(s, gens, degree=2, samples=20, seed=3)
+    assert not rep.passed and type(rep.residual) is float
+    assert rep.witness == {"part": "factorization", "sample": sample, "seed": 3}
+    assert abs(rep.residual - worst) <= 1e-12
+    assert rep.details["letters_applied"] == 2 * 6 * (20 + 1)
 
 
 def test_make_tensor_independent_dim_cap():
@@ -488,11 +505,11 @@ def test_oracle_guards():
 
 
 def test_state_moment_of_element_product():
-    # phi(a b) with explicit elements equals the expanded combination
+    # phi(a b) with explicit combinations equals the expanded combination
     gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.array([[0.0, 0.3], [0.3, 0.0]])})
     s = State.from_vector(np.array([0.6, 0.8]))
-    a = Element.from_word(parse_word("1^1"), 2.0) + Element.unit(1.0)
-    b = Element.from_word(parse_word("2^1"), 1.0j)
+    a = ((parse_word("1^1"), Word(())), [2.0, 1.0])
+    b = ((parse_word("2^1"),), [1.0j])
     lhs = state_moment(s, gens, [a, b])
     rhs = 2.0 * 1.0j * word_moment(s, gens, parse_word("1^1 2^1")) + 1.0j * word_moment(
         s, gens, parse_word("2^1")
