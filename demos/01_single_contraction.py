@@ -13,6 +13,7 @@ from freedilation import (
     defect_pair,
     finite_unitary_dilation,
     operator_norm,
+    parse_word,
     verify_power_dilation,
 )
 
@@ -40,7 +41,7 @@ print()
 print("compressions of powers, k = 0..N and adjoints:")
 for k in range(degree + 1):
     for sign in (1, -1):
-        r = verify_power_dilation(res, ((1, sign * k),))
+        r = verify_power_dilation(res, parse_word(f"1^{sign * k}"))
         print(f"  k = {sign * k:+d}: residual {r:.3e}")
 print()
 

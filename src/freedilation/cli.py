@@ -192,7 +192,10 @@ def _cmd_oracle(args) -> int:
     words = [_parse_or_refuse(parse_word, text) for text in args.word]
     for w in words:
         moment_budget_check(sc, w)
-    oracle = [free_mixed_moment_oracle(marginals, w) for w in words]
+    try:
+        oracle = [free_mixed_moment_oracle(marginals, w) for w in words]
+    except ValueError as exc:  # a word over the oracle's letter cap
+        raise IngestError(str(exc)) from None
     vacuum = word_moments(model.state, model.gens, words)
     results = []
     worst = 0.0

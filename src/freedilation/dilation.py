@@ -28,9 +28,6 @@ from .operator_core import (
     operator_norm,
 )
 
-# word letter: (factor id, signed power); k >= 0 means T^k, k < 0 means (T*)^{-k}
-SignedPowerWord = Sequence[tuple[int, int]]
-
 
 class BudgetError(ValueError):
     """A requested word lies outside the construction's exactness budget."""
@@ -184,22 +181,16 @@ def identity_residual(gens: GenSet, contractions: GenSet, j: np.ndarray, word: W
     return operator_norm(lhs - rhs)
 
 
-def verify_power_dilation(res: DilationResult, word: SignedPowerWord) -> float:
+def verify_power_dilation(res: DilationResult, word: Word) -> float:
     """Residual of the ordered joint power-dilation identity
     ``J* U_1(k_1) ... U_n(k_n) J = T_1(k_1) ... T_n(k_n)``.
 
-    Factors must appear in increasing order, one signed power each, with
-    ``|k| <= degree``; other words raise :class:`BudgetError`, they are never
-    silently evaluated.
+    The word's signed power runs must name factors in increasing order, one
+    run each, with ``|k| <= degree``; other words raise :class:`BudgetError`,
+    they are never silently evaluated.
     """
-    word = tuple((int(f), int(k)) for f, k in word)
     n = len(res.gens.ids)
-    # refused before the runs are expanded into letters and merged
-    total = sum(abs(k) for _, k in word)
-    if total > n * res.degree:
-        raise BudgetError(f"total |power| {total} exceeds {n} factors times degree {res.degree}")
-    w = Word.from_runs(word)
-    runs = w.runs()
+    runs = word.runs()
     factors = [f for f, _ in runs]
     if any(not 1 <= f <= n for f in factors):
         raise BudgetError(f"word uses factor outside 1..{n}: {factors}")
@@ -210,4 +201,4 @@ def verify_power_dilation(res: DilationResult, word: SignedPowerWord) -> float:
     for f, k in runs:
         if abs(k) > res.degree:
             raise BudgetError(f"|power| {abs(k)} of factor {f} exceeds dilation degree {res.degree}")
-    return identity_residual(res.gens, res.contractions, res.embedding.isometry, w)
+    return identity_residual(res.gens, res.contractions, res.embedding.isometry, word)

@@ -19,7 +19,6 @@ import numpy as np
 from .dilation import (
     BudgetError,
     DilationResult,
-    SignedPowerWord,
     finite_unitary_dilation,
     identity_residual,
     unitarity_residual,
@@ -397,21 +396,17 @@ def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> flo
     return unitarity_residual(fds.unitaries, factor, fds.fock_k.short_indices())
 
 
-def verify_free_dilation(fds: FreeDilationScenario, word: SignedPowerWord) -> float:
+def verify_free_dilation(fds: FreeDilationScenario, word: Word) -> float:
     """Residual of the free dilation identity
     ``J* U_{i1}^{k1} ... U_{im}^{km} J = S_{i1}^{k1} ... S_{im}^{km}``.
 
     Any factor sequence is allowed, with nonnegative powers, total power
-    ``<= degree`` and merged alternation length ``<= trunc``; other words
-    raise :class:`BudgetError`, they are never silently evaluated.
+    (the word's length) ``<= degree`` and at most ``trunc`` runs; other
+    words raise :class:`BudgetError`, they are never silently evaluated.
     """
-    word = tuple((int(f), int(k)) for f, k in word)
-    # refused before the runs are expanded into letters and merged
-    total = sum(abs(k) for _, k in word)
-    if total > fds.degree:
-        raise BudgetError(f"total power {total} exceeds dilation degree {fds.degree}")
-    w = Word.from_runs(word)
-    runs = w.runs()
+    if len(word) > fds.degree:
+        raise BudgetError(f"total power {len(word)} exceeds dilation degree {fds.degree}")
+    runs = word.runs()
     n = fds.n_factors
     if any(not 1 <= f <= n for f, _ in runs):
         raise BudgetError(f"word uses factor outside 1..{n}")
@@ -421,4 +416,4 @@ def verify_free_dilation(fds: FreeDilationScenario, word: SignedPowerWord) -> fl
         raise BudgetError(
             f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
         )
-    return identity_residual(fds.unitaries, fds.s_ops, fds.embedding.isometry, w)
+    return identity_residual(fds.unitaries, fds.s_ops, fds.embedding.isometry, word)

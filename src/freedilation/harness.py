@@ -37,6 +37,7 @@ from .free_product import (
     verify_free_dilation,
 )
 from .ncprob import (
+    MAX_ORACLE_LETTERS,
     CheckReport,
     GenSet,
     Word,
@@ -342,10 +343,6 @@ def moment_budget_check(sc: Scenario, word: Word) -> None:
 # suite checks
 
 
-def _fmt_runs(runs) -> str:
-    return Word.from_runs(runs).format()
-
-
 def _free_dims(model: Model) -> dict:
     """The two truncated free product dimensions, for a free model's details."""
     if model.free is None:
@@ -402,14 +399,14 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     witness = None
     count = letters = 0
     for where, verify, words in sweeps:
-        for runs in words:
-            r = verify(runs)
+        for w in words:
+            r = verify(w)
             count += 1
             # the word's letters, once on the dilation and once on the contractions
-            letters += 2 * sum(abs(k) for _, k in runs)
+            letters += 2 * len(w)
             if r > worst:
                 worst = r
-                witness = {**where, "word": _fmt_runs(runs)}
+                witness = {**where, "word": w.format()}
     worst = max(worst, 0.0)
     return CheckReport(
         name=name,
@@ -467,16 +464,18 @@ def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
+    # the words reach 2 * degree letters (a run, then its adjoint): refused
+    # before they are enumerated, not at the first one over the oracle's cap
+    if 2 * sc.degree > MAX_ORACLE_LETTERS:
+        raise ValueError(
+            f"oracle words of degree {sc.degree} reach {2 * sc.degree} letters, "
+            f"exceeding oracle cap {MAX_ORACLE_LETTERS}; lower the degree"
+        )
     marginals = {
         i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
     max_blocks = min(sc.max_alt, sc.trunc)
-    words = [
-        Word.from_runs(runs)
-        for runs in signed_alternating_words(
-            model.free.n_factors, max_blocks, sc.degree, 2 * sc.degree
-        )
-    ]
+    words = signed_alternating_words(model.free.n_factors, max_blocks, sc.degree, 2 * sc.degree)
     rep = oracle_equivalence_check(model.state, model.gens, marginals, words, sc.tol)
     rep.details["max_blocks"] = max_blocks
     return rep

@@ -23,6 +23,9 @@ from .operator_core import State, adjoint, as_matrix, check_dim_cap, operator_no
 MAX_PARTITION_SIZE = 12
 MAX_ORACLE_LETTERS = 16
 MAX_GRAM_WORDS = 4096
+# the longest word ``Word.from_runs`` expands; power_dilation reaches 4,999
+# letters under the 5,000 dimension cap
+MAX_WORD_LETTERS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +68,17 @@ class Word:
         )
 
     @staticmethod
-    def from_runs(runs: Sequence[tuple[int, int]]) -> "Word":
+    def from_runs(runs: Iterable[tuple[int, int]]) -> "Word":
         """Build from signed power runs: ``(i, k)`` contributes ``T_i^k`` for
-        ``k >= 0`` and ``(T_i*)^{-k}`` for ``k < 0``."""
-        letters: list[tuple[int, bool]] = []
-        for factor, k in runs:
-            letters.extend([(int(factor), k < 0)] * abs(int(k)))
-        return Word(tuple(letters))
+        ``k >= 0`` and ``(T_i*)^{-k}`` for ``k < 0``.  More than
+        ``MAX_WORD_LETTERS`` letters in all are refused before any is built."""
+        runs = [(int(f), int(k)) for f, k in runs]
+        total = sum(abs(k) for _, k in runs)
+        if total > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"word of {total} letters exceeds the word letter cap {MAX_WORD_LETTERS}"
+            )
+        return Word(tuple((f, k < 0) for f, k in runs for _ in range(abs(k))))
 
     @property
     def adjoint(self) -> "Word":
@@ -106,8 +113,8 @@ class Word:
 
 def parse_word(text: str) -> Word:
     """Parse ``"1^2 2^-1"`` style words; ``"2*"`` is shorthand for ``2^-1``
-    and a bare ``"3"`` for ``3^1``; ``"1"`` alone with no letters is rejected,
-    use ``""`` for the unit."""
+    and a bare ``"3"`` for ``3^1``, so ``"1"`` is the letter ``1^1``, not the
+    unit :meth:`Word.format` writes as ``"1"``; use ``""`` for the unit."""
     text = text.strip()
     if not text:
         return Word(())
@@ -368,10 +375,7 @@ def center(comb: Combination, state: State, gens: GenSet) -> Combination:
 
 
 # ---------------------------------------------------------------------------
-# word enumeration; sweeps over signed power runs ``(factor id, k)`` return
-# run tuples, the form ``Word.from_runs`` takes
-
-Runs = tuple[tuple[int, int], ...]
+# word enumeration
 
 
 def _all_words(ids: Sequence[int], max_len: int) -> list[Word]:
@@ -384,22 +388,22 @@ def _all_words(ids: Sequence[int], max_len: int) -> list[Word]:
     return out
 
 
-def _alternating_runs(
+def _alternating_words(
     ids: Sequence[int],
     signs: tuple[int, ...],
     max_blocks: int,
     per_run_max: int,
     total_max: int,
-) -> list[Runs]:
-    """Nonempty power run sequences in the factors ``ids`` with run signs
-    drawn from ``signs``: adjacent runs differ in factor or sign, factor
-    blocks at most ``max_blocks``, each ``|k| <= per_run_max``, total
-    ``sum |k| <= total_max``; ordered by total power, then run count, then
-    the runs themselves."""
-    out: list[Runs] = []
+) -> list[Word]:
+    """Nonempty words in the factors ``ids``, built as signed power runs
+    ``(factor id, k)`` with signs drawn from ``signs``: adjacent runs differ
+    in factor or sign, factor blocks at most ``max_blocks``, each
+    ``|k| <= per_run_max``, total ``sum |k| <= total_max``; ordered by
+    total power, then run count, then the runs themselves."""
+    out: list[tuple[tuple[int, int], ...]] = []
     # an explicit stack, not a recursive closure, whose reference cycle would
     # keep ``out`` alive until the next garbage collection
-    stack: list[tuple[Runs, int, int]] = [((), 0, total_max)]
+    stack = [((), 0, total_max)]
     while stack:
         prefix, blocks, budget = stack.pop()
         if prefix:
@@ -418,32 +422,34 @@ def _alternating_runs(
     out.sort()
     out.sort(key=len)
     out.sort(key=lambda runs: sum(abs(k) for _, k in runs))
-    return out
+    return [Word.from_runs(runs) for runs in out]
 
 
 def signed_alternating_words(
     n_factors: int, max_blocks: int, per_run_max: int, total_max: int
-) -> list[Runs]:
-    """Signed-power run sequences in factors ``1..n_factors``: adjacent runs
-    differ in factor or sign, factor blocks at most ``max_blocks``, each
-    ``|k| <= per_run_max``, total ``sum |k| <= total_max``."""
-    return _alternating_runs(range(1, n_factors + 1), (1, -1), max_blocks, per_run_max, total_max)
+) -> list[Word]:
+    """Nonempty words in factors ``1..n_factors`` and their adjoints, as
+    signed power runs: adjacent runs differ in factor or sign, factor blocks
+    at most ``max_blocks``, each ``|k| <= per_run_max``, total length
+    ``sum |k| <= total_max``."""
+    return _alternating_words(range(1, n_factors + 1), (1, -1), max_blocks, per_run_max, total_max)
 
 
-def alternating_words_within(n_factors: int, max_alt: int, max_total: int) -> list[Runs]:
-    """All nonempty alternating signed-power run sequences with at most
-    ``max_alt`` runs, positive powers summing to at most ``max_total``."""
-    return _alternating_runs(range(1, n_factors + 1), (1,), max_alt, max_total, max_total)
+def alternating_words_within(n_factors: int, max_alt: int, max_total: int) -> list[Word]:
+    """All nonempty words of positive powers with at most ``max_alt``
+    alternating runs and length at most ``max_total``."""
+    return _alternating_words(range(1, n_factors + 1), (1,), max_alt, max_total, max_total)
 
 
-def ordered_words(n_factors: int, max_power: int) -> list[Runs]:
-    """One signed power per factor in order 1..n, all ``|k| <= max_power``."""
+def ordered_words(n_factors: int, max_power: int) -> list[Word]:
+    """One signed power per factor in order 1..n, all ``|k| <= max_power``;
+    the unit first, then by run count and then the runs themselves."""
     powers = range(-max_power, max_power + 1)
-    words = {
+    runs = {
         tuple((i + 1, k) for i, k in enumerate(combo) if k != 0)
         for combo in itertools.product(powers, repeat=n_factors)
     }
-    return sorted(words, key=lambda w: (len(w), w))
+    return [Word.from_runs(r) for r in sorted(runs, key=lambda r: (len(r), r))]
 
 
 def _disc_coefficients(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -585,9 +591,9 @@ def free_independence_check(
         raise ValueError(f"free independence needs degree >= 1, got {degree}")
     # alternating factor sequences of length 2..max_len, one letter per slot
     sequences = [
-        tuple(f for f, _ in runs)
-        for runs in _alternating_runs(ids, (1,), max_len, 1, max_len)
-        if len(runs) >= 2
+        tuple(f for f, _ in w.letters)
+        for w in _alternating_words(ids, (1,), max_len, 1, max_len)
+        if len(w) >= 2
     ]
     sweep = _Sweep(state, gens)
     worst = 0.0
@@ -776,7 +782,6 @@ def faithfulness_check(
     gens: GenSet,
     degree: int = 2,
     rank_rtol: float = 1e-9,
-    max_words: int = MAX_GRAM_WORDS,
 ) -> FaithfulnessReport:
     """Compare operator-space and state-space ranks of the word span.
 
@@ -787,9 +792,9 @@ def faithfulness_check(
     """
     ids = list(gens.ids)
     words = _all_words(ids, degree)
-    if len(words) > max_words:
+    if len(words) > MAX_GRAM_WORDS:
         raise ValueError(
-            f"word count {len(words)} exceeds cap {max_words}; lower the degree"
+            f"word count {len(words)} exceeds cap {MAX_GRAM_WORDS}; lower the degree"
         )
     mats = [evaluate_word(w, gens) for w in words]
     flat = np.stack([m.reshape(-1) for m in mats], axis=1)
@@ -919,11 +924,7 @@ def haar_unitary_marginal() -> Marginal:
     return phi
 
 
-def free_mixed_moment_oracle(
-    marginals: Mapping[int, Marginal],
-    word: Word,
-    max_letters: int = MAX_ORACLE_LETTERS,
-) -> complex:
+def free_mixed_moment_oracle(marginals: Mapping[int, Marginal], word: Word) -> complex:
     """Mixed moment of a word in freely independent factors, from marginals only.
 
     Uses the defining recursion: subtracting the mean from each factor block of
@@ -931,10 +932,8 @@ def free_mixed_moment_oracle(
     expands over subsets of blocks replaced by their means, with the
     complementary blocks re-merged and recursed on.
     """
-    if len(word) > max_letters:
-        raise ValueError(
-            f"word length {len(word)} exceeds oracle cap {max_letters}"
-        )
+    if len(word) > MAX_ORACLE_LETTERS:
+        raise ValueError(f"word length {len(word)} exceeds oracle cap {MAX_ORACLE_LETTERS}")
     for f, _ in word.letters:
         if f not in marginals:
             raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")

@@ -82,8 +82,8 @@ def test_01_dilation_exactness(capsys):
         res = finite_unitary_dilation(t, degree)
         worst = max(worst, res.unitarity_residual())
         for k in range(degree + 1):
-            worst = max(worst, verify_power_dilation(res, ((1, k),)))
-            worst = max(worst, verify_power_dilation(res, ((1, -k),)))
+            worst = max(worst, verify_power_dilation(res, Word.from_runs([(1, k)])))
+            worst = max(worst, verify_power_dilation(res, Word.from_runs([(1, -k)])))
     _verdict(
         capsys, 1, "dilation_exactness", worst <= 1e-10,
         f"200 contractions, max residual {worst:.2e} <= 1e-10",
@@ -161,8 +161,8 @@ def test_04_free_dilation_identity(capsys, scalar_pair):
     dims = []
     for _, fds in scenarios:
         dims.append(fds.dim)
-        for runs in alternating_words_within(fds.n_factors, 4, 3):
-            worst = max(worst, verify_free_dilation(fds, runs))
+        for w in alternating_words_within(fds.n_factors, 4, 3):
+            worst = max(worst, verify_free_dilation(fds, w))
             words += 1
     _verdict(
         capsys, 4, "free_dilation_identity", worst <= 1e-8,
@@ -194,8 +194,7 @@ def test_06_oracle_equivalence(capsys, scalar_pair):
         fm_gens, fm_state = scalar_pair.factor_model(i)
         marginals[i] = matrix_marginal(fm_gens, fm_state)
     gens = scalar_pair.unitaries
-    for runs in signed_alternating_words(2, 4, 3, 6):
-        w = Word.from_runs(runs)
+    for w in signed_alternating_words(2, 4, 3, 6):
         if len(w.blocks()) > 4:
             continue
         got = word_moment(scalar_pair.vacuum, gens, w)

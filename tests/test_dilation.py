@@ -13,7 +13,7 @@ from freedilation.dilation import (
     unitarity_residual,
     verify_power_dilation,
 )
-from freedilation.ncprob import GenSet, ordered_words
+from freedilation.ncprob import GenSet, Word, ordered_words
 from freedilation.operator_core import (
     ContractionError,
     Embedding,
@@ -98,7 +98,7 @@ def test_doubly_commuting_dilation_pair():
     assert double_commutation_residual(res.gens) < 1e-12
     for ka in range(-2, 3):
         for kb in range(-2, 3):
-            r = verify_power_dilation(res, [(1, ka), (2, kb)])
+            r = verify_power_dilation(res, Word.from_runs([(1, ka), (2, kb)]))
             assert r < 1e-10, (ka, kb, r)
 
 
@@ -121,16 +121,18 @@ def test_verify_rejects_out_of_budget_words():
     t = np.array([[0.5]])
     res = finite_unitary_dilation(t, 2)
     with pytest.raises(BudgetError):
-        verify_power_dilation(res, [(1, 3)])
-    with pytest.raises(BudgetError):
-        verify_power_dilation(res, [(1, 10**12)])
+        verify_power_dilation(res, Word.from_runs([(1, 3)]))
+    # a huge power never reaches the verifier: the word itself is refused,
+    # before a single letter is built
+    with pytest.raises(ValueError, match="word letter cap"):
+        Word.from_runs([(1, 10**12)])
     a = np.diag([0.5, 0.3])
     b = np.diag([0.2, 0.7])
     res2 = doubly_commuting_dilation([a, b], 2)
     with pytest.raises(BudgetError):
-        verify_power_dilation(res2, [(2, 1), (1, 1)])
+        verify_power_dilation(res2, Word.from_runs([(2, 1), (1, 1)]))
     with pytest.raises(BudgetError):
-        verify_power_dilation(res2, [(1, 1), (3, 1)])
+        verify_power_dilation(res2, Word.from_runs([(1, 1), (3, 1)]))
 
 
 
@@ -154,17 +156,17 @@ def _dense_residual(res, runs):
 
 
 def _assert_matches_dense(res, words):
-    for runs in words:
-        got = verify_power_dilation(res, runs)
-        want = _dense_residual(res, runs)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (runs, got, want)
+    for w in words:
+        got = verify_power_dilation(res, w)
+        want = _dense_residual(res, w.runs())
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (w.format(), got, want)
 
 
 def test_power_identity_matches_dense_reference_single():
     rng = np.random.default_rng(31)
     t = random_contraction(rng, 3)
     res = finite_unitary_dilation(t, 3)
-    words = [[(1, k)] for k in range(-3, 4)]
+    words = [Word.from_runs([(1, k)]) for k in range(-3, 4)]
     _assert_matches_dense(res, words)
     # a rotated copy: the word acts on J's columns, which are no longer coordinates
     q = random_unitary(rng, res.ambient_dim)
@@ -192,7 +194,10 @@ def test_power_identity_matches_dense_reference_doubly():
     a, b = _commuting_normal_pair(rng, 2)
     res = doubly_commuting_dilation([a, b], 2)
     words = [
-        [(1, ka), (2, kb)] for ka in range(-2, 3) for kb in range(-2, 3) if ka and kb
+        Word.from_runs([(1, ka), (2, kb)])
+        for ka in range(-2, 3)
+        for kb in range(-2, 3)
+        if ka and kb
     ]
     _assert_matches_dense(res, words)
     swapped = DilationResult(

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -273,21 +274,30 @@ def test_restricted_unitarity_forms_no_dense_product():
 
 def test_dilation_identity_within_budget():
     fds = _scalar_pair()
-    for runs in alternating_words_within(2, 4, 3):
-        r = verify_free_dilation(fds, runs)
-        assert type(r) is float and r <= 1e-10, (runs, r)
+    words = alternating_words_within(2, 4, 3)
+    for w in words:
+        r = verify_free_dilation(fds, w)
+        assert type(r) is float and r <= 1e-10, (w.format(), r)
+    # every positive word of at most 3 letters: a run count within L = 4 comes free
+    assert sorted(w.runs() for w in words) == sorted(
+        Word(letters).runs()
+        for n in range(1, 4)
+        for letters in itertools.product([(1, False), (2, False)], repeat=n)
+    )
 
 
 def test_dilation_identity_budget_refusals():
     fds = _scalar_pair()
     with pytest.raises(BudgetError):
-        verify_free_dilation(fds, [(1, 4)])
+        verify_free_dilation(fds, parse_word("1^4"))
     with pytest.raises(BudgetError):
-        verify_free_dilation(fds, [(1, 10**12)])
+        verify_free_dilation(fds, parse_word("1^-1"))
     with pytest.raises(BudgetError):
-        verify_free_dilation(fds, [(1, -1)])
-    with pytest.raises(BudgetError):
-        verify_free_dilation(fds, [(1, 1), (2, 1), (1, 1), (2, 1), (1, 1)])
+        verify_free_dilation(fds, parse_word("1 2 1 2 1"))
+    # a huge power never reaches the verifier: parsing refuses the word
+    # before a single letter is built
+    with pytest.raises(ValueError, match="word letter cap"):
+        parse_word("1^1000000000000")
 
 
 @pytest.mark.parametrize("trunc", [1, 2, 3, 4])
@@ -295,9 +305,9 @@ def test_dilation_identity_alternation_edge(trunc):
     # degree L + 1, so only the alternation length refuses L + 1 runs
     fds = _scalar_pair(n_degree=trunc + 1, trunc=trunc)
     runs = [(1 + k % 2, 1) for k in range(trunc + 1)]
-    assert verify_free_dilation(fds, runs[:-1]) <= 1e-10  # exactly L runs
+    assert verify_free_dilation(fds, Word.from_runs(runs[:-1])) <= 1e-10  # exactly L runs
     with pytest.raises(BudgetError, match="alternation length"):
-        verify_free_dilation(fds, runs)
+        verify_free_dilation(fds, Word.from_runs(runs))
 
 
 def test_matrix_factor_moments():
@@ -361,8 +371,8 @@ def test_one_factor_reduces_to_single_dilation():
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0))], 3, 4)
     # one-factor free product of the dilation space is the dilation space
     assert fds.dim == fds.dilations[0].ambient_dim
-    for runs in [[(1, 1)], [(1, 2)], [(1, 3)]]:
-        assert verify_free_dilation(fds, runs) <= 1e-10
+    for text in ("1^1", "1^2", "1^3"):
+        assert verify_free_dilation(fds, parse_word(text)) <= 1e-10
 
 
 def test_factor_model_is_exactly_unitary():
@@ -399,8 +409,8 @@ def test_free_identity_matches_dense_reference():
     crossed = replace(fds, s_ops=GenSet({1: fds.s_ops[2], 2: fds.s_ops[1]}))
     words = alternating_words_within(2, 3, 2)
     for model in (fds, crossed):
-        for runs in words:
-            got = verify_free_dilation(model, runs)
-            want = _dense_free_residual(model, runs)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (runs, got, want)
-    assert max(verify_free_dilation(crossed, runs) for runs in words) > 0.1
+        for w in words:
+            got = verify_free_dilation(model, w)
+            want = _dense_free_residual(model, w.runs())
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (w.format(), got, want)
+    assert max(verify_free_dilation(crossed, w) for w in words) > 0.1

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import freedilation
+import freedilation.harness as harness
 from freedilation.cli import main
 from freedilation.dilation import BudgetError
 from freedilation.harness import (
@@ -26,6 +28,7 @@ from freedilation.harness import (
     scenario_from_obj,
 )
 from freedilation.ncprob import (
+    MAX_WORD_LETTERS,
     GenSet,
     Word,
     alternating_words_within,
@@ -221,21 +224,31 @@ def test_moment_budget_check_refuses_deep_alternation(trunc):
 
 def test_signed_alternating_words_structure():
     words = signed_alternating_words(2, 2, 2, 2)
-    assert all(sum(abs(k) for _, k in w) <= 2 for w in words)
+    assert all(type(w) is Word and 1 <= len(w) <= 2 for w in words)
     for w in words:
-        for a, b in zip(w, w[1:]):
+        runs = w.runs()
+        for a, b in zip(runs, runs[1:]):
             assert a[0] != b[0] or (a[1] > 0) != (b[1] > 0)
-    assert ((1, 1), (2, 1)) in words
-    assert ((1, 1), (1, -1)) in words  # same factor, opposite sign is a new run
-    assert all(len({f for f, _ in w}) <= 2 for w in words)
+        assert len(w.blocks()) <= 2
+    runs = [w.runs() for w in words]
+    assert ((1, 1), (2, 1)) in runs
+    assert ((1, 1), (1, -1)) in runs  # same factor, opposite sign is a new run
+    # pinned order: by length, then run count, then the runs themselves
+    assert [w.format() for w in words] == [
+        "1^-1", "1^1", "2^-1", "2^1", "1^-2", "1^2", "2^-2", "2^2",
+        "1^-1 1^1", "1^-1 2^-1", "1^-1 2^1", "1^1 1^-1", "1^1 2^-1", "1^1 2^1",
+        "2^-1 1^-1", "2^-1 1^1", "2^-1 2^1", "2^1 1^-1", "2^1 1^1", "2^1 2^-1",
+    ]
 
 
 def test_ordered_words_shape():
-    words = ordered_words(2, 1)
-    assert () in words
-    assert ((1, 1), (2, -1)) in words
-    assert ((2, 1), (1, 1)) not in words  # factors stay in ascending order
-    assert len(words) == 9  # 3 choices per factor, squared
+    # 3 choices per factor, squared; the unit first, factors in ascending
+    # order, then by run count and the runs themselves
+    assert [w.runs() for w in ordered_words(2, 1)] == [
+        (),
+        ((1, -1),), ((1, 1),), ((2, -1),), ((2, 1),),
+        ((1, -1), (2, -1)), ((1, -1), (2, 1)), ((1, 1), (2, -1)), ((1, 1), (2, 1)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +459,48 @@ def test_cli_malformed_word_is_refused(capsys, command, word):
     _assert_refused(code, capsys, "bad word token")
 
 
+def test_cli_oracle_refuses_words_over_the_oracle_cap(capsys):
+    path = str(SCENARIOS / "free_pair.json")
+    assert main(["oracle", "--input", path, "--word", "1^16"]) == 0  # exactly the cap
+    capsys.readouterr()
+    code = main(["oracle", "--input", path, "--word", "1^1", "--word", "1^17"])
+    _assert_refused(code, capsys, "word length 17 exceeds oracle cap 16")
+
+
+@pytest.mark.parametrize(
+    ("command", "word"),
+    [("moments", "1^1000000000000"), ("moments", "c(1^1000000000000)"), ("oracle", "1^1000000000000")],
+)
+def test_cli_refuses_words_over_the_letter_cap_without_allocating(capsys, command, word):
+    path = str(SCENARIOS / "free_pair.json")
+    main([command, "--input", path, "--word", "1^1"])  # first-call imports and caches stay out
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main([command, "--input", path, "--word", word])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_refused(code, capsys, f"exceeds the word letter cap {MAX_WORD_LETTERS}")
+    assert peak < 2**24, peak  # the model of free_pair; no letter of the word
+
+
+def test_oracle_check_refuses_degree_over_the_cap_before_enumerating(monkeypatch, capsys):
+    # at degree 9 the oracle's words reach 18 letters, past its cap of 16:
+    # the check fails at once instead of building a million words first
+    def refuse(*args):
+        raise AssertionError("oracle words enumerated past the cap")
+
+    monkeypatch.setattr(harness, "signed_alternating_words", refuse)
+    path = str(SCENARIOS / "free_pair.json")
+    code = main(["suite", "--input", path, "--degree", "9", "--trunc-len", "1"])
+    entries = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    entry = entries.pop("oracle_equivalence")
+    assert code == 1 and not entry["passed"] and entry["residual"] == float("inf")
+    assert "oracle cap 16" in entry["witness"]["error"]
+    assert all(e["passed"] for e in entries.values())
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
 def test_cli_tol_must_be_positive_finite(capsys, tol):
     code = main(["suite", "--input", str(SCENARIOS / "single_half.json"), f"--tol={tol}"])
@@ -529,7 +584,7 @@ def test_suite_counters_in_free_and_dense_modes():
     assert entries["dilation_identity"]["details"] == {
         "degree": 3,
         "words": len(words),
-        "letters_applied": sum(2 * sum(k for _, k in runs) for runs in words),
+        "letters_applied": sum(2 * sum(k for _, k in w.runs()) for w in words),
         "fock_dim": 241,
         "fock_h_dim": 1,
     }
@@ -571,10 +626,7 @@ def test_oracle_check_matches_per_word_loop():
     marginals = {
         i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
-    words = [
-        Word.from_runs(runs)
-        for runs in signed_alternating_words(2, min(sc.max_alt, sc.trunc), sc.degree, 2 * sc.degree)
-    ]
+    words = signed_alternating_words(2, min(sc.max_alt, sc.trunc), sc.degree, 2 * sc.degree)
     swept = word_moments(model.state, model.gens, words)
     worst, witness = 0.0, None
     for w, lhs_swept in zip(words, swept):

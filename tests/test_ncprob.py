@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import freedilation.ncprob as ncprob
 from freedilation.dilation import finite_unitary_dilation
 from freedilation.ncprob import (
+    MAX_WORD_LETTERS,
     GenSet,
     Word,
     alternating_words_within,
@@ -69,7 +70,49 @@ def test_positive_alternating_words_one_factor():
     # one factor, one block: the positive words are the 30 single runs,
     # generated directly rather than filtered from the signed words
     words = alternating_words_within(1, 4, 30)
-    assert words == [((1, k),) for k in range(1, 31)]
+    assert [w.runs() for w in words] == [((1, k),) for k in range(1, 31)]
+
+
+def test_positive_alternating_words_order():
+    # pinned: by length, then run count, then the runs themselves
+    assert [w.runs() for w in alternating_words_within(2, 2, 2)] == [
+        ((1, 1),), ((2, 1),), ((1, 2),), ((2, 2),), ((1, 1), (2, 1)), ((2, 1), (1, 1)),
+    ]
+
+
+def test_word_letter_cap_edge():
+    # exactly the cap is built; one letter more is refused before any is
+    assert len(Word.from_runs([(1, MAX_WORD_LETTERS)])) == MAX_WORD_LETTERS
+    assert len(parse_word(f"1^{MAX_WORD_LETTERS - 1} 2*")) == MAX_WORD_LETTERS
+    with pytest.raises(ValueError, match=f"word of {MAX_WORD_LETTERS + 1} letters"):
+        Word.from_runs([(1, MAX_WORD_LETTERS), (2, -1)])
+    with pytest.raises(ValueError, match=f"word letter cap {MAX_WORD_LETTERS}"):
+        parse_word(f"1^{MAX_WORD_LETTERS} 1^-1")
+    with pytest.raises(ValueError, match="word letter cap"):
+        Word.from_runs([(1, -(10**12))])
+
+
+def _merged_runs(runs):
+    """Zero powers dropped, adjacent runs of one factor and sign summed."""
+    out = []
+    for f, k in runs:
+        if k == 0:
+            continue
+        if out and out[-1][0] == f and (out[-1][1] < 0) == (k < 0):
+            out[-1] = (f, out[-1][1] + k)
+        else:
+            out.append((f, k))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=8))
+def test_word_runs_round_trip(runs):
+    w = Word.from_runs(runs)
+    assert w.runs() == _merged_runs(runs)
+    assert len(w) == sum(abs(k) for _, k in runs)
+    if len(w):  # the unit formats as "1", which parses as the letter 1^1
+        assert parse_word(w.format()) == w
 
 
 # ---------------------------------------------------------------------------
