@@ -35,7 +35,6 @@ from .serialization import (
     state_to_obj,
 )
 from .dilation import (
-    BudgetError,
     DilationResult,
     NotDoublyCommutingError,
     double_commutation_residual,
@@ -45,8 +44,8 @@ from .dilation import (
     verify_power_dilation,
 )
 from .ncprob import (
+    BudgetError,
     CheckReport,
-    FaithfulnessReport,
     GenSet,
     Word,
     alternating_words_within,

@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
-from .dilation import BudgetError
 from .harness import (
     CHECKS,
     IngestError,
@@ -30,6 +29,7 @@ from .harness import (
     run_theorem_suite,
 )
 from .ncprob import (
+    BudgetError,
     Word,
     free_cumulants,
     free_mixed_moment_oracle,

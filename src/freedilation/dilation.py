@@ -10,13 +10,12 @@ outside it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .ncprob import GenSet, Word, apply_word
+from .ncprob import BudgetError, GenSet, Word, apply_word, commutator_norms, worst_commutator
 from .operator_core import (
     DEFAULT_TOL,
     ContractionError,
@@ -27,10 +26,6 @@ from .operator_core import (
     defect_pair,
     operator_norm,
 )
-
-
-class BudgetError(ValueError):
-    """A requested word lies outside the construction's exactness budget."""
 
 
 class NotDoublyCommutingError(ValueError):
@@ -122,15 +117,6 @@ def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_T
     )
 
 
-def _commutator_norms(gens: GenSet):
-    """``(i, j, norm, starred)`` for each pair ``i < j``: ``||[A_i, A_j]||``
-    first, then ``||[A_i*, A_j]||``; lazy, so a caller can stop early."""
-    for i, j in itertools.combinations(gens.ids, 2):
-        x, y = gens[i], gens[j]
-        yield i, j, operator_norm(x @ y - y @ x), False
-        yield i, j, operator_norm(adjoint(x) @ y - y @ adjoint(x)), True
-
-
 def doubly_commuting_dilation(
     ts: Sequence[np.ndarray], n_degree: int, tol: float = DEFAULT_TOL
 ) -> DilationResult:
@@ -149,7 +135,7 @@ def doubly_commuting_dilation(
         norm = operator_norm(t)
         if norm > 1.0 + tol:
             raise ContractionError(norm, tol)
-    for i, j, residual, starred in _commutator_norms(inputs):
+    for i, j, residual, starred in commutator_norms(inputs):
         if residual > tol:
             raise NotDoublyCommutingError(i, j, residual, starred)
 
@@ -170,7 +156,7 @@ def doubly_commuting_dilation(
 
 def double_commutation_residual(gens: GenSet) -> float:
     """Max over pairs of ``||[A_i, A_j]||`` and ``||[A_i*, A_j]||``."""
-    return max((r for _, _, r, _ in _commutator_norms(gens)), default=0.0)
+    return worst_commutator(gens)[0]
 
 
 def identity_residual(gens: GenSet, contractions: GenSet, j: np.ndarray, word: Word) -> float:

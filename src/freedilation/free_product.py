@@ -17,13 +17,12 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .dilation import (
-    BudgetError,
     DilationResult,
     finite_unitary_dilation,
     identity_residual,
     unitarity_residual,
 )
-from .ncprob import GenSet, LetterAction, Word
+from .ncprob import BudgetError, GenSet, LetterAction, Word
 from .operator_core import (
     DEFAULT_DIM_CAP,
     DEFAULT_TOL,

@@ -22,10 +22,8 @@ import numpy as np
 
 from ._version import __version__
 from .dilation import (
-    BudgetError,
     DilationResult,
     doubly_commuting_dilation,
-    double_commutation_residual,
     finite_unitary_dilation,
     unitarity_residual,
     verify_power_dilation,
@@ -38,6 +36,7 @@ from .free_product import (
 )
 from .ncprob import (
     MAX_ORACLE_LETTERS,
+    BudgetError,
     CheckReport,
     GenSet,
     Word,
@@ -54,6 +53,7 @@ from .ncprob import (
     state_moment,
     tensor_independence_check,
     trace_check,
+    worst_commutator,
 )
 from .operator_core import State, adjoint, check_dim_cap
 from .serialization import (
@@ -485,47 +485,35 @@ def _check_faithfulness(sc: Scenario, model: Model) -> CheckReport:
     degree = min(sc.check_degree, sc.degree)
     if not model.factor_models:
         # doubly mode keeps no per-factor models: certify the joint word span
-        fr = faithfulness_check(model.state, model.gens, degree)
-        return CheckReport(
-            name="faithfulness",
-            residual=float(fr.rank_gap),
-            tol=0.5,
-            passed=fr.faithful_on_span,
-            witness={"span_dim": fr.span_dim, "gram_rank": fr.gram_rank},
-            details=fr.to_obj(),
-        )
-    worst_gap = 0
-    witness = None
-    all_ok = True
-    per_factor = []
-    for i, (fm_gens, fm_state) in enumerate(model.factor_models, start=1):
-        rep = faithfulness_check(fm_state, fm_gens, degree)
-        per_factor.append({"factor": i, **rep.to_obj()})
-        if not rep.faithful_on_span:
-            all_ok = False
-        if rep.rank_gap >= worst_gap:
-            if rep.rank_gap > worst_gap or witness is None:
-                witness = {"factor": i, "span_dim": rep.span_dim, "gram_rank": rep.gram_rank}
-            worst_gap = max(worst_gap, rep.rank_gap)
+        return faithfulness_check(model.state, model.gens, degree)
+    reps = [faithfulness_check(s, g, degree) for g, s in model.factor_models]
+    worst, witness = 0.0, None
+    for i, rep in enumerate(reps, start=1):
+        # the first of the worst rank gaps; a negative gap never counts
+        if rep.residual > worst or (rep.residual == worst and witness is None):
+            worst, witness = rep.residual, {"factor": i, **rep.witness}
     return CheckReport(
         name="faithfulness",
-        residual=float(worst_gap),
+        residual=worst,
         tol=0.5,
-        passed=all_ok,
+        passed=all(rep.passed for rep in reps),
         witness=witness,
-        details={"degree": degree, "per_factor": per_factor},
+        details={
+            "degree": degree,
+            "per_factor": [{"factor": i, **rep.details} for i, rep in enumerate(reps, start=1)],
+        },
     )
 
 
 def _check_double_commutation(sc: Scenario, model: Model) -> CheckReport:
-    res = double_commutation_residual(model.gens)
+    res, witness = worst_commutator(model.gens)
     n = len(model.gens.ids)
     return CheckReport(
         name="double_commutation",
         residual=res,
         tol=sc.tol,
         passed=res <= sc.tol,
-        witness=None,
+        witness=witness,
         # ``[A_i, A_j]`` and ``[A_i*, A_j]`` for each pair
         details={"operators": n, "commutators": n * (n - 1)},
     )

@@ -26,6 +26,14 @@ MAX_GRAM_WORDS = 4096
 # the longest word ``Word.from_runs`` expands; power_dilation reaches 4,999
 # letters under the 5,000 dimension cap
 MAX_WORD_LETTERS = 2**16
+# bytes of the stacked word images of one column block of a faithfulness
+# Gram; their conjugate, for the Gram product, takes as much again
+GRAM_BLOCK_BYTES = 64 * 2**20
+
+
+class BudgetError(ValueError):
+    """A request lies outside a stated budget: a word beyond a construction's
+    exactness budget, or a word span over a check's cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +114,14 @@ class Word:
         return _merge_blocks((f, (s,)) for f, s in self.letters)
 
     def format(self) -> str:
-        if not self.letters:
-            return "1"
+        """Signed power runs, ``"1^2 2^-1"``; the unit is ``""``."""
         return " ".join(f"{f}^{k}" for f, k in self.runs())
 
 
 def parse_word(text: str) -> Word:
-    """Parse ``"1^2 2^-1"`` style words; ``"2*"`` is shorthand for ``2^-1``
-    and a bare ``"3"`` for ``3^1``, so ``"1"`` is the letter ``1^1``, not the
-    unit :meth:`Word.format` writes as ``"1"``; use ``""`` for the unit."""
+    """Parse ``"1^2 2^-1"`` style words, and the unit ``""``: the inverse of
+    :meth:`Word.format`.  ``"2*"`` is shorthand for ``2^-1`` and a bare
+    ``"3"`` for ``3^1``."""
     text = text.strip()
     if not text:
         return Word(())
@@ -488,6 +495,32 @@ def _derive_rng(seed: int, *salt: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
+# commutators
+
+
+def commutator_norms(gens: GenSet) -> Iterator[tuple[int, int, float, bool]]:
+    """``(i, j, norm, starred)`` for each pair ``i < j`` of matrix
+    generators: ``||[A_i, A_j]||`` first, then ``||[A_i*, A_j]||``; lazy, so
+    a caller can stop early.  The pair's other two commutators are these up
+    to adjoint and sign."""
+    for i, j in itertools.combinations(gens.ids, 2):
+        x, y = gens[i], gens[j]
+        yield i, j, operator_norm(x @ y - y @ x), False
+        yield i, j, operator_norm(adjoint(x) @ y - y @ adjoint(x)), True
+
+
+def worst_commutator(gens: GenSet) -> tuple[float, dict | None]:
+    """The first of the largest :func:`commutator_norms`, with its pair as
+    one-letter words, ``{"left": "1^-1", "right": "2^1"}``; ``(0.0, None)``
+    for a single generator."""
+    worst = max(commutator_norms(gens), key=lambda c: c[2], default=None)
+    if worst is None:
+        return 0.0, None
+    i, j, norm, starred = worst
+    return norm, {"left": Word(((i, starred),)).format(), "right": Word(((j, False),)).format()}
+
+
+# ---------------------------------------------------------------------------
 # tensor independence
 
 
@@ -501,32 +534,18 @@ def tensor_independence_check(
 ) -> CheckReport:
     """Certify a commuting family as tensor independent for the given state.
 
-    Part (a) checks ``[w_i, w_j] = 0`` for all words up to the degree in
-    distinct factors; part (b) checks ``phi(a_1 ... a_n) = prod phi(a_i)``
-    over random one-per-factor tuples, each tuple applied right to left by
-    one walk per factor on a shared sweep.
+    Part (a) checks that the generators of distinct factors doubly commute,
+    ``[A_i, A_j] = [A_i*, A_j] = 0``: then so do the *-algebras they
+    generate, and for contractions ``||[w_a, w_b]|| <= |w_a| |w_b|`` times
+    the larger of the pair's two norms (Leibniz rule).  Part (b) checks
+    ``phi(a_1 ... a_n) = prod phi(a_i)`` over random one-per-factor tuples
+    of words up to the degree, each tuple applied right to left by one walk
+    per factor on a shared sweep.
     """
     ids = list(gens.ids)
     words = {f: _all_words([f], degree) for f in ids}
-    worst = 0.0
-    witness: dict | None = None
-    commutators = 0
-
-    for ia, ib in itertools.combinations(ids, 2):
-        words_a, words_b = words[ia][1:], words[ib][1:]
-        mats_a = [evaluate_word(w, gens) for w in words_a]
-        mats_b = [evaluate_word(w, gens) for w in words_b]
-        commutators += len(words_a) * len(words_b)
-        for wa, ma in zip(words_a, mats_a):
-            for wb, mb in zip(words_b, mats_b):
-                res = operator_norm(ma @ mb - mb @ ma)
-                if res > worst:
-                    worst = res
-                    witness = {
-                        "part": "commutation",
-                        "left": wa.format(),
-                        "right": wb.format(),
-                    }
+    worst, pair = worst_commutator(gens)
+    witness = {"part": "commutation", **pair} if worst > 0 else None
 
     sweep = _Sweep(state, gens)
     phis = {f: sweep.word_moments(ws) for f, ws in words.items()}
@@ -553,7 +572,7 @@ def tensor_independence_check(
             "degree": degree,
             "samples": samples,
             "factors": ids,
-            "commutators": commutators,
+            "commutators": len(ids) * (len(ids) - 1),
             "letters_applied": sweep.letters,
         },
     )
@@ -745,32 +764,33 @@ def _random_word(rng: np.random.Generator, ids: Sequence[int], degree: int) -> W
 # faithfulness
 
 
-@dataclass
-class FaithfulnessReport:
-    faithful_on_span: bool
-    span_dim: int
-    gram_rank: int
-    word_count: int
-    degree: int
-    rank_rtol: float
+def _gram_rank(
+    sweep: _Sweep,
+    words: Sequence[Word],
+    columns: Callable[[int, int], np.ndarray],
+    weights: np.ndarray,
+    rank_rtol: float,
+) -> int:
+    """Rank of ``G[u, v] = sum_k w_k <v p_k, u p_k>`` over the words, for
+    panel columns ``p_k`` (``columns(lo, hi)`` gives ``p_lo .. p_{hi-1}``)
+    with weights ``w_k``.
 
-    @property
-    def rank_gap(self) -> int:
-        return self.span_dim - self.gram_rank
-
-    def to_obj(self) -> dict:
-        return {
-            "faithful_on_span": self.faithful_on_span,
-            "span_dim": self.span_dim,
-            "gram_rank": self.gram_rank,
-            "rank_gap": self.rank_gap,
-            "word_count": self.word_count,
-            "degree": self.degree,
-            "rank_rtol": self.rank_rtol,
-        }
-
-
-def _gram_rank(gram: np.ndarray, rank_rtol: float) -> int:
+    The panel runs in column blocks: one walk per block fills the word
+    images of that block, one column per word and scaled by ``sqrt(w_k)``,
+    and ``G`` accumulates their Gram.  A block's images stay within
+    ``GRAM_BLOCK_BYTES``, or one panel column if that alone is larger.
+    """
+    n = len(words)
+    step = max(1, GRAM_BLOCK_BYTES // (16 * sweep.gens.dim * n))
+    gram = np.zeros((n, n), dtype=complex)
+    for lo in range(0, len(weights), step):
+        hi = min(lo + step, len(weights))
+        roots = np.sqrt(weights[lo:hi])
+        panel = columns(lo, hi)
+        images = np.empty((panel.size, n), dtype=complex)
+        for i, applied in sweep.walk(words, panel):
+            images[:, i] = (applied * roots).reshape(-1)
+        gram += adjoint(images) @ images
     s = np.linalg.svd(gram, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         return 0
@@ -782,40 +802,46 @@ def faithfulness_check(
     gens: GenSet,
     degree: int = 2,
     rank_rtol: float = 1e-9,
-) -> FaithfulnessReport:
+) -> CheckReport:
     """Compare operator-space and state-space ranks of the word span.
 
-    ``span_dim`` is the rank of the Hilbert-Schmidt Gram of all words up to
-    the degree; ``gram_rank`` is the rank of the state Gram
-    ``G[u, v] = phi(u* v)``.  Equality certifies that no nonzero element of
-    the span is annihilated by the state's seminorm.
+    Both are ranks of a Gram ``G[u, v] = sum_k w_k <v p_k, u p_k>`` over all
+    words up to the degree: ``span_dim`` on the identity columns with unit
+    weights (the Hilbert-Schmidt Gram), ``gram_rank`` on the state's
+    columns and weights (``G[u, v] = phi(u* v)``).  Equality certifies that
+    no nonzero element of the span is annihilated by the state's seminorm;
+    the residual is the rank gap.  More than ``MAX_GRAM_WORDS`` words raise
+    :class:`BudgetError` before any is applied.
     """
-    ids = list(gens.ids)
-    words = _all_words(ids, degree)
+    words = _all_words(list(gens.ids), degree)
     if len(words) > MAX_GRAM_WORDS:
-        raise ValueError(
-            f"word count {len(words)} exceeds cap {MAX_GRAM_WORDS}; lower the degree"
+        raise BudgetError(
+            f"word count {len(words)} exceeds MAX_GRAM_WORDS = {MAX_GRAM_WORDS}; lower the degree"
         )
-    mats = [evaluate_word(w, gens) for w in words]
-    flat = np.stack([m.reshape(-1) for m in mats], axis=1)
-    hs_gram = adjoint(flat) @ flat
-    span_dim = _gram_rank(hs_gram, rank_rtol)
-
-    panel, weights = _state_panel(state)
-    applied = [apply_word(w, gens, panel) for w in words]
-    state_gram = np.zeros((len(words), len(words)), dtype=complex)
-    for k in range(panel.shape[1]):
-        block = np.stack([a[:, k] for a in applied], axis=1)
-        state_gram += weights[k] * (adjoint(block) @ block)
-    gram_rank = _gram_rank(state_gram, rank_rtol)
-
-    return FaithfulnessReport(
-        faithful_on_span=span_dim == gram_rank,
-        span_dim=span_dim,
-        gram_rank=gram_rank,
-        word_count=len(words),
-        degree=degree,
-        rank_rtol=rank_rtol,
+    sweep = _Sweep(state, gens)
+    dim = gens.dim
+    span_dim = _gram_rank(
+        sweep, words, lambda lo, hi: np.eye(dim, hi - lo, -lo, dtype=complex), np.ones(dim), rank_rtol
+    )
+    gram_rank = _gram_rank(
+        sweep, words, lambda lo, hi: sweep.panel[:, lo:hi], sweep.weights, rank_rtol
+    )
+    faithful = span_dim == gram_rank
+    return CheckReport(
+        name="faithfulness",
+        residual=float(span_dim - gram_rank),
+        tol=0.5,
+        passed=faithful,
+        witness={"span_dim": span_dim, "gram_rank": gram_rank},
+        details={
+            "faithful_on_span": faithful,
+            "span_dim": span_dim,
+            "gram_rank": gram_rank,
+            "rank_gap": span_dim - gram_rank,
+            "word_count": len(words),
+            "degree": degree,
+            "rank_rtol": rank_rtol,
+        },
     )
 
 

@@ -1,0 +1,66 @@
+"""Dense word-matrix references for two certificates that run without them.
+
+The commutation part of ``ncprob.tensor_independence_check`` takes the
+generator commutators of each factor pair, and ``ncprob.faithfulness_check``
+fills its Grams from word sweeps.  These references build every word's
+matrix instead, as both certificates once did: a word-level commutator loop,
+the Hilbert-Schmidt Gram of the stacked word matrices, and the state Gram
+summed column by column.  Meant for small models only.
+"""
+
+import itertools
+
+import numpy as np
+
+from freedilation.ncprob import Word, apply_word, evaluate_word
+from freedilation.operator_core import adjoint, operator_norm
+
+
+def words_up_to(ids, degree):
+    """The unit and every word of 1..degree letters in the factors ``ids``
+    and their adjoints."""
+    letters = [(f, s) for f in ids for s in (False, True)]
+    return [Word(())] + [
+        Word(combo)
+        for length in range(1, degree + 1)
+        for combo in itertools.product(letters, repeat=length)
+    ]
+
+
+def word_commutation_residual(gens, degree):
+    """Max of ``||[w_a, w_b]||`` over nonempty words up to the degree in two
+    distinct factors, from the words' matrices."""
+    mats = {f: [evaluate_word(w, gens) for w in words_up_to([f], degree)[1:]] for f in gens.ids}
+    worst = 0.0
+    for fa, fb in itertools.combinations(gens.ids, 2):
+        for ma in mats[fa]:
+            for mb in mats[fb]:
+                worst = max(worst, operator_norm(ma @ mb - mb @ ma))
+    return worst
+
+
+def _rank(gram, rank_rtol):
+    s = np.linalg.svd(gram, compute_uv=False)
+    if s.size == 0 or s[0] <= 0:
+        return 0
+    return int(np.sum(s > rank_rtol * s[0]))
+
+
+def dense_gram_ranks(state, gens, degree, rank_rtol=1e-9):
+    """``(span_dim, gram_rank)``: the ranks of the Hilbert-Schmidt Gram of
+    every word's matrix and of the state Gram ``sum_k w_k B_k* B_k``, where
+    ``B_k`` holds every word applied to the state column ``v_k``."""
+    words = words_up_to(gens.ids, degree)
+    flat = np.stack([evaluate_word(w, gens).reshape(-1) for w in words], axis=1)
+    span_dim = _rank(adjoint(flat) @ flat, rank_rtol)
+    if state.kind == "vector":
+        panel, weights = state.vector.reshape(-1, 1), np.ones(1)
+    else:
+        weights, panel = np.linalg.eigh(state.density)
+        keep = weights > 1e-14
+        panel, weights = panel[:, keep], weights[keep]
+    gram = np.zeros((len(words), len(words)), dtype=complex)
+    for k in range(panel.shape[1]):
+        block = np.stack([apply_word(w, gens, panel[:, k]) for w in words], axis=1)
+        gram += weights[k] * (adjoint(block) @ block)
+    return span_dim, _rank(gram, rank_rtol)

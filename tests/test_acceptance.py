@@ -222,19 +222,15 @@ def test_08_faithfulness_shadow(capsys):
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
     xi = State.from_vector(res.embedding.isometry @ np.array([1.0]))
     gens = res.gens
-    positives = [faithfulness_check(xi, gens, d).faithful_on_span for d in (1, 2, 3)]
+    positives = [faithfulness_check(xi, gens, d).passed for d in (1, 2, 3)]
     counter = faithfulness_check(
         State.basis_vector(2, 0), GenSet({1: np.diag([0.5, 0.25]).astype(complex)}), 1
     )
-    ok = (
-        all(positives)
-        and not counter.faithful_on_span
-        and counter.span_dim - counter.gram_rank == 1
-    )
+    gap = counter.details["span_dim"] - counter.details["gram_rank"]
+    ok = all(positives) and not counter.passed and gap == 1
     _verdict(
         capsys, 8, "faithfulness_shadow", ok,
-        f"dilated scalar faithful at degrees 1..3; counterexample rank gap "
-        f"{counter.span_dim - counter.gram_rank} == 1",
+        f"dilated scalar faithful at degrees 1..3; counterexample rank gap {gap} == 1",
     )
 
 

@@ -36,6 +36,7 @@ from freedilation.ncprob import (
     matrix_marginal,
     ordered_words,
     signed_alternating_words,
+    tensor_independence_check,
     word_moment,
     word_moments,
 )
@@ -431,6 +432,51 @@ def _assert_refused(code, capsys, match):
     assert err.startswith("error:") and err.count("\n") == 1 and match in err
 
 
+def test_cli_check_faithful_over_the_gram_word_cap_is_refused(capsys):
+    # three factors at degree 6: 5,461 words, over MAX_GRAM_WORDS
+    path = str(SCENARIOS / "doubly_diag.json")
+    code = main(
+        ["check", "--input", path, "--property", "faithful", "--degree", "6", "--check-degree", "6"]
+    )
+    _assert_refused(code, capsys, "exceeds MAX_GRAM_WORDS")
+
+
+def test_suite_gram_word_cap_is_a_failing_entry(tmp_path, capsys):
+    # one factor at check degree 12: 8,191 words
+    obj = {"factors": [{"matrix": matrix_to_obj(_scalar(0.5))}], "degree": 12, "check_degree": 12}
+    code = main(["suite", "--input", _write_scenario(tmp_path, obj)])
+    entry = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert code == 1
+    assert entry["name"] == "faithfulness" and not entry["passed"]
+    assert "exceeds MAX_GRAM_WORDS" in entry["witness"]["error"]
+
+
+def test_cli_unit_word_witness_replays_through_moments(capsys):
+    # power_dilation's worst word on single_half is the unit, and its witness
+    # names the unit when fed back to ``moments --word``
+    path = str(SCENARIOS / "single_half.json")
+    assert main(["suite", "--input", path, "--seed", "1"]) == 0
+    entries = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    word = entries["power_dilation"]["witness"]["word"]
+    assert main(["moments", "--input", path, "--word", word]) == 0
+    moment = json.loads(capsys.readouterr().out)["results"][0]["moment"]
+    assert moment == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+def test_commuting_pair_that_does_not_doubly_commute_is_refused_with_a_starred_witness():
+    # [A, B] = 0 but [A*, B] = diag(-1, 1)
+    a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    gens, state = GenSet({1: a, 2: a}), State.basis_vector(2, 0)
+    starred = {"left": "1^-1", "right": "2^1"}
+    sc = Scenario(mode="doubly", factors=[(a, state)] * 2)
+    rep = CHECKS["double_commutation"](sc, harness.Model(gens=gens, state=state))
+    assert not rep.passed and rep.residual == pytest.approx(1.0) and rep.witness == starred
+    rep = tensor_independence_check(state, gens, degree=2, samples=0)
+    assert not rep.passed and rep.residual == pytest.approx(1.0)
+    assert rep.witness == {"part": "commutation", **starred}
+    assert rep.details["commutators"] == 2
+
+
 @pytest.mark.parametrize("prop", ["tensor", "free", "trace", "faithful"])
 def test_cli_check_degree_is_validated(capsys, prop):
     path = str(SCENARIOS / "free_pair.json")
@@ -598,7 +644,7 @@ def test_suite_counters_in_free_and_dense_modes():
     factors = [(np.diag(rng.uniform(-0.8, 0.8, 2)).astype(complex), State.basis_vector(2, 0))]
     tensor = Scenario(mode="tensor", factors=factors * 2, degree=1, check_degree=2, samples=5)
     details = run_theorem_suite(tensor, subset=("tensor_independence",)).checks[1]["details"]
-    assert details["commutators"] == 6 * 6  # one factor pair
+    assert details["commutators"] == 2  # [A_1, A_2] and [A_1*, A_2]
     assert details["letters_applied"] == 2 * 6 * (5 + 1)  # the word moments, then each sample
     doubly = Scenario(mode="doubly", factors=factors * 3, degree=1)
     details = run_theorem_suite(doubly, subset=("double_commutation",)).checks[1]["details"]

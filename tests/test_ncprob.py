@@ -1,12 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freedilation.ncprob as ncprob
-from freedilation.dilation import finite_unitary_dilation
+from freedilation.dilation import doubly_commuting_dilation, finite_unitary_dilation
 from freedilation.ncprob import (
     MAX_WORD_LETTERS,
+    BudgetError,
     GenSet,
     Word,
     alternating_words_within,
@@ -30,7 +34,14 @@ from freedilation.ncprob import (
     word_moments,
 )
 from freedilation.free_product import free_unitary_dilation
-from freedilation.operator_core import State, adjoint, random_contraction, random_state
+from freedilation.operator_core import (
+    State,
+    adjoint,
+    random_contraction,
+    random_state,
+    random_unitary,
+)
+from certificate_oracles import dense_gram_ranks, word_commutation_residual
 from free_independence_oracle import nested_free_independence_check, nested_tensor_factorization
 from partition_oracles import all_set_partitions, is_noncrossing
 
@@ -44,7 +55,7 @@ CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
 def test_parse_and_format_round_trip():
     for text in ["1^2 2^-1", "3^1", "1^-3", "2^2 1^1 2^-2"]:
         assert parse_word(text).format() == text
-    assert parse_word("").format() == "1"
+    assert parse_word("").format() == ""
     assert parse_word("2*").letters == ((2, True),)
     assert parse_word("2*^3").letters == ((2, True),) * 3
     assert parse_word("2").letters == ((2, False),)
@@ -111,8 +122,7 @@ def test_word_runs_round_trip(runs):
     w = Word.from_runs(runs)
     assert w.runs() == _merged_runs(runs)
     assert len(w) == sum(abs(k) for _, k in runs)
-    if len(w):  # the unit formats as "1", which parses as the letter 1^1
-        assert parse_word(w.format()) == w
+    assert parse_word(w.format()) == w
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +347,20 @@ def test_tensor_independence_detects_noncommuting():
     assert rep.witness["part"] == "commutation"
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_commutation_matches_word_level_reference_at_degree_one(seed):
+    # noncommuting generators: every commutator norm of a pair counts, and at
+    # degree 1 the generator commutators are all the word pairs there are
+    rng = np.random.default_rng(seed)
+    dim, n = 2 + seed % 2, 2 + seed % 3 // 2
+    gens = GenSet({f: random_contraction(rng, dim) for f in range(1, n + 1)})
+    rep = tensor_independence_check(State.basis_vector(dim, 0), gens, degree=1, samples=0)
+    want = word_commutation_residual(gens, 1)
+    assert not rep.passed and want > 1e-3
+    assert rep.residual == pytest.approx(want, rel=1e-12)
+    assert rep.details["commutators"] == n * (n - 1)
+
+
 def test_tensor_factorization_matches_reference():
     # commuting but not tensor independent: diagonal operators under a mixed
     # state; the sweep sums each combination in another order than the reference
@@ -423,22 +447,92 @@ def test_faithfulness_positive_cyclic():
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
     s = State.from_vector(res.embedding.isometry[:, 0])
     rep = faithfulness_check(s, res.gens, degree=2)
-    assert rep.faithful_on_span
-    assert rep.span_dim == rep.gram_rank
+    assert rep.passed
+    assert rep.details["span_dim"] == rep.details["gram_rank"]
 
 
 def test_faithfulness_negative_rank_gap():
     gens = GenSet({1: np.diag([0.5, 0.25])})
     s = State.basis_vector(2, 0)
     rep = faithfulness_check(s, gens, degree=1)
-    assert not rep.faithful_on_span
-    assert rep.span_dim == 2
-    assert rep.gram_rank == 1
-    assert rep.rank_gap == 1
+    assert not rep.passed
+    assert rep.details["span_dim"] == 2
+    assert rep.details["gram_rank"] == 1
+    assert rep.details["rank_gap"] == 1
+
+
+def _gram_model_contraction(rng, dim, kind):
+    """A contraction of norm 0.9, or for ``"partial_isometry"`` one with
+    singular values exactly 0 and 1."""
+    if kind == "generic":
+        return random_contraction(rng, dim, 0.9)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if kind == "partial_isometry":
+        w, _, vh = np.linalg.svd(g)
+        return w[:, :1] @ vh[:1]
+    m = np.triu(g, 1) if kind == "nilpotent" else np.outer(g[:, 0], g[0])  # rank one
+    norm = np.linalg.norm(m, 2)
+    return m if norm == 0 else 0.9 * m / norm
+
+
+def _gram_model_state(rng, dim, kind):
+    if kind in ("vector", "density"):
+        return random_state(rng, dim, kind)
+    # a density with zero eigenvalues: all but one of them when dim > 1
+    p = np.zeros(dim)
+    p[: max(1, dim - int(rng.integers(1, dim + 1)))] = rng.uniform(0.1, 1.0)
+    u = random_unitary(rng, dim)
+    return State.from_density((u * (p / p.sum())) @ adjoint(u))
+
+
+_GRAM_KINDS = ("generic", "nilpotent", "rank_one", "partial_isometry")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(_GRAM_KINDS), min_size=1, max_size=2),
+    st.sampled_from(("vector", "density", "degenerate")),
+    st.integers(1, 2),
+)
+def test_faithfulness_ranks_match_dense_reference(seed, dim, kinds, state_kind, degree):
+    rng = np.random.default_rng(seed)
+    gens = GenSet({f: _gram_model_contraction(rng, dim, k) for f, k in enumerate(kinds, start=1)})
+    state = _gram_model_state(rng, dim, state_kind)
+    want = dense_gram_ranks(state, gens, degree)
+    rep = faithfulness_check(state, gens, degree)
+    assert (rep.details["span_dim"], rep.details["gram_rank"]) == want
+    assert rep.passed == (want[0] == want[1]) and rep.residual == want[0] - want[1]
+    with mock.patch.object(ncprob, "GRAM_BLOCK_BYTES", 1):  # one panel column per block
+        rep = faithfulness_check(state, gens, degree)
+    assert (rep.details["span_dim"], rep.details["gram_rank"]) == want
+
+
+def test_faithfulness_gram_is_bounded_in_bytes():
+    # 259 words on a 54-dim space: their images on all 54 identity columns
+    # take 12 MB; under a 1 MiB block they are filled four columns at a time
+    diag = [np.diag([0.5, -0.3 + 0.2j]), np.diag([0.1j, 0.6]), np.diag([-0.4, 0.7])]
+    res = doubly_commuting_dilation(diag, 2)
+    state = State.from_vector(res.embedding.isometry @ np.array([0.6, 0.8]))
+    words = 1 + 6 + 36 + 216
+    assert 16 * res.ambient_dim**2 * words > 12e6
+    want = dense_gram_ranks(state, res.gens, 3)
+    with mock.patch.object(ncprob, "GRAM_BLOCK_BYTES", 2**20):
+        faithfulness_check(state, res.gens, 1)  # first-call caches stay out
+        tracemalloc.start()
+        try:
+            rep = faithfulness_check(state, res.gens, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rep.details["word_count"] == words
+    assert (rep.details["span_dim"], rep.details["gram_rank"]) == want
+    assert peak < 6 * 2**20, peak  # 37 MB with every word matrix kept
 
 
 def test_faithfulness_word_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError, match="MAX_GRAM_WORDS"):
         faithfulness_check(
             State.basis_vector(2, 0), GenSet({1: np.eye(2), 2: np.eye(2)}), degree=9
         )
