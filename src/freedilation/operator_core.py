@@ -149,7 +149,7 @@ class State:
 
     def __post_init__(self):
         if self.kind == "vector":
-            v = np.asarray(self.vector, dtype=complex).reshape(-1)
+            v = np.ascontiguousarray(self.vector, dtype=complex).reshape(-1)
             if not np.all(np.isfinite(v.view(float))):
                 raise StateError("state vector contains NaN or Inf")
             nrm = float(np.linalg.norm(v))

@@ -17,6 +17,7 @@ from freedilation.ncprob import GenSet, Word, ordered_words
 from freedilation.operator_core import (
     ContractionError,
     Embedding,
+    State,
     adjoint,
     compress,
     operator_norm,
@@ -100,6 +101,16 @@ def test_doubly_commuting_dilation_pair():
         for kb in range(-2, 3):
             r = verify_power_dilation(res, Word.from_runs([(1, ka), (2, kb)]))
             assert r < 1e-10, (ka, kb, r)
+
+
+def test_state_from_a_strided_isometry_column():
+    # a column of a doubly dilation's isometry is a strided view
+    res = doubly_commuting_dilation([np.diag([0.5, 0.2]), np.diag([0.3, -0.1])], 2)
+    xi = res.embedding.isometry[:, 0]
+    assert not xi.flags.c_contiguous
+    state = State.from_vector(xi)
+    assert state.vector.flags.c_contiguous
+    np.testing.assert_array_equal(state.vector, xi)
 
 
 def test_doubly_commuting_rejects_noncommuting():

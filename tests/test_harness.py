@@ -645,7 +645,9 @@ def test_suite_counters_in_free_and_dense_modes():
     tensor = Scenario(mode="tensor", factors=factors * 2, degree=1, check_degree=2, samples=5)
     details = run_theorem_suite(tensor, subset=("tensor_independence",)).checks[1]["details"]
     assert details["commutators"] == 2  # [A_1, A_2] and [A_1*, A_2]
-    assert details["letters_applied"] == 2 * 6 * (5 + 1)  # the word moments, then each sample
+    # the word moments, then the 5 samples side by side in one sample panel
+    assert details["letters_applied"] == 2 * 6 * (1 + 1)
+    assert details["panel_bytes"] == 5 * 16 * 16  # 5 one-column samples at dim 4 * 4
     doubly = Scenario(mode="doubly", factors=factors * 3, degree=1)
     details = run_theorem_suite(doubly, subset=("double_commutation",)).checks[1]["details"]
     assert details == {"operators": 3, "commutators": 6}  # [A_i, A_j] and [A_i*, A_j] per pair

@@ -372,7 +372,7 @@ def test_tensor_factorization_matches_reference():
     assert not rep.passed and type(rep.residual) is float
     assert rep.witness == {"part": "factorization", "sample": sample, "seed": 3}
     assert abs(rep.residual - worst) <= 1e-12
-    assert rep.details["letters_applied"] == 2 * 6 * (20 + 1)
+    assert rep.details["letters_applied"] == 2 * 6 * (1 + 1)  # one panel holds all 20 samples
 
 
 def test_make_tensor_independent_dim_cap():
@@ -420,6 +420,96 @@ def test_free_independence_matches_nested_loops(twin):
     if twin:
         assert got.witness == want.witness
     assert got.details["letters_applied"] > 0
+
+
+def _panel_state(rng, dim, kind):
+    """A unit vector, a full-rank density, or a density with one zero
+    eigenvalue in a random eigenbasis: one, ``dim`` or ``dim - 1`` columns."""
+    if kind == "vector":
+        return random_state(rng, dim)
+    w = rng.uniform(0.2, 1.0, dim)
+    if kind == "kernel":
+        w[0] = 0.0
+    u = random_unitary(rng, dim)
+    return State.from_density(u @ np.diag(w / w.sum()).astype(complex) @ adjoint(u))
+
+
+PANEL_COLUMNS = {"vector": 1, "density": 3, "kernel": 2}
+
+
+@pytest.mark.parametrize("kind", PANEL_COLUMNS)
+def test_free_independence_sample_panels_match_nested_loops(kind):
+    # two random contractions are far from free, and the random pass sets the
+    # worst residual: each sample's moment is read from its own panel columns
+    rng = np.random.default_rng(31)
+    gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
+    state = _panel_state(rng, 3, kind)
+    args = dict(max_len=3, degree=2, samples=7, tol=1e-9, seed=5)
+    got = free_independence_check(state, gens, **args)
+    want = nested_free_independence_check(state, gens, **args)
+    assert got.witness["part"] == "random"
+    assert abs(got.residual - want.residual) <= 1e-12
+    assert got.witness == want.witness
+    assert got.details["panel_bytes"] == 7 * PANEL_COLUMNS[kind] * 3 * 16
+
+
+@pytest.mark.parametrize("kind", PANEL_COLUMNS)
+def test_tensor_factorization_sample_panels_match_reference(kind):
+    rng = np.random.default_rng(32)
+    gens = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
+    state = _panel_state(rng, 3, kind)
+    rep = tensor_independence_check(state, gens, degree=2, samples=9, seed=6)
+    worst, sample = nested_tensor_factorization(state, gens, degree=2, samples=9, seed=6)
+    assert abs(rep.residual - worst) <= 1e-12
+    assert rep.witness == {"part": "factorization", "sample": sample, "seed": 6}
+    assert rep.details["panel_bytes"] == 9 * PANEL_COLUMNS[kind] * 3 * 16
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("kind", ["vector", "kernel"])
+def test_sample_chunks_give_the_one_panel_result(kind, columns):
+    # a sample panel bound of one or two state columns splits the samples
+    # into chunks of one or two
+    rng = np.random.default_rng(33)
+    free = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
+    diag = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
+    state = _panel_state(rng, 3, kind)
+
+    def run():
+        return (
+            free_independence_check(state, free, max_len=3, degree=2, samples=7, seed=5),
+            tensor_independence_check(state, diag, degree=2, samples=7, seed=6),
+        )
+
+    whole = run()
+    with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", columns * 3 * 16):
+        chunked = run()
+    per_chunk = max(1, columns // PANEL_COLUMNS[kind])  # 7 samples: 1 * 7 or 1 + 2 + 2 + 2
+    for one, many in zip(whole, chunked):
+        assert many.residual == pytest.approx(one.residual, rel=1e-12, abs=1e-15)
+        assert many.witness == one.witness
+        assert many.details["panel_bytes"] == per_chunk * PANEL_COLUMNS[kind] * 3 * 16
+        assert many.details["letters_applied"] > one.details["letters_applied"]
+
+
+def test_sampled_pass_is_bounded_in_bytes():
+    # free_pair's model: dim 241, so 33 samples fit in a sample panel, and
+    # the 100 samples of a sequence run as four chunks of 25
+    scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
+    fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 4)
+    assert fds.dim == 241
+    args = dict(max_len=4, degree=3, samples=100, seed=1)
+    free_independence_check(fds.vacuum, fds.unitaries, max_len=2, degree=1, samples=1)
+    tracemalloc.start()
+    try:
+        rep = free_independence_check(fds.vacuum, fds.unitaries, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert rep.details["panel_bytes"] == 25 * 241 * 16
+    # 1.0 MB in four chunks of 25; one panel of all 100 samples peaks at 3.9 MB
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_trace_check_positive_maximally_mixed():
