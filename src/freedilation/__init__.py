@@ -25,10 +25,6 @@ from .operator_core import (
     random_unitary,
 )
 from .serialization import (
-    dump_matrix,
-    dump_state,
-    load_matrix,
-    load_state,
     matrix_from_obj,
     matrix_to_obj,
     state_from_obj,
@@ -73,7 +69,6 @@ from .free_product import (
     FreeDilationScenario,
     PointedSpace,
     build_fock,
-    fock_dimension,
     free_unitary_dilation,
     left_representation,
     restricted_unitarity_residual,

@@ -6,6 +6,15 @@ compression to the original space reproduces ``T^k`` and ``(T*)^k`` for all
 ``0 <= k <= N``.  Powers beyond ``N`` wrap around the cycle, so every verifier
 here carries the degree as an explicit exactness budget and refuses words
 outside it.
+
+The doubly commuting construction iterates it (Sz.-Nagy and Foias,
+*Harmonic Analysis of Operators on Hilbert Space*): step ``j`` dilates the
+current ``j``-th operator on a new ``C^{N+1}`` leg and ampliates the others
+by ``I (x) .``.  The defect of ``I (x) T`` is ``I (x) D_T``, so the dilation
+of an ampliated operator is the small dilation ``Dil(T)`` on its new leg and
+the ``C^d`` leg, and the identity on the legs between them.  Every ``U_j`` is
+therefore kept as that small dilation acting on two tensor legs, an
+:class:`~.operator_core.AxisAction`, never as a matrix of the ambient space.
 """
 
 from __future__ import annotations
@@ -15,17 +24,31 @@ from typing import Sequence
 
 import numpy as np
 
-from .ncprob import BudgetError, GenSet, Word, apply_word, commutator_norms, worst_commutator
+from .ncprob import (
+    BudgetError,
+    GenSet,
+    Word,
+    _Sweep,
+    apply_word,
+    commutator_norms,
+    worst_commutator,
+)
 from .operator_core import (
     DEFAULT_TOL,
+    AxisAction,
     ContractionError,
     Embedding,
     adjoint,
     as_matrix,
     check_dim_cap,
     defect_pair,
+    identity_panel,
     operator_norm,
 )
+
+# bytes of the stacked ``J* w(U) J - w(T)`` differences whose norms are
+# taken together; their Grams take as much again
+IDENTITY_STACK_BYTES = 128 * 2**10
 
 
 class NotDoublyCommutingError(ValueError):
@@ -60,15 +83,21 @@ class DilationResult:
 
 def unitarity_residual(gens: GenSet, factor: int, cols: Sequence[int] | None = None) -> float:
     """``||(U*U - I) P||`` for ``U = gens[factor]`` and ``P`` the identity
-    columns ``cols`` (default all), applied to that panel, never as a dense
-    product.  On a strict subset of the columns ``||(U U* - I) P||`` counts
-    too; on all columns of a square ``U`` the two norms coincide."""
+    columns ``cols``, applied to that panel, never as a dense product.
+
+    By default ``P`` is ``gens.support((factor,))``: all columns, or for an
+    axis action ``U = C (x) I`` the columns over its legs with every other leg
+    at 0, where the residual is exactly ``||C*C - I||``.  On explicit
+    ``cols`` that are a strict subset of the columns ``||(U U* - I) P||``
+    counts too; on a complete panel the two norms coincide, ``C`` being
+    square.
+    """
     dim = gens.dim
-    cols = np.arange(dim) if cols is None else np.asarray(cols, dtype=int)
-    panel = np.zeros((dim, cols.size), dtype=complex)
-    panel[cols, np.arange(cols.size)] = 1.0
+    full = cols is None
+    cols = gens.support((factor,)) if full else np.asarray(cols, dtype=int)
+    panel = identity_panel(dim, cols)
     u, u_star = (factor, False), (factor, True)
-    words = [Word((u_star, u))] + ([Word((u, u_star))] if cols.size < dim else [])
+    words = [Word((u_star, u))] + ([] if full or cols.size == dim else [Word((u, u_star))])
     return max(operator_norm(apply_word(w, gens, panel) - panel) for w in words)
 
 
@@ -122,15 +151,26 @@ def doubly_commuting_dilation(
 ) -> DilationResult:
     """Simultaneous unitary dilation of a doubly commuting tuple.
 
-    Iterates the single-operator construction: at step ``j`` the current
-    ``j``-th operator is replaced by its dilation while every other operator is
-    ampliated by ``I_{N+1} (x) .``; double commutation survives each step
+    The iterated single-operator construction: at step ``j`` the current
+    ``j``-th operator is replaced by its dilation while every other operator
+    is ampliated by ``I_{N+1} (x) .``; double commutation survives each step
     because the defect operators are functions of the dilated factor alone.
+
+    The ambient space is ``C^{N+1} (x) ... (x) C^{N+1} (x) C^d``, one leg per
+    factor with factor ``n`` on leg 0 and factor 1 on leg ``n - 1``, since
+    each step puts its new leg in front, and ``C^d`` last.  At step ``j`` the
+    operator ``T_j`` has been ampliated to ``I_m (x) T_j``, whose defects are
+    ``I_m (x) D_{T_j}`` and ``I_m (x) D_{T_j*}``: every block of its dilation
+    is ``I_m (x)`` the block of ``Dil(T_j)``, and the later steps ampliate the
+    result again.  So ``U_j`` is ``Dil(T_j)`` on the legs ``(n - j, n)``,
+    factor ``j``'s own ``C^{N+1}`` leg and the ``C^d`` leg, and the identity
+    on every other leg: an :class:`~.operator_core.AxisAction` that holds the
+    ``(N+1) d x (N+1) d`` matrix ``Dil(T_j)`` and its adjoint.
     """
     inputs = GenSet(dict(enumerate(ts, start=1)))
     ops = list(inputs.mats.values())
-    d = inputs.dim
-    check_dim_cap((n_degree + 1) ** len(ops) * d, "doubly commuting dilation")
+    d, n, nb = inputs.dim, len(ops), n_degree + 1
+    check_dim_cap(nb**n * d, "doubly commuting dilation")
     for t in ops:
         norm = operator_norm(t)
         if norm > 1.0 + tol:
@@ -139,37 +179,71 @@ def doubly_commuting_dilation(
         if residual > tol:
             raise NotDoublyCommutingError(i, j, residual, starred)
 
-    eye_nb = np.eye(n_degree + 1, dtype=complex)
-    for j in range(len(ops)):
-        big = finite_unitary_dilation(ops[j], n_degree, tol).gens[1]
-        ops = [big if i == j else np.kron(eye_nb, op) for i, op in enumerate(ops)]
-
+    legs = (nb,) * n + (d,)
+    gens = {
+        j: AxisAction(legs, (n - j, n), finite_unitary_dilation(t, n_degree, tol).gens[1])
+        for j, t in enumerate(ops, start=1)
+    }
     # each step keeps the previous space as its block 0: the original space
     # is the span of the first d coordinates
     return DilationResult(
-        gens=GenSet.of_finite(dict(enumerate(ops, start=1))),
+        gens=GenSet(gens),
         contractions=inputs,
-        embedding=Embedding.coordinate(ops[0].shape[0], range(d)),
+        embedding=Embedding.coordinate(nb**n * d, range(d)),
         degree=n_degree,
     )
 
 
 def double_commutation_residual(gens: GenSet) -> float:
-    """Max over pairs of ``||[A_i, A_j]||`` and ``||[A_i*, A_j]||``."""
+    """Max over pairs of ``||[A_i, A_j]||`` and ``||[A_i*, A_j]||``, each on
+    the pair's support columns (:func:`~.ncprob.commutator_norms`): for two
+    axis actions on common legs, the columns over the union of their legs,
+    where the norm is exact."""
     return worst_commutator(gens)[0]
 
 
-def identity_residual(gens: GenSet, contractions: GenSet, j: np.ndarray, word: Word) -> float:
-    """``||J* w(U) J - w(T)||``, with the word applied to the columns of the
-    isometry ``j`` and of the identity, never as a dense power."""
-    lhs = adjoint(j) @ apply_word(word, gens, j)
-    rhs = apply_word(word, contractions, np.eye(j.shape[1], dtype=complex))
-    return operator_norm(lhs - rhs)
+def dilation_residuals(
+    gens: GenSet, contractions: GenSet, j: np.ndarray, words: Sequence[Word]
+) -> tuple[np.ndarray, int]:
+    """``||J* w(U) J - w(T)||`` for every word, and the letters applied.
+
+    Two shared-suffix walks run side by side, :meth:`~.ncprob._Sweep.walk`
+    over the columns of the isometry ``j`` with the dilation ``gens`` and
+    over the identity with the ``contractions``; both visit the words in the
+    same order.  The ``d x d`` differences are stacked, at most
+    ``IDENTITY_STACK_BYTES`` of them at a time, and each stack's norms come
+    from one stacked ``eigvalsh`` of their Grams.  No word's matrix on the
+    ambient space is ever formed.
+    """
+    d = j.shape[1]
+    lhs, rhs = _Sweep(None, gens), _Sweep(None, contractions)
+    j_star = adjoint(j)
+    out = np.empty(len(words))
+    depth = max(1, min(len(words), IDENTITY_STACK_BYTES // (16 * d * d)))
+    stack = np.empty((depth, d, d), dtype=complex)
+    at: list[int] = []  # the word of each stacked difference
+
+    def norms() -> None:
+        diffs = stack[: len(at)]
+        w = np.linalg.eigvalsh(np.conj(diffs).transpose(0, 2, 1) @ diffs)
+        out[at] = np.sqrt(np.maximum(w[:, -1], 0.0))
+        at.clear()
+
+    walks = zip(lhs.walk(words, j), rhs.walk(words, np.eye(d, dtype=complex)))
+    for (i, left), (_, right) in walks:
+        np.subtract(j_star @ left, right, out=stack[len(at)])
+        at.append(i)
+        if len(at) == len(stack):
+            norms()
+    if at:
+        norms()
+    return out, lhs.letters + rhs.letters
 
 
 def verify_power_dilation(res: DilationResult, word: Word) -> float:
     """Residual of the ordered joint power-dilation identity
-    ``J* U_1(k_1) ... U_n(k_n) J = T_1(k_1) ... T_n(k_n)``.
+    ``J* U_1(k_1) ... U_n(k_n) J = T_1(k_1) ... T_n(k_n)``: the one-word case
+    of :func:`dilation_residuals`.
 
     The word's signed power runs must name factors in increasing order, one
     run each, with ``|k| <= degree``; other words raise :class:`BudgetError`,
@@ -187,4 +261,5 @@ def verify_power_dilation(res: DilationResult, word: Word) -> float:
     for f, k in runs:
         if abs(k) > res.degree:
             raise BudgetError(f"|power| {abs(k)} of factor {f} exceeds dilation degree {res.degree}")
-    return identity_residual(res.gens, res.contractions, res.embedding.isometry, word)
+    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, [word])
+    return float(residuals[0])

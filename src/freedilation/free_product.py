@@ -18,15 +18,16 @@ import numpy as np
 
 from .dilation import (
     DilationResult,
+    dilation_residuals,
     finite_unitary_dilation,
-    identity_residual,
     unitarity_residual,
 )
-from .ncprob import BudgetError, GenSet, LetterAction, Word
+from .ncprob import BudgetError, GenSet, Word
 from .operator_core import (
     DEFAULT_DIM_CAP,
     DEFAULT_TOL,
     Embedding,
+    LetterAction,
     State,
     adjoint,
     as_matrix,
@@ -129,11 +130,6 @@ def _fock_dims(complement_dims: Mapping[int, int]) -> Iterator[int]:
         ways = {
             i: complement_dims[i] * sum(ways[j] for j in ids if j != i) for i in ids
         }
-
-
-def fock_dimension(complement_dims: Mapping[int, int], max_len: int) -> int:
-    *_, dim = itertools.islice(_fock_dims(complement_dims), max_len + 1)
-    return dim
 
 
 def build_fock(
@@ -397,7 +393,8 @@ def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> flo
 
 def verify_free_dilation(fds: FreeDilationScenario, word: Word) -> float:
     """Residual of the free dilation identity
-    ``J* U_{i1}^{k1} ... U_{im}^{km} J = S_{i1}^{k1} ... S_{im}^{km}``.
+    ``J* U_{i1}^{k1} ... U_{im}^{km} J = S_{i1}^{k1} ... S_{im}^{km}``: the
+    one-word case of :func:`~.dilation.dilation_residuals`.
 
     Any factor sequence is allowed, with nonnegative powers, total power
     (the word's length) ``<= degree`` and at most ``trunc`` runs; other
@@ -415,4 +412,5 @@ def verify_free_dilation(fds: FreeDilationScenario, word: Word) -> float:
         raise BudgetError(
             f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
         )
-    return identity_residual(fds.unitaries, fds.s_ops, fds.embedding.isometry, word)
+    residuals, _ = dilation_residuals(fds.unitaries, fds.s_ops, fds.embedding.isometry, [word])
+    return float(residuals[0])

@@ -9,6 +9,7 @@ is byte-identical across runs with the same seed (timing fields excluded).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -23,16 +24,15 @@ import numpy as np
 from ._version import __version__
 from .dilation import (
     DilationResult,
+    dilation_residuals,
     doubly_commuting_dilation,
     finite_unitary_dilation,
     unitarity_residual,
-    verify_power_dilation,
 )
 from .free_product import (
     FreeDilationScenario,
     free_unitary_dilation,
     restricted_unitarity_residual,
-    verify_free_dilation,
 )
 from .ncprob import (
     MAX_ORACLE_LETTERS,
@@ -351,18 +351,21 @@ def _free_dims(model: Model) -> dict:
 
 
 def _check_unitarity(sc: Scenario, model: Model) -> CheckReport:
+    gens = model.gens
     if model.free is not None:
         residual = partial(restricted_unitarity_residual, model.free)
         witness = {"restricted_to": f"words shorter than {sc.trunc}"}
         columns = len(model.free.fock_k.short_indices())
+        # U*U and U U* on a strict subset of the columns
+        per_factor = 2
     else:
-        residual, witness = partial(unitarity_residual, model.gens), {}
-        columns = model.gens.dim
-    residuals = {i: residual(i) for i in model.gens.ids}
+        # U*U on each generator's support columns, where the norm is exact
+        residual, witness, per_factor = partial(unitarity_residual, gens), {}, 1
+        columns = max(len(gens.support((i,))) for i in gens.ids)
+    residuals = {i: residual(i) for i in gens.ids}
     witness["factor"] = max(residuals, key=residuals.get)  # the first of the worst
     worst = residuals[witness["factor"]]
-    # U*U on the column panel, and U U* too when the columns are a strict subset
-    words = len(residuals) * (1 if columns == model.gens.dim else 2)
+    words = per_factor * len(residuals)
     return CheckReport(
         name="unitarity",
         residual=worst,
@@ -381,16 +384,17 @@ def _check_unitarity(sc: Scenario, model: Model) -> CheckReport:
 def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     if model.free is not None:
         name = "dilation_identity"
-        words = alternating_words_within(
-            model.free.n_factors, min(sc.max_alt, sc.trunc), sc.degree
-        )
-        sweeps = [({}, partial(verify_free_dilation, model.free), words)]
+        fds = model.free
+        words = alternating_words_within(fds.n_factors, min(sc.max_alt, sc.trunc), sc.degree)
+        records = [({}, fds.unitaries, fds.s_ops, fds.embedding, words)]
     else:
         name = "power_dilation"
-        sweeps = [
+        records = [
             (
                 {"factor": i} if sc.mode == "tensor" else {},
-                partial(verify_power_dilation, res),
+                res.gens,
+                res.contractions,
+                res.embedding,
                 ordered_words(len(res.gens.ids), sc.degree),
             )
             for i, res in enumerate(model.dilations, start=1)
@@ -398,15 +402,14 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     worst = -1.0
     witness = None
     count = letters = 0
-    for where, verify, words in sweeps:
-        for w in words:
-            r = verify(w)
-            count += 1
-            # the word's letters, once on the dilation and once on the contractions
-            letters += 2 * len(w)
-            if r > worst:
-                worst = r
-                witness = {**where, "word": w.format()}
+    for where, gens, contractions, embedding, words in records:
+        residuals, applied = dilation_residuals(gens, contractions, embedding.isometry, words)
+        count += len(words)
+        letters += applied
+        at = int(np.argmax(residuals))  # the first word of the worst
+        if residuals[at] > worst:
+            worst = float(residuals[at])
+            witness = {**where, "word": words[at].format()}
     worst = max(worst, 0.0)
     return CheckReport(
         name=name,
@@ -506,16 +509,23 @@ def _check_faithfulness(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_double_commutation(sc: Scenario, model: Model) -> CheckReport:
-    res, witness = worst_commutator(model.gens)
-    n = len(model.gens.ids)
+    gens = model.gens
+    res, witness = worst_commutator(gens)
+    n = len(gens.ids)
+    pairs = itertools.combinations(gens.ids, 2)
     return CheckReport(
         name="double_commutation",
         residual=res,
         tol=sc.tol,
         passed=res <= sc.tol,
         witness=witness,
-        # ``[A_i, A_j]`` and ``[A_i*, A_j]`` for each pair
-        details={"operators": n, "commutators": n * (n - 1)},
+        # ``[A_i, A_j]`` and ``[A_i*, A_j]`` for each pair, on the pair's
+        # support columns; ``columns`` is the widest such panel
+        details={
+            "operators": n,
+            "commutators": n * (n - 1),
+            "columns": max((len(gens.support(p)) for p in pairs), default=0),
+        },
     )
 
 
@@ -580,14 +590,18 @@ def run_theorem_suite(sc: Scenario, subset: Sequence[str] | None = None) -> Repo
             "tol": sc.tol,
             "passed": True,
             "witness": None,
-            "details": {"ambient_dim": model.gens.dim, "mode": sc.mode},
+            # the bytes of the generators the model holds: in free mode the
+            # dilated and the original factors' letter actions
+            "details": {
+                "ambient_dim": model.gens.dim,
+                "mode": sc.mode,
+                "gen_bytes": model.gens.nbytes
+                + (model.free.s_ops.nbytes if model.free is not None else 0),
+            },
         }
         if model.free is not None:
             construction["details"]["fock_dim"] = model.free.dim
             construction["details"]["base_fock_dim"] = model.free.fock_h.dim
-            construction["details"]["gen_bytes"] = (
-                model.free.unitaries.nbytes + model.free.s_ops.nbytes
-            )
         construction["seconds"] = round(time.perf_counter() - t0, 6)
         entries.append(construction)
     except (ValueError, KeyError) as exc:

@@ -18,7 +18,16 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .operator_core import State, adjoint, as_matrix, check_dim_cap, operator_norm
+from .operator_core import (
+    AxisAction,
+    LetterAction,
+    State,
+    adjoint,
+    as_matrix,
+    check_dim_cap,
+    identity_panel,
+    operator_norm,
+)
 
 MAX_PARTITION_SIZE = 12
 MAX_ORACLE_LETTERS = 16
@@ -157,20 +166,6 @@ def parse_word(text: str) -> Word:
 Combination = tuple[Sequence[Word], Sequence[complex]]
 
 
-class LetterAction:
-    """A generator given by how it acts, not by a stored matrix.
-
-    :meth:`apply` returns the generator, or with ``star`` its adjoint,
-    applied to a vector or to the columns of a panel; ``shape`` is the
-    generator's and ``nbytes`` counts the data the action holds."""
-
-    shape: tuple[int, int]
-    nbytes: int
-
-    def apply(self, panel: np.ndarray, star: bool) -> np.ndarray:
-        raise NotImplementedError
-
-
 def _apply_dense(m: np.ndarray, panel: np.ndarray, star: bool) -> np.ndarray:
     """A starred letter is ``conj(m.T @ conj(panel))``, which equals
     ``m* @ panel`` without forming the adjoint."""
@@ -243,6 +238,25 @@ class GenSet:
         """Bytes the generators hold: their matrices or their actions' data."""
         return sum(m.nbytes for m in self.mats.values())
 
+    def support(self, factors: Iterable[int]) -> np.ndarray:
+        """The identity columns on which every product of the letters of
+        ``factors`` shows its full norm.
+
+        When the factors are axis actions on the same legs, a product of
+        their letters is ``K (x) I`` with ``K`` on the union of their legs,
+        so its columns over those legs, with every other leg at
+        index 0, hold a copy of ``K`` and nothing else: there
+        ``||(K (x) I) P|| = ||K||`` and ``||(K (x) I - I) P|| = ||K - I||``,
+        exactly.  Any other generators give all columns.
+        """
+        acts = [self[f] for f in factors]
+        legs = acts[0].legs if isinstance(acts[0], AxisAction) else None
+        if legs is None or any(not isinstance(a, AxisAction) or a.legs != legs for a in acts):
+            return np.arange(self.dim)
+        used = set().union(*(a.axes for a in acts))
+        grid = np.arange(self.dim).reshape(legs)
+        return grid[tuple(slice(None) if k in used else 0 for k in range(len(legs)))].ravel()
+
     def __getitem__(self, factor: int) -> np.ndarray | LetterAction:
         try:
             return self.mats[factor]
@@ -301,10 +315,11 @@ class _Sweep:
     once.
     """
 
-    def __init__(self, state: State, gens: GenSet):
+    def __init__(self, state: State | None, gens: GenSet):
         self.gens = gens
-        self.panel, self.weights = _state_panel(state)
-        self._conj_panel = np.conj(self.panel)
+        if state is not None:  # a bare sweep walks only the panels it is given
+            self.panel, self.weights = _state_panel(state)
+            self._conj_panel = np.conj(self.panel)
         self.letters = 0
         self.panel_bytes = 0
 
@@ -541,14 +556,22 @@ def _derive_rng(seed: int, *salt: int) -> np.random.Generator:
 
 
 def commutator_norms(gens: GenSet) -> Iterator[tuple[int, int, float, bool]]:
-    """``(i, j, norm, starred)`` for each pair ``i < j`` of matrix
-    generators: ``||[A_i, A_j]||`` first, then ``||[A_i*, A_j]||``; lazy, so
-    a caller can stop early.  The pair's other two commutators are these up
-    to adjoint and sign."""
+    """``(i, j, norm, starred)`` for each pair ``i < j`` of generators:
+    ``||[A_i, A_j]||`` first, then ``||[A_i*, A_j]||``; lazy, so a caller
+    can stop early.  The pair's other two commutators are these up to
+    adjoint and sign.
+
+    Each commutator is applied by letters to the identity columns of
+    ``gens.support((i, j))``, where its norm is exact: on axis actions that
+    share legs the commutator is ``K (x) I``, with ``K`` on the union of the
+    pair's legs, and those columns hold ``K``; otherwise they are all
+    columns.
+    """
     for i, j in itertools.combinations(gens.ids, 2):
-        x, y = gens[i], gens[j]
-        yield i, j, operator_norm(x @ y - y @ x), False
-        yield i, j, operator_norm(adjoint(x) @ y - y @ adjoint(x)), True
+        panel = identity_panel(gens.dim, gens.support((i, j)))
+        for star in (False, True):
+            x, y = Word(((i, star), (j, False))), Word(((j, False), (i, star)))
+            yield i, j, operator_norm(apply_word(x, gens, panel) - apply_word(y, gens, panel)), star
 
 
 def worst_commutator(gens: GenSet) -> tuple[float, dict | None]:
@@ -1092,20 +1115,15 @@ def make_tensor_independent(factors: Sequence[tuple[np.ndarray, State]]) -> tupl
     """Ampliate factors onto the tensor product space with the product state.
 
     Returns the generators keyed 1..n and the joint state; tensor
-    independence holds by construction.
+    independence holds by construction.  Generator ``i`` is the ampliation
+    ``I (x) ... (x) T_i (x) ... (x) I``, kept as an :class:`AxisAction` of
+    ``T_i`` on leg ``i - 1``, never as a matrix of the product space.
     """
     mats = [as_matrix(t) for t, _ in factors]
     states = [s for _, s in factors]
     dims = [m.shape[0] for m in mats]
     check_dim_cap(math.prod(dims), "tensor product")
-
-    ampliated: dict[int, np.ndarray] = {}
-    for i, m in enumerate(mats):
-        before, after = math.prod(dims[:i]), math.prod(dims[i + 1 :])
-        ampliated[i + 1] = np.kron(
-            np.eye(before, dtype=complex), np.kron(m, np.eye(after, dtype=complex))
-        )
-    gens = GenSet(ampliated)
+    gens = GenSet({i: AxisAction(dims, (i - 1,), m) for i, m in enumerate(mats, start=1)})
 
     if all(s.kind == "vector" for s in states):
         vec = np.array([1.0 + 0.0j])

@@ -1,8 +1,11 @@
-"""Dense complex operator arithmetic: defects, compressions, embeddings, states.
+"""Dense complex operator arithmetic: defects, compressions, embeddings, states,
+and operators given by how they act.
 
 Everything operates on plain ``numpy`` arrays of ``complex128``; a "matrix" is a
 2-d array, a vector a 1-d array.  All functions are pure and never mutate their
-arguments, so values can be shared freely across workers.
+arguments, so values can be shared freely across workers.  A
+:class:`LetterAction` applies an operator without storing its matrix; an
+:class:`AxisAction` is a small core acting on some legs of a tensor product.
 
 Tolerances are explicit parameters with documented defaults; residuals are
 returned or raised inside errors rather than hidden behind booleans.
@@ -10,7 +13,10 @@ returned or raised inside errors rather than hidden behind booleans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -90,6 +96,89 @@ def defect_pair(t: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np
     s[1.0 - s <= 8 * t.shape[0] * np.finfo(float).eps] = 1.0
     d = np.sqrt((1.0 - s) * (1.0 + s))
     return (adjoint(vh) * d) @ vh, (w * d) @ adjoint(w)
+
+
+class LetterAction:
+    """A generator given by how it acts, not by a stored matrix.
+
+    :meth:`apply` returns the generator, or with ``star`` its adjoint,
+    applied to a vector or to the columns of a panel; ``shape`` is the
+    generator's and ``nbytes`` counts the data the action holds."""
+
+    shape: tuple[int, int]
+    nbytes: int
+
+    def apply(self, panel: np.ndarray, star: bool) -> np.ndarray:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True, eq=False)
+class AxisAction(LetterAction):
+    """A generator that acts as a small square ``core`` on some tensor legs
+    of its space and as the identity on the others.
+
+    The space is ``C^{legs[0]} (x) C^{legs[1]} (x) ...``, the first leg the
+    most significant in a coordinate; ``axes`` names the legs the core acts
+    on, in increasing order, and the core's rows and columns run over those
+    legs in the same order.  A letter views the panel as one array with an
+    axis per leg, moves the acted legs next to the last of them and takes one
+    ``core @ x``, broadcast over the legs in front; when the acted legs are
+    adjacent nothing moves and the panel is not copied.
+    """
+
+    legs: tuple[int, ...]
+    axes: tuple[int, ...]
+    core: np.ndarray
+    core_star: np.ndarray = field(init=False, repr=False)  # for starred letters
+
+    def __post_init__(self):
+        legs, axes = tuple(map(int, self.legs)), tuple(map(int, self.axes))
+        if not axes or list(axes) != sorted(set(axes)) or not 0 <= axes[0] <= axes[-1] < len(legs):
+            raise ValueError(f"axes {axes} must be increasing legs of {legs}")
+        core = as_matrix(self.core)
+        size = math.prod(legs[a] for a in axes)
+        if core.shape != (size, size):
+            raise ValueError(f"core of shape {core.shape} does not act on legs {axes} of {legs}")
+        rest = [k for k in range(len(legs)) if k not in axes]
+        front = [k for k in rest if k < axes[-1]]
+        back = [k for k in rest if k > axes[-1]]
+        perm = (*front, *axes, *back, len(legs))  # the column axis stays last
+        keep = partial(object.__setattr__, self)
+        keep("legs", legs)
+        keep("axes", axes)
+        keep("core", core)
+        keep("core_star", adjoint(core).copy())
+        # the legs in front of the acted block, its size, and the legs behind it
+        keep("_block", (math.prod(legs[k] for k in front), size, math.prod(legs[k] for k in back)))
+        keep("_perm", perm)
+        keep("_inverse", tuple(np.argsort(perm)))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = math.prod(self.legs)
+        return (dim, dim)
+
+    @property
+    def nbytes(self) -> int:
+        return self.core.nbytes + self.core_star.nbytes
+
+    def apply(self, panel: np.ndarray, star: bool) -> np.ndarray:
+        if panel.shape[:1] != self.shape[:1]:
+            raise ValueError(f"operand of shape {panel.shape} does not match dim {self.shape[0]}")
+        core = self.core_star if star else self.core
+        before, size, after = self._block
+        cols = math.prod(panel.shape[1:])
+        x = panel.reshape(*self.legs, cols).transpose(self._perm)
+        y = np.matmul(core, x.reshape(before, size, after * cols))
+        return y.reshape(x.shape).transpose(self._inverse).reshape(panel.shape)
+
+
+def identity_panel(dim: int, cols: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The identity columns ``cols`` of ``C^dim``, as a ``dim x len(cols)`` panel."""
+    cols = np.asarray(cols, dtype=np.intp)
+    panel = np.zeros((dim, cols.size), dtype=complex)
+    panel[cols, np.arange(cols.size)] = 1.0
+    return panel
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ scalar.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .operator_core import State, as_matrix
@@ -62,23 +60,3 @@ def state_from_obj(obj: dict, tol: float = 1e-8) -> State:
         rho = matrix_from_obj({"rows": dim, "cols": dim, "data": data})
         return State.from_density(rho, tol=tol)
     raise ValueError(f"unknown state kind {kind!r}")
-
-
-def dump_matrix(m: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_obj(m), fh, allow_nan=False)
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return matrix_from_obj(json.load(fh))
-
-
-def dump_state(s: State, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_obj(s), fh, allow_nan=False)
-
-
-def load_state(path, tol: float = 1e-8) -> State:
-    with open(path, encoding="utf-8") as fh:
-        return state_from_obj(json.load(fh), tol=tol)

@@ -5,11 +5,20 @@ It walks every basis word and writes the image of its first letter into a
 ``dim x dim`` matrix, so it is meant for small Fock spaces only.
 """
 
+import itertools
+
 import numpy as np
 
-from freedilation.free_product import FockBasis
-from freedilation.ncprob import LetterAction
+from freedilation.free_product import FockBasis, _fock_dims
+from freedilation.operator_core import LetterAction
 from freedilation.operator_core import adjoint, as_matrix
+
+
+def fock_dimension(complement_dims, max_len):
+    """Dimension of the free product of spaces with these complement
+    dimensions, truncated at words of ``max_len`` letters."""
+    *_, dim = itertools.islice(_fock_dims(complement_dims), max_len + 1)
+    return dim
 
 
 def dense_left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> np.ndarray:

@@ -13,7 +13,7 @@ from freedilation.dilation import (
     unitarity_residual,
     verify_power_dilation,
 )
-from freedilation.ncprob import GenSet, Word, ordered_words
+from freedilation.ncprob import GenSet, Word, evaluate_word, ordered_words
 from freedilation.operator_core import (
     ContractionError,
     Embedding,
@@ -24,6 +24,8 @@ from freedilation.operator_core import (
     random_contraction,
     random_unitary,
 )
+
+from kron_oracle import kron_doubly_dilation
 
 SQ75 = 0.8660254037844386  # sqrt(1 - 0.25)
 
@@ -161,7 +163,7 @@ def _dense_residual(res, runs):
     big = np.eye(res.ambient_dim, dtype=complex)
     small = np.eye(res.embedding.small_dim, dtype=complex)
     for f, k in runs:
-        big = big @ _dense_power(res.gens[f], k)
+        big = big @ _dense_power(evaluate_word(Word(((f, False),)), res.gens), k)
         small = small @ _dense_power(res.contractions[f], k)
     return operator_norm(compress(big, res.embedding) - small)
 
@@ -259,14 +261,15 @@ def _dense_unitarity(u):
 def test_unitarity_residual_matches_dense_reference():
     rng = np.random.default_rng(34)
     a, b = _commuting_normal_pair(rng, 2)
-    for res in (
-        finite_unitary_dilation(random_contraction(rng, 3), 3),
-        doubly_commuting_dilation([a, b], 2),
+    single = finite_unitary_dilation(random_contraction(rng, 3), 3)
+    for res, dense in (
+        (single, [single.gens[1]]),
+        (doubly_commuting_dilation([a, b], 2), kron_doubly_dilation([a, b], 2)),
     ):
         for f in res.gens.ids:
             got = unitarity_residual(res.gens, f)
             assert got <= 1e-14
-            assert got == pytest.approx(_dense_unitarity(res.gens[f]), abs=1e-15)
+            assert got == pytest.approx(_dense_unitarity(dense[f - 1]), abs=1e-15)
         assert res.unitarity_residual() == max(
             unitarity_residual(res.gens, f) for f in res.gens.ids
         )

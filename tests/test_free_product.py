@@ -12,7 +12,6 @@ from freedilation.free_product import (
     FockDimensionError,
     PointedSpace,
     build_fock,
-    fock_dimension,
     free_unitary_dilation,
     left_representation,
     restricted_unitarity_residual,
@@ -27,7 +26,7 @@ from freedilation.ncprob import (
 )
 from freedilation.operator_core import State, adjoint, compress, operator_norm
 
-from fock_oracle import dense, dense_left_representation
+from fock_oracle import dense, dense_left_representation, fock_dimension
 
 
 def _scalar_pair(n_degree=3, trunc=4):

@@ -630,7 +630,8 @@ def test_suite_counters_in_free_and_dense_modes():
     assert entries["dilation_identity"]["details"] == {
         "degree": 3,
         "words": len(words),
-        "letters_applied": sum(2 * sum(k for _, k in w.runs()) for w in words),
+        # each distinct suffix once, on the dilation and on the contractions
+        "letters_applied": 2 * len({w.letters[k:] for w in words for k in range(len(w))}),
         "fock_dim": 241,
         "fock_h_dim": 1,
     }
@@ -650,7 +651,32 @@ def test_suite_counters_in_free_and_dense_modes():
     assert details["panel_bytes"] == 5 * 16 * 16  # 5 one-column samples at dim 4 * 4
     doubly = Scenario(mode="doubly", factors=factors * 3, degree=1)
     details = run_theorem_suite(doubly, subset=("double_commutation",)).checks[1]["details"]
-    assert details == {"operators": 3, "commutators": 6}  # [A_i, A_j] and [A_i*, A_j] per pair
+    # [A_i, A_j] and [A_i*, A_j] per pair, on the columns over the pair's two
+    # C^2 legs and the C^2 leg they share
+    assert details == {"operators": 3, "commutators": 6, "columns": 2 * 2 * 2}
+
+
+def test_construction_reports_generator_bytes_in_every_mode():
+    rng = np.random.default_rng(7)
+    factors = [(np.diag(rng.uniform(-0.8, 0.8, 2)).astype(complex), State.basis_vector(2, 0))] * 3
+    for sc in (
+        ingest(SCENARIOS / "single_half.json"),
+        ingest(SCENARIOS / "doubly_diag.json"),
+        Scenario(mode="doubly", factors=factors, degree=2),
+        Scenario(mode="tensor", factors=factors[:2], degree=2),
+    ):
+        construction, power = run_theorem_suite(sc, subset=("power_dilation",)).to_obj()["checks"]
+        model = build_model(sc)
+        details = construction["details"]
+        assert details["gen_bytes"] == model.gens.nbytes
+        if sc.mode != "single":  # axis actions: two small cores per generator, no dense matrix
+            assert details["gen_bytes"] < len(model.gens.ids) * 16 * details["ambient_dim"] ** 2
+        # the sweeps' letters: each distinct suffix once on each side of the identity
+        suffixes = [
+            {w.letters[k:] for w in ordered_words(len(r.gens.ids), sc.degree) for k in range(len(w))}
+            for r in model.dilations
+        ]
+        assert power["details"]["letters_applied"] == sum(2 * len(s) for s in suffixes)
 
 
 def test_traced_suite_names_resolve():

@@ -5,15 +5,31 @@ import pytest
 
 from freedilation.operator_core import State
 from freedilation.serialization import (
-    dump_matrix,
-    dump_state,
-    load_matrix,
-    load_state,
     matrix_from_obj,
     matrix_to_obj,
     state_from_obj,
     state_to_obj,
 )
+
+
+def dump_matrix(m, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(matrix_to_obj(m), fh, allow_nan=False)
+
+
+def load_matrix(path):
+    with open(path, encoding="utf-8") as fh:
+        return matrix_from_obj(json.load(fh))
+
+
+def dump_state(s, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state_to_obj(s), fh, allow_nan=False)
+
+
+def load_state(path):
+    with open(path, encoding="utf-8") as fh:
+        return state_from_obj(json.load(fh))
 
 
 def test_matrix_round_trip_is_bit_exact():
