@@ -51,6 +51,7 @@ from .ncprob import (
     free_cumulants,
     free_independence_check,
     free_mixed_moment_oracle,
+    free_mixed_moments,
     haar_unitary_marginal,
     make_tensor_independent,
     matrix_marginal,

@@ -32,7 +32,7 @@ from .ncprob import (
     BudgetError,
     Word,
     free_cumulants,
-    free_mixed_moment_oracle,
+    free_mixed_moments,
     matrix_marginal,
     moments_from_cumulants,
     noncrossing_partitions,
@@ -193,8 +193,8 @@ def _cmd_oracle(args) -> int:
     for w in words:
         moment_budget_check(sc, w)
     try:
-        oracle = [free_mixed_moment_oracle(marginals, w) for w in words]
-    except ValueError as exc:  # a word over the oracle's letter cap
+        oracle, _ = free_mixed_moments(marginals, words)
+    except ValueError as exc:  # a word over the oracle's letter cap, before any recursion
         raise IngestError(str(exc)) from None
     vacuum = word_moments(model.state, model.gens, words)
     results = []

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +42,10 @@ GRAM_BLOCK_BYTES = 64 * 2**20
 # bytes of one sample panel: the chunk of random samples a sampled
 # certificate applies side by side
 SAMPLE_PANEL_BYTES = 128 * 2**10
+# bytes of the free mixed moment oracle's memo, at 256 B an entry: a key of
+# ``MAX_ORACLE_LETTERS`` letters (168 B), its complex value (32 B) and its
+# dict slot; free_pair's 4,468 entries take 1.1 MiB and never clear it
+ORACLE_MEMO_BYTES = 2 * 2**20
 
 
 class BudgetError(ValueError):
@@ -50,21 +55,6 @@ class BudgetError(ValueError):
 
 # ---------------------------------------------------------------------------
 # words and combinations
-
-
-# a factor block: (factor id, star flags of its consecutive letters)
-Block = tuple[int, tuple[bool, ...]]
-
-
-def _merge_blocks(blocks: Iterable[Block]) -> tuple[Block, ...]:
-    """Concatenate adjacent blocks of the same factor."""
-    out: list[Block] = []
-    for f, stars in blocks:
-        if out and out[-1][0] == f:
-            out[-1] = (f, out[-1][1] + stars)
-        else:
-            out.append((f, stars))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -121,9 +111,11 @@ class Word:
                 out.append((f, step))
         return tuple(out)
 
-    def blocks(self) -> tuple[Block, ...]:
-        """Maximal same-factor blocks (stars may mix inside a block)."""
-        return _merge_blocks((f, (s,)) for f, s in self.letters)
+    def blocks(self) -> tuple[tuple[int, tuple[bool, ...]], ...]:
+        """Maximal same-factor blocks, as ``(factor id, star flags of its
+        consecutive letters)`` (stars may mix inside a block)."""
+        runs = itertools.groupby(self.letters, key=itemgetter(0))
+        return tuple((f, tuple(s for _, s in run)) for f, run in runs)
 
     def format(self) -> str:
         """Signed power runs, ``"1^2 2^-1"``; the unit is ``""``."""
@@ -299,6 +291,13 @@ def _state_panel(state: State) -> tuple[np.ndarray, np.ndarray]:
     return v[:, keep], w[keep]
 
 
+def _chunks(total: int, most: int) -> list[range]:
+    """``range(total)`` as the fewest chunks of at most ``most`` items (one at
+    least), of sizes that differ by one at most."""
+    n = -(-total // max(1, most))
+    return [range(total * i // n, total * (i + 1) // n) for i in range(n)]
+
+
 @lru_cache(maxsize=None)
 def _letter_word(letter: tuple[int, bool]) -> Word:
     return Word((letter,))
@@ -352,9 +351,7 @@ class _Sweep:
         panel's size.
         """
         k = len(self.weights)
-        chunks = -(-samples // max(1, SAMPLE_PANEL_BYTES // self.panel.nbytes))
-        for i in range(chunks):
-            chunk = range(samples * i // chunks, samples * (i + 1) // chunks)
+        for chunk in _chunks(samples, SAMPLE_PANEL_BYTES // self.panel.nbytes):
             rngs = [_derive_rng(*salt, s) for s in chunk]
             draws = [[_disc_coefficients(rng, n) for n in counts] for rng in rngs]
             coeffs = [np.repeat(np.stack(slot, axis=1), k, axis=1) for slot in zip(*draws)]
@@ -537,14 +534,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tol": self.tol,
-            "passed": self.passed,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _derive_rng(seed: int, *salt: int) -> np.random.Generator:
@@ -664,11 +654,14 @@ def free_independence_check(
     random combination of the factor's words in each slot.
 
     The monomial pass walks the tree of alternating slot choices depth first
-    from the rightmost slot, so a product shares every vector of its right
-    part with its siblings and each node costs one letter per power.  The
-    random pass runs each chunk of samples side by side in one sample panel:
-    it takes each slot's means as dot products with the factor's word
-    moments and applies the slot by one :meth:`_Sweep.combine`.
+    from the rightmost slot, so a product shares its right part with its
+    siblings.  It runs in node panels of siblings and cousins, laid out as
+    sample panels: each letter of a slot's powers goes to the whole panel,
+    whose centered options together fit in ``SAMPLE_PANEL_BYTES`` (one node
+    at least), and each option's moments are read at once.  The random pass
+    runs each chunk of samples side by side in one sample panel: it takes
+    each slot's means as dot products with the factor's word moments and
+    applies the slot by one :meth:`_Sweep.combine`.
     """
     ids = list(gens.ids)
     if len(ids) < 2:
@@ -687,50 +680,52 @@ def free_independence_check(
 
     # centered T^p and (T*)^p for 1 <= p <= min(degree, 3); option 2(p-1) + star
     powers = min(degree, 3)
+    opts = 2 * powers
     monomials = {
         f: [Word(((f, s),) * p) for p in range(1, powers + 1) for s in (False, True)]
         for f in ids
     }
     means = {f: sweep.word_moments(words) for f, words in monomials.items()}
     # residuals[seq][o_1, ..., o_m]: |phi| of the product with option o_k in slot k
-    residuals = {seq: np.zeros((2 * powers,) * len(seq)) for seq in sequences}
+    residuals = {seq: np.zeros((opts,) * len(seq)) for seq in sequences}
 
-    def centered(f: int, panel: np.ndarray) -> list[np.ndarray]:
-        out: list[np.ndarray] = [panel] * (2 * powers)
+    def centered(f: int, panel: np.ndarray) -> np.ndarray:
+        out = np.empty((len(panel), opts, panel.shape[1]), dtype=complex)  # option-major
         for s in (False, True):
             power = panel
             for p in range(powers):
                 power = sweep.apply((f, s), power)
-                out[2 * p + s] = power - means[f][2 * p + s] * panel
-        return out
+                out[:, 2 * p + s] = power - means[f][2 * p + s] * panel
+        return out.reshape(len(panel), -1)
 
-    # depth first over slot choices; slots and options run from the rightmost
-    # slot leftwards
-    stack: list[tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]] = [(sweep.panel, (), ())]
+    # depth first over node panels of one slot sequence, from the rightmost
+    # slot leftwards; ``flat`` holds each node's flat index into its
+    # ``residuals`` array, and a node is the state's ``k`` columns
+    k = len(sweep.weights)
+    per_panel = SAMPLE_PANEL_BYTES // (opts * sweep.panel.nbytes)
+    stack = [((), sweep.panel, np.zeros(1, dtype=np.intp))]
     while stack:
-        panel, slots, options = stack.pop()
+        slots, panel, flat = stack.pop()
         for f in ids:
             if slots and slots[-1] == f:
                 continue
-            for o, applied in enumerate(centered(f, panel)):
-                here, chosen = slots + (f,), options + (o,)
-                if len(here) >= 2:
-                    residuals[here[::-1]][chosen[::-1]] = abs(sweep.moments(applied)[0])
-                if len(here) < max_len:
-                    stack.append((applied, here, chosen))
+            here = slots + (f,)
+            applied = centered(f, panel)
+            at = (np.arange(opts)[:, None] * opts ** len(slots) + flat).ravel()
+            if len(here) >= 2:  # hypot rounds as a scalar abs; np.abs of an array may not
+                m = sweep.moments(applied)
+                residuals[here[::-1]].flat[at] = np.hypot(m.real, m.imag)
+            if len(here) < max_len:
+                for c in _chunks(len(at), per_panel):
+                    stack.append((here, applied[:, c.start * k : c.stop * k], at[c.start : c.stop]))
     for seq in sequences:
         res = residuals[seq]
         at = int(np.argmax(res))  # the first of the worst, in product order
         if res.flat[at] > worst:
             worst = float(res.flat[at])
             combo = np.unravel_index(at, res.shape)
-            witness = {
-                "part": "monomial",
-                "sequence": list(seq),
-                "slots": [
-                    f"c({monomials[f][o].format()})" for f, o in zip(seq, combo)
-                ],
-            }
+            slots = [f"c({monomials[f][o].format()})" for f, o in zip(seq, combo)]
+            witness = {"part": "monomial", "sequence": list(seq), "slots": slots}
 
     words = {f: _all_words([f], degree) for f in ids}
     phis = {f: sweep.word_moments(ws) for f, ws in words.items()}
@@ -744,12 +739,7 @@ def free_independence_check(
             at = int(np.argmax(res))  # the first sample of the worst
             if res[at] > worst:
                 worst = float(res[at])
-                witness = {
-                    "part": "random",
-                    "sequence": list(seq),
-                    "sample": chunk[at],
-                    "seed": seed,
-                }
+                witness = {"part": "random", "sequence": list(seq), "sample": chunk[at], "seed": seed}
 
     return CheckReport(
         name="free_independence",
@@ -958,6 +948,17 @@ def noncrossing_partitions(k: int) -> list[Partition]:
     ]
 
 
+def _nc_sum(kappas: Sequence[complex], n: int, total: complex) -> complex:
+    """``total`` plus ``prod_B kappa_|B|`` over the noncrossing partitions of
+    ``{1..n}`` with more than one block, added in their order."""
+    for part in noncrossing_partitions(n)[1:]:
+        prod = 1.0 + 0.0j
+        for block in part:
+            prod *= complex(kappas[len(block) - 1])
+        total += prod
+    return total
+
+
 def free_cumulants(moments: Sequence[complex]) -> list[complex]:
     """Free cumulants ``kappa_1..kappa_k`` from moments ``m_1..m_k`` by the
     noncrossing moment-cumulant recursion."""
@@ -966,15 +967,7 @@ def free_cumulants(moments: Sequence[complex]) -> list[complex]:
         raise ValueError(f"need 1..{MAX_PARTITION_SIZE} moments, got {k}")
     kappas: list[complex] = []
     for n in range(1, k + 1):
-        lower = 0.0 + 0.0j
-        for part in noncrossing_partitions(n):
-            if len(part) == 1:
-                continue
-            prod = 1.0 + 0.0j
-            for block in part:
-                prod *= kappas[len(block) - 1]
-            lower += prod
-        kappas.append(complex(moments[n - 1]) - lower)
+        kappas.append(complex(moments[n - 1]) - _nc_sum(kappas, n, 0.0 + 0.0j))
     return kappas
 
 
@@ -982,16 +975,8 @@ def moments_from_cumulants(kappas: Sequence[complex]) -> list[complex]:
     k = len(kappas)
     if not 1 <= k <= MAX_PARTITION_SIZE:
         raise ValueError(f"need 1..{MAX_PARTITION_SIZE} cumulants, got {k}")
-    out: list[complex] = []
-    for n in range(1, k + 1):
-        total = 0.0 + 0.0j
-        for part in noncrossing_partitions(n):
-            prod = 1.0 + 0.0j
-            for block in part:
-                prod *= complex(kappas[len(block) - 1])
-            total += prod
-        out.append(total)
-    return out
+    # the one-block partition first, as 0 + kappa_n
+    return [_nc_sum(kappas, n, 0.0 + complex(kappas[n - 1])) for n in range(1, k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1009,68 +994,80 @@ def matrix_marginal(gens: GenSet, state: State) -> Marginal:
 
 def haar_unitary_marginal() -> Marginal:
     """Haar unitary marginal: ``phi(u^k) = 1`` iff the net exponent is 0."""
+    return lambda word: complex(sum(-1 if s else 1 for _, s in word.letters) == 0)
 
-    def phi(word: Word) -> complex:
-        net = sum(-1 if s else 1 for _, s in word.letters)
-        return 1.0 + 0.0j if net == 0 else 0.0 + 0.0j
 
-    return phi
+def free_mixed_moments(
+    marginals: Mapping[int, Marginal], words: Sequence[Word]
+) -> tuple[list[complex], int]:
+    """Mixed moments of words in freely independent factors, from marginals
+    only, and the entries the memo of their one recursion took in.
+
+    Subtracting the mean from each factor block of an alternating word gives
+    a product with zero moment, so the word's moment expands over subsets of
+    blocks replaced by their means, with the complementary blocks re-merged
+    and recursed on.  Every word is checked before any is expanded: one over
+    ``MAX_ORACLE_LETTERS`` letters raises ``ValueError``, one naming a factor
+    without a marginal ``KeyError``."""
+    for word in words:
+        if len(word) > MAX_ORACLE_LETTERS:
+            raise ValueError(f"word length {len(word)} exceeds oracle cap {MAX_ORACLE_LETTERS}")
+        for f, _ in word.letters:
+            if f not in marginals:
+                raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
+    recursion = _FreeRecursion(marginals)
+    return [recursion(w.letters) for w in words], recursion.entries
 
 
 def free_mixed_moment_oracle(marginals: Mapping[int, Marginal], word: Word) -> complex:
-    """Mixed moment of a word in freely independent factors, from marginals only.
-
-    Uses the defining recursion: subtracting the mean from each factor block of
-    an alternating word gives a product with zero moment, so the word's moment
-    expands over subsets of blocks replaced by their means, with the
-    complementary blocks re-merged and recursed on.
-    """
-    if len(word) > MAX_ORACLE_LETTERS:
-        raise ValueError(f"word length {len(word)} exceeds oracle cap {MAX_ORACLE_LETTERS}")
-    for f, _ in word.letters:
-        if f not in marginals:
-            raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
-
-    return _expand_blocks(word.blocks(), marginals, {})
+    """:func:`free_mixed_moments` of one word."""
+    return free_mixed_moments(marginals, [word])[0][0]
 
 
-def _expand_blocks(
-    blocks: tuple[Block, ...], marginals: Mapping[int, Marginal], memo: dict
-) -> complex:
-    """The oracle's recursion over the blocks of one word, memoized per block
-    sequence and per single block; a single block's mean is read from its
-    marginal, not recursed on.  A module function, not a closure, so no
-    reference cycle keeps a word's memo alive."""
-    if not blocks:
-        return 1.0 + 0.0j
-    if blocks in memo:
-        return memo[blocks]
-    phis = []
-    for b in blocks:
-        phi = memo.get(b)
-        if phi is None:
-            f, stars = b
-            phi = memo[b] = marginals[f](Word(tuple((f, s) for s in stars)))
-        phis.append(phi)
-    m = len(blocks)
-    if m == 1:
-        return phis[0]
-    total = 0.0 + 0.0j
-    for mask in range(1, 1 << m):
-        coeff = 1.0 + 0.0j
-        sign = -1.0
-        kept: list[Block] = []
-        for j in range(m):
-            if mask >> j & 1:
-                coeff *= phis[j]
-                sign = -sign
-            else:
-                kept.append(blocks[j])
-        if coeff == 0:
-            continue
-        total += sign * coeff * _expand_blocks(_merge_blocks(kept), marginals, memo)
-    memo[blocks] = total
-    return total
+class _FreeRecursion:
+    """The oracle's recursion on flat letter tuples (a block sequence is fixed
+    by its letters), one memo for all words; a single block's mean is read
+    from its marginal.  A value depends only on its letters and the
+    marginals, so sharing or clearing the memo changes no digit.  The memo is
+    cleared before an entry would take it past ``ORACLE_MEMO_BYTES``;
+    ``entries`` counts the entries it took in, the distinct sequences
+    evaluated unless it was cleared.  A class, not a recursive closure, so
+    no reference cycle keeps the memo alive."""
+
+    def __init__(self, marginals: Mapping[int, Marginal]):
+        self.marginals = marginals
+        self.memo: dict[tuple[tuple[int, bool], ...], complex] = {}
+        self.entries = 0
+
+    def __call__(self, letters: tuple[tuple[int, bool], ...]) -> complex:
+        if not letters:
+            return 1.0 + 0.0j
+        total = self.memo.get(letters)
+        if total is not None:
+            return total
+        blocks = [tuple(run) for _, run in itertools.groupby(letters, key=itemgetter(0))]
+        if len(blocks) == 1:
+            total = self.marginals[letters[0][0]](Word(letters))
+        else:
+            phis = [self(b) for b in blocks]
+            total = 0.0 + 0.0j
+            for mask in range(1, 1 << len(blocks)):
+                coeff = 1.0 + 0.0j
+                sign = -1.0
+                kept: tuple[tuple[int, bool], ...] = ()
+                for j, b in enumerate(blocks):
+                    if mask >> j & 1:
+                        coeff *= phis[j]
+                        sign = -sign
+                    else:
+                        kept += b
+                if coeff != 0:
+                    total += sign * coeff * self(kept)
+        if len(self.memo) >= ORACLE_MEMO_BYTES // 256:
+            self.memo.clear()
+        self.memo[letters] = total
+        self.entries += 1
+        return total
 
 
 def oracle_equivalence_check(
@@ -1081,13 +1078,16 @@ def oracle_equivalence_check(
     tol: float = 1e-8,
 ) -> CheckReport:
     """Compare each word's moment in the model with the free mixed moment
-    oracle of the marginals; the model side is one shared-suffix sweep."""
+    oracle of the marginals: the model side is one shared-suffix sweep, the
+    oracle side one :func:`free_mixed_moments` call, whose memo entries the
+    details report as ``memo_entries``."""
     sweep = _Sweep(state, gens)
+    model = sweep.word_moments(words)
+    oracle, entries = free_mixed_moments(marginals, words)
     worst = 0.0
     witness: dict | None = None
-    for w, lhs in zip(words, sweep.word_moments(words)):
+    for w, lhs, rhs in zip(words, model, oracle):
         lhs = complex(lhs)
-        rhs = free_mixed_moment_oracle(marginals, w)
         res = abs(lhs - rhs)
         if res >= worst:
             if res > worst or witness is None:
@@ -1103,7 +1103,7 @@ def oracle_equivalence_check(
         tol=tol,
         passed=worst <= tol,
         witness=witness,
-        details={"words": len(words), "letters_applied": sweep.letters},
+        details={"words": len(words), "letters_applied": sweep.letters, "memo_entries": entries},
     )
 
 

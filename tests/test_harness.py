@@ -717,7 +717,24 @@ def test_oracle_check_matches_per_word_loop():
                 }
             worst = max(worst, res)
     assert rep.residual == worst and rep.witness == witness
-    assert rep.details == {"words": len(words), "letters_applied": 4436, "max_blocks": 4}
+    assert rep.details == {
+        "words": len(words),
+        "letters_applied": 4436,
+        "max_blocks": 4,
+        "memo_entries": 4468,
+    }
+
+
+def test_free_pair_work_counts_are_pinned():
+    # deterministic counters of free_pair at seed 1: the monomial pass runs
+    # in node panels (3,148 of the old 4,156 letters fall to 700), and one
+    # oracle memo serves all 4,436 words; a change that undoes either moves them
+    sc = replace(ingest(SCENARIOS / "free_pair.json"), seed=1)
+    model = build_model(sc)
+    free = CHECKS["free_independence"](sc, model)
+    oracle = CHECKS["oracle_equivalence"](sc, model)
+    assert free.details["letters_applied"] == 1708
+    assert (oracle.details["words"], oracle.details["memo_entries"]) == (4436, 4468)
 
 
 def test_tensor_power_dilation_covers_each_factor():

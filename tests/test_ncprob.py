@@ -21,12 +21,14 @@ from freedilation.ncprob import (
     free_cumulants,
     free_independence_check,
     free_mixed_moment_oracle,
+    free_mixed_moments,
     haar_unitary_marginal,
     make_tensor_independent,
     matrix_marginal,
     moments_from_cumulants,
     noncrossing_partitions,
     parse_word,
+    signed_alternating_words,
     state_moment,
     tensor_independence_check,
     trace_check,
@@ -43,6 +45,7 @@ from freedilation.operator_core import (
 )
 from certificate_oracles import dense_gram_ranks, word_commutation_residual
 from free_independence_oracle import nested_free_independence_check, nested_tensor_factorization
+from free_moment_oracle import per_word_free_moment
 from partition_oracles import all_set_partitions, is_noncrossing
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
@@ -492,6 +495,107 @@ def test_sample_chunks_give_the_one_panel_result(kind, columns):
         assert many.details["letters_applied"] > one.details["letters_applied"]
 
 
+def _node_widths(monkeypatch):
+    """Record the columns of every panel a sweep applies a letter to."""
+    widths = []
+    apply = ncprob._Sweep.apply
+
+    def spy(self, letter, panel):
+        widths.append(panel.shape[1])
+        return apply(self, letter, panel)
+
+    monkeypatch.setattr(ncprob._Sweep, "apply", spy)
+    return widths
+
+
+def _adjoint_twin(witness):
+    """The monomial witness of the adjoint product, whose moment is the
+    conjugate: ``c(1^2) c(2^-1)`` for ``c(2^1) c(1^-2)``."""
+    slots = [s.replace("^", "^-").replace("--", "") for s in reversed(witness["slots"])]
+    return {**witness, "sequence": witness["sequence"][::-1], "slots": slots}
+
+
+@pytest.mark.parametrize("nodes", [None, 1, 2])
+@pytest.mark.parametrize("kind", PANEL_COLUMNS)
+def test_monomial_node_panels_match_nested_loops(monkeypatch, kind, nodes):
+    # with no samples the monomial pass sets the witness; a budget of one or
+    # two nodes' six centered options runs it in panels of that many nodes,
+    # the default budget in panels of many siblings and cousins.  The
+    # generators are real with one nonzero entry per row, so a column's
+    # image does not depend on the width of its panel and the digits equal
+    # the nested loops' exactly; they also decide the witness between a
+    # product and its adjoint twin, whose moduli are equal in exact arithmetic
+    rng = np.random.default_rng(34)
+    shift = np.roll(np.diag(rng.uniform(0.3, 0.9, 3)), 1, axis=0)
+    gens = GenSet({1: shift, 2: np.diag(rng.uniform(-0.9, 0.9, 3))})
+    state = _panel_state(rng, 3, kind)
+    args = dict(max_len=4, degree=3, samples=0, tol=1e-9, seed=5)
+    want = nested_free_independence_check(state, gens, **args)
+    if nodes is not None:
+        monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", nodes * 6 * PANEL_COLUMNS[kind] * 3 * 16)
+    widths = _node_widths(monkeypatch)
+    got = free_independence_check(state, gens, **args)
+    assert not got.passed and got.witness["part"] == "monomial"
+    assert got.residual == want.residual
+    assert got.witness == want.witness
+    # the six centered options of the widest panel stay within the budget
+    assert 6 * max(widths) * 3 * 16 <= ncprob.SAMPLE_PANEL_BYTES
+    if nodes is not None:
+        assert max(widths) == nodes * PANEL_COLUMNS[kind]
+    assert got.details["panel_bytes"] == 0  # the largest sample panel: none ran
+
+
+@pytest.mark.parametrize("kind", PANEL_COLUMNS)
+def test_monomial_node_panels_of_dense_letters_match_nested_loops(kind):
+    # a dense letter's image of a column may round differently in a wider
+    # panel, so the residual matches to an ulp and the witness may be the
+    # adjoint twin of the nested loops' one, of equal moment modulus
+    rng = np.random.default_rng(34)
+    gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
+    state = _panel_state(rng, 3, kind)
+    args = dict(max_len=4, degree=3, samples=0, tol=1e-9, seed=5)
+    got = free_independence_check(state, gens, **args)
+    want = nested_free_independence_check(state, gens, **args)
+    assert abs(got.residual - want.residual) <= 1e-12
+    assert got.witness in (want.witness, _adjoint_twin(want.witness))
+
+
+@pytest.mark.parametrize("nodes", [None, 1, 2])
+def test_monomial_node_panels_keep_the_first_of_equal_witnesses(monkeypatch, nodes):
+    # one Fock unitary under both labels and a density state of rank two:
+    # every product has a twin of equal moment under the swapped labels,
+    # and the witness is the first of the worst in product order, as in the
+    # nested loops, whatever the panels
+    scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
+    fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 2, 3)
+    gens = GenSet({1: fds.unitaries[1], 2: fds.unitaries[1]})
+    rng = np.random.default_rng(35)
+    v = rng.normal(size=(fds.dim, 2)) + 1j * rng.normal(size=(fds.dim, 2))
+    state = State.from_density(v @ adjoint(v) / np.linalg.norm(v) ** 2)
+    args = dict(max_len=3, degree=2, samples=0, tol=1e-9, seed=4)
+    want = nested_free_independence_check(state, gens, **args)
+    if nodes is not None:  # a node is two columns, with four centered options
+        monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", nodes * 4 * 2 * fds.dim * 16)
+    got = free_independence_check(state, gens, **args)
+    assert not got.passed and got.witness["part"] == "monomial"
+    assert abs(got.residual - want.residual) <= 1e-12
+    assert got.witness == want.witness
+
+
+def test_monomial_pass_counts_letters_per_node_panel():
+    # free_pair's model: a node is one 241-vector, so 5 nodes' six options
+    # fit in a 128 KiB panel, and the 3,148 letters of one node at a time
+    # fall to 700
+    scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
+    fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 4)
+    args = dict(max_len=4, degree=3, samples=0, seed=1)
+    rep = free_independence_check(fds.vacuum, fds.unitaries, **args)
+    with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", 6 * 241 * 16):
+        one = free_independence_check(fds.vacuum, fds.unitaries, **args)
+    assert (rep.details["letters_applied"], one.details["letters_applied"]) == (700, 3148)
+    assert rep.residual == one.residual and rep.witness == one.witness
+
+
 def test_sampled_pass_is_bounded_in_bytes():
     # free_pair's model: dim 241, so 33 samples fit in a sample panel, and
     # the 100 samples of a sequence run as four chunks of 25
@@ -729,6 +833,81 @@ def test_oracle_guards():
         free_mixed_moment_oracle(h, Word(((1, False),) * 17))
     with pytest.raises(KeyError):
         free_mixed_moment_oracle(h, parse_word("2^1"))
+
+
+@st.composite
+def _marginals_and_words(draw):
+    """Marginals of 2-3 factors, each a random matrix marginal (a vector or a
+    density state) or the Haar unitary one, and words in those factors that
+    share many blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    marginals = {}
+    for f in range(1, n + 1):
+        kind = draw(st.sampled_from(["haar", "vector", "density"]))
+        if kind == "haar":
+            marginals[f] = haar_unitary_marginal()
+        else:
+            dim = draw(st.integers(1, 3))
+            gens = GenSet({f: random_contraction(rng, dim, 0.95)})
+            marginals[f] = matrix_marginal(gens, random_state(rng, dim, kind))
+    letters = st.tuples(st.integers(1, n), st.booleans())
+    word = st.lists(letters, max_size=7).map(lambda ls: Word(tuple(ls)))
+    return marginals, draw(st.lists(word, min_size=1, max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_marginals_and_words(), st.sampled_from([None, 1, 4]))
+def test_shared_oracle_memo_matches_per_word_recursion(case, memo_entries):
+    # one memo for all words gives the per-word recursion's digits, also when
+    # a memo bound of one or four entries clears it again and again
+    marginals, words = case
+    want = [per_word_free_moment(marginals, w) for w in words]
+    limit = ncprob.ORACLE_MEMO_BYTES if memo_entries is None else memo_entries * 256
+    with mock.patch.object(ncprob, "ORACLE_MEMO_BYTES", limit):
+        got, entries = free_mixed_moments(marginals, words)
+    assert got == want
+    assert [free_mixed_moment_oracle(marginals, w) for w in words] == want
+    assert entries >= len({w.letters for w in words if w.letters})
+
+
+def test_oracle_memo_stays_within_its_bytes(monkeypatch):
+    # free_pair's 4,436 oracle words under two matrix marginals: the memo
+    # takes in 4,468 sequences, and a bound of 100 entries clears it instead
+    # of letting it grow, with the same moments
+    rng = np.random.default_rng(36)
+    words = signed_alternating_words(2, 4, 3, 6)
+    marginals = {
+        f: matrix_marginal(GenSet({f: random_contraction(rng, 2, 0.9)}), random_state(rng, 2))
+        for f in (1, 2)
+    }
+    whole, entries = free_mixed_moments(marginals, words)
+    assert (len(words), entries) == (4436, 4468)
+    sizes = []
+    call = ncprob._FreeRecursion.__call__
+
+    def spy(self, letters):
+        out = call(self, letters)
+        sizes.append(len(self.memo))
+        return out
+
+    monkeypatch.setattr(ncprob._FreeRecursion, "__call__", spy)
+    monkeypatch.setattr(ncprob, "ORACLE_MEMO_BYTES", 100 * 256)
+    bounded, more = free_mixed_moments(marginals, words)
+    assert bounded == whole
+    assert max(sizes) == 100 and more > entries
+
+
+def test_oracle_refuses_every_word_before_expanding_any(monkeypatch):
+    def refuse(self, letters):
+        raise AssertionError("a word was expanded")
+
+    monkeypatch.setattr(ncprob._FreeRecursion, "__call__", refuse)
+    h = {1: haar_unitary_marginal()}
+    with pytest.raises(ValueError, match="word length 17 exceeds oracle cap 16"):
+        free_mixed_moments(h, [parse_word("1^1"), Word(((1, False),) * 17)])
+    with pytest.raises(KeyError, match="no marginal for factor 2"):
+        free_mixed_moments(h, [parse_word("1^1"), parse_word("1^1 2^1")])
 
 
 def test_state_moment_of_element_product():
