@@ -11,7 +11,7 @@ and every verifier states its budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -99,20 +99,22 @@ class PointedSpace:
 @dataclass(frozen=True)
 class FockBasis:
     """Canonically ordered basis of a truncated free product: the vacuum plus
-    alternating words of complement indices, by length then lexicographically."""
+    alternating words of complement indices, by length then lexicographically;
+    ``lengths`` holds each basis word's length."""
 
     factors: dict
     max_len: int
     labels: tuple[FockLabel, ...]
     position: dict
+    lengths: np.ndarray = field(compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def short_indices(self) -> list[int]:
+    def short_indices(self) -> np.ndarray:
         """Columns whose word length is strictly below the truncation length."""
-        return [p for p, lab in enumerate(self.labels) if len(lab) < self.max_len]
+        return np.flatnonzero(self.lengths < self.max_len)
 
 
 def _fock_dims(complement_dims: Mapping[int, int]) -> Iterator[int]:
@@ -150,6 +152,7 @@ def build_fock(
             raise FockDimensionError(dim, DEFAULT_DIM_CAP, length)
 
     labels: list[FockLabel] = [()]
+    counts = [1]  # the words of each length
     for length in range(1, max_len + 1):
         stack: list[FockLabel] = [()]
         for _ in range(length):
@@ -163,9 +166,14 @@ def build_fock(
         if not stack:
             break  # no word of this length, so none longer either
         labels.extend(sorted(stack))
+        counts.append(len(stack))
     position = {lab: p for p, lab in enumerate(labels)}
     return FockBasis(
-        factors=dict(factors), max_len=max_len, labels=tuple(labels), position=position
+        factors=dict(factors),
+        max_len=max_len,
+        labels=tuple(labels),
+        position=position,
+        lengths=np.repeat(np.arange(len(counts)), counts),
     )
 
 
@@ -195,6 +203,23 @@ class FockAction(LetterAction):
     block: np.ndarray
     block_star: np.ndarray  # the adjoint of ``block``, for starred letters
 
+    def __post_init__(self):
+        # the groups partition the positions only if ``order`` is a
+        # permutation; :meth:`pattern_columns` relies on it
+        order, inverse, dim = self.order, self.inverse, self.order.size
+        if (
+            order.shape != (dim,)
+            or inverse.shape != (dim,)
+            or not 0 <= order.min() <= order.max() < dim
+            or (inverse[order] != np.arange(dim)).any()
+        ):
+            raise ValueError("order must be a permutation of the positions, inverse its inverse")
+        rows = self.block.shape[0]
+        if self.block.shape != (rows, rows) or self.block_star.shape != (rows, rows):
+            raise ValueError(f"blocks {self.block.shape}, {self.block_star.shape} not one square")
+        if not 0 <= self.grouped <= dim or self.grouped % rows:
+            raise ValueError(f"{self.grouped} grouped positions do not fill groups of {rows}")
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.order.size, self.order.size)
@@ -215,6 +240,30 @@ class FockAction(LetterAction):
         np.matmul(block, x[:g].reshape(rows, -1), out=out[:g].reshape(rows, -1))
         np.multiply(x[g:], block[0, 0], out=out[g:])
         return out.take(self.inverse, axis=0)
+
+    def pattern_columns(self, cols: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The columns of ``cols`` in one group per pattern, a pattern being
+        the set of a group's members that ``cols`` holds, and in one
+        full-length word if ``cols`` holds any.
+
+        Groups are disjoint in rows and in columns and all carry ``block``,
+        and a full-length word is only scaled, so on the columns ``P`` of
+        ``cols`` the products ``U*U - I`` and ``U U* - I`` are block diagonal
+        up to the permutation: one block per group that meets ``cols``,
+        ``(B*B - I)[:, pattern]`` or ``(B B* - I)[:, pattern]``, and one
+        scalar per full-length word.  Each norm on ``P`` is the largest of
+        those blocks', so it is the same on the returned columns, exactly.
+        """
+        rows, g = self.block.shape[0], self.grouped
+        held = np.zeros(self.order.size, dtype=bool)
+        held[np.asarray(cols, dtype=np.intp)] = True
+        held = held[self.order]  # group-major, as ``order``
+        groups = held[:g].reshape(rows, -1)
+        _, first = np.unique(groups.T, axis=0, return_index=True)
+        keep = np.zeros_like(groups)
+        keep[:, first] = groups[:, first]
+        picks = np.concatenate([np.flatnonzero(keep), g + np.flatnonzero(held[g:])[:1]])
+        return np.sort(self.order[picks])
 
 
 def left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> FockAction:
@@ -249,9 +298,11 @@ def left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> FockAction
     order = np.concatenate(
         [np.array(groups, dtype=np.intp).T.ravel(), np.array(singles, dtype=np.intp)]
     )
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
     return FockAction(
         order=order,
-        inverse=np.argsort(order),
+        inverse=inverse,
         grouped=order.size - len(singles),
         block=block,
         block_star=adjoint(block).copy(),
@@ -384,11 +435,15 @@ def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> flo
     words shorter than the truncation length.
 
     The left action of a unitary is isometric except where the truncation
-    drops a prepended letter, so the residual vanishes on short words.
+    drops a prepended letter, so the residual vanishes on short words.  It
+    is taken on :meth:`FockAction.pattern_columns` of the short words, where
+    the norms are the same: a tail of at most ``L-2`` letters, whose whole
+    group is short, and a tail of ``L-1`` letters, only short itself.
     """
     if not 1 <= factor <= fds.n_factors:
         raise ValueError(f"factor id {factor} outside 1..{fds.n_factors}")
-    return unitarity_residual(fds.unitaries, factor, fds.fock_k.short_indices())
+    cols = fds.unitaries[factor].pattern_columns(fds.fock_k.short_indices())
+    return unitarity_residual(fds.unitaries, factor, cols)
 
 
 def verify_free_dilation(fds: FreeDilationScenario, word: Word) -> float:

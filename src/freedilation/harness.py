@@ -355,8 +355,10 @@ def _check_unitarity(sc: Scenario, model: Model) -> CheckReport:
     if model.free is not None:
         residual = partial(restricted_unitarity_residual, model.free)
         witness = {"restricted_to": f"words shorter than {sc.trunc}"}
-        columns = len(model.free.fock_k.short_indices())
-        # U*U and U U* on a strict subset of the columns
+        # U*U and U U* on the short columns of one Fock group per pattern,
+        # where their norms are those over all the short columns, exactly
+        short = model.free.fock_k.short_indices()
+        columns = max(len(gens[i].pattern_columns(short)) for i in gens.ids)
         per_factor = 2
     else:
         # U*U on each generator's support columns, where the norm is exact

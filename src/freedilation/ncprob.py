@@ -611,7 +611,7 @@ def tensor_independence_check(
         for f, c in zip(reversed(ids), reversed(coeffs)):
             applied = sweep.combine((words[f], c), applied)
         split = np.prod([phi @ c[:, ::k] for phi, c in zip(phis, coeffs)], axis=0)
-        res = np.abs(sweep.moments(applied) - split)
+        res = np.hypot((m := sweep.moments(applied) - split).real, m.imag)  # as a scalar abs
         at = int(np.argmax(res))  # the first sample of the worst
         if res[at] > worst:
             worst = float(res[at])
@@ -735,7 +735,7 @@ def free_independence_check(
         for chunk, applied, coeffs in sweep.sample_panels(samples, (seed, 2, si), counts):
             for f, c in zip(reversed(seq), reversed(coeffs)):
                 applied = sweep.combine((words[f], c), applied, mean=phis[f] @ c)
-            res = np.abs(sweep.moments(applied))
+            res = np.hypot((m := sweep.moments(applied)).real, m.imag)  # as a scalar abs
             at = int(np.argmax(res))  # the first sample of the worst
             if res[at] > worst:
                 worst = float(res[at])

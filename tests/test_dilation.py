@@ -2,11 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freedilation.dilation import (
     BudgetError,
     DilationResult,
     NotDoublyCommutingError,
+    dilation_residuals,
     double_commutation_residual,
     doubly_commuting_dilation,
     finite_unitary_dilation,
@@ -276,3 +279,67 @@ def test_unitarity_residual_matches_dense_reference():
     # far from unitary, so the comparison is not lost in rounding
     t = random_contraction(rng, 5, 0.5)
     assert unitarity_residual(GenSet({1: t}), 1) == pytest.approx(_dense_unitarity(t), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the whole single and doubly dilations
+
+
+@st.composite
+def _contractions(draw):
+    """A non-normal contraction ``V diag(s) W*`` of dimension 1..4 whose
+    singular values are exactly 0 or 1 or generic, so possibly rank
+    deficient, a nilpotent shift, or a diagonal of 0s and 1s; ``N`` 1..4."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, degree = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["svd", "shift", "diagonal"]))
+    if shape == "shift":
+        t = np.eye(d, k=-1, dtype=complex)
+    elif shape == "diagonal":
+        t = np.diag([draw(st.sampled_from([0.0, 1.0, -1.0, 1j])) for _ in range(d)])
+    else:
+        sv = [draw(st.sampled_from([0.0, 1.0, None])) for _ in range(d)]
+        sv = [rng.uniform(0.0, 1.0) if x is None else x for x in sv]
+        t = (random_unitary(rng, d) * sv) @ random_unitary(rng, d)
+    return t, degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(_contractions())
+def test_single_dilation_is_exact_on_edge_inputs(case):
+    t, degree = case
+    res = finite_unitary_dilation(t, degree)
+    assert res.unitarity_residual() <= 1e-13
+    words = ordered_words(1, degree)
+    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, words)
+    assert len(residuals) == 2 * degree + 1 and np.max(residuals) <= 1e-13
+
+
+@st.composite
+def _doubly_edge_tuples(draw):
+    """Commuting normal contractions ``Q diag(r e^{i theta}) Q*`` with moduli
+    exactly 0 or 1 among generic ones, or diagonals of 0s and 1s; ``n`` 1..3
+    factors of dimension 1..3, ``N`` 1..3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n, degree = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        ts = [np.diag([draw(st.sampled_from([0.0, 1.0])) for _ in range(d)]) for _ in range(n)]
+        return ts, degree
+    q = random_unitary(rng, d)
+    ts = []
+    for _ in range(n):
+        radii = [draw(st.sampled_from([0.0, 1.0, None])) for _ in range(d)]
+        radii = np.array([rng.uniform(0.0, 1.0) if r is None else r for r in radii])
+        ts.append((q * (radii * np.exp(2j * np.pi * rng.uniform(size=d)))) @ adjoint(q))
+    return ts, degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(_doubly_edge_tuples())
+def test_doubly_dilation_is_exact_on_edge_inputs(case):
+    ts, degree = case
+    res = doubly_commuting_dilation(ts, degree)
+    assert res.unitarity_residual() <= 1e-13
+    words = ordered_words(len(ts), degree)
+    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, words)
+    assert len(residuals) == (2 * degree + 1) ** len(ts) and np.max(residuals) <= 1e-12

@@ -73,6 +73,8 @@ def test_build_fock_canonical_order():
     )
     assert fb.dim == 5
     assert fb.position[((2, 0), (1, 0))] == 4
+    assert fb.lengths.tolist() == [0, 1, 1, 2, 2]
+    assert fb.short_indices().tolist() == [0, 1, 2]
 
 
 def test_build_fock_dim_cap():
@@ -87,6 +89,7 @@ def test_build_fock_one_factor_huge_truncation():
     assert fock_dimension({1: 2}, 200_000) == 3
     fb = build_fock({1: p}, 200_000)
     assert fb.labels == ((), ((1, 0),), ((1, 1),))
+    assert fb.lengths.tolist() == [0, 1, 1]
 
 
 def test_left_representation_identity_is_identity():
@@ -269,6 +272,96 @@ def test_restricted_unitarity_forms_no_dense_product():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes, (peak, dense_bytes)
+
+
+def _mixed_factors(kind):
+    """Factors of dimensions 3 and 1 under vector states, or 2 and 1 with
+    the first under a density state of rank two."""
+    rng = np.random.default_rng(41)
+    t3 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    scalar = (np.array([[0.4j]]), State.basis_vector(1, 0))
+    if kind == "vector":
+        xi = State.from_vector(np.array([0.6, 0.0, 0.8]))
+        return [(0.9 * t3 / operator_norm(t3), xi), scalar]
+    rho = State.from_density(np.diag([0.7, 0.3]).astype(complex))
+    return [(np.array([[0.3, 0.4], [0.1, -0.2]]), rho), scalar]
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["vector", "density"])
+def test_pattern_columns_give_the_full_short_panel_residual(kind, trunc):
+    # exact reduction: one Fock group per column pattern has the norms of all
+    # the short columns, for unitaries and for the far from unitary left
+    # actions of the contractions and of a scaled dilation; so it has those
+    # of any columns, full-length words among them
+    rng = np.random.default_rng(trunc)
+    fds = free_unitary_dilation(_mixed_factors(kind), 1, trunc)
+    short_k, short_h = fds.fock_k.short_indices(), fds.fock_h.short_indices()
+    scaled = GenSet(
+        {
+            i: left_representation(i, 0.9 * fds.dilations[i - 1].gens[1], fds.fock_k)
+            for i in fds.unitaries.ids
+        }
+    )
+    for i in fds.unitaries.ids:
+        full = unitarity_residual(fds.unitaries, i, short_k)
+        assert restricted_unitarity_residual(fds, i) == pytest.approx(full, abs=1e-15)
+        for gens, short in ((fds.s_ops, short_h), (scaled, short_k)):
+            cols = gens[i].pattern_columns(short)
+            assert len(cols) <= gens[i].block.shape[0] + 1 and set(cols) <= set(short)
+            want = unitarity_residual(gens, i, short)
+            assert want > 0.1
+            assert unitarity_residual(gens, i, cols) == pytest.approx(want, rel=1e-12)
+            some = np.flatnonzero(rng.random(gens.dim) < 0.5)
+            assert unitarity_residual(gens, i, gens[i].pattern_columns(some)) == pytest.approx(
+                unitarity_residual(gens, i, some), rel=1e-12
+            )
+
+
+def test_pattern_columns_of_free_pair():
+    # L = 4: of the 79 short words, the first group whose members are all
+    # short (the vacuum's) and the first tail of 3 letters, whose members
+    # are not
+    fds = _scalar_pair()
+    short = fds.fock_k.short_indices()
+    assert len(short) == 79
+    for i in (1, 2):
+        cols = fds.unitaries[i].pattern_columns(short)
+        assert set(cols) <= set(short)
+        assert sorted(fds.fock_k.lengths[cols]) == [0, 1, 1, 1, 3]
+
+
+def test_fock_action_refuses_a_broken_permutation():
+    act = _scalar_pair().unitaries[1]
+    repeated = act.order.copy()
+    repeated[1] = repeated[0]
+    with pytest.raises(ValueError, match="permutation"):
+        replace(act, order=repeated, inverse=np.argsort(repeated))
+    with pytest.raises(ValueError, match="permutation"):
+        replace(act, inverse=np.roll(act.inverse, 1))
+    with pytest.raises(ValueError, match="permutation"):
+        replace(act, order=act.order[:-1])
+    wrapped = np.where(act.order == act.order.size - 1, -1, act.order)  # the same as an index
+    with pytest.raises(ValueError, match="permutation"):
+        replace(act, order=wrapped)
+    with pytest.raises(ValueError, match="groups of 4"):
+        replace(act, grouped=act.grouped - 1)
+    assert replace(act).grouped == act.grouped
+
+
+def test_restricted_unitarity_at_trunc_six_stays_small():
+    # free_pair at L = 6 (dim 2,185): the 727 short columns alone took 25 MB
+    fds = _scalar_pair(trunc=6)
+    assert fds.dim == 2185 and len(fds.fock_k.short_indices()) == 727
+    restricted_unitarity_residual(fds, 1)
+    tracemalloc.start()
+    try:
+        for i in (1, 2):
+            assert restricted_unitarity_residual(fds, i) <= 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_dilation_identity_within_budget():

@@ -621,7 +621,9 @@ def test_suite_counters_in_free_and_dense_modes():
     )
     assert entries["construction"]["details"]["gen_bytes"] < fds.dim**2 * 16
     assert entries["unitarity"]["details"] == {
-        "columns": 79,  # the words shorter than L = 4: 1 + 6 + 18 + 54
+        # of the 79 words shorter than L = 4 (1 + 6 + 18 + 54), one Fock
+        # group per pattern: a whole group of 4 and a lone tail of 3 letters
+        "columns": 5,
         "words": 4,
         "letters_applied": 8,
         "fock_dim": 241,

@@ -495,6 +495,43 @@ def test_sample_chunks_give_the_one_panel_result(kind, columns):
         assert many.details["letters_applied"] > one.details["letters_applied"]
 
 
+def _spy_arrays(monkeypatch, owner, name, length):
+    """Record every array of ``length`` entries that ``owner.name`` returns."""
+    seen, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if np.ndim(out) == 1 and len(out) == length:
+            seen.append(np.array(out))
+        return out
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("kind", PANEL_COLUMNS)
+def test_random_passes_report_the_scalar_abs_of_their_worst_moment(monkeypatch, kind):
+    # each random pass reads one chunk of 37 samples, and its residual is the
+    # largest scalar ``abs`` of a sample's moment (for tensor independence,
+    # of the moment minus the product of the factors' moments); ``np.abs`` of
+    # a complex array may round a modulus otherwise, and does so at the
+    # worst sample of each pass for some kind of state at this seed
+    rng = np.random.default_rng(51)
+    free = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
+    diag = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
+    state = _panel_state(rng, 3, kind)
+    moments = _spy_arrays(monkeypatch, ncprob._Sweep, "moments", 37)
+    rep = free_independence_check(state, free, max_len=3, degree=2, samples=37, seed=7)
+    assert rep.witness["part"] == "random" and len(moments) == 4  # one per sequence
+    assert rep.residual == max(abs(complex(v)) for m in moments for v in m)
+
+    moments.clear()
+    splits = _spy_arrays(monkeypatch, np, "prod", 37)
+    rep = tensor_independence_check(state, diag, degree=2, samples=37, seed=8)
+    assert rep.witness["part"] == "factorization" and len(moments) == len(splits) == 1
+    assert rep.residual == max(abs(complex(v)) for v in moments[0] - splits[0])
+
+
 def _node_widths(monkeypatch):
     """Record the columns of every panel a sweep applies a letter to."""
     widths = []
