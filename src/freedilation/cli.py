@@ -11,12 +11,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ._version import __version__
-from .harness import (
+# numpy's OpenBLAS busy-waits its worker threads for 2**28 cycles (about
+# 0.1 s) after loading and after every threaded call, which was a third of
+# the CPU time of a short suite process (dense_modes benchmark, 2 vCPUs:
+# 1.30 s -> 0.86 s at 2**20, same wall time).  Only the idle spin gets
+# shorter: the thread count stays, and a 40x40 contraction at N=20 (dim 840)
+# runs as fast as at 2**28, where 2**4 cost it 13%.  OpenBLAS reads the
+# variable once, as numpy loads, so the command line sets it here, before
+# the package imports numpy; a value the user set wins.
+BLAS_SPIN_EXPONENT = "20"
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_SPIN_EXPONENT)
+
+from ._version import __version__  # noqa: E402
+from .harness import (  # noqa: E402
     CHECKS,
     IngestError,
     Scenario,
@@ -28,7 +41,7 @@ from .harness import (
     render_text,
     run_theorem_suite,
 )
-from .ncprob import (
+from .ncprob import (  # noqa: E402
     BudgetError,
     Word,
     free_cumulants,

@@ -718,8 +718,12 @@ def free_independence_check(
             if len(here) < max_len:
                 for c in _chunks(len(at), per_panel):
                     stack.append((here, applied[:, c.start * k : c.stop * k], at[c.start : c.stop]))
+    flip = np.arange(opts) ^ 1  # the option of the adjoint: star flipped
     for seq in sequences:
-        res = residuals[seq]
+        # the adjoint twin (slots reversed, stars flipped) has the same |phi|
+        # in exact arithmetic: take the pair's maximum, whichever rounds higher
+        twin = residuals[seq[::-1]].transpose()[np.ix_(*(flip,) * len(seq))]
+        res = np.maximum(residuals[seq], twin)
         at = int(np.argmax(res))  # the first of the worst, in product order
         if res.flat[at] > worst:
             worst = float(res.flat[at])

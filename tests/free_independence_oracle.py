@@ -5,7 +5,9 @@ dict from word to coefficient, applied word by word, and centered by a unit
 coefficient; every product is evaluated from scratch.  The sequences,
 random draws and witness rules are those of
 ``ncprob.free_independence_check`` and of the factorization part of
-``ncprob.tensor_independence_check``.
+``ncprob.tensor_independence_check``, except that the check reads each
+monomial residual as the larger of the product's and its adjoint twin's,
+which are equal in exact arithmetic; here each product counts alone.
 """
 
 import itertools

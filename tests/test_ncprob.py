@@ -597,6 +597,22 @@ def test_monomial_node_panels_of_dense_letters_match_nested_loops(kind):
     assert got.witness in (want.witness, _adjoint_twin(want.witness))
 
 
+@pytest.mark.parametrize("kind", PANEL_COLUMNS)
+def test_monomial_witness_does_not_depend_on_node_panels(monkeypatch, kind):
+    # with dense letters one node per panel rounds the worst product and its
+    # adjoint twin otherwise than the default panels (5.6e-17 apart for the
+    # vector state); the witness is read off the pair's maximum, so it holds
+    rng = np.random.default_rng(34)
+    gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
+    state = _panel_state(rng, 3, kind)
+    args = dict(max_len=4, degree=3, samples=0, tol=1e-9, seed=5)
+    default = free_independence_check(state, gens, **args)
+    monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", 6 * PANEL_COLUMNS[kind] * 3 * 16)
+    one = free_independence_check(state, gens, **args)
+    assert one.witness == default.witness
+    assert abs(one.residual - default.residual) <= 1e-15
+
+
 @pytest.mark.parametrize("nodes", [None, 1, 2])
 def test_monomial_node_panels_keep_the_first_of_equal_witnesses(monkeypatch, nodes):
     # one Fock unitary under both labels and a density state of rank two:
