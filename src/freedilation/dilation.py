@@ -29,6 +29,7 @@ from .ncprob import (
     GenSet,
     Word,
     _Sweep,
+    _codes,
     apply_word,
     commutator_norms,
     worst_commutator,
@@ -229,7 +230,8 @@ def dilation_residuals(
         out[at] = np.sqrt(np.maximum(w[:, -1], 0.0))
         at.clear()
 
-    walks = zip(lhs.walk(words, j), rhs.walk(words, np.eye(d, dtype=complex)))
+    table = _codes(words)
+    walks = zip(lhs.walk(table, j), rhs.walk(table, np.eye(d, dtype=complex)))
     for (i, left), (_, right) in walks:
         np.subtract(j_star @ left, right, out=stack[len(at)])
         at.append(i)

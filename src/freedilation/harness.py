@@ -40,6 +40,7 @@ from .ncprob import (
     CheckReport,
     GenSet,
     Word,
+    _alternating_words,
     alternating_words_within,
     center,
     faithfulness_check,
@@ -49,7 +50,6 @@ from .ncprob import (
     oracle_equivalence_check,
     ordered_words,
     parse_word,
-    signed_alternating_words,
     state_moment,
     tensor_independence_check,
     trace_check,
@@ -480,8 +480,9 @@ def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
         i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
     max_blocks = min(sc.max_alt, sc.trunc)
-    words = signed_alternating_words(model.free.n_factors, max_blocks, sc.degree, 2 * sc.degree)
-    rep = oracle_equivalence_check(model.state, model.gens, marginals, words, sc.tol)
+    ids = range(1, model.free.n_factors + 1)  # ``signed_alternating_words``, as one table
+    table = _alternating_words(ids, (1, -1), max_blocks, sc.degree, 2 * sc.degree)
+    rep = oracle_equivalence_check(model.state, model.gens, marginals, table, sc.tol)
     rep.details["max_blocks"] = max_blocks
     return rep
 

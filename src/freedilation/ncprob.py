@@ -36,8 +36,8 @@ MAX_GRAM_WORDS = 4096
 # the longest word ``Word.from_runs`` expands; power_dilation reaches 4,999
 # letters under the 5,000 dimension cap
 MAX_WORD_LETTERS = 2**16
-# bytes of the stacked word images of one column block of a faithfulness
-# Gram; their conjugate, for the Gram product, takes as much again
+# bytes of the word images of a faithfulness Gram's column block (their
+# conjugate takes as much again), and of a word-moment sweep's half images
 GRAM_BLOCK_BYTES = 64 * 2**20
 # bytes of one sample panel: the chunk of random samples a sampled
 # certificate applies side by side
@@ -152,6 +152,18 @@ def parse_word(text: str) -> Word:
             power = -power
         runs.append((factor, power))
     return Word.from_runs(runs)
+
+
+def _word(row: Iterable[int]) -> Word:
+    return Word(tuple((c >> 1, c & 1) for c in row if c))
+
+
+def _codes(words: Sequence[Word]) -> np.ndarray:
+    """The table of a word list: row ``i`` holds word ``i``'s letters left to
+    right as codes ``2 * factor + star``, then zeros; one column at least."""
+    width = max([1, *map(len, words)])
+    rows = [[2 * f + s for f, s in w.letters] + [0] * (width - len(w)) for w in words]
+    return np.array(rows, dtype=np.intp).reshape(-1, width)
 
 
 # a linear combination of words, as the words and their complex coefficients
@@ -291,16 +303,7 @@ def _state_panel(state: State) -> tuple[np.ndarray, np.ndarray]:
     return v[:, keep], w[keep]
 
 
-def _chunks(total: int, most: int) -> list[range]:
-    """``range(total)`` as the fewest chunks of at most ``most`` items (one at
-    least), of sizes that differ by one at most."""
-    n = -(-total // max(1, most))
-    return [range(total * i // n, total * (i + 1) // n) for i in range(n)]
-
-
-@lru_cache(maxsize=None)
-def _letter_word(letter: tuple[int, bool]) -> Word:
-    return Word((letter,))
+_code_word = lru_cache(maxsize=None)(lambda code: _word((code,)))
 
 
 class _Sweep:
@@ -322,9 +325,9 @@ class _Sweep:
         self.letters = 0
         self.panel_bytes = 0
 
-    def apply(self, letter: tuple[int, bool], panel: np.ndarray) -> np.ndarray:
+    def apply(self, code: int, panel: np.ndarray) -> np.ndarray:
         self.letters += 1
-        return apply_word(_letter_word(letter), self.gens, panel)
+        return apply_word(_code_word(code), self.gens, panel)
 
     def moments(self, applied: np.ndarray) -> np.ndarray:
         """``phi(a)`` of each sample, from ``a`` applied to a sample panel:
@@ -346,77 +349,92 @@ class _Sweep:
         A chunk of ``n`` samples has the state's ``k`` columns tiled ``n``
         times as its panel, sample ``s`` in columns ``s*k .. s*k+k-1``, and
         one ``(counts[j], n*k)`` coefficient array per slot ``j``: sample
-        ``s`` draws its slots in order from ``_derive_rng(*salt, s)``, and
-        its draw fills its own columns.  ``panel_bytes`` keeps the largest
-        panel's size.
+        ``s`` draws all its slots in one call to ``_derive_rng(*salt, s)``.
+        ``panel_bytes`` keeps the largest panel's size.
         """
         k = len(self.weights)
-        for chunk in _chunks(samples, SAMPLE_PANEL_BYTES // self.panel.nbytes):
-            rngs = [_derive_rng(*salt, s) for s in chunk]
-            draws = [[_disc_coefficients(rng, n) for n in counts] for rng in rngs]
-            coeffs = [np.repeat(np.stack(slot, axis=1), k, axis=1) for slot in zip(*draws)]
+        n = -(-samples // max(1, SAMPLE_PANEL_BYTES // self.panel.nbytes))
+        for chunk in (range(samples * i // n, samples * (i + 1) // n) for i in range(n)):
+            draws = [_derive_rng(*salt, s).uniform(0.0, 1.0, 2 * sum(counts)) for s in chunk]
+            coeffs = [np.repeat(c.T, k, axis=1) for c in _disc_coefficients(np.array(draws), counts)]
             panel = np.tile(self.panel, (1, len(chunk)))
             self.panel_bytes = max(self.panel_bytes, panel.nbytes)
             yield chunk, panel, coeffs
 
-    def walk(self, words: Sequence[Word], panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(i, words[i] applied to panel)`` for every word.
+    def walk(self, table: np.ndarray, panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(i, word i of the table applied to panel)`` for every row.
 
-        The words are visited sorted by their reversed letters, so words
-        that end alike are adjacent: a stack keeps the applied suffix of the
-        current word, and each distinct suffix costs one letter.  Only the
-        stack, at most the longest word plus one panels, is live.  The sort
-        runs on a small integer array of letter codes, not on Python tuples.
+        The words are visited sorted by their reversed letters, so a stack
+        keeps the applied suffix of the current word and each distinct
+        suffix costs one letter; only the stack's panels are live.
         """
-        codes: dict[tuple[int, bool], int] = {}
-        width = max([1, *map(len, words)])  # lexsort needs one key at least
-        rows = np.zeros((len(words), width), dtype=np.intp)
-        for i, w in enumerate(words):
-            for j, letter in enumerate(reversed(w.letters)):
-                rows[i, j] = codes.setdefault(letter, len(codes) + 1)
-        order = np.lexsort(rows.T[::-1])  # column 0, the last letter, sorts first
-        del rows
-        stack = [panel]  # stack[k]: the last k letters of ``done`` applied
-        done: tuple[tuple[int, bool], ...] = ()
-        for i in order:
-            todo = words[i].letters[::-1]
-            keep = 0
-            while keep < len(done) and keep < len(todo) and done[keep] == todo[keep]:
-                keep += 1
-            del stack[keep + 1 :]
-            for letter in todo[keep:]:
-                stack.append(self.apply(letter, stack[-1]))
-            done = todo
+        n = np.count_nonzero(table, axis=1)
+        at = n[:, None] - 1 - np.arange(table.shape[1])
+        back = np.where(at >= 0, np.take_along_axis(table, np.maximum(at, 0), axis=1), 0)
+        order = np.lexsort(back.T[::-1])  # column 0, the last letter, sorts first
+        back, n = back[order], n[order]
+        # the letters each word shares at its end with the word before it
+        keep = np.minimum(np.cumprod(back[1:] == back[:-1], axis=1).sum(axis=1), n[1:])
+        stack = [panel]  # stack[j]: the last j letters of the current word applied
+        for i, todo, start, stop in zip(order.tolist(), back.tolist(), [0, *keep.tolist()], n.tolist()):
+            del stack[start + 1 :]
+            for code in todo[start:stop]:
+                stack.append(self.apply(code, stack[-1]))
             yield i, stack[-1]
 
-    def word_moments(self, words: Sequence[Word]) -> np.ndarray:
-        out = np.empty(len(words), dtype=complex)
-        for i, applied in self.walk(words, self.panel):
-            out[i] = self.moments(applied)[0]
+    def word_moments(self, table: np.ndarray) -> np.ndarray:
+        """``phi(w)`` for every word of a table, from two half-words.
+
+        A word ``w = L R``, with ``R`` its last ``ceil(n/2)`` letters, has
+        ``phi(w) = sum_k w_k <R v_k, L* v_k>`` exactly, for any generators:
+        one walk applies the distinct halves ``R`` and ``L*`` to the state's
+        columns scaled by ``sqrt(w_k)``, and a moment is one ``vdot`` of two
+        half images, the same digits in any list.  The images are held two
+        blocks of halves at a time, within ``GRAM_BLOCK_BYTES``.
+        """
+        n = np.count_nonzero(table, axis=1)[:, None]
+        h, col, last = n // 2, np.arange((table.shape[1] + 1) // 2), table.shape[1] - 1
+        right = np.where(h + col < n, np.take_along_axis(table, np.minimum(h + col, last), 1), 0)
+        left = np.where(col < h, np.take_along_axis(table, np.maximum(h - 1 - col, 0), 1) ^ 1, 0)
+        keys: dict[tuple[int, ...], int] = {}  # each distinct half, numbered
+        pairs = [keys.setdefault(r, len(keys)) for r in map(tuple, np.vstack([left, right]).tolist())]
+        halves, pairs = np.array(list(keys)), np.reshape(pairs, (2, -1))
+        panel = self.panel * np.sqrt(self.weights)
+        size = max(1, GRAM_BLOCK_BYTES // (2 * panel.nbytes))
+        out = np.empty(len(table), dtype=complex)
+        for a, b in set(zip(*(pairs // size).tolist())):
+            words = np.flatnonzero((pairs // size == [[a], [b]]).all(axis=0))
+            need = sorted({j for c in (a, b) for j in range(c * size, min(c * size + size, len(halves)))})
+            images = {need[i]: image.ravel() for i, image in self.walk(halves[need], panel)}
+            out[words] = [np.vdot(images[i], images[j]) for i, j in zip(*pairs[:, words].tolist())]
+            del images  # before the next pair of blocks is walked
         return out
 
     def combine(
-        self, comb: Combination, panel: np.ndarray, mean: complex | np.ndarray = 0j
+        self, table: np.ndarray, coeffs: np.ndarray, panel: np.ndarray, mean: complex | np.ndarray = 0j
     ) -> np.ndarray:
-        """``sum_i coeffs[i] words[i] - mean`` applied to panel, by one walk.
+        """``sum_i coeffs[i] word_i - mean`` applied to panel, by one walk.
         Scalar coefficients and mean act on every column; ``(words, cols)``
         coefficients and a ``(cols,)`` mean act column by column."""
-        words, coeffs = comb
         out = -mean * panel
-        for i, term in self.walk(words, panel):
+        for i, term in self.walk(table, panel):
             out += coeffs[i] * term
         return out
 
 
 def word_moments(state: State, gens: GenSet, words: Sequence[Word]) -> np.ndarray:
-    """``phi(w)`` for every word, sharing suffixes: a word set with ``s``
-    distinct nonempty suffixes costs ``s`` letter applications.  Each word's
-    letters are applied in the same order as :func:`apply_word` applies them."""
-    return _Sweep(state, gens).word_moments(words)
+    """``phi(w)`` for every word, from half-words (:meth:`_Sweep.word_moments`)."""
+    return _Sweep(state, gens).word_moments(_codes(words))
 
 
 def word_moment(state: State, gens: GenSet, word: Word) -> complex:
-    return complex(word_moments(state, gens, [word])[0])
+    """:func:`word_moments` of one word, whose halves :func:`apply_word`
+    applies letter by letter as the walk does: the same digits."""
+    panel, weights = _state_panel(state)
+    panel = panel * np.sqrt(weights)
+    h = len(word) // 2
+    left = apply_word(Word(word.letters[:h]).adjoint, gens, panel)
+    return complex(np.vdot(left.ravel(), apply_word(Word(word.letters[h:]), gens, panel).ravel()))
 
 
 def state_moment(state: State, gens: GenSet, factors: Sequence[Combination]) -> complex:
@@ -424,8 +442,8 @@ def state_moment(state: State, gens: GenSet, factors: Sequence[Combination]) -> 
     to the state columns on one sweep; a word ``w`` alone is ``((w,), [1])``."""
     sweep = _Sweep(state, gens)
     applied = sweep.panel
-    for comb in reversed(factors):
-        applied = sweep.combine(comb, applied)
+    for words, coeffs in reversed(factors):
+        applied = sweep.combine(_codes(words), coeffs, applied)
     return complex(sweep.moments(applied)[0])
 
 
@@ -455,35 +473,32 @@ def _alternating_words(
     max_blocks: int,
     per_run_max: int,
     total_max: int,
-) -> list[Word]:
-    """Nonempty words in the factors ``ids``, built as signed power runs
-    ``(factor id, k)`` with signs drawn from ``signs``: adjacent runs differ
-    in factor or sign, factor blocks at most ``max_blocks``, each
-    ``|k| <= per_run_max``, total ``sum |k| <= total_max``; ordered by
-    total power, then run count, then the runs themselves."""
-    out: list[tuple[tuple[int, int], ...]] = []
-    # an explicit stack, not a recursive closure, whose reference cycle would
-    # keep ``out`` alive until the next garbage collection
-    stack = [((), 0, total_max)]
+) -> np.ndarray:
+    """The table of the nonempty words in the factors ``ids``, built as
+    signed power runs ``(factor id, k)`` with signs drawn from ``signs``:
+    adjacent runs differ in factor or sign, factor blocks at most
+    ``max_blocks``, each ``|k| <= per_run_max``, total ``sum |k| <=
+    total_max``; ordered by total power, then run count, then the runs
+    themselves."""
+    # depth first from the smallest run, so the runs come in order, a prefix
+    # before its extensions; each word is filed by (total power, run count)
+    files: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    stack = [((), 0, 0, 0, 0)]  # letters, last factor and sign, blocks, runs
+    pairs = sorted((f, sign) for f in ids for sign in signs)[::-1]
     while stack:
-        prefix, blocks, budget = stack.pop()
-        if prefix:
-            out.append(prefix)
-        for i in ids:
-            new_block = not prefix or prefix[-1][0] != i
-            if blocks + new_block > max_blocks:
+        codes, last, last_sign, blocks, count = stack.pop()
+        if codes:
+            files.setdefault((len(codes), count), []).append(codes)
+        most = min(per_run_max, total_max - len(codes))
+        for f, sign in pairs:  # pushed last first, so the smallest run pops first
+            new_block = f != last
+            if blocks + new_block > max_blocks or (not new_block and sign == last_sign):
                 continue
-            for sign in signs:
-                if not new_block and (prefix[-1][1] > 0) == (sign > 0):
-                    continue
-                for k in range(1, min(per_run_max, budget) + 1):
-                    stack.append((prefix + ((i, sign * k),), blocks + new_block, budget - k))
-    # by (total power, run count, runs), as three stable sorts whose keys are
-    # small cached ints rather than one tuple per sequence
-    out.sort()
-    out.sort(key=len)
-    out.sort(key=lambda runs: sum(abs(k) for _, k in runs))
-    return [Word.from_runs(runs) for runs in out]
+            code = 2 * f + (sign < 0)
+            for k in range(most, 0, -1) if sign > 0 else range(1, most + 1):
+                stack.append((codes + (code,) * k, f, sign, blocks + new_block, count + 1))
+    rows = [c + (0,) * (total_max - len(c)) for key in sorted(files) for c in files[key]]
+    return np.array(rows, dtype=np.intp).reshape(-1, max(1, total_max))
 
 
 def signed_alternating_words(
@@ -493,13 +508,15 @@ def signed_alternating_words(
     signed power runs: adjacent runs differ in factor or sign, factor blocks
     at most ``max_blocks``, each ``|k| <= per_run_max``, total length
     ``sum |k| <= total_max``."""
-    return _alternating_words(range(1, n_factors + 1), (1, -1), max_blocks, per_run_max, total_max)
+    table = _alternating_words(range(1, n_factors + 1), (1, -1), max_blocks, per_run_max, total_max)
+    return [_word(row) for row in table.tolist()]
 
 
 def alternating_words_within(n_factors: int, max_alt: int, max_total: int) -> list[Word]:
     """All nonempty words of positive powers with at most ``max_alt``
     alternating runs and length at most ``max_total``."""
-    return _alternating_words(range(1, n_factors + 1), (1,), max_alt, max_total, max_total)
+    table = _alternating_words(range(1, n_factors + 1), (1,), max_alt, max_total, max_total)
+    return [_word(row) for row in table.tolist()]
 
 
 def ordered_words(n_factors: int, max_power: int) -> list[Word]:
@@ -513,11 +530,12 @@ def ordered_words(n_factors: int, max_power: int) -> list[Word]:
     return [Word.from_runs(r) for r in sorted(runs, key=lambda r: (len(r), r))]
 
 
-def _disc_coefficients(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` draws uniform on the complex unit disc."""
-    radii = np.sqrt(rng.uniform(0.0, 1.0, size=count))
-    phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=count))
-    return radii * phases
+def _disc_coefficients(draws: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
+    """``counts[j]`` points uniform on the complex unit disc for slot ``j``: its
+    radii, then its phases, from the next uniform ``draws`` along the last axis."""
+    at = (2 * np.cumsum([0, *counts])).tolist()
+    cuts = zip(at, at[1:], counts)
+    return [np.sqrt(draws[..., a : a + n]) * np.exp(2j * np.pi * draws[..., a + n : b]) for a, b, n in cuts]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +616,7 @@ def tensor_independence_check(
     for each chunk of samples, side by side in one sample panel.
     """
     ids = list(gens.ids)
-    words = {f: _all_words([f], degree) for f in ids}
+    words = {f: _codes(_all_words([f], degree)) for f in ids}
     worst, pair = worst_commutator(gens)
     witness = {"part": "commutation", **pair} if worst > 0 else None
 
@@ -609,8 +627,9 @@ def tensor_independence_check(
     counts = [len(words[f]) for f in ids]
     for chunk, applied, coeffs in sweep.sample_panels(samples, (seed, 1), counts):
         for f, c in zip(reversed(ids), reversed(coeffs)):
-            applied = sweep.combine((words[f], c), applied)
-        split = np.prod([phi @ c[:, ::k] for phi, c in zip(phis, coeffs)], axis=0)
+            applied = sweep.combine(words[f], c, applied)
+        # sample by sample, so that no chunking moves a digit
+        split = math.prod(np.einsum("w,ws->s", phi, c[:, ::k]) for phi, c in zip(phis, coeffs))
         res = np.hypot((m := sweep.moments(applied) - split).real, m.imag)  # as a scalar abs
         at = int(np.argmax(res))  # the first sample of the worst
         if res[at] > worst:
@@ -653,27 +672,24 @@ def free_independence_check(
     alternating factor sequence), then a seeded random pass with a centered
     random combination of the factor's words in each slot.
 
-    The monomial pass walks the tree of alternating slot choices depth first
-    from the rightmost slot, so a product shares its right part with its
-    siblings.  It runs in node panels of siblings and cousins, laid out as
-    sample panels: each letter of a slot's powers goes to the whole panel,
-    whose centered options together fit in ``SAMPLE_PANEL_BYTES`` (one node
-    at least), and each option's moments are read at once.  The random pass
-    runs each chunk of samples side by side in one sample panel: it takes
-    each slot's means as dot products with the factor's word moments and
-    applies the slot by one :meth:`_Sweep.combine`.
+    The monomial pass reads a product ``X = L R`` of centered slots, ``R``
+    its last ``ceil(m/2)``, as ``phi(X) = <R v, L* v>``: ``L*`` is the twin
+    of ``L``, its slots reversed and stars flipped, exactly, since a starred
+    option is centered at the conjugate of its twin's mean.  So the products
+    of up to ``ceil(max_len/2)`` slots, all of a slot's options side by
+    side, give every residual.  The random pass runs each chunk of
+    samples side by side in one sample panel: it takes each slot's means as
+    dot products with the factor's word moments and applies the slot by one
+    :meth:`_Sweep.combine`.
     """
     ids = list(gens.ids)
     if len(ids) < 2:
         raise ValueError("free independence needs at least two factors")
     if degree < 1:
         raise ValueError(f"free independence needs degree >= 1, got {degree}")
-    # alternating factor sequences of length 2..max_len, one letter per slot
-    sequences = [
-        tuple(f for f, _ in w.letters)
-        for w in _alternating_words(ids, (1,), max_len, 1, max_len)
-        if len(w) >= 2
-    ]
+    # alternating factor sequences of length 1..max_len, one letter per slot
+    chains = [tuple(c >> 1 for c in r if c) for r in _alternating_words(ids, (1,), max_len, 1, max_len).tolist()]
+    sequences = [seq for seq in chains if len(seq) >= 2]
     sweep = _Sweep(state, gens)
     worst = 0.0
     witness: dict | None = None
@@ -681,44 +697,43 @@ def free_independence_check(
     # centered T^p and (T*)^p for 1 <= p <= min(degree, 3); option 2(p-1) + star
     powers = min(degree, 3)
     opts = 2 * powers
+    flip = np.arange(opts) ^ 1  # the option of the adjoint: star flipped
     monomials = {
         f: [Word(((f, s),) * p) for p in range(1, powers + 1) for s in (False, True)]
         for f in ids
     }
-    means = {f: sweep.word_moments(words) for f, words in monomials.items()}
-    # residuals[seq][o_1, ..., o_m]: |phi| of the product with option o_k in slot k
-    residuals = {seq: np.zeros((opts,) * len(seq)) for seq in sequences}
+    # phi((T*)^p) = conj phi(T^p), so an option's adjoint is exactly its twin
+    means = {f: np.repeat(sweep.word_moments(_codes(ws[::2])), 2) for f, ws in monomials.items()}
+    for m in means.values():
+        m[1::2] = np.conj(m[1::2])
+    dim, k = sweep.panel.shape
 
-    def centered(f: int, panel: np.ndarray) -> np.ndarray:
-        out = np.empty((len(panel), opts, panel.shape[1]), dtype=complex)  # option-major
-        for s in (False, True):
+    def centered(f: int, rows: np.ndarray) -> np.ndarray:
+        """Each option of a slot of factor ``f`` applied to each row."""
+        panel = np.moveaxis(rows.reshape(-1, dim, k), 0, 1).reshape(dim, -1)
+        out = np.empty((opts, len(rows), dim, k), dtype=complex)  # option-major
+        for s in (0, 1):
             power = panel
             for p in range(powers):
-                power = sweep.apply((f, s), power)
-                out[:, 2 * p + s] = power - means[f][2 * p + s] * panel
-        return out.reshape(len(panel), -1)
+                power = sweep.apply(2 * f + s, power)
+                out[2 * p + s] = np.moveaxis((power - means[f][2 * p + s] * panel).reshape(dim, -1, k), 0, 1)
+        return out.reshape(-1, dim * k)
 
-    # depth first over node panels of one slot sequence, from the rightmost
-    # slot leftwards; ``flat`` holds each node's flat index into its
-    # ``residuals`` array, and a node is the state's ``k`` columns
-    k = len(sweep.weights)
-    per_panel = SAMPLE_PANEL_BYTES // (opts * sweep.panel.nbytes)
-    stack = [((), sweep.panel, np.zeros(1, dtype=np.intp))]
-    while stack:
-        slots, panel, flat = stack.pop()
-        for f in ids:
-            if slots and slots[-1] == f:
-                continue
-            here = slots + (f,)
-            applied = centered(f, panel)
-            at = (np.arange(opts)[:, None] * opts ** len(slots) + flat).ravel()
-            if len(here) >= 2:  # hypot rounds as a scalar abs; np.abs of an array may not
-                m = sweep.moments(applied)
-                residuals[here[::-1]].flat[at] = np.hypot(m.real, m.imag)
-            if len(here) < max_len:
-                for c in _chunks(len(at), per_panel):
-                    stack.append((here, applied[:, c.start * k : c.stop * k], at[c.start : c.stop]))
-    flip = np.arange(opts) ^ 1  # the option of the adjoint: star flipped
+    # the products of up to ceil(max_len/2) slots, keyed by slot sequence:
+    # a row per option combination, the state's k columns flattened
+    products = {(): (sweep.panel * np.sqrt(sweep.weights)).reshape(1, -1)}
+    for seq in (seq for seq in chains if len(seq) <= (max_len + 1) // 2):
+        products[seq] = centered(seq[0], products[seq[1:]])
+    # residuals[seq][o_1, ..., o_m]: |phi| of the product with option o_j in slot j
+    residuals = {}
+    for seq in sequences:
+        h = len(seq) // 2
+        # L*'s row for the options o_1 .. o_h of L: slots reversed, stars flipped
+        twin = np.arange(opts**h).reshape((opts,) * h).transpose()[np.ix_(*(flip,) * h)]
+        left, right = seq[h - 1 :: -1], seq[h:]  # keys: no product outlives the loop
+        res = [abs(complex(np.vdot(products[left][a], b))) for a in twin.ravel().tolist() for b in products[right]]
+        residuals[seq] = np.reshape(res, (opts,) * len(seq))
+    del products
     for seq in sequences:
         # the adjoint twin (slots reversed, stars flipped) has the same |phi|
         # in exact arithmetic: take the pair's maximum, whichever rounds higher
@@ -731,14 +746,14 @@ def free_independence_check(
             slots = [f"c({monomials[f][o].format()})" for f, o in zip(seq, combo)]
             witness = {"part": "monomial", "sequence": list(seq), "slots": slots}
 
-    words = {f: _all_words([f], degree) for f in ids}
+    words = {f: _codes(_all_words([f], degree)) for f in ids}
     phis = {f: sweep.word_moments(ws) for f, ws in words.items()}
     for si, seq in enumerate(sequences):
         # each sample drawn slot by slot from the left
         counts = [len(words[f]) for f in seq]
         for chunk, applied, coeffs in sweep.sample_panels(samples, (seed, 2, si), counts):
-            for f, c in zip(reversed(seq), reversed(coeffs)):
-                applied = sweep.combine((words[f], c), applied, mean=phis[f] @ c)
+            for f, c in zip(reversed(seq), reversed(coeffs)):  # means sample by sample
+                applied = sweep.combine(words[f], c, applied, np.einsum("w,ws->s", phis[f], c))
             res = np.hypot((m := sweep.moments(applied)).real, m.imag)  # as a scalar abs
             at = int(np.argmax(res))  # the first sample of the worst
             if res[at] > worst:
@@ -786,7 +801,7 @@ def trace_check(
         wa = _random_word(rng, ids, degree)
         pairs.append((wa, _random_word(rng, ids, degree)))
     sweep = _Sweep(state, gens)
-    moments = sweep.word_moments([w for wa, wb in pairs for w in (wa * wb, wb * wa)])
+    moments = sweep.word_moments(_codes([w for wa, wb in pairs for w in (wa * wb, wb * wa)]))
     worst = 0.0
     witness: dict | None = None
     for k, (wa, wb) in enumerate(pairs):
@@ -841,7 +856,7 @@ def _gram_rank(
     and ``G`` accumulates their Gram.  A block's images stay within
     ``GRAM_BLOCK_BYTES``, or one panel column if that alone is larger.
     """
-    n = len(words)
+    n, table = len(words), _codes(words)
     step = max(1, GRAM_BLOCK_BYTES // (16 * sweep.gens.dim * n))
     gram = np.zeros((n, n), dtype=complex)
     for lo in range(0, len(weights), step):
@@ -849,7 +864,7 @@ def _gram_rank(
         roots = np.sqrt(weights[lo:hi])
         panel = columns(lo, hi)
         images = np.empty((panel.size, n), dtype=complex)
-        for i, applied in sweep.walk(words, panel):
+        for i, applied in sweep.walk(table, panel):
             images[:, i] = (applied * roots).reshape(-1)
         gram += adjoint(images) @ images
     s = np.linalg.svd(gram, compute_uv=False)
@@ -1020,7 +1035,7 @@ def free_mixed_moments(
             if f not in marginals:
                 raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
     recursion = _FreeRecursion(marginals)
-    return [recursion(w.letters) for w in words], recursion.entries
+    return [recursion(tuple(2 * f + s for f, s in w.letters)) for w in words], recursion.entries
 
 
 def free_mixed_moment_oracle(marginals: Mapping[int, Marginal], word: Word) -> complex:
@@ -1028,10 +1043,17 @@ def free_mixed_moment_oracle(marginals: Mapping[int, Marginal], word: Word) -> c
     return free_mixed_moments(marginals, [word])[0][0]
 
 
+@lru_cache(maxsize=None)
+def _expansion(n: int) -> list[tuple[int, float, tuple[int, ...]]]:
+    """Each nonempty mask of ``n`` blocks: its top block, sign and kept blocks."""
+    keep = [tuple(j for j in range(n) if not m >> j & 1) for m in range(1 << n)]
+    return [(m.bit_length() - 1, (-1.0, 1.0)[m.bit_count() % 2], keep[m]) for m in range(1, 1 << n)]
+
+
 class _FreeRecursion:
-    """The oracle's recursion on flat letter tuples (a block sequence is fixed
-    by its letters), one memo for all words; a single block's mean is read
-    from its marginal.  A value depends only on its letters and the
+    """The oracle's recursion on flat letter-code tuples (a block sequence
+    is fixed by its letters), one memo for all words; a single block's mean
+    is read from its marginal.  A value depends only on its letters and the
     marginals, so sharing or clearing the memo changes no digit.  The memo is
     cleared before an entry would take it past ``ORACLE_MEMO_BYTES``;
     ``entries`` counts the entries it took in, the distinct sequences
@@ -1040,36 +1062,33 @@ class _FreeRecursion:
 
     def __init__(self, marginals: Mapping[int, Marginal]):
         self.marginals = marginals
-        self.memo: dict[tuple[tuple[int, bool], ...], complex] = {}
+        self.memo: dict[tuple[int, ...], complex] = {}
         self.entries = 0
 
-    def __call__(self, letters: tuple[tuple[int, bool], ...]) -> complex:
-        if not letters:
+    def __call__(self, codes: tuple[int, ...]) -> complex:
+        if not codes:
             return 1.0 + 0.0j
-        total = self.memo.get(letters)
+        total = self.memo.get(codes)
         if total is not None:
             return total
-        blocks = [tuple(run) for _, run in itertools.groupby(letters, key=itemgetter(0))]
+        # blocks of one factor, ``code >> 1`` as a C-level key
+        blocks = [tuple(run) for _, run in itertools.groupby(codes, key=(1).__rrshift__)]
         if len(blocks) == 1:
-            total = self.marginals[letters[0][0]](Word(letters))
+            total = self.marginals[codes[0] >> 1](_word(codes))
         else:
-            phis = [self(b) for b in blocks]
+            get, block = self.memo.get, blocks.__getitem__  # a hit skips the call
+            phis = [get(b) or self(b) for b in blocks]
             total = 0.0 + 0.0j
-            for mask in range(1, 1 << len(blocks)):
-                coeff = 1.0 + 0.0j
-                sign = -1.0
-                kept: tuple[tuple[int, bool], ...] = ()
-                for j, b in enumerate(blocks):
-                    if mask >> j & 1:
-                        coeff *= phis[j]
-                        sign = -sign
-                    else:
-                        kept += b
+            # coeffs[mask]: its blocks' means multiplied in block order
+            coeffs = [1.0 + 0.0j]
+            for high, sign, kept in _expansion(len(blocks)):
+                coeffs.append(coeff := coeffs[len(coeffs) - (1 << high)] * phis[high])
                 if coeff != 0:
-                    total += sign * coeff * self(kept)
+                    kept = sum(map(block, kept), ())
+                    total += sign * coeff * (get(kept) or self(kept))
         if len(self.memo) >= ORACLE_MEMO_BYTES // 256:
             self.memo.clear()
-        self.memo[letters] = total
+        self.memo[codes] = total
         self.entries += 1
         return total
 
@@ -1078,36 +1097,34 @@ def oracle_equivalence_check(
     state: State,
     gens: GenSet,
     marginals: Mapping[int, Marginal],
-    words: Sequence[Word],
+    table: np.ndarray,
     tol: float = 1e-8,
 ) -> CheckReport:
     """Compare each word's moment in the model with the free mixed moment
-    oracle of the marginals: the model side is one shared-suffix sweep, the
-    oracle side one :func:`free_mixed_moments` call, whose memo entries the
-    details report as ``memo_entries``."""
-    sweep = _Sweep(state, gens)
-    model = sweep.word_moments(words)
-    oracle, entries = free_mixed_moments(marginals, words)
-    worst = 0.0
-    witness: dict | None = None
-    for w, lhs, rhs in zip(words, model, oracle):
-        lhs = complex(lhs)
-        res = abs(lhs - rhs)
-        if res >= worst:
-            if res > worst or witness is None:
-                witness = {
-                    "word": w.format(),
-                    "vacuum_moment": [lhs.real, lhs.imag],
-                    "oracle_moment": [rhs.real, rhs.imag],
-                }
-            worst = max(worst, res)
+    oracle of the marginals, for the words of a table: the model side is
+    one half-word sweep, the oracle side one recursion keyed by the table's
+    rows (``memo_entries`` in the details); only the witness becomes a
+    :class:`Word`.  The harness keeps the words within ``MAX_ORACLE_LETTERS``."""
+    model = (sweep := _Sweep(state, gens)).word_moments(table)
+    lengths = np.count_nonzero(table, axis=1).tolist()
+    rows = [tuple(row[:n]) for row, n in zip(table.tolist(), lengths)]
+    oracle = list(map(memo := _FreeRecursion(marginals), rows))
+    lhs = model.tolist()
+    res = [abs(a - b) for a, b in zip(lhs, oracle)]
+    at = max(range(len(res)), key=res.__getitem__, default=None)  # the first of the worst
+    witness = None if at is None else {
+        "word": _word(rows[at]).format(),
+        "vacuum_moment": [lhs[at].real, lhs[at].imag],
+        "oracle_moment": [oracle[at].real, oracle[at].imag],
+    }
+    worst = 0.0 if at is None else res[at]
     return CheckReport(
         name="oracle_equivalence",
         residual=worst,
         tol=tol,
         passed=worst <= tol,
         witness=witness,
-        details={"words": len(words), "letters_applied": sweep.letters, "memo_entries": entries},
+        details={"words": len(table), "letters_applied": sweep.letters, "memo_entries": memo.entries},
     )
 
 

@@ -537,7 +537,7 @@ def test_oracle_check_refuses_degree_over_the_cap_before_enumerating(monkeypatch
     def refuse(*args):
         raise AssertionError("oracle words enumerated past the cap")
 
-    monkeypatch.setattr(harness, "signed_alternating_words", refuse)
+    monkeypatch.setattr(harness, "_alternating_words", refuse)
     path = str(SCENARIOS / "free_pair.json")
     code = main(["suite", "--input", path, "--degree", "9", "--trunc-len", "1"])
     entries = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -648,8 +648,9 @@ def test_suite_counters_in_free_and_dense_modes():
     tensor = Scenario(mode="tensor", factors=factors * 2, degree=1, check_degree=2, samples=5)
     details = run_theorem_suite(tensor, subset=("tensor_independence",)).checks[1]["details"]
     assert details["commutators"] == 2  # [A_1, A_2] and [A_1*, A_2]
-    # the word moments, then the 5 samples side by side in one sample panel
-    assert details["letters_applied"] == 2 * 6 * (1 + 1)
+    # per factor the word moments' halves T and T*, then the 5 samples side
+    # by side in one sample panel
+    assert details["letters_applied"] == 2 * (2 + 6)
     assert details["panel_bytes"] == 5 * 16 * 16  # 5 one-column samples at dim 4 * 4
     doubly = Scenario(mode="doubly", factors=factors * 3, degree=1)
     details = run_theorem_suite(doubly, subset=("double_commutation",)).checks[1]["details"]
@@ -721,21 +722,22 @@ def test_oracle_check_matches_per_word_loop():
     assert rep.residual == worst and rep.witness == witness
     assert rep.details == {
         "words": len(words),
-        "letters_applied": 4436,
+        "letters_applied": 84,  # the distinct halves of the 4,436 words
         "max_blocks": 4,
         "memo_entries": 4468,
     }
 
 
 def test_free_pair_work_counts_are_pinned():
-    # deterministic counters of free_pair at seed 1: the monomial pass runs
-    # in node panels (3,148 of the old 4,156 letters fall to 700), and one
-    # oracle memo serves all 4,436 words; a change that undoes either moves them
+    # deterministic counters of free_pair at seed 1: the monomial pass reads
+    # each product off its two halves (42 letters, where node panels took
+    # 700), the random pass takes 1,008, and one oracle memo serves all
+    # 4,436 words; a change that undoes either moves them
     sc = replace(ingest(SCENARIOS / "free_pair.json"), seed=1)
     model = build_model(sc)
     free = CHECKS["free_independence"](sc, model)
     oracle = CHECKS["oracle_equivalence"](sc, model)
-    assert free.details["letters_applied"] == 1708
+    assert free.details["letters_applied"] == 1050
     assert (oracle.details["words"], oracle.details["memo_entries"]) == (4436, 4468)
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -37,8 +38,10 @@ from freedilation.ncprob import (
 )
 from freedilation.free_product import free_unitary_dilation
 from freedilation.operator_core import (
+    AxisAction,
     State,
     adjoint,
+    operator_norm,
     random_contraction,
     random_state,
     random_unitary,
@@ -278,11 +281,97 @@ def test_word_moments_apply_each_distinct_suffix_once(monkeypatch):
     assert [len(w) for w in applied] == [1] * 5
 
 
+@st.composite
+def _generator_sets_states_and_words(draw):
+    """Dense, Fock or axis generators; a vector, full-rank density or
+    rank-deficient density state on their space; and up to 12 words of up
+    to 7 letters, some of them repeated: the unit, odd and even lengths and
+    shared halves all occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "fock", "axis"]))
+    if kind == "dense":
+        dim = draw(st.integers(1, 4))
+        gens = GenSet({f: 1.5 * random_contraction(rng, dim) for f in (1, 2, 3)})
+    elif kind == "fock":
+        d = draw(st.integers(1, 2))
+        factors = [(random_contraction(rng, d, 0.9), random_state(rng, d)) for _ in range(2)]
+        gens = free_unitary_dilation(factors, 2, draw(st.integers(1, 2))).unitaries
+    else:
+        legs = (2, 3)
+        axes = [(0,), (1,), (0, 1)]
+        cores = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (2, 3, 6)]
+        gens = GenSet({f: AxisAction(legs, a, c) for f, (a, c) in enumerate(zip(axes, cores), 1)})
+    dim, ids = gens.dim, list(gens.ids)
+    shape = draw(st.sampled_from(["vector", "full", "deficient"]))
+    if shape == "vector":
+        state = random_state(rng, dim)
+    else:
+        rank = dim if shape == "full" else max(1, dim - 1)
+        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+        state = State.from_density(g @ adjoint(g) / np.linalg.norm(g) ** 2)
+    letters = st.tuples(st.sampled_from(ids), st.booleans())
+    words: list[Word] = [Word()]
+    for _ in range(draw(st.integers(0, 11))):
+        if words and draw(st.booleans()):
+            words.append(draw(st.sampled_from(words)))
+        else:
+            words.append(Word(tuple(draw(st.lists(letters, max_size=7)))))
+    return gens, state, draw(st.permutations(words))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_sets_states_and_words())
+def test_word_moments_from_halves_match_per_word_products(case):
+    # phi(L R) = <R v, L* v> is exact: each moment matches the whole word
+    # applied by apply_word to within 1e-13 of its letters' norms, and has
+    # the same digits alone (word_moment) and in any list
+    gens, state, words = case
+    got = word_moments(state, gens, words)
+    eye = np.eye(gens.dim, dtype=complex)
+    norm = {f: operator_norm(apply_word(Word(((f, False),)), gens, eye)) for f in gens.ids}
+    for w, value in zip(words, got):
+        if state.kind == "vector":
+            want = np.vdot(state.vector, apply_word(w, gens, state.vector))
+        else:
+            want = np.vdot(state.density.conj().T, apply_word(w, gens, eye))
+        scale = math.prod(norm[f] for f, _ in w.letters)
+        assert abs(value - want) <= 1e-13 * scale
+        assert word_moment(state, gens, w) == value
+    assert np.array_equal(word_moments(state, gens, words[::-1])[::-1], got)
+
+
+def test_word_moments_hold_their_halves_in_blocks():
+    # free_pair at L = 6 (dim 2,185): the oracle's 4,436 words have 85
+    # distinct halves, whose images take 3 MB.  They stay within
+    # GRAM_BLOCK_BYTES plus 1 MB, and within a 1 MiB bound they run in
+    # blocks, apply more letters and give the same digits
+    scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
+    fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 6)
+    assert fds.dim == 2185
+    table = ncprob._alternating_words([1, 2], (1, -1), 4, 3, 6)
+    runs = []
+    for budget in (ncprob.GRAM_BLOCK_BYTES, 2**20):
+        sweep = ncprob._Sweep(fds.vacuum, fds.unitaries)
+        with mock.patch.object(ncprob, "GRAM_BLOCK_BYTES", budget):
+            tracemalloc.start()
+            try:
+                moments = sweep.word_moments(table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < budget + 2**20, (budget, peak)
+        runs.append((moments, sweep.letters))
+    (whole, letters), (blocked, more) = runs
+    assert letters == 84 and more > letters
+    assert np.array_equal(blocked, whole)
+
+
 def test_trace_check_reports_letters_applied():
     gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.eye(2) * 0.5})
     rep = trace_check(State.basis_vector(2, 0), gens, degree=1, samples=0)
-    # 4 one-letter suffixes, then the 16 products of two letters
-    assert rep.details["letters_applied"] == 20
+    # the 16 products of two letters split into one-letter halves: the 4
+    # letters, each applied once
+    assert rep.details["letters_applied"] == 4
 
 
 def test_evaluate_word_diagonal():
@@ -321,7 +410,7 @@ def test_random_element_coefficients_on_disc():
     # a random combination of one factor's words: one disc draw per word
     rng = np.random.default_rng(1)
     words = ncprob._all_words([1], 2)
-    coeffs = ncprob._disc_coefficients(rng, len(words))
+    (coeffs,) = ncprob._disc_coefficients(rng.uniform(0.0, 1.0, 2 * len(words)), [len(words)])
     assert len(words) == len(coeffs) == 7  # unit + 2 letters + 4 two-letter words
     assert len(set(words)) == 7
     assert all(abs(c) <= 1.0 + 1e-12 for c in coeffs)
@@ -375,7 +464,8 @@ def test_tensor_factorization_matches_reference():
     assert not rep.passed and type(rep.residual) is float
     assert rep.witness == {"part": "factorization", "sample": sample, "seed": 3}
     assert abs(rep.residual - worst) <= 1e-12
-    assert rep.details["letters_applied"] == 2 * 6 * (1 + 1)  # one panel holds all 20 samples
+    # per factor the moments' halves T and T*, then one panel holds all 20 samples
+    assert rep.details["letters_applied"] == 2 * (2 + 6)
 
 
 def test_make_tensor_independent_dim_cap():
@@ -495,6 +585,51 @@ def test_sample_chunks_give_the_one_panel_result(kind, columns):
         assert many.details["letters_applied"] > one.details["letters_applied"]
 
 
+@pytest.mark.parametrize("kind", PANEL_COLUMNS)
+def test_random_passes_do_not_depend_on_the_chunking(monkeypatch, kind):
+    # real letters with one nonzero per row image a column alike in any
+    # panel, so one sample per chunk gives every sample's moment, and the
+    # residual and witness of the default chunks, to the bit: the slot means
+    # and the tensor split are taken sample by sample
+    rng = np.random.default_rng(37)
+    shift = np.roll(np.diag(rng.uniform(0.3, 0.9, 3)), 1, axis=0)
+    free = GenSet({1: shift, 2: np.diag(rng.uniform(-0.9, 0.9, 3))})
+    diag = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
+    state = _panel_state(rng, 3, kind)
+    moments, real = [], ncprob._Sweep.moments
+    monkeypatch.setattr(ncprob._Sweep, "moments", lambda *a: moments.append(real(*a)) or moments[-1])
+    runs = []
+    for budget in (ncprob.SAMPLE_PANEL_BYTES, PANEL_COLUMNS[kind] * 3 * 16):
+        monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", budget)
+        moments.clear()
+        reps = (
+            free_independence_check(state, free, max_len=3, degree=2, samples=9, seed=5),
+            tensor_independence_check(state, diag, degree=2, samples=9, seed=6),
+        )
+        runs.append((np.concatenate(moments), reps))
+    (whole, default), (single, one) = runs
+    assert len(single) == len(whole) == 9 * (4 + 1)  # 4 free sequences, 1 tensor pass
+    assert np.array_equal(single, whole)
+    for a, b in zip(default, one):
+        assert (b.residual, b.witness) == (a.residual, a.witness)
+        assert b.details["panel_bytes"] == PANEL_COLUMNS[kind] * 3 * 16
+
+
+def test_sample_draws_equal_the_per_slot_draws():
+    # each sample draws all its slots in one call to its generator, split
+    # per slot into radii, then phases: the values of one draw per slot
+    sweep = ncprob._Sweep(State.from_density(np.diag([0.5, 0.3, 0.2]).astype(complex)), GenSet({1: np.eye(3)}))
+    counts = [3, 7, 15]
+    for chunk, _, coeffs in sweep.sample_panels(5, (9, 2, 1), counts):
+        for at, s in enumerate(chunk):
+            rng = ncprob._derive_rng(9, 2, 1, s)
+            for n, c in zip(counts, coeffs):
+                radii = np.sqrt(rng.uniform(0.0, 1.0, size=n))
+                want = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=n))
+                for col in range(3 * at, 3 * at + 3):  # the sample's three state columns
+                    assert np.array_equal(c[:, col], want)
+
+
 def _spy_arrays(monkeypatch, owner, name, length):
     """Record every array of ``length`` entries that ``owner.name`` returns."""
     seen, real = [], getattr(owner, name)
@@ -526,7 +661,7 @@ def test_random_passes_report_the_scalar_abs_of_their_worst_moment(monkeypatch, 
     assert rep.residual == max(abs(complex(v)) for m in moments for v in m)
 
     moments.clear()
-    splits = _spy_arrays(monkeypatch, np, "prod", 37)
+    splits = _spy_arrays(monkeypatch, math, "prod", 37)
     rep = tensor_independence_check(state, diag, degree=2, samples=37, seed=8)
     assert rep.witness["part"] == "factorization" and len(moments) == len(splits) == 1
     assert rep.residual == max(abs(complex(v)) for v in moments[0] - splits[0])
@@ -555,30 +690,30 @@ def _adjoint_twin(witness):
 @pytest.mark.parametrize("nodes", [None, 1, 2])
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
 def test_monomial_node_panels_match_nested_loops(monkeypatch, kind, nodes):
-    # with no samples the monomial pass sets the witness; a budget of one or
-    # two nodes' six centered options runs it in panels of that many nodes,
-    # the default budget in panels of many siblings and cousins.  The
-    # generators are real with one nonzero entry per row, so a column's
-    # image does not depend on the width of its panel and the digits equal
-    # the nested loops' exactly; they also decide the witness between a
-    # product and its adjoint twin, whose moduli are equal in exact arithmetic
+    # with no samples the monomial pass sets the witness.  The node panels
+    # are gone: each product is read off the images of its two halves, so a
+    # sample panel budget of one or two nodes' six centered options (what
+    # the node panels once took) moves no digit.  The halves round otherwise
+    # than the nested loops' whole products: the residual matches to a few
+    # ulps, and the witness may be the adjoint twin of the nested loops'
+    # one, of equal moment modulus
     rng = np.random.default_rng(34)
     shift = np.roll(np.diag(rng.uniform(0.3, 0.9, 3)), 1, axis=0)
     gens = GenSet({1: shift, 2: np.diag(rng.uniform(-0.9, 0.9, 3))})
     state = _panel_state(rng, 3, kind)
     args = dict(max_len=4, degree=3, samples=0, tol=1e-9, seed=5)
     want = nested_free_independence_check(state, gens, **args)
+    default = free_independence_check(state, gens, **args)
     if nodes is not None:
         monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", nodes * 6 * PANEL_COLUMNS[kind] * 3 * 16)
     widths = _node_widths(monkeypatch)
     got = free_independence_check(state, gens, **args)
     assert not got.passed and got.witness["part"] == "monomial"
-    assert got.residual == want.residual
-    assert got.witness == want.witness
-    # the six centered options of the widest panel stay within the budget
-    assert 6 * max(widths) * 3 * 16 <= ncprob.SAMPLE_PANEL_BYTES
-    if nodes is not None:
-        assert max(widths) == nodes * PANEL_COLUMNS[kind]
+    assert got.residual == default.residual and got.witness == default.witness
+    assert abs(got.residual - want.residual) <= 1e-15
+    assert got.witness in (want.witness, _adjoint_twin(want.witness))
+    # a letter goes to at most one slot's six centered options side by side
+    assert max(widths) == 6 * PANEL_COLUMNS[kind]
     assert got.details["panel_bytes"] == 0  # the largest sample panel: none ran
 
 
@@ -599,9 +734,9 @@ def test_monomial_node_panels_of_dense_letters_match_nested_loops(kind):
 
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
 def test_monomial_witness_does_not_depend_on_node_panels(monkeypatch, kind):
-    # with dense letters one node per panel rounds the worst product and its
-    # adjoint twin otherwise than the default panels (5.6e-17 apart for the
-    # vector state); the witness is read off the pair's maximum, so it holds
+    # the monomial pass runs in no sample panel, so a budget of one node's
+    # six options (what the node panels once took) moves no digit; the
+    # witness is read off the maximum of a product and its adjoint twin
     rng = np.random.default_rng(34)
     gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
     state = _panel_state(rng, 3, kind)
@@ -610,15 +745,17 @@ def test_monomial_witness_does_not_depend_on_node_panels(monkeypatch, kind):
     monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", 6 * PANEL_COLUMNS[kind] * 3 * 16)
     one = free_independence_check(state, gens, **args)
     assert one.witness == default.witness
-    assert abs(one.residual - default.residual) <= 1e-15
+    assert one.residual == default.residual
 
 
 @pytest.mark.parametrize("nodes", [None, 1, 2])
 def test_monomial_node_panels_keep_the_first_of_equal_witnesses(monkeypatch, nodes):
     # one Fock unitary under both labels and a density state of rank two:
-    # every product has a twin of equal moment under the swapped labels,
-    # and the witness is the first of the worst in product order, as in the
-    # nested loops, whatever the panels
+    # every product has a twin of equal digits under the swapped labels,
+    # and the witness is the first of the two in product order, whatever the
+    # sample panel budget.  For the unitary ``c(U) c(U*) = c(U*) c(U)``,
+    # a tie that the halves and the nested loops round apart, so the
+    # witness is compared by its value and its label order
     scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 2, 3)
     gens = GenSet({1: fds.unitaries[1], 2: fds.unitaries[1]})
@@ -627,25 +764,29 @@ def test_monomial_node_panels_keep_the_first_of_equal_witnesses(monkeypatch, nod
     state = State.from_density(v @ adjoint(v) / np.linalg.norm(v) ** 2)
     args = dict(max_len=3, degree=2, samples=0, tol=1e-9, seed=4)
     want = nested_free_independence_check(state, gens, **args)
+    default = free_independence_check(state, gens, **args)
     if nodes is not None:  # a node is two columns, with four centered options
         monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", nodes * 4 * 2 * fds.dim * 16)
     got = free_independence_check(state, gens, **args)
     assert not got.passed and got.witness["part"] == "monomial"
+    assert got.residual == default.residual and got.witness == default.witness
     assert abs(got.residual - want.residual) <= 1e-12
-    assert got.witness == want.witness
+    assert got.witness["sequence"][0] == 1  # before its label twin
 
 
 def test_monomial_pass_counts_letters_per_node_panel():
-    # free_pair's model: a node is one 241-vector, so 5 nodes' six options
-    # fit in a 128 KiB panel, and the 3,148 letters of one node at a time
-    # fall to 700
+    # free_pair's model: the monomial pass applies 24 letters, six for the
+    # last slot of each of the 2 + 2 products of up to two slots, whatever
+    # the sample panel budget (node panels took 700 letters, and 3,148 one
+    # node at a time); 6 more give the monomials' means and 12 the random
+    # pass's word moments
     scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 4)
     args = dict(max_len=4, degree=3, samples=0, seed=1)
     rep = free_independence_check(fds.vacuum, fds.unitaries, **args)
     with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", 6 * 241 * 16):
         one = free_independence_check(fds.vacuum, fds.unitaries, **args)
-    assert (rep.details["letters_applied"], one.details["letters_applied"]) == (700, 3148)
+    assert (rep.details["letters_applied"], one.details["letters_applied"]) == (42, 42)
     assert rep.residual == one.residual and rep.witness == one.witness
 
 
