@@ -29,7 +29,6 @@ from .ncprob import (
     GenSet,
     Word,
     _Sweep,
-    _codes,
     apply_word,
     commutator_norms,
     worst_commutator,
@@ -230,8 +229,7 @@ def dilation_residuals(
         out[at] = np.sqrt(np.maximum(w[:, -1], 0.0))
         at.clear()
 
-    table = _codes(words)
-    walks = zip(lhs.walk(table, j), rhs.walk(table, np.eye(d, dtype=complex)))
+    walks = zip(lhs.walk(words, j), rhs.walk(words, np.eye(d, dtype=complex)))
     for (i, left), (_, right) in walks:
         np.subtract(j_star @ left, right, out=stack[len(at)])
         at.append(i)

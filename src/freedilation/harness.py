@@ -40,7 +40,6 @@ from .ncprob import (
     CheckReport,
     GenSet,
     Word,
-    _alternating_words,
     alternating_words_within,
     center,
     faithfulness_check,
@@ -480,9 +479,7 @@ def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
         i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
     }
     max_blocks = min(sc.max_alt, sc.trunc)
-    ids = range(1, model.free.n_factors + 1)  # ``signed_alternating_words``, as one table
-    table = _alternating_words(ids, (1, -1), max_blocks, sc.degree, 2 * sc.degree)
-    rep = oracle_equivalence_check(model.state, model.gens, marginals, table, sc.tol)
+    rep = oracle_equivalence_check(model.state, model.gens, marginals, max_blocks, sc.degree, sc.tol)
     rep.details["max_blocks"] = max_blocks
     return rep
 

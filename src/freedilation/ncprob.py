@@ -36,11 +36,12 @@ MAX_GRAM_WORDS = 4096
 # the longest word ``Word.from_runs`` expands; power_dilation reaches 4,999
 # letters under the 5,000 dimension cap
 MAX_WORD_LETTERS = 2**16
-# bytes of the word images of a faithfulness Gram's column block (their
-# conjugate takes as much again), and of a word-moment sweep's half images
+# bytes of the stacked word images of one column block of a faithfulness
+# Gram; their conjugate, for the Gram product, takes as much again
 GRAM_BLOCK_BYTES = 64 * 2**20
 # bytes of one sample panel: the chunk of random samples a sampled
-# certificate applies side by side
+# certificate applies side by side; also of the half images a word-moment
+# sweep holds at a time
 SAMPLE_PANEL_BYTES = 128 * 2**10
 # bytes of the free mixed moment oracle's memo, at 256 B an entry: a key of
 # ``MAX_ORACLE_LETTERS`` letters (168 B), its complex value (32 B) and its
@@ -159,8 +160,9 @@ def _word(row: Iterable[int]) -> Word:
 
 
 def _codes(words: Sequence[Word]) -> np.ndarray:
-    """The table of a word list: row ``i`` holds word ``i``'s letters left to
-    right as codes ``2 * factor + star``, then zeros; one column at least."""
+    """A word list's table: row ``i`` is word ``i``'s codes ``2 * factor + star``, then zeros."""
+    if any(f < 1 for w in words for f, _ in w.letters):  # code 0 pads
+        raise ValueError("factor ids are 1-based: a word names a factor below 1")
     width = max([1, *map(len, words)])
     rows = [[2 * f + s for f, s in w.letters] + [0] * (width - len(w)) for w in words]
     return np.array(rows, dtype=np.intp).reshape(-1, width)
@@ -213,6 +215,8 @@ class GenSet:
         bind each one's letter application."""
         if not mats:
             raise ValueError("a generator set needs at least one generator")
+        if min(mats) < 1:  # a letter's code ``2 * factor + star`` must not be 0
+            raise ValueError(f"generator ids are 1-based, got {min(mats)}")
         shapes = {m.shape for m in mats.values()}
         if len(shapes) != 1 or any(a != b for a, b in shapes):
             raise ValueError(
@@ -361,53 +365,70 @@ class _Sweep:
             self.panel_bytes = max(self.panel_bytes, panel.nbytes)
             yield chunk, panel, coeffs
 
-    def walk(self, table: np.ndarray, panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(i, word i of the table applied to panel)`` for every row.
+    def walk(self, words: Sequence[Word], panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """:meth:`walk_table` of a word list."""
+        return self.walk_table(_codes(words), panel)
 
-        The words are visited sorted by their reversed letters, so a stack
-        keeps the applied suffix of the current word and each distinct
-        suffix costs one letter; only the stack's panels are live.
+    def walk_table(
+        self, table: np.ndarray, panel: np.ndarray, apply: Callable | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(i, word i of the table applied to panel)`` for every row,
+        ``apply(code, panel)`` applying a code (default :meth:`apply`).  The
+        words are visited sorted by their reversed letters, so a stack keeps
+        the applied suffix of the current word and each distinct suffix costs
+        one code; only the stack's panels are live.
         """
-        n = np.count_nonzero(table, axis=1)
-        at = n[:, None] - 1 - np.arange(table.shape[1])
-        back = np.where(at >= 0, np.take_along_axis(table, np.maximum(at, 0), axis=1), 0)
-        order = np.lexsort(back.T[::-1])  # column 0, the last letter, sorts first
-        back, n = back[order], n[order]
-        # the letters each word shares at its end with the word before it
-        keep = np.minimum(np.cumprod(back[1:] == back[:-1], axis=1).sum(axis=1), n[1:])
-        stack = [panel]  # stack[j]: the last j letters of the current word applied
-        for i, todo, start, stop in zip(order.tolist(), back.tolist(), [0, *keep.tolist()], n.tolist()):
-            del stack[start + 1 :]
-            for code in todo[start:stop]:
-                stack.append(self.apply(code, stack[-1]))
+        apply = apply or self.apply
+        backs = [[c for c in reversed(row) if c] for row in table.tolist()]  # last letter first
+        stack, done = [panel], []  # stack[j]: the last j letters of ``done`` applied
+        for i in sorted(range(len(backs)), key=backs.__getitem__):
+            todo, keep = backs[i], 0
+            while keep < min(len(todo), len(done)) and todo[keep] == done[keep]:
+                keep += 1
+            del stack[keep + 1 :]
+            for code in todo[keep:]:
+                stack.append(apply(code, stack[-1]))
+            done = todo
             yield i, stack[-1]
 
-    def word_moments(self, table: np.ndarray) -> np.ndarray:
+    def word_moments(self, table: np.ndarray, apply: Callable | None = None) -> np.ndarray:
         """``phi(w)`` for every word of a table, from two half-words.
 
-        A word ``w = L R``, with ``R`` its last ``ceil(n/2)`` letters, has
-        ``phi(w) = sum_k w_k <R v_k, L* v_k>`` exactly, for any generators:
-        one walk applies the distinct halves ``R`` and ``L*`` to the state's
-        columns scaled by ``sqrt(w_k)``, and a moment is one ``vdot`` of two
-        half images, the same digits in any list.  The images are held two
-        blocks of halves at a time, within ``GRAM_BLOCK_BYTES``.
+        ``w = L R``, ``R`` its last ``ceil(n/2)`` letters, has ``phi(w) = sum_k
+        w_k <R v_k, L* v_k>`` exactly, for any generators: one ``vdot`` of the
+        images of ``L*`` and ``R`` on the state's columns scaled by
+        ``sqrt(w_k)``, the same digits in any list.  The distinct ``L*`` are
+        held in blocks within ``SAMPLE_PANEL_BYTES`` (one image at least), each
+        streaming the ``R`` its words need; one word alone is applied code by
+        code.  ``apply`` is the walks'; code ``c ^ 1`` is the adjoint of ``c``.
         """
+        apply, panel = apply or self.apply, self.panel * np.sqrt(self.weights)
+        if len(table) == 1:
+            codes, left, right = [c for c in table[0].tolist() if c], panel, panel
+            for c in codes[: len(codes) // 2]:  # L* = l_h* ... l_1*: l_1* first
+                left = apply(c ^ 1, left)
+            for c in reversed(codes[len(codes) // 2 :]):
+                right = apply(c, right)
+            return np.array([np.vdot(left.ravel(), right.ravel())])
         n = np.count_nonzero(table, axis=1)[:, None]
         h, col, last = n // 2, np.arange((table.shape[1] + 1) // 2), table.shape[1] - 1
         right = np.where(h + col < n, np.take_along_axis(table, np.minimum(h + col, last), 1), 0)
         left = np.where(col < h, np.take_along_axis(table, np.maximum(h - 1 - col, 0), 1) ^ 1, 0)
-        keys: dict[tuple[int, ...], int] = {}  # each distinct half, numbered
-        pairs = [keys.setdefault(r, len(keys)) for r in map(tuple, np.vstack([left, right]).tolist())]
-        halves, pairs = np.array(list(keys)), np.reshape(pairs, (2, -1))
-        panel = self.panel * np.sqrt(self.weights)
-        size = max(1, GRAM_BLOCK_BYTES // (2 * panel.nbytes))
+        keys: list[dict] = [{}, {}]  # each side's distinct halves, in order of first use
+        li, ri = ([k.setdefault(h, len(k)) for h in map(tuple, t.tolist())] for k, t in zip(keys, (left, right)))
+        lefts, rights = (np.reshape(list(k), (-1, left.shape[1])) for k in keys)
+        size = max(1, SAMPLE_PANEL_BYTES // panel.nbytes)
+        blocks: list[dict] = [{} for _ in range(0, len(lefts), size)]  # each block's words by R
+        for w, (i, j) in enumerate(zip(li, ri)):
+            blocks[i // size].setdefault(j, []).append(w)
         out = np.empty(len(table), dtype=complex)
-        for a, b in set(zip(*(pairs // size).tolist())):
-            words = np.flatnonzero((pairs // size == [[a], [b]]).all(axis=0))
-            need = sorted({j for c in (a, b) for j in range(c * size, min(c * size + size, len(halves)))})
-            images = {need[i]: image.ravel() for i, image in self.walk(halves[need], panel)}
-            out[words] = [np.vdot(images[i], images[j]) for i, j in zip(*pairs[:, words].tolist())]
-            del images  # before the next pair of blocks is walked
+        for b, words in enumerate(blocks):
+            held = dict(self.walk_table(lefts[b * size : b * size + size], panel, apply))
+            need = list(words)
+            for j, image in self.walk_table(rights[need], panel, apply):
+                for w in words[need[j]]:
+                    out[w] = np.vdot(held[li[w] - b * size].ravel(), image.ravel())
+            del held  # before the next block is walked
         return out
 
     def combine(
@@ -417,7 +438,7 @@ class _Sweep:
         Scalar coefficients and mean act on every column; ``(words, cols)``
         coefficients and a ``(cols,)`` mean act column by column."""
         out = -mean * panel
-        for i, term in self.walk(table, panel):
+        for i, term in self.walk_table(table, panel):
             out += coeffs[i] * term
         return out
 
@@ -428,13 +449,8 @@ def word_moments(state: State, gens: GenSet, words: Sequence[Word]) -> np.ndarra
 
 
 def word_moment(state: State, gens: GenSet, word: Word) -> complex:
-    """:func:`word_moments` of one word, whose halves :func:`apply_word`
-    applies letter by letter as the walk does: the same digits."""
-    panel, weights = _state_panel(state)
-    panel = panel * np.sqrt(weights)
-    h = len(word) // 2
-    left = apply_word(Word(word.letters[:h]).adjoint, gens, panel)
-    return complex(np.vdot(left.ravel(), apply_word(Word(word.letters[h:]), gens, panel).ravel()))
+    """:func:`word_moments` of one word."""
+    return complex(word_moments(state, gens, [word])[0])
 
 
 def state_moment(state: State, gens: GenSet, factors: Sequence[Combination]) -> complex:
@@ -474,12 +490,10 @@ def _alternating_words(
     per_run_max: int,
     total_max: int,
 ) -> np.ndarray:
-    """The table of the nonempty words in the factors ``ids``, built as
-    signed power runs ``(factor id, k)`` with signs drawn from ``signs``:
-    adjacent runs differ in factor or sign, factor blocks at most
-    ``max_blocks``, each ``|k| <= per_run_max``, total ``sum |k| <=
-    total_max``; ordered by total power, then run count, then the runs
-    themselves."""
+    """The table of the nonempty words in the factors ``ids`` as signed power
+    runs ``(factor id, k)``, signs drawn from ``signs``: adjacent runs differ
+    in factor or sign, factor blocks at most ``max_blocks``, each ``|k| <=
+    per_run_max``, ``sum |k| <= total_max``; by total power, run count, runs."""
     # depth first from the smallest run, so the runs come in order, a prefix
     # before its extensions; each word is filed by (total power, run count)
     files: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -672,24 +686,23 @@ def free_independence_check(
     alternating factor sequence), then a seeded random pass with a centered
     random combination of the factor's words in each slot.
 
-    The monomial pass reads a product ``X = L R`` of centered slots, ``R``
-    its last ``ceil(m/2)``, as ``phi(X) = <R v, L* v>``: ``L*`` is the twin
-    of ``L``, its slots reversed and stars flipped, exactly, since a starred
-    option is centered at the conjugate of its twin's mean.  So the products
-    of up to ``ceil(max_len/2)`` slots, all of a slot's options side by
-    side, give every residual.  The random pass runs each chunk of
-    samples side by side in one sample panel: it takes each slot's means as
-    dot products with the factor's word moments and applies the slot by one
-    :meth:`_Sweep.combine`.
+    The monomial pass is :meth:`_Sweep.word_moments` of the products, a
+    centered slot applied as one code: a product ``X = L R``, ``R`` its last
+    ``ceil(m/2)`` slots, has ``phi(X) = <R v, L* v>``, and ``L*`` is the
+    twin of ``L``, its slots reversed and stars flipped, exactly, since a
+    starred option is centered at the conjugate of its twin's mean.  The
+    random pass runs each chunk of samples side by side in one sample panel:
+    it takes each slot's means as dot products with the factor's word
+    moments and applies the slot by one :meth:`_Sweep.combine`.
     """
     ids = list(gens.ids)
     if len(ids) < 2:
         raise ValueError("free independence needs at least two factors")
     if degree < 1:
         raise ValueError(f"free independence needs degree >= 1, got {degree}")
-    # alternating factor sequences of length 1..max_len, one letter per slot
-    chains = [tuple(c >> 1 for c in r if c) for r in _alternating_words(ids, (1,), max_len, 1, max_len).tolist()]
-    sequences = [seq for seq in chains if len(seq) >= 2]
+    # alternating factor sequences of length 2..max_len, one letter per slot
+    chains = _alternating_words(ids, (1,), max_len, 1, max_len).tolist()
+    sequences = [seq for r in chains if len(seq := tuple(c >> 1 for c in r if c)) >= 2]
     sweep = _Sweep(state, gens)
     worst = 0.0
     witness: dict | None = None
@@ -703,37 +716,26 @@ def free_independence_check(
         for f in ids
     }
     # phi((T*)^p) = conj phi(T^p), so an option's adjoint is exactly its twin
-    means = {f: np.repeat(sweep.word_moments(_codes(ws[::2])), 2) for f, ws in monomials.items()}
-    for m in means.values():
-        m[1::2] = np.conj(m[1::2])
-    dim, k = sweep.panel.shape
+    plain = {f: sweep.word_moments(_codes(ws[::2])) for f, ws in monomials.items()}
+    means = {f: np.ravel([m, np.conj(m)], order="F") for f, m in plain.items()}
 
-    def centered(f: int, rows: np.ndarray) -> np.ndarray:
-        """Each option of a slot of factor ``f`` applied to each row."""
-        panel = np.moveaxis(rows.reshape(-1, dim, k), 0, 1).reshape(dim, -1)
-        out = np.empty((opts, len(rows), dim, k), dtype=complex)  # option-major
-        for s in (0, 1):
-            power = panel
-            for p in range(powers):
-                power = sweep.apply(2 * f + s, power)
-                out[2 * p + s] = np.moveaxis((power - means[f][2 * p + s] * panel).reshape(dim, -1, k), 0, 1)
-        return out.reshape(-1, dim * k)
+    def centered(code: int, panel: np.ndarray) -> np.ndarray:
+        """Option ``code % opts`` of factor ``code // opts`` applied to a panel."""
+        (f, o), power = divmod(code, opts), panel
+        for _ in range(o // 2 + 1):
+            power = sweep.apply(2 * f + o % 2, power)
+        return power - means[f][o] * panel
 
-    # the products of up to ceil(max_len/2) slots, keyed by slot sequence:
-    # a row per option combination, the state's k columns flattened
-    products = {(): (sweep.panel * np.sqrt(sweep.weights)).reshape(1, -1)}
-    for seq in (seq for seq in chains if len(seq) <= (max_len + 1) // 2):
-        products[seq] = centered(seq[0], products[seq[1:]])
+    # a row per product: slot j of factor f_j with option o_j is code
+    # opts * f_j + o_j, nonzero, and the code of its adjoint option is code ^ 1
+    table = np.zeros((0, max_len), dtype=np.intp)
+    for seq in sequences:  # the options in product order
+        codes = np.indices((opts,) * len(seq)).reshape(len(seq), -1).T + opts * np.array(seq)
+        table = np.vstack([table, np.pad(codes, ((0, 0), (0, max_len - len(seq))))])
+    res = np.hypot((m := sweep.word_moments(table, centered)).real, m.imag)  # as a scalar abs
     # residuals[seq][o_1, ..., o_m]: |phi| of the product with option o_j in slot j
-    residuals = {}
-    for seq in sequences:
-        h = len(seq) // 2
-        # L*'s row for the options o_1 .. o_h of L: slots reversed, stars flipped
-        twin = np.arange(opts**h).reshape((opts,) * h).transpose()[np.ix_(*(flip,) * h)]
-        left, right = seq[h - 1 :: -1], seq[h:]  # keys: no product outlives the loop
-        res = [abs(complex(np.vdot(products[left][a], b))) for a in twin.ravel().tolist() for b in products[right]]
-        residuals[seq] = np.reshape(res, (opts,) * len(seq))
-    del products
+    cuts = np.cumsum([opts ** len(seq) for seq in sequences])[:-1]
+    residuals = {seq: r.reshape((opts,) * len(seq)) for seq, r in zip(sequences, np.split(res, cuts))}
     for seq in sequences:
         # the adjoint twin (slots reversed, stars flipped) has the same |phi|
         # in exact arithmetic: take the pair's maximum, whichever rounds higher
@@ -856,7 +858,7 @@ def _gram_rank(
     and ``G`` accumulates their Gram.  A block's images stay within
     ``GRAM_BLOCK_BYTES``, or one panel column if that alone is larger.
     """
-    n, table = len(words), _codes(words)
+    n = len(words)
     step = max(1, GRAM_BLOCK_BYTES // (16 * sweep.gens.dim * n))
     gram = np.zeros((n, n), dtype=complex)
     for lo in range(0, len(weights), step):
@@ -864,7 +866,7 @@ def _gram_rank(
         roots = np.sqrt(weights[lo:hi])
         panel = columns(lo, hi)
         images = np.empty((panel.size, n), dtype=complex)
-        for i, applied in sweep.walk(table, panel):
+        for i, applied in sweep.walk(words, panel):
             images[:, i] = (applied * roots).reshape(-1)
         gram += adjoint(images) @ images
     s = np.linalg.svd(gram, compute_uv=False)
@@ -1097,19 +1099,22 @@ def oracle_equivalence_check(
     state: State,
     gens: GenSet,
     marginals: Mapping[int, Marginal],
-    table: np.ndarray,
+    max_blocks: int,
+    degree: int,
     tol: float = 1e-8,
 ) -> CheckReport:
-    """Compare each word's moment in the model with the free mixed moment
-    oracle of the marginals, for the words of a table: the model side is
-    one half-word sweep, the oracle side one recursion keyed by the table's
-    rows (``memo_entries`` in the details); only the witness becomes a
-    :class:`Word`.  The harness keeps the words within ``MAX_ORACLE_LETTERS``."""
+    """Compare the model's moment with the free mixed moment oracle of the
+    marginals for each :func:`signed_alternating_words` word in ``gens.ids``
+    with ``max_blocks``, runs up to ``degree`` and ``2 * degree`` letters
+    (kept within ``MAX_ORACLE_LETTERS`` by the caller), enumerated as one
+    code table: one half-word sweep, one recursion keyed by its rows
+    (``memo_entries``), and only the witness becomes a :class:`Word`."""
+    table = _alternating_words(gens.ids, (1, -1), max_blocks, degree, 2 * degree)
     model = (sweep := _Sweep(state, gens)).word_moments(table)
-    lengths = np.count_nonzero(table, axis=1).tolist()
-    rows = [tuple(row[:n]) for row, n in zip(table.tolist(), lengths)]
+    rows = [tuple(filter(None, row)) for row in table.tolist()]
     oracle = list(map(memo := _FreeRecursion(marginals), rows))
-    lhs = model.tolist()
+    entries, lhs = memo.entries, model.tolist()
+    del table, memo  # before the residuals: the rows name the words
     res = [abs(a - b) for a, b in zip(lhs, oracle)]
     at = max(range(len(res)), key=res.__getitem__, default=None)  # the first of the worst
     witness = None if at is None else {
@@ -1124,7 +1129,7 @@ def oracle_equivalence_check(
         tol=tol,
         passed=worst <= tol,
         witness=witness,
-        details={"words": len(table), "letters_applied": sweep.letters, "memo_entries": memo.entries},
+        details={"words": len(rows), "letters_applied": sweep.letters, "memo_entries": entries},
     )
 
 

@@ -8,6 +8,9 @@ random draws and witness rules are those of
 ``ncprob.tensor_independence_check``, except that the check reads each
 monomial residual as the larger of the product's and its adjoint twin's,
 which are equal in exact arithmetic; here each product counts alone.
+``nested_monomial_halves`` reads the monomial pass as the check does, off
+the images of each product's two halves with the twin maximum, one product
+at a time.
 """
 
 import itertools
@@ -103,6 +106,57 @@ def nested_free_independence_check(state, gens, max_len, degree, samples, tol, s
         passed=worst <= tol,
         witness=witness,
     )
+
+
+def nested_monomial_halves(state, gens, max_len, degree):
+    """The monomial pass of ``ncprob.free_independence_check`` read off
+    half products, one product at a time: ``X = L R``, ``R`` its last
+    ``ceil(m/2)`` centered slots, as ``<R v, L* v>`` on the state's columns
+    scaled by ``sqrt(w_k)``.  ``L*`` is ``L``'s slots reversed with stars
+    flipped; a starred slot is centered at the conjugate of its twin's mean,
+    and ``phi(T^p)`` is read off its own halves.  Each half is applied slot
+    by slot from the state's columns, and a product's residual is the larger
+    of its own and its adjoint twin's.  Returns the worst residual and the
+    first product that attains it."""
+    ids = list(gens.ids)
+    if state.kind == "vector":
+        panel = state.vector.reshape(-1, 1)
+    else:
+        weights, panel = np.linalg.eigh(state.density)
+        keep = weights > 1e-14
+        panel = panel[:, keep] * np.sqrt(weights[keep])
+
+    def moment(left, right):
+        return complex(np.vdot(left.ravel(), right.ravel()))
+
+    def half(slots):
+        """The slots' product applied to the columns, the last slot first."""
+        out = panel
+        for word, mean in reversed(slots):
+            out = apply_word(word, gens, out) - mean * out
+        return out
+
+    options = {}  # option 2(p-1) + star: the word T^p or (T*)^p and its mean
+    for f in ids:
+        options[f] = []
+        for p in range(1, min(degree, 3) + 1):
+            star, plain = Word(((f, True),) * (p // 2)), Word(((f, False),) * (p - p // 2))
+            mean = moment(apply_word(star, gens, panel), apply_word(plain, gens, panel))
+            options[f] += [(Word(((f, False),) * p), mean), (Word(((f, True),) * p), np.conj(mean))]
+    residual = {}
+    for seq in _sequences(ids, max_len):
+        h = len(seq) // 2
+        for combo in itertools.product(range(len(options[seq[0]])), repeat=len(seq)):
+            slots = [options[f][o] for f, o in zip(seq, combo)]
+            twins = [options[f][o ^ 1] for f, o in zip(seq[:h], combo[:h])]
+            residual[seq, combo] = abs(moment(half(twins[::-1]), half(slots[h:])))
+    worst, witness = 0.0, None
+    for (seq, combo), res in residual.items():
+        res = max(res, residual[seq[::-1], tuple(o ^ 1 for o in combo[::-1])])
+        if res > worst:
+            slots = [f"c({options[f][o][0].format()})" for f, o in zip(seq, combo)]
+            worst, witness = res, {"part": "monomial", "sequence": list(seq), "slots": slots}
+    return worst, witness
 
 
 def nested_tensor_factorization(state, gens, degree, samples, seed=0):

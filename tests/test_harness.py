@@ -537,7 +537,8 @@ def test_oracle_check_refuses_degree_over_the_cap_before_enumerating(monkeypatch
     def refuse(*args):
         raise AssertionError("oracle words enumerated past the cap")
 
-    monkeypatch.setattr(harness, "_alternating_words", refuse)
+    # the oracle check enumerates its words: it must not be reached
+    monkeypatch.setattr(harness, "oracle_equivalence_check", refuse)
     path = str(SCENARIOS / "free_pair.json")
     code = main(["suite", "--input", path, "--degree", "9", "--trunc-len", "1"])
     entries = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -648,9 +649,10 @@ def test_suite_counters_in_free_and_dense_modes():
     tensor = Scenario(mode="tensor", factors=factors * 2, degree=1, check_degree=2, samples=5)
     details = run_theorem_suite(tensor, subset=("tensor_independence",)).checks[1]["details"]
     assert details["commutators"] == 2  # [A_1, A_2] and [A_1*, A_2]
-    # per factor the word moments' halves T and T*, then the 5 samples side
-    # by side in one sample panel
-    assert details["letters_applied"] == 2 * (2 + 6)
+    # per factor the word moments' halves, two letters for the L* in
+    # {T*, T} and two for the R in {T, T*}, then the 5 samples side by side
+    # in one sample panel
+    assert details["letters_applied"] == 2 * (2 + 2 + 6)
     assert details["panel_bytes"] == 5 * 16 * 16  # 5 one-column samples at dim 4 * 4
     doubly = Scenario(mode="doubly", factors=factors * 3, degree=1)
     details = run_theorem_suite(doubly, subset=("double_commutation",)).checks[1]["details"]
@@ -722,7 +724,9 @@ def test_oracle_check_matches_per_word_loop():
     assert rep.residual == worst and rep.witness == witness
     assert rep.details == {
         "words": len(words),
-        "letters_applied": 84,  # the distinct halves of the 4,436 words
+        # the 85 distinct L* halves of the 4,436 words in 3 blocks, each
+        # streaming the R halves its words need
+        "letters_applied": 365,
         "max_blocks": 4,
         "memo_entries": 4468,
     }
@@ -730,14 +734,15 @@ def test_oracle_check_matches_per_word_loop():
 
 def test_free_pair_work_counts_are_pinned():
     # deterministic counters of free_pair at seed 1: the monomial pass reads
-    # each product off its two halves (42 letters, where node panels took
-    # 700), the random pass takes 1,008, and one oracle memo serves all
-    # 4,436 words; a change that undoes either moves them
+    # each product off its two halves (608 letters, where node panels took
+    # 700), the means and word moments 22, the random pass 1,008, and one
+    # oracle memo serves all 4,436 words; a change that undoes either moves
+    # them
     sc = replace(ingest(SCENARIOS / "free_pair.json"), seed=1)
     model = build_model(sc)
     free = CHECKS["free_independence"](sc, model)
     oracle = CHECKS["oracle_equivalence"](sc, model)
-    assert free.details["letters_applied"] == 1050
+    assert free.details["letters_applied"] == 1638
     assert (oracle.details["words"], oracle.details["memo_entries"]) == (4436, 4468)
 
 

@@ -47,7 +47,11 @@ from freedilation.operator_core import (
     random_unitary,
 )
 from certificate_oracles import dense_gram_ranks, word_commutation_residual
-from free_independence_oracle import nested_free_independence_check, nested_tensor_factorization
+from free_independence_oracle import (
+    nested_free_independence_check,
+    nested_monomial_halves,
+    nested_tensor_factorization,
+)
 from free_moment_oracle import per_word_free_moment
 from partition_oracles import all_set_partitions, is_noncrossing
 
@@ -165,6 +169,19 @@ def test_genset_of_finite_checks_shapes_only():
     for mats in ({1: np.eye(2), 2: np.eye(3)}, {1: np.ones((2, 3))}, {}):
         with pytest.raises(ValueError):
             GenSet.of_finite(mats)
+
+
+def test_factor_ids_start_at_one():
+    # code 0 pads a word table, so a letter of factor 0 would read as none
+    # and its word as the unit: ids below 1 are refused
+    for ids in ((0, 1), (-1,)):
+        with pytest.raises(ValueError, match="1-based"):
+            GenSet({f: np.eye(2) for f in ids})
+        with pytest.raises(ValueError, match="1-based"):
+            GenSet.of_finite({f: np.eye(2, dtype=complex) for f in ids})
+    gens = GenSet({1: np.diag([0.5, 0.25])})
+    with pytest.raises(ValueError, match="1-based"):
+        word_moments(State.basis_vector(2, 0), gens, [Word(((0, False),))])
 
 
 def test_genset_unknown_factor_names_known_ids():
@@ -324,7 +341,7 @@ def _generator_sets_states_and_words(draw):
 def test_word_moments_from_halves_match_per_word_products(case):
     # phi(L R) = <R v, L* v> is exact: each moment matches the whole word
     # applied by apply_word to within 1e-13 of its letters' norms, and has
-    # the same digits alone (word_moment) and in any list
+    # the same digits alone (word_moment), in any list and in any blocks
     gens, state, words = case
     got = word_moments(state, gens, words)
     eye = np.eye(gens.dim, dtype=complex)
@@ -338,31 +355,35 @@ def test_word_moments_from_halves_match_per_word_products(case):
         assert abs(value - want) <= 1e-13 * scale
         assert word_moment(state, gens, w) == value
     assert np.array_equal(word_moments(state, gens, words[::-1])[::-1], got)
+    with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", 1):  # one L* image a block
+        assert np.array_equal(word_moments(state, gens, words), got)
 
 
 def test_word_moments_hold_their_halves_in_blocks():
     # free_pair at L = 6 (dim 2,185): the oracle's 4,436 words have 85
-    # distinct halves, whose images take 3 MB.  They stay within
-    # GRAM_BLOCK_BYTES plus 1 MB, and within a 1 MiB bound they run in
-    # blocks, apply more letters and give the same digits
+    # distinct halves L* and 84 R, whose images take 3 MB.  The L* images
+    # are held three at a time within SAMPLE_PANEL_BYTES, and each block
+    # streams the R its words need: the sweep stays under the sample panel
+    # bytes plus 1 MB.  Holding all the L* at once goes over that, applies
+    # fewer letters and gives the same digits
     scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 6)
     assert fds.dim == 2185
     table = ncprob._alternating_words([1, 2], (1, -1), 4, 3, 6)
     runs = []
-    for budget in (ncprob.GRAM_BLOCK_BYTES, 2**20):
+    for budget in (ncprob.SAMPLE_PANEL_BYTES, 2**30):
         sweep = ncprob._Sweep(fds.vacuum, fds.unitaries)
-        with mock.patch.object(ncprob, "GRAM_BLOCK_BYTES", budget):
+        with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", budget):
             tracemalloc.start()
             try:
                 moments = sweep.word_moments(table)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < budget + 2**20, (budget, peak)
-        runs.append((moments, sweep.letters))
-    (whole, letters), (blocked, more) = runs
-    assert letters == 84 and more > letters
+        runs.append((moments, sweep.letters, peak))
+    (blocked, letters, peak), (whole, fewer, more) = runs
+    assert peak < ncprob.SAMPLE_PANEL_BYTES + 2**20 < more, (peak, more)
+    assert (letters, fewer) == (2475, 168)
     assert np.array_equal(blocked, whole)
 
 
@@ -370,8 +391,8 @@ def test_trace_check_reports_letters_applied():
     gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.eye(2) * 0.5})
     rep = trace_check(State.basis_vector(2, 0), gens, degree=1, samples=0)
     # the 16 products of two letters split into one-letter halves: the 4
-    # letters, each applied once
-    assert rep.details["letters_applied"] == 4
+    # letters as L*, then as R, each applied once
+    assert rep.details["letters_applied"] == 8
 
 
 def test_evaluate_word_diagonal():
@@ -464,8 +485,9 @@ def test_tensor_factorization_matches_reference():
     assert not rep.passed and type(rep.residual) is float
     assert rep.witness == {"part": "factorization", "sample": sample, "seed": 3}
     assert abs(rep.residual - worst) <= 1e-12
-    # per factor the moments' halves T and T*, then one panel holds all 20 samples
-    assert rep.details["letters_applied"] == 2 * (2 + 6)
+    # per factor the moments' halves, L* in {T*, T} and R in {T, T*}, then
+    # one panel holds all 20 samples
+    assert rep.details["letters_applied"] == 2 * (2 + 2 + 6)
 
 
 def test_make_tensor_independent_dim_cap():
@@ -690,30 +712,34 @@ def _adjoint_twin(witness):
 @pytest.mark.parametrize("nodes", [None, 1, 2])
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
 def test_monomial_node_panels_match_nested_loops(monkeypatch, kind, nodes):
-    # with no samples the monomial pass sets the witness.  The node panels
-    # are gone: each product is read off the images of its two halves, so a
-    # sample panel budget of one or two nodes' six centered options (what
-    # the node panels once took) moves no digit.  The halves round otherwise
-    # than the nested loops' whole products: the residual matches to a few
-    # ulps, and the witness may be the adjoint twin of the nested loops'
-    # one, of equal moment modulus
+    # with no samples the monomial pass sets the witness; a budget of one or
+    # two nodes' six centered options holds that many half images at a
+    # time.  Each product is read off the images of its two halves, so the
+    # digits and the witness equal those of the nested loops over the same
+    # half products exactly, whatever the blocks.  The whole products of the
+    # nested loops round otherwise: they agree to 1e-15, and their witness
+    # is the check's one or its adjoint twin, of equal moment modulus
     rng = np.random.default_rng(34)
     shift = np.roll(np.diag(rng.uniform(0.3, 0.9, 3)), 1, axis=0)
     gens = GenSet({1: shift, 2: np.diag(rng.uniform(-0.9, 0.9, 3))})
     state = _panel_state(rng, 3, kind)
     args = dict(max_len=4, degree=3, samples=0, tol=1e-9, seed=5)
-    want = nested_free_independence_check(state, gens, **args)
+    want = nested_monomial_halves(state, gens, max_len=4, degree=3)
+    whole = nested_free_independence_check(state, gens, **args)
     default = free_independence_check(state, gens, **args)
     if nodes is not None:
         monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", nodes * 6 * PANEL_COLUMNS[kind] * 3 * 16)
     widths = _node_widths(monkeypatch)
     got = free_independence_check(state, gens, **args)
     assert not got.passed and got.witness["part"] == "monomial"
-    assert got.residual == default.residual and got.witness == default.witness
-    assert abs(got.residual - want.residual) <= 1e-15
-    assert got.witness in (want.witness, _adjoint_twin(want.witness))
-    # a letter goes to at most one slot's six centered options side by side
-    assert max(widths) == 6 * PANEL_COLUMNS[kind]
+    assert (got.residual, got.witness) == want
+    assert abs(got.residual - whole.residual) <= 1e-15
+    assert got.witness in (whole.witness, _adjoint_twin(whole.witness))
+    # every letter meets the state's columns of one image, and a budget of
+    # fewer images a block walks the R halves once per block: more letters
+    assert max(widths) == PANEL_COLUMNS[kind]
+    if nodes is not None:
+        assert got.details["letters_applied"] > default.details["letters_applied"]
     assert got.details["panel_bytes"] == 0  # the largest sample panel: none ran
 
 
@@ -751,11 +777,10 @@ def test_monomial_witness_does_not_depend_on_node_panels(monkeypatch, kind):
 @pytest.mark.parametrize("nodes", [None, 1, 2])
 def test_monomial_node_panels_keep_the_first_of_equal_witnesses(monkeypatch, nodes):
     # one Fock unitary under both labels and a density state of rank two:
-    # every product has a twin of equal digits under the swapped labels,
-    # and the witness is the first of the two in product order, whatever the
-    # sample panel budget.  For the unitary ``c(U) c(U*) = c(U*) c(U)``,
-    # a tie that the halves and the nested loops round apart, so the
-    # witness is compared by its value and its label order
+    # every product has a twin of equal moment under the swapped labels,
+    # and the witness is the first of the worst in product order, as in the
+    # nested loops over the same half products, whatever the blocks.  The
+    # whole products of the other nested loops agree to 1e-12
     scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 2, 3)
     gens = GenSet({1: fds.unitaries[1], 2: fds.unitaries[1]})
@@ -763,30 +788,31 @@ def test_monomial_node_panels_keep_the_first_of_equal_witnesses(monkeypatch, nod
     v = rng.normal(size=(fds.dim, 2)) + 1j * rng.normal(size=(fds.dim, 2))
     state = State.from_density(v @ adjoint(v) / np.linalg.norm(v) ** 2)
     args = dict(max_len=3, degree=2, samples=0, tol=1e-9, seed=4)
-    want = nested_free_independence_check(state, gens, **args)
-    default = free_independence_check(state, gens, **args)
+    want = nested_monomial_halves(state, gens, max_len=3, degree=2)
+    whole = nested_free_independence_check(state, gens, **args)
     if nodes is not None:  # a node is two columns, with four centered options
         monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", nodes * 4 * 2 * fds.dim * 16)
     got = free_independence_check(state, gens, **args)
     assert not got.passed and got.witness["part"] == "monomial"
-    assert got.residual == default.residual and got.witness == default.witness
-    assert abs(got.residual - want.residual) <= 1e-12
+    assert (got.residual, got.witness) == want
     assert got.witness["sequence"][0] == 1  # before its label twin
+    assert abs(got.residual - whole.residual) <= 1e-12
 
 
 def test_monomial_pass_counts_letters_per_node_panel():
-    # free_pair's model: the monomial pass applies 24 letters, six for the
-    # last slot of each of the 2 + 2 products of up to two slots, whatever
-    # the sample panel budget (node panels took 700 letters, and 3,148 one
-    # node at a time); 6 more give the monomials' means and 12 the random
-    # pass's word moments
+    # free_pair's model: the monomial pass reads its 3,096 products off 84
+    # distinct halves L* and 84 R of one or two centered slots.  33 images
+    # of dim 241 fit in SAMPLE_PANEL_BYTES, so the L* are held in 3 blocks
+    # and each block streams its R: 608 letters, and 1,392 at six images a
+    # block (node panels took 700 letters, and 3,148 one node at a time).
+    # 6 more give the monomials' means and 16 the random pass's moments
     scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 4)
     args = dict(max_len=4, degree=3, samples=0, seed=1)
     rep = free_independence_check(fds.vacuum, fds.unitaries, **args)
     with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", 6 * 241 * 16):
         one = free_independence_check(fds.vacuum, fds.unitaries, **args)
-    assert (rep.details["letters_applied"], one.details["letters_applied"]) == (42, 42)
+    assert (rep.details["letters_applied"], one.details["letters_applied"]) == (630, 1414)
     assert rep.residual == one.residual and rep.witness == one.witness
 
 
