@@ -19,8 +19,8 @@ therefore kept as that small dilation acting on two tensor legs, an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .operator_core import (
     AxisAction,
     ContractionError,
     Embedding,
+    PhaseClock,
     adjoint,
     as_matrix,
     check_dim_cap,
@@ -66,12 +67,15 @@ class DilationResult:
     """A finite dilation: unitaries ``gens`` on the ambient space, the
     contractions they dilate, both keyed 1..n, and the embedding ``J`` with
     ``J* U_w J = T_w`` for every ordered word ``w`` with powers up to
-    ``degree``."""
+    ``degree``.  ``phase_seconds`` holds the seconds the construction spent
+    per phase: ``defects`` (with the input checks), ``block_dilation`` and
+    ``embedding``."""
 
     gens: GenSet
     contractions: GenSet
     embedding: Embedding
     degree: int
+    phase_seconds: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -116,6 +120,7 @@ def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_T
     needs ``N+1`` consecutive applications to wrap back into block 0, so
     compressions of powers up to ``N`` are exact.
     """
+    clock = PhaseClock()
     t = as_matrix(t)
     if t.shape[0] != t.shape[1]:
         raise ValueError(f"finite_unitary_dilation needs a square matrix, got {t.shape}")
@@ -125,6 +130,7 @@ def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_T
     nb = n_degree + 1
     check_dim_cap(nb * d, "dilation")
     d_t, d_tstar = defect_pair(t, tol)
+    clock.lap("defects")
 
     u = np.zeros((nb * d, nb * d), dtype=complex)
 
@@ -137,12 +143,12 @@ def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_T
     block(1, n_degree, -adjoint(t))
     for j in range(1, n_degree):
         block(j + 1, j, np.eye(d))
-
+    gens, contractions = GenSet.of_finite({1: u}), GenSet.of_finite({1: t})
+    clock.lap("block_dilation")
+    embedding = Embedding.coordinate(nb * d, range(d))
+    clock.lap("embedding")
     return DilationResult(
-        gens=GenSet.of_finite({1: u}),
-        contractions=GenSet.of_finite({1: t}),
-        embedding=Embedding.coordinate(nb * d, range(d)),
-        degree=n_degree,
+        gens=gens, contractions=contractions, embedding=embedding, degree=n_degree, phase_seconds=clock
     )
 
 
@@ -167,6 +173,7 @@ def doubly_commuting_dilation(
     on every other leg: an :class:`~.operator_core.AxisAction` that holds the
     ``(N+1) d x (N+1) d`` matrix ``Dil(T_j)`` and its adjoint.
     """
+    clock = PhaseClock()
     inputs = GenSet(dict(enumerate(ts, start=1)))
     ops = list(inputs.mats.values())
     d, n, nb = inputs.dim, len(ops), n_degree + 1
@@ -179,18 +186,20 @@ def doubly_commuting_dilation(
         if residual > tol:
             raise NotDoublyCommutingError(i, j, residual, starred)
 
-    legs = (nb,) * n + (d,)
-    gens = {
-        j: AxisAction(legs, (n - j, n), finite_unitary_dilation(t, n_degree, tol).gens[1])
-        for j, t in enumerate(ops, start=1)
-    }
+    clock.lap("defects")
+    legs, gens = (nb,) * n + (d,), {}
+    for j, t in enumerate(ops, start=1):
+        factor = finite_unitary_dilation(t, n_degree, tol)
+        clock.add(factor.phase_seconds)
+        gens[j] = AxisAction(legs, (n - j, n), factor.gens[1])
+    gens = GenSet(gens)
+    clock.lap("block_dilation")
     # each step keeps the previous space as its block 0: the original space
     # is the span of the first d coordinates
+    embedding = Embedding.coordinate(nb**n * d, range(d))
+    clock.lap("embedding")
     return DilationResult(
-        gens=GenSet(gens),
-        contractions=inputs,
-        embedding=Embedding.coordinate(nb**n * d, range(d)),
-        degree=n_degree,
+        gens=gens, contractions=inputs, embedding=embedding, degree=n_degree, phase_seconds=clock
     )
 
 

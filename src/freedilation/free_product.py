@@ -28,6 +28,7 @@ from .operator_core import (
     DEFAULT_TOL,
     Embedding,
     LetterAction,
+    PhaseClock,
     State,
     adjoint,
     as_matrix,
@@ -321,7 +322,10 @@ class FreeDilationScenario:
     map identically).
     ``vacuum`` is the joint state; single-factor moments match the input
     states exactly, and mixed moments realize free independence inside the
-    stated budgets.
+    stated budgets.  ``phase_seconds`` holds the seconds the construction
+    spent per phase: ``defects`` (with the pointed vectors and their
+    purification), ``block_dilation``, ``fock_basis``, ``left_action`` and
+    ``embedding``.
     """
 
     degree: int
@@ -335,6 +339,7 @@ class FreeDilationScenario:
     s_ops: GenSet
     embedding: Embedding
     vacuum: State
+    phase_seconds: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def n_factors(self) -> int:
@@ -384,6 +389,7 @@ def free_unitary_dilation(
     """
     if not factors:
         raise ValueError("free_unitary_dilation needs at least one factor")
+    clock = PhaseClock()
     mats: list[np.ndarray] = []
     xis: list[np.ndarray] = []
     for t, state in factors:
@@ -392,7 +398,10 @@ def free_unitary_dilation(
         xis.append(xi)
 
     pointed_h = [PointedSpace.from_state_vector(xi) for xi in xis]
+    clock.lap("defects")
     dils = [finite_unitary_dilation(m, n_degree, tol) for m in mats]
+    for res in dils:
+        clock.add(res.phase_seconds)
 
     pointed_k: list[PointedSpace] = []
     for ps, res in zip(pointed_h, dils):
@@ -409,10 +418,15 @@ def free_unitary_dilation(
     ids = range(1, len(factors) + 1)
     fock_k = build_fock({i: pointed_k[i - 1] for i in ids}, trunc_len)
     fock_h = build_fock({i: pointed_h[i - 1] for i in ids}, trunc_len)
+    clock.lap("fock_basis")
 
     unitaries = GenSet({i: left_representation(i, dils[i - 1].gens[1], fock_k) for i in ids})
     s_ops = GenSet({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
+    clock.lap("left_action")
 
+    embedding = Embedding.coordinate(fock_k.dim, [fock_k.position[lab] for lab in fock_h.labels])
+    vacuum = State.basis_vector(fock_k.dim, 0)
+    clock.lap("embedding")
     return FreeDilationScenario(
         degree=n_degree,
         trunc=trunc_len,
@@ -423,10 +437,9 @@ def free_unitary_dilation(
         fock_k=fock_k,
         unitaries=unitaries,
         s_ops=s_ops,
-        embedding=Embedding.coordinate(
-            fock_k.dim, [fock_k.position[lab] for lab in fock_h.labels]
-        ),
-        vacuum=State.basis_vector(fock_k.dim, 0),
+        embedding=embedding,
+        vacuum=vacuum,
+        phase_seconds=clock,
     )
 
 

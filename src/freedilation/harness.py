@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .ncprob import (
     trace_check,
     worst_commutator,
 )
-from .operator_core import State, adjoint, check_dim_cap
+from .operator_core import PhaseClock, State, adjoint, check_dim_cap
 from .serialization import (
     matrix_from_obj,
     matrix_to_obj,
@@ -231,6 +231,8 @@ class Model:
     dilations: tuple[DilationResult, ...] = ()
     free: FreeDilationScenario | None = None
     factor_models: list[tuple[GenSet, State]] = field(default_factory=list)
+    # seconds per construction phase (``PhaseClock``)
+    phase_seconds: Mapping[str, float] = field(default_factory=dict)
 
 
 def _embedded_state(res: DilationResult, st: State) -> State:
@@ -241,16 +243,22 @@ def _embedded_state(res: DilationResult, st: State) -> State:
 
 
 def build_model(sc: Scenario) -> Model:
-    """Construct the dilation model a scenario's mode calls for."""
+    """Construct the dilation model a scenario's mode calls for; the
+    embedded states count to the ``embedding`` phase."""
+    clock = PhaseClock()
     if sc.mode == "single":
         t, st = sc.factors[0]
         res = finite_unitary_dilation(t, sc.degree, sc.tol)
+        clock.add(res.phase_seconds)
         emb = _embedded_state(res, st)
-        return Model(gens=res.gens, state=emb, dilations=(res,), factor_models=[(res.gens, emb)])
+        clock.lap("embedding")
+        return Model(gens=res.gens, state=emb, dilations=(res,), factor_models=[(res.gens, emb)], phase_seconds=clock)
     if sc.mode == "doubly":
         res = doubly_commuting_dilation([t for t, _ in sc.factors], sc.degree, sc.tol)
+        clock.add(res.phase_seconds)
         emb = _embedded_state(res, sc.factors[0][1])
-        return Model(gens=res.gens, state=emb, dilations=(res,))
+        clock.lap("embedding")
+        return Model(gens=res.gens, state=emb, dilations=(res,), phase_seconds=clock)
     if sc.mode == "tensor":
         # refused before any factor is dilated
         dims = [(sc.degree + 1) * t.shape[0] for t, _ in sc.factors]
@@ -258,18 +266,24 @@ def build_model(sc: Scenario) -> Model:
         dilations, parts, factor_models = [], [], []
         for i, (t, st) in enumerate(sc.factors, start=1):
             r = finite_unitary_dilation(t, sc.degree, sc.tol)
+            clock.add(r.phase_seconds)
             emb = _embedded_state(r, st)
             dilations.append(r)
             parts.append((r.gens[1], emb))
             factor_models.append((GenSet({i: r.gens[1]}), emb))
+            clock.lap("embedding")
         gens, joint = make_tensor_independent(parts)
-        return Model(gens=gens, state=joint, dilations=tuple(dilations), factor_models=factor_models)
+        clock.lap("embedding")
+        return Model(
+            gens=gens, state=joint, dilations=tuple(dilations), factor_models=factor_models, phase_seconds=clock
+        )
     fds = free_unitary_dilation(sc.factors, sc.degree, sc.trunc, sc.tol)
     return Model(
         gens=fds.unitaries,
         state=fds.vacuum,
         free=fds,
         factor_models=[fds.factor_model(i) for i in range(1, fds.n_factors + 1)],
+        phase_seconds=fds.phase_seconds,
     )
 
 
@@ -603,6 +617,8 @@ def run_theorem_suite(sc: Scenario, subset: Sequence[str] | None = None) -> Repo
             construction["details"]["fock_dim"] = model.free.dim
             construction["details"]["base_fock_dim"] = model.free.fock_h.dim
         construction["seconds"] = round(time.perf_counter() - t0, 6)
+        # timings, so under "seconds" keys, which report_fingerprint strips
+        construction["phases"] = {k: {"seconds": round(v, 6)} for k, v in model.phase_seconds.items()}
         entries.append(construction)
     except (ValueError, KeyError) as exc:
         entries.append(

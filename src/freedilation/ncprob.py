@@ -43,9 +43,9 @@ GRAM_BLOCK_BYTES = 64 * 2**20
 # certificate applies side by side; also of the half images a word-moment
 # sweep holds at a time
 SAMPLE_PANEL_BYTES = 128 * 2**10
-# bytes of the free mixed moment oracle's memo, at 256 B an entry: a key of
-# ``MAX_ORACLE_LETTERS`` letters (168 B), its complex value (32 B) and its
-# dict slot; free_pair's 4,468 entries take 1.1 MiB and never clear it
+# bytes of the free mixed moment oracle's sequences, at 256 B an entry: a
+# row of codes, its value and its masks' flags and kept rows; free_pair's
+# 4,468 sequences run as one batch and hold about 0.5 MB
 ORACLE_MEMO_BYTES = 2 * 2**20
 
 
@@ -325,7 +325,6 @@ class _Sweep:
         self.gens = gens
         if state is not None:  # a bare sweep walks only the panels it is given
             self.panel, self.weights = _state_panel(state)
-            self._conj_panel = np.conj(self.panel)
         self.letters = 0
         self.panel_bytes = 0
 
@@ -333,37 +332,74 @@ class _Sweep:
         self.letters += 1
         return apply_word(_code_word(code), self.gens, panel)
 
-    def moments(self, applied: np.ndarray) -> np.ndarray:
-        """``phi(a)`` of each sample, from ``a`` applied to a sample panel:
-        ``sum_k w_k <applied_{k,s}, v_k>`` for each sample ``s``; the state
-        columns alone are one sample."""
+    def moments(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``phi`` of each sample's product from the images of its two halves
+        on the state's columns, ``L* v`` and ``R v`` (sample ``s`` in columns
+        ``s*k .. s*k+k-1``): ``sum_k w_k <R v_k, L* v_k>``, sample by sample;
+        the state columns alone are one sample."""
         k = len(self.weights)
-        vals = np.einsum("ik,isk->sk", self._conj_panel, applied.reshape(len(applied), -1, k))
-        return (self.weights * vals).sum(axis=1)
+        left, right = (x.reshape(len(x), -1, k) for x in (left, right))
+        return (self.weights * np.einsum("isk,isk->sk", np.conj(left), right)).sum(axis=1)
 
-    def sample_panels(
+    def sample_draws(
         self, samples: int, salt: tuple[int, ...], counts: Sequence[int]
-    ) -> Iterator[tuple[range, np.ndarray, list[np.ndarray]]]:
-        """``(chunk, panel, coeffs)`` for consecutive chunks of
-        ``range(samples)``: the fewest chunks whose sample panels fit in
-        ``SAMPLE_PANEL_BYTES`` (one sample at least), of sizes that differ by
-        one at most: free_pair's 100 samples as 4 x 25 keep its peak RSS
-        flat, where 33 + 33 + 33 + 1 raised it by 0.8 MB.
+    ) -> Iterator[tuple[range, list[np.ndarray]]]:
+        """``(chunk, coeffs)`` for consecutive chunks of ``range(samples)``:
+        the fewest chunks whose sample panels, the state's columns once per
+        sample, fit in ``SAMPLE_PANEL_BYTES`` (one sample at least), of sizes
+        that differ by one at most: free_pair's 100 samples as 4 x 25 keep
+        its peak RSS flat, where 33 + 33 + 33 + 1 raised it by 0.8 MB.
 
-        A chunk of ``n`` samples has the state's ``k`` columns tiled ``n``
-        times as its panel, sample ``s`` in columns ``s*k .. s*k+k-1``, and
-        one ``(counts[j], n*k)`` coefficient array per slot ``j``: sample
-        ``s`` draws all its slots in one call to ``_derive_rng(*salt, s)``.
-        ``panel_bytes`` keeps the largest panel's size.
+        ``coeffs`` holds one ``(len(chunk), counts[j])`` array per slot ``j``;
+        the samples draw all their slots, one sample after another, from one
+        generator ``_derive_rng(*salt)``, so a sample's draws do not depend
+        on the chunks.  ``panel_bytes`` keeps the largest panel's size.
         """
-        k = len(self.weights)
         n = -(-samples // max(1, SAMPLE_PANEL_BYTES // self.panel.nbytes))
+        rng = _derive_rng(*salt)
         for chunk in (range(samples * i // n, samples * (i + 1) // n) for i in range(n)):
-            draws = [_derive_rng(*salt, s).uniform(0.0, 1.0, 2 * sum(counts)) for s in chunk]
-            coeffs = [np.repeat(c.T, k, axis=1) for c in _disc_coefficients(np.array(draws), counts)]
-            panel = np.tile(self.panel, (1, len(chunk)))
-            self.panel_bytes = max(self.panel_bytes, panel.nbytes)
-            yield chunk, panel, coeffs
+            self.panel_bytes = max(self.panel_bytes, self.panel.nbytes * len(chunk))
+            draws = rng.uniform(0.0, 1.0, (len(chunk), 2 * sum(counts)))
+            yield chunk, _disc_coefficients(draws, counts)
+
+    def word_images(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A factor's words for :meth:`product_moments`: the table (closed
+        under adjoint), its words applied to the state's columns, ``(dim, k,
+        words)``, and the row of each word's adjoint."""
+        images = np.empty((*self.panel.shape, len(table)), dtype=complex)
+        for i, image in self.walk_table(table, self.panel):
+            images[..., i] = image
+        rows = [tuple(filter(None, row)) for row in table.tolist()]
+        at = {row: i for i, row in enumerate(rows)}
+        return table, images, np.array([at[tuple(c ^ 1 for c in reversed(row))] for row in rows])
+
+    def product_moments(
+        self, factors: Sequence[tuple], coeffs: Sequence[np.ndarray], means: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """``phi(c_1 ... c_m)`` of each sample, for ``c_j = sum_i coeffs[j][s,
+        i] word_i - means[j][s]`` over the words of ``factors[j]`` (see
+        :meth:`word_images`), from two halves: ``R = c_{h+1} ... c_m`` and
+        ``L* = c_h* ... c_1*``, ``h = m // 2``, by :meth:`moments`.  ``c_j*``
+        has the conjugate coefficients at the adjoint words and the mean
+        ``conj(means[j])``.  The first slot a half applies, ``c_m`` or
+        ``c_1*``, is combined from its factor's word images, sample by
+        sample; only the later ones meet a sample panel, by :meth:`combine`.
+        """
+        h, n, k = len(factors) // 2, len(means[0]), len(self.weights)
+        left = [(t, img, np.conj(c)[:, adj], np.conj(m)) for (t, img, adj), c, m in zip(factors[:h], coeffs, means)]
+        right = [(t, img, c, m) for (t, img, _), c, m in zip(factors, coeffs, means)][h:][::-1]
+        halves = []
+        for slots in (left, right):  # each in the order it is applied
+            if not slots:  # the unit
+                halves.append(np.tile(self.panel, (1, n)))
+                continue
+            (_, images, c, m), *rest = slots
+            panel = np.einsum("ikw,sw->isk", images, c) - m[:, None] * self.panel[:, None, :]
+            panel = panel.reshape(len(self.panel), -1)
+            for t, _, c, m in rest:
+                panel = self.combine(t, np.repeat(c.T, k, axis=1), panel, np.repeat(m, k))
+            halves.append(panel)
+        return self.moments(*halves)
 
     def walk(self, words: Sequence[Word], panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """:meth:`walk_table` of a word list."""
@@ -403,6 +439,8 @@ class _Sweep:
         code.  ``apply`` is the walks'; code ``c ^ 1`` is the adjoint of ``c``.
         """
         apply, panel = apply or self.apply, self.panel * np.sqrt(self.weights)
+        if len(table) == 0:
+            return np.zeros(0, dtype=complex)
         if len(table) == 1:
             codes, left, right = [c for c in table[0].tolist() if c], panel, panel
             for c in codes[: len(codes) // 2]:  # L* = l_h* ... l_1*: l_1* first
@@ -414,20 +452,21 @@ class _Sweep:
         h, col, last = n // 2, np.arange((table.shape[1] + 1) // 2), table.shape[1] - 1
         right = np.where(h + col < n, np.take_along_axis(table, np.minimum(h + col, last), 1), 0)
         left = np.where(col < h, np.take_along_axis(table, np.maximum(h - 1 - col, 0), 1) ^ 1, 0)
-        keys: list[dict] = [{}, {}]  # each side's distinct halves, in order of first use
-        li, ri = ([k.setdefault(h, len(k)) for h in map(tuple, t.tolist())] for k, t in zip(keys, (left, right)))
-        lefts, rights = (np.reshape(list(k), (-1, left.shape[1])) for k in keys)
+        (lefts, li), (rights, ri) = _first_use(left), _first_use(right)
         size = max(1, SAMPLE_PANEL_BYTES // panel.nbytes)
-        blocks: list[dict] = [{} for _ in range(0, len(lefts), size)]  # each block's words by R
-        for w, (i, j) in enumerate(zip(li, ri)):
-            blocks[i // size].setdefault(j, []).append(w)
-        out = np.empty(len(table), dtype=complex)
-        for b, words in enumerate(blocks):
-            held = dict(self.walk_table(lefts[b * size : b * size + size], panel, apply))
-            need = list(words)
-            for j, image in self.walk_table(rights[need], panel, apply):
-                for w in words[need[j]]:
-                    out[w] = np.vdot(held[li[w] - b * size].ravel(), image.ravel())
+        block = li // size
+        order = np.lexsort((ri, block))  # the words by block of L*, then by R
+        cuts = np.flatnonzero(np.diff(block[order]) | np.diff(ri[order])) + 1
+        groups, heads = np.split(order, cuts), order[np.r_[0, cuts]]  # a group's words share both
+        ends = np.searchsorted(block[heads], np.arange(1, -(-len(lefts) // size) + 1))
+        out, vdot = np.empty(len(table), dtype=complex), np.vdot
+        for b, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            held = [None] * min(size, len(lefts) - b * size)
+            for i, image in self.walk_table(lefts[b * size : b * size + size], panel, apply):
+                held[i] = image.ravel()
+            for j, image in self.walk_table(rights[ri[heads[lo:hi]]], panel, apply):
+                words, right = groups[lo + j], image.ravel()
+                out[words] = [vdot(held[i], right) for i in (li[words] - b * size).tolist()]
             del held  # before the next block is walked
         return out
 
@@ -441,6 +480,14 @@ class _Sweep:
         for i, term in self.walk_table(table, panel):
             out += coeffs[i] * term
         return out
+
+
+def _first_use(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A table's distinct rows in order of first use, and each row's index among them."""
+    _, first, inverse = np.unique(_row_keys(rows)(rows), return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rows[np.sort(first)], rank[inverse]
 
 
 def word_moments(state: State, gens: GenSet, words: Sequence[Word]) -> np.ndarray:
@@ -460,7 +507,7 @@ def state_moment(state: State, gens: GenSet, factors: Sequence[Combination]) -> 
     applied = sweep.panel
     for words, coeffs in reversed(factors):
         applied = sweep.combine(_codes(words), coeffs, applied)
-    return complex(sweep.moments(applied)[0])
+    return complex(sweep.moments(sweep.panel, applied)[0])
 
 
 def center(comb: Combination, state: State, gens: GenSet) -> Combination:
@@ -494,25 +541,28 @@ def _alternating_words(
     runs ``(factor id, k)``, signs drawn from ``signs``: adjacent runs differ
     in factor or sign, factor blocks at most ``max_blocks``, each ``|k| <=
     per_run_max``, ``sum |k| <= total_max``; by total power, run count, runs."""
-    # depth first from the smallest run, so the runs come in order, a prefix
-    # before its extensions; each word is filed by (total power, run count)
-    files: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    stack = [((), 0, 0, 0, 0)]  # letters, last factor and sign, blocks, runs
-    pairs = sorted((f, sign) for f in ids for sign in signs)[::-1]
-    while stack:
-        codes, last, last_sign, blocks, count = stack.pop()
-        if codes:
-            files.setdefault((len(codes), count), []).append(codes)
-        most = min(per_run_max, total_max - len(codes))
-        for f, sign in pairs:  # pushed last first, so the smallest run pops first
-            new_block = f != last
-            if blocks + new_block > max_blocks or (not new_block and sign == last_sign):
-                continue
-            code = 2 * f + (sign < 0)
-            for k in range(most, 0, -1) if sign > 0 else range(1, most + 1):
-                stack.append((codes + (code,) * k, f, sign, blocks + new_block, count + 1))
-    rows = [c + (0,) * (total_max - len(c)) for key in sorted(files) for c in files[key]]
-    return np.array(rows, dtype=np.intp).reshape(-1, max(1, total_max))
+    runs = sorted((f, s * p) for f in ids for s in signs for p in range(1, min(per_run_max, total_max) + 1))
+    f, k = np.array(runs, dtype=np.intp).reshape(-1, 2).T
+    # the words of c runs in order of their runs, grown a run at a time (word
+    # i, then run j, keeps the order): factors, powers, total power and blocks
+    level, tables, totals = (f[:, None], k[:, None], np.abs(k), np.ones_like(f)), [], []
+    while max_blocks > 0 and len(level[0]):
+        wf, wk, total, blocks = level
+        # letter p of a word is the code of the run whose end comes after p
+        codes, ends, rows = 2 * wf + (wk < 0), np.cumsum(np.abs(wk), axis=1), np.arange(len(wf))
+        tables.append(np.zeros((len(wf), max(1, total_max)), dtype=np.intp))
+        for p in range(int(total.max())):
+            run = np.minimum(np.count_nonzero(ends <= p, axis=1), wf.shape[1] - 1)
+            tables[-1][:, p] = np.where(p < total, codes[rows, run], 0)
+        totals.append(total)
+        new = f != wf[:, -1:]  # word i, then run j
+        ok = (total[:, None] + np.abs(k) <= total_max) & (blocks[:, None] + new <= max_blocks)
+        i, j = np.nonzero(ok & (new | ((k < 0) != (wk[:, -1:] < 0))))
+        level = (np.column_stack([wf[i], f[j]]), np.column_stack([wk[i], k[j]]), total[i] + np.abs(k[j]), blocks[i] + new[i, j])
+    if not tables:
+        return np.zeros((0, max(1, total_max)), dtype=np.intp)
+    # by total power, then run count and runs
+    return np.concatenate(tables)[np.argsort(np.concatenate(totals), kind="stable")]
 
 
 def signed_alternating_words(
@@ -626,8 +676,10 @@ def tensor_independence_check(
     generate, and for contractions ``||[w_a, w_b]|| <= |w_a| |w_b|`` times
     the larger of the pair's two norms (Leibniz rule).  Part (b) checks
     ``phi(a_1 ... a_n) = prod phi(a_i)`` over random one-per-factor tuples
-    of words up to the degree, applied right to left by one walk per factor
-    for each chunk of samples, side by side in one sample panel.
+    of combinations of words up to the degree, each product read off two
+    halves (:meth:`_Sweep.product_moments`) for a chunk of samples side by
+    side; with two factors each half is one slot, combined from the words'
+    images on the state's columns.
     """
     ids = list(gens.ids)
     words = {f: _codes(_all_words([f], degree)) for f in ids}
@@ -636,15 +688,13 @@ def tensor_independence_check(
 
     sweep = _Sweep(state, gens)
     phis = [sweep.word_moments(words[f]) for f in ids]
-    k = len(sweep.weights)
+    factors = [sweep.word_images(words[f]) for f in ids] if samples else []
     # each sample drawn factor by factor in id order
-    counts = [len(words[f]) for f in ids]
-    for chunk, applied, coeffs in sweep.sample_panels(samples, (seed, 1), counts):
-        for f, c in zip(reversed(ids), reversed(coeffs)):
-            applied = sweep.combine(words[f], c, applied)
+    for chunk, coeffs in sweep.sample_draws(samples, (seed, 1), [len(words[f]) for f in ids]):
+        m = sweep.product_moments(factors, coeffs, [np.zeros(len(chunk))] * len(ids))
         # sample by sample, so that no chunking moves a digit
-        split = math.prod(np.einsum("w,ws->s", phi, c[:, ::k]) for phi, c in zip(phis, coeffs))
-        res = np.hypot((m := sweep.moments(applied) - split).real, m.imag)  # as a scalar abs
+        split = math.prod(np.einsum("w,sw->s", phi, c) for phi, c in zip(phis, coeffs))
+        res = np.hypot((m := m - split).real, m.imag)  # as a scalar abs
         at = int(np.argmax(res))  # the first sample of the worst
         if res[at] > worst:
             worst = float(res[at])
@@ -691,9 +741,10 @@ def free_independence_check(
     ``ceil(m/2)`` slots, has ``phi(X) = <R v, L* v>``, and ``L*`` is the
     twin of ``L``, its slots reversed and stars flipped, exactly, since a
     starred option is centered at the conjugate of its twin's mean.  The
-    random pass runs each chunk of samples side by side in one sample panel:
-    it takes each slot's means as dot products with the factor's word
-    moments and applies the slot by one :meth:`_Sweep.combine`.
+    random pass reads each chunk of samples off the same two halves, side
+    by side (:meth:`_Sweep.product_moments`), with each slot's means taken
+    as dot products with the factor's word moments; a sequence draws all
+    its samples from one generator.
     """
     ids = list(gens.ids)
     if len(ids) < 2:
@@ -750,13 +801,14 @@ def free_independence_check(
 
     words = {f: _codes(_all_words([f], degree)) for f in ids}
     phis = {f: sweep.word_moments(ws) for f, ws in words.items()}
+    factors = {f: sweep.word_images(ws) for f, ws in words.items()} if samples else {}
     for si, seq in enumerate(sequences):
         # each sample drawn slot by slot from the left
         counts = [len(words[f]) for f in seq]
-        for chunk, applied, coeffs in sweep.sample_panels(samples, (seed, 2, si), counts):
-            for f, c in zip(reversed(seq), reversed(coeffs)):  # means sample by sample
-                applied = sweep.combine(words[f], c, applied, np.einsum("w,ws->s", phis[f], c))
-            res = np.hypot((m := sweep.moments(applied)).real, m.imag)  # as a scalar abs
+        for chunk, coeffs in sweep.sample_draws(samples, (seed, 2, si), counts):
+            means = [np.einsum("w,sw->s", phis[f], c) for f, c in zip(seq, coeffs)]  # sample by sample
+            m = sweep.product_moments([factors[f] for f in seq], coeffs, means)
+            res = np.hypot(m.real, m.imag)  # as a scalar abs
             at = int(np.argmax(res))  # the first sample of the worst
             if res[at] > worst:
                 worst = float(res[at])
@@ -793,27 +845,31 @@ def trace_check(
     seed: int = 0,
 ) -> CheckReport:
     """Check ``phi(ab) = phi(ba)``: all single-letter pairs, then random word
-    pairs; every product's moment comes from one shared-suffix sweep."""
+    pairs, drawn from one generator; every product's moment comes from one
+    half-word sweep."""
     ids = list(gens.ids)
-    letters = [Word(((f, s),)) for f in ids for s in (False, True)]
-    pairs = [(wa, wb) for wa in letters for wb in letters]
-    first_random = len(pairs)
-    for s in range(samples):
-        rng = _derive_rng(seed, 3, s)
-        wa = _random_word(rng, ids, degree)
-        pairs.append((wa, _random_word(rng, ids, degree)))
+    codes, width = np.array([2 * f + s for f in ids for s in (0, 1)]), max(1, degree)
+    # pairs[p] = (a, b), each a row of codes; the letter pairs first
+    letters = np.zeros((len(codes) ** 2, 2, width), dtype=np.intp)
+    letters[:, 0, 0], letters[:, 1, 0] = np.repeat(codes, len(codes)), np.tile(codes, len(codes))
+    rng = _derive_rng(seed, 3)
+    length = rng.integers(1, degree + 1, (samples, 2, 1))
+    drawn = 2 * np.array(ids)[rng.integers(0, len(ids), (samples, 2, width))]
+    drawn += rng.integers(0, 2, (samples, 2, width))
+    drawn[np.arange(width) >= length] = 0
+    pairs = np.concatenate([letters, drawn])
+    ab = np.concatenate([pairs, pairs[:, ::-1]], axis=2).reshape(-1, 2 * width)  # ab, then ba
+    ab = np.take_along_axis(ab, np.argsort(ab == 0, axis=1, kind="stable"), 1)  # letters first
     sweep = _Sweep(state, gens)
-    moments = sweep.word_moments(_codes([w for wa, wb in pairs for w in (wa * wb, wb * wa)]))
-    worst = 0.0
-    witness: dict | None = None
-    for k, (wa, wb) in enumerate(pairs):
-        res = abs(complex(moments[2 * k]) - complex(moments[2 * k + 1]))
-        if res > worst:
-            worst = res
-            witness = {"part": "letters", "left": wa.format(), "right": wb.format()}
-            if k >= first_random:
-                witness |= {"part": "random", "sample": k - first_random, "seed": seed}
-
+    moments = sweep.word_moments(ab)
+    res = np.hypot((gap := moments[0::2] - moments[1::2]).real, gap.imag)  # as a scalar abs
+    at = int(np.argmax(res))  # the first of the worst
+    worst, witness = 0.0, None
+    if res[at] > 0:
+        worst = float(res[at])
+        witness = {"part": "letters", "left": _word(pairs[at, 0]).format(), "right": _word(pairs[at, 1]).format()}
+        if at >= len(letters):
+            witness |= {"part": "random", "sample": at - len(letters), "seed": seed}
     return CheckReport(
         name="traciality",
         residual=worst,
@@ -827,15 +883,6 @@ def trace_check(
             "letters_applied": sweep.letters,
         },
     )
-
-
-def _random_word(rng: np.random.Generator, ids: Sequence[int], degree: int) -> Word:
-    length = int(rng.integers(1, degree + 1))
-    letters = tuple(
-        (int(ids[rng.integers(0, len(ids))]), bool(rng.integers(0, 2)))
-        for _ in range(length)
-    )
-    return Word(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,19 +1050,21 @@ def moments_from_cumulants(kappas: Sequence[complex]) -> list[complex]:
 # ---------------------------------------------------------------------------
 # free mixed moment oracle
 
-Marginal = Callable[[Word], complex]
+# a marginal: the moments of a code table's words (see :func:`_codes`), all
+# in one factor and its adjoint
+Marginal = Callable[[np.ndarray], np.ndarray]
 
 
 def matrix_marginal(gens: GenSet, state: State) -> Marginal:
-    """Marginal distribution of one factor's generators under a state; the
-    words it is asked for name that factor's own id.  Each word's moment is
-    computed once and cached, so the oracle's many words share block values."""
-    return lru_cache(maxsize=None)(partial(word_moment, state, gens))
+    """Marginal distribution of one factor's generators under a state: the
+    :meth:`_Sweep.word_moments` of a table whose words name that factor's
+    own id, each with the digits it has in any table."""
+    return _Sweep(state, gens).word_moments
 
 
 def haar_unitary_marginal() -> Marginal:
     """Haar unitary marginal: ``phi(u^k) = 1`` iff the net exponent is 0."""
-    return lambda word: complex(sum(-1 if s else 1 for _, s in word.letters) == 0)
+    return lambda table: (np.count_nonzero(table, 1) == 2 * np.count_nonzero(table & 1, 1)).astype(complex)
 
 
 def free_mixed_moments(
@@ -1037,7 +1086,7 @@ def free_mixed_moments(
             if f not in marginals:
                 raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
     recursion = _FreeRecursion(marginals)
-    return [recursion(tuple(2 * f + s for f, s in w.letters)) for w in words], recursion.entries
+    return recursion(_codes(words)).tolist(), recursion.entries
 
 
 def free_mixed_moment_oracle(marginals: Mapping[int, Marginal], word: Word) -> complex:
@@ -1045,54 +1094,163 @@ def free_mixed_moment_oracle(marginals: Mapping[int, Marginal], word: Word) -> c
     return free_mixed_moments(marginals, [word])[0][0]
 
 
-@lru_cache(maxsize=None)
-def _expansion(n: int) -> list[tuple[int, float, tuple[int, ...]]]:
-    """Each nonempty mask of ``n`` blocks: its top block, sign and kept blocks."""
-    keep = [tuple(j for j in range(n) if not m >> j & 1) for m in range(1 << n)]
-    return [(m.bit_length() - 1, (-1.0, 1.0)[m.bit_count() % 2], keep[m]) for m in range(1, 1 << n)]
+def _row_keys(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function giving each row of codes as wide as the table one sortable
+    key: its codes as the digits of an integer in base ``max code + 1``, when
+    such an integer fits in 64 bits, else the row's bytes."""
+    base, width = int(table.max(initial=0)) + 1, table.shape[1]
+    if base**width <= 2**64:
+
+        def key(rows: np.ndarray) -> np.ndarray:
+            out = np.zeros(rows.shape[:-1], dtype=np.uint64)
+            for j in range(width):  # Horner's rule, a column at a time
+                out *= np.uint64(base)
+                out += rows[..., j].astype(np.uint64)
+            return out
+
+        return key
+    return lambda rows: np.ascontiguousarray(rows).view(f"V{width * rows.itemsize}")[..., 0]
+
+
+def _coefficients(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each mask's blocks' means multiplied in block order, as ``complex``
+    multiplies: mask ``m`` with top block ``j`` is mask ``m - 2^j`` times
+    block ``j``'s mean, from ``1 + 0j``; real and imaginary parts of
+    ``(rows, masks)``, from those of ``(rows, blocks)`` means."""
+    n = re.shape[1]
+    cr, ci = np.ones((len(re), 1 << n)), np.zeros((len(re), 1 << n))
+    for j in range(n):
+        ar, ai, br, bi = cr[:, : 1 << j], ci[:, : 1 << j], re[:, j, None], im[:, j, None]
+        cr[:, 1 << j : 2 << j], ci[:, 1 << j : 2 << j] = ar * br - ai * bi, ar * bi + ai * br
+    return cr, ci
+
+
+def _kept(rows: np.ndarray, block: np.ndarray, at: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Row ``at[i]`` without its blocks in mask ``masks[i]``, left-packed:
+    ``block`` gives each letter's block (a pad's is the last block's)."""
+    src, block, masks = rows[at], block[at], masks.astype(np.uint16)  # at most 16 blocks
+    out = np.zeros(src.size, dtype=rows.dtype)
+    end = np.arange(0, out.size, rows.shape[1])  # each row's next slot, flat
+    for i in range(rows.shape[1]):  # a dropped letter writes the 0 its slot keeps until a kept one comes
+        gone = (masks >> block[:, i]) & 1
+        out[end] = np.where(gone, 0, src[:, i])
+        end += 1 - gone
+    return out.reshape(src.shape)
+
+
+def _blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each letter's block in rows of codes (a pad's is the last block's),
+    and each row's block count (0 for the unit)."""
+    change = (rows[:, 1:] >> 1 != rows[:, :-1] >> 1) & (rows[:, 1:] != 0)
+    block = np.zeros(rows.shape, dtype=np.uint8)
+    np.cumsum(change, axis=1, out=block[:, 1:])
+    return block, (block[:, -1] + 1) * (rows[:, 0] != 0)
 
 
 class _FreeRecursion:
-    """The oracle's recursion on flat letter-code tuples (a block sequence
-    is fixed by its letters), one memo for all words; a single block's mean
-    is read from its marginal.  A value depends only on its letters and the
-    marginals, so sharing or clearing the memo changes no digit.  The memo is
-    cleared before an entry would take it past ``ORACLE_MEMO_BYTES``;
-    ``entries`` counts the entries it took in, the distinct sequences
-    evaluated unless it was cleared.  A class, not a recursive closure, so
-    no reference cycle keeps the memo alive."""
+    """The oracle's recursion on a code table, on arrays.
+
+    A sequence is keyed by its padded code row (a block sequence is fixed by
+    its letters).  Discovery walks down by block count: the sequences of
+    ``b`` blocks take their blocks' means, read by one marginal call per
+    factor on a table of the new single-block sequences, and keep the
+    re-merged rest of each mask whose coefficient is not zero, which has
+    fewer blocks.  Evaluation walks back up, each kept sequence found by one
+    sorted lookup.  Every complex product is formed from float64 parts in
+    the order of the per-word recursion (Python ``complex`` arithmetic,
+    ``sign * coeff`` promoted to complex), since numpy's complex multiply
+    may round otherwise, so a value depends only on its letters and the
+    marginals.
+
+    Words run in batches whose sequences fit in ``ORACLE_MEMO_BYTES`` at
+    256 B an entry (one word at least), halving a batch that does not fit;
+    ``entries`` counts the distinct sequences of each batch, those the
+    per-word recursion evaluates: the memo's entries when one batch holds
+    every word."""
 
     def __init__(self, marginals: Mapping[int, Marginal]):
         self.marginals = marginals
-        self.memo: dict[tuple[int, ...], complex] = {}
         self.entries = 0
 
-    def __call__(self, codes: tuple[int, ...]) -> complex:
-        if not codes:
-            return 1.0 + 0.0j
-        total = self.memo.get(codes)
-        if total is not None:
-            return total
-        # blocks of one factor, ``code >> 1`` as a C-level key
-        blocks = [tuple(run) for _, run in itertools.groupby(codes, key=(1).__rrshift__)]
-        if len(blocks) == 1:
-            total = self.marginals[codes[0] >> 1](_word(codes))
-        else:
-            get, block = self.memo.get, blocks.__getitem__  # a hit skips the call
-            phis = [get(b) or self(b) for b in blocks]
-            total = 0.0 + 0.0j
-            # coeffs[mask]: its blocks' means multiplied in block order
-            coeffs = [1.0 + 0.0j]
-            for high, sign, kept in _expansion(len(blocks)):
-                coeffs.append(coeff := coeffs[len(coeffs) - (1 << high)] * phis[high])
-                if coeff != 0:
-                    kept = sum(map(block, kept), ())
-                    total += sign * coeff * (get(kept) or self(kept))
-        if len(self.memo) >= ORACLE_MEMO_BYTES // 256:
-            self.memo.clear()
-        self.memo[codes] = total
-        self.entries += 1
-        return total
+    def __call__(self, table: np.ndarray) -> np.ndarray:
+        """The moments of the table's words; the unit's is ``1 + 0j``."""
+        table = table.astype(np.min_scalar_type(int(table.max(initial=0))))  # small rows
+        self.key = _row_keys(table)
+        out = np.empty(len(table), dtype=complex)
+        start, size, cap = 0, len(table), max(1, ORACLE_MEMO_BYTES // 256)
+        while start < len(table):
+            size = min(size, len(table) - start)
+            while (found := self._discover(table[start : start + size], cap if size > 1 else None)) is None:
+                size = (size + 1) // 2
+            out[start : start + size] = self._evaluate(table[start : start + size], *found)
+            start += size
+        return out
+
+    def _discover(self, words: np.ndarray, cap: int | None):
+        """The batch's sequences: the single-block ones, sorted by key, and
+        their means, and per block count the rows, their blocks' means, their
+        masks with a nonzero coefficient and those masks' kept rows; ``None``
+        once more than ``cap`` sequences are found."""
+        key, (_, count) = self.key, _blocks(words)
+        pending = [[words[count == b]] for b in range(count.max(initial=1) + 1)]
+        known, means, groups, found = words[:0], np.zeros(0, dtype=complex), [], 0
+        for b in range(len(pending) - 1, 0, -1):
+            rows = np.concatenate(pending[b])
+            rows = rows[np.unique(key(rows), return_index=True)[1]]
+            block, single = _blocks(rows)[0], rows
+            if b > 1:  # block j of each row: the row without the other blocks
+                masks = np.tile((1 << b) - 1 - (1 << np.arange(b)), len(rows))
+                single = _kept(rows, block, np.repeat(np.arange(len(rows)), b), masks)
+            # the new single-block sequences join the known ones, with their means
+            every = np.concatenate([known, single])
+            first = np.unique(key(every), return_index=True)[1]
+            fresh, old, known = first >= len(known), means, every[first]
+            means = np.empty(len(known), dtype=complex)
+            means[~fresh] = old[first[~fresh]]
+            factors = known[:, 0] >> 1
+            for f in sorted(set(factors[fresh].tolist())):  # np.unique alone would import numpy.ma
+                means[fresh & (factors == f)] = self.marginals[f](known[fresh & (factors == f)].astype(np.intp))
+            if b > 1:
+                phis = means[np.searchsorted(key(known), key(single))].reshape(len(rows), b)
+                cr, ci = _coefficients(phis.real, phis.imag)
+                nonzero = (cr != 0) | (ci != 0)
+                nonzero[:, 0] = False  # the empty mask keeps the row itself
+                more = _kept(rows, block, *np.nonzero(nonzero))
+                groups.append((rows, phis, nonzero, more))
+                found += len(rows)
+                count = _blocks(more)[1]
+                for c in set(count.tolist()) - {0}:
+                    pending[c].append(more[count == c])
+            if cap is not None and found + len(known) > cap:
+                return None
+        self.entries += found + len(known)
+        return known, means, groups
+
+    def _evaluate(self, words: np.ndarray, known: np.ndarray, means: np.ndarray, groups) -> np.ndarray:
+        """The words' values from the discovered sequences, by block count up."""
+        key = self.key
+        keys = key(np.concatenate([np.zeros_like(words[:1]), known, *(g[0] for g in groups)]))
+        order = np.argsort(keys)
+        keys, rest = keys[order], np.zeros(len(keys) - 1 - len(known))
+        re = np.concatenate([[1.0], means.real, rest])[order]  # the unit, then the means
+        im = np.concatenate([[0.0], means.imag, rest])[order]
+        for rows, phis, nonzero, kept in reversed(groups):
+            cr, ci = _coefficients(phis.real, phis.imag)
+            at = np.zeros(nonzero.shape, dtype=np.intp)  # zero coefficients read the unit
+            at[nonzero] = np.searchsorted(keys, key(kept))
+            total_r, total_i = np.zeros(len(rows)), np.zeros(len(rows))
+            for m in range(1, nonzero.shape[1]):  # the masks in order, zero coefficients skipped
+                sign, c_r, c_i, v_r, v_i = (-1.0, 1.0)[m.bit_count() % 2], cr[:, m], ci[:, m], re[at[:, m]], im[at[:, m]]
+                # sign * coeff as Python promotes it, (sign + 0j) * coeff, then times the value
+                s_r, s_i = sign * c_r - 0.0 * c_i, sign * c_i + 0.0 * c_r
+                np.add(total_r, s_r * v_r - s_i * v_i, out=total_r, where=nonzero[:, m])
+                np.add(total_i, s_r * v_i + s_i * v_r, out=total_i, where=nonzero[:, m])
+            at = np.searchsorted(keys, key(rows))
+            re[at], im[at] = total_r, total_i
+        at = np.searchsorted(keys, key(words))
+        out = np.empty(len(words), dtype=complex)
+        out.real, out.imag = re[at], im[at]
+        return out
 
 
 def oracle_equivalence_check(
@@ -1111,25 +1269,22 @@ def oracle_equivalence_check(
     (``memo_entries``), and only the witness becomes a :class:`Word`."""
     table = _alternating_words(gens.ids, (1, -1), max_blocks, degree, 2 * degree)
     model = (sweep := _Sweep(state, gens)).word_moments(table)
-    rows = [tuple(filter(None, row)) for row in table.tolist()]
-    oracle = list(map(memo := _FreeRecursion(marginals), rows))
-    entries, lhs = memo.entries, model.tolist()
-    del table, memo  # before the residuals: the rows name the words
-    res = [abs(a - b) for a, b in zip(lhs, oracle)]
-    at = max(range(len(res)), key=res.__getitem__, default=None)  # the first of the worst
+    oracle = (memo := _FreeRecursion(marginals))(table)
+    res = np.hypot((gap := model - oracle).real, gap.imag)  # as a scalar abs
+    at = int(np.argmax(res)) if len(res) else None  # the first of the worst
     witness = None if at is None else {
-        "word": _word(rows[at]).format(),
-        "vacuum_moment": [lhs[at].real, lhs[at].imag],
-        "oracle_moment": [oracle[at].real, oracle[at].imag],
+        "word": _word(table[at].tolist()).format(),
+        "vacuum_moment": [model[at].real.item(), model[at].imag.item()],
+        "oracle_moment": [oracle[at].real.item(), oracle[at].imag.item()],
     }
-    worst = 0.0 if at is None else res[at]
+    worst = 0.0 if at is None else float(res[at])
     return CheckReport(
         name="oracle_equivalence",
         residual=worst,
         tol=tol,
         passed=worst <= tol,
         witness=witness,
-        details={"words": len(rows), "letters_applied": sweep.letters, "memo_entries": entries},
+        details={"words": len(table), "letters_applied": sweep.letters, "memo_entries": memo.entries},
     )
 
 

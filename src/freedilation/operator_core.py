@@ -14,9 +14,10 @@ returned or raised inside errors rather than hidden behind booleans.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -96,6 +97,25 @@ def defect_pair(t: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np
     s[1.0 - s <= 8 * t.shape[0] * np.finfo(float).eps] = 1.0
     d = np.sqrt((1.0 - s) * (1.0 + s))
     return (adjoint(vh) * d) @ vh, (w * d) @ adjoint(w)
+
+
+class PhaseClock(dict):
+    """Seconds per construction phase, by phase name: :meth:`lap` charges
+    the time since the last mark to a phase, :meth:`add` folds in the phases
+    a part of the construction timed itself."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self[phase], self.mark = self.get(phase, 0.0) + now - self.mark, now
+
+    def add(self, phases: Mapping[str, float]) -> None:
+        for phase, seconds in phases.items():
+            self[phase] = self.get(phase, 0.0) + seconds
+        self.mark = time.perf_counter()
 
 
 class LetterAction:

@@ -91,8 +91,8 @@ def nested_free_independence_check(state, gens, max_len, degree, samples, tol, s
                 }
 
     for si, seq in enumerate(sequences):
+        rng = _rng(seed, 2, si)  # one generator per sequence, sample after sample
         for s in range(samples):
-            rng = _rng(seed, 2, si, s)
             elements = [_center(_random_element(rng, f, degree), state, gens) for f in seq]
             res = abs(_moment(state, gens, elements))
             if res > worst:
@@ -164,8 +164,8 @@ def nested_tensor_factorization(state, gens, degree, samples, seed=0):
     one-per-factor tuples, and the first sample that attains it."""
     ids = list(gens.ids)
     worst, at = 0.0, None
+    rng = _rng(seed, 1)  # one generator, sample after sample
     for s in range(samples):
-        rng = _rng(seed, 1, s)
         elements = [_random_element(rng, f, degree) for f in ids]
         split = np.prod([_moment(state, gens, [el]) for el in elements])
         res = abs(_moment(state, gens, elements) - split)

@@ -7,7 +7,7 @@ package once computed the oracle one word at a time.  The arithmetic is the
 same, term for term, so the shared memo must give the same digits.
 """
 
-from freedilation.ncprob import Word
+from freedilation.ncprob import Word, _codes
 
 
 def _merge_blocks(blocks):
@@ -31,7 +31,8 @@ def _expand_blocks(blocks, marginals, memo):
         phi = memo.get(b)
         if phi is None:
             f, stars = b
-            phi = memo[b] = marginals[f](Word(tuple((f, s) for s in stars)))
+            word = Word(tuple((f, s) for s in stars))
+            phi = memo[b] = complex(marginals[f](_codes([word]))[0])
         phis.append(phi)
     m = len(blocks)
     if m == 1:

@@ -24,7 +24,8 @@ from freedilation.ncprob import (
     parse_word,
     word_moment,
 )
-from freedilation.operator_core import State, adjoint, compress, operator_norm
+from freedilation.harness import Scenario, run_theorem_suite
+from freedilation.operator_core import State, adjoint, compress, operator_norm, random_contraction
 
 from fock_oracle import dense, dense_left_representation, fock_dimension
 
@@ -506,3 +507,36 @@ def test_free_identity_matches_dense_reference():
             want = _dense_free_residual(model, w.runs())
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13), (w.format(), got, want)
     assert max(verify_free_dilation(crossed, w) for w in words) > 0.1
+
+
+@st.composite
+def _density_factors(draw):
+    """Two factors of dimensions 1-3 or three of dimensions 1-2, each a
+    random contraction under a density state of full or lower rank."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    factors = []
+    for _ in range(n):
+        dim = draw(st.integers(1, 3 if n == 2 else 2))
+        rank = draw(st.integers(1, dim))
+        v = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        rho = v @ adjoint(v)
+        factors.append((random_contraction(rng, dim, 0.95), State.from_density(rho / np.trace(rho).real)))
+    return factors, draw(st.integers(1, 2)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_density_factors())
+def test_free_suite_of_purified_density_factors_of_different_dimensions(case):
+    # factors of different dimensions under density states are purified,
+    # dilated and placed on one free product: every certificate of the
+    # free suite passes, and the exact ones, unitarity on the short words
+    # and the dilation identity within budget, reach machine precision
+    factors, degree, seed = case
+    sc = Scenario(mode="free", factors=factors, degree=degree, trunc=2, check_degree=2, max_alt=3, samples=5, seed=seed)
+    report = run_theorem_suite(sc).to_obj()
+    checks = {c["name"]: c for c in report["checks"]}
+    assert report["overall_pass"], [(c["name"], c["residual"], c["witness"]) for c in report["checks"]]
+    assert set(checks) >= {"unitarity", "dilation_identity", "free_independence", "oracle_equivalence"}
+    assert checks["unitarity"]["residual"] <= 1e-13
+    assert checks["dilation_identity"]["residual"] <= 1e-13

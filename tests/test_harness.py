@@ -305,6 +305,24 @@ def test_report_fingerprint_ignores_timing():
     assert report_fingerprint(mutated) != report_fingerprint(a)
 
 
+def test_construction_reports_phase_seconds_outside_the_fingerprint():
+    # free mode times all five construction phases, the other modes the
+    # three of a block dilation; every phase time sits under a "seconds"
+    # key, which the fingerprint (and the benchmark's report digest) strips
+    free = run_theorem_suite(ingest(SCENARIOS / "free_pair.json"), subset=[]).to_obj()
+    single = run_theorem_suite(Scenario(mode="single", factors=[_scalar_factor(0.5)]), subset=[]).to_obj()
+    phases = {name: entry["checks"][0]["phases"] for name, entry in (("free", free), ("single", single))}
+    assert sorted(phases["free"]) == ["block_dilation", "defects", "embedding", "fock_basis", "left_action"]
+    assert sorted(phases["single"]) == ["block_dilation", "defects", "embedding"]
+    for times in phases.values():
+        assert all(set(t) == {"seconds"} and t["seconds"] >= 0.0 for t in times.values())
+    mutated = json.loads(json.dumps(free))
+    for t in mutated["checks"][0]["phases"].values():
+        t["seconds"] = 99.0
+    assert report_fingerprint(mutated) == report_fingerprint(free)
+    assert json.loads(report_fingerprint(free))["checks"][0]["phases"]["fock_basis"] == {}
+
+
 def test_render_text_table():
     sc = Scenario(mode="single", factors=[_scalar_factor(0.5)], samples=5)
     text = render_text(run_theorem_suite(sc).to_obj())
@@ -735,15 +753,19 @@ def test_oracle_check_matches_per_word_loop():
 def test_free_pair_work_counts_are_pinned():
     # deterministic counters of free_pair at seed 1: the monomial pass reads
     # each product off its two halves (608 letters, where node panels took
-    # 700), the means and word moments 22, the random pass 1,008, and one
-    # oracle memo serves all 4,436 words; a change that undoes either moves
+    # 700), the means and word moments 22, and the random pass 364 (the 15
+    # words of each factor on the state's column, 28, then 336 for the 6
+    # later slots of each of 4 chunks, where applying every slot to the
+    # sample panel took 1,008); the oracle sweep applies 365 and one oracle
+    # recursion serves all 4,436 words; a change that undoes either moves
     # them
     sc = replace(ingest(SCENARIOS / "free_pair.json"), seed=1)
     model = build_model(sc)
     free = CHECKS["free_independence"](sc, model)
     oracle = CHECKS["oracle_equivalence"](sc, model)
-    assert free.details["letters_applied"] == 1638
+    assert free.details["letters_applied"] == 608 + 22 + 28 + 336
     assert (oracle.details["words"], oracle.details["memo_entries"]) == (4436, 4468)
+    assert oracle.details["letters_applied"] == 365
 
 
 def test_tensor_power_dilation_covers_each_factor():

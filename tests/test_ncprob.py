@@ -302,8 +302,9 @@ def test_word_moments_apply_each_distinct_suffix_once(monkeypatch):
 def _generator_sets_states_and_words(draw):
     """Dense, Fock or axis generators; a vector, full-rank density or
     rank-deficient density state on their space; and up to 12 words of up
-    to 7 letters, some of them repeated: the unit, odd and even lengths and
-    shared halves all occur."""
+    to 7 letters, or of 44 to 60, whose halves are too wide for an
+    integer key, some of them repeated or twinned in their middle letter:
+    the unit, odd and even lengths and shared halves all occur."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["dense", "fock", "axis"]))
     if kind == "dense":
@@ -328,11 +329,15 @@ def _generator_sets_states_and_words(draw):
         state = State.from_density(g @ adjoint(g) / np.linalg.norm(g) ** 2)
     letters = st.tuples(st.sampled_from(ids), st.booleans())
     words: list[Word] = [Word()]
+    sizes = draw(st.sampled_from([(0, 7), (44, 60)]))
     for _ in range(draw(st.integers(0, 11))):
         if words and draw(st.booleans()):
             words.append(draw(st.sampled_from(words)))
         else:
-            words.append(Word(tuple(draw(st.lists(letters, max_size=7)))))
+            words.append(Word(tuple(draw(st.lists(letters, min_size=sizes[0], max_size=sizes[1])))))
+            if sizes[0] and draw(st.booleans()):  # a twin that differs in its middle letter alone
+                (f, s), h = words[-1].letters[len(words[-1]) // 2], len(words[-1]) // 2
+                words.append(Word(words[-1].letters[:h] + ((f, not s),) + words[-1].letters[h + 1 :]))
     return gens, state, draw(st.permutations(words))
 
 
@@ -486,7 +491,8 @@ def test_tensor_factorization_matches_reference():
     assert rep.witness == {"part": "factorization", "sample": sample, "seed": 3}
     assert abs(rep.residual - worst) <= 1e-12
     # per factor the moments' halves, L* in {T*, T} and R in {T, T*}, then
-    # one panel holds all 20 samples
+    # the images of its 7 words on the state's columns: with two factors
+    # each half of a product is one slot, combined from those images
     assert rep.details["letters_applied"] == 2 * (2 + 2 + 6)
 
 
@@ -638,18 +644,25 @@ def test_random_passes_do_not_depend_on_the_chunking(monkeypatch, kind):
 
 
 def test_sample_draws_equal_the_per_slot_draws():
-    # each sample draws all its slots in one call to its generator, split
-    # per slot into radii, then phases: the values of one draw per slot
+    # the samples draw all their slots, one sample after another, from one
+    # generator per salt, each slot's radii and then its phases: the values
+    # of one draw per slot, in the default chunk or in chunks of two
     sweep = ncprob._Sweep(State.from_density(np.diag([0.5, 0.3, 0.2]).astype(complex)), GenSet({1: np.eye(3)}))
     counts = [3, 7, 15]
-    for chunk, _, coeffs in sweep.sample_panels(5, (9, 2, 1), counts):
-        for at, s in enumerate(chunk):
-            rng = ncprob._derive_rng(9, 2, 1, s)
-            for n, c in zip(counts, coeffs):
-                radii = np.sqrt(rng.uniform(0.0, 1.0, size=n))
-                want = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=n))
-                for col in range(3 * at, 3 * at + 3):  # the sample's three state columns
-                    assert np.array_equal(c[:, col], want)
+    rng, want = ncprob._derive_rng(9, 2, 1), []
+    for _ in range(5):
+        want.append([])
+        for n in counts:
+            radii = np.sqrt(rng.uniform(0.0, 1.0, size=n))
+            want[-1].append(radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=n)))
+    for budget, chunks in ((ncprob.SAMPLE_PANEL_BYTES, 1), (2 * sweep.panel.nbytes, 3)):
+        with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", budget):
+            got = list(sweep.sample_draws(5, (9, 2, 1), counts))
+        assert len(got) == chunks
+        for chunk, coeffs in got:
+            for at, s in enumerate(chunk):
+                for c, w in zip(coeffs, want[s]):
+                    assert np.array_equal(c[at], w)
 
 
 def _spy_arrays(monkeypatch, owner, name, length):
@@ -1033,8 +1046,8 @@ def test_oracle_alternating_centered_vanishes():
     phi2 = haar_unitary_marginal()
     marg = {1: phi1, 2: phi2}
     w_ab = parse_word("1^1 2^1")
-    a_mean = phi1(parse_word("1^1"))
-    b_mean = phi2(parse_word("2^1"))
+    a_mean = phi1(ncprob._codes([parse_word("1^1")]))[0]
+    b_mean = phi2(ncprob._codes([parse_word("2^1")]))[0]
     joint = free_mixed_moment_oracle(marg, w_ab)
     assert joint == pytest.approx(a_mean * b_mean, abs=1e-12)
 
@@ -1044,7 +1057,7 @@ def test_oracle_single_block_is_marginal():
         GenSet({1: np.diag([0.5, 0.25])}), State.from_vector(np.array([0.6, 0.8]))
     )
     w = parse_word("1^2 1^-1")
-    assert free_mixed_moment_oracle({1: phi1}, w) == pytest.approx(phi1(w))
+    assert free_mixed_moment_oracle({1: phi1}, w) == pytest.approx(phi1(ncprob._codes([w]))[0])
 
 
 def test_oracle_guards():
@@ -1079,22 +1092,28 @@ def _marginals_and_words(draw):
 @settings(max_examples=100, deadline=None)
 @given(_marginals_and_words(), st.sampled_from([None, 1, 4]))
 def test_shared_oracle_memo_matches_per_word_recursion(case, memo_entries):
-    # one memo for all words gives the per-word recursion's digits, also when
-    # a memo bound of one or four entries clears it again and again
+    # one recursion for all words gives the per-word recursion's bits, signed
+    # zeros included, also when a memo bound of one or four entries splits
+    # the words into batches of one
     marginals, words = case
     want = [per_word_free_moment(marginals, w) for w in words]
     limit = ncprob.ORACLE_MEMO_BYTES if memo_entries is None else memo_entries * 256
     with mock.patch.object(ncprob, "ORACLE_MEMO_BYTES", limit):
         got, entries = free_mixed_moments(marginals, words)
-    assert got == want
-    assert [free_mixed_moment_oracle(marginals, w) for w in words] == want
+    assert _bits(got) == _bits(want)
+    assert _bits(free_mixed_moment_oracle(marginals, w) for w in words) == _bits(want)
     assert entries >= len({w.letters for w in words if w.letters})
+
+
+def _bits(values):
+    """Each complex value's two float64 bit patterns, so ``-0.0 != 0.0``."""
+    return np.array(list(values), dtype=complex).view(np.uint64).tolist()
 
 
 def test_oracle_memo_stays_within_its_bytes(monkeypatch):
     # free_pair's 4,436 oracle words under two matrix marginals: the memo
-    # takes in 4,468 sequences, and a bound of 100 entries clears it instead
-    # of letting it grow, with the same moments
+    # takes in 4,468 sequences, and a bound of 100 entries runs the words in
+    # batches of at most 100 sequences each instead, with the same moments
     rng = np.random.default_rng(36)
     words = signed_alternating_words(2, 4, 3, 6)
     marginals = {
@@ -1104,18 +1123,20 @@ def test_oracle_memo_stays_within_its_bytes(monkeypatch):
     whole, entries = free_mixed_moments(marginals, words)
     assert (len(words), entries) == (4436, 4468)
     sizes = []
-    call = ncprob._FreeRecursion.__call__
+    discover = ncprob._FreeRecursion._discover
 
-    def spy(self, letters):
-        out = call(self, letters)
-        sizes.append(len(self.memo))
-        return out
+    def spy(self, batch, cap):
+        found = discover(self, batch, cap)
+        if found is not None:  # a batch that fits: its sequences
+            known, _, groups = found
+            sizes.append(len(known) + sum(len(rows) for rows, *_ in groups))
+        return found
 
-    monkeypatch.setattr(ncprob._FreeRecursion, "__call__", spy)
+    monkeypatch.setattr(ncprob._FreeRecursion, "_discover", spy)
     monkeypatch.setattr(ncprob, "ORACLE_MEMO_BYTES", 100 * 256)
     bounded, more = free_mixed_moments(marginals, words)
-    assert bounded == whole
-    assert max(sizes) == 100 and more > entries
+    assert _bits(bounded) == _bits(whole)
+    assert max(sizes) <= 100 < sum(sizes) == more and more > entries
 
 
 def test_oracle_refuses_every_word_before_expanding_any(monkeypatch):
