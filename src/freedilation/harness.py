@@ -252,7 +252,9 @@ def build_model(sc: Scenario) -> Model:
         clock.add(res.phase_seconds)
         emb = _embedded_state(res, st)
         clock.lap("embedding")
-        return Model(gens=res.gens, state=emb, dilations=(res,), factor_models=[(res.gens, emb)], phase_seconds=clock)
+        return Model(
+            gens=res.gens, state=emb, dilations=(res,), factor_models=[(res.gens, emb)], phase_seconds=clock
+        )
     if sc.mode == "doubly":
         res = doubly_commuting_dilation([t for t, _ in sc.factors], sc.degree, sc.tol)
         clock.add(res.phase_seconds)
@@ -275,7 +277,11 @@ def build_model(sc: Scenario) -> Model:
         gens, joint = make_tensor_independent(parts)
         clock.lap("embedding")
         return Model(
-            gens=gens, state=joint, dilations=tuple(dilations), factor_models=factor_models, phase_seconds=clock
+            gens=gens,
+            state=joint,
+            dilations=tuple(dilations),
+            factor_models=factor_models,
+            phase_seconds=clock,
         )
     fds = free_unitary_dilation(sc.factors, sc.degree, sc.trunc, sc.tol)
     return Model(

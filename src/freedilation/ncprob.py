@@ -382,11 +382,14 @@ class _Sweep:
         ``L* = c_h* ... c_1*``, ``h = m // 2``, by :meth:`moments`.  ``c_j*``
         has the conjugate coefficients at the adjoint words and the mean
         ``conj(means[j])``.  The first slot a half applies, ``c_m`` or
-        ``c_1*``, is combined from its factor's word images, sample by
-        sample; only the later ones meet a sample panel, by :meth:`combine`.
+        ``c_1*``, is combined from its factor's word images, one
+        matrix-vector product per sample; only the later ones meet a sample
+        panel, by :meth:`combine`.
         """
         h, n, k = len(factors) // 2, len(means[0]), len(self.weights)
-        left = [(t, img, np.conj(c)[:, adj], np.conj(m)) for (t, img, adj), c, m in zip(factors[:h], coeffs, means)]
+        left = [
+            (t, img, np.conj(c)[:, adj], np.conj(m)) for (t, img, adj), c, m in zip(factors[:h], coeffs, means)
+        ]
         right = [(t, img, c, m) for (t, img, _), c, m in zip(factors, coeffs, means)][h:][::-1]
         halves = []
         for slots in (left, right):  # each in the order it is applied
@@ -394,8 +397,9 @@ class _Sweep:
                 halves.append(np.tile(self.panel, (1, n)))
                 continue
             (_, images, c, m), *rest = slots
-            panel = np.einsum("ikw,sw->isk", images, c) - m[:, None] * self.panel[:, None, :]
-            panel = panel.reshape(len(self.panel), -1)
+            # one matrix-vector product per sample, the same call in any chunk
+            first = np.matmul(images.reshape(-1, len(c.T)), c[:, :, None]).reshape(n, *self.panel.shape)
+            panel = (first - m[:, None, None] * self.panel).transpose(1, 0, 2).reshape(len(self.panel), -1)
             for t, _, c, m in rest:
                 panel = self.combine(t, np.repeat(c.T, k, axis=1), panel, np.repeat(m, k))
             halves.append(panel)
@@ -541,7 +545,8 @@ def _alternating_words(
     runs ``(factor id, k)``, signs drawn from ``signs``: adjacent runs differ
     in factor or sign, factor blocks at most ``max_blocks``, each ``|k| <=
     per_run_max``, ``sum |k| <= total_max``; by total power, run count, runs."""
-    runs = sorted((f, s * p) for f in ids for s in signs for p in range(1, min(per_run_max, total_max) + 1))
+    powers = range(1, min(per_run_max, total_max) + 1)
+    runs = sorted((f, s * p) for f in ids for s in signs for p in powers)
     f, k = np.array(runs, dtype=np.intp).reshape(-1, 2).T
     # the words of c runs in order of their runs, grown a run at a time (word
     # i, then run j, keeps the order): factors, powers, total power and blocks
@@ -558,7 +563,12 @@ def _alternating_words(
         new = f != wf[:, -1:]  # word i, then run j
         ok = (total[:, None] + np.abs(k) <= total_max) & (blocks[:, None] + new <= max_blocks)
         i, j = np.nonzero(ok & (new | ((k < 0) != (wk[:, -1:] < 0))))
-        level = (np.column_stack([wf[i], f[j]]), np.column_stack([wk[i], k[j]]), total[i] + np.abs(k[j]), blocks[i] + new[i, j])
+        level = (
+            np.column_stack([wf[i], f[j]]),
+            np.column_stack([wk[i], k[j]]),
+            total[i] + np.abs(k[j]),
+            blocks[i] + new[i, j],
+        )
     if not tables:
         return np.zeros((0, max(1, total_max)), dtype=np.intp)
     # by total power, then run count and runs
@@ -867,7 +877,8 @@ def trace_check(
     worst, witness = 0.0, None
     if res[at] > 0:
         worst = float(res[at])
-        witness = {"part": "letters", "left": _word(pairs[at, 0]).format(), "right": _word(pairs[at, 1]).format()}
+        left, right = (_word(w).format() for w in pairs[at])
+        witness = {"part": "letters", "left": left, "right": right}
         if at >= len(letters):
             witness |= {"part": "random", "sample": at - len(letters), "seed": seed}
     return CheckReport(
@@ -1209,7 +1220,8 @@ class _FreeRecursion:
             means[~fresh] = old[first[~fresh]]
             factors = known[:, 0] >> 1
             for f in sorted(set(factors[fresh].tolist())):  # np.unique alone would import numpy.ma
-                means[fresh & (factors == f)] = self.marginals[f](known[fresh & (factors == f)].astype(np.intp))
+                asked = fresh & (factors == f)
+                means[asked] = self.marginals[f](known[asked].astype(np.intp))
             if b > 1:
                 phis = means[np.searchsorted(key(known), key(single))].reshape(len(rows), b)
                 cr, ci = _coefficients(phis.real, phis.imag)
@@ -1240,7 +1252,8 @@ class _FreeRecursion:
             at[nonzero] = np.searchsorted(keys, key(kept))
             total_r, total_i = np.zeros(len(rows)), np.zeros(len(rows))
             for m in range(1, nonzero.shape[1]):  # the masks in order, zero coefficients skipped
-                sign, c_r, c_i, v_r, v_i = (-1.0, 1.0)[m.bit_count() % 2], cr[:, m], ci[:, m], re[at[:, m]], im[at[:, m]]
+                sign, c_r, c_i = (-1.0, 1.0)[m.bit_count() % 2], cr[:, m], ci[:, m]
+                v_r, v_i = re[at[:, m]], im[at[:, m]]
                 # sign * coeff as Python promotes it, (sign + 0j) * coeff, then times the value
                 s_r, s_i = sign * c_r - 0.0 * c_i, sign * c_i + 0.0 * c_r
                 np.add(total_r, s_r * v_r - s_i * v_i, out=total_r, where=nonzero[:, m])

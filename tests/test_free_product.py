@@ -533,7 +533,8 @@ def test_free_suite_of_purified_density_factors_of_different_dimensions(case):
     # free suite passes, and the exact ones, unitarity on the short words
     # and the dilation identity within budget, reach machine precision
     factors, degree, seed = case
-    sc = Scenario(mode="free", factors=factors, degree=degree, trunc=2, check_degree=2, max_alt=3, samples=5, seed=seed)
+    budgets = dict(degree=degree, trunc=2, check_degree=2, max_alt=3, samples=5, seed=seed)
+    sc = Scenario(mode="free", factors=factors, **budgets)
     report = run_theorem_suite(sc).to_obj()
     checks = {c["name"]: c for c in report["checks"]}
     assert report["overall_pass"], [(c["name"], c["residual"], c["witness"]) for c in report["checks"]]
