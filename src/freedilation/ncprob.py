@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._free_recursion import _FreeRecursion, _row_keys
 from .operator_core import (
     AxisAction,
     LetterAction,
@@ -382,9 +383,8 @@ class _Sweep:
         ``L* = c_h* ... c_1*``, ``h = m // 2``, by :meth:`moments`.  ``c_j*``
         has the conjugate coefficients at the adjoint words and the mean
         ``conj(means[j])``.  The first slot a half applies, ``c_m`` or
-        ``c_1*``, is combined from its factor's word images, one
-        matrix-vector product per sample; only the later ones meet a sample
-        panel, by :meth:`combine`.
+        ``c_1*``, is combined from its factor's word images, sample by
+        sample; only the later ones meet a sample panel, by :meth:`combine`.
         """
         h, n, k = len(factors) // 2, len(means[0]), len(self.weights)
         left = [
@@ -397,9 +397,11 @@ class _Sweep:
                 halves.append(np.tile(self.panel, (1, n)))
                 continue
             (_, images, c, m), *rest = slots
-            # one matrix-vector product per sample, the same call in any chunk
-            first = np.matmul(images.reshape(-1, len(c.T)), c[:, :, None]).reshape(n, *self.panel.shape)
-            panel = (first - m[:, None, None] * self.panel).transpose(1, 0, 2).reshape(len(self.panel), -1)
+            # a sum over the words alone, so no chunking moves a digit; not a
+            # BLAS product, whose threads cost milliseconds a call on large
+            # states in some windows (ROADMAP item 4)
+            panel = np.einsum("ikw,sw->isk", images, c) - m[:, None] * self.panel[:, None, :]
+            panel = panel.reshape(len(self.panel), -1)
             for t, _, c, m in rest:
                 panel = self.combine(t, np.repeat(c.T, k, axis=1), panel, np.repeat(m, k))
             halves.append(panel)
@@ -1096,174 +1098,13 @@ def free_mixed_moments(
         for f, _ in word.letters:
             if f not in marginals:
                 raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
-    recursion = _FreeRecursion(marginals)
+    recursion = _FreeRecursion(marginals, max(1, ORACLE_MEMO_BYTES // 256))
     return recursion(_codes(words)).tolist(), recursion.entries
 
 
 def free_mixed_moment_oracle(marginals: Mapping[int, Marginal], word: Word) -> complex:
     """:func:`free_mixed_moments` of one word."""
     return free_mixed_moments(marginals, [word])[0][0]
-
-
-def _row_keys(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """A function giving each row of codes as wide as the table one sortable
-    key: its codes as the digits of an integer in base ``max code + 1``, when
-    such an integer fits in 64 bits, else the row's bytes."""
-    base, width = int(table.max(initial=0)) + 1, table.shape[1]
-    if base**width <= 2**64:
-
-        def key(rows: np.ndarray) -> np.ndarray:
-            out = np.zeros(rows.shape[:-1], dtype=np.uint64)
-            for j in range(width):  # Horner's rule, a column at a time
-                out *= np.uint64(base)
-                out += rows[..., j].astype(np.uint64)
-            return out
-
-        return key
-    return lambda rows: np.ascontiguousarray(rows).view(f"V{width * rows.itemsize}")[..., 0]
-
-
-def _coefficients(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each mask's blocks' means multiplied in block order, as ``complex``
-    multiplies: mask ``m`` with top block ``j`` is mask ``m - 2^j`` times
-    block ``j``'s mean, from ``1 + 0j``; real and imaginary parts of
-    ``(rows, masks)``, from those of ``(rows, blocks)`` means."""
-    n = re.shape[1]
-    cr, ci = np.ones((len(re), 1 << n)), np.zeros((len(re), 1 << n))
-    for j in range(n):
-        ar, ai, br, bi = cr[:, : 1 << j], ci[:, : 1 << j], re[:, j, None], im[:, j, None]
-        cr[:, 1 << j : 2 << j], ci[:, 1 << j : 2 << j] = ar * br - ai * bi, ar * bi + ai * br
-    return cr, ci
-
-
-def _kept(rows: np.ndarray, block: np.ndarray, at: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Row ``at[i]`` without its blocks in mask ``masks[i]``, left-packed:
-    ``block`` gives each letter's block (a pad's is the last block's)."""
-    src, block, masks = rows[at], block[at], masks.astype(np.uint16)  # at most 16 blocks
-    out = np.zeros(src.size, dtype=rows.dtype)
-    end = np.arange(0, out.size, rows.shape[1])  # each row's next slot, flat
-    for i in range(rows.shape[1]):  # a dropped letter writes the 0 its slot keeps until a kept one comes
-        gone = (masks >> block[:, i]) & 1
-        out[end] = np.where(gone, 0, src[:, i])
-        end += 1 - gone
-    return out.reshape(src.shape)
-
-
-def _blocks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each letter's block in rows of codes (a pad's is the last block's),
-    and each row's block count (0 for the unit)."""
-    change = (rows[:, 1:] >> 1 != rows[:, :-1] >> 1) & (rows[:, 1:] != 0)
-    block = np.zeros(rows.shape, dtype=np.uint8)
-    np.cumsum(change, axis=1, out=block[:, 1:])
-    return block, (block[:, -1] + 1) * (rows[:, 0] != 0)
-
-
-class _FreeRecursion:
-    """The oracle's recursion on a code table, on arrays.
-
-    A sequence is keyed by its padded code row (a block sequence is fixed by
-    its letters).  Discovery walks down by block count: the sequences of
-    ``b`` blocks take their blocks' means, read by one marginal call per
-    factor on a table of the new single-block sequences, and keep the
-    re-merged rest of each mask whose coefficient is not zero, which has
-    fewer blocks.  Evaluation walks back up, each kept sequence found by one
-    sorted lookup.  Every complex product is formed from float64 parts in
-    the order of the per-word recursion (Python ``complex`` arithmetic,
-    ``sign * coeff`` promoted to complex), since numpy's complex multiply
-    may round otherwise, so a value depends only on its letters and the
-    marginals.
-
-    Words run in batches whose sequences fit in ``ORACLE_MEMO_BYTES`` at
-    256 B an entry (one word at least), halving a batch that does not fit;
-    ``entries`` counts the distinct sequences of each batch, those the
-    per-word recursion evaluates: the memo's entries when one batch holds
-    every word."""
-
-    def __init__(self, marginals: Mapping[int, Marginal]):
-        self.marginals = marginals
-        self.entries = 0
-
-    def __call__(self, table: np.ndarray) -> np.ndarray:
-        """The moments of the table's words; the unit's is ``1 + 0j``."""
-        table = table.astype(np.min_scalar_type(int(table.max(initial=0))))  # small rows
-        self.key = _row_keys(table)
-        out = np.empty(len(table), dtype=complex)
-        start, size, cap = 0, len(table), max(1, ORACLE_MEMO_BYTES // 256)
-        while start < len(table):
-            size = min(size, len(table) - start)
-            while (found := self._discover(table[start : start + size], cap if size > 1 else None)) is None:
-                size = (size + 1) // 2
-            out[start : start + size] = self._evaluate(table[start : start + size], *found)
-            start += size
-        return out
-
-    def _discover(self, words: np.ndarray, cap: int | None):
-        """The batch's sequences: the single-block ones, sorted by key, and
-        their means, and per block count the rows, their blocks' means, their
-        masks with a nonzero coefficient and those masks' kept rows; ``None``
-        once more than ``cap`` sequences are found."""
-        key, (_, count) = self.key, _blocks(words)
-        pending = [[words[count == b]] for b in range(count.max(initial=1) + 1)]
-        known, means, groups, found = words[:0], np.zeros(0, dtype=complex), [], 0
-        for b in range(len(pending) - 1, 0, -1):
-            rows = np.concatenate(pending[b])
-            rows = rows[np.unique(key(rows), return_index=True)[1]]
-            block, single = _blocks(rows)[0], rows
-            if b > 1:  # block j of each row: the row without the other blocks
-                masks = np.tile((1 << b) - 1 - (1 << np.arange(b)), len(rows))
-                single = _kept(rows, block, np.repeat(np.arange(len(rows)), b), masks)
-            # the new single-block sequences join the known ones, with their means
-            every = np.concatenate([known, single])
-            first = np.unique(key(every), return_index=True)[1]
-            fresh, old, known = first >= len(known), means, every[first]
-            means = np.empty(len(known), dtype=complex)
-            means[~fresh] = old[first[~fresh]]
-            factors = known[:, 0] >> 1
-            for f in sorted(set(factors[fresh].tolist())):  # np.unique alone would import numpy.ma
-                asked = fresh & (factors == f)
-                means[asked] = self.marginals[f](known[asked].astype(np.intp))
-            if b > 1:
-                phis = means[np.searchsorted(key(known), key(single))].reshape(len(rows), b)
-                cr, ci = _coefficients(phis.real, phis.imag)
-                nonzero = (cr != 0) | (ci != 0)
-                nonzero[:, 0] = False  # the empty mask keeps the row itself
-                more = _kept(rows, block, *np.nonzero(nonzero))
-                groups.append((rows, phis, nonzero, more))
-                found += len(rows)
-                count = _blocks(more)[1]
-                for c in set(count.tolist()) - {0}:
-                    pending[c].append(more[count == c])
-            if cap is not None and found + len(known) > cap:
-                return None
-        self.entries += found + len(known)
-        return known, means, groups
-
-    def _evaluate(self, words: np.ndarray, known: np.ndarray, means: np.ndarray, groups) -> np.ndarray:
-        """The words' values from the discovered sequences, by block count up."""
-        key = self.key
-        keys = key(np.concatenate([np.zeros_like(words[:1]), known, *(g[0] for g in groups)]))
-        order = np.argsort(keys)
-        keys, rest = keys[order], np.zeros(len(keys) - 1 - len(known))
-        re = np.concatenate([[1.0], means.real, rest])[order]  # the unit, then the means
-        im = np.concatenate([[0.0], means.imag, rest])[order]
-        for rows, phis, nonzero, kept in reversed(groups):
-            cr, ci = _coefficients(phis.real, phis.imag)
-            at = np.zeros(nonzero.shape, dtype=np.intp)  # zero coefficients read the unit
-            at[nonzero] = np.searchsorted(keys, key(kept))
-            total_r, total_i = np.zeros(len(rows)), np.zeros(len(rows))
-            for m in range(1, nonzero.shape[1]):  # the masks in order, zero coefficients skipped
-                sign, c_r, c_i = (-1.0, 1.0)[m.bit_count() % 2], cr[:, m], ci[:, m]
-                v_r, v_i = re[at[:, m]], im[at[:, m]]
-                # sign * coeff as Python promotes it, (sign + 0j) * coeff, then times the value
-                s_r, s_i = sign * c_r - 0.0 * c_i, sign * c_i + 0.0 * c_r
-                np.add(total_r, s_r * v_r - s_i * v_i, out=total_r, where=nonzero[:, m])
-                np.add(total_i, s_r * v_i + s_i * v_r, out=total_i, where=nonzero[:, m])
-            at = np.searchsorted(keys, key(rows))
-            re[at], im[at] = total_r, total_i
-        at = np.searchsorted(keys, key(words))
-        out = np.empty(len(words), dtype=complex)
-        out.real, out.imag = re[at], im[at]
-        return out
 
 
 def oracle_equivalence_check(
@@ -1282,7 +1123,7 @@ def oracle_equivalence_check(
     (``memo_entries``), and only the witness becomes a :class:`Word`."""
     table = _alternating_words(gens.ids, (1, -1), max_blocks, degree, 2 * degree)
     model = (sweep := _Sweep(state, gens)).word_moments(table)
-    oracle = (memo := _FreeRecursion(marginals))(table)
+    oracle = (memo := _FreeRecursion(marginals, max(1, ORACLE_MEMO_BYTES // 256)))(table)
     res = np.hypot((gap := model - oracle).real, gap.imag)  # as a scalar abs
     at = int(np.argmax(res)) if len(res) else None  # the first of the worst
     witness = None if at is None else {
