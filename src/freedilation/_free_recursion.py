@@ -13,22 +13,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 
-def _row_keys(table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """A function giving each row of codes as wide as the table one sortable
-    key: its codes as the digits of an integer in base ``max code + 1``, when
-    such an integer fits in 64 bits, else the row's bytes."""
-    base, width = int(table.max(initial=0)) + 1, table.shape[1]
-    if base**width <= 2**64:
-
-        def key(rows: np.ndarray) -> np.ndarray:
-            out = np.zeros(rows.shape[:-1], dtype=np.uint64)
-            for j in range(width):  # Horner's rule, a column at a time
-                out *= np.uint64(base)
-                out += rows[..., j].astype(np.uint64)
-            return out
-
-        return key
-    return lambda rows: np.ascontiguousarray(rows).view(f"V{width * rows.itemsize}")[..., 0]
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of codes as one sortable key, its bytes: rows of one width
+    and dtype have equal keys exactly when their codes are equal."""
+    return np.ascontiguousarray(rows).view(f"V{rows.shape[-1] * rows.itemsize}")[..., 0]
 
 
 def _coefficients(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,48 +69,64 @@ class _FreeRecursion:
     may round otherwise, so a value depends only on its letters and the
     marginals.
 
-    Words run in batches of at most ``cap`` sequences (one word at least),
-    halving a batch that does not fit;
-    ``entries`` counts the distinct sequences of each batch, those the
-    per-word recursion evaluates: the memo's entries when one batch holds
-    every word."""
+    Words run in batches whose arrays fit in ``budget`` bytes (one word at
+    least), halving a batch that does not fit, and a batch is refused
+    before each level builds its arrays.  A batch is charged 8 bytes a
+    letter of its words (their blocks), 256 a sequence (its row, means, key
+    and value), ``1 + width`` a mask it holds (a flag and a kept row,
+    ``width`` a row's bytes), and ``48 + 3 width`` a mask of its largest
+    level, for the coefficients, indices and copies one level builds and
+    drops.  ``entries`` counts the distinct sequences of each batch, those
+    the per-word recursion evaluates: the memo's entries when one batch
+    holds every word."""
 
-    def __init__(self, marginals: Mapping[int, Callable[[np.ndarray], np.ndarray]], cap: int):
-        self.marginals, self.cap = marginals, cap
+    def __init__(self, marginals: Mapping[int, Callable[[np.ndarray], np.ndarray]], budget: int):
+        self.marginals, self.budget = marginals, budget
         self.entries = 0
 
     def __call__(self, table: np.ndarray) -> np.ndarray:
         """The moments of the table's words; the unit's is ``1 + 0j``."""
         table = table.astype(np.min_scalar_type(int(table.max(initial=0))))  # small rows
-        self.key = _row_keys(table)
         out = np.empty(len(table), dtype=complex)
-        start, size, cap = 0, len(table), self.cap
+        start, size, budget = 0, len(table), self.budget
         while start < len(table):
             size = min(size, len(table) - start)
-            while (found := self._discover(table[start : start + size], cap if size > 1 else None)) is None:
+            while (found := self._discover(table[start : start + size], budget if size > 1 else None)) is None:
                 size = (size + 1) // 2
             out[start : start + size] = self._evaluate(table[start : start + size], *found)
             start += size
         return out
 
-    def _discover(self, words: np.ndarray, cap: int | None):
-        """The batch's sequences: the single-block ones, sorted by key, and
-        their means, and per block count the rows, their blocks' means, their
-        masks with a nonzero coefficient and those masks' kept rows; ``None``
-        once more than ``cap`` sequences are found."""
-        key, (_, count) = self.key, _blocks(words)
-        pending = [[words[count == b]] for b in range(count.max(initial=1) + 1)]
+    def _discover(self, words: np.ndarray, budget: int | None):
+        """The batch's sequences: the single-block ones, sorted by their
+        bytes, and their means, and per block count the rows, their blocks'
+        means, their masks with a nonzero coefficient and those masks' kept
+        rows; ``None`` once the batch is charged more than ``budget`` bytes."""
         known, means, groups, found = words[:0], np.zeros(0, dtype=complex), [], 0
+        width, held, most = words.shape[1] * words.itemsize, 8 * words.size, 0
+
+        def over() -> bool:  # before each level's arrays are built, and after the last
+            return budget is not None and held + most * (48 + 3 * width) + 256 * len(known) > budget
+
+        if over():
+            return None
+        count = _blocks(words)[1]
+        pending = [[words[count == b]] for b in range(count.max(initial=1) + 1)]
         for b in range(len(pending) - 1, 0, -1):
             rows = np.concatenate(pending[b])
-            rows = rows[np.unique(key(rows), return_index=True)[1]]
+            rows = rows[np.unique(_row_keys(rows), return_index=True)[1]]
+            if b > 1:
+                found, held = found + len(rows), held + len(rows) * (((1 + width) << b) + 256)
+                most = max(most, len(rows) << b)
+            if over():
+                return None
             block, single = _blocks(rows)[0], rows
             if b > 1:  # block j of each row: the row without the other blocks
                 masks = np.tile((1 << b) - 1 - (1 << np.arange(b)), len(rows))
                 single = _kept(rows, block, np.repeat(np.arange(len(rows)), b), masks)
             # the new single-block sequences join the known ones, with their means
             every = np.concatenate([known, single])
-            first = np.unique(key(every), return_index=True)[1]
+            first = np.unique(_row_keys(every), return_index=True)[1]
             fresh, old, known = first >= len(known), means, every[first]
             means = np.empty(len(known), dtype=complex)
             means[~fresh] = old[first[~fresh]]
@@ -131,25 +135,23 @@ class _FreeRecursion:
                 asked = fresh & (factors == f)
                 means[asked] = self.marginals[f](known[asked].astype(np.intp))
             if b > 1:
-                phis = means[np.searchsorted(key(known), key(single))].reshape(len(rows), b)
+                phis = means[np.searchsorted(_row_keys(known), _row_keys(single))].reshape(len(rows), b)
                 cr, ci = _coefficients(phis.real, phis.imag)
                 nonzero = (cr != 0) | (ci != 0)
                 nonzero[:, 0] = False  # the empty mask keeps the row itself
                 more = _kept(rows, block, *np.nonzero(nonzero))
                 groups.append((rows, phis, nonzero, more))
-                found += len(rows)
                 count = _blocks(more)[1]
                 for c in set(count.tolist()) - {0}:
                     pending[c].append(more[count == c])
-            if cap is not None and found + len(known) > cap:
-                return None
+        if over():
+            return None
         self.entries += found + len(known)
         return known, means, groups
 
     def _evaluate(self, words: np.ndarray, known: np.ndarray, means: np.ndarray, groups) -> np.ndarray:
         """The words' values from the discovered sequences, by block count up."""
-        key = self.key
-        keys = key(np.concatenate([np.zeros_like(words[:1]), known, *(g[0] for g in groups)]))
+        keys = _row_keys(np.concatenate([np.zeros_like(words[:1]), known, *(g[0] for g in groups)]))
         order = np.argsort(keys)
         keys, rest = keys[order], np.zeros(len(keys) - 1 - len(known))
         re = np.concatenate([[1.0], means.real, rest])[order]  # the unit, then the means
@@ -157,7 +159,7 @@ class _FreeRecursion:
         for rows, phis, nonzero, kept in reversed(groups):
             cr, ci = _coefficients(phis.real, phis.imag)
             at = np.zeros(nonzero.shape, dtype=np.intp)  # zero coefficients read the unit
-            at[nonzero] = np.searchsorted(keys, key(kept))
+            at[nonzero] = np.searchsorted(keys, _row_keys(kept))
             total_r, total_i = np.zeros(len(rows)), np.zeros(len(rows))
             for m in range(1, nonzero.shape[1]):  # the masks in order, zero coefficients skipped
                 sign, c_r, c_i = (-1.0, 1.0)[m.bit_count() % 2], cr[:, m], ci[:, m]
@@ -166,9 +168,9 @@ class _FreeRecursion:
                 s_r, s_i = sign * c_r - 0.0 * c_i, sign * c_i + 0.0 * c_r
                 np.add(total_r, s_r * v_r - s_i * v_i, out=total_r, where=nonzero[:, m])
                 np.add(total_i, s_r * v_i + s_i * v_r, out=total_i, where=nonzero[:, m])
-            at = np.searchsorted(keys, key(rows))
+            at = np.searchsorted(keys, _row_keys(rows))
             re[at], im[at] = total_r, total_i
-        at = np.searchsorted(keys, key(words))
+        at = np.searchsorted(keys, _row_keys(words))
         out = np.empty(len(words), dtype=complex)
         out.real, out.imag = re[at], im[at]
         return out

@@ -44,10 +44,10 @@ GRAM_BLOCK_BYTES = 64 * 2**20
 # certificate applies side by side; also of the half images a word-moment
 # sweep holds at a time
 SAMPLE_PANEL_BYTES = 128 * 2**10
-# bytes of the free mixed moment oracle's sequences, at 256 B an entry: a
-# row of codes, its value and its masks' flags and kept rows; free_pair's
-# 4,468 sequences run as one batch and hold about 0.5 MB
-ORACLE_MEMO_BYTES = 2 * 2**20
+# bytes of the arrays of one batch of the free mixed moment oracle's words,
+# as ``_FreeRecursion`` charges them: free_pair's 4,468 sequences are
+# charged 3.3 MB and run as one batch (a traced peak of 2.0 MB)
+ORACLE_MEMO_BYTES = 4 * 2**20
 
 
 class BudgetError(ValueError):
@@ -317,9 +317,9 @@ class _Sweep:
     Every letter goes through :meth:`apply`, one :func:`apply_word` call per
     letter, and ``letters`` counts them: the work a sweep actually did.
 
-    A sampled pass runs its samples side by side in the panels of
-    :meth:`sample_panels`, and :meth:`moments` reads all their moments at
-    once.
+    A sampled pass draws its samples' coefficients chunk by chunk from
+    :meth:`sample_draws`, and :meth:`product_moments` reads each chunk's
+    moments off two half images, side by side.
     """
 
     def __init__(self, state: State | None, gens: GenSet):
@@ -490,7 +490,7 @@ class _Sweep:
 
 def _first_use(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A table's distinct rows in order of first use, and each row's index among them."""
-    _, first, inverse = np.unique(_row_keys(rows)(rows), return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))
     return rows[np.sort(first)], rank[inverse]
@@ -1098,7 +1098,7 @@ def free_mixed_moments(
         for f, _ in word.letters:
             if f not in marginals:
                 raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
-    recursion = _FreeRecursion(marginals, max(1, ORACLE_MEMO_BYTES // 256))
+    recursion = _FreeRecursion(marginals, ORACLE_MEMO_BYTES)
     return recursion(_codes(words)).tolist(), recursion.entries
 
 
@@ -1123,7 +1123,7 @@ def oracle_equivalence_check(
     (``memo_entries``), and only the witness becomes a :class:`Word`."""
     table = _alternating_words(gens.ids, (1, -1), max_blocks, degree, 2 * degree)
     model = (sweep := _Sweep(state, gens)).word_moments(table)
-    oracle = (memo := _FreeRecursion(marginals, max(1, ORACLE_MEMO_BYTES // 256)))(table)
+    oracle = (memo := _FreeRecursion(marginals, ORACLE_MEMO_BYTES))(table)
     res = np.hypot((gap := model - oracle).real, gap.imag)  # as a scalar abs
     at = int(np.argmax(res)) if len(res) else None  # the first of the worst
     witness = None if at is None else {

@@ -302,8 +302,8 @@ def test_word_moments_apply_each_distinct_suffix_once(monkeypatch):
 def _generator_sets_states_and_words(draw):
     """Dense, Fock or axis generators; a vector, full-rank density or
     rank-deficient density state on their space; and up to 12 words of up
-    to 7 letters, or of 44 to 60, whose halves are too wide for an
-    integer key, some of them repeated or twinned in their middle letter:
+    to 7 letters, or of 44 to 60, some of them repeated or twinned in
+    their middle letter:
     the unit, odd and even lengths and shared halves all occur."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["dense", "fock", "axis"]))
@@ -1090,15 +1090,14 @@ def _marginals_and_words(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_marginals_and_words(), st.sampled_from([None, 1, 4]))
-def test_shared_oracle_memo_matches_per_word_recursion(case, memo_entries):
+@given(_marginals_and_words(), st.sampled_from([None, 256, 4096]))
+def test_shared_oracle_memo_matches_per_word_recursion(case, budget):
     # one recursion for all words gives the per-word recursion's bits, signed
-    # zeros included, also when a memo bound of one or four entries splits
-    # the words into batches of one
+    # zeros included, also when a budget of 256 or 4,096 bytes splits the
+    # words into batches of one or a few
     marginals, words = case
     want = [per_word_free_moment(marginals, w) for w in words]
-    limit = ncprob.ORACLE_MEMO_BYTES if memo_entries is None else memo_entries * 256
-    with mock.patch.object(ncprob, "ORACLE_MEMO_BYTES", limit):
+    with mock.patch.object(ncprob, "ORACLE_MEMO_BYTES", budget or ncprob.ORACLE_MEMO_BYTES):
         got, entries = free_mixed_moments(marginals, words)
     assert _bits(got) == _bits(want)
     assert _bits(free_mixed_moment_oracle(marginals, w) for w in words) == _bits(want)
@@ -1110,33 +1109,54 @@ def _bits(values):
     return np.array(list(values), dtype=complex).view(np.uint64).tolist()
 
 
-def test_oracle_memo_stays_within_its_bytes(monkeypatch):
-    # free_pair's 4,436 oracle words under two matrix marginals: the memo
-    # takes in 4,468 sequences, and a bound of 100 entries runs the words in
-    # batches of at most 100 sequences each instead, with the same moments
+def test_oracle_memo_stays_within_its_bytes():
+    # free_pair's 4,436 oracle words under two matrix marginals: one batch of
+    # 4,468 sequences within the default bytes, and batches that take in
+    # more sequences within a budget of 256 KiB, with the same moments; the
+    # traced peak, beyond the moments and the table's one-byte copy, stays
+    # within the budget
     rng = np.random.default_rng(36)
     words = signed_alternating_words(2, 4, 3, 6)
     marginals = {
         f: matrix_marginal(GenSet({f: random_contraction(rng, 2, 0.9)}), random_state(rng, 2))
         for f in (1, 2)
     }
-    whole, entries = free_mixed_moments(marginals, words)
-    assert (len(words), entries) == (4436, 4468)
-    sizes = []
-    discover = ncprob._FreeRecursion._discover
-
-    def spy(self, batch, cap):
-        found = discover(self, batch, cap)
-        if found is not None:  # a batch that fits: its sequences
-            known, _, groups = found
-            sizes.append(len(known) + sum(len(rows) for rows, *_ in groups))
-        return found
-
-    monkeypatch.setattr(ncprob._FreeRecursion, "_discover", spy)
-    monkeypatch.setattr(ncprob, "ORACLE_MEMO_BYTES", 100 * 256)
-    bounded, more = free_mixed_moments(marginals, words)
+    table = ncprob._codes(words)
+    runs = []
+    for budget in (ncprob.ORACLE_MEMO_BYTES, 256 * 2**10):
+        recursion = ncprob._FreeRecursion(marginals, budget)
+        tracemalloc.start()
+        start = tracemalloc.get_traced_memory()[0]
+        moments = recursion(table)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.stop()
+        assert peak - moments.nbytes - table.size <= budget
+        runs.append((moments, recursion.entries))
+    (whole, entries), (bounded, more) = runs
+    assert (len(words), entries) == (4436, 4468) and more > entries
     assert _bits(bounded) == _bits(whole)
-    assert max(sizes) <= 100 < sum(sizes) == more and more > entries
+    assert free_mixed_moments(marginals, words) == (whole.tolist(), entries)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3), max_size=6))
+def test_oracle_on_two_byte_codes_and_long_words(seed, word_runs):
+    # factors 200 and 201, whose codes take two bytes, and words of up to 16
+    # letters: the recursion keys its rows by their bytes and gives the
+    # per-word recursion's bits all the same
+    rng = np.random.default_rng(seed)
+    marginals = {
+        200: haar_unitary_marginal(),
+        201: matrix_marginal(GenSet({201: random_contraction(rng, 2, 0.95)}), random_state(rng, 2, "density")),
+    }
+
+    def letters(f, n):  # a run of n letters of factor f, starred at random
+        return tuple((f, bool(s)) for s in rng.integers(0, 2, n))
+
+    words = [Word(letters(200, 6) + letters(201, 4) + letters(200, 6))]
+    words += [Word(sum((letters(200 + i % 2, n) for i, n in enumerate(runs)), ())) for runs in word_runs]
+    got, _ = free_mixed_moments(marginals, words)
+    assert _bits(got) == _bits(per_word_free_moment(marginals, w) for w in words)
 
 
 def test_oracle_refuses_every_word_before_expanding_any(monkeypatch):
