@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # numpy's OpenBLAS busy-waits its worker threads for 2**28 cycles (about
 # 0.1 s) after loading and after every threaded call, which was a third of
@@ -28,30 +29,26 @@ BLAS_SPIN_EXPONENT = "20"
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_SPIN_EXPONENT)
 
+# The thread count is set the same way, but per scenario, so this module
+# imports the numpy side (``harness``, ``ncprob``) only inside the commands,
+# after ``_choose_blas_threads``.  On a small space the products are too
+# small to gain from a second thread, and on a 2-vCPU box a threaded OpenBLAS
+# call of that size can cost a 4-ms scheduler tick: the dense_modes benchmark
+# scenarios (dim 56, 256, 144) took 1.03-1.10 s at two threads and
+# 0.66-0.75 s at one.  Larger dense spaces gain from the threads: single
+# scenarios ran faster on one thread at dim 128 and 192, about as fast at
+# 256 and 288, and slower from dim 300 on (2.49 s against 1.72 s at dim
+# 840), in 5 alternating runs each (BENCH_18.json).
+SMALL_DENSE_DIM = 300
+# What OpenBLAS reads for its thread count; a value the user set wins.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# ``harness.Scenario``'s dilation degree where the file gives none.
+DEFAULT_DEGREE = 3
+
 from ._version import __version__  # noqa: E402
-from .harness import (  # noqa: E402
-    CHECKS,
-    IngestError,
-    Scenario,
-    build_model,
-    evaluate_product,
-    ingest,
-    moment_budget_check,
-    parse_product,
-    render_text,
-    run_theorem_suite,
-)
-from .ncprob import (  # noqa: E402
-    BudgetError,
-    Word,
-    free_cumulants,
-    free_mixed_moments,
-    matrix_marginal,
-    moments_from_cumulants,
-    noncrossing_partitions,
-    parse_word,
-    word_moments,
-)
+
+if TYPE_CHECKING:
+    from .harness import Scenario
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -89,8 +86,10 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _write(args: argparse.Namespace, obj: dict) -> None:
-    if args.format == "text":
-        text = render_text(obj) if "checks" in obj else json.dumps(obj, indent=2, sort_keys=True)
+    if args.format == "text" and "checks" in obj:
+        from .harness import render_text
+
+        text = render_text(obj)
     else:
         text = json.dumps(obj, indent=2, sort_keys=True)
     if args.output:
@@ -99,13 +98,65 @@ def _write(args: argparse.Namespace, obj: dict) -> None:
         print(text)
 
 
+def _dense_dim(path: str | Path, force_mode: str | None = None, degree: int | None = None) -> int | None:
+    """The dimension of a scenario's dilated space, read from its JSON alone.
+
+    Free mode gives 0: its letters are matrix-free Fock actions, so no dense
+    product grows with the space.  Only ``mode``, ``degree`` and each
+    factor's ``rows`` are read, following a matrix part given as a path as
+    ``ingest`` does.  ``None`` where the file is not as expected; this never
+    raises, and ``ingest`` stays the one validator.
+    """
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text())
+        factors = obj.get("factors") if isinstance(obj, dict) else None
+        if not isinstance(factors, list) or not factors:
+            return None
+        mode = force_mode or obj.get("mode", "single" if len(factors) == 1 else "free")
+        if mode == "free":
+            return 0
+        rows = []
+        for entry in factors:
+            mat = entry.get("matrix") if isinstance(entry, dict) else None
+            if isinstance(mat, str):
+                mat = json.loads((path.parent / mat).read_text())
+            rows.append(mat.get("rows") if isinstance(mat, dict) else None)
+    except (OSError, ValueError):
+        return None
+    n = obj.get("degree", DEFAULT_DEGREE) if degree is None else degree
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (n, *rows)):
+        return None
+    if mode == "doubly":
+        return (n + 1) ** len(rows) * rows[0]
+    if mode in ("single", "tensor"):
+        return math.prod((n + 1) * d for d in rows)
+    return None
+
+
+def _choose_blas_threads(args: argparse.Namespace, force_mode: str | None) -> None:
+    """One OpenBLAS thread for a scenario below ``SMALL_DENSE_DIM``; nothing
+    once numpy is loaded (its thread count is fixed by then) or where the
+    user set a thread count."""
+    if "numpy" in sys.modules or any(v in os.environ for v in BLAS_THREAD_VARIABLES):
+        return
+    dim = _dense_dim(args.input, force_mode, args.degree)
+    if dim is not None and dim < SMALL_DENSE_DIM:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
 def _load_scenario(args: argparse.Namespace, force_mode: str | None = None) -> Scenario:
+    _choose_blas_threads(args, force_mode)
+    from .harness import ingest
+
     sc = ingest(args.input, _overrides(args))
     return sc if force_mode is None else replace(sc, mode=force_mode)
 
 
 def _run_suite(args: argparse.Namespace, force_mode: str | None = None, subset=None) -> int:
     sc = _load_scenario(args, force_mode)
+    from .harness import run_theorem_suite
+
     report = run_theorem_suite(sc, subset=subset)
     _write(args, report.to_obj())
     return EXIT_PASS if report.overall_pass else EXIT_CHECK_FAILED
@@ -133,6 +184,8 @@ def _cmd_suite(args) -> int:
 
 def _build_or_refuse(sc: Scenario):
     """Direct commands treat construction failure as bad input, not a report."""
+    from .harness import IngestError, build_model
+
     try:
         return build_model(sc)
     except (ValueError, KeyError) as exc:
@@ -142,6 +195,8 @@ def _build_or_refuse(sc: Scenario):
 def _cmd_check(args) -> int:
     force = args.property if args.property in ("tensor", "free") else None
     sc = _load_scenario(args, force_mode=force)
+    from .harness import CHECKS, IngestError
+
     if args.check_degree is not None:
         sc = replace(sc, check_degree=args.check_degree)
     if args.property == "free" and len(sc.factors) < 2:
@@ -169,6 +224,8 @@ def _cmd_check(args) -> int:
 
 def _parse_or_refuse(parse, text: str):
     """A malformed ``--word`` is refused input, not a failed check."""
+    from .harness import IngestError
+
     try:
         return parse(text)
     except ValueError as exc:
@@ -177,6 +234,9 @@ def _parse_or_refuse(parse, text: str):
 
 def _cmd_moments(args) -> int:
     sc = _load_scenario(args)
+    from .harness import evaluate_product, moment_budget_check, parse_product
+    from .ncprob import Word
+
     model = _build_or_refuse(sc)
     results = []
     for text in args.word:
@@ -198,6 +258,9 @@ def _cmd_moments(args) -> int:
 
 def _cmd_oracle(args) -> int:
     sc = _load_scenario(args, force_mode="free")
+    from .harness import IngestError, moment_budget_check
+    from .ncprob import free_mixed_moments, matrix_marginal, parse_word, word_moments
+
     model = _build_or_refuse(sc)
     marginals = {
         i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
@@ -237,6 +300,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _parse_moment_list(obj: object) -> list[complex]:
+    from .harness import IngestError
+
     if isinstance(obj, dict):
         obj = obj.get("moments")
     if not isinstance(obj, list) or not obj:
@@ -257,6 +322,9 @@ def _parse_moment_list(obj: object) -> list[complex]:
 
 
 def _cmd_cumulants(args) -> int:
+    from .harness import IngestError
+    from .ncprob import free_cumulants, moments_from_cumulants
+
     tol = args.tol if args.tol is not None else 1e-10
     if not 0 < tol < math.inf:
         raise IngestError(f"tol must be a positive finite number, got {tol}")
@@ -288,6 +356,9 @@ def _cmd_cumulants(args) -> int:
 
 
 def _cmd_ncpartitions(args) -> int:
+    from .harness import IngestError
+    from .ncprob import noncrossing_partitions
+
     try:
         parts = noncrossing_partitions(args.size)
     except ValueError as exc:
@@ -366,15 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusals() -> tuple[type[Exception], ...]:
+    """The errors that mean refused input.  Their modules load numpy, so
+    ``main`` imports them only once a command has raised."""
+    from .harness import IngestError
+    from .ncprob import BudgetError
+
+    return IngestError, BudgetError, FileNotFoundError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (IngestError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as exc:
+    except _refusals() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

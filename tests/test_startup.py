@@ -1,6 +1,7 @@
 """Start-up contract: what importing the package and the command line loads
 and sets, each checked in a fresh interpreter."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,8 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from freedilation.cli import BLAS_SPIN_EXPONENT
-from freedilation.harness import report_fingerprint
+from freedilation.cli import (
+    BLAS_SPIN_EXPONENT,
+    BLAS_THREAD_VARIABLES,
+    SMALL_DENSE_DIM,
+    _dense_dim,
+    _load_scenario,
+    build_parser,
+    main,
+)
+from freedilation.harness import build_model, report_fingerprint
+from freedilation.serialization import matrix_to_obj
 
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ["dilation", "free_product", "harness", "ncprob", "operator_core", "serialization"]
@@ -34,10 +44,12 @@ API = [
     "unitarity_residual", "verify_free_dilation", "verify_power_dilation", "word_moment",
 ]
 TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+THREADS = "OPENBLAS_NUM_THREADS"
+SCENARIOS = ROOT / "demos" / "scenarios"
 
 
 def _env(**preset):
-    env = {k: v for k, v in os.environ.items() if k != TIMEOUT}
+    env = {k: v for k, v in os.environ.items() if k not in (TIMEOUT, *BLAS_THREAD_VARIABLES)}
     return {**env, "PYTHONPATH": str(ROOT / "src"), **preset}
 
 
@@ -54,6 +66,19 @@ def test_package_import_loads_no_numpy():
     loaded = _python("import sys, json, freedilation; print(json.dumps(sorted(sys.modules)))")
     assert "numpy" not in loaded
     assert [m for m in loaded if m.startswith("freedilation")] == ["freedilation", "freedilation._version"]
+
+
+def test_cli_import_and_help_load_no_numpy():
+    got = _python(
+        "import contextlib, io, json, sys\n"
+        "import freedilation.cli\n"
+        "imported = 'numpy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    try:\n        freedilation.cli.main(['--help'])\n"
+        "    except SystemExit as e:\n        code = e.code\n"
+        "print(json.dumps([imported, 'numpy' in sys.modules, code, 'usage:' in out.getvalue()]))"
+    )
+    assert got == [False, False, 0, True]
 
 
 def test_public_names_resolve_and_star_import_binds_them():
@@ -97,17 +122,124 @@ def test_cli_sets_the_blas_spin_only_before_numpy(first, preset, want):
     assert got == want
 
 
+SINGLE = str(SCENARIOS / "single_half.json")  # one 1x1 factor: dim N + 1
+
+
+@pytest.mark.parametrize(
+    "first, argv, preset, want",
+    [
+        ("", ["suite", "--input", SINGLE], {}, "1"),  # dim 4
+        ("", ["suite", "--input", str(SCENARIOS / "free_pair.json")], {}, "1"),
+        ("", ["suite", "--input", SINGLE, "--degree", str(SMALL_DENSE_DIM - 2)], {}, "1"),
+        ("", ["suite", "--input", SINGLE, "--degree", str(SMALL_DENSE_DIM - 1)], {}, None),
+        ("", ["suite", "--input", SINGLE], {THREADS: "2"}, "2"),  # a value the user set wins
+        ("", ["suite", "--input", SINGLE], {"OMP_NUM_THREADS": "2"}, None),
+        ("import numpy\n", ["suite", "--input", SINGLE], {}, None),  # numpy came first: hands off
+    ],
+    ids=["small-dense", "free", "below", "at-threshold", "user-openblas", "user-omp", "numpy-first"],
+)
+def test_cli_picks_one_blas_thread_for_small_scenarios(first, argv, preset, want):
+    got = _python(
+        f"{first}import json, os\n"
+        "from freedilation import cli\n"
+        f"cli._load_scenario(cli.build_parser().parse_args({argv!r}))\n"
+        f"print(json.dumps(os.environ.get({THREADS!r})))",
+        _env(**preset),
+    )
+    assert got == want
+
+
+def _workloads():
+    """The benchmark's scenario generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _tensor_scenario(tmp_path):
+    obj = json.loads((SCENARIOS / "doubly_diag.json").read_text())
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({**obj, "mode": "tensor"}))
+    return str(path)
+
+
+def test_pre_read_dimension_is_the_model_dimension(tmp_path):
+    mat = tmp_path / "t.json"
+    mat.write_text(json.dumps(matrix_to_obj([[0.5, 0.0], [0.1, 0.2]])))
+    parts = tmp_path / "parts.json"  # matrix parts given as paths, no degree: the default
+    parts.write_text(json.dumps({"mode": "tensor", "factors": [{"matrix": "t.json"}] * 2}))
+    doubly = str(SCENARIOS / "doubly_diag.json")
+    runs = [
+        (["suite", "--input", SINGLE], None),
+        (["suite", "--input", doubly], None),
+        (["suite", "--input", _tensor_scenario(tmp_path)], None),
+        (["suite", "--input", str(parts)], None),
+        (["suite", "--input", SINGLE, "--degree", "9"], None),
+        (["suite", "--input", doubly, "--degree", "4"], None),
+        (["dilate", "--input", SINGLE], "single"),
+        (["dilate-doubly", "--input", SINGLE, "--degree", "5"], "doubly"),
+        (["dilate-doubly", "--input", doubly], "doubly"),
+        (["check", "--input", doubly, "--property", "tensor"], "tensor"),
+    ]
+    workloads = _workloads()
+    for seed in range(3):
+        for path in workloads.generate("dense_modes", seed, tmp_path / "bench" / str(seed)):
+            runs.append((["suite", "--input", str(path)], None))
+    for argv, force in runs:
+        args = build_parser().parse_args(argv)
+        dim = _dense_dim(args.input, force, args.degree)
+        assert dim == build_model(_load_scenario(args, force)).gens.dim, argv
+    free = str(SCENARIOS / "free_pair.json")
+    assert _dense_dim(free) == 0
+    assert _dense_dim(doubly, "free") == 0  # dilate-free, oracle, check --property free
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["--input", "nope.json"], "No such file"),
+        (["--input", "bad.json"], "bad.json:1:2"),
+        (["--input", "part.json"], "missing.json"),
+        (["--input", "list.json"], "must be a JSON object"),
+        (["--input", "sc.json", "--degree", "0"], "budget degree must be >= 1"),
+    ],
+    ids=["missing-file", "invalid-json", "missing-part", "not-an-object", "degree-0"],
+)
+def test_refusals_are_unchanged_by_the_pre_read(tmp_path, capsys, argv, match):
+    # in a fresh interpreter the pre-read runs; in this one numpy is loaded,
+    # so it is skipped, as if it did not exist
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "part.json").write_text(json.dumps({"factors": [{"matrix": "missing.json"}]}))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "sc.json").write_text((SCENARIOS / "single_half.json").read_text())
+    cmd = [sys.executable, "-m", "freedilation", "suite", *argv]
+    r = subprocess.run(cmd, cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120)
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        code = main(["suite", *argv])
+    finally:
+        os.chdir(cwd)
+    err = capsys.readouterr().err
+    assert r.returncode == code == 2
+    assert r.stderr == err and err.startswith("error:") and err.count("\n") == 1 and match in err
+
+
 def test_spin_policy_does_not_change_the_report(tmp_path):
-    # 28 is OpenBLAS's own default exponent, as at a plain numpy import
-    fingerprints = []
-    for preset in ({}, {TIMEOUT: "28"}):
-        out = tmp_path / f"report{len(fingerprints)}.json"
-        cmd = [
-            sys.executable, "-m", "freedilation", "suite",
-            "--input", str(ROOT / "demos" / "scenarios" / "single_half.json"),
-            "--seed", "1", "--output", str(out),
-        ]
-        r = subprocess.run(cmd, env=_env(**preset), capture_output=True, text=True, timeout=300)
-        assert r.returncode == 0, r.stderr
-        fingerprints.append(report_fingerprint(json.loads(out.read_text())))
-    assert fingerprints[0] == fingerprints[1]
+    # 28 is OpenBLAS's own default exponent, as at a plain numpy import; the
+    # traced benchmark pass imports numpy before the CLI and so runs these
+    # scenarios on every thread, and its reports must match the others
+    presets = ({}, {TIMEOUT: "28"}, {THREADS: "1"}, {THREADS: "2"})
+    for scenario in (SINGLE, str(SCENARIOS / "doubly_diag.json"), _tensor_scenario(tmp_path)):
+        fingerprints = []
+        for preset in presets:
+            out = tmp_path / f"report{len(fingerprints)}.json"
+            cmd = [
+                sys.executable, "-m", "freedilation", "suite",
+                "--input", scenario, "--seed", "1", "--output", str(out),
+            ]
+            r = subprocess.run(cmd, env=_env(**preset), capture_output=True, text=True, timeout=300)
+            assert r.returncode in (0, 1), r.stderr  # doubly_diag is not faithful
+            fingerprints.append((r.returncode, report_fingerprint(json.loads(out.read_text()))))
+        assert len(set(fingerprints)) == 1, scenario
