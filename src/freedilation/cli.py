@@ -31,20 +31,24 @@ if "numpy" not in sys.modules:
 
 # The thread count is set the same way, but per scenario, so this module
 # imports the numpy side (``harness``, ``ncprob``) only inside the commands,
-# after ``_choose_blas_threads``.  On a small space the products are too
-# small to gain from a second thread, and on a 2-vCPU box a threaded OpenBLAS
-# call of that size can cost a 4-ms scheduler tick: the dense_modes benchmark
-# scenarios (dim 56, 256, 144) took 1.03-1.10 s at two threads and
-# 0.66-0.75 s at one.  Larger dense spaces gain from the threads: single
-# scenarios ran faster on one thread at dim 128 and 192, about as fast at
-# 256 and 288, and slower from dim 300 on (2.49 s against 1.72 s at dim
-# 840), in 5 alternating runs each (BENCH_18.json).
-SMALL_DENSE_DIM = 300
+# after ``_choose_blas_threads``.  Small products gain nothing from a second
+# thread, and on a 2-vCPU box a threaded OpenBLAS call of that size can wait
+# for a 4-ms scheduler tick: the dense_modes benchmark scenarios took
+# 1.03-1.10 s at two threads and 0.66-0.75 s at one in such a window.  What
+# grows with a scenario is the whole space in single and tensor mode, but in
+# doubly mode one factor's (N+1)d-square dilation, the core that every
+# generator applies to two tensor legs.  In 5 alternating runs a shape
+# (BENCH_18.json), one thread won or tied on single spaces of 128-224 and
+# lost from 256 on, tied on tensor spaces of 144-256 and lost from 320 on,
+# and in doubly mode won at core 16 (dim 4,096), tied at cores 32-128 and
+# lost from 192 on; doubly keeps its threads from the tie at 128.  Free
+# mode's letters are matrix-free Fock actions: one thread won on free_pair
+# at L = 6 (Fock dim 2,185) and held on the free benchmark workloads.
+ONE_THREAD_BELOW = {"single": 256, "tensor": 256, "doubly": 128}
 # What OpenBLAS reads for its thread count; a value the user set wins.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# ``harness.Scenario``'s dilation degree where the file gives none.
-DEFAULT_DEGREE = 3
 
+from ._scenario_shape import scenario_shape  # noqa: E402
 from ._version import __version__  # noqa: E402
 
 if TYPE_CHECKING:
@@ -98,58 +102,33 @@ def _write(args: argparse.Namespace, obj: dict) -> None:
         print(text)
 
 
-def _dense_dim(path: str | Path, force_mode: str | None = None, degree: int | None = None) -> int | None:
-    """The dimension of a scenario's dilated space, read from its JSON alone.
-
-    Free mode gives 0: its letters are matrix-free Fock actions, so no dense
-    product grows with the space.  Only ``mode``, ``degree`` and each
-    factor's ``rows`` are read, following a matrix part given as a path as
-    ``ingest`` does.  ``None`` where the file is not as expected; this never
-    raises, and ``ingest`` stays the one validator.
-    """
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-        factors = obj.get("factors") if isinstance(obj, dict) else None
-        if not isinstance(factors, list) or not factors:
-            return None
-        mode = force_mode or obj.get("mode", "single" if len(factors) == 1 else "free")
-        if mode == "free":
-            return 0
-        rows = []
-        for entry in factors:
-            mat = entry.get("matrix") if isinstance(entry, dict) else None
-            if isinstance(mat, str):
-                mat = json.loads((path.parent / mat).read_text())
-            rows.append(mat.get("rows") if isinstance(mat, dict) else None)
-    except (OSError, ValueError):
-        return None
-    n = obj.get("degree", DEFAULT_DEGREE) if degree is None else degree
-    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (n, *rows)):
-        return None
+def _blas_dim(mode: str, degree: int, rows: list[int]) -> int:
+    """The size ``ONE_THREAD_BELOW`` bounds: the dimension of the space in
+    single and tensor mode, of one factor's dilation in doubly mode."""
     if mode == "doubly":
-        return (n + 1) ** len(rows) * rows[0]
-    if mode in ("single", "tensor"):
-        return math.prod((n + 1) * d for d in rows)
-    return None
+        return (degree + 1) * rows[0]
+    return math.prod((degree + 1) * d for d in rows)
 
 
-def _choose_blas_threads(args: argparse.Namespace, force_mode: str | None) -> None:
-    """One OpenBLAS thread for a scenario below ``SMALL_DENSE_DIM``; nothing
-    once numpy is loaded (its thread count is fixed by then) or where the
-    user set a thread count."""
+def _choose_blas_threads(args: argparse.Namespace, force_mode: str | None) -> dict:
+    """One OpenBLAS thread for a free scenario and for a dense one below
+    ``ONE_THREAD_BELOW``; nothing once numpy is loaded (its thread count is
+    fixed by then) or where the user set a thread count.  Returns the JSON
+    files read, by resolved path, for ``ingest``."""
+    parsed = {}
     if "numpy" in sys.modules or any(v in os.environ for v in BLAS_THREAD_VARIABLES):
-        return
-    dim = _dense_dim(args.input, force_mode, args.degree)
-    if dim is not None and dim < SMALL_DENSE_DIM:
+        return parsed
+    shape = scenario_shape(args.input, force_mode, args.degree, parsed)
+    if shape is not None and (shape[0] == "free" or _blas_dim(*shape) < ONE_THREAD_BELOW[shape[0]]):
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return parsed
 
 
 def _load_scenario(args: argparse.Namespace, force_mode: str | None = None) -> Scenario:
-    _choose_blas_threads(args, force_mode)
+    parsed = _choose_blas_threads(args, force_mode)
     from .harness import ingest
 
-    sc = ingest(args.input, _overrides(args))
+    sc = ingest(args.input, _overrides(args), parsed)
     return sc if force_mode is None else replace(sc, mode=force_mode)
 
 

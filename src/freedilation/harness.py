@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._scenario_shape import DEFAULT_DEGREE, MODES, default_mode
 from ._version import __version__
 from .dilation import (
     DilationResult,
@@ -62,7 +63,6 @@ from .serialization import (
     state_to_obj,
 )
 
-MODES = ("single", "doubly", "tensor", "free")
 
 
 class IngestError(Exception):
@@ -75,7 +75,7 @@ class Scenario:
 
     mode: str
     factors: list[tuple[np.ndarray, State]]
-    degree: int = 3
+    degree: int = DEFAULT_DEGREE
     trunc: int = 4
     check_degree: int = 3
     max_alt: int = 4
@@ -130,7 +130,10 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_json(path: Path) -> object:
+def _load_json(path: Path, parsed: Mapping[Path, object]) -> object:
+    """A JSON file's content; from ``parsed``, by resolved path, if there."""
+    if parsed and path.resolve() in parsed:
+        return parsed[path.resolve()]
     try:
         text = path.read_text()
     except OSError as exc:
@@ -141,11 +144,11 @@ def _load_json(path: Path) -> object:
         raise IngestError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
 
 
-def _resolve_part(value, base_dir: Path, sources: list, loader: Callable, what: str):
+def _resolve_part(value, base_dir: Path, sources: list, loader: Callable, what: str, parsed):
     """A factor part is either an inline object or a path to a JSON file."""
     if isinstance(value, str):
         part_path = (base_dir / value).resolve()
-        obj = _load_json(part_path)
+        obj = _load_json(part_path, parsed)
         sources.append((str(part_path), _sha256(part_path.read_bytes())))
     else:
         obj = value
@@ -155,7 +158,7 @@ def _resolve_part(value, base_dir: Path, sources: list, loader: Callable, what: 
         raise IngestError(f"{what}: {exc}") from None
 
 
-def scenario_from_obj(obj: dict, base_dir: Path | str = ".", sources=()) -> Scenario:
+def scenario_from_obj(obj: dict, base_dir: Path | str = ".", sources=(), parsed=None) -> Scenario:
     if not isinstance(obj, dict):
         raise IngestError(f"scenario must be a JSON object, got {type(obj).__name__}")
     base_dir = Path(base_dir)
@@ -168,16 +171,16 @@ def scenario_from_obj(obj: dict, base_dir: Path | str = ".", sources=()) -> Scen
         if not isinstance(entry, dict) or "matrix" not in entry:
             raise IngestError(f"factors[{idx}]: expected an object with a 'matrix' field")
         mat = _resolve_part(
-            entry["matrix"], base_dir, sources, matrix_from_obj, f"factors[{idx}].matrix"
+            entry["matrix"], base_dir, sources, matrix_from_obj, f"factors[{idx}].matrix", parsed
         )
         if entry.get("state") is None:
             st = State.basis_vector(mat.shape[0], 0)
         else:
             st = _resolve_part(
-                entry["state"], base_dir, sources, state_from_obj, f"factors[{idx}].state"
+                entry["state"], base_dir, sources, state_from_obj, f"factors[{idx}].state", parsed
             )
         factors.append((mat, st))
-    mode = obj.get("mode", "single" if len(factors) == 1 else "free")
+    mode = obj.get("mode", default_mode(len(factors)))
     kwargs = {}
     for key in ("degree", "trunc", "check_degree", "max_alt", "samples", "seed"):
         if key in obj:
@@ -196,12 +199,17 @@ def scenario_from_obj(obj: dict, base_dir: Path | str = ".", sources=()) -> Scen
         raise IngestError(str(exc)) from None
 
 
-def ingest(path: str | Path, overrides: dict | None = None) -> Scenario:
-    """Load and fully validate a scenario file; flag overrides applied on top."""
+def ingest(path: str | Path, overrides: dict | None = None, parsed=None) -> Scenario:
+    """Load and fully validate a scenario file; flag overrides applied on top.
+
+    ``parsed`` maps resolved paths to JSON already parsed from them (by
+    ``_scenario_shape.scenario_shape``), which is taken instead of parsing
+    those files again.
+    """
     path = Path(path)
-    obj = _load_json(path)
+    obj = _load_json(path, parsed)
     sources = [(str(path.resolve()), _sha256(path.read_bytes()))]
-    sc = scenario_from_obj(obj, path.parent, sources)
+    sc = scenario_from_obj(obj, path.parent, sources, parsed)
     if overrides:
         clean = {k: v for k, v in overrides.items() if v is not None}
         if clean:

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from freedilation._scenario_shape import scenario_shape
 from freedilation.cli import (
     BLAS_SPIN_EXPONENT,
     BLAS_THREAD_VARIABLES,
-    SMALL_DENSE_DIM,
-    _dense_dim,
+    ONE_THREAD_BELOW,
+    _blas_dim,
     _load_scenario,
     build_parser,
     main,
@@ -123,6 +124,12 @@ def test_cli_sets_the_blas_spin_only_before_numpy(first, preset, want):
 
 
 SINGLE = str(SCENARIOS / "single_half.json")  # one 1x1 factor: dim N + 1
+DOUBLY = str(SCENARIOS / "doubly_diag.json")  # two 2x2 factors at N=2: core 6, dim 18
+
+
+def _degree(size, d=1):
+    """``--degree`` that puts the dilation of a d x d factor, (N+1)d, at ``size``."""
+    return ["--degree", str(size // d - 1)]
 
 
 @pytest.mark.parametrize(
@@ -130,13 +137,21 @@ SINGLE = str(SCENARIOS / "single_half.json")  # one 1x1 factor: dim N + 1
     [
         ("", ["suite", "--input", SINGLE], {}, "1"),  # dim 4
         ("", ["suite", "--input", str(SCENARIOS / "free_pair.json")], {}, "1"),
-        ("", ["suite", "--input", SINGLE, "--degree", str(SMALL_DENSE_DIM - 2)], {}, "1"),
-        ("", ["suite", "--input", SINGLE, "--degree", str(SMALL_DENSE_DIM - 1)], {}, None),
+        ("", ["suite", "--input", SINGLE, *_degree(ONE_THREAD_BELOW["single"] - 1)], {}, "1"),
+        ("", ["suite", "--input", SINGLE, *_degree(ONE_THREAD_BELOW["single"])], {}, None),
+        ("", ["suite", "--input", DOUBLY], {}, "1"),
+        # doubly is bounded by one factor's dilation, not by the whole space
+        ("", ["suite", "--input", DOUBLY, *_degree(ONE_THREAD_BELOW["doubly"] - 2, 2)], {}, "1"),
+        ("", ["suite", "--input", DOUBLY, *_degree(ONE_THREAD_BELOW["doubly"], 2)], {}, None),
+        ("", ["check", "--input", DOUBLY, "--property", "tensor"], {}, "1"),  # dim 36
         ("", ["suite", "--input", SINGLE], {THREADS: "2"}, "2"),  # a value the user set wins
         ("", ["suite", "--input", SINGLE], {"OMP_NUM_THREADS": "2"}, None),
         ("import numpy\n", ["suite", "--input", SINGLE], {}, None),  # numpy came first: hands off
     ],
-    ids=["small-dense", "free", "below", "at-threshold", "user-openblas", "user-omp", "numpy-first"],
+    ids=[
+        "small-dense", "free", "below", "at-threshold", "doubly", "doubly-below",
+        "doubly-at-threshold", "tensor", "user-openblas", "user-omp", "numpy-first",
+    ],
 )
 def test_cli_picks_one_blas_thread_for_small_scenarios(first, argv, preset, want):
     got = _python(
@@ -164,12 +179,20 @@ def _tensor_scenario(tmp_path):
     return str(path)
 
 
+def _model_size(model, mode):
+    """What ``ONE_THREAD_BELOW`` bounds, read off a built model: its space,
+    or in doubly mode the largest core of its axis generators."""
+    if mode == "doubly":
+        return max(g.core.shape[0] for g in model.gens.mats.values())
+    return model.gens.dim
+
+
 def test_pre_read_dimension_is_the_model_dimension(tmp_path):
     mat = tmp_path / "t.json"
     mat.write_text(json.dumps(matrix_to_obj([[0.5, 0.0], [0.1, 0.2]])))
     parts = tmp_path / "parts.json"  # matrix parts given as paths, no degree: the default
     parts.write_text(json.dumps({"mode": "tensor", "factors": [{"matrix": "t.json"}] * 2}))
-    doubly = str(SCENARIOS / "doubly_diag.json")
+    doubly = DOUBLY
     runs = [
         (["suite", "--input", SINGLE], None),
         (["suite", "--input", doubly], None),
@@ -188,11 +211,30 @@ def test_pre_read_dimension_is_the_model_dimension(tmp_path):
             runs.append((["suite", "--input", str(path)], None))
     for argv, force in runs:
         args = build_parser().parse_args(argv)
-        dim = _dense_dim(args.input, force, args.degree)
-        assert dim == build_model(_load_scenario(args, force)).gens.dim, argv
-    free = str(SCENARIOS / "free_pair.json")
-    assert _dense_dim(free) == 0
-    assert _dense_dim(doubly, "free") == 0  # dilate-free, oracle, check --property free
+        shape = scenario_shape(args.input, force, args.degree)
+        sc = _load_scenario(args, force)
+        assert shape == (sc.mode, sc.degree, [t.shape[0] for t, _ in sc.factors]), argv
+        assert _blas_dim(*shape) == _model_size(build_model(sc), sc.mode), argv
+    # free mode reads no factor: dilate-free, oracle, check --property free
+    assert scenario_shape(SCENARIOS / "free_pair.json") == ("free", 3, [])
+    assert scenario_shape(doubly, "free") == ("free", 2, [])
+
+
+def test_each_json_file_is_parsed_once(tmp_path):
+    # the pre-read hands what it parsed to ingest
+    (tmp_path / "t.json").write_text(json.dumps(matrix_to_obj([[0.5, 0.0], [0.1, 0.2]])))
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"mode": "tensor", "factors": [{"matrix": "t.json"}] * 2}))
+    argv = ["suite", "--input", str(path)]
+    got = _python(
+        "import json\n"
+        "texts, loads = [], json.loads\n"
+        "json.loads = lambda s, *a, **k: texts.append(s) or loads(s, *a, **k)\n"
+        "from freedilation import cli\n"
+        f"sc = cli._load_scenario(cli.build_parser().parse_args({argv!r}))\n"
+        "print(json.dumps([texts, len(sc.factors)]))"
+    )
+    assert got == [[path.read_text(), (tmp_path / "t.json").read_text()], 2]
 
 
 @pytest.mark.parametrize(
@@ -231,7 +273,8 @@ def test_spin_policy_does_not_change_the_report(tmp_path):
     # traced benchmark pass imports numpy before the CLI and so runs these
     # scenarios on every thread, and its reports must match the others
     presets = ({}, {TIMEOUT: "28"}, {THREADS: "1"}, {THREADS: "2"})
-    for scenario in (SINGLE, str(SCENARIOS / "doubly_diag.json"), _tensor_scenario(tmp_path)):
+    # the tensor copy of doubly_diag fails its faithfulness check
+    for scenario, code in ((SINGLE, 0), (DOUBLY, 0), (_tensor_scenario(tmp_path), 1)):
         fingerprints = []
         for preset in presets:
             out = tmp_path / f"report{len(fingerprints)}.json"
@@ -240,6 +283,6 @@ def test_spin_policy_does_not_change_the_report(tmp_path):
                 "--input", scenario, "--seed", "1", "--output", str(out),
             ]
             r = subprocess.run(cmd, env=_env(**preset), capture_output=True, text=True, timeout=300)
-            assert r.returncode in (0, 1), r.stderr  # doubly_diag is not faithful
-            fingerprints.append((r.returncode, report_fingerprint(json.loads(out.read_text()))))
+            assert r.returncode == code, (scenario, preset, r.stderr)
+            fingerprints.append(report_fingerprint(json.loads(out.read_text())))
         assert len(set(fingerprints)) == 1, scenario
