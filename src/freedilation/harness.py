@@ -64,7 +64,6 @@ from .serialization import (
 )
 
 
-
 class IngestError(Exception):
     """A scenario or data file failed to load or validate."""
 
@@ -130,7 +129,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_json(path: Path, parsed: Mapping[Path, object]) -> object:
+def _load_json(path: Path, parsed: Mapping[Path, object] | None) -> object:
     """A JSON file's content; from ``parsed``, by resolved path, if there."""
     if parsed and path.resolve() in parsed:
         return parsed[path.resolve()]
