@@ -360,30 +360,17 @@ class FreeDilationScenario:
         return GenSet({factor: res.gens[1]}), State.from_vector(xi)
 
 
-def _as_pointed_factor(t: np.ndarray, state) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a factor to (matrix, unit vector), purifying density states."""
-    t = as_matrix(t)
-    if isinstance(state, State):
-        if state.kind == "vector":
-            return t, state.vector
-        pure, lift = purify(state)
-        return lift(t), pure.vector
-    xi = np.asarray(state, dtype=complex).reshape(-1)
-    if xi.size != t.shape[0]:
-        raise ValueError(f"state dim {xi.size} does not match matrix dim {t.shape[0]}")
-    return t, State.from_vector(xi).vector
-
-
 def free_unitary_dilation(
-    factors: Sequence[tuple[np.ndarray, object]],
+    factors: Sequence[tuple[np.ndarray, State]],
     n_degree: int,
     trunc_len: int,
     tol: float = DEFAULT_TOL,
 ) -> FreeDilationScenario:
     """Build the joint freely independent dilation of a family of contractions.
 
-    ``factors`` is a sequence of ``(matrix, state)`` pairs; vector states are
-    used as the pointed vectors, density states are purified first.  Each
+    ``factors`` is a sequence of ``(matrix, state)`` pairs.  Each factor is
+    pointed by its state's purification (:func:`purify`; a state of one
+    column is its own), with the matrix lifted to that space.  Each
     contraction is dilated to degree ``n_degree``; the dilations act on the
     free product truncated at words of length ``trunc_len``.
     """
@@ -393,9 +380,9 @@ def free_unitary_dilation(
     mats: list[np.ndarray] = []
     xis: list[np.ndarray] = []
     for t, state in factors:
-        m, xi = _as_pointed_factor(t, state)
-        mats.append(m)
-        xis.append(xi)
+        pure, lift = purify(state)
+        mats.append(lift(t))
+        xis.append(pure.columns[:, 0])
 
     pointed_h = [PointedSpace.from_state_vector(xi) for xi in xis]
     clock.lap("defects")

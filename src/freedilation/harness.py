@@ -55,7 +55,7 @@ from .ncprob import (
     trace_check,
     worst_commutator,
 )
-from .operator_core import PhaseClock, State, adjoint, check_dim_cap
+from .operator_core import PhaseClock, State, check_dim_cap
 from .serialization import (
     matrix_from_obj,
     matrix_to_obj,
@@ -98,10 +98,9 @@ class Scenario:
         if not 0 < self.tol < math.inf:
             raise IngestError(f"tol must be a positive finite number, got {self.tol}")
         for idx, (mat, st) in enumerate(self.factors):
-            dim = st.vector.size if st.kind == "vector" else st.density.shape[0]
-            if mat.shape != (dim, dim):
+            if mat.shape != (st.dim, st.dim):
                 raise IngestError(
-                    f"factors[{idx}]: matrix shape {mat.shape} does not match state dim {dim}"
+                    f"factors[{idx}]: matrix shape {mat.shape} does not match state dim {st.dim}"
                 )
         if self.mode in ("doubly",):
             dims = {m.shape[0] for m, _ in self.factors}
@@ -243,10 +242,8 @@ class Model:
 
 
 def _embedded_state(res: DilationResult, st: State) -> State:
-    j = res.embedding.isometry
-    if st.kind == "vector":
-        return State.from_vector(j @ st.vector)
-    return State.from_density(j @ st.density @ adjoint(j))
+    """``phi(J* . J)`` on the dilation space: the columns ``J v_k``, same weights."""
+    return State.from_columns(res.embedding.isometry @ st.columns, st.weights)
 
 
 def build_model(sc: Scenario) -> Model:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -299,15 +299,6 @@ def evaluate_word(word: Word, gens: GenSet) -> np.ndarray:
     return apply_word(word, gens, np.eye(gens.dim, dtype=complex))
 
 
-def _state_panel(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Columns to propagate and their weights: ``phi(a) = sum_k w_k <a v_k, v_k>``."""
-    if state.kind == "vector":
-        return state.vector.reshape(-1, 1), np.ones(1)
-    w, v = np.linalg.eigh(state.density)
-    keep = w > 1e-14
-    return v[:, keep], w[keep]
-
-
 _code_word = lru_cache(maxsize=None)(lambda code: _word((code,)))
 
 
@@ -325,7 +316,7 @@ class _Sweep:
     def __init__(self, state: State | None, gens: GenSet):
         self.gens = gens
         if state is not None:  # a bare sweep walks only the panels it is given
-            self.panel, self.weights = _state_panel(state)
+            self.panel, self.weights = state.columns, state.weights
         self.letters = 0
         self.panel_bytes = 0
 
@@ -1149,27 +1140,17 @@ def oracle_equivalence_check(
 def make_tensor_independent(factors: Sequence[tuple[np.ndarray, State]]) -> tuple[GenSet, State]:
     """Ampliate factors onto the tensor product space with the product state.
 
-    Returns the generators keyed 1..n and the joint state; tensor
-    independence holds by construction.  Generator ``i`` is the ampliation
+    Returns the generators keyed 1..n and the joint state, whose columns
+    are the Kronecker products of the factors' columns, weighted by the
+    products of their weights; tensor independence holds by construction.
+    Generator ``i`` is the ampliation
     ``I (x) ... (x) T_i (x) ... (x) I``, kept as an :class:`AxisAction` of
     ``T_i`` on leg ``i - 1``, never as a matrix of the product space.
     """
     mats = [as_matrix(t) for t, _ in factors]
-    states = [s for _, s in factors]
     dims = [m.shape[0] for m in mats]
     check_dim_cap(math.prod(dims), "tensor product")
     gens = GenSet({i: AxisAction(dims, (i - 1,), m) for i, m in enumerate(mats, start=1)})
-
-    if all(s.kind == "vector" for s in states):
-        vec = np.array([1.0 + 0.0j])
-        for s in states:
-            vec = np.kron(vec, s.vector)
-        return gens, State.from_vector(vec)
-
-    rho = np.array([[1.0 + 0.0j]])
-    for s in states:
-        block = (
-            np.outer(s.vector, np.conj(s.vector)) if s.kind == "vector" else s.density
-        )
-        rho = np.kron(rho, block)
-    return gens, State.from_density(rho)
+    columns = reduce(np.kron, [s.columns for _, s in factors])
+    weights = reduce(np.kron, [s.weights for _, s in factors])
+    return gens, State.from_columns(columns, weights)

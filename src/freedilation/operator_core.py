@@ -42,7 +42,7 @@ class ContractionError(ValueError):
 
 
 class StateError(ValueError):
-    """A vector or density state fails its defining invariant."""
+    """A state fails its defining invariant."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -247,16 +247,32 @@ def compress(a: np.ndarray, e: Embedding) -> np.ndarray:
     return adjoint(e.isometry) @ a @ e.isometry
 
 
+# Eigenvalues of a density at or below this (absolute) are not kept as columns.
+DENSITY_EIGEN_CUT = 1e-14
+
+
 @dataclass(frozen=True)
 class State:
-    """Positive normalized functional: a unit vector or a PSD trace-1 density."""
+    """Positive normalized functional ``phi(a) = sum_k w_k <a v_k, v_k>``:
+    the orthonormal ``columns`` ``v_k`` (``dim x k``) and positive
+    ``weights`` ``w_k`` summing to 1, which every computation reads.
+
+    ``kind`` with the given ``vector`` or ``density`` is the file-format
+    record.  A unit vector is one column of weight 1; a PSD trace-1 density
+    is decomposed once, into its eigenvectors above
+    :data:`DENSITY_EIGEN_CUT`; kind ``"columns"`` (:meth:`from_columns`)
+    takes both as given, as for a state carried to a larger space.
+    """
 
     kind: str
     vector: np.ndarray | None = None
     density: np.ndarray | None = None
     tol: float = field(default=1e-8, compare=False)
+    columns: np.ndarray | None = field(default=None, compare=False, repr=False)
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        keep = partial(object.__setattr__, self)
         if self.kind == "vector":
             v = np.ascontiguousarray(self.vector, dtype=complex).reshape(-1)
             if not np.all(np.isfinite(v.view(float))):
@@ -264,28 +280,39 @@ class State:
             nrm = float(np.linalg.norm(v))
             if abs(nrm - 1.0) > self.tol:
                 raise StateError(f"state vector norm {nrm:.12g} != 1 (tol {self.tol:g})")
-            object.__setattr__(self, "vector", v)
+            keep("vector", v)
+            keep("columns", v.reshape(-1, 1))
+            keep("weights", np.ones(1))
         elif self.kind == "density":
             rho = as_matrix(self.density)
             if rho.shape[0] != rho.shape[1]:
                 raise StateError(f"density matrix must be square, got {rho.shape}")
             if operator_norm(rho - adjoint(rho)) > self.tol:
                 raise StateError("density matrix is not Hermitian within tolerance")
-            w = np.linalg.eigvalsh(0.5 * (rho + adjoint(rho)))
+            w, v = np.linalg.eigh(rho)
             if w[0] < -self.tol:
                 raise StateError(f"density matrix not PSD: eigenvalue {w[0]:.6e}")
             tr = float(np.trace(rho).real)
             if abs(tr - 1.0) > self.tol:
                 raise StateError(f"density matrix trace {tr:.12g} != 1")
-            object.__setattr__(self, "density", rho)
+            kept = w > DENSITY_EIGEN_CUT
+            keep("density", rho)
+            keep("columns", v[:, kept])
+            keep("weights", w[kept])
+        elif self.kind == "columns":
+            c, w = as_matrix(self.columns), np.asarray(self.weights, dtype=float).reshape(-1)
+            if w.size != c.shape[1] or not np.all(w > 0.0) or abs(float(w.sum()) - 1.0) > self.tol:
+                raise StateError(f"need {c.shape[1]} positive weights summing to 1, got {w}")
+            if np.linalg.norm(adjoint(c) @ c - np.eye(w.size)) > self.tol:
+                raise StateError("state columns are not orthonormal")
+            keep("columns", c)
+            keep("weights", w)
         else:
             raise StateError(f"unknown state kind {self.kind!r}")
 
     @property
     def dim(self) -> int:
-        if self.kind == "vector":
-            return self.vector.shape[0]
-        return self.density.shape[0]
+        return self.columns.shape[0]
 
     @staticmethod
     def from_vector(v, tol: float = 1e-8) -> "State":
@@ -294,6 +321,10 @@ class State:
     @staticmethod
     def from_density(rho, tol: float = 1e-8) -> "State":
         return State(kind="density", density=rho, tol=tol)
+
+    @staticmethod
+    def from_columns(columns, weights, tol: float = 1e-8) -> "State":
+        return State(kind="columns", columns=columns, weights=weights, tol=tol)
 
     @staticmethod
     def basis_vector(dim: int, index: int = 0) -> "State":
@@ -306,33 +337,27 @@ class State:
         return State.from_density(np.eye(dim, dtype=complex) / dim)
 
 
-def purify(rho: State):
-    """Vector-state purification of a density state.
+def purify(state: State):
+    """Vector-state purification of a state.
 
-    Returns ``(xi_state, lift)`` with ``xi`` a unit vector in the doubled space
-    ``C^d (x) C^d`` and ``lift(a) = a (x) I`` such that
-    ``<lift(a) xi, xi> = trace(rho a)`` for every ``d x d`` operator ``a``.
+    Returns ``(xi_state, lift)`` with ``xi`` a unit vector and
+    ``<lift(a) xi, xi> = phi(a)`` for every ``d x d`` operator ``a``.  A
+    state of one column is its own purification, with ``lift(a) = a``;
+    otherwise ``xi = sum_k sqrt(w_k) v_k (x) conj(v_k)`` lies in the
+    doubled space ``C^d (x) C^d`` and ``lift(a) = a (x) I``.
     """
-    if rho.kind != "density":
-        raise StateError("purify expects a density state")
-    d = rho.dim
-    w, v = np.linalg.eigh(rho.density)
-    w = np.clip(w, 0.0, None)
-    xi = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        if w[k] == 0.0:
-            continue
-        xi += np.sqrt(w[k]) * np.kron(v[:, k], np.conj(v[:, k]))
-    xi /= np.linalg.norm(xi)
+    d, v, w = state.dim, state.columns, state.weights
+    pure = w.size == 1
+    xi = v[:, 0] if pure else sum(np.sqrt(w[k]) * np.kron(v[:, k], np.conj(v[:, k])) for k in range(w.size))
     eye = np.eye(d, dtype=complex)
 
     def lift(a: np.ndarray) -> np.ndarray:
         a = as_matrix(a)
         if a.shape != (d, d):
             raise ShapeMismatchError(f"purified lift expects ({d}, {d}), got {a.shape}")
-        return np.kron(a, eye)
+        return a if pure else np.kron(a, eye)
 
-    return State.from_vector(xi), lift
+    return State.from_vector(xi if pure else xi / np.linalg.norm(xi)), lift
 
 
 def random_contraction(rng: np.random.Generator, dim: int, norm: float | None = None) -> np.ndarray:
@@ -354,6 +379,10 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_state(rng: np.random.Generator, dim: int, kind: str = "vector") -> State:
+    """A random unit vector (``kind="vector"``) or full-rank density
+    (``kind="density"``) on ``C^dim``."""
+    if kind not in ("vector", "density"):
+        raise ValueError(f"random_state kind must be 'vector' or 'density', got {kind!r}")
     if kind == "vector":
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return State.from_vector(v / np.linalg.norm(v))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operator_core import State, as_matrix
+from .operator_core import State, adjoint, as_matrix
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
@@ -39,11 +39,12 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
 
 
 def state_to_obj(s: State) -> dict:
+    """A given vector or density as given; a state of kind ``"columns"`` as
+    the density ``sum_k w_k v_k v_k*``."""
     if s.kind == "vector":
-        data = [[float(z.real), float(z.imag)] for z in s.vector]
-    else:
-        data = matrix_to_obj(s.density)["data"]
-    return {"kind": s.kind, "dim": s.dim, "data": data}
+        return {"kind": "vector", "dim": s.dim, "data": [[float(z.real), float(z.imag)] for z in s.vector]}
+    rho = s.density if s.kind == "density" else (s.columns * s.weights) @ adjoint(s.columns)
+    return {"kind": "density", "dim": s.dim, "data": matrix_to_obj(rho)["data"]}
 
 
 def state_from_obj(obj: dict, tol: float = 1e-8) -> State:

@@ -5,7 +5,9 @@ generator commutators of each factor pair, and ``ncprob.faithfulness_check``
 fills its Grams from word sweeps.  These references build every word's
 matrix instead, as both certificates once did: a word-level commutator loop,
 the Hilbert-Schmidt Gram of the stacked word matrices, and the state Gram
-summed column by column.  Meant for small models only.
+summed column by column.  The state is read through a dense ``eigh`` of its
+density on the whole space, and word moments from the words' matrices.
+Meant for small models only.
 """
 
 import itertools
@@ -14,6 +16,30 @@ import numpy as np
 
 from freedilation.ncprob import Word, apply_word, evaluate_word
 from freedilation.operator_core import adjoint, operator_norm
+
+
+def dense_state_columns(state):
+    """Columns and weights that give the state, ``phi(a) = sum_k w_k <a v_k,
+    v_k>``: a vector state's own vector, or else the eigenvectors of the
+    state's density on its whole space, from a dense ``eigh`` (eigenvalues
+    above 1e-14).  The density is the given one, or ``sum_k w_k v_k v_k*``
+    of the state's columns, never those columns themselves."""
+    if state.kind == "vector":
+        return state.vector.reshape(-1, 1), np.ones(1)
+    rho = state.density
+    if rho is None:
+        rho = (state.columns * state.weights) @ adjoint(state.columns)
+    weights, panel = np.linalg.eigh(rho)
+    keep = weights > 1e-14
+    return panel[:, keep], weights[keep]
+
+
+def dense_word_moments(state, gens, words):
+    """``phi(w)`` of each word, from the word's matrix and
+    :func:`dense_state_columns`."""
+    panel, weights = dense_state_columns(state)
+    images = (evaluate_word(w, gens) @ panel for w in words)
+    return np.array([np.sum(weights * np.einsum("ik,ik->k", np.conj(panel), y)) for y in images])
 
 
 def words_up_to(ids, degree):
@@ -53,12 +79,7 @@ def dense_gram_ranks(state, gens, degree, rank_rtol=1e-9):
     words = words_up_to(gens.ids, degree)
     flat = np.stack([evaluate_word(w, gens).reshape(-1) for w in words], axis=1)
     span_dim = _rank(adjoint(flat) @ flat, rank_rtol)
-    if state.kind == "vector":
-        panel, weights = state.vector.reshape(-1, 1), np.ones(1)
-    else:
-        weights, panel = np.linalg.eigh(state.density)
-        keep = weights > 1e-14
-        panel, weights = panel[:, keep], weights[keep]
+    panel, weights = dense_state_columns(state)
     gram = np.zeros((len(words), len(words)), dtype=complex)
     for k in range(panel.shape[1]):
         block = np.stack([apply_word(w, gens, panel[:, k]) for w in words], axis=1)

@@ -18,6 +18,7 @@ import itertools
 import numpy as np
 
 from freedilation.ncprob import CheckReport, Word, apply_word
+from certificate_oracles import dense_state_columns
 
 UNIT = Word(())
 
@@ -39,12 +40,7 @@ def _rng(seed, *salt):
 def _moment(state, gens, elements):
     """``phi(a_1 ... a_m)``: the elements applied right to left to the state's
     columns, each as the sum of its words applied one at a time."""
-    if state.kind == "vector":
-        panel, weights = state.vector.reshape(-1, 1), np.ones(1)
-    else:
-        weights, panel = np.linalg.eigh(state.density)
-        keep = weights > 1e-14
-        panel, weights = panel[:, keep], weights[keep]
+    panel, weights = dense_state_columns(state)
     out = panel
     for el in reversed(elements):
         out = sum(c * apply_word(w, gens, out) for w, c in el.items())
@@ -119,12 +115,8 @@ def nested_monomial_halves(state, gens, max_len, degree):
     of its own and its adjoint twin's.  Returns the worst residual and the
     first product that attains it."""
     ids = list(gens.ids)
-    if state.kind == "vector":
-        panel = state.vector.reshape(-1, 1)
-    else:
-        weights, panel = np.linalg.eigh(state.density)
-        keep = weights > 1e-14
-        panel = panel[:, keep] * np.sqrt(weights[keep])
+    panel, weights = dense_state_columns(state)
+    panel = panel * np.sqrt(weights)
 
     def moment(left, right):
         return complex(np.vdot(left.ravel(), right.ravel()))

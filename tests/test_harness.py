@@ -32,7 +32,6 @@ from freedilation.ncprob import (
     GenSet,
     Word,
     alternating_words_within,
-    free_mixed_moment_oracle,
     matrix_marginal,
     ordered_words,
     signed_alternating_words,
@@ -42,6 +41,7 @@ from freedilation.ncprob import (
 )
 from freedilation.operator_core import State
 from freedilation.serialization import matrix_to_obj, state_to_obj
+from free_moment_oracle import per_word_free_moment
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -729,7 +729,7 @@ def test_oracle_check_matches_per_word_loop():
     for w, lhs_swept in zip(words, swept):
         lhs = word_moment(model.state, model.gens, w)
         assert lhs == lhs_swept  # same letters in the same order: same digits
-        rhs = free_mixed_moment_oracle(marginals, w)
+        rhs = per_word_free_moment(marginals, w)
         res = abs(lhs - rhs)
         if res >= worst:
             if res > worst or witness is None:

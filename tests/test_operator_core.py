@@ -129,9 +129,60 @@ def test_purify_reproduces_density_moments():
     rho_state = random_state(rng, 3, kind="density")
     pure, lift = purify(rho_state)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert pure.dim == 9
     assert np.vdot(pure.vector, lift(a) @ pure.vector) == pytest.approx(
         np.trace(rho_state.density @ a), abs=1e-12
     )
+
+
+def test_a_state_of_one_column_is_its_own_purification():
+    v = np.array([0.6, 0.8j])
+    a = np.array([[1.0, 2.0], [3.0, 4.0j]])
+    for state in (State.from_vector(v), State.from_density(np.outer(v, np.conj(v)))):
+        pure, lift = purify(state)
+        assert pure.dim == 2
+        np.testing.assert_array_equal(lift(a), a)
+        assert abs(abs(np.vdot(pure.vector, v)) - 1.0) < 1e-15
+    # a vector state keeps its vector, bit for bit
+    np.testing.assert_array_equal(purify(State.from_vector(v))[0].vector, v)
+
+
+def test_state_columns_and_weights():
+    v = np.array([0.6, 0.8j])
+    s = State.from_vector(v)
+    assert s.columns.shape == (2, 1) and np.shares_memory(s.columns, s.vector)
+    np.testing.assert_array_equal(s.weights, [1.0])
+    # a density keeps one column per eigenvalue above the cut: exact zeros go
+    rng = np.random.default_rng(5)
+    u = random_unitary(rng, 4)
+    for p in ([0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]):
+        rho = (u * np.asarray(p)) @ adjoint(u)
+        s = State.from_density(rho)
+        assert s.columns.shape == (4, np.count_nonzero(p)) and s.dim == 4
+        np.testing.assert_allclose(np.sort(s.weights), np.sort(np.asarray(p)[np.nonzero(p)]), atol=1e-14)
+        np.testing.assert_allclose((s.columns * s.weights) @ adjoint(s.columns), rho, atol=1e-14)
+        np.testing.assert_array_equal(s.density, rho)
+    diag = State.from_density(np.diag([0.0, 0.25, 0.0, 0.75]).astype(complex))
+    assert diag.columns.shape == (4, 2)
+
+
+def test_state_from_columns_validates():
+    q = random_unitary(np.random.default_rng(6), 3)[:, :2]
+    s = State.from_columns(q, [0.25, 0.75])
+    assert s.kind == "columns" and s.dim == 3 and s.vector is None and s.density is None
+    for weights in ([0.25, 0.5], [1.0], [1.25, -0.25], [np.nan, 1.0]):
+        with pytest.raises(StateError, match="2 positive weights summing to 1"):
+            State.from_columns(q, weights)
+    with pytest.raises(StateError, match="orthonormal"):
+        State.from_columns(q * 1.1, [0.25, 0.75])
+
+
+def test_random_state_refuses_an_unknown_kind():
+    rng = np.random.default_rng(3)
+    assert random_state(rng, 2, "vector").kind == "vector"
+    assert random_state(rng, 2, "density").kind == "density"
+    with pytest.raises(ValueError, match="'mixed'"):
+        random_state(rng, 2, "mixed")
 
 
 def test_random_contraction_norm_bound():

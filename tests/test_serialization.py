@@ -65,6 +65,12 @@ def test_state_round_trips():
     back2 = state_from_obj(state_to_obj(rho))
     assert np.array_equal(back2.density, rho.density)
 
+    # a state given by its columns is written as its density
+    cols = State.from_columns(np.array([[0.0, 1.0], [1.0j, 0.0]]), [0.25, 0.75])
+    obj = state_to_obj(cols)
+    assert obj["kind"] == "density" and obj["dim"] == 2
+    assert np.array_equal(state_from_obj(obj).density, np.diag([0.75, 0.25]).astype(complex))
+
 
 def test_state_from_obj_validates():
     with pytest.raises(ValueError):
