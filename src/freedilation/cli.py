@@ -9,6 +9,7 @@ or lies outside a stated budget.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -48,7 +49,7 @@ ONE_THREAD_BELOW = {"single": 256, "tensor": 256, "doubly": 128}
 # What OpenBLAS reads for its thread count; a value the user set wins.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-from ._scenario_shape import scenario_shape  # noqa: E402
+from ._inputs import BudgetError, IngestError, read_json, read_scenario, scenario_shape  # noqa: E402
 from ._version import __version__  # noqa: E402
 
 if TYPE_CHECKING:
@@ -96,10 +97,13 @@ def _write(args: argparse.Namespace, obj: dict) -> None:
         text = render_text(obj)
     else:
         text = json.dumps(obj, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
+    if not args.output:
         print(text)
+        return
+    try:
+        Path(args.output).write_text(text + "\n")
+    except OSError as exc:  # a missing folder, a directory, no permission
+        raise IngestError(str(exc)) from None
 
 
 def _blas_dim(mode: str, degree: int, rows: list[int]) -> int:
@@ -110,25 +114,22 @@ def _blas_dim(mode: str, degree: int, rows: list[int]) -> int:
     return math.prod((degree + 1) * d for d in rows)
 
 
-def _choose_blas_threads(args: argparse.Namespace, force_mode: str | None) -> dict:
+def _choose_blas_threads(shape: tuple[str, int, list[int]] | None) -> None:
     """One OpenBLAS thread for a free scenario and for a dense one below
     ``ONE_THREAD_BELOW``; nothing once numpy is loaded (its thread count is
-    fixed by then) or where the user set a thread count.  Returns the JSON
-    files read, by resolved path, for ``ingest``."""
-    parsed = {}
+    fixed by then) or where the user set a thread count."""
     if "numpy" in sys.modules or any(v in os.environ for v in BLAS_THREAD_VARIABLES):
-        return parsed
-    shape = scenario_shape(args.input, force_mode, args.degree, parsed)
+        return
     if shape is not None and (shape[0] == "free" or _blas_dim(*shape) < ONE_THREAD_BELOW[shape[0]]):
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    return parsed
 
 
 def _load_scenario(args: argparse.Namespace, force_mode: str | None = None) -> Scenario:
-    parsed = _choose_blas_threads(args, force_mode)
+    read = read_scenario(args.input)
+    _choose_blas_threads(scenario_shape(read[0], force_mode, args.degree))
     from .harness import ingest
 
-    sc = ingest(args.input, _overrides(args), parsed)
+    sc = ingest(args.input, _overrides(args), read)
     return sc if force_mode is None else replace(sc, mode=force_mode)
 
 
@@ -163,7 +164,7 @@ def _cmd_suite(args) -> int:
 
 def _build_or_refuse(sc: Scenario):
     """Direct commands treat construction failure as bad input, not a report."""
-    from .harness import IngestError, build_model
+    from .harness import build_model
 
     try:
         return build_model(sc)
@@ -174,7 +175,7 @@ def _build_or_refuse(sc: Scenario):
 def _cmd_check(args) -> int:
     force = args.property if args.property in ("tensor", "free") else None
     sc = _load_scenario(args, force_mode=force)
-    from .harness import CHECKS, IngestError
+    from .harness import CHECKS
 
     if args.check_degree is not None:
         sc = replace(sc, check_degree=args.check_degree)
@@ -203,8 +204,6 @@ def _cmd_check(args) -> int:
 
 def _parse_or_refuse(parse, text: str):
     """A malformed ``--word`` is refused input, not a failed check."""
-    from .harness import IngestError
-
     try:
         return parse(text)
     except ValueError as exc:
@@ -237,7 +236,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_oracle(args) -> int:
     sc = _load_scenario(args, force_mode="free")
-    from .harness import IngestError, moment_budget_check
+    from .harness import moment_budget_check
     from .ncprob import free_mixed_moments, matrix_marginal, parse_word, word_moments
 
     model = _build_or_refuse(sc)
@@ -279,47 +278,42 @@ def _cmd_oracle(args) -> int:
 
 
 def _parse_moment_list(obj: object) -> list[complex]:
-    from .harness import IngestError
-
     if isinstance(obj, dict):
         obj = obj.get("moments")
     if not isinstance(obj, list) or not obj:
         raise IngestError("cumulants input must be {\"moments\": [...]} with a nonempty list")
     out: list[complex] = []
     for k, entry in enumerate(obj):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            out.append(complex(entry))
-        elif (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
-            out.append(complex(entry[0], entry[1]))
-        else:
+        parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
             raise IngestError(f"moments[{k}]: expected a number or [re, im], got {entry!r}")
+        try:
+            z = complex(*parts)
+        except OverflowError:  # an integer past the float range
+            z = complex(math.inf)
+        if not cmath.isfinite(z):
+            raise IngestError(f"moments[{k}]: expected a finite number, got {entry!r}")
+        out.append(z)
     return out
 
 
 def _cmd_cumulants(args) -> int:
-    from .harness import IngestError
     from .ncprob import free_cumulants, moments_from_cumulants
 
     tol = args.tol if args.tol is not None else 1e-10
     if not 0 < tol < math.inf:
         raise IngestError(f"tol must be a positive finite number, got {tol}")
-    try:
-        data = json.loads(Path(args.input).read_text())
-    except OSError as exc:
-        raise IngestError(f"{args.input}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{args.input}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    moments = _parse_moment_list(data)
+    moments = _parse_moment_list(read_json(args.input, []))
     try:
         kappas = free_cumulants(moments)
         back = moments_from_cumulants(kappas)
+        residual = max(abs(a - b) for a, b in zip(moments, back))
     except ValueError as exc:
         raise IngestError(str(exc)) from None
-    residual = max(abs(a - b) for a, b in zip(moments, back))
+    except OverflowError:  # a difference whose modulus passes the float range
+        residual = math.inf
+    if not all(map(cmath.isfinite, [*kappas, *back, residual])):
+        raise IngestError("moments too large: their cumulants or round trip overflow a float")
     obj = {
         "property": "cumulants",
         "budgets": {"orders": len(moments)},
@@ -335,7 +329,6 @@ def _cmd_cumulants(args) -> int:
 
 
 def _cmd_ncpartitions(args) -> int:
-    from .harness import IngestError
     from .ncprob import noncrossing_partitions
 
     try:
@@ -416,21 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refusals() -> tuple[type[Exception], ...]:
-    """The errors that mean refused input.  Their modules load numpy, so
-    ``main`` imports them only once a command has raised."""
-    from .harness import IngestError
-    from .ncprob import BudgetError
-
-    return IngestError, BudgetError, FileNotFoundError
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _refusals() as exc:
+    except (IngestError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -8,7 +8,6 @@ is byte-identical across runs with the same seed (timing fields excluded).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -21,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._scenario_shape import DEFAULT_DEGREE, MODES, default_mode
+from ._inputs import DEFAULT_DEGREE, MODES, IngestError, default_mode, read_scenario
 from ._version import __version__
 from .dilation import (
     DilationResult,
@@ -64,10 +63,6 @@ from .serialization import (
 )
 
 
-class IngestError(Exception):
-    """A scenario or data file failed to load or validate."""
-
-
 @dataclass
 class Scenario:
     """A fully validated problem description: factors, mode, and budgets."""
@@ -95,6 +90,8 @@ class Scenario:
                 raise IngestError(f"budget {key} must be >= 1, got {getattr(self, key)}")
         if self.samples < 0:
             raise IngestError(f"samples must be >= 0, got {self.samples}")
+        if self.seed < 0:
+            raise IngestError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.tol < math.inf:
             raise IngestError(f"tol must be a positive finite number, got {self.tol}")
         for idx, (mat, st) in enumerate(self.factors):
@@ -124,43 +121,19 @@ class Scenario:
         }
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _load_json(path: Path, parsed: Mapping[Path, object] | None) -> object:
-    """A JSON file's content; from ``parsed``, by resolved path, if there."""
-    if parsed and path.resolve() in parsed:
-        return parsed[path.resolve()]
+def _load_part(value, loader: Callable, what: str):
+    """A factor part: a matrix or state object, validated by ``loader``."""
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IngestError(f"{path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-
-
-def _resolve_part(value, base_dir: Path, sources: list, loader: Callable, what: str, parsed):
-    """A factor part is either an inline object or a path to a JSON file."""
-    if isinstance(value, str):
-        part_path = (base_dir / value).resolve()
-        obj = _load_json(part_path, parsed)
-        sources.append((str(part_path), _sha256(part_path.read_bytes())))
-    else:
-        obj = value
-    try:
-        return loader(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+        return loader(value)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise IngestError(f"{what}: {exc}") from None
 
 
-def scenario_from_obj(obj: dict, base_dir: Path | str = ".", sources=(), parsed=None) -> Scenario:
+def scenario_from_obj(obj: dict, sources=()) -> Scenario:
+    """Validate a scenario object whose factor parts are inline (as
+    :func:`_inputs.read_scenario` leaves them); ``sources`` are the files read."""
     if not isinstance(obj, dict):
         raise IngestError(f"scenario must be a JSON object, got {type(obj).__name__}")
-    base_dir = Path(base_dir)
-    sources = list(sources)
     raw_factors = obj.get("factors")
     if not isinstance(raw_factors, list) or not raw_factors:
         raise IngestError("scenario field 'factors' must be a nonempty list")
@@ -168,15 +141,11 @@ def scenario_from_obj(obj: dict, base_dir: Path | str = ".", sources=(), parsed=
     for idx, entry in enumerate(raw_factors):
         if not isinstance(entry, dict) or "matrix" not in entry:
             raise IngestError(f"factors[{idx}]: expected an object with a 'matrix' field")
-        mat = _resolve_part(
-            entry["matrix"], base_dir, sources, matrix_from_obj, f"factors[{idx}].matrix", parsed
-        )
+        mat = _load_part(entry["matrix"], matrix_from_obj, f"factors[{idx}].matrix")
         if entry.get("state") is None:
             st = State.basis_vector(mat.shape[0], 0)
         else:
-            st = _resolve_part(
-                entry["state"], base_dir, sources, state_from_obj, f"factors[{idx}].state", parsed
-            )
+            st = _load_part(entry["state"], state_from_obj, f"factors[{idx}].state")
         factors.append((mat, st))
     mode = obj.get("mode", default_mode(len(factors)))
     kwargs = {}
@@ -188,7 +157,10 @@ def scenario_from_obj(obj: dict, base_dir: Path | str = ".", sources=(), parsed=
     if "tol" in obj:
         if not isinstance(obj["tol"], (int, float)) or isinstance(obj["tol"], bool):
             raise IngestError(f"scenario field 'tol' must be a number, got {obj['tol']!r}")
-        kwargs["tol"] = float(obj["tol"])
+        try:
+            kwargs["tol"] = float(obj["tol"])
+        except OverflowError:  # an integer past the float range, refused as inf
+            kwargs["tol"] = math.inf
     try:
         return Scenario(
             mode=mode, factors=factors, sources=tuple(sources), **kwargs
@@ -197,17 +169,14 @@ def scenario_from_obj(obj: dict, base_dir: Path | str = ".", sources=(), parsed=
         raise IngestError(str(exc)) from None
 
 
-def ingest(path: str | Path, overrides: dict | None = None, parsed=None) -> Scenario:
+def ingest(path: str | Path, overrides: dict | None = None, read=None) -> Scenario:
     """Load and fully validate a scenario file; flag overrides applied on top.
 
-    ``parsed`` maps resolved paths to JSON already parsed from them (by
-    ``_scenario_shape.scenario_shape``), which is taken instead of parsing
-    those files again.
+    ``read`` is what :func:`_inputs.read_scenario` returned for ``path``,
+    taken instead of reading the files again.
     """
-    path = Path(path)
-    obj = _load_json(path, parsed)
-    sources = [(str(path.resolve()), _sha256(path.read_bytes()))]
-    sc = scenario_from_obj(obj, path.parent, sources, parsed)
+    obj, sources = read or read_scenario(path)
+    sc = scenario_from_obj(obj, sources)
     if overrides:
         clean = {k: v for k, v in overrides.items() if v is not None}
         if clean:

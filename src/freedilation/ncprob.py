@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ._free_recursion import _FreeRecursion, _row_keys
+from ._inputs import BudgetError
 from .operator_core import (
     AxisAction,
     LetterAction,
@@ -48,11 +49,6 @@ SAMPLE_PANEL_BYTES = 128 * 2**10
 # as ``_FreeRecursion`` charges them: free_pair's 4,468 sequences are
 # charged 3.3 MB and run as one batch (a traced peak of 2.0 MB)
 ORACLE_MEMO_BYTES = 4 * 2**20
-
-
-class BudgetError(ValueError):
-    """A request lies outside a stated budget: a word beyond a construction's
-    exactness budget, or a word span over a check's cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +428,12 @@ class _Sweep:
         images of ``L*`` and ``R`` on the state's columns scaled by
         ``sqrt(w_k)``, the same digits in any list.  The distinct ``L*`` are
         held in blocks within ``SAMPLE_PANEL_BYTES`` (one image at least), each
-        streaming the ``R`` its words need; one word alone is applied code by
-        code.  ``apply`` is the walks'; code ``c ^ 1`` is the adjoint of ``c``.
+        streaming the ``R`` its words need.  ``apply`` is the walks'; code
+        ``c ^ 1`` is the adjoint of ``c``.
         """
         apply, panel = apply or self.apply, self.panel * np.sqrt(self.weights)
         if len(table) == 0:
             return np.zeros(0, dtype=complex)
-        if len(table) == 1:
-            codes, left, right = [c for c in table[0].tolist() if c], panel, panel
-            for c in codes[: len(codes) // 2]:  # L* = l_h* ... l_1*: l_1* first
-                left = apply(c ^ 1, left)
-            for c in reversed(codes[len(codes) // 2 :]):
-                right = apply(c, right)
-            return np.array([np.vdot(left.ravel(), right.ravel())])
         n = np.count_nonzero(table, axis=1)[:, None]
         h, col, last = n // 2, np.arange((table.shape[1] + 1) // 2), table.shape[1] - 1
         right = np.where(h + col < n, np.take_along_axis(table, np.minimum(h + col, last), 1), 0)

@@ -341,23 +341,24 @@ def purify(state: State):
     """Vector-state purification of a state.
 
     Returns ``(xi_state, lift)`` with ``xi`` a unit vector and
-    ``<lift(a) xi, xi> = phi(a)`` for every ``d x d`` operator ``a``.  A
-    state of one column is its own purification, with ``lift(a) = a``;
-    otherwise ``xi = sum_k sqrt(w_k) v_k (x) conj(v_k)`` lies in the
-    doubled space ``C^d (x) C^d`` and ``lift(a) = a (x) I``.
+    ``<lift(a) xi, xi> = phi(a)`` for every ``d x d`` operator ``a``: a
+    state of ``k`` columns has ``xi = sum_j sqrt(w_j) v_j (x) e_j`` in
+    ``C^d (x) C^k`` and ``lift(a) = a (x) I_k``, built by copying ``a``, so
+    a state of one column lifts ``a`` to itself, digit for digit.
     """
-    d, v, w = state.dim, state.columns, state.weights
-    pure = w.size == 1
-    xi = v[:, 0] if pure else sum(np.sqrt(w[k]) * np.kron(v[:, k], np.conj(v[:, k])) for k in range(w.size))
-    eye = np.eye(d, dtype=complex)
+    d, k = state.columns.shape
+    xi = (state.columns * np.sqrt(state.weights)).reshape(-1)
 
     def lift(a: np.ndarray) -> np.ndarray:
         a = as_matrix(a)
         if a.shape != (d, d):
             raise ShapeMismatchError(f"purified lift expects ({d}, {d}), got {a.shape}")
-        return a if pure else np.kron(a, eye)
+        out = np.zeros((d, k, d, k), dtype=complex)
+        for j in range(k):
+            out[:, j, :, j] = a
+        return out.reshape(d * k, d * k)
 
-    return State.from_vector(xi if pure else xi / np.linalg.norm(xi)), lift
+    return State.from_vector(xi), lift
 
 
 def random_contraction(rng: np.random.Generator, dim: int, norm: float | None = None) -> np.ndarray:

@@ -27,8 +27,10 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a size of 1e400
         raise ValueError(f"malformed matrix object: {exc}") from exc
+    if rows < 1 or cols < 1:  # a factor or density on no space
+        raise ValueError(f"matrix shape {rows}x{cols} has no entries")
     if len(data) != rows or any(len(row) != cols for row in data):
         raise ValueError(f"matrix data does not match declared shape {rows}x{cols}")
     m = np.empty((rows, cols), dtype=complex)
@@ -50,7 +52,7 @@ def state_to_obj(s: State) -> dict:
 def state_from_obj(obj: dict, tol: float = 1e-8) -> State:
     try:
         kind, dim, data = obj["kind"], int(obj["dim"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
     if kind == "vector":
         if len(data) != dim:

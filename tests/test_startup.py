@@ -1,6 +1,7 @@
 """Start-up contract: what importing the package and the command line loads
 and sets, each checked in a fresh interpreter."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from freedilation._scenario_shape import scenario_shape
+from freedilation._inputs import read_scenario, scenario_shape
 from freedilation.cli import (
     BLAS_SPIN_EXPONENT,
     BLAS_THREAD_VARIABLES,
@@ -211,30 +212,36 @@ def test_pre_read_dimension_is_the_model_dimension(tmp_path):
             runs.append((["suite", "--input", str(path)], None))
     for argv, force in runs:
         args = build_parser().parse_args(argv)
-        shape = scenario_shape(args.input, force, args.degree)
+        shape = scenario_shape(read_scenario(args.input)[0], force, args.degree)
         sc = _load_scenario(args, force)
         assert shape == (sc.mode, sc.degree, [t.shape[0] for t, _ in sc.factors]), argv
         assert _blas_dim(*shape) == _model_size(build_model(sc), sc.mode), argv
     # free mode reads no factor: dilate-free, oracle, check --property free
-    assert scenario_shape(SCENARIOS / "free_pair.json") == ("free", 3, [])
-    assert scenario_shape(doubly, "free") == ("free", 2, [])
+    assert scenario_shape(read_scenario(SCENARIOS / "free_pair.json")[0]) == ("free", 3, [])
+    assert scenario_shape(read_scenario(doubly)[0], "free") == ("free", 2, [])
 
 
 def test_each_json_file_is_parsed_once(tmp_path):
-    # the pre-read hands what it parsed to ingest
-    (tmp_path / "t.json").write_text(json.dumps(matrix_to_obj([[0.5, 0.0], [0.1, 0.2]])))
+    # the thread count's read is ingest's: each file is read and parsed once,
+    # a part named by two factors too, and hashed from the bytes parsed
+    part = tmp_path / "t.json"
+    part.write_text(json.dumps(matrix_to_obj([[0.5, 0.0], [0.1, 0.2]])))
     path = tmp_path / "sc.json"
     path.write_text(json.dumps({"mode": "tensor", "factors": [{"matrix": "t.json"}] * 2}))
     argv = ["suite", "--input", str(path)]
     got = _python(
-        "import json\n"
+        "import json, pathlib\n"
         "texts, loads = [], json.loads\n"
         "json.loads = lambda s, *a, **k: texts.append(s) or loads(s, *a, **k)\n"
+        "reads, read_bytes = [], pathlib.Path.read_bytes\n"
+        "pathlib.Path.read_bytes = lambda p: reads.append(p.name) or read_bytes(p)\n"
         "from freedilation import cli\n"
         f"sc = cli._load_scenario(cli.build_parser().parse_args({argv!r}))\n"
-        "print(json.dumps([texts, len(sc.factors)]))"
+        "print(json.dumps([texts, reads, sc.sources, len(sc.factors)]))"
     )
-    assert got == [[path.read_text(), (tmp_path / "t.json").read_text()], 2]
+    sha = {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, part)}
+    sources = [[str(p.resolve()), sha[p]] for p in (path, part, part)]
+    assert got == [[path.read_text(), part.read_text()], ["sc.json", "t.json"], sources, 2]
 
 
 @pytest.mark.parametrize(
@@ -245,15 +252,19 @@ def test_each_json_file_is_parsed_once(tmp_path):
         (["--input", "part.json"], "missing.json"),
         (["--input", "list.json"], "must be a JSON object"),
         (["--input", "sc.json", "--degree", "0"], "budget degree must be >= 1"),
+        (["--input", "latin1.json"], "can't decode byte 0xe9"),
+        (["--input", "deep.json"], "maximum recursion depth"),
     ],
-    ids=["missing-file", "invalid-json", "missing-part", "not-an-object", "degree-0"],
+    ids=["missing-file", "invalid-json", "missing-part", "not-an-object", "degree-0", "not-utf8", "deep"],
 )
 def test_refusals_are_unchanged_by_the_pre_read(tmp_path, capsys, argv, match):
-    # in a fresh interpreter the pre-read runs; in this one numpy is loaded,
-    # so it is skipped, as if it did not exist
+    # in a fresh interpreter the thread count is chosen from what was read;
+    # in this one numpy is loaded, so it is not: the refusals are the same
     (tmp_path / "bad.json").write_text("{")
     (tmp_path / "part.json").write_text(json.dumps({"factors": [{"matrix": "missing.json"}]}))
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "latin1.json").write_bytes('{"mode": "déjà"}'.encode("latin-1"))
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
     (tmp_path / "sc.json").write_text((SCENARIOS / "single_half.json").read_text())
     cmd = [sys.executable, "-m", "freedilation", "suite", *argv]
     r = subprocess.run(cmd, cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120)
