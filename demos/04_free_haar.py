@@ -44,8 +44,8 @@ for k in (1, 2):
     print(f"  phi((U1 U2)^{k}) = {got.real:+.3e}   oracle {want.real:+.3e}")
 print()
 
-free_rep = free_independence_check(vac, gens, max_len=4, degree=3, samples=10)
-trace_rep = trace_check(vac, gens, degree=3, samples=50)
+free_rep = free_independence_check(vac, gens, max_len=4, degree=3)
+trace_rep = trace_check(vac, gens, degree=3)
 print("free independence certificate: residual",
       f"{free_rep.residual:.3e}", "| passed:", free_rep.passed)
 print("traciality certificate:        residual",

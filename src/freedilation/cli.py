@@ -74,8 +74,8 @@ def _add_common(p: argparse.ArgumentParser, need_input: bool = True) -> None:
     p.add_argument("--degree", type=int, default=None, help="dilation degree N override")
     p.add_argument("--trunc-len", type=int, default=None, help="free product truncation length L override")
     p.add_argument("--max-alt", type=int, default=None, help="max alternation length for word sweeps")
-    p.add_argument("--samples", type=int, default=None, help="random samples per check")
-    p.add_argument("--seed", type=int, default=None, help="root seed for sampled checks")
+    p.add_argument("--samples", type=int, default=None, help="accepted and recorded; no check samples")
+    p.add_argument("--seed", type=int, default=None, help="accepted and recorded; no check draws")
     p.add_argument("--format", choices=("json", "text"), default="json", help="report format")
 
 
@@ -190,7 +190,6 @@ def _cmd_check(args) -> int:
             "trunc": sc.trunc,
             "check_degree": sc.check_degree,
             "max_alt": sc.max_alt,
-            "samples": sc.samples,
         },
         "max_residual": rep.residual,
         "worst_witness": rep.witness,

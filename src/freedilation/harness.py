@@ -73,6 +73,7 @@ class Scenario:
     trunc: int = 4
     check_degree: int = 3
     max_alt: int = 4
+    # accepted, validated and recorded in reports, but no check samples
     samples: int = 100
     tol: float = 1e-8
     seed: int = 0
@@ -421,14 +422,7 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_tensor_independence(sc: Scenario, model: Model) -> CheckReport:
-    return tensor_independence_check(
-        model.state,
-        model.gens,
-        degree=min(sc.check_degree, 3),
-        samples=sc.samples,
-        tol=sc.tol,
-        seed=sc.seed,
-    )
+    return tensor_independence_check(model.state, model.gens, degree=min(sc.check_degree, 3), tol=sc.tol)
 
 
 def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
@@ -437,9 +431,7 @@ def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
         model.gens,
         max_len=min(sc.max_alt, sc.trunc),
         degree=min(sc.check_degree, sc.degree),
-        samples=sc.samples,
         tol=sc.tol,
-        seed=sc.seed,
     )
 
 
@@ -450,14 +442,7 @@ def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
         # deeper than ``trunc`` on a path back to the vacuum, so its vacuum
         # moment is exact
         degree = min(degree, sc.trunc)
-    return trace_check(
-        model.state,
-        model.gens,
-        degree=degree,
-        samples=sc.samples,
-        tol=sc.tol,
-        seed=sc.seed,
-    )
+    return trace_check(model.state, model.gens, degree=degree, tol=sc.tol)
 
 
 def _check_oracle(sc: Scenario, model: Model) -> CheckReport:

@@ -41,10 +41,14 @@ MAX_WORD_LETTERS = 2**16
 # bytes of the stacked word images of one column block of a faithfulness
 # Gram; their conjugate, for the Gram product, takes as much again
 GRAM_BLOCK_BYTES = 64 * 2**20
-# bytes of one sample panel: the chunk of random samples a sampled
-# certificate applies side by side; also of the half images a word-moment
-# sweep holds at a time
+# bytes of the word images a sweep holds in one block: the half images of
+# word moments, and the blocks that the independence and trace Grams stream
 SAMPLE_PANEL_BYTES = 128 * 2**10
+# the work of a certificate's Grams, their entries times the entries of the
+# state's panel (dim x columns), refused past this before any image is
+# built: free_pair at --trunc-len 6 takes 44,100 x 2,185 (9.6e7) and at
+# --max-alt 6 8.6e6 x 2,185 (1.9e10)
+MAX_GRAM_WORK = 2**32
 # bytes of the arrays of one batch of the free mixed moment oracle's words,
 # as ``_FreeRecursion`` charges them: free_pair's 4,468 sequences are
 # charged 3.3 MB and run as one batch (a traced peak of 2.0 MB)
@@ -303,96 +307,26 @@ class _Sweep:
 
     Every letter goes through :meth:`apply`, one :func:`apply_word` call per
     letter, and ``letters`` counts them: the work a sweep actually did.
+    ``scaled`` is the state's columns times ``sqrt(w_k)``, so that
+    ``phi(X) = <P, X P>`` over all its columns.
 
-    A sampled pass draws its samples' coefficients chunk by chunk from
-    :meth:`sample_draws`, and :meth:`product_moments` reads each chunk's
-    moments off two half images, side by side.
+    The certificates' Grams take word images in blocks (:meth:`blocks`,
+    :meth:`descend`): an image of the ``k`` state columns is ``k`` columns,
+    and a block of ``c`` images is a ``(dim, k, c)`` array, whose ``(dim, k
+    * c)`` form is a panel for further letters and whose ``(dim * k, c)``
+    form meets another block's in one matrix product.
     """
 
     def __init__(self, state: State | None, gens: GenSet):
         self.gens = gens
         if state is not None:  # a bare sweep walks only the panels it is given
             self.panel, self.weights = state.columns, state.weights
+            self.scaled = self.panel * np.sqrt(self.weights)
         self.letters = 0
-        self.panel_bytes = 0
 
     def apply(self, code: int, panel: np.ndarray) -> np.ndarray:
         self.letters += 1
         return apply_word(_code_word(code), self.gens, panel)
-
-    def moments(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """``phi`` of each sample's product from the images of its two halves
-        on the state's columns, ``L* v`` and ``R v`` (sample ``s`` in columns
-        ``s*k .. s*k+k-1``): ``sum_k w_k <R v_k, L* v_k>``, sample by sample;
-        the state columns alone are one sample."""
-        k = len(self.weights)
-        left, right = (x.reshape(len(x), -1, k) for x in (left, right))
-        return (self.weights * np.einsum("isk,isk->sk", np.conj(left), right)).sum(axis=1)
-
-    def sample_draws(
-        self, samples: int, salt: tuple[int, ...], counts: Sequence[int]
-    ) -> Iterator[tuple[range, list[np.ndarray]]]:
-        """``(chunk, coeffs)`` for consecutive chunks of ``range(samples)``:
-        the fewest chunks whose sample panels, the state's columns once per
-        sample, fit in ``SAMPLE_PANEL_BYTES`` (one sample at least), of sizes
-        that differ by one at most: free_pair's 100 samples as 4 x 25 keep
-        its peak RSS flat, where 33 + 33 + 33 + 1 raised it by 0.8 MB.
-
-        ``coeffs`` holds one ``(len(chunk), counts[j])`` array per slot ``j``;
-        the samples draw all their slots, one sample after another, from one
-        generator ``_derive_rng(*salt)``, so a sample's draws do not depend
-        on the chunks.  ``panel_bytes`` keeps the largest panel's size.
-        """
-        n = -(-samples // max(1, SAMPLE_PANEL_BYTES // self.panel.nbytes))
-        rng = _derive_rng(*salt)
-        for chunk in (range(samples * i // n, samples * (i + 1) // n) for i in range(n)):
-            self.panel_bytes = max(self.panel_bytes, self.panel.nbytes * len(chunk))
-            draws = rng.uniform(0.0, 1.0, (len(chunk), 2 * sum(counts)))
-            yield chunk, _disc_coefficients(draws, counts)
-
-    def word_images(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A factor's words for :meth:`product_moments`: the table (closed
-        under adjoint), its words applied to the state's columns, ``(dim, k,
-        words)``, and the row of each word's adjoint."""
-        images = np.empty((*self.panel.shape, len(table)), dtype=complex)
-        for i, image in self.walk_table(table, self.panel):
-            images[..., i] = image
-        rows = [tuple(filter(None, row)) for row in table.tolist()]
-        at = {row: i for i, row in enumerate(rows)}
-        return table, images, np.array([at[tuple(c ^ 1 for c in reversed(row))] for row in rows])
-
-    def product_moments(
-        self, factors: Sequence[tuple], coeffs: Sequence[np.ndarray], means: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """``phi(c_1 ... c_m)`` of each sample, for ``c_j = sum_i coeffs[j][s,
-        i] word_i - means[j][s]`` over the words of ``factors[j]`` (see
-        :meth:`word_images`), from two halves: ``R = c_{h+1} ... c_m`` and
-        ``L* = c_h* ... c_1*``, ``h = m // 2``, by :meth:`moments`.  ``c_j*``
-        has the conjugate coefficients at the adjoint words and the mean
-        ``conj(means[j])``.  The first slot a half applies, ``c_m`` or
-        ``c_1*``, is combined from its factor's word images, sample by
-        sample; only the later ones meet a sample panel, by :meth:`combine`.
-        """
-        h, n, k = len(factors) // 2, len(means[0]), len(self.weights)
-        left = [
-            (t, img, np.conj(c)[:, adj], np.conj(m)) for (t, img, adj), c, m in zip(factors[:h], coeffs, means)
-        ]
-        right = [(t, img, c, m) for (t, img, _), c, m in zip(factors, coeffs, means)][h:][::-1]
-        halves = []
-        for slots in (left, right):  # each in the order it is applied
-            if not slots:  # the unit
-                halves.append(np.tile(self.panel, (1, n)))
-                continue
-            (_, images, c, m), *rest = slots
-            # a sum over the words alone, so no chunking moves a digit; not a
-            # BLAS product, whose threads cost milliseconds a call on large
-            # states in some windows (ROADMAP item 4)
-            panel = np.einsum("ikw,sw->isk", images, c) - m[:, None] * self.panel[:, None, :]
-            panel = panel.reshape(len(self.panel), -1)
-            for t, _, c, m in rest:
-                panel = self.combine(t, np.repeat(c.T, k, axis=1), panel, np.repeat(m, k))
-            halves.append(panel)
-        return self.moments(*halves)
 
     def walk(self, words: Sequence[Word], panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """:meth:`walk_table` of a word list."""
@@ -420,6 +354,60 @@ class _Sweep:
             done = todo
             yield i, stack[-1]
 
+    def blocks(
+        self, table: np.ndarray, panel: np.ndarray, size: int, means: np.ndarray | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(rows, images)`` for consecutive blocks of at most ``size`` of a
+        table's words, in the order of one walk: ``images[..., j]``, of shape
+        ``panel.shape``, is word ``rows[j]`` applied to the panel, less
+        ``means[rows[j]]`` times the panel when means are given."""
+        walk, left = self.walk_table(table, panel), len(table)
+        while left > 0:
+            n = min(size, left)
+            left -= n
+            rows, images = np.empty(n, dtype=np.intp), np.empty((*panel.shape, n), dtype=complex)
+            for j, (i, image) in zip(range(n), walk):
+                rows[j], images[..., j] = i, image
+                if means is not None:
+                    images[..., j] -= means[i] * panel
+            yield rows, images
+
+    def descend(
+        self,
+        tables: Mapping[int, np.ndarray],
+        needed: set[tuple[int, ...]],
+        means: Mapping[int, np.ndarray] | None = None,
+    ) -> Iterator[tuple[tuple[int, ...], list[np.ndarray], np.ndarray]]:
+        """``(suffix, rows, images)`` for every block of every factor sequence
+        in ``needed`` (closed under taking suffixes, adjacent factors
+        distinct): the products ``x_1 ... x_r`` of one word of ``tables[f]``
+        per factor ``f`` of ``suffix``, less its mean when ``means`` are
+        given, applied to ``scaled``.
+
+        Depth first: a block of a suffix is the panel that each word of the
+        factor in front of it is applied to, by one walk, so each image is
+        computed once, and a block holds at most ``SAMPLE_PANEL_BYTES`` of
+        images (one parent block at least).  ``rows[j]`` are the block's
+        words of the factor applied ``j``-th, ``suffix[-1 - j]``, and an
+        image's index in the block runs over them with ``rows[0]``
+        outermost.
+        """
+        dim, size = len(self.scaled), max(1, SAMPLE_PANEL_BYTES // self.scaled.nbytes)
+
+        def visit(suffix, rows, images):
+            yield suffix, rows, images
+            wide = images.size // self.scaled.size  # the images in this block
+            for g, table in tables.items():
+                if g != suffix[0] and (g, *suffix) in needed:
+                    mean = None if means is None else means[g]
+                    for new, child in self.blocks(table, images.reshape(dim, -1), max(1, size // wide), mean):
+                        yield from visit((g, *suffix), [*rows, new], child)
+
+        for f, table in tables.items():
+            if (f,) in needed:
+                for new, images in self.blocks(table, self.scaled, size, None if means is None else means[f]):
+                    yield from visit((f,), [new], images)
+
     def word_moments(self, table: np.ndarray, apply: Callable | None = None) -> np.ndarray:
         """``phi(w)`` for every word of a table, from two half-words.
 
@@ -431,7 +419,7 @@ class _Sweep:
         streaming the ``R`` its words need.  ``apply`` is the walks'; code
         ``c ^ 1`` is the adjoint of ``c``.
         """
-        apply, panel = apply or self.apply, self.panel * np.sqrt(self.weights)
+        apply, panel = apply or self.apply, self.scaled
         if len(table) == 0:
             return np.zeros(0, dtype=complex)
         n = np.count_nonzero(table, axis=1)[:, None]
@@ -456,13 +444,9 @@ class _Sweep:
             del held  # before the next block is walked
         return out
 
-    def combine(
-        self, table: np.ndarray, coeffs: np.ndarray, panel: np.ndarray, mean: complex | np.ndarray = 0j
-    ) -> np.ndarray:
-        """``sum_i coeffs[i] word_i - mean`` applied to panel, by one walk.
-        Scalar coefficients and mean act on every column; ``(words, cols)``
-        coefficients and a ``(cols,)`` mean act column by column."""
-        out = -mean * panel
+    def combine(self, table: np.ndarray, coeffs: np.ndarray, panel: np.ndarray) -> np.ndarray:
+        """``sum_i coeffs[i] word_i`` applied to panel, by one walk."""
+        out = np.zeros(panel.shape, dtype=complex)
         for i, term in self.walk_table(table, panel):
             out += coeffs[i] * term
         return out
@@ -488,12 +472,12 @@ def word_moment(state: State, gens: GenSet, word: Word) -> complex:
 
 def state_moment(state: State, gens: GenSet, factors: Sequence[Combination]) -> complex:
     """``phi(a_1 a_2 ... a_m)`` for combinations ``a_k``, applied right to left
-    to the state columns on one sweep; a word ``w`` alone is ``((w,), [1])``."""
+    to the scaled state columns on one sweep; a word ``w`` alone is ``((w,), [1])``."""
     sweep = _Sweep(state, gens)
-    applied = sweep.panel
+    applied = sweep.scaled
     for words, coeffs in reversed(factors):
         applied = sweep.combine(_codes(words), coeffs, applied)
-    return complex(sweep.moments(sweep.panel, applied)[0])
+    return complex(np.vdot(sweep.scaled, applied))
 
 
 def center(comb: Combination, state: State, gens: GenSet) -> Combination:
@@ -586,14 +570,6 @@ def ordered_words(n_factors: int, max_power: int) -> list[Word]:
     return [Word.from_runs(r) for r in sorted(runs, key=lambda r: (len(r), r))]
 
 
-def _disc_coefficients(draws: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
-    """``counts[j]`` points uniform on the complex unit disc for slot ``j``: its
-    radii, then its phases, from the next uniform ``draws`` along the last axis."""
-    at = (2 * np.cumsum([0, *counts])).tolist()
-    cuts = zip(at, at[1:], counts)
-    return [np.sqrt(draws[..., a : a + n]) * np.exp(2j * np.pi * draws[..., a + n : b]) for a, b, n in cuts]
-
-
 # ---------------------------------------------------------------------------
 # check reports
 
@@ -609,10 +585,6 @@ class CheckReport:
 
     def to_obj(self) -> dict:
         return asdict(self)
-
-
-def _derive_rng(seed: int, *salt: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, salt)])))
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +621,25 @@ def worst_commutator(gens: GenSet) -> tuple[float, dict | None]:
     return norm, {"left": Word(((i, starred),)).format(), "right": Word(((j, False),)).format()}
 
 
+def _gram_budget(sweep: _Sweep, entries: int) -> None:
+    """Refuse a certificate's Grams of ``entries`` entries in all on the
+    state's panel when ``entries * dim * k`` exceeds ``MAX_GRAM_WORK``,
+    before any image is built."""
+    dim, k = sweep.panel.shape
+    if entries * dim * k > MAX_GRAM_WORK:
+        raise BudgetError(
+            f"{entries} Gram entries on a {dim} x {k} state panel exceed the work budget "
+            f"MAX_GRAM_WORK = {MAX_GRAM_WORK} (entries x dim x columns); lower max_alt or the check degree"
+        )
+
+
+def _adjoint_rows(table: np.ndarray) -> np.ndarray:
+    """The row of each word's adjoint, in a table closed under adjoint."""
+    rows = [tuple(filter(None, row)) for row in table.tolist()]
+    at = {row: i for i, row in enumerate(rows)}
+    return np.array([at[tuple(c ^ 1 for c in reversed(row))] for row in rows], dtype=np.intp)
+
+
 # ---------------------------------------------------------------------------
 # tensor independence
 
@@ -657,40 +648,41 @@ def tensor_independence_check(
     state: State,
     gens: GenSet,
     degree: int = 2,
-    samples: int = 100,
     tol: float = 1e-8,
-    seed: int = 0,
 ) -> CheckReport:
     """Certify a commuting family as tensor independent for the given state.
 
     Part (a) checks that the generators of distinct factors doubly commute,
     ``[A_i, A_j] = [A_i*, A_j] = 0``: then so do the *-algebras they
     generate, and for contractions ``||[w_a, w_b]|| <= |w_a| |w_b|`` times
-    the larger of the pair's two norms (Leibniz rule).  Part (b) checks
-    ``phi(a_1 ... a_n) = prod phi(a_i)`` over random one-per-factor tuples
-    of combinations of words up to the degree, each product read off two
-    halves (:meth:`_Sweep.product_moments`) for a chunk of samples side by
-    side; with two factors each half is one slot, combined from the words'
-    images on the state's columns.
+    the larger of the pair's two norms (Leibniz rule).  Part (b) takes
+    ``D[I] = phi(w_I) - prod_j phi(w_ij)`` over every product ``w_I = w_i1
+    ... w_in`` of one word per factor in id order, each up to the degree,
+    the unit included; ``sum |D|`` bounds ``|phi(a_1 ... a_n) - prod
+    phi(a_j)|`` for every combination ``a_j`` of those words with
+    coefficients in the unit disc, by multilinearity; the Grams of
+    ``phi(w_I)`` come in blocks from :func:`_grams`.  The residual is the
+    larger of the parts.
     """
     ids = list(gens.ids)
-    words = {f: _codes(_all_words([f], degree)) for f in ids}
+    tables = {f: _codes(_all_words([f], degree)) for f in ids}  # the unit first
+    sweep = _Sweep(state, gens)
+    entries = math.prod(map(len, tables.values()))
+    _gram_budget(sweep, entries)
     worst, pair = worst_commutator(gens)
     witness = {"part": "commutation", **pair} if worst > 0 else None
 
-    sweep = _Sweep(state, gens)
-    phis = [sweep.word_moments(words[f]) for f in ids]
-    factors = [sweep.word_images(words[f]) for f in ids] if samples else []
-    # each sample drawn factor by factor in id order
-    for chunk, coeffs in sweep.sample_draws(samples, (seed, 1), [len(words[f]) for f in ids]):
-        m = sweep.product_moments(factors, coeffs, [np.zeros(len(chunk))] * len(ids))
-        # sample by sample, so that no chunking moves a digit
-        split = math.prod(np.einsum("w,sw->s", phi, c) for phi, c in zip(phis, coeffs))
-        res = np.hypot((m := m - split).real, m.imag)  # as a scalar abs
-        at = int(np.argmax(res))  # the first sample of the worst
-        if res[at] > worst:
-            worst = float(res[at])
-            witness = {"part": "factorization", "sample": chunk[at], "seed": seed}
+    phis = {f: sweep.word_moments(t) for f, t in tables.items()}
+    total, top, at = 0.0, 0.0, None
+    for seq, slots, gram in _grams(sweep, [tuple(ids)] if len(ids) > 1 else [], tables):
+        gap = np.abs(gram - reduce(np.multiply.outer, [phis[f][s] for f, s in zip(seq, slots)]))
+        total += float(gap.sum())
+        value, where = _top(gap, slots)
+        if at is None or value > top:
+            top, at = value, where
+    if total > worst:
+        worst = total
+        witness = {"part": "factorization", "words": [_word(tables[f][r]).format() for f, r in zip(ids, at)]}
 
     return CheckReport(
         name="tensor_independence",
@@ -700,11 +692,11 @@ def tensor_independence_check(
         witness=witness,
         details={
             "degree": degree,
-            "samples": samples,
             "factors": ids,
             "commutators": len(ids) * (len(ids) - 1),
+            "entries": entries,
+            "max_entry": top,
             "letters_applied": sweep.letters,
-            "panel_bytes": sweep.panel_bytes,
         },
     )
 
@@ -713,98 +705,99 @@ def tensor_independence_check(
 # free independence
 
 
+def _grams(
+    sweep: _Sweep,
+    sequences: Sequence[tuple[int, ...]],
+    tables: Mapping[int, np.ndarray],
+    means: Mapping[int, np.ndarray] | None = None,
+) -> Iterator[tuple[tuple[int, ...], list[np.ndarray], np.ndarray]]:
+    """``(seq, slots, gram)`` for every block of the Grams of the
+    independence checks: ``gram[i_1, ..., i_m] = phi(x_1 ... x_m)``, ``x_j``
+    the word ``slots[j][i_j]`` of ``tables[seq[j]]``, less its mean when
+    ``means`` are given.
+
+    ``phi(x_1 x_J) = <x_1* v, x_J v>``, and ``x_1*`` is a word of the same
+    table, less the conjugate mean: the first slots' images are held, and
+    the slots ``2 .. m`` streamed depth first in blocks
+    (:meth:`_Sweep.descend`), one matrix product a block; sequences that
+    share their last slots share those images."""
+    held = {}  # f: the adjoint row of each column's word, and the conjugate images
+    for f in {s[0] for s in sequences}:
+        mean = None if means is None else means[f]
+        ((order, images),) = sweep.blocks(tables[f], sweep.scaled, len(tables[f]), mean)
+        held[f] = _adjoint_rows(tables[f])[order], np.conj(images).reshape(-1, len(order))
+    by_right: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for s in sequences:
+        by_right.setdefault(s[1:], []).append(s)
+    needed = {s[j:] for s in sequences for j in range(1, len(s))}
+    for suffix, rows, images in sweep.descend(tables, needed, means):
+        for seq in by_right.get(suffix, ()):
+            adjoints, conj = held[seq[0]]
+            gram = (images.reshape(len(conj), -1).T @ conj).reshape(*map(len, rows), -1)
+            yield seq, [adjoints, *rows[::-1]], gram.transpose()
+
+
+def _top(gram: np.ndarray, slots: Sequence[np.ndarray]) -> tuple[float, list[int]]:
+    """The first largest entry of a block of moduli, and the rows of its words."""
+    at = int(np.argmax(gram))
+    return float(gram.flat[at]), [s[i] for s, i in zip(slots, np.unravel_index(at, gram.shape))]
+
+
 def free_independence_check(
     state: State,
     gens: GenSet,
     max_len: int = 4,
     degree: int = 2,
-    samples: int = 20,
     tol: float = 1e-8,
-    seed: int = 0,
 ) -> CheckReport:
     """Certify free independence: centered alternating products have zero moment.
 
-    Runs a deterministic pass over centered monomials (exhaustive per
-    alternating factor sequence), then a seeded random pass with a centered
-    random combination of the factor's words in each slot.
+    For each alternating factor sequence ``f_1 ... f_m``, ``2 <= m <=
+    max_len``, the check takes the Gram ``M[i, J] = phi(z_i z_J)`` over
+    the centered words ``z = w - phi(w)`` of each factor up to the degree,
+    the unit left out (its ``z`` is 0), ``z_J`` the product of slots ``2 ..
+    m``.  ``M = 0`` for every sequence is freeness up to length
+    ``max_len`` (Nica and Speicher, Lecture 5), and ``sum |M|`` bounds
+    ``|phi(x_1 ... x_m)|`` for every choice of ``x_j`` that combines the
+    centered words of ``f_j`` with coefficients in the unit disc, by
+    multilinearity.  The residual is the largest ``sum |M|`` over the
+    sequences; the witness names the largest entry of that sequence as
+    centered slots, ``c(word)``, and the details give ``max |M|`` over all
+    of them (``max_entry``) and the ``entries`` taken.
 
-    The monomial pass is :meth:`_Sweep.word_moments` of the products, a
-    centered slot applied as one code: a product ``X = L R``, ``R`` its last
-    ``ceil(m/2)`` slots, has ``phi(X) = <R v, L* v>``, and ``L*`` is the
-    twin of ``L``, its slots reversed and stars flipped, exactly, since a
-    starred option is centered at the conjugate of its twin's mean.  The
-    random pass reads each chunk of samples off the same two halves, side
-    by side (:meth:`_Sweep.product_moments`), with each slot's means taken
-    as dot products with the factor's word moments; a sequence draws all
-    its samples from one generator.
+    Of each pair of adjoint twins, ``f_m ... f_1`` and ``f_1 ... f_m``,
+    only the first in product order is taken: a word list is closed under
+    adjoint, so the twin's Gram holds the conjugates of the same entries.
+    The Grams of the centered words come in blocks from :func:`_grams`.  More than
+    ``MAX_GRAM_WORK`` of them raise :class:`BudgetError` before any image
+    is built.
     """
     ids = list(gens.ids)
     if len(ids) < 2:
         raise ValueError("free independence needs at least two factors")
     if degree < 1:
         raise ValueError(f"free independence needs degree >= 1, got {degree}")
-    # alternating factor sequences of length 2..max_len, one letter per slot
+    # alternating factor sequences of length 2..max_len, one of each twin pair
     chains = _alternating_words(ids, (1,), max_len, 1, max_len).tolist()
-    sequences = [seq for r in chains if len(seq := tuple(c >> 1 for c in r if c)) >= 2]
+    sequences = [s for r in chains if len(s := tuple(c >> 1 for c in r if c)) >= 2 and s <= s[::-1]]
+    tables = {f: _codes(_all_words([f], degree)[1:]) for f in ids}
     sweep = _Sweep(state, gens)
-    worst = 0.0
-    witness: dict | None = None
+    entries = sum(math.prod(len(tables[f]) for f in s) for s in sequences)
+    _gram_budget(sweep, entries)
 
-    # centered T^p and (T*)^p for 1 <= p <= min(degree, 3); option 2(p-1) + star
-    powers = min(degree, 3)
-    opts = 2 * powers
-    flip = np.arange(opts) ^ 1  # the option of the adjoint: star flipped
-    monomials = {
-        f: [Word(((f, s),) * p) for p in range(1, powers + 1) for s in (False, True)]
-        for f in ids
-    }
-    # phi((T*)^p) = conj phi(T^p), so an option's adjoint is exactly its twin
-    plain = {f: sweep.word_moments(_codes(ws[::2])) for f, ws in monomials.items()}
-    means = {f: np.ravel([m, np.conj(m)], order="F") for f, m in plain.items()}
-
-    def centered(code: int, panel: np.ndarray) -> np.ndarray:
-        """Option ``code % opts`` of factor ``code // opts`` applied to a panel."""
-        (f, o), power = divmod(code, opts), panel
-        for _ in range(o // 2 + 1):
-            power = sweep.apply(2 * f + o % 2, power)
-        return power - means[f][o] * panel
-
-    # a row per product: slot j of factor f_j with option o_j is code
-    # opts * f_j + o_j, nonzero, and the code of its adjoint option is code ^ 1
-    table = np.zeros((0, max_len), dtype=np.intp)
-    for seq in sequences:  # the options in product order
-        codes = np.indices((opts,) * len(seq)).reshape(len(seq), -1).T + opts * np.array(seq)
-        table = np.vstack([table, np.pad(codes, ((0, 0), (0, max_len - len(seq))))])
-    res = np.hypot((m := sweep.word_moments(table, centered)).real, m.imag)  # as a scalar abs
-    # residuals[seq][o_1, ..., o_m]: |phi| of the product with option o_j in slot j
-    cuts = np.cumsum([opts ** len(seq) for seq in sequences])[:-1]
-    residuals = {seq: r.reshape((opts,) * len(seq)) for seq, r in zip(sequences, np.split(res, cuts))}
-    for seq in sequences:
-        # the adjoint twin (slots reversed, stars flipped) has the same |phi|
-        # in exact arithmetic: take the pair's maximum, whichever rounds higher
-        twin = residuals[seq[::-1]].transpose()[np.ix_(*(flip,) * len(seq))]
-        res = np.maximum(residuals[seq], twin)
-        at = int(np.argmax(res))  # the first of the worst, in product order
-        if res.flat[at] > worst:
-            worst = float(res.flat[at])
-            combo = np.unravel_index(at, res.shape)
-            slots = [f"c({monomials[f][o].format()})" for f, o in zip(seq, combo)]
-            witness = {"part": "monomial", "sequence": list(seq), "slots": slots}
-
-    words = {f: _codes(_all_words([f], degree)) for f in ids}
-    phis = {f: sweep.word_moments(ws) for f, ws in words.items()}
-    factors = {f: sweep.word_images(ws) for f, ws in words.items()} if samples else {}
-    for si, seq in enumerate(sequences):
-        # each sample drawn slot by slot from the left
-        counts = [len(words[f]) for f in seq]
-        for chunk, coeffs in sweep.sample_draws(samples, (seed, 2, si), counts):
-            means = [np.einsum("w,sw->s", phis[f], c) for f, c in zip(seq, coeffs)]  # sample by sample
-            m = sweep.product_moments([factors[f] for f in seq], coeffs, means)
-            res = np.hypot(m.real, m.imag)  # as a scalar abs
-            at = int(np.argmax(res))  # the first sample of the worst
-            if res[at] > worst:
-                worst = float(res[at])
-                witness = {"part": "random", "sequence": list(seq), "sample": chunk[at], "seed": seed}
+    means = {f: sweep.word_moments(t) for f, t in tables.items()}
+    sums, tops = dict.fromkeys(sequences, 0.0), {}
+    for seq, slots, gram in _grams(sweep, sequences, tables, means):
+        gram = np.abs(gram)
+        sums[seq] += float(gram.sum())
+        value, where = _top(gram, slots)
+        if seq not in tops or value > tops[seq][0]:
+            tops[seq] = value, where
+    seq = max(sequences, key=sums.__getitem__, default=None)  # the first of the worst
+    worst, witness = 0.0 if seq is None else sums[seq], None
+    if worst > 0:
+        words = [_word(tables[f][r]) for f, r in zip(seq, tops[seq][1])]
+        witness = {"sequence": list(seq), "slots": [f"c({w.format()})" for w in words]}
 
     return CheckReport(
         name="free_independence",
@@ -815,11 +808,11 @@ def free_independence_check(
         details={
             "max_len": max_len,
             "degree": degree,
-            "samples": samples,
             "factors": ids,
             "sequences": len(sequences),
+            "entries": entries,
+            "max_entry": max((t[0] for t in tops.values()), default=0.0),
             "letters_applied": sweep.letters,
-            "panel_bytes": sweep.panel_bytes,
         },
     )
 
@@ -832,37 +825,41 @@ def trace_check(
     state: State,
     gens: GenSet,
     degree: int = 3,
-    samples: int = 100,
     tol: float = 1e-8,
-    seed: int = 0,
 ) -> CheckReport:
-    """Check ``phi(ab) = phi(ba)``: all single-letter pairs, then random word
-    pairs, drawn from one generator; every product's moment comes from one
-    half-word sweep."""
+    """Check ``phi(ab) = phi(ba)`` for every pair of nonempty words up to the
+    degree: the residual is ``max |G - G^T|`` for ``G[a, b] = phi(ab)``.
+
+    A word ``a = u t`` splits after its first ``ceil(degree / 2)`` letters,
+    and ``phi(ab) = <u* v, y v>`` for ``y = t b``: the images of the heads
+    ``u*`` are held, and those of the distinct ``y`` streamed in blocks
+    (:meth:`_Sweep.blocks`), one matrix product a block.  More than
+    ``MAX_GRAM_WORK`` of ``G`` raises :class:`BudgetError` before any image
+    is built.
+    """
     ids = list(gens.ids)
-    codes, width = np.array([2 * f + s for f in ids for s in (0, 1)]), max(1, degree)
-    # pairs[p] = (a, b), each a row of codes; the letter pairs first
-    letters = np.zeros((len(codes) ** 2, 2, width), dtype=np.intp)
-    letters[:, 0, 0], letters[:, 1, 0] = np.repeat(codes, len(codes)), np.tile(codes, len(codes))
-    rng = _derive_rng(seed, 3)
-    length = rng.integers(1, degree + 1, (samples, 2, 1))
-    drawn = 2 * np.array(ids)[rng.integers(0, len(ids), (samples, 2, width))]
-    drawn += rng.integers(0, 2, (samples, 2, width))
-    drawn[np.arange(width) >= length] = 0
-    pairs = np.concatenate([letters, drawn])
-    ab = np.concatenate([pairs, pairs[:, ::-1]], axis=2).reshape(-1, 2 * width)  # ab, then ba
-    ab = np.take_along_axis(ab, np.argsort(ab == 0, axis=1, kind="stable"), 1)  # letters first
+    table = _codes(_all_words(ids, degree)[1:])
+    n, h = len(table), (degree + 1) // 2
     sweep = _Sweep(state, gens)
-    moments = sweep.word_moments(ab)
-    res = np.hypot((gap := moments[0::2] - moments[1::2]).real, gap.imag)  # as a scalar abs
+    _gram_budget(sweep, n * n)
+    # pairs[a, b]: the letters of a after its head, then those of b
+    tails, ends = table[:, h:], np.count_nonzero(table[:, h:], axis=1)
+    pairs = np.zeros((n, n, tails.shape[1] + table.shape[1]), dtype=np.intp)
+    pairs[:, :, : tails.shape[1]] = tails[:, None]
+    pairs[np.arange(n)[:, None, None], np.arange(n)[:, None], ends[:, None, None] + np.arange(table.shape[1])] = table
+    (heads, hi), (rests, ri) = _first_use(table[:, :h]), _first_use(pairs.reshape(n * n, -1))
+    ((order, held),) = sweep.blocks(heads, sweep.scaled, len(heads))
+    held, column = np.conj(held).reshape(-1, len(heads)), np.argsort(order)
+    gram = np.empty((len(rests), len(heads)), dtype=complex)  # gram[y, u] = <u v, y v> = phi(u* y)
+    for rows, images in sweep.blocks(rests, sweep.scaled, max(1, SAMPLE_PANEL_BYTES // sweep.scaled.nbytes)):
+        gram[rows] = images.reshape(len(held), -1).T @ held
+    moments = gram[ri.reshape(n, n), column[_adjoint_rows(heads)[hi]][:, None]]  # phi(ab)
+    res = np.abs(moments - moments.T)
     at = int(np.argmax(res))  # the first of the worst
-    worst, witness = 0.0, None
-    if res[at] > 0:
-        worst = float(res[at])
-        left, right = (_word(w).format() for w in pairs[at])
-        witness = {"part": "letters", "left": left, "right": right}
-        if at >= len(letters):
-            witness |= {"part": "random", "sample": at - len(letters), "seed": seed}
+    worst, witness = float(res.flat[at]), None
+    if worst > 0:
+        a, b = np.unravel_index(at, res.shape)
+        witness = {"left": _word(table[a]).format(), "right": _word(table[b]).format()}
     return CheckReport(
         name="traciality",
         residual=worst,
@@ -871,8 +868,9 @@ def trace_check(
         witness=witness,
         details={
             "degree": degree,
-            "samples": samples,
             "factors": ids,
+            "words": n,
+            "entries": n * n,
             "letters_applied": sweep.letters,
         },
     )

@@ -69,12 +69,24 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value, via Hermitian eigendecomposition of a*a."""
+    """Largest singular value, via Hermitian eigendecomposition of a*a.
+
+    ``a`` is first scaled by the power of two ``2^-e`` that brings its
+    largest real or imaginary part into ``[0.5, 1)``, and the norm scaled
+    back by ``2^e``: both exact in floating point, so ``a*a`` cannot
+    overflow and any other matrix keeps its digits.  A norm past the float
+    range is ``inf``."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
+    _, e = math.frexp(float(np.abs(np.ascontiguousarray(a).view(float)).max()))
+    if e:
+        a = a * math.ldexp(1.0, -e)
     w = np.linalg.eigvalsh(adjoint(a) @ a)
-    return float(np.sqrt(max(w[-1], 0.0)))
+    try:
+        return math.ldexp(math.sqrt(max(w[-1], 0.0)), e)
+    except OverflowError:
+        return math.inf
 
 
 def defect_pair(t: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
-"""Dense word-matrix references for two certificates that run without them.
+"""Dense word-matrix references for certificates that run without them.
 
 The commutation part of ``ncprob.tensor_independence_check`` takes the
-generator commutators of each factor pair, and ``ncprob.faithfulness_check``
-fills its Grams from word sweeps.  These references build every word's
-matrix instead, as both certificates once did: a word-level commutator loop,
+generator commutators of each factor pair, its factorization part and
+``ncprob.trace_check`` stream word images into Grams, and
+``ncprob.faithfulness_check`` fills its Grams from word sweeps.  These
+references build every word's matrix instead: a word-level commutator loop,
+the factorization gaps and the trace Gram from products of word matrices,
 the Hilbert-Schmidt Gram of the stacked word matrices, and the state Gram
 summed column by column.  The state is read through a dense ``eigh`` of its
 density on the whole space, and word moments from the words' matrices.
@@ -85,3 +87,28 @@ def dense_gram_ranks(state, gens, degree, rank_rtol=1e-9):
         block = np.stack([apply_word(w, gens, panel[:, k]) for w in words], axis=1)
         gram += weights[k] * (adjoint(block) @ block)
     return span_dim, _rank(gram, rank_rtol)
+
+
+def _dense_moment(mat, panel, weights):
+    return complex(np.sum(weights * np.einsum("ik,ik->k", np.conj(panel), mat @ panel)))
+
+
+def dense_tensor_gaps(state, gens, degree):
+    """``D[i_1, ..., i_n] = phi(w_1 ... w_n) - prod_j phi(w_j)`` over one
+    word per factor in id order, each ``words_up_to([f], degree)[i_j]``."""
+    panel, weights = dense_state_columns(state)
+    mats = [[evaluate_word(w, gens) for w in words_up_to([f], degree)] for f in gens.ids]
+    means = [[_dense_moment(m, panel, weights) for m in ms] for ms in mats]
+    gaps = np.empty([len(ms) for ms in mats], dtype=complex)
+    for idx in itertools.product(*map(range, gaps.shape)):
+        product = np.linalg.multi_dot([mats[j][i] for j, i in enumerate(idx)] + [np.eye(gens.dim)])
+        gaps[idx] = _dense_moment(product, panel, weights) - np.prod([means[j][i] for j, i in enumerate(idx)])
+    return gaps
+
+
+def dense_trace_gram(state, gens, degree):
+    """``G[a, b] = phi(ab)`` over the nonempty words up to the degree, in the
+    order of :func:`words_up_to`."""
+    panel, weights = dense_state_columns(state)
+    mats = [evaluate_word(w, gens) for w in words_up_to(gens.ids, degree)[1:]]
+    return np.array([[_dense_moment(a @ b, panel, weights) for b in mats] for a in mats])

@@ -1,16 +1,16 @@
-"""Nested-loop independence checks that the shared-suffix sweep is tested against.
+"""Nested-loop independence references that the certificates' Grams are tested against.
 
 A self-contained reference built on ``apply_word`` alone: an element is a
 dict from word to coefficient, applied word by word, and centered by a unit
-coefficient; every product is evaluated from scratch.  The sequences,
-random draws and witness rules are those of
-``ncprob.free_independence_check`` and of the factorization part of
-``ncprob.tensor_independence_check``, except that the check reads each
-monomial residual as the larger of the product's and its adjoint twin's,
-which are equal in exact arithmetic; here each product counts alone.
-``nested_monomial_halves`` reads the monomial pass as the check does, off
-the images of each product's two halves with the twin maximum, one product
-at a time.
+coefficient; every product is evaluated from scratch.
+``nested_free_independence_check`` and ``nested_tensor_factorization`` are
+the sampled certificates that the Grams of ``ncprob`` replaced: a
+deterministic pass over centered monomials and seeded random combinations
+of every word of a factor up to the degree, with coefficients uniform on the
+complex unit disc.  The Grams' residual, a sum of moduli over every product
+of words, bounds each of their residuals.  ``nested_free_gram`` is one
+sequence's Gram by nested loops, ``nested_monomial_halves`` the monomial
+products read off half products, one product at a time.
 """
 
 import itertools
@@ -51,11 +51,16 @@ def _center(el, state, gens):
     return {**el, UNIT: el.get(UNIT, 0) - _moment(state, gens, [el])}
 
 
-def _random_element(rng, factor, degree):
+def _words(factor, degree):
     """Every word of length <= degree in one factor and its adjoint, by length
-    then in product order, with coefficients uniform on the complex unit disc."""
+    then in product order."""
     letters = [(factor, False), (factor, True)]
-    words = [Word(combo) for n in range(degree + 1) for combo in itertools.product(letters, repeat=n)]
+    return [Word(combo) for n in range(degree + 1) for combo in itertools.product(letters, repeat=n)]
+
+
+def _random_element(rng, factor, degree):
+    """Every word of :func:`_words` with coefficients uniform on the complex unit disc."""
+    words = _words(factor, degree)
     radii = np.sqrt(rng.uniform(0.0, 1.0, size=len(words)))
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=len(words)))
     return {w: complex(c) for w, c in zip(words, radii * phases)}
@@ -105,8 +110,9 @@ def nested_free_independence_check(state, gens, max_len, degree, samples, tol, s
 
 
 def nested_monomial_halves(state, gens, max_len, degree):
-    """The monomial pass of ``ncprob.free_independence_check`` read off
-    half products, one product at a time: ``X = L R``, ``R`` its last
+    """The centered monomial products ``c(T^p)`` and ``c((T*)^p)``, ``p <=
+    min(degree, 3)``, entries of the free check's Grams, read off half
+    products, one product at a time: ``X = L R``, ``R`` its last
     ``ceil(m/2)`` centered slots, as ``<R v, L* v>`` on the state's columns
     scaled by ``sqrt(w_k)``.  ``L*`` is ``L``'s slots reversed with stars
     flipped; a starred slot is centered at the conjugate of its twin's mean,
@@ -164,3 +170,23 @@ def nested_tensor_factorization(state, gens, degree, samples, seed=0):
         if res > worst:
             worst, at = res, s
     return worst, at
+
+
+def nested_free_gram(state, gens, seq, degree):
+    """``M[i_1, ..., i_m] = phi(z_1 ... z_m)`` for the centered nonempty words
+    ``z_j`` of factor ``seq[j]`` up to the degree, by length then in product
+    order: every product applied word by word from scratch."""
+    elements = {f: [_center({w: 1.0}, state, gens) for w in _words(f, degree)[1:]] for f in set(seq)}
+    gram = np.empty([len(elements[f]) for f in seq], dtype=complex)
+    for idx in itertools.product(*map(range, gram.shape)):
+        gram[idx] = _moment(state, gens, [elements[f][i] for f, i in zip(seq, idx)])
+    return gram
+
+
+def random_sample(rng, state, gens, seq, degree):
+    """One sample of the sampled free pass: per slot a random combination of
+    the factor's words, centered; its moment, and each slot's coefficients
+    on the nonempty words (the unit's centered part is 0)."""
+    elements = [_random_element(rng, f, degree) for f in seq]
+    moment = _moment(state, gens, [_center(el, state, gens) for el in elements])
+    return moment, [np.array([c for w, c in el.items() if len(w)]) for el in elements]

@@ -125,10 +125,10 @@ def test_03_tensor_independence(capsys):
         xi = res.embedding.isometry @ State.basis_vector(dim, 0).vector
         parts.append((res.gens[1], State.from_vector(xi)))
     gens, joint = make_tensor_independent(parts)
-    rep = tensor_independence_check(joint, gens, degree=3, samples=100, tol=1e-9)
+    rep = tensor_independence_check(joint, gens, degree=3, tol=1e-9)
     _verdict(
         capsys, 3, "tensor_independence", rep.passed and rep.residual <= 1e-9,
-        f"3 ampliated dilations, degree 3, 100 samples, residual {rep.residual:.2e}",
+        f"3 ampliated dilations, degree 3, residual {rep.residual:.2e}",
     )
 
 
@@ -174,11 +174,11 @@ def test_04_free_dilation_identity(capsys, scalar_pair):
 def test_05_freeness_with_negative_control(capsys, scalar_pair):
     rep = free_independence_check(
         scalar_pair.vacuum, scalar_pair.unitaries,
-        max_len=4, degree=3, samples=25, tol=1e-9,
+        max_len=4, degree=3, tol=1e-9,
     )
     u1 = scalar_pair.unitaries[1]
     twin = free_independence_check(
-        scalar_pair.vacuum, GenSet({1: u1, 2: u1}), max_len=4, degree=3, samples=0, tol=1e-9
+        scalar_pair.vacuum, GenSet({1: u1, 2: u1}), max_len=4, degree=3, tol=1e-9
     )
     ok = rep.passed and rep.residual <= 1e-9 and not twin.passed and twin.residual >= 0.1
     _verdict(
@@ -208,11 +208,11 @@ def test_06_oracle_equivalence(capsys, scalar_pair):
 def test_07_traciality(capsys, scalar_pair):
     rep = trace_check(
         scalar_pair.vacuum, scalar_pair.unitaries,
-        degree=3, samples=100, tol=1e-9,
+        degree=3, tol=1e-9,
     )
     _verdict(
         capsys, 7, "traciality", rep.passed and rep.residual <= 1e-9,
-        f"100 word pairs at degree 3, residual {rep.residual:.2e} <= 1e-9",
+        f"every word pair at degree 3, residual {rep.residual:.2e} <= 1e-9",
     )
 
 

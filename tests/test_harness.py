@@ -36,7 +36,6 @@ from freedilation.ncprob import (
     ordered_words,
     signed_alternating_words,
     tensor_independence_check,
-    word_moment,
     word_moments,
 )
 from freedilation.operator_core import State
@@ -469,6 +468,24 @@ def test_suite_gram_word_cap_is_a_failing_entry(tmp_path, capsys):
     assert "exceeds MAX_GRAM_WORDS" in entry["witness"]["error"]
 
 
+def test_gram_work_budget_is_refused_by_check_and_failed_by_suite(capsys):
+    # free_pair at --max-alt 6 --trunc-len 6: 14^6 Gram entries for each
+    # length-6 sequence, past MAX_GRAM_WORK; check exits 2 like the other
+    # budgets, suite records a failed free_independence entry and exits 1
+    path = str(SCENARIOS / "free_pair.json")
+    code = main(["check", "--input", path, "--property", "free", "--max-alt", "6", "--trunc-len", "6"])
+    _assert_refused(code, capsys, "exceed the work budget MAX_GRAM_WORK")
+    code = main(["suite", "--input", path, "--max-alt", "6", "--trunc-len", "6"])
+    entries = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 1 and not entries["free_independence"]["passed"]
+    assert "MAX_GRAM_WORK" in entries["free_independence"]["witness"]["error"]
+    assert all(c["passed"] for name, c in entries.items() if name != "free_independence")
+    code = main(["check", "--input", path, "--property", "free", "--trunc-len", "6"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 0 and obj["details"]["entries"] == 14**2 + 2 * 14**3 + 14**4
+    assert "samples" not in obj["budgets"]
+
+
 def test_cli_unit_word_witness_replays_through_moments(capsys):
     # power_dilation's worst word on single_half is the unit, and its witness
     # names the unit when fed back to ``moments --word``
@@ -489,7 +506,7 @@ def test_commuting_pair_that_does_not_doubly_commute_is_refused_with_a_starred_w
     sc = Scenario(mode="doubly", factors=[(a, state)] * 2)
     rep = CHECKS["double_commutation"](sc, harness.Model(gens=gens, state=state))
     assert not rep.passed and rep.residual == pytest.approx(1.0) and rep.witness == starred
-    rep = tensor_independence_check(state, gens, degree=2, samples=0)
+    rep = tensor_independence_check(state, gens, degree=2)
     assert not rep.passed and rep.residual == pytest.approx(1.0)
     assert rep.witness == {"part": "commutation", **starred}
     assert rep.details["commutators"] == 2
@@ -668,10 +685,10 @@ def test_suite_counters_in_free_and_dense_modes():
     details = run_theorem_suite(tensor, subset=("tensor_independence",)).checks[1]["details"]
     assert details["commutators"] == 2  # [A_1, A_2] and [A_1*, A_2]
     # per factor the word moments' halves, two letters for the L* in
-    # {T*, T} and two for the R in {T, T*}, then the 5 samples side by side
-    # in one sample panel
+    # {T*, T} and two for the R in {T, T*}, then its 6 nonempty words, the
+    # first factor's held and the second's streamed: 7 x 7 Gram entries
     assert details["letters_applied"] == 2 * (2 + 2 + 6)
-    assert details["panel_bytes"] == 5 * 16 * 16  # 5 one-column samples at dim 4 * 4
+    assert (details["entries"], details["factors"]) == (49, [1, 2])
     doubly = Scenario(mode="doubly", factors=factors * 3, degree=1)
     details = run_theorem_suite(doubly, subset=("double_commutation",)).checks[1]["details"]
     # [A_i, A_j] and [A_i*, A_j] per pair, on the columns over the pair's two
@@ -726,9 +743,7 @@ def test_oracle_check_matches_per_word_loop():
     words = signed_alternating_words(2, min(sc.max_alt, sc.trunc), sc.degree, 2 * sc.degree)
     swept = word_moments(model.state, model.gens, words)
     worst, witness = 0.0, None
-    for w, lhs_swept in zip(words, swept):
-        lhs = word_moment(model.state, model.gens, w)
-        assert lhs == lhs_swept  # same letters in the same order: same digits
+    for w, lhs in zip(words, swept):
         rhs = per_word_free_moment(marginals, w)
         res = abs(lhs - rhs)
         if res >= worst:
@@ -751,19 +766,19 @@ def test_oracle_check_matches_per_word_loop():
 
 
 def test_free_pair_work_counts_are_pinned():
-    # deterministic counters of free_pair at seed 1: the monomial pass reads
-    # each product off its two halves (608 letters, where node panels took
-    # 700), the means and word moments 22, and the random pass 364 (the 15
-    # words of each factor on the state's column, 28, then 336 for the 6
-    # later slots of each of 4 chunks, where applying every slot to the
-    # sample panel took 1,008); the oracle sweep applies 365 and one oracle
-    # recursion serves all 4,436 words; a change that undoes either moves
-    # them
+    # deterministic counters of free_pair at seed 1: the Grams take 198
+    # letters (16 for the means, 28 for the held images and 154 for the
+    # streamed slots, where the sampled passes took 994) and traciality's
+    # 360 (20 heads, 340 rests); the oracle sweep applies 365 and one
+    # oracle recursion serves all 4,436 words; a change that undoes either
+    # moves them
     sc = replace(ingest(SCENARIOS / "free_pair.json"), seed=1)
     model = build_model(sc)
     free = CHECKS["free_independence"](sc, model)
+    trace = CHECKS["traciality"](sc, model)
     oracle = CHECKS["oracle_equivalence"](sc, model)
-    assert free.details["letters_applied"] == 608 + 22 + 28 + 336
+    assert free.details["letters_applied"] == 16 + 28 + 154
+    assert trace.details["letters_applied"] == 20 + 340
     assert (oracle.details["words"], oracle.details["memo_entries"]) == (4436, 4468)
     assert oracle.details["letters_applied"] == 365
 

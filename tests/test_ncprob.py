@@ -35,6 +35,7 @@ from freedilation.ncprob import (
     trace_check,
     word_moment,
     word_moments,
+    worst_commutator,
 )
 from freedilation.free_product import free_unitary_dilation
 from freedilation.operator_core import (
@@ -46,11 +47,21 @@ from freedilation.operator_core import (
     random_state,
     random_unitary,
 )
-from certificate_oracles import dense_gram_ranks, word_commutation_residual
+from certificate_oracles import (
+    dense_gram_ranks,
+    dense_tensor_gaps,
+    dense_trace_gram,
+    word_commutation_residual,
+    words_up_to,
+)
 from free_independence_oracle import (
+    _random_element,
+    _sequences,
+    nested_free_gram,
     nested_free_independence_check,
     nested_monomial_halves,
     nested_tensor_factorization,
+    random_sample,
 )
 from free_moment_oracle import per_word_free_moment
 from partition_oracles import all_set_partitions, is_noncrossing
@@ -394,10 +405,11 @@ def test_word_moments_hold_their_halves_in_blocks():
 
 def test_trace_check_reports_letters_applied():
     gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.eye(2) * 0.5})
-    rep = trace_check(State.basis_vector(2, 0), gens, degree=1, samples=0)
-    # the 16 products of two letters split into one-letter halves: the 4
-    # letters as L*, then as R, each applied once
+    rep = trace_check(State.basis_vector(2, 0), gens, degree=1)
+    # the 16 products of two letters split after one letter: the 4 letters
+    # held as heads, then streamed as the rests, each applied once
     assert rep.details["letters_applied"] == 8
+    assert (rep.details["words"], rep.details["entries"]) == (4, 16)
 
 
 def test_evaluate_word_diagonal():
@@ -433,17 +445,52 @@ def test_center_kills_mean():
 
 
 def test_random_element_coefficients_on_disc():
-    # a random combination of one factor's words: one disc draw per word
-    rng = np.random.default_rng(1)
+    # the sampled reference combines every word of a factor, in the check's
+    # table order, with one draw on the unit disc per word: the coefficients
+    # over which the Grams' sum |M| bounds every moment
+    element = _random_element(np.random.default_rng(1), 1, 2)
     words = ncprob._all_words([1], 2)
-    (coeffs,) = ncprob._disc_coefficients(rng.uniform(0.0, 1.0, 2 * len(words)), [len(words)])
-    assert len(words) == len(coeffs) == 7  # unit + 2 letters + 4 two-letter words
-    assert len(set(words)) == 7
-    assert all(abs(c) <= 1.0 + 1e-12 for c in coeffs)
+    assert list(element) == words and len(words) == 7  # unit + 2 letters + 4 two-letter words
+    assert all(abs(c) <= 1.0 + 1e-12 for c in element.values())
 
 
 # ---------------------------------------------------------------------------
 # independence checks
+
+
+def _free_grams(state, gens, max_len, degree, sequences=None):
+    """Each sequence's Gram as the free check streams it, assembled whole,
+    for every alternating sequence (both twins) unless given."""
+    sequences = sequences or _sequences(list(gens.ids), max_len)
+    tables = {f: ncprob._codes(ncprob._all_words([f], degree)[1:]) for f in gens.ids}
+    grams = {s: np.full([len(tables[f]) for f in s], np.nan, dtype=complex) for s in sequences}
+    sweep = ncprob._Sweep(state, gens)
+    means = {f: sweep.word_moments(t) for f, t in tables.items()}
+    for seq, slots, block in ncprob._grams(sweep, sequences, tables, means):
+        grams[seq][np.ix_(*slots)] = block
+    assert not any(np.isnan(g).any() for g in grams.values())
+    return grams
+
+
+def _witness_entry(rep, state, gens, max_len, degree):
+    """``|M|`` at the free check's witness, from the assembled Grams."""
+    words = {f: ncprob._all_words([f], degree)[1:] for f in gens.ids}
+    seq = tuple(rep.witness["sequence"])
+    at = tuple(words[f].index(parse_word(slot[2:-1])) for f, slot in zip(seq, rep.witness["slots"]))
+    return abs(_free_grams(state, gens, max_len, degree, [seq])[seq][at])
+
+
+def _worst_entry(rep, state, gens, max_len, degree):
+    """The largest ``|M|`` of the witness's sequence."""
+    seq = tuple(rep.witness["sequence"])
+    return np.abs(_free_grams(state, gens, max_len, degree, [seq])[seq]).max()
+
+
+def _read_off(gram, coeffs):
+    """``sum_I prod_j coeffs[j][i_j] M[I]``: a sample's moment from its slots' coefficients."""
+    for c in coeffs:
+        gram = np.tensordot(c, gram, axes=(0, 0))
+    return complex(gram)
 
 
 def test_tensor_independence_positive():
@@ -452,15 +499,16 @@ def test_tensor_independence_positive():
     s1 = State.basis_vector(1, 0)
     s2 = State.from_vector(np.array([0.8, 0.6]))
     gens, joint = make_tensor_independent([(t1, s1), (t2, s2)])
-    rep = tensor_independence_check(joint, gens, degree=2, samples=25, tol=1e-10, seed=4)
+    rep = tensor_independence_check(joint, gens, degree=2, tol=1e-10)
     assert rep.passed, rep.residual
+    assert rep.details["entries"] == 7 * 7 and rep.details["max_entry"] <= 1e-15
 
 
 def test_tensor_independence_detects_noncommuting():
     a = np.array([[0.0, 0.5], [0.0, 0.0]])
     gens = GenSet({1: a, 2: adjoint(a)})
     s = State.basis_vector(2, 0)
-    rep = tensor_independence_check(s, gens, degree=1, samples=0, tol=1e-8, seed=0)
+    rep = tensor_independence_check(s, gens, degree=1, tol=1e-8)
     assert not rep.passed
     assert rep.witness["part"] == "commutation"
 
@@ -468,31 +516,45 @@ def test_tensor_independence_detects_noncommuting():
 @pytest.mark.parametrize("seed", range(6))
 def test_tensor_commutation_matches_word_level_reference_at_degree_one(seed):
     # noncommuting generators: every commutator norm of a pair counts, and at
-    # degree 1 the generator commutators are all the word pairs there are
+    # degree 1 the generator commutators are all the word pairs there are;
+    # the residual is the larger of that and the factorization part's sum
     rng = np.random.default_rng(seed)
     dim, n = 2 + seed % 2, 2 + seed % 3 // 2
     gens = GenSet({f: random_contraction(rng, dim) for f in range(1, n + 1)})
-    rep = tensor_independence_check(State.basis_vector(dim, 0), gens, degree=1, samples=0)
+    state = State.basis_vector(dim, 0)
+    rep = tensor_independence_check(state, gens, degree=1)
     want = word_commutation_residual(gens, 1)
     assert not rep.passed and want > 1e-3
-    assert rep.residual == pytest.approx(want, rel=1e-12)
+    assert worst_commutator(gens)[0] == pytest.approx(want, rel=1e-12)
+    gaps = np.abs(dense_tensor_gaps(state, gens, 1)).sum()
+    assert rep.residual == pytest.approx(max(want, gaps), rel=1e-12)
     assert rep.details["commutators"] == n * (n - 1)
+
+
+def _tensor_witness_gap(rep, state, gens, degree):
+    """The dense gap at the factorization witness's words."""
+    words = [words_up_to([f], degree) for f in gens.ids]
+    at = tuple(ws.index(parse_word(w)) for ws, w in zip(words, rep.witness["words"]))
+    return abs(dense_tensor_gaps(state, gens, degree)[at])
 
 
 def test_tensor_factorization_matches_reference():
     # commuting but not tensor independent: diagonal operators under a mixed
-    # state; the sweep sums each combination in another order than the reference
+    # state.  The Gram's D matches the dense gaps, and the witness names an
+    # entry of the largest modulus (T* = T, so entries tie)
     rng = np.random.default_rng(8)
     gens = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
     s = State.from_density(np.diag([0.5, 0.3, 0.2]).astype(complex))
-    rep = tensor_independence_check(s, gens, degree=2, samples=20, tol=1e-8, seed=3)
-    worst, sample = nested_tensor_factorization(s, gens, degree=2, samples=20, seed=3)
+    rep = tensor_independence_check(s, gens, degree=2, tol=1e-8)
+    gaps = np.abs(dense_tensor_gaps(s, gens, 2))
     assert not rep.passed and type(rep.residual) is float
-    assert rep.witness == {"part": "factorization", "sample": sample, "seed": 3}
-    assert abs(rep.residual - worst) <= 1e-12
+    assert rep.residual == pytest.approx(gaps.sum(), rel=1e-12)
+    assert rep.details["max_entry"] == pytest.approx(gaps.max(), rel=1e-12)
+    assert rep.witness["part"] == "factorization"
+    assert _tensor_witness_gap(rep, s, gens, 2) == pytest.approx(gaps.max(), rel=1e-12)
     # per factor the moments' halves, L* in {T*, T} and R in {T, T*}, then
-    # the images of its 7 words on the state's columns: with two factors
-    # each half of a product is one slot, combined from those images
+    # the images of its 6 nonempty words, the first factor's held and the
+    # second's streamed
     assert rep.details["letters_applied"] == 2 * (2 + 2 + 6)
 
 
@@ -505,15 +567,18 @@ def test_make_tensor_independent_dim_cap():
 
 def test_free_independence_negative_control_two_copies():
     # two labels pointing at the same dilated unitary are maximally non-free:
-    # phi(c(U*) c(U)) = 1 - |t|^2
+    # phi(c(U*) c(U)) = phi(c(U) c(U*)) = 1 - |t|^2, and the other entries
+    # vanish
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
     u = res.gens[1]
     xi = res.embedding.isometry[:, 0]
     s = State.from_vector(xi)
-    rep = free_independence_check(s, GenSet({1: u, 2: u}), max_len=2, degree=1, samples=0, tol=1e-8, seed=0)
+    rep = free_independence_check(s, GenSet({1: u, 2: u}), max_len=2, degree=1, tol=1e-8)
     assert not rep.passed
-    assert rep.residual >= 0.1
-    assert rep.witness["part"] == "monomial"
+    assert rep.residual == pytest.approx(1.5) and rep.details["max_entry"] == pytest.approx(0.75)
+    assert rep.witness["sequence"] == [1, 2]
+    assert rep.witness["slots"] in (["c(1^-1)", "c(2^1)"], ["c(1^1)", "c(2^-1)"])
+    assert (rep.details["sequences"], rep.details["entries"]) == (1, 4)  # (2, 1) is the twin of (1, 2)
 
 
 def test_free_independence_refuses_degree_zero():
@@ -530,17 +595,23 @@ def _two_by_two_free_model():
 
 @pytest.mark.parametrize("twin", [False, True])
 def test_free_independence_matches_nested_loops(twin):
+    # trunc 3, degree 2: every entry of every sequence's Gram (both twins)
+    # against the nested loops, which apply each product from scratch; the
+    # residual is the largest sum |M| over the sequences the check takes,
+    # and it bounds every sampled and monomial residual of the nested loops
     fds = _two_by_two_free_model()
     gens = GenSet({1: fds.unitaries[1], 2: fds.unitaries[1]}) if twin else fds.unitaries
-    args = dict(max_len=3, degree=2, samples=0 if twin else 6, tol=1e-9, seed=4)
-    got = free_independence_check(fds.vacuum, gens, **args)
-    want = nested_free_independence_check(fds.vacuum, gens, **args)
+    got = free_independence_check(fds.vacuum, gens, max_len=3, degree=2, tol=1e-9)
+    want = nested_free_independence_check(fds.vacuum, gens, max_len=3, degree=2, samples=6, tol=1e-9, seed=4)
     assert got.passed == want.passed == (not twin)
-    assert abs(got.residual - want.residual) <= 1e-12
-    assert got.witness["part"] == want.witness["part"]
-    if twin:
-        assert got.witness == want.witness
+    grams = _free_grams(fds.vacuum, gens, 3, 2)
+    for seq, gram in grams.items():
+        np.testing.assert_allclose(gram, nested_free_gram(fds.vacuum, gens, seq, 2), rtol=0, atol=1e-13)
+    sums = {seq: np.abs(gram).sum() for seq, gram in grams.items() if seq <= seq[::-1]}
+    assert got.residual == pytest.approx(max(sums.values()), rel=1e-12, abs=1e-15)
+    assert want.residual <= got.residual + 1e-13
     assert got.details["letters_applied"] > 0
+    assert (got.details["sequences"], got.details["entries"]) == (3, 6**2 + 2 * 6**3)
 
 
 def _panel_state(rng, dim, kind):
@@ -560,293 +631,295 @@ PANEL_COLUMNS = {"vector": 1, "density": 3, "kernel": 2}
 
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
 def test_free_independence_sample_panels_match_nested_loops(kind):
-    # two random contractions are far from free, and the random pass sets the
-    # worst residual: each sample's moment is read from its own panel columns
+    # two random contractions are far from free.  Every sample of the
+    # nested loops, a centered random combination per slot with
+    # coefficients on the unit disc, has its moment read off the Gram of
+    # its sequence, and its modulus within the residual
     rng = np.random.default_rng(31)
     gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
     state = _panel_state(rng, 3, kind)
-    args = dict(max_len=3, degree=2, samples=7, tol=1e-9, seed=5)
-    got = free_independence_check(state, gens, **args)
-    want = nested_free_independence_check(state, gens, **args)
-    assert got.witness["part"] == "random"
-    assert abs(got.residual - want.residual) <= 1e-12
-    assert got.witness == want.witness
-    assert got.details["panel_bytes"] == 7 * PANEL_COLUMNS[kind] * 3 * 16
+    got = free_independence_check(state, gens, max_len=3, degree=2, tol=1e-9)
+    want = nested_free_independence_check(state, gens, max_len=3, degree=2, samples=7, tol=1e-9, seed=5)
+    assert not got.passed and want.residual <= got.residual + 1e-13
+    samples = np.random.default_rng(5)
+    for seq, gram in _free_grams(state, gens, 3, 2).items():
+        for _ in range(3):
+            moment, coeffs = random_sample(samples, state, gens, seq, 2)
+            assert abs(_read_off(gram, coeffs) - moment) <= 1e-13
+            assert abs(moment) <= got.residual + 1e-13
 
 
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
 def test_tensor_factorization_sample_panels_match_reference(kind):
+    # the sampled reference's residual is within sum |D|, and D matches the
+    # dense gaps entry by entry in sum and maximum
     rng = np.random.default_rng(32)
     gens = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
     state = _panel_state(rng, 3, kind)
-    rep = tensor_independence_check(state, gens, degree=2, samples=9, seed=6)
-    worst, sample = nested_tensor_factorization(state, gens, degree=2, samples=9, seed=6)
-    assert abs(rep.residual - worst) <= 1e-12
-    assert rep.witness == {"part": "factorization", "sample": sample, "seed": 6}
-    assert rep.details["panel_bytes"] == 9 * PANEL_COLUMNS[kind] * 3 * 16
+    rep = tensor_independence_check(state, gens, degree=2)
+    worst, _ = nested_tensor_factorization(state, gens, degree=2, samples=9, seed=6)
+    gaps = np.abs(dense_tensor_gaps(state, gens, 2))
+    assert worst <= rep.residual + 1e-13
+    assert rep.residual == pytest.approx(gaps.sum(), rel=1e-12)
+    assert rep.details["max_entry"] == pytest.approx(gaps.max(), rel=1e-12)
 
 
 @pytest.mark.parametrize("columns", [1, 2])
 @pytest.mark.parametrize("kind", ["vector", "kernel"])
 def test_sample_chunks_give_the_one_panel_result(kind, columns):
-    # a sample panel bound of one or two state columns splits the samples
-    # into chunks of one or two
+    # a block bound of one or two state columns streams the Grams' images
+    # one or two at a time: the same residuals up to the order of their
+    # sums, more letters for the free and tensor Grams, whose deeper slots
+    # are walked once per block, and the same for the trace Gram, whose
+    # rests are walked once in any blocks
     rng = np.random.default_rng(33)
     free = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
-    diag = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
+    diag = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2, 3)})
     state = _panel_state(rng, 3, kind)
 
     def run():
         return (
-            free_independence_check(state, free, max_len=3, degree=2, samples=7, seed=5),
-            tensor_independence_check(state, diag, degree=2, samples=7, seed=6),
+            free_independence_check(state, free, max_len=3, degree=2),
+            tensor_independence_check(state, diag, degree=2),
+            trace_check(state, free, degree=3),
         )
 
     whole = run()
     with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", columns * 3 * 16):
         chunked = run()
-    per_chunk = max(1, columns // PANEL_COLUMNS[kind])  # 7 samples: 1 * 7 or 1 + 2 + 2 + 2
     for one, many in zip(whole, chunked):
         assert many.residual == pytest.approx(one.residual, rel=1e-12, abs=1e-15)
-        assert many.witness == one.witness
-        assert many.details["panel_bytes"] == per_chunk * PANEL_COLUMNS[kind] * 3 * 16
-        assert many.details["letters_applied"] > one.details["letters_applied"]
+        assert many.details.get("max_entry") == pytest.approx(one.details.get("max_entry"), rel=1e-12)
+    # the largest entry of the worst sequence, or its adjoint twin there
+    for rep in (whole[0], chunked[0]):
+        assert _witness_entry(rep, state, free, 3, 2) == pytest.approx(_worst_entry(rep, state, free, 3, 2))
+    assert whole[2].witness == chunked[2].witness
+    assert [many.details["letters_applied"] > one.details["letters_applied"] for one, many in zip(whole, chunked)] == [
+        True, True, False
+    ]
 
 
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
-def test_random_passes_do_not_depend_on_the_chunking(monkeypatch, kind):
+def test_random_passes_do_not_depend_on_the_chunking(kind):
     # real letters with one nonzero per row image a column alike in any
-    # panel, so one sample per chunk gives every sample's moment, and the
-    # residual and witness of the default chunks, to the bit: the slot means
-    # and the tensor split are taken sample by sample
+    # panel, so the Gram entries, and every sample's moment read off them,
+    # are the same in blocks of one image as in the default blocks
     rng = np.random.default_rng(37)
     shift = np.roll(np.diag(rng.uniform(0.3, 0.9, 3)), 1, axis=0)
     free = GenSet({1: shift, 2: np.diag(rng.uniform(-0.9, 0.9, 3))})
-    diag = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
     state = _panel_state(rng, 3, kind)
-    moments, real = [], ncprob._Sweep.moments
-    monkeypatch.setattr(ncprob._Sweep, "moments", lambda *a: moments.append(real(*a)) or moments[-1])
-    runs = []
-    for budget in (ncprob.SAMPLE_PANEL_BYTES, PANEL_COLUMNS[kind] * 3 * 16):
-        monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", budget)
-        moments.clear()
-        reps = (
-            free_independence_check(state, free, max_len=3, degree=2, samples=9, seed=5),
-            tensor_independence_check(state, diag, degree=2, samples=9, seed=6),
-        )
-        runs.append((np.concatenate(moments), reps))
-    (whole, default), (single, one) = runs
-    assert len(single) == len(whole) == 9 * (4 + 1)  # 4 free sequences, 1 tensor pass
-    assert np.array_equal(single, whole)
-    for a, b in zip(default, one):
-        assert (b.residual, b.witness) == (a.residual, a.witness)
-        assert b.details["panel_bytes"] == PANEL_COLUMNS[kind] * 3 * 16
-
-
-def test_sample_draws_equal_the_per_slot_draws():
-    # the samples draw all their slots, one sample after another, from one
-    # generator per salt, each slot's radii and then its phases: the values
-    # of one draw per slot, in the default chunk or in chunks of two
-    sweep = ncprob._Sweep(State.from_density(np.diag([0.5, 0.3, 0.2]).astype(complex)), GenSet({1: np.eye(3)}))
-    counts = [3, 7, 15]
-    rng, want = ncprob._derive_rng(9, 2, 1), []
-    for _ in range(5):
-        want.append([])
-        for n in counts:
-            radii = np.sqrt(rng.uniform(0.0, 1.0, size=n))
-            want[-1].append(radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=n)))
-    for budget, chunks in ((ncprob.SAMPLE_PANEL_BYTES, 1), (2 * sweep.panel.nbytes, 3)):
-        with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", budget):
-            got = list(sweep.sample_draws(5, (9, 2, 1), counts))
-        assert len(got) == chunks
-        for chunk, coeffs in got:
-            for at, s in enumerate(chunk):
-                for c, w in zip(coeffs, want[s]):
-                    assert np.array_equal(c[at], w)
-
-
-def _spy_arrays(monkeypatch, owner, name, length):
-    """Record every array of ``length`` entries that ``owner.name`` returns."""
-    seen, real = [], getattr(owner, name)
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        if np.ndim(out) == 1 and len(out) == length:
-            seen.append(np.array(out))
-        return out
-
-    monkeypatch.setattr(owner, name, spy)
-    return seen
+    whole = _free_grams(state, free, 3, 2)
+    with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", PANEL_COLUMNS[kind] * 3 * 16):
+        single = _free_grams(state, free, 3, 2)
+    samples = np.random.default_rng(9)
+    for seq, gram in whole.items():
+        np.testing.assert_allclose(single[seq], gram, rtol=0, atol=1e-16)
+        _, coeffs = random_sample(samples, state, free, seq, 2)
+        assert _read_off(single[seq], coeffs) == pytest.approx(_read_off(gram, coeffs), rel=1e-14, abs=1e-16)
 
 
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
-def test_random_passes_report_the_scalar_abs_of_their_worst_moment(monkeypatch, kind):
-    # each random pass reads one chunk of 37 samples, and its residual is the
-    # largest scalar ``abs`` of a sample's moment (for tensor independence,
-    # of the moment minus the product of the factors' moments); ``np.abs`` of
-    # a complex array may round a modulus otherwise, and does so at the
-    # worst sample of each pass for some kind of state at this seed
+def test_random_passes_report_the_scalar_abs_of_their_worst_moment(kind):
+    # 37 samples a sequence: the scalar abs of every sampled moment, and of
+    # every sampled factorization gap, is within the Grams' residual, which
+    # is the sum of the moduli of the worst sequence's entries
     rng = np.random.default_rng(51)
     free = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
     diag = GenSet({f: np.diag(rng.uniform(-0.9, 0.9, 3)) for f in (1, 2)})
     state = _panel_state(rng, 3, kind)
-    moments = _spy_arrays(monkeypatch, ncprob._Sweep, "moments", 37)
-    rep = free_independence_check(state, free, max_len=3, degree=2, samples=37, seed=7)
-    assert rep.witness["part"] == "random" and len(moments) == 4  # one per sequence
-    assert rep.residual == max(abs(complex(v)) for m in moments for v in m)
-
-    moments.clear()
-    splits = _spy_arrays(monkeypatch, math, "prod", 37)
-    rep = tensor_independence_check(state, diag, degree=2, samples=37, seed=8)
-    assert rep.witness["part"] == "factorization" and len(moments) == len(splits) == 1
-    assert rep.residual == max(abs(complex(v)) for v in moments[0] - splits[0])
-
-
-def _node_widths(monkeypatch):
-    """Record the columns of every panel a sweep applies a letter to."""
-    widths = []
-    apply = ncprob._Sweep.apply
-
-    def spy(self, letter, panel):
-        widths.append(panel.shape[1])
-        return apply(self, letter, panel)
-
-    monkeypatch.setattr(ncprob._Sweep, "apply", spy)
-    return widths
+    rep = free_independence_check(state, free, max_len=3, degree=2)
+    want = nested_free_independence_check(state, free, max_len=3, degree=2, samples=37, tol=1e-9, seed=7)
+    grams = _free_grams(state, free, 3, 2)
+    assert rep.residual == pytest.approx(max(np.abs(grams[s]).sum() for s in [(1, 2), (1, 2, 1), (2, 1, 2)]))
+    assert rep.details["max_entry"] == pytest.approx(max(np.abs(g).max() for g in grams.values()))
+    assert want.residual <= rep.residual
+    rep = tensor_independence_check(state, diag, degree=2)
+    worst, _ = nested_tensor_factorization(state, diag, degree=2, samples=37, seed=8)
+    assert rep.witness["part"] == "factorization" and worst <= rep.residual
 
 
-def _adjoint_twin(witness):
-    """The monomial witness of the adjoint product, whose moment is the
-    conjugate: ``c(1^2) c(2^-1)`` for ``c(2^1) c(1^-2)``."""
-    slots = [s.replace("^", "^-").replace("--", "") for s in reversed(witness["slots"])]
-    return {**witness, "sequence": witness["sequence"][::-1], "slots": slots}
+def test_sample_draws_equal_the_per_slot_draws():
+    # a sample of the sampled pass, drawn slot by slot, has the moment that
+    # its slots' coefficients read off the Gram, for every sequence of
+    # three factors up to length 3 and a density state of rank two
+    rng = np.random.default_rng(9)
+    gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2, 3)})
+    state = _panel_state(rng, 3, "kernel")
+    for seq, gram in _free_grams(state, gens, 3, 1).items():
+        moment, coeffs = random_sample(rng, state, gens, seq, 1)
+        assert abs(_read_off(gram, coeffs) - moment) <= 1e-13
+
+
+def _monomial_entries(grams, degree):
+    """``|phi|`` of the centered monomial products ``c(T^p) ...`` from the
+    Grams, keyed as the nested loops of the half products key them."""
+    words = ncprob._all_words([1], degree)[1:]
+    rows = [words.index(Word(((1, s),) * p)) for p in range(1, min(degree, 3) + 1) for s in (False, True)]
+    return {seq: np.abs(gram[np.ix_(*[rows] * len(seq))]) for seq, gram in grams.items()}
 
 
 @pytest.mark.parametrize("nodes", [None, 1, 2])
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
 def test_monomial_node_panels_match_nested_loops(monkeypatch, kind, nodes):
-    # with no samples the monomial pass sets the witness; a budget of one or
-    # two nodes' six centered options holds that many half images at a
-    # time.  Each product is read off the images of its two halves, so the
-    # digits and the witness equal those of the nested loops over the same
-    # half products exactly, whatever the blocks.  The whole products of the
-    # nested loops round otherwise: they agree to 1e-15, and their witness
-    # is the check's one or its adjoint twin, of equal moment modulus
+    # the centered monomials T^p and (T*)^p, p <= 3, are words of the
+    # Gram: each monomial product is an entry, equal to the nested loops'
+    # product read off its two halves within 1e-15, whatever the blocks
+    # (one or two nodes of six options once, now as many images a block),
+    # and the residual is at least the worst of them
     rng = np.random.default_rng(34)
     shift = np.roll(np.diag(rng.uniform(0.3, 0.9, 3)), 1, axis=0)
     gens = GenSet({1: shift, 2: np.diag(rng.uniform(-0.9, 0.9, 3))})
     state = _panel_state(rng, 3, kind)
-    args = dict(max_len=4, degree=3, samples=0, tol=1e-9, seed=5)
-    want = nested_monomial_halves(state, gens, max_len=4, degree=3)
-    whole = nested_free_independence_check(state, gens, **args)
-    default = free_independence_check(state, gens, **args)
+    want, _ = nested_monomial_halves(state, gens, max_len=4, degree=3)
     if nodes is not None:
         monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", nodes * 6 * PANEL_COLUMNS[kind] * 3 * 16)
-    widths = _node_widths(monkeypatch)
-    got = free_independence_check(state, gens, **args)
-    assert not got.passed and got.witness["part"] == "monomial"
-    assert (got.residual, got.witness) == want
-    assert abs(got.residual - whole.residual) <= 1e-15
-    assert got.witness in (whole.witness, _adjoint_twin(whole.witness))
-    # every letter meets the state's columns of one image, and a budget of
-    # fewer images a block walks the R halves once per block: more letters
-    assert max(widths) == PANEL_COLUMNS[kind]
-    if nodes is not None:
-        assert got.details["letters_applied"] > default.details["letters_applied"]
-    assert got.details["panel_bytes"] == 0  # the largest sample panel: none ran
+    got = free_independence_check(state, gens, max_len=4, degree=3, tol=1e-9)
+    monomials = _monomial_entries(_free_grams(state, gens, 4, 3), 3)
+    assert not got.passed
+    assert max(m.max() for m in monomials.values()) == pytest.approx(want, abs=1e-15)
+    assert got.residual >= want and got.details["max_entry"] >= want - 1e-15
 
 
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
 def test_monomial_node_panels_of_dense_letters_match_nested_loops(kind):
-    # a dense letter's image of a column may round differently in a wider
-    # panel, so the residual matches to an ulp and the witness may be the
-    # adjoint twin of the nested loops' one, of equal moment modulus
+    # dense letters: the monomial products read off the Grams match the
+    # nested loops over whole products, and the residual bounds them
     rng = np.random.default_rng(34)
     gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
     state = _panel_state(rng, 3, kind)
-    args = dict(max_len=4, degree=3, samples=0, tol=1e-9, seed=5)
-    got = free_independence_check(state, gens, **args)
-    want = nested_free_independence_check(state, gens, **args)
-    assert abs(got.residual - want.residual) <= 1e-12
-    assert got.witness in (want.witness, _adjoint_twin(want.witness))
+    got = free_independence_check(state, gens, max_len=4, degree=3, tol=1e-9)
+    want = nested_free_independence_check(state, gens, max_len=4, degree=3, samples=0, tol=1e-9)
+    monomials = _monomial_entries(_free_grams(state, gens, 4, 3), 3)
+    assert max(m.max() for m in monomials.values()) == pytest.approx(want.residual, abs=1e-12)
+    assert want.residual <= got.residual
 
 
 @pytest.mark.parametrize("kind", PANEL_COLUMNS)
 def test_monomial_witness_does_not_depend_on_node_panels(monkeypatch, kind):
-    # the monomial pass runs in no sample panel, so a budget of one node's
-    # six options (what the node panels once took) moves no digit; the
-    # witness is read off the maximum of a product and its adjoint twin
+    # a block bound of one node's six images moves the residual only in
+    # the order of its sums, and names the same largest entry
     rng = np.random.default_rng(34)
     gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in (1, 2)})
     state = _panel_state(rng, 3, kind)
-    args = dict(max_len=4, degree=3, samples=0, tol=1e-9, seed=5)
-    default = free_independence_check(state, gens, **args)
+    default = free_independence_check(state, gens, max_len=4, degree=3)
     monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", 6 * PANEL_COLUMNS[kind] * 3 * 16)
-    one = free_independence_check(state, gens, **args)
-    assert one.witness == default.witness
-    assert one.residual == default.residual
+    one = free_independence_check(state, gens, max_len=4, degree=3)
+    assert one.witness["sequence"] == default.witness["sequence"]
+    worst = _worst_entry(default, state, gens, 4, 3)
+    for rep in (one, default):
+        assert _witness_entry(rep, state, gens, 4, 3) == pytest.approx(worst, rel=1e-12)
+    assert one.residual == pytest.approx(default.residual, rel=1e-12)
+    assert one.details["max_entry"] == pytest.approx(default.details["max_entry"], rel=1e-12)
 
 
 @pytest.mark.parametrize("nodes", [None, 1, 2])
 def test_monomial_node_panels_keep_the_first_of_equal_witnesses(monkeypatch, nodes):
     # one Fock unitary under both labels and a density state of rank two:
-    # every product has a twin of equal moment under the swapped labels,
-    # and the witness is the first of the worst in product order, as in the
-    # nested loops over the same half products, whatever the blocks.  The
-    # whole products of the other nested loops agree to 1e-12
+    # the sequences (1, 2, 1) and (2, 1, 2) have the same Gram, computed
+    # alike, so their sums are equal and the first in product order is the
+    # witness's, whatever the blocks; it names the entry that the nested
+    # loops find largest
     scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 2, 3)
     gens = GenSet({1: fds.unitaries[1], 2: fds.unitaries[1]})
     rng = np.random.default_rng(35)
     v = rng.normal(size=(fds.dim, 2)) + 1j * rng.normal(size=(fds.dim, 2))
     state = State.from_density(v @ adjoint(v) / np.linalg.norm(v) ** 2)
-    args = dict(max_len=3, degree=2, samples=0, tol=1e-9, seed=4)
-    want = nested_monomial_halves(state, gens, max_len=3, degree=2)
-    whole = nested_free_independence_check(state, gens, **args)
-    if nodes is not None:  # a node is two columns, with four centered options
+    if nodes is not None:  # a node was two columns, with four centered options
         monkeypatch.setattr(ncprob, "SAMPLE_PANEL_BYTES", nodes * 4 * 2 * fds.dim * 16)
-    got = free_independence_check(state, gens, **args)
-    assert not got.passed and got.witness["part"] == "monomial"
-    assert (got.residual, got.witness) == want
-    assert got.witness["sequence"][0] == 1  # before its label twin
-    assert abs(got.residual - whole.residual) <= 1e-12
+    got = free_independence_check(state, gens, max_len=3, degree=2, tol=1e-9)
+    grams = _free_grams(state, gens, 3, 2, [(1, 2, 1), (2, 1, 2)])
+    assert np.abs(grams[1, 2, 1]).sum() == np.abs(grams[2, 1, 2]).sum()
+    assert not got.passed and got.witness["sequence"] == [1, 2, 1]
+    assert _witness_entry(got, state, gens, 3, 2) == pytest.approx(np.abs(grams[1, 2, 1]).max(), rel=1e-12)
 
 
 def test_monomial_pass_counts_letters_per_node_panel():
-    # free_pair's model: the monomial pass reads its 3,096 products off 84
-    # distinct halves L* and 84 R of one or two centered slots.  33 images
-    # of dim 241 fit in SAMPLE_PANEL_BYTES, so the L* are held in 3 blocks
-    # and each block streams its R: 608 letters, and 1,392 at six images a
-    # block (node panels took 700 letters, and 3,148 one node at a time).
-    # 6 more give the monomials' means and 16 the random pass's moments
+    # free_pair's model: the Grams of its 4 sequences (one of each twin
+    # pair) take 44,100 entries.  34 images of dim 241 fit in
+    # SAMPLE_PANEL_BYTES, so a block of a suffix of two slots holds two
+    # words' images of the 14 of the last slot: 16 letters for the means,
+    # 28 for the held images, 28 each for the suffixes of one and of two
+    # slots, and 98 for the suffix of three, one walk of its first slot's
+    # 14 words on each of the 7 blocks.  At six images a block each suffix
+    # is walked once per block: 618
     scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 4)
-    args = dict(max_len=4, degree=3, samples=0, seed=1)
-    rep = free_independence_check(fds.vacuum, fds.unitaries, **args)
+    rep = free_independence_check(fds.vacuum, fds.unitaries, max_len=4, degree=3)
     with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", 6 * 241 * 16):
-        one = free_independence_check(fds.vacuum, fds.unitaries, **args)
-    assert (rep.details["letters_applied"], one.details["letters_applied"]) == (630, 1414)
-    assert rep.residual == one.residual and rep.witness == one.witness
+        six = free_independence_check(fds.vacuum, fds.unitaries, max_len=4, degree=3)
+    assert (rep.details["letters_applied"], six.details["letters_applied"]) == (198, 618)
+    assert (rep.details["sequences"], rep.details["entries"]) == (4, 14**2 + 2 * 14**3 + 14**4)
+    assert six.residual == pytest.approx(rep.residual, rel=1e-12)
 
 
 def test_sampled_pass_is_bounded_in_bytes():
-    # free_pair's model: dim 241, so 33 samples fit in a sample panel, and
-    # the 100 samples of a sequence run as four chunks of 25
+    # free_pair's model: the held centered images take 2 x 14 x 241 x 16 B
+    # (108 KB), and each streamed block at most SAMPLE_PANEL_BYTES, with
+    # the stack of its walk: the traced peak of the check is 1.3 MB
     scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
     fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 4)
     assert fds.dim == 241
-    args = dict(max_len=4, degree=3, samples=100, seed=1)
-    free_independence_check(fds.vacuum, fds.unitaries, max_len=2, degree=1, samples=1)
+    free_independence_check(fds.vacuum, fds.unitaries, max_len=2, degree=1)
     tracemalloc.start()
     try:
-        rep = free_independence_check(fds.vacuum, fds.unitaries, **args)
+        rep = free_independence_check(fds.vacuum, fds.unitaries, max_len=4, degree=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert rep.details["panel_bytes"] == 25 * 241 * 16
-    # 1.0 MB in four chunks of 25; one panel of all 100 samples peaks at 3.9 MB
     assert peak < 1.5 * 2**20, peak
+
+
+def test_gram_work_budget_refuses_before_any_image(monkeypatch):
+    # free_pair at --max-alt 6 --trunc-len 6: 14^6 entries for each length-6
+    # sequence, over MAX_GRAM_WORK times the dimension 2,185; refused
+    # before a letter is applied
+    scalars = [np.array([[0.5]]), np.array([[0.3 + 0.2j]])]
+    fds = free_unitary_dilation([(t, State.basis_vector(1, 0)) for t in scalars], 3, 6)
+    letters = _spy_letters(monkeypatch)
+    with pytest.raises(BudgetError, match="MAX_GRAM_WORK"):
+        free_independence_check(fds.vacuum, fds.unitaries, max_len=6, degree=3)
+    assert letters == []
+    assert free_independence_check(fds.vacuum, fds.unitaries, max_len=4, degree=3).passed
+    letters.clear()
+    monkeypatch.setattr(ncprob, "MAX_GRAM_WORK", 84 * 84 * fds.dim - 1)
+    with pytest.raises(BudgetError, match="7056 Gram entries"):
+        trace_check(fds.vacuum, fds.unitaries, degree=3)
+    monkeypatch.setattr(ncprob, "MAX_GRAM_WORK", 15 * 15 * fds.dim - 1)
+    with pytest.raises(BudgetError, match="225 Gram entries"):
+        tensor_independence_check(fds.vacuum, fds.unitaries, degree=3)
+    assert letters == []
+
+
+def _spy_letters(monkeypatch):
+    """Record every letter a sweep applies."""
+    seen, apply = [], ncprob._Sweep.apply
+
+    def spy(self, code, panel):
+        seen.append(code)
+        return apply(self, code, panel)
+
+    monkeypatch.setattr(ncprob._Sweep, "apply", spy)
+    return seen
+
+
+def test_trace_gram_matches_dense_reference():
+    # every pair of words up to the degree, in three factors under a
+    # density state and in one factor: max |G - G^T| of the dense Gram,
+    # and the witness names a pair of that gap
+    rng = np.random.default_rng(3)
+    for n, degree, kind in ((3, 2, "density"), (1, 4, "vector"), (2, 3, "kernel")):
+        gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in range(1, n + 1)})
+        state = _panel_state(rng, 3, kind)
+        rep = trace_check(state, gens, degree=degree)
+        gram = dense_trace_gram(state, gens, degree)
+        gaps = np.abs(gram - gram.T)
+        words = words_up_to(gens.ids, degree)[1:]
+        assert rep.residual == pytest.approx(gaps.max(), rel=1e-12)
+        at = words.index(parse_word(rep.witness["left"])), words.index(parse_word(rep.witness["right"]))
+        assert gaps[at] == pytest.approx(gaps.max(), rel=1e-12)
+        assert (rep.details["words"], rep.details["entries"]) == (len(words), len(words) ** 2)
 
 
 def test_trace_check_positive_maximally_mixed():
@@ -854,14 +927,14 @@ def test_trace_check_positive_maximally_mixed():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     s = State.maximally_mixed(3)
-    rep = trace_check(s, GenSet({1: a * 0.1, 2: b * 0.1}), degree=3, samples=40, tol=1e-10, seed=2)
+    rep = trace_check(s, GenSet({1: a * 0.1, 2: b * 0.1}), degree=3, tol=1e-10)
     assert rep.passed, rep.residual
 
 
 def test_trace_check_negative_shift():
     shift = np.array([[0.0, 0.0], [1.0, 0.0]])
     s = State.basis_vector(2, 0)
-    rep = trace_check(s, GenSet({1: shift}), degree=2, samples=0, tol=1e-8, seed=0)
+    rep = trace_check(s, GenSet({1: shift}), degree=2, tol=1e-8)
     assert not rep.passed
     assert rep.residual >= 0.99  # phi(S*S) = 1 vs phi(SS*) = 0
 

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from freedilation.cli import main
 from freedilation.dilation import finite_unitary_dilation
 from freedilation.ncprob import GenSet, parse_word, word_moment
 from freedilation.operator_core import (
@@ -33,6 +36,26 @@ def test_operator_norm_frozen_values():
     assert operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
     assert operator_norm(np.diag([0.3, -0.9])) == pytest.approx(0.9)
     assert operator_norm(np.zeros((3, 3))) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_operator_norm_of_entries_near_the_float_range(tmp_path, capsys):
+    # a* a of an entry near the float range overflows unless a is scaled
+    # first; the power-of-two scaling is exact, so scaled matrices keep
+    # their digits, only a norm past the float range reads inf, and the
+    # command line's refusal names the true norm, all without a
+    # RuntimeWarning
+    assert operator_norm(np.array([[1e308 + 1e308j]])) == pytest.approx(2**0.5 * 1e308, rel=1e-15)
+    assert operator_norm(np.diag([1.7e308, -1.7e308j])) == 1.7e308
+    assert operator_norm(np.array([[1.7e308, -1.7e308j]])) == np.inf  # sqrt(2) * 1.7e308
+    m = random_contraction(np.random.default_rng(4), 5)
+    for k in (-900, -3, 0, 5, 900):
+        assert operator_norm(m * 2.0**k) == operator_norm(m) * 2.0**k
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"factors": [{"matrix": {"rows": 1, "cols": 1, "data": [[[1e308, 1e308]]]}}]}))
+    assert main(["dilate-doubly", "--input", str(path)]) == 1
+    entry = json.loads(capsys.readouterr().out)["checks"][0]
+    assert "operator norm 1.414214e+308" in entry["witness"]["error"]
 
 
 def test_adjoint_and_hermitian():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freedilation._inputs import read_scenario, scenario_shape
@@ -21,7 +22,8 @@ from freedilation.cli import (
     build_parser,
     main,
 )
-from freedilation.harness import build_model, report_fingerprint
+from freedilation.harness import Scenario, build_model, emit, report_fingerprint
+from freedilation.operator_core import random_contraction, random_state
 from freedilation.serialization import matrix_to_obj
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -297,3 +299,20 @@ def test_spin_policy_does_not_change_the_report(tmp_path):
             assert r.returncode == code, (scenario, preset, r.stderr)
             fingerprints.append(report_fingerprint(json.loads(out.read_text())))
         assert len(set(fingerprints)) == 1, scenario
+
+
+def test_suites_load_no_numpy_random(tmp_path):
+    # no certificate samples, so a suite process never imports numpy.random:
+    # free_pair, and a generated tensor scenario of two 2x2 factors
+    rng = np.random.default_rng(3)
+    tensor = tmp_path / "tensor.json"
+    emit(Scenario(mode="tensor", factors=[(random_contraction(rng, 2), random_state(rng, 2)) for _ in range(2)]), tensor)
+    for path in (SCENARIOS / "free_pair.json", tensor):
+        argv = ["suite", "--input", str(path), "--output", str(tmp_path / "report.json")]
+        got = _python(
+            "import json, sys\n"
+            "from freedilation import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('numpy.random'))]))"
+        )
+        assert got == [0, []], path

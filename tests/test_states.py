@@ -119,13 +119,12 @@ def test_density_moments_match_the_dense_references(case):
             got = word_moments(state, gens, [Word(((i, False),) * k)])[0]
             assert abs(got - want) <= 1e-12, (i, k, got, want)
     if mode == "tensor":
-        rep = tensor_independence_check(state, gens, degree=2, samples=5, seed=seed)
+        rep = tensor_independence_check(state, gens, degree=2)
         worst, _ = nested_tensor_factorization(state, gens, degree=2, samples=5, seed=seed)
         assert rep.passed and abs(rep.residual - worst) <= 1e-12
     if mode == "free":
-        args = dict(max_len=2, degree=1, samples=3, tol=1e-9, seed=seed)
-        got = free_independence_check(state, gens, **args)
-        want = nested_free_independence_check(state, gens, **args)
+        got = free_independence_check(state, gens, max_len=2, degree=1, tol=1e-9)
+        want = nested_free_independence_check(state, gens, max_len=2, degree=1, samples=3, tol=1e-9, seed=seed)
         assert got.passed and abs(got.residual - want.residual) <= 1e-12
 
 
