@@ -56,21 +56,23 @@ _EXPORTS = {
         "center",
         "evaluate_word",
         "faithfulness_check",
-        "free_cumulants",
         "free_independence_check",
         "free_mixed_moment_oracle",
-        "free_mixed_moments",
-        "haar_unitary_marginal",
         "make_tensor_independent",
-        "matrix_marginal",
-        "moments_from_cumulants",
-        "noncrossing_partitions",
         "ordered_words",
         "parse_word",
         "signed_alternating_words",
         "tensor_independence_check",
         "trace_check",
         "word_moment",
+    ),
+    "_freeprob": (
+        "free_cumulants",
+        "free_mixed_moments",
+        "haar_unitary_marginal",
+        "matrix_marginal",
+        "moments_from_cumulants",
+        "noncrossing_partitions",
     ),
     "free_product": (
         "FockBasis",
@@ -102,7 +104,8 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+# the public submodules and names; the private module only resolves names
+__all__ = sorted([*(m for m in _EXPORTS if not m.startswith("_")), *_MODULE_OF])
 
 
 def __getattr__(name: str):

@@ -1,22 +1,184 @@
-"""The free mixed moment recursion on a code table, on arrays.
-
-A word list travels as a table of letter codes ``2 * factor + star``, one
-word per row, zeros after (see ``ncprob._codes``); :class:`_FreeRecursion`
-evaluates the recursion of ``ncprob.free_mixed_moments`` for every row at
-once, with the per-word recursion's values bit for bit.
+"""Free probability over :mod:`.ncprob`, loaded only by free runs and the
+``oracle``, ``cumulants`` and ``ncpartitions`` commands: noncrossing
+partitions, free cumulants, marginals, and the free mixed moment oracle,
+which evaluates a code table's words (``ncprob._codes``) from the marginals
+alone, all rows at once, with the per-word recursion's values bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+import itertools
+from functools import lru_cache
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .ncprob import CheckReport, GenSet, Word, _alternating_words, _codes, _row_keys, _Sweep, _word
+from .operator_core import State
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of codes as one sortable key, its bytes: rows of one width
-    and dtype have equal keys exactly when their codes are equal."""
-    return np.ascontiguousarray(rows).view(f"V{rows.shape[-1] * rows.itemsize}")[..., 0]
+MAX_PARTITION_SIZE = 12
+MAX_ORACLE_LETTERS = 16
+# bytes of the arrays of one batch of the free mixed moment oracle's words,
+# as ``_FreeRecursion`` charges them: free_pair's 4,468 sequences are
+# charged 3.3 MB and run as one batch (a traced peak of 2.0 MB)
+ORACLE_MEMO_BYTES = 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# noncrossing partitions and free cumulants
+
+Partition = tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _nc_shapes(length: int) -> tuple[Partition, ...]:
+    """Noncrossing partitions of ``range(length)`` (0-based), canonical order."""
+    if length == 0:
+        return ((),)
+    out: list[Partition] = []
+    # block of 0: any subset; the gaps between chosen points split independently
+    for mask in range(1 << (length - 1)):
+        chosen = [0, *(x for x in range(1, length) if mask >> (x - 1) & 1)]
+        pieces = [
+            [tuple(tuple(x + lo for x in block) for block in part) for part in _nc_shapes(hi - lo)]
+            for lo, hi in zip([x + 1 for x in chosen], [*chosen[1:], length])
+        ]
+        # blocks are disjoint, so sorting them sorts them by least element
+        out += (tuple(sorted([tuple(chosen), *itertools.chain(*combo)])) for combo in itertools.product(*pieces))
+    return tuple(sorted(out, key=lambda p: (len(p), p)))
+
+
+def noncrossing_partitions(k: int) -> list[Partition]:
+    """All noncrossing partitions of ``{1, ..., k}``; blocks sorted by least
+    element, partitions ordered by block count then lexicographically."""
+    if not 1 <= k <= MAX_PARTITION_SIZE:
+        raise ValueError(f"partition size must be in 1..{MAX_PARTITION_SIZE}, got {k}")
+    return [tuple(tuple(x + 1 for x in block) for block in part) for part in _nc_shapes(k)]
+
+
+def _nc_sum(kappas: Sequence[complex], n: int, total: complex) -> complex:
+    """``total`` plus ``prod_B kappa_|B|`` over the noncrossing partitions of
+    ``{1..n}`` with more than one block, added in their order."""
+    for part in noncrossing_partitions(n)[1:]:
+        prod = 1.0 + 0.0j
+        for block in part:
+            prod *= complex(kappas[len(block) - 1])
+        total += prod
+    return total
+
+
+def free_cumulants(moments: Sequence[complex]) -> list[complex]:
+    """Free cumulants ``kappa_1..kappa_k`` from moments ``m_1..m_k`` by the
+    noncrossing moment-cumulant recursion."""
+    k = len(moments)
+    if not 1 <= k <= MAX_PARTITION_SIZE:
+        raise ValueError(f"need 1..{MAX_PARTITION_SIZE} moments, got {k}")
+    kappas: list[complex] = []
+    for n in range(1, k + 1):
+        kappas.append(complex(moments[n - 1]) - _nc_sum(kappas, n, 0.0 + 0.0j))
+    return kappas
+
+
+def moments_from_cumulants(kappas: Sequence[complex]) -> list[complex]:
+    k = len(kappas)
+    if not 1 <= k <= MAX_PARTITION_SIZE:
+        raise ValueError(f"need 1..{MAX_PARTITION_SIZE} cumulants, got {k}")
+    # the one-block partition first, as 0 + kappa_n
+    return [_nc_sum(kappas, n, 0.0 + complex(kappas[n - 1])) for n in range(1, k + 1)]
+
+
+# ---------------------------------------------------------------------------
+# free mixed moment oracle
+
+# a marginal: the moments of a code table's words, all in one factor and its
+# adjoint
+Marginal = Callable[[np.ndarray], np.ndarray]
+
+
+def matrix_marginal(gens: GenSet, state: State) -> Marginal:
+    """Marginal distribution of one factor's generators under a state: the
+    :meth:`_Sweep.word_moments` of a table whose words name that factor's
+    own id, each with the digits it has in any table."""
+    return _Sweep(state, gens).word_moments
+
+
+def haar_unitary_marginal() -> Marginal:
+    """Haar unitary marginal: ``phi(u^k) = 1`` iff the net exponent is 0."""
+    return lambda table: (np.count_nonzero(table, 1) == 2 * np.count_nonzero(table & 1, 1)).astype(complex)
+
+
+def oracle_codes(marginals: Mapping[int, Marginal], words: Sequence[Word]) -> np.ndarray:
+    """The code table of words the oracle takes, every word checked before
+    any is expanded: one over ``MAX_ORACLE_LETTERS`` letters raises
+    ``ValueError``, one naming a factor without a marginal ``KeyError``."""
+    for word in words:
+        if len(word) > MAX_ORACLE_LETTERS:
+            raise ValueError(f"word length {len(word)} exceeds oracle cap {MAX_ORACLE_LETTERS}")
+        for f, _ in word.letters:
+            if f not in marginals:
+                raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
+    return _codes(words)
+
+
+def free_mixed_moments(marginals: Mapping[int, Marginal], words: Sequence[Word]) -> tuple[list[complex], int]:
+    """Mixed moments of words in freely independent factors, from marginals
+    only, and the entries the memo of their one recursion took in.
+
+    Subtracting the mean from each factor block of an alternating word gives
+    a product with zero moment, so the word's moment expands over subsets of
+    blocks replaced by their means, with the complementary blocks re-merged
+    and recursed on.  The words are refused as :func:`oracle_codes` says."""
+    recursion = _FreeRecursion(marginals, ORACLE_MEMO_BYTES)
+    return recursion(oracle_codes(marginals, words)).tolist(), recursion.entries
+
+
+def oracle_comparison(
+    state: State, gens: GenSet, marginals: Mapping[int, Marginal], table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """The model's moments of a code table's words (one half-word sweep),
+    the oracle's (one recursion), their gaps as a scalar abs, and the work:
+    ``letters_applied`` and ``memo_entries``."""
+    sweep, memo = _Sweep(state, gens), _FreeRecursion(marginals, ORACLE_MEMO_BYTES)
+    model, oracle = sweep.word_moments(table), memo(table)
+    gap, work = model - oracle, {"letters_applied": sweep.letters, "memo_entries": memo.entries}
+    return model, oracle, np.hypot(gap.real, gap.imag), work
+
+
+def oracle_equivalence_check(
+    state: State,
+    gens: GenSet,
+    marginals: Mapping[int, Marginal],
+    max_blocks: int,
+    degree: int,
+    tol: float = 1e-8,
+) -> CheckReport:
+    """Compare the model's moment with the free mixed moment oracle of the
+    marginals for each ``signed_alternating_words`` word in ``gens.ids``
+    with ``max_blocks``, runs up to ``degree`` and ``2 * degree`` letters
+    (kept within ``MAX_ORACLE_LETTERS`` by the caller), enumerated as one
+    code table for :func:`oracle_comparison`; only the witness becomes a
+    :class:`Word`."""
+    table = _alternating_words(gens.ids, (1, -1), max_blocks, degree, 2 * degree)
+    model, oracle, res, work = oracle_comparison(state, gens, marginals, table)
+    at = int(np.argmax(res)) if len(res) else None  # the first of the worst
+    witness = None if at is None else {
+        "word": _word(table[at].tolist()).format(),
+        "vacuum_moment": [model[at].real.item(), model[at].imag.item()],
+        "oracle_moment": [oracle[at].real.item(), oracle[at].imag.item()],
+    }
+    worst = 0.0 if at is None else float(res[at])
+    return CheckReport(
+        name="oracle_equivalence",
+        residual=worst,
+        tol=tol,
+        passed=worst <= tol,
+        witness=witness,
+        details={"words": len(table), **work},
+    )
+
+
+# ---------------------------------------------------------------------------
+# the oracle's recursion on arrays
 
 
 def _coefficients(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +242,7 @@ class _FreeRecursion:
     the per-word recursion evaluates: the memo's entries when one batch
     holds every word."""
 
-    def __init__(self, marginals: Mapping[int, Callable[[np.ndarray], np.ndarray]], budget: int):
+    def __init__(self, marginals: Mapping[int, Marginal], budget: int):
         self.marginals, self.budget = marginals, budget
         self.entries = 0
 

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -142,26 +143,6 @@ def _run_suite(args: argparse.Namespace, force_mode: str | None = None, subset=N
     return EXIT_PASS if report.overall_pass else EXIT_CHECK_FAILED
 
 
-def _cmd_dilate(args) -> int:
-    return _run_suite(args, force_mode="single", subset=("unitarity", "power_dilation"))
-
-
-def _cmd_dilate_doubly(args) -> int:
-    return _run_suite(
-        args,
-        force_mode="doubly",
-        subset=("unitarity", "power_dilation", "double_commutation"),
-    )
-
-
-def _cmd_dilate_free(args) -> int:
-    return _run_suite(args, force_mode="free")
-
-
-def _cmd_suite(args) -> int:
-    return _run_suite(args)
-
-
 def _build_or_refuse(sc: Scenario):
     """Direct commands treat construction failure as bad input, not a report."""
     from .harness import build_model
@@ -235,8 +216,9 @@ def _cmd_moments(args) -> int:
 
 def _cmd_oracle(args) -> int:
     sc = _load_scenario(args, force_mode="free")
+    from ._freeprob import matrix_marginal, oracle_codes, oracle_comparison
     from .harness import moment_budget_check
-    from .ncprob import free_mixed_moments, matrix_marginal, parse_word, word_moments
+    from .ncprob import parse_word
 
     model = _build_or_refuse(sc)
     marginals = {
@@ -246,28 +228,20 @@ def _cmd_oracle(args) -> int:
     for w in words:
         moment_budget_check(sc, w)
     try:
-        oracle, _ = free_mixed_moments(marginals, words)
+        table = oracle_codes(marginals, words)
     except ValueError as exc:  # a word over the oracle's letter cap, before any recursion
         raise IngestError(str(exc)) from None
-    vacuum = word_moments(model.state, model.gens, words)
-    results = []
-    worst = 0.0
-    for w, oracle_value, vacuum_value in zip(words, oracle, map(complex, vacuum)):
-        res = abs(oracle_value - vacuum_value)
-        worst = max(worst, res)
-        results.append(
-            {
-                "word": w.format(),
-                "oracle_moment": [oracle_value.real, oracle_value.imag],
-                "vacuum_moment": [vacuum_value.real, vacuum_value.imag],
-                "residual": res,
-            }
-        )
+    vacuum, oracle, res, _ = oracle_comparison(model.state, model.gens, marginals, table)
+    results = [
+        {"word": w.format(), "oracle_moment": [o.real, o.imag], "vacuum_moment": [v.real, v.imag], "residual": r}
+        for w, o, v, r in zip(words, oracle.tolist(), vacuum.tolist(), res.tolist())
+    ]
+    worst = max(0.0, *res.tolist())
     obj = {
         "property": "oracle",
         "budgets": {"degree": sc.degree, "trunc": sc.trunc},
         "max_residual": worst,
-        "worst_witness": max(results, key=lambda r: r["residual"])["word"] if results else None,
+        "worst_witness": max(results, key=lambda r: r["residual"])["word"],
         "pass": worst <= sc.tol,
         "results": results,
         "version": __version__,
@@ -297,7 +271,7 @@ def _parse_moment_list(obj: object) -> list[complex]:
 
 
 def _cmd_cumulants(args) -> int:
-    from .ncprob import free_cumulants, moments_from_cumulants
+    from ._freeprob import free_cumulants, moments_from_cumulants
 
     tol = args.tol if args.tol is not None else 1e-10
     if not 0 < tol < math.inf:
@@ -328,7 +302,7 @@ def _cmd_cumulants(args) -> int:
 
 
 def _cmd_ncpartitions(args) -> int:
-    from .ncprob import noncrossing_partitions
+    from ._freeprob import noncrossing_partitions
 
     try:
         parts = noncrossing_partitions(args.size)
@@ -359,19 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dilate", help="dilate a single contraction and verify its powers")
     _add_common(p)
-    p.set_defaults(fn=_cmd_dilate)
+    p.set_defaults(fn=partial(_run_suite, force_mode="single", subset=("unitarity", "power_dilation")))
 
     p = sub.add_parser("dilate-doubly", help="simultaneously dilate a doubly commuting tuple")
     _add_common(p)
-    p.set_defaults(fn=_cmd_dilate_doubly)
+    subset = ("unitarity", "power_dilation", "double_commutation")
+    p.set_defaults(fn=partial(_run_suite, force_mode="doubly", subset=subset))
 
     p = sub.add_parser("dilate-free", help="freely independent joint dilation on the truncated free product")
     _add_common(p)
-    p.set_defaults(fn=_cmd_dilate_free)
+    p.set_defaults(fn=partial(_run_suite, force_mode="free"))
 
     p = sub.add_parser("suite", help="run every applicable certificate for a scenario")
     _add_common(p)
-    p.set_defaults(fn=_cmd_suite)
+    p.set_defaults(fn=_run_suite)
 
     p = sub.add_parser("check", help="run one certificate")
     _add_common(p)

@@ -3,7 +3,8 @@
 A scenario file describes a family of contractions with states and budgets;
 the suite builds the requested dilation model and runs every applicable
 certificate, collecting residuals, witnesses, and timings into a report that
-is byte-identical across runs with the same seed (timing fields excluded).
+is byte-identical across runs (timing fields excluded).  The free product
+model and the free-probability module load only on free paths.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,13 +30,7 @@ from .dilation import (
     finite_unitary_dilation,
     unitarity_residual,
 )
-from .free_product import (
-    FreeDilationScenario,
-    free_unitary_dilation,
-    restricted_unitarity_residual,
-)
 from .ncprob import (
-    MAX_ORACLE_LETTERS,
     BudgetError,
     CheckReport,
     GenSet,
@@ -45,8 +40,6 @@ from .ncprob import (
     faithfulness_check,
     free_independence_check,
     make_tensor_independent,
-    matrix_marginal,
-    oracle_equivalence_check,
     ordered_words,
     parse_word,
     state_moment,
@@ -61,6 +54,9 @@ from .serialization import (
     state_from_obj,
     state_to_obj,
 )
+
+if TYPE_CHECKING:
+    from .free_product import FreeDilationScenario
 
 
 @dataclass
@@ -257,6 +253,8 @@ def build_model(sc: Scenario) -> Model:
             factor_models=factor_models,
             phase_seconds=clock,
         )
+    from .free_product import free_unitary_dilation
+
     fds = free_unitary_dilation(sc.factors, sc.degree, sc.trunc, sc.tol)
     return Model(
         gens=fds.unitaries,
@@ -346,6 +344,8 @@ def _free_dims(model: Model) -> dict:
 def _check_unitarity(sc: Scenario, model: Model) -> CheckReport:
     gens = model.gens
     if model.free is not None:
+        from .free_product import restricted_unitarity_residual
+
         residual = partial(restricted_unitarity_residual, model.free)
         witness = {"restricted_to": f"words shorter than {sc.trunc}"}
         # U*U and U U* on the short columns of one Fock group per pattern,
@@ -446,6 +446,8 @@ def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
+    from ._freeprob import MAX_ORACLE_LETTERS, matrix_marginal, oracle_equivalence_check
+
     # the words reach 2 * degree letters (a run, then its adjoint): refused
     # before they are enumerated, not at the first one over the oracle's cap
     if 2 * sc.degree > MAX_ORACLE_LETTERS:

@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._free_recursion import _FreeRecursion, _row_keys
 from ._inputs import BudgetError
 from .operator_core import (
     AxisAction,
@@ -32,8 +31,6 @@ from .operator_core import (
     operator_norm,
 )
 
-MAX_PARTITION_SIZE = 12
-MAX_ORACLE_LETTERS = 16
 MAX_GRAM_WORDS = 4096
 # the longest word ``Word.from_runs`` expands; power_dilation reaches 4,999
 # letters under the 5,000 dimension cap
@@ -45,14 +42,10 @@ GRAM_BLOCK_BYTES = 64 * 2**20
 # word moments, and the blocks that the independence and trace Grams stream
 SAMPLE_PANEL_BYTES = 128 * 2**10
 # the work of a certificate's Grams, their entries times the entries of the
-# state's panel (dim x columns), refused past this before any image is
+# state's panel (dim x columns), refused past this before any word is
 # built: free_pair at --trunc-len 6 takes 44,100 x 2,185 (9.6e7) and at
 # --max-alt 6 8.6e6 x 2,185 (1.9e10)
 MAX_GRAM_WORK = 2**32
-# bytes of the arrays of one batch of the free mixed moment oracle's words,
-# as ``_FreeRecursion`` charges them: free_pair's 4,468 sequences are
-# charged 3.3 MB and run as one batch (a traced peak of 2.0 MB)
-ORACLE_MEMO_BYTES = 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +445,12 @@ class _Sweep:
         return out
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of codes as one sortable key, its bytes: rows of one width
+    and dtype have equal keys exactly when their codes are equal."""
+    return np.ascontiguousarray(rows).view(f"V{rows.shape[-1] * rows.itemsize}")[..., 0]
+
+
 def _first_use(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A table's distinct rows in order of first use, and each row's index among them."""
     _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
@@ -468,6 +467,14 @@ def word_moments(state: State, gens: GenSet, words: Sequence[Word]) -> np.ndarra
 def word_moment(state: State, gens: GenSet, word: Word) -> complex:
     """:func:`word_moments` of one word."""
     return complex(word_moments(state, gens, [word])[0])
+
+
+def free_mixed_moment_oracle(marginals: Mapping[int, Callable], word: Word) -> complex:
+    """``_freeprob.free_mixed_moments`` of one word; the free module loads
+    on the first call."""
+    from ._freeprob import free_mixed_moments
+
+    return free_mixed_moments(marginals, [word])[0][0]
 
 
 def state_moment(state: State, gens: GenSet, factors: Sequence[Combination]) -> complex:
@@ -498,6 +505,12 @@ def _all_words(ids: Sequence[int], max_len: int) -> list[Word]:
     for length in range(1, max_len + 1):
         out.extend(Word(combo) for combo in itertools.product(letters, repeat=length))
     return out
+
+
+def _span_size(letters: int, degree: int) -> int:
+    """``len(_all_words(ids, degree))`` for ``letters = 2 * len(ids)``,
+    counted without building a word."""
+    return sum(letters**k for k in range(max(degree, 0) + 1))
 
 
 def _alternating_words(
@@ -624,7 +637,7 @@ def worst_commutator(gens: GenSet) -> tuple[float, dict | None]:
 def _gram_budget(sweep: _Sweep, entries: int) -> None:
     """Refuse a certificate's Grams of ``entries`` entries in all on the
     state's panel when ``entries * dim * k`` exceeds ``MAX_GRAM_WORK``,
-    before any image is built."""
+    before any word is built."""
     dim, k = sweep.panel.shape
     if entries * dim * k > MAX_GRAM_WORK:
         raise BudgetError(
@@ -665,10 +678,10 @@ def tensor_independence_check(
     larger of the parts.
     """
     ids = list(gens.ids)
-    tables = {f: _codes(_all_words([f], degree)) for f in ids}  # the unit first
     sweep = _Sweep(state, gens)
-    entries = math.prod(map(len, tables.values()))
+    entries = _span_size(2, degree) ** len(ids)
     _gram_budget(sweep, entries)
+    tables = {f: _codes(_all_words([f], degree)) for f in ids}  # the unit first
     worst, pair = worst_commutator(gens)
     witness = {"part": "commutation", **pair} if worst > 0 else None
 
@@ -769,7 +782,7 @@ def free_independence_check(
     only the first in product order is taken: a word list is closed under
     adjoint, so the twin's Gram holds the conjugates of the same entries.
     The Grams of the centered words come in blocks from :func:`_grams`.  More than
-    ``MAX_GRAM_WORK`` of them raise :class:`BudgetError` before any image
+    ``MAX_GRAM_WORK`` of them raise :class:`BudgetError` before any word
     is built.
     """
     ids = list(gens.ids)
@@ -780,11 +793,11 @@ def free_independence_check(
     # alternating factor sequences of length 2..max_len, one of each twin pair
     chains = _alternating_words(ids, (1,), max_len, 1, max_len).tolist()
     sequences = [s for r in chains if len(s := tuple(c >> 1 for c in r if c)) >= 2 and s <= s[::-1]]
-    tables = {f: _codes(_all_words([f], degree)[1:]) for f in ids}
     sweep = _Sweep(state, gens)
-    entries = sum(math.prod(len(tables[f]) for f in s) for s in sequences)
+    entries = sum((_span_size(2, degree) - 1) ** len(s) for s in sequences)  # the unit left out
     _gram_budget(sweep, entries)
 
+    tables = {f: _codes(_all_words([f], degree)[1:]) for f in ids} if sequences else {}
     means = {f: sweep.word_moments(t) for f, t in tables.items()}
     sums, tops = dict.fromkeys(sequences, 0.0), {}
     for seq, slots, gram in _grams(sweep, sequences, tables, means):
@@ -834,14 +847,14 @@ def trace_check(
     and ``phi(ab) = <u* v, y v>`` for ``y = t b``: the images of the heads
     ``u*`` are held, and those of the distinct ``y`` streamed in blocks
     (:meth:`_Sweep.blocks`), one matrix product a block.  More than
-    ``MAX_GRAM_WORK`` of ``G`` raises :class:`BudgetError` before any image
+    ``MAX_GRAM_WORK`` of ``G`` raises :class:`BudgetError` before any word
     is built.
     """
     ids = list(gens.ids)
-    table = _codes(_all_words(ids, degree)[1:])
-    n, h = len(table), (degree + 1) // 2
+    n, h = _span_size(2 * len(ids), degree) - 1, (degree + 1) // 2
     sweep = _Sweep(state, gens)
     _gram_budget(sweep, n * n)
+    table = _codes(_all_words(ids, degree)[1:])
     # pairs[a, b]: the letters of a after its head, then those of b
     tails, ends = table[:, h:], np.count_nonzero(table[:, h:], axis=1)
     pairs = np.zeros((n, n, tails.shape[1] + table.shape[1]), dtype=np.intp)
@@ -927,13 +940,12 @@ def faithfulness_check(
     columns and weights (``G[u, v] = phi(u* v)``).  Equality certifies that
     no nonzero element of the span is annihilated by the state's seminorm;
     the residual is the rank gap.  More than ``MAX_GRAM_WORDS`` words raise
-    :class:`BudgetError` before any is applied.
+    :class:`BudgetError` before any is built.
     """
+    count = _span_size(2 * len(gens.ids), degree)
+    if count > MAX_GRAM_WORDS:
+        raise BudgetError(f"word count {count} exceeds MAX_GRAM_WORDS = {MAX_GRAM_WORDS}; lower the degree")
     words = _all_words(list(gens.ids), degree)
-    if len(words) > MAX_GRAM_WORDS:
-        raise BudgetError(
-            f"word count {len(words)} exceeds MAX_GRAM_WORDS = {MAX_GRAM_WORDS}; lower the degree"
-        )
     sweep = _Sweep(state, gens)
     dim = gens.dim
     span_dim = _gram_rank(
@@ -958,165 +970,6 @@ def faithfulness_check(
             "degree": degree,
             "rank_rtol": rank_rtol,
         },
-    )
-
-
-# ---------------------------------------------------------------------------
-# noncrossing partitions and free cumulants
-
-Partition = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def _nc_shapes(length: int) -> tuple[Partition, ...]:
-    """Noncrossing partitions of ``range(length)`` (0-based), canonical order."""
-    if length == 0:
-        return ((),)
-    out: list[Partition] = []
-    rest = list(range(1, length))
-    # block of 0: any subset; the gaps between chosen points split independently
-    for mask in range(1 << (length - 1)):
-        chosen = [0] + [rest[i] for i in range(length - 1) if mask >> i & 1]
-        gaps = [(a + 1, b) for a, b in zip(chosen, chosen[1:] + [length])]
-        pieces: list[tuple[Partition, ...]] = []
-        for lo, hi in gaps:
-            pieces.append(
-                tuple(
-                    tuple(tuple(x + lo for x in block) for block in part)
-                    for part in _nc_shapes(hi - lo)
-                )
-            )
-        head = (tuple(chosen),)
-        for combo in itertools.product(*pieces):
-            blocks = list(head)
-            for part in combo:
-                blocks.extend(part)
-            blocks.sort(key=lambda b: b[0])
-            out.append(tuple(blocks))
-    out.sort(key=lambda p: (len(p), p))
-    return tuple(out)
-
-
-def noncrossing_partitions(k: int) -> list[Partition]:
-    """All noncrossing partitions of ``{1, ..., k}``; blocks sorted by least
-    element, partitions ordered by block count then lexicographically."""
-    if not 1 <= k <= MAX_PARTITION_SIZE:
-        raise ValueError(f"partition size must be in 1..{MAX_PARTITION_SIZE}, got {k}")
-    return [
-        tuple(tuple(x + 1 for x in block) for block in part) for part in _nc_shapes(k)
-    ]
-
-
-def _nc_sum(kappas: Sequence[complex], n: int, total: complex) -> complex:
-    """``total`` plus ``prod_B kappa_|B|`` over the noncrossing partitions of
-    ``{1..n}`` with more than one block, added in their order."""
-    for part in noncrossing_partitions(n)[1:]:
-        prod = 1.0 + 0.0j
-        for block in part:
-            prod *= complex(kappas[len(block) - 1])
-        total += prod
-    return total
-
-
-def free_cumulants(moments: Sequence[complex]) -> list[complex]:
-    """Free cumulants ``kappa_1..kappa_k`` from moments ``m_1..m_k`` by the
-    noncrossing moment-cumulant recursion."""
-    k = len(moments)
-    if not 1 <= k <= MAX_PARTITION_SIZE:
-        raise ValueError(f"need 1..{MAX_PARTITION_SIZE} moments, got {k}")
-    kappas: list[complex] = []
-    for n in range(1, k + 1):
-        kappas.append(complex(moments[n - 1]) - _nc_sum(kappas, n, 0.0 + 0.0j))
-    return kappas
-
-
-def moments_from_cumulants(kappas: Sequence[complex]) -> list[complex]:
-    k = len(kappas)
-    if not 1 <= k <= MAX_PARTITION_SIZE:
-        raise ValueError(f"need 1..{MAX_PARTITION_SIZE} cumulants, got {k}")
-    # the one-block partition first, as 0 + kappa_n
-    return [_nc_sum(kappas, n, 0.0 + complex(kappas[n - 1])) for n in range(1, k + 1)]
-
-
-# ---------------------------------------------------------------------------
-# free mixed moment oracle
-
-# a marginal: the moments of a code table's words (see :func:`_codes`), all
-# in one factor and its adjoint
-Marginal = Callable[[np.ndarray], np.ndarray]
-
-
-def matrix_marginal(gens: GenSet, state: State) -> Marginal:
-    """Marginal distribution of one factor's generators under a state: the
-    :meth:`_Sweep.word_moments` of a table whose words name that factor's
-    own id, each with the digits it has in any table."""
-    return _Sweep(state, gens).word_moments
-
-
-def haar_unitary_marginal() -> Marginal:
-    """Haar unitary marginal: ``phi(u^k) = 1`` iff the net exponent is 0."""
-    return lambda table: (np.count_nonzero(table, 1) == 2 * np.count_nonzero(table & 1, 1)).astype(complex)
-
-
-def free_mixed_moments(
-    marginals: Mapping[int, Marginal], words: Sequence[Word]
-) -> tuple[list[complex], int]:
-    """Mixed moments of words in freely independent factors, from marginals
-    only, and the entries the memo of their one recursion took in.
-
-    Subtracting the mean from each factor block of an alternating word gives
-    a product with zero moment, so the word's moment expands over subsets of
-    blocks replaced by their means, with the complementary blocks re-merged
-    and recursed on.  Every word is checked before any is expanded: one over
-    ``MAX_ORACLE_LETTERS`` letters raises ``ValueError``, one naming a factor
-    without a marginal ``KeyError``."""
-    for word in words:
-        if len(word) > MAX_ORACLE_LETTERS:
-            raise ValueError(f"word length {len(word)} exceeds oracle cap {MAX_ORACLE_LETTERS}")
-        for f, _ in word.letters:
-            if f not in marginals:
-                raise KeyError(f"no marginal for factor {f}; known: {sorted(marginals)}")
-    recursion = _FreeRecursion(marginals, ORACLE_MEMO_BYTES)
-    return recursion(_codes(words)).tolist(), recursion.entries
-
-
-def free_mixed_moment_oracle(marginals: Mapping[int, Marginal], word: Word) -> complex:
-    """:func:`free_mixed_moments` of one word."""
-    return free_mixed_moments(marginals, [word])[0][0]
-
-
-def oracle_equivalence_check(
-    state: State,
-    gens: GenSet,
-    marginals: Mapping[int, Marginal],
-    max_blocks: int,
-    degree: int,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Compare the model's moment with the free mixed moment oracle of the
-    marginals for each :func:`signed_alternating_words` word in ``gens.ids``
-    with ``max_blocks``, runs up to ``degree`` and ``2 * degree`` letters
-    (kept within ``MAX_ORACLE_LETTERS`` by the caller), enumerated as one
-    code table: one half-word sweep, one recursion keyed by its rows
-    (``memo_entries``), and only the witness becomes a :class:`Word`."""
-    table = _alternating_words(gens.ids, (1, -1), max_blocks, degree, 2 * degree)
-    model = (sweep := _Sweep(state, gens)).word_moments(table)
-    oracle = (memo := _FreeRecursion(marginals, ORACLE_MEMO_BYTES))(table)
-    res = np.hypot((gap := model - oracle).real, gap.imag)  # as a scalar abs
-    at = int(np.argmax(res)) if len(res) else None  # the first of the worst
-    witness = None if at is None else {
-        "word": _word(table[at].tolist()).format(),
-        "vacuum_moment": [model[at].real.item(), model[at].imag.item()],
-        "oracle_moment": [oracle[at].real.item(), oracle[at].imag.item()],
-    }
-    worst = 0.0 if at is None else float(res[at])
-    return CheckReport(
-        name="oracle_equivalence",
-        residual=worst,
-        tol=tol,
-        passed=worst <= tol,
-        witness=witness,
-        details={"words": len(table), "letters_applied": sweep.letters, "memo_entries": memo.entries},
     )
 
 

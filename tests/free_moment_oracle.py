@@ -1,4 +1,4 @@
-"""The per-word free mixed moment recursion that ``ncprob.free_mixed_moments``
+"""The per-word free mixed moment recursion that ``_freeprob.free_mixed_moments``
 is tested against.
 
 Each word gets its own memo, keyed by nested block tuples ``(factor id,

@@ -8,6 +8,14 @@ at its stated tolerance. The verdict lines survive output capture so a plain
 import numpy as np
 import pytest
 
+from freedilation._freeprob import (
+    free_cumulants,
+    free_mixed_moments,
+    haar_unitary_marginal,
+    matrix_marginal,
+    moments_from_cumulants,
+    noncrossing_partitions,
+)
 from freedilation.dilation import (
     double_commutation_residual,
     doubly_commuting_dilation,
@@ -28,15 +36,9 @@ from freedilation.ncprob import (
     Word,
     alternating_words_within,
     faithfulness_check,
-    free_cumulants,
     free_independence_check,
     free_mixed_moment_oracle,
-    free_mixed_moments,
-    haar_unitary_marginal,
     make_tensor_independent,
-    matrix_marginal,
-    moments_from_cumulants,
-    noncrossing_partitions,
     ordered_words,
     signed_alternating_words,
     tensor_independence_check,

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import freedilation
+import freedilation._freeprob as freeprob
 import freedilation.harness as harness
+import freedilation.ncprob as ncprob
+from freedilation._freeprob import matrix_marginal
 from freedilation.cli import main
 from freedilation.dilation import BudgetError
 from freedilation.harness import (
@@ -32,7 +35,6 @@ from freedilation.ncprob import (
     GenSet,
     Word,
     alternating_words_within,
-    matrix_marginal,
     ordered_words,
     signed_alternating_words,
     tensor_independence_check,
@@ -486,6 +488,57 @@ def test_gram_work_budget_is_refused_by_check_and_failed_by_suite(capsys):
     assert "samples" not in obj["budgets"]
 
 
+def _no_word_span(monkeypatch):
+    """Fail on any enumeration of a certificate's word span."""
+
+    def refuse(*args):
+        raise AssertionError("a word span was enumerated")
+
+    monkeypatch.setattr(ncprob, "_all_words", refuse)
+
+
+# free_pair at --degree 40 --check-degree 40: the faithfulness span of one
+# factor has 2^41 - 1 words, and free independence at --trunc-len 2 takes
+# the (2^41 - 2)^2 entries of sequence (1, 2) on the Fock dimension 3,281
+@pytest.mark.parametrize(
+    "prop, trunc, message",
+    [
+        ("faithful", "1", f"word count {2**41 - 1} exceeds MAX_GRAM_WORDS = 4096; lower the degree"),
+        (
+            "free",
+            "2",
+            f"{(2**41 - 2) ** 2} Gram entries on a 3281 x 1 state panel exceed the work budget "
+            "MAX_GRAM_WORK = 4294967296 (entries x dim x columns); lower max_alt or the check degree",
+        ),
+    ],
+    ids=["faithful", "free"],
+)
+def test_over_budget_word_spans_are_refused_before_any_word(monkeypatch, capsys, prop, trunc, message):
+    # the span is counted, not enumerated: exit 2 with the budget's message,
+    # in well under a second
+    _no_word_span(monkeypatch)
+    path = str(SCENARIOS / "free_pair.json")
+    argv = ["check", "--input", path, "--property", prop, "--trunc-len", trunc, "--degree", "40", "--check-degree", "40"]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    _assert_refused(code, capsys, message)
+
+
+def test_free_check_without_a_sequence_applies_no_letter(monkeypatch, capsys):
+    # at --trunc-len 1 no alternating sequence qualifies: no table, no
+    # means, no letter, and the check passes over 0 sequences
+    _no_word_span(monkeypatch)
+    path = str(SCENARIOS / "free_pair.json")
+    argv = ["check", "--input", path, "--property", "free", "--trunc-len", "1", "--degree", "40", "--check-degree", "40"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["max_residual"] == 0.0 and obj["worst_witness"] is None
+    assert {k: obj["details"][k] for k in ("sequences", "entries", "letters_applied")} == dict.fromkeys(
+        ("sequences", "entries", "letters_applied"), 0
+    )
+
+
 def test_cli_unit_word_witness_replays_through_moments(capsys):
     # power_dilation's worst word on single_half is the unit, and its witness
     # names the unit when fed back to ``moments --word``
@@ -573,7 +626,7 @@ def test_oracle_check_refuses_degree_over_the_cap_before_enumerating(monkeypatch
         raise AssertionError("oracle words enumerated past the cap")
 
     # the oracle check enumerates its words: it must not be reached
-    monkeypatch.setattr(harness, "oracle_equivalence_check", refuse)
+    monkeypatch.setattr(freeprob, "oracle_equivalence_check", refuse)
     path = str(SCENARIOS / "free_pair.json")
     code = main(["suite", "--input", path, "--degree", "9", "--trunc-len", "1"])
     entries = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freedilation._freeprob as freeprob
 import freedilation.ncprob as ncprob
+from freedilation._freeprob import (
+    free_cumulants,
+    free_mixed_moments,
+    haar_unitary_marginal,
+    matrix_marginal,
+    moments_from_cumulants,
+    noncrossing_partitions,
+)
 from freedilation.dilation import doubly_commuting_dilation, finite_unitary_dilation
 from freedilation.ncprob import (
     MAX_WORD_LETTERS,
@@ -19,15 +29,9 @@ from freedilation.ncprob import (
     center,
     evaluate_word,
     faithfulness_check,
-    free_cumulants,
     free_independence_check,
     free_mixed_moment_oracle,
-    free_mixed_moments,
-    haar_unitary_marginal,
     make_tensor_independent,
-    matrix_marginal,
-    moments_from_cumulants,
-    noncrossing_partitions,
     parse_word,
     signed_alternating_words,
     state_moment,
@@ -892,6 +896,37 @@ def test_gram_work_budget_refuses_before_any_image(monkeypatch):
     assert letters == []
 
 
+def test_span_size_counts_the_enumerated_words():
+    for n in (1, 2, 3):
+        for degree in range(-1, 5):
+            assert ncprob._span_size(2 * n, degree) == len(ncprob._all_words(range(1, n + 1), degree))
+
+
+@pytest.mark.parametrize(
+    "check, entries",
+    [(tensor_independence_check, (2**41 - 1) ** 2), (trace_check, ((4**41 - 4) // 3) ** 2)],
+    ids=["tensor", "trace"],
+)
+def test_over_budget_spans_are_refused_before_any_word(monkeypatch, check, entries):
+    # degree 40 in two factors: the Gram entries are counted from sums of
+    # (2 * factors)^k and refused with the budget's message before a word
+    # exists, in well under a second
+    def refuse(*args):
+        raise AssertionError("a word span was enumerated")
+
+    monkeypatch.setattr(ncprob, "_all_words", refuse)
+    gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.array([[0.0, 0.3], [0.3, 0.0]])})
+    message = (
+        f"{entries} Gram entries on a 2 x 1 state panel exceed the work budget MAX_GRAM_WORK = 4294967296 "
+        "(entries x dim x columns); lower max_alt or the check degree"
+    )
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        check(State.basis_vector(2, 0), gens, degree=40)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == message
+
+
 def _spy_letters(monkeypatch):
     """Record every letter a sweep applies."""
     seen, apply = [], ncprob._Sweep.apply
@@ -1170,7 +1205,7 @@ def test_shared_oracle_memo_matches_per_word_recursion(case, budget):
     # words into batches of one or a few
     marginals, words = case
     want = [per_word_free_moment(marginals, w) for w in words]
-    with mock.patch.object(ncprob, "ORACLE_MEMO_BYTES", budget or ncprob.ORACLE_MEMO_BYTES):
+    with mock.patch.object(freeprob, "ORACLE_MEMO_BYTES", budget or freeprob.ORACLE_MEMO_BYTES):
         got, entries = free_mixed_moments(marginals, words)
     assert _bits(got) == _bits(want)
     assert _bits(free_mixed_moment_oracle(marginals, w) for w in words) == _bits(want)
@@ -1196,8 +1231,8 @@ def test_oracle_memo_stays_within_its_bytes():
     }
     table = ncprob._codes(words)
     runs = []
-    for budget in (ncprob.ORACLE_MEMO_BYTES, 256 * 2**10):
-        recursion = ncprob._FreeRecursion(marginals, budget)
+    for budget in (freeprob.ORACLE_MEMO_BYTES, 256 * 2**10):
+        recursion = freeprob._FreeRecursion(marginals, budget)
         tracemalloc.start()
         start = tracemalloc.get_traced_memory()[0]
         moments = recursion(table)
@@ -1236,7 +1271,7 @@ def test_oracle_refuses_every_word_before_expanding_any(monkeypatch):
     def refuse(self, letters):
         raise AssertionError("a word was expanded")
 
-    monkeypatch.setattr(ncprob._FreeRecursion, "__call__", refuse)
+    monkeypatch.setattr(freeprob._FreeRecursion, "__call__", refuse)
     h = {1: haar_unitary_marginal()}
     with pytest.raises(ValueError, match="word length 17 exceeds oracle cap 16"):
         free_mixed_moments(h, [parse_word("1^1"), Word(((1, False),) * 17)])

@@ -301,6 +301,35 @@ def test_spin_policy_does_not_change_the_report(tmp_path):
         assert len(set(fingerprints)) == 1, scenario
 
 
+FREE_MODULES = ["freedilation._freeprob", "freedilation.free_product"]
+
+
+def test_imports_follow_the_mode(tmp_path):
+    # a single, doubly or tensor suite compiles neither the free product
+    # model nor the free-probability module; a free suite loads both, and
+    # the cumulants and ncpartitions commands the free module alone
+    rng = np.random.default_rng(3)
+    tensor = tmp_path / "tensor.json"
+    emit(Scenario(mode="tensor", factors=[(random_contraction(rng, 2), random_state(rng, 2)) for _ in range(2)]), tensor)
+    runs = [
+        (["suite", "--input", SINGLE], []),
+        (["suite", "--input", DOUBLY], []),
+        (["suite", "--input", str(tensor)], []),
+        (["suite", "--input", str(SCENARIOS / "free_pair.json")], FREE_MODULES),
+        (["cumulants", "--input", str(SCENARIOS / "semicircle_moments.json")], FREE_MODULES[:1]),
+        (["ncpartitions", "--size", "4"], FREE_MODULES[:1]),
+    ]
+    for argv, want in runs:
+        argv = [*argv, "--output", str(tmp_path / "out.json")]
+        got = _python(
+            "import json, sys\n"
+            "from freedilation import cli\n"
+            f"code = cli.main({argv!r})\n"
+            f"print(json.dumps([code, [m for m in {FREE_MODULES!r} if m in sys.modules]]))"
+        )
+        assert got == [0, want], argv
+
+
 def test_suites_load_no_numpy_random(tmp_path):
     # no certificate samples, so a suite process never imports numpy.random:
     # free_pair, and a generated tensor scenario of two 2x2 factors
