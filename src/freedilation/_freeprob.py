@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .ncprob import CheckReport, GenSet, Word, _alternating_words, _codes, _row_keys, _Sweep, _word
-from .operator_core import State
+from .operator_core import DEFAULT_TOL, State
 
 MAX_PARTITION_SIZE = 12
 MAX_ORACLE_LETTERS = 16
@@ -150,7 +150,7 @@ def oracle_equivalence_check(
     marginals: Mapping[int, Marginal],
     max_blocks: int,
     degree: int,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Compare the model's moment with the free mixed moment oracle of the
     marginals for each ``signed_alternating_words`` word in ``gens.ids``

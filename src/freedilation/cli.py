@@ -272,8 +272,9 @@ def _parse_moment_list(obj: object) -> list[complex]:
 
 def _cmd_cumulants(args) -> int:
     from ._freeprob import free_cumulants, moments_from_cumulants
+    from .operator_core import DEFAULT_TOL
 
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     if not 0 < tol < math.inf:
         raise IngestError(f"tol must be a positive finite number, got {tol}")
     moments = _parse_moment_list(read_json(args.input, []))

@@ -143,7 +143,7 @@ def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_T
     block(1, n_degree, -adjoint(t))
     for j in range(1, n_degree):
         block(j + 1, j, np.eye(d))
-    gens, contractions = GenSet.of_finite({1: u}), GenSet.of_finite({1: t})
+    gens, contractions = GenSet({1: u}), GenSet({1: t})
     clock.lap("block_dilation")
     embedding = Embedding.coordinate(nb * d, range(d))
     clock.lap("embedding")

@@ -71,7 +71,7 @@ class PointedSpace:
             )
         frame = np.concatenate([xi.reshape(-1, 1), comp], axis=1)
         gram = adjoint(frame) @ frame
-        if operator_norm(gram - np.eye(xi.size)) > 1e-10:
+        if operator_norm(gram - np.eye(xi.size)) > DEFAULT_TOL:
             raise ValueError("base vector and complement basis must form an orthonormal basis")
         object.__setattr__(self, "base_vector", xi)
         object.__setattr__(self, "complement_basis", comp)
@@ -89,7 +89,7 @@ class PointedSpace:
         """Complete a unit vector to an orthonormal basis (QR of ``[xi | I]``)."""
         xi = np.asarray(xi, dtype=complex).reshape(-1)
         norm = np.linalg.norm(xi)
-        if abs(norm - 1.0) > 1e-8:
+        if abs(norm - 1.0) > DEFAULT_TOL:
             raise ValueError(f"pointed vector must be unit, got norm {norm}")
         xi = xi / norm
         d = xi.size

@@ -47,7 +47,7 @@ from .ncprob import (
     trace_check,
     worst_commutator,
 )
-from .operator_core import PhaseClock, State, check_dim_cap
+from .operator_core import DEFAULT_TOL, PhaseClock, State, check_dim_cap
 from .serialization import (
     matrix_from_obj,
     matrix_to_obj,
@@ -57,6 +57,11 @@ from .serialization import (
 
 if TYPE_CHECKING:
     from .free_product import FreeDilationScenario
+
+# The largest check degree of tensor independence and traciality: the
+# ``n x n x width`` index array of ``trace_check``'s word pairs is outside
+# ``MAX_GRAM_WORK``, and at degree 12 on single_half.json takes 9.7 GB.
+MAX_SMALL_CHECK_DEGREE = 3
 
 
 @dataclass
@@ -71,7 +76,7 @@ class Scenario:
     max_alt: int = 4
     # accepted, validated and recorded in reports, but no check samples
     samples: int = 100
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
     seed: int = 0
     sources: tuple[tuple[str, str], ...] = field(default_factory=tuple, compare=False)
 
@@ -421,8 +426,18 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     )
 
 
+def _small_check_degree(sc: Scenario) -> int:
+    """The check degree of tensor independence and traciality, at most ``MAX_SMALL_CHECK_DEGREE``."""
+    if sc.check_degree > MAX_SMALL_CHECK_DEGREE:
+        raise BudgetError(
+            f"check degree {sc.check_degree} exceeds cap {MAX_SMALL_CHECK_DEGREE} of tensor independence "
+            "and traciality; lower the check degree"
+        )
+    return sc.check_degree
+
+
 def _check_tensor_independence(sc: Scenario, model: Model) -> CheckReport:
-    return tensor_independence_check(model.state, model.gens, degree=min(sc.check_degree, 3), tol=sc.tol)
+    return tensor_independence_check(model.state, model.gens, degree=_small_check_degree(sc), tol=sc.tol)
 
 
 def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
@@ -436,7 +451,7 @@ def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
-    degree = min(sc.check_degree, 3)
+    degree = _small_check_degree(sc)
     if model.free is not None:
         # a product of two words of at most ``trunc`` letters each goes no
         # deeper than ``trunc`` on a path back to the vacuum, so its vacuum

@@ -21,6 +21,8 @@ import numpy as np
 
 from ._inputs import BudgetError
 from .operator_core import (
+    DEFAULT_TOL,
+    RANK_RTOL,
     AxisAction,
     LetterAction,
     State,
@@ -180,33 +182,15 @@ class GenSet:
 
     Validated once, by the constructor: every matrix passes ``as_matrix``
     (finite complex entries), all generators share one square shape, and
-    there is at least one; :meth:`of_finite` skips only the entry scan.
-    Complex arrays are shared with the caller, not copied, and no adjoint is
-    stored.  :meth:`apply` is the one place a letter meets its generator.
+    there is at least one.  Complex arrays are shared with the caller, not
+    copied, and no adjoint is stored.  :meth:`apply` is the one place a
+    letter meets its generator.
     """
 
     mats: Mapping[int, np.ndarray | LetterAction]
 
     def __post_init__(self):
-        self._keep(
-            {
-                f: m if isinstance(m, LetterAction) else as_matrix(m)
-                for f, m in self.mats.items()
-            }
-        )
-
-    @classmethod
-    def of_finite(cls, mats: Mapping[int, np.ndarray]) -> "GenSet":
-        """Complex matrices the caller built from operators that already
-        passed ``as_matrix``, so finite by construction: only the shapes are
-        checked, and a large dilation is not scanned a second time."""
-        gens = object.__new__(cls)
-        gens._keep(mats)
-        return gens
-
-    def _keep(self, mats: Mapping[int, np.ndarray | LetterAction]) -> None:
-        """Check the shapes, store the generators in factor id order, and
-        bind each one's letter application."""
+        mats = {f: m if isinstance(m, LetterAction) else as_matrix(m) for f, m in self.mats.items()}
         if not mats:
             raise ValueError("a generator set needs at least one generator")
         if min(mats) < 1:  # a letter's code ``2 * factor + star`` must not be 0
@@ -325,16 +309,13 @@ class _Sweep:
         """:meth:`walk_table` of a word list."""
         return self.walk_table(_codes(words), panel)
 
-    def walk_table(
-        self, table: np.ndarray, panel: np.ndarray, apply: Callable | None = None
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(i, word i of the table applied to panel)`` for every row,
-        ``apply(code, panel)`` applying a code (default :meth:`apply`).  The
-        words are visited sorted by their reversed letters, so a stack keeps
-        the applied suffix of the current word and each distinct suffix costs
-        one code; only the stack's panels are live.
+    def walk_table(self, table: np.ndarray, panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(i, word i of the table applied to panel)`` for every row.
+        The words are visited sorted by their reversed letters, so a stack
+        keeps the applied suffix of the current word and each distinct
+        suffix costs one code (:meth:`apply`); only the stack's panels are
+        live.
         """
-        apply = apply or self.apply
         backs = [[c for c in reversed(row) if c] for row in table.tolist()]  # last letter first
         stack, done = [panel], []  # stack[j]: the last j letters of ``done`` applied
         for i in sorted(range(len(backs)), key=backs.__getitem__):
@@ -343,7 +324,7 @@ class _Sweep:
                 keep += 1
             del stack[keep + 1 :]
             for code in todo[keep:]:
-                stack.append(apply(code, stack[-1]))
+                stack.append(self.apply(code, stack[-1]))
             done = todo
             yield i, stack[-1]
 
@@ -401,7 +382,7 @@ class _Sweep:
                 for new, images in self.blocks(table, self.scaled, size, None if means is None else means[f]):
                     yield from visit((f,), [new], images)
 
-    def word_moments(self, table: np.ndarray, apply: Callable | None = None) -> np.ndarray:
+    def word_moments(self, table: np.ndarray) -> np.ndarray:
         """``phi(w)`` for every word of a table, from two half-words.
 
         ``w = L R``, ``R`` its last ``ceil(n/2)`` letters, has ``phi(w) = sum_k
@@ -409,10 +390,10 @@ class _Sweep:
         images of ``L*`` and ``R`` on the state's columns scaled by
         ``sqrt(w_k)``, the same digits in any list.  The distinct ``L*`` are
         held in blocks within ``SAMPLE_PANEL_BYTES`` (one image at least), each
-        streaming the ``R`` its words need.  ``apply`` is the walks'; code
-        ``c ^ 1`` is the adjoint of ``c``.
+        streaming the ``R`` its words need.  Code ``c ^ 1`` is the adjoint
+        of ``c``.
         """
-        apply, panel = apply or self.apply, self.scaled
+        panel = self.scaled
         if len(table) == 0:
             return np.zeros(0, dtype=complex)
         n = np.count_nonzero(table, axis=1)[:, None]
@@ -429,9 +410,9 @@ class _Sweep:
         out, vdot = np.empty(len(table), dtype=complex), np.vdot
         for b, (lo, hi) in enumerate(zip([0, *ends], ends)):
             held = [None] * min(size, len(lefts) - b * size)
-            for i, image in self.walk_table(lefts[b * size : b * size + size], panel, apply):
+            for i, image in self.walk_table(lefts[b * size : b * size + size], panel):
                 held[i] = image.ravel()
-            for j, image in self.walk_table(rights[ri[heads[lo:hi]]], panel, apply):
+            for j, image in self.walk_table(rights[ri[heads[lo:hi]]], panel):
                 words, right = groups[lo + j], image.ravel()
                 out[words] = [vdot(held[i], right) for i in (li[words] - b * size).tolist()]
             del held  # before the next block is walked
@@ -661,7 +642,7 @@ def tensor_independence_check(
     state: State,
     gens: GenSet,
     degree: int = 2,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Certify a commuting family as tensor independent for the given state.
 
@@ -761,7 +742,7 @@ def free_independence_check(
     gens: GenSet,
     max_len: int = 4,
     degree: int = 2,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Certify free independence: centered alternating products have zero moment.
 
@@ -838,7 +819,7 @@ def trace_check(
     state: State,
     gens: GenSet,
     degree: int = 3,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Check ``phi(ab) = phi(ba)`` for every pair of nonempty words up to the
     degree: the residual is ``max |G - G^T|`` for ``G[a, b] = phi(ab)``.
@@ -898,7 +879,6 @@ def _gram_rank(
     words: Sequence[Word],
     columns: Callable[[int, int], np.ndarray],
     weights: np.ndarray,
-    rank_rtol: float,
 ) -> int:
     """Rank of ``G[u, v] = sum_k w_k <v p_k, u p_k>`` over the words, for
     panel columns ``p_k`` (``columns(lo, hi)`` gives ``p_lo .. p_{hi-1}``)
@@ -923,14 +903,13 @@ def _gram_rank(
     s = np.linalg.svd(gram, compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.sum(s > rank_rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def faithfulness_check(
     state: State,
     gens: GenSet,
     degree: int = 2,
-    rank_rtol: float = 1e-9,
 ) -> CheckReport:
     """Compare operator-space and state-space ranks of the word span.
 
@@ -948,12 +927,8 @@ def faithfulness_check(
     words = _all_words(list(gens.ids), degree)
     sweep = _Sweep(state, gens)
     dim = gens.dim
-    span_dim = _gram_rank(
-        sweep, words, lambda lo, hi: np.eye(dim, hi - lo, -lo, dtype=complex), np.ones(dim), rank_rtol
-    )
-    gram_rank = _gram_rank(
-        sweep, words, lambda lo, hi: sweep.panel[:, lo:hi], sweep.weights, rank_rtol
-    )
+    span_dim = _gram_rank(sweep, words, lambda lo, hi: np.eye(dim, hi - lo, -lo, dtype=complex), np.ones(dim))
+    gram_rank = _gram_rank(sweep, words, lambda lo, hi: sweep.panel[:, lo:hi], sweep.weights)
     faithful = span_dim == gram_rank
     return CheckReport(
         name="faithfulness",
@@ -968,7 +943,7 @@ def faithfulness_check(
             "rank_gap": span_dim - gram_rank,
             "word_count": len(words),
             "degree": degree,
-            "rank_rtol": rank_rtol,
+            "rank_rtol": RANK_RTOL,
         },
     )
 

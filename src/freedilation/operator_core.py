@@ -3,11 +3,11 @@ and operators given by how they act.
 
 Everything operates on plain ``numpy`` arrays of ``complex128``; a "matrix" is a
 2-d array, a vector a 1-d array.  All functions are pure and never mutate their
-arguments, so values can be shared freely across workers.  A
-:class:`LetterAction` applies an operator without storing its matrix; an
-:class:`AxisAction` is a small core acting on some legs of a tensor product.
+arguments.  A :class:`LetterAction` applies an operator without storing its
+matrix; an :class:`AxisAction` is a small core acting on some legs of a tensor
+product.
 
-Tolerances are explicit parameters with documented defaults; residuals are
+The package's one numerical policy is the constants below; residuals are
 returned or raised inside errors rather than hidden behind booleans.
 """
 
@@ -21,8 +21,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# Contraction tolerance used when the caller does not pass one.
-DEFAULT_TOL = 1e-9
+# The numerical policy (README "Tolerances").  DEFAULT_TOL, absolute: every
+# certificate's pass/fail bound and the contraction slack ``||T|| <= 1 + tol``
+# (defaults of the ``tol`` a scenario or ``--tol`` sets), and the one bound
+# input validation reads.  RANK_RTOL, relative to the largest singular value:
+# the faithfulness rank cut.  DENSITY_EIGEN_CUT, absolute: a density keeps
+# the eigenvectors above it.  :func:`defect_pair` takes a singular value
+# within ``8 * dim * eps`` of 1 as 1, so a unitary's defect is exactly zero.
+DEFAULT_TOL = 1e-8
+RANK_RTOL = 1e-9
+DENSITY_EIGEN_CUT = 1e-14
 
 # Largest space any construction builds (a dense complex matrix: 400 MB).
 DEFAULT_DIM_CAP = 5000
@@ -234,11 +242,11 @@ class Embedding:
     def small_dim(self) -> int:
         return self.isometry.shape[1]
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         gram = adjoint(self.isometry) @ self.isometry
         res = operator_norm(gram - np.eye(self.small_dim))
-        if res > tol:
-            raise ValueError(f"not an isometry: ||V*V - I|| = {res:.3e} > {tol:g}")
+        if res > DEFAULT_TOL:
+            raise ValueError(f"not an isometry: ||V*V - I|| = {res:.3e} > {DEFAULT_TOL:g}")
 
     @staticmethod
     def coordinate(big_dim: int, indices) -> "Embedding":
@@ -259,10 +267,6 @@ def compress(a: np.ndarray, e: Embedding) -> np.ndarray:
     return adjoint(e.isometry) @ a @ e.isometry
 
 
-# Eigenvalues of a density at or below this (absolute) are not kept as columns.
-DENSITY_EIGEN_CUT = 1e-14
-
-
 @dataclass(frozen=True)
 class State:
     """Positive normalized functional ``phi(a) = sum_k w_k <a v_k, v_k>``:
@@ -279,7 +283,6 @@ class State:
     kind: str
     vector: np.ndarray | None = None
     density: np.ndarray | None = None
-    tol: float = field(default=1e-8, compare=False)
     columns: np.ndarray | None = field(default=None, compare=False, repr=False)
     weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -290,8 +293,8 @@ class State:
             if not np.all(np.isfinite(v.view(float))):
                 raise StateError("state vector contains NaN or Inf")
             nrm = float(np.linalg.norm(v))
-            if abs(nrm - 1.0) > self.tol:
-                raise StateError(f"state vector norm {nrm:.12g} != 1 (tol {self.tol:g})")
+            if abs(nrm - 1.0) > DEFAULT_TOL:
+                raise StateError(f"state vector norm {nrm:.12g} != 1 (tol {DEFAULT_TOL:g})")
             keep("vector", v)
             keep("columns", v.reshape(-1, 1))
             keep("weights", np.ones(1))
@@ -299,13 +302,13 @@ class State:
             rho = as_matrix(self.density)
             if rho.shape[0] != rho.shape[1]:
                 raise StateError(f"density matrix must be square, got {rho.shape}")
-            if operator_norm(rho - adjoint(rho)) > self.tol:
+            if operator_norm(rho - adjoint(rho)) > DEFAULT_TOL:
                 raise StateError("density matrix is not Hermitian within tolerance")
             w, v = np.linalg.eigh(rho)
-            if w[0] < -self.tol:
+            if w[0] < -DEFAULT_TOL:
                 raise StateError(f"density matrix not PSD: eigenvalue {w[0]:.6e}")
             tr = float(np.trace(rho).real)
-            if abs(tr - 1.0) > self.tol:
+            if abs(tr - 1.0) > DEFAULT_TOL:
                 raise StateError(f"density matrix trace {tr:.12g} != 1")
             kept = w > DENSITY_EIGEN_CUT
             keep("density", rho)
@@ -313,9 +316,9 @@ class State:
             keep("weights", w[kept])
         elif self.kind == "columns":
             c, w = as_matrix(self.columns), np.asarray(self.weights, dtype=float).reshape(-1)
-            if w.size != c.shape[1] or not np.all(w > 0.0) or abs(float(w.sum()) - 1.0) > self.tol:
+            if w.size != c.shape[1] or not np.all(w > 0.0) or abs(float(w.sum()) - 1.0) > DEFAULT_TOL:
                 raise StateError(f"need {c.shape[1]} positive weights summing to 1, got {w}")
-            if np.linalg.norm(adjoint(c) @ c - np.eye(w.size)) > self.tol:
+            if np.linalg.norm(adjoint(c) @ c - np.eye(w.size)) > DEFAULT_TOL:
                 raise StateError("state columns are not orthonormal")
             keep("columns", c)
             keep("weights", w)
@@ -327,16 +330,16 @@ class State:
         return self.columns.shape[0]
 
     @staticmethod
-    def from_vector(v, tol: float = 1e-8) -> "State":
-        return State(kind="vector", vector=v, tol=tol)
+    def from_vector(v) -> "State":
+        return State(kind="vector", vector=v)
 
     @staticmethod
-    def from_density(rho, tol: float = 1e-8) -> "State":
-        return State(kind="density", density=rho, tol=tol)
+    def from_density(rho) -> "State":
+        return State(kind="density", density=rho)
 
     @staticmethod
-    def from_columns(columns, weights, tol: float = 1e-8) -> "State":
-        return State(kind="columns", columns=columns, weights=weights, tol=tol)
+    def from_columns(columns, weights) -> "State":
+        return State(kind="columns", columns=columns, weights=weights)
 
     @staticmethod
     def basis_vector(dim: int, index: int = 0) -> "State":

@@ -49,7 +49,7 @@ def state_to_obj(s: State) -> dict:
     return {"kind": "density", "dim": s.dim, "data": matrix_to_obj(rho)["data"]}
 
 
-def state_from_obj(obj: dict, tol: float = 1e-8) -> State:
+def state_from_obj(obj: dict) -> State:
     try:
         kind, dim, data = obj["kind"], int(obj["dim"]), obj["data"]
     except (KeyError, TypeError, OverflowError) as exc:
@@ -58,8 +58,8 @@ def state_from_obj(obj: dict, tol: float = 1e-8) -> State:
         if len(data) != dim:
             raise ValueError(f"state vector has {len(data)} entries, declared dim {dim}")
         v = np.array([complex(re, im) for re, im in data])
-        return State.from_vector(v, tol=tol)
+        return State.from_vector(v)
     if kind == "density":
         rho = matrix_from_obj({"rows": dim, "cols": dim, "data": data})
-        return State.from_density(rho, tol=tol)
+        return State.from_density(rho)
     raise ValueError(f"unknown state kind {kind!r}")

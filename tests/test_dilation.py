@@ -31,6 +31,7 @@ from freedilation.operator_core import (
 from kron_oracle import kron_doubly_dilation
 
 SQ75 = 0.8660254037844386  # sqrt(1 - 0.25)
+EPS = np.finfo(float).eps
 
 
 def test_degree_one_block_structure():
@@ -282,7 +283,11 @@ def test_unitarity_residual_matches_dense_reference():
 
 
 # ---------------------------------------------------------------------------
-# property tests of the whole single and doubly dilations
+# property tests of the whole single and doubly dilations: both are exact in
+# exact arithmetic, so unitarity holds to a few ulps times the ambient
+# dimension (the worst of 4,500 draws of these strategies read 7.2 dim eps,
+# from the SVD of the defects) and the power identities to one ulp times it
+# (worst 0.17 dim eps); the absolute bounds stay beside them
 
 
 @st.composite
@@ -309,10 +314,11 @@ def _contractions(draw):
 def test_single_dilation_is_exact_on_edge_inputs(case):
     t, degree = case
     res = finite_unitary_dilation(t, degree)
-    assert res.unitarity_residual() <= 1e-13
+    dim = res.ambient_dim
+    assert res.unitarity_residual() <= min(1e-13, 16 * dim * EPS)
     words = ordered_words(1, degree)
     residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, words)
-    assert len(residuals) == 2 * degree + 1 and np.max(residuals) <= 1e-13
+    assert len(residuals) == 2 * degree + 1 and np.max(residuals) <= min(1e-13, dim * EPS)
 
 
 @st.composite
@@ -339,7 +345,8 @@ def _doubly_edge_tuples(draw):
 def test_doubly_dilation_is_exact_on_edge_inputs(case):
     ts, degree = case
     res = doubly_commuting_dilation(ts, degree)
-    assert res.unitarity_residual() <= 1e-13
+    dim = res.ambient_dim
+    assert res.unitarity_residual() <= min(1e-13, 16 * dim * EPS)
     words = ordered_words(len(ts), degree)
     residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, words)
-    assert len(residuals) == (2 * degree + 1) ** len(ts) and np.max(residuals) <= 1e-12
+    assert len(residuals) == (2 * degree + 1) ** len(ts) and np.max(residuals) <= min(1e-12, dim * EPS)

@@ -499,7 +499,11 @@ def _no_word_span(monkeypatch):
 
 # free_pair at --degree 40 --check-degree 40: the faithfulness span of one
 # factor has 2^41 - 1 words, and free independence at --trunc-len 2 takes
-# the (2^41 - 2)^2 entries of sequence (1, 2) on the Fock dimension 3,281
+# the (2^41 - 2)^2 entries of sequence (1, 2) on the Fock dimension 3,281;
+# tensor independence and traciality refuse any check degree above 3
+_SMALL_CHECK_CAP = "check degree 40 exceeds cap 3 of tensor independence and traciality; lower the check degree"
+
+
 @pytest.mark.parametrize(
     "prop, trunc, message",
     [
@@ -510,8 +514,10 @@ def _no_word_span(monkeypatch):
             f"{(2**41 - 2) ** 2} Gram entries on a 3281 x 1 state panel exceed the work budget "
             "MAX_GRAM_WORK = 4294967296 (entries x dim x columns); lower max_alt or the check degree",
         ),
+        ("tensor", "1", _SMALL_CHECK_CAP),
+        ("trace", "1", _SMALL_CHECK_CAP),
     ],
-    ids=["faithful", "free"],
+    ids=["faithful", "free", "tensor", "trace"],
 )
 def test_over_budget_word_spans_are_refused_before_any_word(monkeypatch, capsys, prop, trunc, message):
     # the span is counted, not enumerated: exit 2 with the budget's message,
@@ -523,6 +529,14 @@ def test_over_budget_word_spans_are_refused_before_any_word(monkeypatch, capsys,
     code = main(argv)
     assert time.perf_counter() - start < 1.0
     _assert_refused(code, capsys, message)
+
+
+def test_suite_records_a_check_degree_over_the_cap_as_a_failed_entry():
+    sc = replace(ingest(SCENARIOS / "free_pair.json"), check_degree=4)
+    report = run_theorem_suite(sc, subset=("traciality",)).to_obj()
+    (entry,) = [c for c in report["checks"] if c["name"] == "traciality"]
+    assert not report["overall_pass"] and not entry["passed"]
+    assert entry["witness"] == {"error": _SMALL_CHECK_CAP.replace("40", "4")}
 
 
 def test_free_check_without_a_sequence_applies_no_letter(monkeypatch, capsys):

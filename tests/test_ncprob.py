@@ -178,22 +178,12 @@ def test_genset_shares_complex_arrays():
     assert gens.dim == 3
 
 
-def test_genset_of_finite_checks_shapes_only():
-    u = np.eye(2, dtype=complex)
-    assert GenSet.of_finite({1: u}).mats[1] is u
-    for mats in ({1: np.eye(2), 2: np.eye(3)}, {1: np.ones((2, 3))}, {}):
-        with pytest.raises(ValueError):
-            GenSet.of_finite(mats)
-
-
 def test_factor_ids_start_at_one():
     # code 0 pads a word table, so a letter of factor 0 would read as none
     # and its word as the unit: ids below 1 are refused
     for ids in ((0, 1), (-1,)):
         with pytest.raises(ValueError, match="1-based"):
             GenSet({f: np.eye(2) for f in ids})
-        with pytest.raises(ValueError, match="1-based"):
-            GenSet.of_finite({f: np.eye(2, dtype=complex) for f in ids})
     gens = GenSet({1: np.diag([0.5, 0.25])})
     with pytest.raises(ValueError, match="1-based"):
         word_moments(State.basis_vector(2, 0), gens, [Word(((0, False),))])

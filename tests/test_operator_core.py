@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import freedilation.operator_core as operator_core
 from freedilation.cli import main
 from freedilation.dilation import finite_unitary_dilation
 from freedilation.ncprob import GenSet, parse_word, word_moment
@@ -24,6 +27,20 @@ from freedilation.operator_core import (
     random_state,
     random_unitary,
 )
+
+
+def test_tolerance_literals_live_in_the_policy():
+    # the numerical policy is operator_core's constants: no other line of the
+    # package spells a number in exponent form
+    literal = re.compile(r"\d+e-\d+", re.IGNORECASE)
+    policy = re.compile(r"(DEFAULT_TOL|RANK_RTOL|DENSITY_EIGEN_CUT) = \d+e-\d+")
+    found = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(Path(operator_core.__file__).parent.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if literal.search(line) and not (path.name == "operator_core.py" and policy.fullmatch(line))
+    ]
+    assert found == []
 
 
 def test_dim_cap_is_inclusive():
