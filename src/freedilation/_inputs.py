@@ -1,4 +1,4 @@
-"""The command line's input files, read without numpy.
+"""The command line's input files, read without numpy or hashlib.
 
 Every JSON file the program takes, a scenario, a factor part given as a
 path, or a cumulants moment list, is read here, once, by :func:`read_json`,
@@ -10,9 +10,18 @@ loads, live here too; ``harness`` validates and builds what is read.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
+
+# CPython's builtin SHA-256: importing hashlib maps OpenSSL's libcrypto, about
+# 3.4 MB of a process's resident memory, to hash a few KB of input
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:  # a build without the builtin hashes, as some FIPS builds are
+        from hashlib import sha256
 
 MODES = ("single", "doubly", "tensor", "free")
 # The dilation degree N where a scenario gives none.
@@ -49,7 +58,7 @@ def read_json(path: str | Path, sources: list[tuple[str, str]]) -> object:
         raise IngestError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8, an int over the digit limit, deep nesting
         raise IngestError(f"{path}: {exc}") from None
-    sources.append((str(Path(path).resolve()), hashlib.sha256(data).hexdigest()))
+    sources.append((str(Path(path).resolve()), sha256(data).hexdigest()))
     return obj
 
 

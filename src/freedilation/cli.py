@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run one certificate")
     _add_common(p)
     p.add_argument("--property", required=True, choices=CHECK_PROPERTIES)
-    p.add_argument("--check-degree", type=int, default=None, help="word degree for the certificate")
+    clip = "faithful and free run at most at the dilation degree, tensor and trace refuse more than 3"
+    p.add_argument("--check-degree", type=int, default=None, help=f"word degree for the certificate; {clip}")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("moments", help="evaluate word or centered-product moments in the dilated model")

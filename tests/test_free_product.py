@@ -21,11 +21,12 @@ from freedilation.ncprob import (
     GenSet,
     Word,
     alternating_words_within,
+    free_independence_check,
     parse_word,
     word_moment,
 )
 from freedilation.harness import Scenario, run_theorem_suite
-from freedilation.operator_core import State, adjoint, compress, operator_norm, random_contraction
+from freedilation.operator_core import State, adjoint, compress, operator_norm, random_contraction, random_state
 
 from fock_oracle import dense, dense_left_representation, fock_dimension
 
@@ -544,3 +545,41 @@ def test_free_suite_of_purified_density_factors_of_different_dimensions(case):
     assert checks["unitarity"]["residual"] <= 1e-13
     identity = checks["dilation_identity"]
     assert identity["residual"] <= min(1e-13, identity["details"]["fock_dim"] * np.finfo(float).eps)
+
+
+@st.composite
+def _free_pairs(draw):
+    """Two factors of dimensions 1-2, or three scalars, each a random
+    contraction under a random unit vector, with a dilation degree ``N``, a
+    truncation ``L``, and a check degree of at most ``N``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    factors = []
+    for _ in range(n):
+        dim = draw(st.integers(1, 2 if n == 2 else 1))
+        factors.append((random_contraction(rng, dim), random_state(rng, dim)))
+    degree = draw(st.integers(1, 3 if n == 2 else 2))
+    return factors, degree, draw(st.integers(2, 3)), draw(st.integers(1, degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_free_pairs())
+def test_free_independence_gram_entries_are_within_rounding(case):
+    # In exact arithmetic every entry M[i, J] = phi(z_1 ... z_m) of the
+    # free-independence Grams is 0: alternating products of at most L
+    # blocks have exact vacuum moments on the truncated Fock space.  The
+    # bound on the computed entries, stated before the test was first run:
+    # each letter is a contraction (a compressed unitary), so a centered
+    # word z = w - phi(w) has norm at most 2 and a product of m slots at
+    # most 2^m; applying one letter, subtracting a computed mean and the
+    # final inner product each add at most dim * eps times the norms, and
+    # an entry takes at most m * (check degree + 2) + 1 such steps, so
+    #   max |M| <= 2^m * (m * (check degree + 2) + 1) * dim * eps,
+    # m = L (the longest sequence), dim the Fock dimension.
+    factors, degree, trunc, check_degree = case
+    fds = free_unitary_dilation(factors, degree, trunc)
+    rep = free_independence_check(fds.vacuum, fds.unitaries, max_len=trunc, degree=check_degree)
+    dim, eps = fds.fock_k.dim, np.finfo(float).eps
+    bound = 2**trunc * (trunc * (check_degree + 2) + 1) * dim * eps
+    assert rep.passed
+    assert rep.details["max_entry"] <= bound, (rep.details, bound)

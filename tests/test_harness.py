@@ -539,6 +539,18 @@ def test_suite_records_a_check_degree_over_the_cap_as_a_failed_entry():
     assert entry["witness"] == {"error": _SMALL_CHECK_CAP.replace("40", "4")}
 
 
+@pytest.mark.parametrize("scenario, prop", [("single_half", "faithful"), ("free_pair", "free")])
+def test_faithful_and_free_checks_clip_the_check_degree_to_the_dilation_degree(capsys, scenario, prop):
+    # these two checks clip the check degree to the dilation degree N and
+    # report the degree they ran at; a refusal would fail the benchmark's
+    # free_wide scenarios, which run at N = 2 with the default check degree 3
+    argv = ["check", "--input", str(SCENARIOS / f"{scenario}.json"), "--property", prop, "--check-degree", "5"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["budgets"]["check_degree"] == 5 and obj["budgets"]["degree"] == obj["details"]["degree"] == 3
+    assert [f["degree"] for f in obj["details"].get("per_factor", [])] == ([3] if prop == "faithful" else [])
+
+
 def test_free_check_without_a_sequence_applies_no_letter(monkeypatch, capsys):
     # at --trunc-len 1 no alternating sequence qualifies: no table, no
     # means, no letter, and the check passes over 0 sequences

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freedilation._inputs import read_scenario, scenario_shape
+from freedilation._inputs import read_json, read_scenario, scenario_shape
 from freedilation.cli import (
     BLAS_SPIN_EXPONENT,
     BLAS_THREAD_VARIABLES,
@@ -304,13 +304,19 @@ def test_spin_policy_does_not_change_the_report(tmp_path):
 FREE_MODULES = ["freedilation._freeprob", "freedilation.free_product"]
 
 
+def _random_tensor_scenario(tmp_path):
+    """A tensor scenario of two random 2x2 factors, which passes its suite."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "tensor.json"
+    emit(Scenario(mode="tensor", factors=[(random_contraction(rng, 2), random_state(rng, 2)) for _ in range(2)]), path)
+    return path
+
+
 def test_imports_follow_the_mode(tmp_path):
     # a single, doubly or tensor suite compiles neither the free product
     # model nor the free-probability module; a free suite loads both, and
     # the cumulants and ncpartitions commands the free module alone
-    rng = np.random.default_rng(3)
-    tensor = tmp_path / "tensor.json"
-    emit(Scenario(mode="tensor", factors=[(random_contraction(rng, 2), random_state(rng, 2)) for _ in range(2)]), tensor)
+    tensor = _random_tensor_scenario(tmp_path)
     runs = [
         (["suite", "--input", SINGLE], []),
         (["suite", "--input", DOUBLY], []),
@@ -333,9 +339,7 @@ def test_imports_follow_the_mode(tmp_path):
 def test_suites_load_no_numpy_random(tmp_path):
     # no certificate samples, so a suite process never imports numpy.random:
     # free_pair, and a generated tensor scenario of two 2x2 factors
-    rng = np.random.default_rng(3)
-    tensor = tmp_path / "tensor.json"
-    emit(Scenario(mode="tensor", factors=[(random_contraction(rng, 2), random_state(rng, 2)) for _ in range(2)]), tensor)
+    tensor = _random_tensor_scenario(tmp_path)
     for path in (SCENARIOS / "free_pair.json", tensor):
         argv = ["suite", "--input", str(path), "--output", str(tmp_path / "report.json")]
         got = _python(
@@ -345,3 +349,58 @@ def test_suites_load_no_numpy_random(tmp_path):
             "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('numpy.random'))]))"
         )
         assert got == [0, []], path
+
+
+HASH_MODULES = ["_hashlib", "hashlib"]
+FREE_PAIR = str(SCENARIOS / "free_pair.json")
+
+
+def test_no_command_imports_hashlib(tmp_path):
+    # input digests come from CPython's builtin SHA-256, so no process maps
+    # OpenSSL: a suite in each mode, every other command, and library ingest
+    tensor = _random_tensor_scenario(tmp_path)
+    runs = [
+        ["suite", "--input", SINGLE],
+        ["suite", "--input", DOUBLY],
+        ["suite", "--input", str(tensor)],
+        ["suite", "--input", FREE_PAIR],
+        ["check", "--input", DOUBLY, "--property", "tensor"],
+        ["dilate", "--input", SINGLE],
+        ["dilate-doubly", "--input", DOUBLY],
+        ["dilate-free", "--input", FREE_PAIR],
+        ["moments", "--input", FREE_PAIR, "--word", "1^1 2^-1"],
+        ["oracle", "--input", FREE_PAIR, "--word", "1^1 2^-1"],
+        ["cumulants", "--input", str(SCENARIOS / "semicircle_moments.json")],
+        ["ncpartitions", "--size", "4"],
+    ]
+    for argv in runs:
+        argv = [*argv, "--output", str(tmp_path / "out.json")]
+        got = _python(
+            "import json, sys\n"
+            "from freedilation import cli\n"
+            f"code = cli.main({argv!r})\n"
+            f"print(json.dumps([code, [m for m in {HASH_MODULES!r} if m in sys.modules]]))"
+        )
+        assert got == [0, []], argv
+    got = _python(
+        "import json, sys, freedilation\n"
+        f"sc = freedilation.ingest({FREE_PAIR!r})\n"
+        f"print(json.dumps([sc.sources, [m for m in {HASH_MODULES!r} if m in sys.modules]]))"
+    )
+    digest = hashlib.sha256(Path(FREE_PAIR).read_bytes()).hexdigest()
+    assert got == [[[str(Path(FREE_PAIR).resolve()), digest]], []]
+
+
+def test_input_digests_are_sha256_of_the_bytes(tmp_path):
+    # the builtin hash against hashlib's, on a scenario padded past 1 MiB
+    # and on a UTF-8 file with non-ASCII bytes
+    padded = tmp_path / "padded.json"
+    padded.write_bytes((SCENARIOS / "single_half.json").read_bytes() + b" \n\t" * 400_000)
+    accents = tmp_path / "accents.json"
+    accents.write_text(json.dumps({"mode": "déjà vu", "note": "Ω ≤ ∞ 💡"}, ensure_ascii=False), encoding="utf-8")
+    for path in (padded, accents):
+        data = path.read_bytes()
+        sources = []
+        read_json(path, sources)
+        assert sources == [(str(path.resolve()), hashlib.sha256(data).hexdigest())]
+    assert padded.stat().st_size > 2**20 and not accents.read_bytes().isascii()
