@@ -52,16 +52,13 @@ _EXPORTS = {
         "CheckReport",
         "GenSet",
         "Word",
-        "alternating_words_within",
         "center",
         "evaluate_word",
         "faithfulness_check",
         "free_independence_check",
         "free_mixed_moment_oracle",
         "make_tensor_independent",
-        "ordered_words",
         "parse_word",
-        "signed_alternating_words",
         "tensor_independence_check",
         "trace_check",
         "word_moment",

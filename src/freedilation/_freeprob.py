@@ -153,11 +153,12 @@ def oracle_equivalence_check(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Compare the model's moment with the free mixed moment oracle of the
-    marginals for each ``signed_alternating_words`` word in ``gens.ids``
-    with ``max_blocks``, runs up to ``degree`` and ``2 * degree`` letters
-    (kept within ``MAX_ORACLE_LETTERS`` by the caller), enumerated as one
-    code table for :func:`oracle_comparison`; only the witness becomes a
-    :class:`Word`."""
+    marginals for each nonempty word in ``gens.ids`` and their adjoints as
+    signed power runs, adjacent runs differing in factor or sign, with at
+    most ``max_blocks`` factor blocks, runs up to ``degree`` and ``2 *
+    degree`` letters (kept within ``MAX_ORACLE_LETTERS`` by the caller),
+    enumerated as one code table for :func:`oracle_comparison`; only the
+    witness becomes a :class:`Word`."""
     table = _alternating_words(gens.ids, (1, -1), max_blocks, degree, 2 * degree)
     model, oracle, res, work = oracle_comparison(state, gens, marginals, table)
     at = int(np.argmax(res)) if len(res) else None  # the first of the worst

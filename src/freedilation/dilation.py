@@ -24,10 +24,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import ncprob
 from .ncprob import (
     BudgetError,
     GenSet,
     Word,
+    _codes,
     _Sweep,
     apply_word,
     commutator_norms,
@@ -46,10 +48,6 @@ from .operator_core import (
     identity_panel,
     operator_norm,
 )
-
-# bytes of the stacked ``J* w(U) J - w(T)`` differences whose norms are
-# taken together; their Grams take as much again
-IDENTITY_STACK_BYTES = 128 * 2**10
 
 
 class NotDoublyCommutingError(ValueError):
@@ -212,23 +210,25 @@ def double_commutation_residual(gens: GenSet) -> float:
 
 
 def dilation_residuals(
-    gens: GenSet, contractions: GenSet, j: np.ndarray, words: Sequence[Word]
+    gens: GenSet, contractions: GenSet, j: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """``||J* w(U) J - w(T)||`` for every word, and the letters applied.
+    """``||J* w(U) J - w(T)||`` for every word of a code table, and the
+    letters applied.
 
-    Two shared-suffix walks run side by side, :meth:`~.ncprob._Sweep.walk`
-    over the columns of the isometry ``j`` with the dilation ``gens`` and
-    over the identity with the ``contractions``; both visit the words in the
-    same order.  The ``d x d`` differences are stacked, at most
-    ``IDENTITY_STACK_BYTES`` of them at a time, and each stack's norms come
-    from one stacked ``eigvalsh`` of their Grams.  No word's matrix on the
-    ambient space is ever formed.
+    Two shared-suffix walks run side by side,
+    :meth:`~.ncprob._Sweep.walk_table` over the columns of the isometry
+    ``j`` with the dilation ``gens`` and over the identity with the
+    ``contractions``; both visit the words in the same order.  The ``d x
+    d`` differences are stacked, at most ``ncprob.SAMPLE_PANEL_BYTES`` of
+    them at a time, and each stack's norms come from one stacked
+    ``eigvalsh`` of their Grams.  No word's matrix on the ambient space is
+    ever formed.
     """
     d = j.shape[1]
     lhs, rhs = _Sweep(None, gens), _Sweep(None, contractions)
     j_star = adjoint(j)
-    out = np.empty(len(words))
-    depth = max(1, min(len(words), IDENTITY_STACK_BYTES // (16 * d * d)))
+    out = np.empty(len(table))
+    depth = max(1, min(len(table), ncprob.SAMPLE_PANEL_BYTES // (16 * d * d)))
     stack = np.empty((depth, d, d), dtype=complex)
     at: list[int] = []  # the word of each stacked difference
 
@@ -238,7 +238,7 @@ def dilation_residuals(
         out[at] = np.sqrt(np.maximum(w[:, -1], 0.0))
         at.clear()
 
-    walks = zip(lhs.walk(words, j), rhs.walk(words, np.eye(d, dtype=complex)))
+    walks = zip(lhs.walk_table(table, j), rhs.walk_table(table, np.eye(d, dtype=complex)))
     for (i, left), (_, right) in walks:
         np.subtract(j_star @ left, right, out=stack[len(at)])
         at.append(i)
@@ -270,5 +270,5 @@ def verify_power_dilation(res: DilationResult, word: Word) -> float:
     for f, k in runs:
         if abs(k) > res.degree:
             raise BudgetError(f"|power| {abs(k)} of factor {f} exceeds dilation degree {res.degree}")
-    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, [word])
+    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, _codes([word]))
     return float(residuals[0])

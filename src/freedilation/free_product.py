@@ -22,7 +22,7 @@ from .dilation import (
     finite_unitary_dilation,
     unitarity_residual,
 )
-from .ncprob import BudgetError, GenSet, Word
+from .ncprob import BudgetError, GenSet, Word, _codes
 from .operator_core import (
     DEFAULT_DIM_CAP,
     DEFAULT_TOL,
@@ -467,5 +467,5 @@ def verify_free_dilation(fds: FreeDilationScenario, word: Word) -> float:
         raise BudgetError(
             f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
         )
-    residuals, _ = dilation_residuals(fds.unitaries, fds.s_ops, fds.embedding.isometry, [word])
+    residuals, _ = dilation_residuals(fds.unitaries, fds.s_ops, fds.embedding.isometry, _codes([word]))
     return float(residuals[0])

@@ -35,12 +35,13 @@ from .ncprob import (
     CheckReport,
     GenSet,
     Word,
-    alternating_words_within,
+    _alternating_words,
+    _ordered_words,
+    _word,
     center,
     faithfulness_check,
     free_independence_check,
     make_tensor_independent,
-    ordered_words,
     parse_word,
     state_moment,
     tensor_independence_check,
@@ -385,8 +386,8 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     if model.free is not None:
         name = "dilation_identity"
         fds = model.free
-        words = alternating_words_within(fds.n_factors, min(sc.max_alt, sc.trunc), sc.degree)
-        records = [({}, fds.unitaries, fds.s_ops, fds.embedding, words)]
+        table = _alternating_words(fds.unitaries.ids, (1,), min(sc.max_alt, sc.trunc), sc.degree, sc.degree)
+        records = [({}, fds.unitaries, fds.s_ops, fds.embedding, table)]
     else:
         name = "power_dilation"
         records = [
@@ -395,21 +396,21 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
                 res.gens,
                 res.contractions,
                 res.embedding,
-                ordered_words(len(res.gens.ids), sc.degree),
+                _ordered_words(len(res.gens.ids), sc.degree),
             )
             for i, res in enumerate(model.dilations, start=1)
         ]
     worst = -1.0
     witness = None
     count = letters = 0
-    for where, gens, contractions, embedding, words in records:
-        residuals, applied = dilation_residuals(gens, contractions, embedding.isometry, words)
-        count += len(words)
+    for where, gens, contractions, embedding, table in records:
+        residuals, applied = dilation_residuals(gens, contractions, embedding.isometry, table)
+        count += len(table)
         letters += applied
         at = int(np.argmax(residuals))  # the first word of the worst
         if residuals[at] > worst:
             worst = float(residuals[at])
-            witness = {**where, "word": words[at].format()}
+            witness = {**where, "word": _word(table[at]).format()}
     worst = max(worst, 0.0)
     return CheckReport(
         name=name,

@@ -40,8 +40,9 @@ MAX_WORD_LETTERS = 2**16
 # bytes of the stacked word images of one column block of a faithfulness
 # Gram; their conjugate, for the Gram product, takes as much again
 GRAM_BLOCK_BYTES = 64 * 2**20
-# bytes of the word images a sweep holds in one block: the half images of
-# word moments, and the blocks that the independence and trace Grams stream
+# bytes of the per-word arrays held at once: the half images of word
+# moments, the blocks that the independence and trace Grams stream, and the
+# stacked differences of the dilation identity, whose Grams take as much again
 SAMPLE_PANEL_BYTES = 128 * 2**10
 # the work of a certificate's Grams, their entries times the entries of the
 # state's panel (dim x columns), refused past this before any word is
@@ -155,13 +156,17 @@ def _word(row: Iterable[int]) -> Word:
     return Word(tuple((c >> 1, c & 1) for c in row if c))
 
 
+def _table(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Rows of letter codes as a table, each padded with zeros to the longest."""
+    width = max([1, *map(len, rows)])
+    return np.array([[*row, *[0] * (width - len(row))] for row in rows], dtype=np.intp).reshape(-1, width)
+
+
 def _codes(words: Sequence[Word]) -> np.ndarray:
     """A word list's table: row ``i`` is word ``i``'s codes ``2 * factor + star``, then zeros."""
     if any(f < 1 for w in words for f, _ in w.letters):  # code 0 pads
         raise ValueError("factor ids are 1-based: a word names a factor below 1")
-    width = max([1, *map(len, words)])
-    rows = [[2 * f + s for f, s in w.letters] + [0] * (width - len(w)) for w in words]
-    return np.array(rows, dtype=np.intp).reshape(-1, width)
+    return _table([[2 * f + s for f, s in w.letters] for w in words])
 
 
 # a linear combination of words, as the words and their complex coefficients
@@ -305,10 +310,6 @@ class _Sweep:
         self.letters += 1
         return apply_word(_code_word(code), self.gens, panel)
 
-    def walk(self, words: Sequence[Word], panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """:meth:`walk_table` of a word list."""
-        return self.walk_table(_codes(words), panel)
-
     def walk_table(self, table: np.ndarray, panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(i, word i of the table applied to panel)`` for every row.
         The words are visited sorted by their reversed letters, so a stack
@@ -381,6 +382,7 @@ class _Sweep:
             if (f,) in needed:
                 for new, images in self.blocks(table, self.scaled, size, None if means is None else means[f]):
                     yield from visit((f,), [new], images)
+        del visit  # its closure holds it: break the cycle, so the sweep is freed with its check
 
     def word_moments(self, table: np.ndarray) -> np.ndarray:
         """``phi(w)`` for every word of a table, from two half-words.
@@ -460,8 +462,13 @@ def free_mixed_moment_oracle(marginals: Mapping[int, Callable], word: Word) -> c
 
 def state_moment(state: State, gens: GenSet, factors: Sequence[Combination]) -> complex:
     """``phi(a_1 a_2 ... a_m)`` for combinations ``a_k``, applied right to left
-    to the scaled state columns on one sweep; a word ``w`` alone is ``((w,), [1])``."""
+    to the scaled state columns on one sweep; a word ``w`` alone is ``((w,), [1])``.
+    One combination is its words' :func:`word_moments`, the digits every
+    certificate and the oracle read."""
     sweep = _Sweep(state, gens)
+    if len(factors) == 1:
+        words, coeffs = factors[0]
+        return complex(np.dot(coeffs, sweep.word_moments(_codes(words))))
     applied = sweep.scaled
     for words, coeffs in reversed(factors):
         applied = sweep.combine(_codes(words), coeffs, applied)
@@ -478,14 +485,11 @@ def center(comb: Combination, state: State, gens: GenSet) -> Combination:
 # word enumeration
 
 
-def _all_words(ids: Sequence[int], max_len: int) -> list[Word]:
-    """The unit, then every word of length 1..max_len in the factors and their
-    adjoints, by length and then in product order."""
-    letters = [(f, s) for f in ids for s in (False, True)]
-    out: list[Word] = [Word(())]
-    for length in range(1, max_len + 1):
-        out.extend(Word(combo) for combo in itertools.product(letters, repeat=length))
-    return out
+def _all_words(ids: Sequence[int], max_len: int) -> np.ndarray:
+    """The table of the unit, then every word of length 1..max_len in the
+    factors and their adjoints, by length and then in product order."""
+    codes = [2 * f + s for f in ids for s in (0, 1)]
+    return _table([(), *(w for n in range(1, max_len + 1) for w in itertools.product(codes, repeat=n))])
 
 
 def _span_size(letters: int, degree: int) -> int:
@@ -535,33 +539,13 @@ def _alternating_words(
     return np.concatenate(tables)[np.argsort(np.concatenate(totals), kind="stable")]
 
 
-def signed_alternating_words(
-    n_factors: int, max_blocks: int, per_run_max: int, total_max: int
-) -> list[Word]:
-    """Nonempty words in factors ``1..n_factors`` and their adjoints, as
-    signed power runs: adjacent runs differ in factor or sign, factor blocks
-    at most ``max_blocks``, each ``|k| <= per_run_max``, total length
-    ``sum |k| <= total_max``."""
-    table = _alternating_words(range(1, n_factors + 1), (1, -1), max_blocks, per_run_max, total_max)
-    return [_word(row) for row in table.tolist()]
-
-
-def alternating_words_within(n_factors: int, max_alt: int, max_total: int) -> list[Word]:
-    """All nonempty words of positive powers with at most ``max_alt``
-    alternating runs and length at most ``max_total``."""
-    table = _alternating_words(range(1, n_factors + 1), (1,), max_alt, max_total, max_total)
-    return [_word(row) for row in table.tolist()]
-
-
-def ordered_words(n_factors: int, max_power: int) -> list[Word]:
-    """One signed power per factor in order 1..n, all ``|k| <= max_power``;
-    the unit first, then by run count and then the runs themselves."""
+def _ordered_words(n_factors: int, max_power: int) -> np.ndarray:
+    """The table of one signed power per factor in order 1..n, all ``|k| <=
+    max_power``: the unit first, then by run count and then the runs."""
     powers = range(-max_power, max_power + 1)
-    runs = {
-        tuple((i + 1, k) for i, k in enumerate(combo) if k != 0)
-        for combo in itertools.product(powers, repeat=n_factors)
-    }
-    return [Word.from_runs(r) for r in sorted(runs, key=lambda r: (len(r), r))]
+    runs = (tuple((i + 1, k) for i, k in enumerate(c) if k) for c in itertools.product(powers, repeat=n_factors))
+    runs = sorted(runs, key=lambda r: (len(r), r))
+    return _table([[2 * f + (k < 0) for f, k in r for _ in range(abs(k))] for r in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +646,7 @@ def tensor_independence_check(
     sweep = _Sweep(state, gens)
     entries = _span_size(2, degree) ** len(ids)
     _gram_budget(sweep, entries)
-    tables = {f: _codes(_all_words([f], degree)) for f in ids}  # the unit first
+    tables = {f: _all_words([f], degree) for f in ids}  # the unit first
     worst, pair = worst_commutator(gens)
     witness = {"part": "commutation", **pair} if worst > 0 else None
 
@@ -719,7 +703,7 @@ def _grams(
     for f in {s[0] for s in sequences}:
         mean = None if means is None else means[f]
         ((order, images),) = sweep.blocks(tables[f], sweep.scaled, len(tables[f]), mean)
-        held[f] = _adjoint_rows(tables[f])[order], np.conj(images).reshape(-1, len(order))
+        held[f] = _adjoint_rows(tables[f])[order], np.conj(images, out=images).reshape(-1, len(order))
     by_right: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for s in sequences:
         by_right.setdefault(s[1:], []).append(s)
@@ -778,7 +762,7 @@ def free_independence_check(
     entries = sum((_span_size(2, degree) - 1) ** len(s) for s in sequences)  # the unit left out
     _gram_budget(sweep, entries)
 
-    tables = {f: _codes(_all_words([f], degree)[1:]) for f in ids} if sequences else {}
+    tables = {f: _all_words([f], degree)[1:] for f in ids} if sequences else {}
     means = {f: sweep.word_moments(t) for f, t in tables.items()}
     sums, tops = dict.fromkeys(sequences, 0.0), {}
     for seq, slots, gram in _grams(sweep, sequences, tables, means):
@@ -825,9 +809,9 @@ def trace_check(
     degree: the residual is ``max |G - G^T|`` for ``G[a, b] = phi(ab)``.
 
     A word ``a = u t`` splits after its first ``ceil(degree / 2)`` letters,
-    and ``phi(ab) = <u* v, y v>`` for ``y = t b``: the images of the heads
-    ``u*`` are held, and those of the distinct ``y`` streamed in blocks
-    (:meth:`_Sweep.blocks`), one matrix product a block.  More than
+    and ``phi(ab) = phi(u y)`` for ``y = t b``: a Gram of :func:`_grams`
+    over the heads ``u``, every word of ``1 .. ceil(degree / 2)`` letters
+    and so closed under adjoint, and the distinct ``y``.  More than
     ``MAX_GRAM_WORK`` of ``G`` raises :class:`BudgetError` before any word
     is built.
     """
@@ -835,19 +819,17 @@ def trace_check(
     n, h = _span_size(2 * len(ids), degree) - 1, (degree + 1) // 2
     sweep = _Sweep(state, gens)
     _gram_budget(sweep, n * n)
-    table = _codes(_all_words(ids, degree)[1:])
+    table = _all_words(ids, degree)[1:]
     # pairs[a, b]: the letters of a after its head, then those of b
     tails, ends = table[:, h:], np.count_nonzero(table[:, h:], axis=1)
     pairs = np.zeros((n, n, tails.shape[1] + table.shape[1]), dtype=np.intp)
     pairs[:, :, : tails.shape[1]] = tails[:, None]
     pairs[np.arange(n)[:, None, None], np.arange(n)[:, None], ends[:, None, None] + np.arange(table.shape[1])] = table
     (heads, hi), (rests, ri) = _first_use(table[:, :h]), _first_use(pairs.reshape(n * n, -1))
-    ((order, held),) = sweep.blocks(heads, sweep.scaled, len(heads))
-    held, column = np.conj(held).reshape(-1, len(heads)), np.argsort(order)
-    gram = np.empty((len(rests), len(heads)), dtype=complex)  # gram[y, u] = <u v, y v> = phi(u* y)
-    for rows, images in sweep.blocks(rests, sweep.scaled, max(1, SAMPLE_PANEL_BYTES // sweep.scaled.nbytes)):
-        gram[rows] = images.reshape(len(held), -1).T @ held
-    moments = gram[ri.reshape(n, n), column[_adjoint_rows(heads)[hi]][:, None]]  # phi(ab)
+    gram = np.empty((len(heads), len(rests)), dtype=complex)  # gram[u, y] = phi(u y)
+    for _, (us, ys), block in _grams(sweep, [(0, 1)], {0: heads, 1: rests}):
+        gram[us[:, None], ys] = block
+    moments = gram[hi[:, None], ri.reshape(n, n)]  # phi(ab)
     res = np.abs(moments - moments.T)
     at = int(np.argmax(res))  # the first of the worst
     worst, witness = float(res.flat[at]), None
@@ -876,11 +858,11 @@ def trace_check(
 
 def _gram_rank(
     sweep: _Sweep,
-    words: Sequence[Word],
+    table: np.ndarray,
     columns: Callable[[int, int], np.ndarray],
     weights: np.ndarray,
 ) -> int:
-    """Rank of ``G[u, v] = sum_k w_k <v p_k, u p_k>`` over the words, for
+    """Rank of ``G[u, v] = sum_k w_k <v p_k, u p_k>`` over a table's words, for
     panel columns ``p_k`` (``columns(lo, hi)`` gives ``p_lo .. p_{hi-1}``)
     with weights ``w_k``.
 
@@ -889,7 +871,7 @@ def _gram_rank(
     and ``G`` accumulates their Gram.  A block's images stay within
     ``GRAM_BLOCK_BYTES``, or one panel column if that alone is larger.
     """
-    n = len(words)
+    n = len(table)
     step = max(1, GRAM_BLOCK_BYTES // (16 * sweep.gens.dim * n))
     gram = np.zeros((n, n), dtype=complex)
     for lo in range(0, len(weights), step):
@@ -897,7 +879,7 @@ def _gram_rank(
         roots = np.sqrt(weights[lo:hi])
         panel = columns(lo, hi)
         images = np.empty((panel.size, n), dtype=complex)
-        for i, applied in sweep.walk(words, panel):
+        for i, applied in sweep.walk_table(table, panel):
             images[:, i] = (applied * roots).reshape(-1)
         gram += adjoint(images) @ images
     s = np.linalg.svd(gram, compute_uv=False)
@@ -924,11 +906,11 @@ def faithfulness_check(
     count = _span_size(2 * len(gens.ids), degree)
     if count > MAX_GRAM_WORDS:
         raise BudgetError(f"word count {count} exceeds MAX_GRAM_WORDS = {MAX_GRAM_WORDS}; lower the degree")
-    words = _all_words(list(gens.ids), degree)
+    table = _all_words(list(gens.ids), degree)
     sweep = _Sweep(state, gens)
     dim = gens.dim
-    span_dim = _gram_rank(sweep, words, lambda lo, hi: np.eye(dim, hi - lo, -lo, dtype=complex), np.ones(dim))
-    gram_rank = _gram_rank(sweep, words, lambda lo, hi: sweep.panel[:, lo:hi], sweep.weights)
+    span_dim = _gram_rank(sweep, table, lambda lo, hi: np.eye(dim, hi - lo, -lo, dtype=complex), np.ones(dim))
+    gram_rank = _gram_rank(sweep, table, lambda lo, hi: sweep.panel[:, lo:hi], sweep.weights)
     faithful = span_dim == gram_rank
     return CheckReport(
         name="faithfulness",
@@ -941,7 +923,7 @@ def faithfulness_check(
             "span_dim": span_dim,
             "gram_rank": gram_rank,
             "rank_gap": span_dim - gram_rank,
-            "word_count": len(words),
+            "word_count": len(table),
             "degree": degree,
             "rank_rtol": RANK_RTOL,
         },

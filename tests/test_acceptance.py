@@ -34,13 +34,10 @@ from freedilation.harness import (
 from freedilation.ncprob import (
     GenSet,
     Word,
-    alternating_words_within,
     faithfulness_check,
     free_independence_check,
     free_mixed_moment_oracle,
     make_tensor_independent,
-    ordered_words,
-    signed_alternating_words,
     tensor_independence_check,
     trace_check,
     word_moment,
@@ -51,6 +48,7 @@ from freedilation.operator_core import (
     random_unitary,
 )
 from partition_oracles import all_set_partitions, is_noncrossing
+from word_list_oracles import alternating_words_within, ordered_words, signed_alternating_words
 
 
 def _verdict(capsys, num, name, ok, detail):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import freedilation.dilation as dilation
+import freedilation.ncprob as ncprob
 from freedilation.dilation import (
     dilation_residuals,
     double_commutation_residual,
@@ -20,8 +20,8 @@ from freedilation.dilation import (
 )
 from freedilation.ncprob import (
     GenSet,
+    _codes,
     make_tensor_independent,
-    ordered_words,
     parse_word,
 )
 from freedilation.operator_core import (
@@ -34,6 +34,7 @@ from freedilation.operator_core import (
 )
 
 from kron_oracle import kron_ampliations, kron_axis, kron_doubly_dilation
+from word_list_oracles import ordered_words
 
 EPS = np.finfo(float).eps
 
@@ -214,7 +215,7 @@ def test_dilation_residuals_are_the_one_word_verifier_per_word():
     res = _doubly_model(51, 2, 2, 2)
     words = ordered_words(2, 2)
     residuals, letters = dilation_residuals(
-        res.gens, res.contractions, res.embedding.isometry, words
+        res.gens, res.contractions, res.embedding.isometry, _codes(words)
     )
     assert residuals.shape == (len(words),)
     # the letters of each word meet the panels in the same order
@@ -225,7 +226,7 @@ def test_dilation_residuals_are_the_one_word_verifier_per_word():
     assert letters < 2 * sum(map(len, words))
     # a permuted record gives O(1) residuals on the words that use it
     swapped = GenSet({1: res.gens[2], 2: res.gens[1]})
-    wrong, _ = dilation_residuals(swapped, res.contractions, res.embedding.isometry, words)
+    wrong, _ = dilation_residuals(swapped, res.contractions, res.embedding.isometry, _codes(words))
     per_word = [verify_power_dilation(replace(res, gens=swapped), w) for w in words]
     np.testing.assert_allclose(wrong, per_word, rtol=0, atol=1e-15)
     assert wrong.max() > 0.1
@@ -234,10 +235,9 @@ def test_dilation_residuals_are_the_one_word_verifier_per_word():
 @pytest.mark.parametrize("per_stack", [1, 3])
 def test_dilation_stacks_give_the_one_stack_result(per_stack):
     res = _doubly_model(52, 3, 2, 1)
-    words = ordered_words(3, 1)
-    args = (res.gens, res.contractions, res.embedding.isometry, words)
+    args = (res.gens, res.contractions, res.embedding.isometry, ncprob._ordered_words(3, 1))
     one, letters = dilation_residuals(*args)
-    with mock.patch.object(dilation, "IDENTITY_STACK_BYTES", per_stack * 16 * 2 * 2):
+    with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", per_stack * 16 * 2 * 2):
         many, many_letters = dilation_residuals(*args)
     np.testing.assert_array_equal(many, one)
     assert many_letters == letters

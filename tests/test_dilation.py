@@ -16,7 +16,7 @@ from freedilation.dilation import (
     unitarity_residual,
     verify_power_dilation,
 )
-from freedilation.ncprob import GenSet, Word, evaluate_word, ordered_words
+from freedilation.ncprob import GenSet, Word, _ordered_words, evaluate_word
 from freedilation.operator_core import (
     ContractionError,
     Embedding,
@@ -29,6 +29,7 @@ from freedilation.operator_core import (
 )
 
 from kron_oracle import kron_doubly_dilation
+from word_list_oracles import ordered_words
 
 SQ75 = 0.8660254037844386  # sqrt(1 - 0.25)
 EPS = np.finfo(float).eps
@@ -316,8 +317,8 @@ def test_single_dilation_is_exact_on_edge_inputs(case):
     res = finite_unitary_dilation(t, degree)
     dim = res.ambient_dim
     assert res.unitarity_residual() <= min(1e-13, 16 * dim * EPS)
-    words = ordered_words(1, degree)
-    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, words)
+    table = _ordered_words(1, degree)
+    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, table)
     assert len(residuals) == 2 * degree + 1 and np.max(residuals) <= min(1e-13, dim * EPS)
 
 
@@ -347,6 +348,6 @@ def test_doubly_dilation_is_exact_on_edge_inputs(case):
     res = doubly_commuting_dilation(ts, degree)
     dim = res.ambient_dim
     assert res.unitarity_residual() <= min(1e-13, 16 * dim * EPS)
-    words = ordered_words(len(ts), degree)
-    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, words)
+    table = _ordered_words(len(ts), degree)
+    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, table)
     assert len(residuals) == (2 * degree + 1) ** len(ts) and np.max(residuals) <= min(1e-12, dim * EPS)

@@ -20,7 +20,6 @@ from freedilation.free_product import (
 from freedilation.ncprob import (
     GenSet,
     Word,
-    alternating_words_within,
     free_independence_check,
     parse_word,
     word_moment,
@@ -29,6 +28,7 @@ from freedilation.harness import Scenario, run_theorem_suite
 from freedilation.operator_core import State, adjoint, compress, operator_norm, random_contraction, random_state
 
 from fock_oracle import dense, dense_left_representation, fock_dimension
+from word_list_oracles import alternating_words_within
 
 
 def _scalar_pair(n_degree=3, trunc=4):

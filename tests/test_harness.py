@@ -34,15 +34,13 @@ from freedilation.ncprob import (
     MAX_WORD_LETTERS,
     GenSet,
     Word,
-    alternating_words_within,
-    ordered_words,
-    signed_alternating_words,
     tensor_independence_check,
     word_moments,
 )
 from freedilation.operator_core import State
 from freedilation.serialization import matrix_to_obj, state_to_obj
 from free_moment_oracle import per_word_free_moment
+from word_list_oracles import alternating_words_within, ordered_words, signed_alternating_words
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -225,7 +223,7 @@ def test_moment_budget_check_refuses_deep_alternation(trunc):
 
 
 def test_signed_alternating_words_structure():
-    words = signed_alternating_words(2, 2, 2, 2)
+    words = [ncprob._word(row) for row in ncprob._alternating_words([1, 2], (1, -1), 2, 2, 2)]
     assert all(type(w) is Word and 1 <= len(w) <= 2 for w in words)
     for w in words:
         runs = w.runs()
@@ -246,7 +244,7 @@ def test_signed_alternating_words_structure():
 def test_ordered_words_shape():
     # 3 choices per factor, squared; the unit first, factors in ascending
     # order, then by run count and the runs themselves
-    assert [w.runs() for w in ordered_words(2, 1)] == [
+    assert [ncprob._word(row).runs() for row in ncprob._ordered_words(2, 1)] == [
         (),
         ((1, -1),), ((1, 1),), ((2, -1),), ((2, 1),),
         ((1, -1), (2, -1)), ((1, -1), (2, 1)), ((1, 1), (2, -1)), ((1, 1), (2, 1)),
@@ -372,6 +370,17 @@ def test_cli_moments_and_budget_refusal(tmp_path, capsys):
     code = main(["moments", "--input", path, "--word", "1^1 2^1 1^1 2^1"])
     assert code == 2
     assert "factor blocks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word", ["2^-2 1^3 2^1", "1^-1 2^2 1^1 2^-1", "1^1 2^1", "2^3", "1^2 2^-1 1^-2"])
+def test_moments_of_a_plain_word_are_the_oracles_vacuum_moment(capsys, word):
+    # one moment path: a plain word's moment is its half-word moment, the
+    # digits that the oracle command reports as the vacuum moment
+    path = str(SCENARIOS / "free_pair.json")
+    assert main(["moments", "--input", path, "--word", word]) == 0
+    moment = json.loads(capsys.readouterr().out)["results"][0]["moment"]
+    assert main(["oracle", "--input", path, "--word", word]) == 0
+    assert moment == json.loads(capsys.readouterr().out)["results"][0]["vacuum_moment"]
 
 
 def test_cli_check_trace_on_single(tmp_path, capsys):
@@ -722,6 +731,31 @@ def test_cli_traciality_within_truncation_one(capsys, seed):
     code = main(["check", "--input", path, "--property", "trace", "--trunc-len", "1"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["pass"] and out["details"]["degree"] == 1
+
+
+def _words_built(monkeypatch, name, degree):
+    """The ``Word`` objects one suite builds on a demo scenario at a dilation degree."""
+    sc, built, init = replace(ingest(SCENARIOS / name), degree=degree), [], Word.__post_init__
+
+    def count(self):
+        built.append(self)
+        init(self)
+
+    ncprob._code_word.cache_clear()  # the sweeps' one-letter words, cached per process
+    with monkeypatch.context() as m:
+        m.setattr(Word, "__post_init__", count)
+        run_theorem_suite(sc)
+    return len(built)
+
+
+@pytest.mark.parametrize(
+    "name, low, high", [("doubly_diag.json", 2, 4), ("single_half.json", 2, 5), ("free_pair.json", 2, 3)]
+)
+def test_suite_word_objects_do_not_grow_with_the_degree(monkeypatch, name, low, high):
+    # word lists run as code tables from enumeration to witness: a suite
+    # builds a Word only for a witness or a one-word check, however many
+    # words its degree enumerates
+    assert _words_built(monkeypatch, name, high) <= _words_built(monkeypatch, name, low)
 
 
 def test_suite_counters_in_free_and_dense_modes():

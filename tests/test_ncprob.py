@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -24,7 +25,6 @@ from freedilation.ncprob import (
     BudgetError,
     GenSet,
     Word,
-    alternating_words_within,
     apply_word,
     center,
     evaluate_word,
@@ -33,7 +33,6 @@ from freedilation.ncprob import (
     free_mixed_moment_oracle,
     make_tensor_independent,
     parse_word,
-    signed_alternating_words,
     state_moment,
     tensor_independence_check,
     trace_check,
@@ -69,6 +68,7 @@ from free_independence_oracle import (
 )
 from free_moment_oracle import per_word_free_moment
 from partition_oracles import all_set_partitions, is_noncrossing
+from word_list_oracles import alternating_words_within, ordered_words, signed_alternating_words
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -105,15 +105,31 @@ def test_word_adjoint_and_blocks():
 def test_positive_alternating_words_one_factor():
     # one factor, one block: the positive words are the 30 single runs,
     # generated directly rather than filtered from the signed words
-    words = alternating_words_within(1, 4, 30)
-    assert [w.runs() for w in words] == [((1, k),) for k in range(1, 31)]
+    table = ncprob._alternating_words([1], (1,), 4, 30, 30)
+    assert [ncprob._word(row).runs() for row in table] == [((1, k),) for k in range(1, 31)]
 
 
 def test_positive_alternating_words_order():
     # pinned: by length, then run count, then the runs themselves
-    assert [w.runs() for w in alternating_words_within(2, 2, 2)] == [
+    assert [ncprob._word(row).runs() for row in ncprob._alternating_words([1, 2], (1,), 2, 2, 2)] == [
         ((1, 1),), ((2, 1),), ((1, 2),), ((2, 2),), ((1, 1), (2, 1)), ((2, 1), (1, 1)),
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_code_tables_match_the_word_list_references(n):
+    # the enumerators' tables hold the references' words in the same order,
+    # padded to the width of the longest, for small budgets in 1..3 factors
+    ids = range(1, n + 1)
+    for degree in range(4):
+        assert np.array_equal(ncprob._all_words(ids, degree), ncprob._codes(words_up_to(ids, degree)))
+        assert np.array_equal(ncprob._ordered_words(n, degree), ncprob._codes(ordered_words(n, degree)))
+    for blocks, total in itertools.product(range(1, 4), range(1, 5)):
+        want = ncprob._codes(alternating_words_within(n, blocks, total))
+        assert np.array_equal(ncprob._alternating_words(ids, (1,), blocks, total, total), want)
+        for per_run in (1, 2):
+            want = ncprob._codes(signed_alternating_words(n, blocks, per_run, total))
+            assert np.array_equal(ncprob._alternating_words(ids, (1, -1), blocks, per_run, total), want)
 
 
 def test_word_letter_cap_edge():
@@ -443,7 +459,7 @@ def test_random_element_coefficients_on_disc():
     # table order, with one draw on the unit disc per word: the coefficients
     # over which the Grams' sum |M| bounds every moment
     element = _random_element(np.random.default_rng(1), 1, 2)
-    words = ncprob._all_words([1], 2)
+    words = [ncprob._word(row) for row in ncprob._all_words([1], 2)]
     assert list(element) == words and len(words) == 7  # unit + 2 letters + 4 two-letter words
     assert all(abs(c) <= 1.0 + 1e-12 for c in element.values())
 
@@ -456,7 +472,7 @@ def _free_grams(state, gens, max_len, degree, sequences=None):
     """Each sequence's Gram as the free check streams it, assembled whole,
     for every alternating sequence (both twins) unless given."""
     sequences = sequences or _sequences(list(gens.ids), max_len)
-    tables = {f: ncprob._codes(ncprob._all_words([f], degree)[1:]) for f in gens.ids}
+    tables = {f: ncprob._all_words([f], degree)[1:] for f in gens.ids}
     grams = {s: np.full([len(tables[f]) for f in s], np.nan, dtype=complex) for s in sequences}
     sweep = ncprob._Sweep(state, gens)
     means = {f: sweep.word_moments(t) for f, t in tables.items()}
@@ -468,7 +484,7 @@ def _free_grams(state, gens, max_len, degree, sequences=None):
 
 def _witness_entry(rep, state, gens, max_len, degree):
     """``|M|`` at the free check's witness, from the assembled Grams."""
-    words = {f: ncprob._all_words([f], degree)[1:] for f in gens.ids}
+    words = {f: words_up_to([f], degree)[1:] for f in gens.ids}
     seq = tuple(rep.witness["sequence"])
     at = tuple(words[f].index(parse_word(slot[2:-1])) for f, slot in zip(seq, rep.witness["slots"]))
     return abs(_free_grams(state, gens, max_len, degree, [seq])[seq][at])
@@ -747,7 +763,7 @@ def test_sample_draws_equal_the_per_slot_draws():
 def _monomial_entries(grams, degree):
     """``|phi|`` of the centered monomial products ``c(T^p) ...`` from the
     Grams, keyed as the nested loops of the half products key them."""
-    words = ncprob._all_words([1], degree)[1:]
+    words = words_up_to([1], degree)[1:]
     rows = [words.index(Word(((1, s),) * p)) for p in range(1, min(degree, 3) + 1) for s in (False, True)]
     return {seq: np.abs(gram[np.ix_(*[rows] * len(seq))]) for seq, gram in grams.items()}
 
@@ -962,6 +978,40 @@ def test_trace_check_negative_shift():
     rep = trace_check(s, GenSet({1: shift}), degree=2, tol=1e-8)
     assert not rep.passed
     assert rep.residual >= 0.99  # phi(S*S) = 1 vs phi(SS*) = 0
+
+
+@st.composite
+def _free_pairs_and_trace_degrees(draw):
+    """The free dilation of two random contractions of dimension 1 or 2 under
+    vector or density states, at ``N`` 1..2 and ``L`` 1..3 (``L <= 2`` for a
+    2 x 2 density, whose purification doubles the dimension), and a trace
+    degree ``1 .. min(L, 3)``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, kind = draw(st.integers(1, 2)), draw(st.sampled_from(["vector", "density"]))
+    trunc = draw(st.integers(1, 2 if (d, kind) == (2, "density") else 3))
+    factors = [(random_contraction(rng, d), random_state(rng, d, kind)) for _ in range(2)]
+    fds = free_unitary_dilation(factors, draw(st.integers(1, 2)), trunc)
+    return fds, draw(st.integers(1, min(trunc, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_free_pairs_and_trace_degrees())
+def test_free_trace_gram_is_symmetric_to_rounding(case):
+    # the vacuum of a free product of commutative algebras is tracial, and
+    # within degree <= L the truncated model's moments are exact: G - G^T is
+    # rounding alone.  An entry is a dot product of dim terms of two word
+    # images of at most 2 * degree letters in all, each letter a product of
+    # at most dim terms: its error is at most (2 * degree + 1) * 2 * dim *
+    # eps (2 for complex arithmetic) times the images' norms, at most g^(2 *
+    # degree) ||P||^2 for the generators' largest norm g and the state panel
+    # P; an entry of G - G^T takes two such errors
+    fds, degree = case
+    gens, state = fds.unitaries, fds.vacuum
+    g = max(1.0, *(operator_norm(evaluate_word(Word(((f, False),)), gens)) for f in gens.ids))
+    norms = g ** (2 * degree) * float(np.sum(state.weights))
+    bound = 2 * (2 * degree + 1) * 2 * gens.dim * np.finfo(float).eps * norms
+    rep = trace_check(state, gens, degree=degree)
+    assert rep.residual <= bound, (rep.residual, bound, gens.dim, degree)
 
 
 # ---------------------------------------------------------------------------

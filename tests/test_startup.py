@@ -33,17 +33,17 @@ API = [
     "FockBasis", "FockDimensionError", "FreeDilationScenario", "GenSet", "IngestError",
     "Model", "NotDoublyCommutingError", "PointedSpace", "Report", "Scenario",
     "ShapeMismatchError", "State", "StateError", "Word", "adjoint",
-    "alternating_words_within", "build_fock", "build_model", "center", "compress",
+    "build_fock", "build_model", "center", "compress",
     "defect_pair", "double_commutation_residual", "doubly_commuting_dilation", "emit",
     "evaluate_product", "evaluate_word", "faithfulness_check", "finite_unitary_dilation",
     "free_cumulants", "free_independence_check", "free_mixed_moment_oracle",
     "free_mixed_moments", "free_unitary_dilation", "haar_unitary_marginal", "ingest",
     "left_representation", "make_tensor_independent", "matrix_from_obj",
     "matrix_marginal", "matrix_to_obj", "moment_budget_check", "moments_from_cumulants",
-    "noncrossing_partitions", "operator_norm", "ordered_words", "parse_product",
+    "noncrossing_partitions", "operator_norm", "parse_product",
     "parse_word", "purify", "random_contraction", "random_state", "random_unitary",
     "render_text", "report_fingerprint", "restricted_unitarity_residual",
-    "run_theorem_suite", "scenario_from_obj", "signed_alternating_words",
+    "run_theorem_suite", "scenario_from_obj",
     "state_from_obj", "state_to_obj", "tensor_independence_check", "trace_check",
     "unitarity_residual", "verify_free_dilation", "verify_power_dilation", "word_moment",
 ]
@@ -86,7 +86,7 @@ def test_cli_import_and_help_load_no_numpy():
 
 
 def test_public_names_resolve_and_star_import_binds_them():
-    assert len(API) == 70
+    assert len(API) == 67
     got = _python(
         "import json, freedilation\n"
         "names = freedilation.__all__\n"
