@@ -55,14 +55,17 @@ _EXPORTS = {
         "center",
         "evaluate_word",
         "faithfulness_check",
-        "free_independence_check",
         "free_mixed_moment_oracle",
-        "make_tensor_independent",
         "parse_word",
-        "tensor_independence_check",
-        "trace_check",
         "word_moment",
     ),
+    "_gram": (
+        "free_independence_check",
+        "make_tensor_independent",
+        "tensor_independence_check",
+        "trace_check",
+    ),
+    "_moments": ("evaluate_product", "moment_budget_check", "parse_product"),
     "_freeprob": (
         "free_cumulants",
         "free_mixed_moments",
@@ -89,10 +92,7 @@ _EXPORTS = {
         "Scenario",
         "build_model",
         "emit",
-        "evaluate_product",
         "ingest",
-        "moment_budget_check",
-        "parse_product",
         "render_text",
         "report_fingerprint",
         "run_theorem_suite",
@@ -101,7 +101,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# the public submodules and names; the private module only resolves names
+# the public submodules and names; the private modules only resolve names
 __all__ = sorted([*(m for m in _EXPORTS if not m.startswith("_")), *_MODULE_OF])
 
 

@@ -192,7 +192,7 @@ def _parse_or_refuse(parse, text: str):
 
 def _cmd_moments(args) -> int:
     sc = _load_scenario(args)
-    from .harness import evaluate_product, moment_budget_check, parse_product
+    from ._moments import evaluate_product, moment_budget_check, parse_product
     from .ncprob import Word
 
     model = _build_or_refuse(sc)
@@ -217,7 +217,7 @@ def _cmd_moments(args) -> int:
 def _cmd_oracle(args) -> int:
     sc = _load_scenario(args, force_mode="free")
     from ._freeprob import matrix_marginal, oracle_codes, oracle_comparison
-    from .harness import moment_budget_check
+    from ._moments import moment_budget_check
     from .ncprob import parse_word
 
     model = _build_or_refuse(sc)

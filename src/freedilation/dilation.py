@@ -31,6 +31,7 @@ from .ncprob import (
     Word,
     _codes,
     _Sweep,
+    _walk_plan,
     apply_word,
     commutator_norms,
     worst_commutator,
@@ -215,9 +216,9 @@ def dilation_residuals(
     """``||J* w(U) J - w(T)||`` for every word of a code table, and the
     letters applied.
 
-    Two shared-suffix walks run side by side,
-    :meth:`~.ncprob._Sweep.walk_table` over the columns of the isometry
-    ``j`` with the dilation ``gens`` and over the identity with the
+    Two shared-suffix walks of one plan run side by side,
+    :meth:`~.ncprob._Sweep.walk` over the columns of the isometry ``j``
+    with the dilation ``gens`` and over the identity with the
     ``contractions``; both visit the words in the same order.  The ``d x
     d`` differences are stacked, at most ``ncprob.SAMPLE_PANEL_BYTES`` of
     them at a time, and each stack's norms come from one stacked
@@ -238,7 +239,8 @@ def dilation_residuals(
         out[at] = np.sqrt(np.maximum(w[:, -1], 0.0))
         at.clear()
 
-    walks = zip(lhs.walk_table(table, j), rhs.walk_table(table, np.eye(d, dtype=complex)))
+    plan = _walk_plan(table)
+    walks = zip(lhs.walk(plan, j), rhs.walk(plan, np.eye(d, dtype=complex)))
     for (i, left), (_, right) in walks:
         np.subtract(j_star @ left, right, out=stack[len(at)])
         at.append(i)

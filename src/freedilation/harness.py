@@ -4,7 +4,8 @@ A scenario file describes a family of contractions with states and budgets;
 the suite builds the requested dilation model and runs every applicable
 certificate, collecting residuals, witnesses, and timings into a report that
 is byte-identical across runs (timing fields excluded).  The free product
-model and the free-probability module load only on free paths.
+model and the free-probability module load only on free paths, the Gram
+certificates (``_gram``) on tensor and free paths.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -34,18 +34,10 @@ from .ncprob import (
     BudgetError,
     CheckReport,
     GenSet,
-    Word,
     _alternating_words,
     _ordered_words,
     _word,
-    center,
     faithfulness_check,
-    free_independence_check,
-    make_tensor_independent,
-    parse_word,
-    state_moment,
-    tensor_independence_check,
-    trace_check,
     worst_commutator,
 )
 from .operator_core import DEFAULT_TOL, PhaseClock, State, check_dim_cap
@@ -238,6 +230,10 @@ def build_model(sc: Scenario) -> Model:
         clock.lap("embedding")
         return Model(gens=res.gens, state=emb, dilations=(res,), phase_seconds=clock)
     if sc.mode == "tensor":
+        # the Gram certificates' module, loaded before the model's arrays
+        # exist so that its compile's peak does not stack on them
+        from ._gram import make_tensor_independent
+
         # refused before any factor is dilated
         dims = [(sc.degree + 1) * t.shape[0] for t, _ in sc.factors]
         check_dim_cap(math.prod(dims), "tensor product")
@@ -269,71 +265,6 @@ def build_model(sc: Scenario) -> Model:
         factor_models=[fds.factor_model(i) for i in range(1, fds.n_factors + 1)],
         phase_seconds=fds.phase_seconds,
     )
-
-
-# ---------------------------------------------------------------------------
-# word grammar for products with centering
-
-
-_CENTER_RE = re.compile(r"c\(([^()]*)\)|(\S+)")
-
-
-def parse_product(text: str) -> list[tuple[bool, Word]]:
-    """Parse a product expression: a plain signed-power word, with any number
-    of ``c(...)`` groups whose state mean is subtracted before multiplying.
-
-    Consecutive plain tokens form one word; each ``c(...)`` group is its own
-    factor of the product.
-    """
-    out: list[tuple[bool, Word]] = []
-    plain: list[str] = []
-
-    def flush() -> None:
-        if plain:
-            out.append((False, parse_word(" ".join(plain))))
-            plain.clear()
-
-    for m in _CENTER_RE.finditer(text):
-        if m.group(1) is not None:
-            flush()
-            out.append((True, parse_word(m.group(1))))
-        else:
-            plain.append(m.group(2))
-    flush()
-    if not out:
-        out.append((False, Word(())))
-    return out
-
-
-def evaluate_product(text: str, model: Model) -> complex:
-    factors = []
-    for centered, w in parse_product(text):
-        comb = ((w,), [1])
-        factors.append(center(comb, model.state, model.gens) if centered else comb)
-    return state_moment(model.state, model.gens, factors)
-
-
-def moment_budget_check(sc: Scenario, word: Word) -> None:
-    """Refuse words the scenario's model cannot evaluate exactly.
-
-    Every factor id must name one of the scenario's factors.  In free mode a
-    product touches words of length at most its factor-block count, so the
-    vacuum moment is exact iff that count stays within the truncation length;
-    any centered expansion only shortens words, so checking the full
-    concatenation covers every term.
-    """
-    n = len(sc.factors)
-    unknown = sorted({f for f, _ in word.letters} - set(range(1, n + 1)))
-    if unknown:
-        raise IngestError(f"word uses factor ids {unknown}; the scenario has factors 1..{n}")
-    if sc.mode != "free":
-        return
-    blocks = word.blocks()
-    if len(blocks) > sc.trunc:
-        raise BudgetError(
-            f"word has {len(blocks)} factor blocks, exceeding the truncation length {sc.trunc}; "
-            "vacuum moments are exact only up to that alternation depth"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +369,14 @@ def _small_check_degree(sc: Scenario) -> int:
 
 
 def _check_tensor_independence(sc: Scenario, model: Model) -> CheckReport:
+    from ._gram import tensor_independence_check
+
     return tensor_independence_check(model.state, model.gens, degree=_small_check_degree(sc), tol=sc.tol)
 
 
 def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
+    from ._gram import free_independence_check
+
     return free_independence_check(
         model.state,
         model.gens,
@@ -452,6 +387,8 @@ def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
+    from ._gram import trace_check
+
     degree = _small_check_degree(sc)
     if model.free is not None:
         # a product of two words of at most ``trunc`` letters each goes no
@@ -579,6 +516,8 @@ def run_theorem_suite(sc: Scenario, subset: Sequence[str] | None = None) -> Repo
     entries: list[dict] = []
     t0 = time.perf_counter()
     try:
+        if sc.mode == "free" and len(sc.factors) > 1:  # its checks' modules, as in build_model's tensor branch
+            from . import _freeprob, _gram  # noqa: F401
         model = build_model(sc)
         construction = {
             "name": "construction",

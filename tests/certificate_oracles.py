@@ -1,8 +1,8 @@
 """Dense word-matrix references for certificates that run without them.
 
-The commutation part of ``ncprob.tensor_independence_check`` takes the
+The commutation part of ``_gram.tensor_independence_check`` takes the
 generator commutators of each factor pair, its factorization part and
-``ncprob.trace_check`` stream word images into Grams, and
+``_gram.trace_check`` stream word images into Grams, and
 ``ncprob.faithfulness_check`` fills its Grams from word sweeps.  These
 references build every word's matrix instead: a word-level commutator loop,
 the factorization gaps and the trace Gram from products of word matrices,

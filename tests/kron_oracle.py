@@ -1,6 +1,6 @@
 """``np.kron`` builders of the doubly commuting dilation and of the tensor
 ampliations: the dense references the axis actions of
-``dilation.doubly_commuting_dilation`` and ``ncprob.make_tensor_independent``
+``dilation.doubly_commuting_dilation`` and ``_gram.make_tensor_independent``
 are tested against.
 
 Both build every generator as a matrix of the whole product space, as the

@@ -31,15 +31,17 @@ from freedilation.harness import (
     report_fingerprint,
     run_theorem_suite,
 )
+from freedilation._gram import (
+    free_independence_check,
+    make_tensor_independent,
+    tensor_independence_check,
+    trace_check,
+)
 from freedilation.ncprob import (
     GenSet,
     Word,
     faithfulness_check,
-    free_independence_check,
     free_mixed_moment_oracle,
-    make_tensor_independent,
-    tensor_independence_check,
-    trace_check,
     word_moment,
 )
 from freedilation.operator_core import (

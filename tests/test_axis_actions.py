@@ -18,10 +18,10 @@ from freedilation.dilation import (
     unitarity_residual,
     verify_power_dilation,
 )
+from freedilation._gram import make_tensor_independent
 from freedilation.ncprob import (
     GenSet,
     _codes,
-    make_tensor_independent,
     parse_word,
 )
 from freedilation.operator_core import (

@@ -17,10 +17,10 @@ from freedilation.free_product import (
     restricted_unitarity_residual,
     verify_free_dilation,
 )
+from freedilation._gram import free_independence_check
 from freedilation.ncprob import (
     GenSet,
     Word,
-    free_independence_check,
     parse_word,
     word_moment,
 )

@@ -10,9 +10,12 @@ import pytest
 
 import freedilation
 import freedilation._freeprob as freeprob
+import freedilation._gram as _gram
 import freedilation.harness as harness
 import freedilation.ncprob as ncprob
 from freedilation._freeprob import matrix_marginal
+from freedilation._gram import tensor_independence_check
+from freedilation._moments import evaluate_product, moment_budget_check, parse_product
 from freedilation.cli import main
 from freedilation.dilation import BudgetError
 from freedilation.harness import (
@@ -21,10 +24,7 @@ from freedilation.harness import (
     Scenario,
     build_model,
     emit,
-    evaluate_product,
     ingest,
-    moment_budget_check,
-    parse_product,
     render_text,
     report_fingerprint,
     run_theorem_suite,
@@ -34,7 +34,6 @@ from freedilation.ncprob import (
     MAX_WORD_LETTERS,
     GenSet,
     Word,
-    tensor_independence_check,
     word_moments,
 )
 from freedilation.operator_core import State
@@ -498,12 +497,14 @@ def test_gram_work_budget_is_refused_by_check_and_failed_by_suite(capsys):
 
 
 def _no_word_span(monkeypatch):
-    """Fail on any enumeration of a certificate's word span."""
+    """Fail on any enumeration of a certificate's word span: faithfulness's
+    in ``ncprob``, the Gram certificates' in ``_gram``."""
 
     def refuse(*args):
         raise AssertionError("a word span was enumerated")
 
     monkeypatch.setattr(ncprob, "_all_words", refuse)
+    monkeypatch.setattr(_gram, "_all_words", refuse)
 
 
 # free_pair at --degree 40 --check-degree 40: the faithfulness span of one

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freedilation._freeprob as freeprob
+import freedilation._gram as _gram
 import freedilation.ncprob as ncprob
 from freedilation._freeprob import (
     free_cumulants,
@@ -18,6 +19,12 @@ from freedilation._freeprob import (
     matrix_marginal,
     moments_from_cumulants,
     noncrossing_partitions,
+)
+from freedilation._gram import (
+    free_independence_check,
+    make_tensor_independent,
+    tensor_independence_check,
+    trace_check,
 )
 from freedilation.dilation import doubly_commuting_dilation, finite_unitary_dilation
 from freedilation.ncprob import (
@@ -29,13 +36,9 @@ from freedilation.ncprob import (
     center,
     evaluate_word,
     faithfulness_check,
-    free_independence_check,
     free_mixed_moment_oracle,
-    make_tensor_independent,
     parse_word,
     state_moment,
-    tensor_independence_check,
-    trace_check,
     word_moment,
     word_moments,
     worst_commutator,
@@ -68,6 +71,7 @@ from free_independence_oracle import (
 )
 from free_moment_oracle import per_word_free_moment
 from partition_oracles import all_set_partitions, is_noncrossing
+from walk_oracle import per_letter_walk
 from word_list_oracles import alternating_words_within, ordered_words, signed_alternating_words
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430]
@@ -319,6 +323,31 @@ def test_word_moments_apply_each_distinct_suffix_once(monkeypatch):
     assert [len(w) for w in applied] == [1] * 5
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(2, 7), max_size=7), max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+def test_walk_plan_matches_the_per_letter_walk(rows, seed):
+    # rows of codes of three factors, repeated and nested suffixes among
+    # them: the plan visits the words in the per-letter walk's order and
+    # applies the same codes, and the walk's images are the words applied
+    # letter by letter, bit for bit
+    rows += rows[: len(rows) // 2] + [row[1:] for row in rows[::3]]
+    table = ncprob._table(rows)
+    want = per_letter_walk(table)
+    order, keep, backs = ncprob._walk_plan(table)
+    assert [(i, backs[i][k:]) for i, k in zip(order, keep)] == want
+    rng = np.random.default_rng(seed)
+    gens = GenSet({f: random_contraction(rng, 2) for f in (1, 2, 3)})
+    sweep, panel = ncprob._Sweep(None, gens), rng.standard_normal((2, 2)) + 0j
+    walked = list(sweep.walk((order, keep, backs), panel))
+    assert [i for i, _ in walked] == [i for i, _ in want]
+    assert sweep.letters == sum(len(codes) for _, codes in want)
+    for i, image in walked:
+        np.testing.assert_array_equal(image, apply_word(ncprob._word(table[i]), gens, panel))
+
+
 @st.composite
 def _generator_sets_states_and_words(draw):
     """Dense, Fock or axis generators; a vector, full-rank density or
@@ -476,7 +505,7 @@ def _free_grams(state, gens, max_len, degree, sequences=None):
     grams = {s: np.full([len(tables[f]) for f in s], np.nan, dtype=complex) for s in sequences}
     sweep = ncprob._Sweep(state, gens)
     means = {f: sweep.word_moments(t) for f, t in tables.items()}
-    for seq, slots, block in ncprob._grams(sweep, sequences, tables, means):
+    for seq, slots, block in _gram._grams(sweep, sequences, tables, means):
         grams[seq][np.ix_(*slots)] = block
     assert not any(np.isnan(g).any() for g in grams.values())
     return grams
@@ -893,10 +922,10 @@ def test_gram_work_budget_refuses_before_any_image(monkeypatch):
     assert letters == []
     assert free_independence_check(fds.vacuum, fds.unitaries, max_len=4, degree=3).passed
     letters.clear()
-    monkeypatch.setattr(ncprob, "MAX_GRAM_WORK", 84 * 84 * fds.dim - 1)
+    monkeypatch.setattr(_gram, "MAX_GRAM_WORK", 84 * 84 * fds.dim - 1)
     with pytest.raises(BudgetError, match="7056 Gram entries"):
         trace_check(fds.vacuum, fds.unitaries, degree=3)
-    monkeypatch.setattr(ncprob, "MAX_GRAM_WORK", 15 * 15 * fds.dim - 1)
+    monkeypatch.setattr(_gram, "MAX_GRAM_WORK", 15 * 15 * fds.dim - 1)
     with pytest.raises(BudgetError, match="225 Gram entries"):
         tensor_independence_check(fds.vacuum, fds.unitaries, degree=3)
     assert letters == []
@@ -920,7 +949,7 @@ def test_over_budget_spans_are_refused_before_any_word(monkeypatch, check, entri
     def refuse(*args):
         raise AssertionError("a word span was enumerated")
 
-    monkeypatch.setattr(ncprob, "_all_words", refuse)
+    monkeypatch.setattr(_gram, "_all_words", refuse)
     gens = GenSet({1: np.diag([0.5, 0.25]), 2: np.array([[0.0, 0.3], [0.3, 0.0]])})
     message = (
         f"{entries} Gram entries on a 2 x 1 state panel exceed the work budget MAX_GRAM_WORK = 4294967296 "
@@ -1012,6 +1041,40 @@ def test_free_trace_gram_is_symmetric_to_rounding(case):
     bound = 2 * (2 * degree + 1) * 2 * gens.dim * np.finfo(float).eps * norms
     rep = trace_check(state, gens, degree=degree)
     assert rep.residual <= bound, (rep.residual, bound, gens.dim, degree)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(1, 2), min_size=2, max_size=3),
+    st.sampled_from(["vector", "density"]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_tensor_factorization_gaps_are_rounding(dims, kind, degree, seed):
+    # a product state on ampliated factors is tensor independent, so D[I] =
+    # phi(w_I) - prod_j phi(w_ij) is rounding alone.  phi(w_I) is a dot
+    # product of dim * k terms of two images of at most n * degree letters
+    # in all, each letter a product of at most dim terms; each phi(w_ij)
+    # one of two images of at most degree letters, and their product n - 1
+    # complex multiplications more.  An entry is off by at most (2 n degree
+    # + (n + 1) k + 2 n) * 2 * dim * eps (2 for complex arithmetic) times
+    # g^(n degree) ||P||^2, for the generators' largest norm g and the
+    # state panel P of k columns, and sum |D| by that times the entries.
+    # The commutators of distinct legs: two products of two letters on
+    # identity columns, the norm of their difference within 8 dim^1.5 eps g^2
+    rng = np.random.default_rng(seed)
+    factors = [(rng.uniform(0.1, 1.5) * random_contraction(rng, d, 1.0), random_state(rng, d, kind)) for d in dims]
+    gens, state = make_tensor_independent(factors)
+    n, dim, k = len(dims), gens.dim, state.columns.shape[1]
+    g = max(1.0, *(operator_norm(t) for t, _ in factors))
+    mass = float(np.sum(np.abs(state.columns) ** 2 * state.weights))
+    eps = np.finfo(float).eps
+    entries = (2 ** (degree + 1) - 1) ** n
+    factorization = entries * (2 * n * degree + (n + 1) * k + 2 * n) * 2 * dim * eps * g ** (n * degree) * mass
+    commutation = 8 * dim**1.5 * eps * g**2
+    rep = tensor_independence_check(state, gens, degree=degree)
+    assert rep.details["entries"] == entries
+    assert rep.residual <= max(factorization, commutation), (rep.residual, factorization, commutation, dims, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,8 @@ def test_spin_policy_does_not_change_the_report(tmp_path):
 
 
 FREE_MODULES = ["freedilation._freeprob", "freedilation.free_product"]
+GRAM, GRAMMAR = "freedilation._gram", "freedilation._moments"
+MODE_MODULES = [*FREE_MODULES, GRAM, GRAMMAR]
 
 
 def _random_tensor_scenario(tmp_path):
@@ -313,15 +315,28 @@ def _random_tensor_scenario(tmp_path):
 
 
 def test_imports_follow_the_mode(tmp_path):
-    # a single, doubly or tensor suite compiles neither the free product
-    # model nor the free-probability module; a free suite loads both, and
-    # the cumulants and ncpartitions commands the free module alone
+    # a single or doubly suite compiles neither the free product model, the
+    # free-probability module, the Gram certificates nor the moments
+    # grammar; a tensor suite loads the Gram certificates, a free suite of
+    # two or more factors those and the free modules; the cumulants and
+    # ncpartitions commands load the free module alone, and only moments
+    # and oracle the grammar
     tensor = _random_tensor_scenario(tmp_path)
+    free_pair = str(SCENARIOS / "free_pair.json")
     runs = [
         (["suite", "--input", SINGLE], []),
         (["suite", "--input", DOUBLY], []),
-        (["suite", "--input", str(tensor)], []),
-        (["suite", "--input", str(SCENARIOS / "free_pair.json")], FREE_MODULES),
+        (["dilate", "--input", SINGLE], []),
+        (["dilate-doubly", "--input", DOUBLY], []),
+        (["suite", "--input", str(tensor)], [GRAM]),
+        (["check", "--input", DOUBLY, "--property", "tensor"], [GRAM]),
+        (["suite", "--input", free_pair], [*FREE_MODULES, GRAM]),
+        (["dilate-free", "--input", free_pair], [*FREE_MODULES, GRAM]),
+        (["dilate-free", "--input", SINGLE], FREE_MODULES[1:]),  # one factor: no free check runs
+        (["check", "--input", free_pair, "--property", "faithful"], FREE_MODULES[1:]),
+        (["moments", "--input", SINGLE, "--word", "c(1^1) 1^-1"], [GRAMMAR]),
+        (["moments", "--input", free_pair, "--word", "1^1 2^-1"], [FREE_MODULES[1], GRAMMAR]),
+        (["oracle", "--input", free_pair, "--word", "1^1 2^-1"], [*FREE_MODULES, GRAMMAR]),
         (["cumulants", "--input", str(SCENARIOS / "semicircle_moments.json")], FREE_MODULES[:1]),
         (["ncpartitions", "--size", "4"], FREE_MODULES[:1]),
     ]
@@ -331,7 +346,7 @@ def test_imports_follow_the_mode(tmp_path):
             "import json, sys\n"
             "from freedilation import cli\n"
             f"code = cli.main({argv!r})\n"
-            f"print(json.dumps([code, [m for m in {FREE_MODULES!r} if m in sys.modules]]))"
+            f"print(json.dumps([code, [m for m in {MODE_MODULES!r} if m in sys.modules]]))"
         )
         assert got == [0, want], argv
 

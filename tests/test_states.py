@@ -15,12 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freedilation.harness import Scenario, build_model, run_theorem_suite
-from freedilation.ncprob import (
-    Word,
-    free_independence_check,
-    tensor_independence_check,
-    word_moments,
-)
+from freedilation._gram import free_independence_check, tensor_independence_check
+from freedilation.ncprob import Word, word_moments
 from freedilation.operator_core import State, adjoint, random_contraction, random_unitary
 from certificate_oracles import dense_word_moments, words_up_to
 from free_independence_oracle import nested_free_independence_check, nested_tensor_factorization
