@@ -9,7 +9,6 @@ by design, and we show exactly where.
 import numpy as np
 
 from freedilation import (
-    compress,
     defect_pair,
     finite_unitary_dilation,
     operator_norm,
@@ -46,7 +45,9 @@ for k in range(degree + 1):
 print()
 
 print("one step past the degree the compression wraps around the cycle:")
-beyond = compress(np.linalg.matrix_power(u, degree + 1), res.embedding)
+# J includes C^d as the first d coordinates, so J* U^k J is U^k's top left corner
+d = t.shape[0]
+beyond = np.linalg.matrix_power(u, degree + 1)[:d, :d]
 print(f"  compressed U^{degree + 1} = {beyond[0, 0].real:.6f}")
 print(f"  t^{degree + 1}           = {(t[0, 0] ** (degree + 1)).real:.6f}")
 gap = operator_norm(beyond - np.linalg.matrix_power(t, degree + 1))

@@ -13,10 +13,10 @@ import numpy as np
 from freedilation import (
     NotDoublyCommutingError,
     Word,
-    double_commutation_residual,
     doubly_commuting_dilation,
     verify_power_dilation,
 )
+from freedilation.ncprob import worst_commutator
 
 rng = np.random.default_rng(8)
 
@@ -34,7 +34,7 @@ res = doubly_commuting_dilation(ops, degree)
 print("input dims:", dim, "x", dim, "| degree:", degree)
 print("ambient dimension after two iterations:", res.ambient_dim)
 print("double commutation residual of the dilated pair:",
-      f"{double_commutation_residual(res.gens):.3e}")
+      f"{worst_commutator(res.gens)[0]:.3e}")
 print()
 
 print("ordered words U1^k1 U2^k2 with |ki| <= 2:")

@@ -23,8 +23,8 @@ parts = []
 for dim in (1, 2):
     t = random_contraction(rng, dim)
     res = finite_unitary_dilation(t, 2)
-    xi = res.embedding.isometry @ State.basis_vector(dim, 0).vector
-    parts.append((res.gens[1], State.from_vector(xi)))
+    # J e_0, the first basis vector of the dilation space
+    parts.append((res.gens[1], State.basis_vector(res.ambient_dim, 0)))
     print(f"factor on C^{dim}: dilated to C^{res.ambient_dim}")
 
 gens, joint = make_tensor_independent(parts)

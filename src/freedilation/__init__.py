@@ -19,12 +19,10 @@ from ._version import __version__
 _EXPORTS = {
     "operator_core": (
         "ContractionError",
-        "Embedding",
         "ShapeMismatchError",
         "State",
         "StateError",
         "adjoint",
-        "compress",
         "defect_pair",
         "operator_norm",
         "purify",
@@ -41,7 +39,6 @@ _EXPORTS = {
     "dilation": (
         "DilationResult",
         "NotDoublyCommutingError",
-        "double_commutation_residual",
         "doubly_commuting_dilation",
         "finite_unitary_dilation",
         "unitarity_residual",

@@ -34,13 +34,11 @@ from .ncprob import (
     _walk_plan,
     apply_word,
     commutator_norms,
-    worst_commutator,
 )
 from .operator_core import (
     DEFAULT_TOL,
     AxisAction,
     ContractionError,
-    Embedding,
     PhaseClock,
     adjoint,
     as_matrix,
@@ -64,21 +62,21 @@ class NotDoublyCommutingError(ValueError):
 @dataclass(frozen=True)
 class DilationResult:
     """A finite dilation: unitaries ``gens`` on the ambient space, the
-    contractions they dilate, both keyed 1..n, and the embedding ``J`` with
-    ``J* U_w J = T_w`` for every ordered word ``w`` with powers up to
-    ``degree``.  ``phase_seconds`` holds the seconds the construction spent
-    per phase: ``defects`` (with the input checks), ``block_dilation`` and
+    contractions they dilate, both keyed 1..n, with ``J* U_w J = T_w`` for
+    every ordered word ``w`` with powers up to ``degree``, where ``J`` is the
+    inclusion of the first ``contractions.dim`` coordinates.
+    ``phase_seconds`` holds the seconds the construction spent per phase:
+    ``defects`` (with the input checks), ``block_dilation`` and
     ``embedding``."""
 
     gens: GenSet
     contractions: GenSet
-    embedding: Embedding
     degree: int
     phase_seconds: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def ambient_dim(self) -> int:
-        return self.embedding.big_dim
+        return self.gens.dim
 
     def unitarity_residual(self) -> float:
         return max(unitarity_residual(self.gens, f) for f in self.gens.ids)
@@ -144,11 +142,10 @@ def finite_unitary_dilation(t: np.ndarray, n_degree: int, tol: float = DEFAULT_T
         block(j + 1, j, np.eye(d))
     gens, contractions = GenSet({1: u}), GenSet({1: t})
     clock.lap("block_dilation")
-    embedding = Embedding.coordinate(nb * d, range(d))
+    # J includes C^d as block 0, the first d coordinates: nothing to build,
+    # and the phase keeps its place in the report
     clock.lap("embedding")
-    return DilationResult(
-        gens=gens, contractions=contractions, embedding=embedding, degree=n_degree, phase_seconds=clock
-    )
+    return DilationResult(gens=gens, contractions=contractions, degree=n_degree, phase_seconds=clock)
 
 
 def doubly_commuting_dilation(
@@ -194,40 +191,29 @@ def doubly_commuting_dilation(
     gens = GenSet(gens)
     clock.lap("block_dilation")
     # each step keeps the previous space as its block 0: the original space
-    # is the span of the first d coordinates
-    embedding = Embedding.coordinate(nb**n * d, range(d))
+    # is the span of the first d coordinates, as in a single dilation
     clock.lap("embedding")
-    return DilationResult(
-        gens=gens, contractions=inputs, embedding=embedding, degree=n_degree, phase_seconds=clock
-    )
-
-
-def double_commutation_residual(gens: GenSet) -> float:
-    """Max over pairs of ``||[A_i, A_j]||`` and ``||[A_i*, A_j]||``, each on
-    the pair's support columns (:func:`~.ncprob.commutator_norms`): for two
-    axis actions on common legs, the columns over the union of their legs,
-    where the norm is exact."""
-    return worst_commutator(gens)[0]
+    return DilationResult(gens=gens, contractions=inputs, degree=n_degree, phase_seconds=clock)
 
 
 def dilation_residuals(
-    gens: GenSet, contractions: GenSet, j: np.ndarray, table: np.ndarray
+    gens: GenSet, contractions: GenSet, coords: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """``||J* w(U) J - w(T)||`` for every word of a code table, and the
-    letters applied.
+    letters applied, where ``J`` includes the small space as the ambient
+    coordinates ``coords``, in order.
 
     Two shared-suffix walks of one plan run side by side,
-    :meth:`~.ncprob._Sweep.walk` over the columns of the isometry ``j``
-    with the dilation ``gens`` and over the identity with the
-    ``contractions``; both visit the words in the same order.  The ``d x
-    d`` differences are stacked, at most ``ncprob.SAMPLE_PANEL_BYTES`` of
-    them at a time, and each stack's norms come from one stacked
-    ``eigvalsh`` of their Grams.  No word's matrix on the ambient space is
-    ever formed.
+    :meth:`~.ncprob._Sweep.walk` over the identity columns ``coords`` (the
+    columns of ``J``) with the dilation ``gens`` and over the identity with
+    the ``contractions``; both visit the words in the same order.  ``J*``
+    of an image is the gather of its rows ``coords``.  The ``d x d``
+    differences are stacked, at most ``ncprob.SAMPLE_PANEL_BYTES`` of them
+    at a time, and each stack's norms come from one stacked ``eigvalsh`` of
+    their Grams.  No word's matrix on the ambient space is ever formed.
     """
-    d = j.shape[1]
+    d = len(coords)
     lhs, rhs = _Sweep(None, gens), _Sweep(None, contractions)
-    j_star = adjoint(j)
     out = np.empty(len(table))
     depth = max(1, min(len(table), ncprob.SAMPLE_PANEL_BYTES // (16 * d * d)))
     stack = np.empty((depth, d, d), dtype=complex)
@@ -240,9 +226,9 @@ def dilation_residuals(
         at.clear()
 
     plan = _walk_plan(table)
-    walks = zip(lhs.walk(plan, j), rhs.walk(plan, np.eye(d, dtype=complex)))
+    walks = zip(lhs.walk(plan, identity_panel(gens.dim, coords)), rhs.walk(plan, np.eye(d, dtype=complex)))
     for (i, left), (_, right) in walks:
-        np.subtract(j_star @ left, right, out=stack[len(at)])
+        np.subtract(left[coords], right, out=stack[len(at)])
         at.append(i)
         if len(at) == len(stack):
             norms()
@@ -272,5 +258,6 @@ def verify_power_dilation(res: DilationResult, word: Word) -> float:
     for f, k in runs:
         if abs(k) > res.degree:
             raise BudgetError(f"|power| {abs(k)} of factor {f} exceeds dilation degree {res.degree}")
-    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, _codes([word]))
+    coords = np.arange(res.contractions.dim)
+    residuals, _ = dilation_residuals(res.gens, res.contractions, coords, _codes([word]))
     return float(residuals[0])

@@ -26,10 +26,10 @@ from .ncprob import BudgetError, GenSet, Word, _codes
 from .operator_core import (
     DEFAULT_DIM_CAP,
     DEFAULT_TOL,
-    Embedding,
     LetterAction,
     PhaseClock,
     State,
+    _pad_rows,
     adjoint,
     as_matrix,
     operator_norm,
@@ -318,8 +318,9 @@ class FreeDilationScenario:
     ``unitaries[i]`` acts on the big product space, ``s_ops[i]`` is the same
     construction applied to the original contractions (both keyed by factor
     id 1..n, both :class:`FockAction` letters, never dense matrices), and
-    ``embedding`` is the isometry between the two product spaces (labels
-    map identically).
+    ``coords`` (strictly increasing) holds the positions in ``fock_k`` of
+    ``fock_h``'s labels, which map identically: the inclusion ``J`` between
+    the two product spaces.
     ``vacuum`` is the joint state; single-factor moments match the input
     states exactly, and mixed moments realize free independence inside the
     stated budgets.  ``phase_seconds`` holds the seconds the construction
@@ -337,7 +338,7 @@ class FreeDilationScenario:
     fock_k: FockBasis
     unitaries: GenSet
     s_ops: GenSet
-    embedding: Embedding
+    coords: np.ndarray
     vacuum: State
     phase_seconds: Mapping[str, float] = field(default_factory=dict, compare=False)
 
@@ -356,7 +357,7 @@ class FreeDilationScenario:
         if not 1 <= factor <= self.n_factors:
             raise ValueError(f"factor id {factor} outside 1..{self.n_factors}")
         res = self.dilations[factor - 1]
-        xi = res.embedding.isometry @ self.pointed[factor - 1].base_vector
+        xi = _pad_rows(self.pointed[factor - 1].base_vector, res.ambient_dim)
         return GenSet({factor: res.gens[1]}), State.from_vector(xi)
 
 
@@ -392,15 +393,13 @@ def free_unitary_dilation(
 
     pointed_k: list[PointedSpace] = []
     for ps, res in zip(pointed_h, dils):
-        j = res.embedding.isometry
-        d = ps.dim
         big = res.ambient_dim
         # embedded complement first, then the pure dilation blocks: every
         # small-space label keeps its complement index upstairs
         comp_k = np.concatenate(
-            [j @ ps.complement_basis, np.eye(big, dtype=complex)[:, d:]], axis=1
+            [_pad_rows(ps.complement_basis, big), np.eye(big, dtype=complex)[:, ps.dim :]], axis=1
         )
-        pointed_k.append(PointedSpace(base_vector=j @ ps.base_vector, complement_basis=comp_k))
+        pointed_k.append(PointedSpace(base_vector=_pad_rows(ps.base_vector, big), complement_basis=comp_k))
 
     ids = range(1, len(factors) + 1)
     fock_k = build_fock({i: pointed_k[i - 1] for i in ids}, trunc_len)
@@ -411,7 +410,7 @@ def free_unitary_dilation(
     s_ops = GenSet({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
     clock.lap("left_action")
 
-    embedding = Embedding.coordinate(fock_k.dim, [fock_k.position[lab] for lab in fock_h.labels])
+    coords = np.array([fock_k.position[lab] for lab in fock_h.labels], dtype=np.intp)
     vacuum = State.basis_vector(fock_k.dim, 0)
     clock.lap("embedding")
     return FreeDilationScenario(
@@ -424,7 +423,7 @@ def free_unitary_dilation(
         fock_k=fock_k,
         unitaries=unitaries,
         s_ops=s_ops,
-        embedding=embedding,
+        coords=coords,
         vacuum=vacuum,
         phase_seconds=clock,
     )
@@ -467,5 +466,5 @@ def verify_free_dilation(fds: FreeDilationScenario, word: Word) -> float:
         raise BudgetError(
             f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
         )
-    residuals, _ = dilation_residuals(fds.unitaries, fds.s_ops, fds.embedding.isometry, _codes([word]))
+    residuals, _ = dilation_residuals(fds.unitaries, fds.s_ops, fds.coords, _codes([word]))
     return float(residuals[0])

@@ -40,7 +40,7 @@ from .ncprob import (
     faithfulness_check,
     worst_commutator,
 )
-from .operator_core import DEFAULT_TOL, PhaseClock, State, check_dim_cap
+from .operator_core import DEFAULT_TOL, PhaseClock, State, _pad_rows, check_dim_cap
 from .serialization import (
     matrix_from_obj,
     matrix_to_obj,
@@ -207,7 +207,7 @@ class Model:
 
 def _embedded_state(res: DilationResult, st: State) -> State:
     """``phi(J* . J)`` on the dilation space: the columns ``J v_k``, same weights."""
-    return State.from_columns(res.embedding.isometry @ st.columns, st.weights)
+    return State.from_columns(_pad_rows(st.columns, res.ambient_dim), st.weights)
 
 
 def build_model(sc: Scenario) -> Model:
@@ -318,7 +318,7 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
         name = "dilation_identity"
         fds = model.free
         table = _alternating_words(fds.unitaries.ids, (1,), min(sc.max_alt, sc.trunc), sc.degree, sc.degree)
-        records = [({}, fds.unitaries, fds.s_ops, fds.embedding, table)]
+        records = [({}, fds.unitaries, fds.s_ops, fds.coords, table)]
     else:
         name = "power_dilation"
         records = [
@@ -326,7 +326,7 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
                 {"factor": i} if sc.mode == "tensor" else {},
                 res.gens,
                 res.contractions,
-                res.embedding,
+                np.arange(res.contractions.dim),
                 _ordered_words(len(res.gens.ids), sc.degree),
             )
             for i, res in enumerate(model.dilations, start=1)
@@ -334,8 +334,8 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     worst = -1.0
     witness = None
     count = letters = 0
-    for where, gens, contractions, embedding, table in records:
-        residuals, applied = dilation_residuals(gens, contractions, embedding.isometry, table)
+    for where, gens, contractions, coords, table in records:
+        residuals, applied = dilation_residuals(gens, contractions, coords, table)
         count += len(table)
         letters += applied
         at = int(np.argmax(residuals))  # the first word of the worst

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
-from operator import itemgetter, ne
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -284,13 +284,13 @@ WalkPlan = tuple[list[int], list[int], list[list[int]]]
 
 def _walk_plan(table: np.ndarray) -> WalkPlan:
     """A table's walk: the words sorted by their reversed letters, each
-    keeping the suffix it shares with the word before, which ``map(ne,
+    keeping the suffix it shares with the word before, which ``map(eq,
     ...)`` finds without a Python step per letter."""
     backs = [list(filter(None, reversed(row.tolist()))) for row in table]
     order = sorted(range(len(backs)), key=backs.__getitem__)
     keep, done = [], []
     for todo in map(backs.__getitem__, order):
-        keep.append(next(itertools.compress(itertools.count(), map(ne, todo, done)), min(len(todo), len(done))))
+        keep.append([*map(eq, todo, done), False].index(False))
         done = todo
     return order, keep, backs
 
@@ -550,7 +550,13 @@ def _ordered_words(n_factors: int, max_power: int) -> np.ndarray:
     powers = range(-max_power, max_power + 1)
     runs = (tuple((i + 1, k) for i, k in enumerate(c) if k) for c in itertools.product(powers, repeat=n_factors))
     runs = sorted(runs, key=lambda r: (len(r), r))
-    return _table([[2 * f + (k < 0) for f, k in r for _ in range(abs(k))] for r in runs])
+    table = np.zeros((len(runs), max(1, n_factors * max_power)), dtype=np.intp)
+    for row, r in zip(table, runs):
+        at = 0
+        for f, k in r:
+            row[at : at + abs(k)] = 2 * f + (k < 0)
+            at += abs(k)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Dense complex operator arithmetic: defects, compressions, embeddings, states,
-and operators given by how they act.
+"""Dense complex operator arithmetic: defects, states, and operators given by
+how they act.
 
 Everything operates on plain ``numpy`` arrays of ``complex128``; a "matrix" is a
 2-d array, a vector a 1-d array.  All functions are pure and never mutate their
@@ -221,50 +221,12 @@ def identity_panel(dim: int, cols: Sequence[int] | np.ndarray) -> np.ndarray:
     return panel
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """An isometry identifying a small space inside a large one.
-
-    ``isometry`` is ``big_dim x small_dim`` with ``isometry* isometry = I``.
-    """
-
-    isometry: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "isometry", as_matrix(self.isometry))
-        self.validate()
-
-    @property
-    def big_dim(self) -> int:
-        return self.isometry.shape[0]
-
-    @property
-    def small_dim(self) -> int:
-        return self.isometry.shape[1]
-
-    def validate(self) -> None:
-        gram = adjoint(self.isometry) @ self.isometry
-        res = operator_norm(gram - np.eye(self.small_dim))
-        if res > DEFAULT_TOL:
-            raise ValueError(f"not an isometry: ||V*V - I|| = {res:.3e} > {DEFAULT_TOL:g}")
-
-    @staticmethod
-    def coordinate(big_dim: int, indices) -> "Embedding":
-        """Inclusion of the span of the listed coordinates."""
-        v = np.zeros((big_dim, len(indices)), dtype=complex)
-        for col, idx in enumerate(indices):
-            v[idx, col] = 1.0
-        return Embedding(v)
-
-
-def compress(a: np.ndarray, e: Embedding) -> np.ndarray:
-    """Corner ``V* a V`` of a big operator in the embedded small space."""
-    a = as_matrix(a)
-    if a.shape != (e.big_dim, e.big_dim):
-        raise ShapeMismatchError(
-            f"compress: operator is {a.shape}, embedding expects ({e.big_dim}, {e.big_dim})"
-        )
-    return adjoint(e.isometry) @ a @ e.isometry
+def _pad_rows(a: np.ndarray, dim: int) -> np.ndarray:
+    """``J a`` for the inclusion ``J`` of ``C^len(a)`` as the first
+    coordinates of ``C^dim``: ``a``'s rows on top, zeros below."""
+    out = np.zeros((dim, *a.shape[1:]), dtype=complex)
+    out[: len(a)] = a
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 The commutation part of ``_gram.tensor_independence_check`` takes the
 generator commutators of each factor pair, its factorization part and
 ``_gram.trace_check`` stream word images into Grams, and
-``ncprob.faithfulness_check`` fills its Grams from word sweeps.  These
-references build every word's matrix instead: a word-level commutator loop,
-the factorization gaps and the trace Gram from products of word matrices,
-the Hilbert-Schmidt Gram of the stacked word matrices, and the state Gram
-summed column by column.  The state is read through a dense ``eigh`` of its
+``ncprob.faithfulness_check`` fills its Grams from word sweeps, and
+``dilation.dilation_residuals`` reads ``J*`` of a word image as a gather of
+its rows.  These references build every word's matrix instead: a word-level
+commutator loop, the factorization gaps and the trace Gram from products of
+word matrices, the Hilbert-Schmidt Gram of the stacked word matrices, and
+the state Gram summed column by column; and ``J`` as a dense isometry,
+with ``J*`` a matrix product.  The state is read through a dense ``eigh`` of its
 density on the whole space, and word moments from the words' matrices.
 Meant for small models only.
 """
@@ -112,3 +114,16 @@ def dense_trace_gram(state, gens, degree):
     panel, weights = dense_state_columns(state)
     mats = [evaluate_word(w, gens) for w in words_up_to(gens.ids, degree)[1:]]
     return np.array([[_dense_moment(a @ b, panel, weights) for b in mats] for a in mats])
+
+
+def dense_dilation_residuals(gens, contractions, coords, words):
+    """``||J* w(U) J - w(T)||`` of each word, with ``J = I[:, coords]`` a
+    dense isometry, ``J*`` its matrix product with the word's image of
+    ``J``, and each norm from the ``eigvalsh`` of the difference's Gram."""
+    j = np.eye(gens.dim, dtype=complex)[:, coords]
+    small = np.eye(len(coords), dtype=complex)
+    out = []
+    for w in words:
+        diff = adjoint(j) @ apply_word(w, gens, j) - apply_word(w, contractions, small)
+        out.append(np.sqrt(max(np.linalg.eigvalsh(adjoint(diff) @ diff)[-1], 0.0)))
+    return np.array(out)

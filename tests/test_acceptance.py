@@ -17,7 +17,6 @@ from freedilation._freeprob import (
     noncrossing_partitions,
 )
 from freedilation.dilation import (
-    double_commutation_residual,
     doubly_commuting_dilation,
     finite_unitary_dilation,
     verify_power_dilation,
@@ -43,6 +42,7 @@ from freedilation.ncprob import (
     faithfulness_check,
     free_mixed_moment_oracle,
     word_moment,
+    worst_commutator,
 )
 from freedilation.operator_core import (
     State,
@@ -109,7 +109,7 @@ def test_02_doubly_commuting_suite(capsys):
         dim = int(rng.integers(2, 4))
         ops = _commuting_normals(rng, dim, count)
         res = doubly_commuting_dilation(ops, 2)
-        worst = max(worst, double_commutation_residual(res.gens))
+        worst = max(worst, worst_commutator(res.gens)[0])
         for word in ordered_words(count, 2):
             worst = max(worst, verify_power_dilation(res, word))
     _verdict(
@@ -124,8 +124,8 @@ def test_03_tensor_independence(capsys):
     for dim in (1, 2, 2):
         t = random_contraction(rng, dim)
         res = finite_unitary_dilation(t, 2)
-        xi = res.embedding.isometry @ State.basis_vector(dim, 0).vector
-        parts.append((res.gens[1], State.from_vector(xi)))
+        # J e_0 is the first basis vector of the dilation space
+        parts.append((res.gens[1], State.basis_vector(res.ambient_dim, 0)))
     gens, joint = make_tensor_independent(parts)
     rep = tensor_independence_check(joint, gens, degree=3, tol=1e-9)
     _verdict(
@@ -220,7 +220,7 @@ def test_07_traciality(capsys, scalar_pair):
 
 def test_08_faithfulness_shadow(capsys):
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
-    xi = State.from_vector(res.embedding.isometry @ np.array([1.0]))
+    xi = State.basis_vector(res.ambient_dim, 0)
     gens = res.gens
     positives = [faithfulness_check(xi, gens, d).passed for d in (1, 2, 3)]
     counter = faithfulness_check(

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,24 +11,33 @@ from freedilation.dilation import (
     DilationResult,
     NotDoublyCommutingError,
     dilation_residuals,
-    double_commutation_residual,
     doubly_commuting_dilation,
     finite_unitary_dilation,
     unitarity_residual,
     verify_power_dilation,
 )
-from freedilation.ncprob import GenSet, Word, _ordered_words, evaluate_word
+import freedilation.ncprob as ncprob
+from freedilation.free_product import free_unitary_dilation
+from freedilation.harness import Scenario, build_model
+from freedilation.ncprob import (
+    GenSet,
+    Word,
+    _alternating_words,
+    _ordered_words,
+    _word,
+    evaluate_word,
+    worst_commutator,
+)
 from freedilation.operator_core import (
     ContractionError,
-    Embedding,
     State,
     adjoint,
-    compress,
     operator_norm,
     random_contraction,
     random_unitary,
 )
 
+from certificate_oracles import dense_dilation_residuals
 from kron_oracle import kron_doubly_dilation
 from word_list_oracles import ordered_words
 
@@ -66,9 +76,9 @@ def test_unitarity_and_power_exactness_random():
         assert res.unitarity_residual() < 1e-12
         u = res.gens[1]
         for k in range(degree + 1):
-            c = compress(np.linalg.matrix_power(u, k), res.embedding)
+            c = np.linalg.matrix_power(u, k)[:dim, :dim]
             assert operator_norm(c - np.linalg.matrix_power(t, k)) < 1e-12
-            ca = compress(np.linalg.matrix_power(adjoint(u), k), res.embedding)
+            ca = np.linalg.matrix_power(adjoint(u), k)[:dim, :dim]
             assert operator_norm(ca - np.linalg.matrix_power(adjoint(t), k)) < 1e-12
 
 
@@ -76,7 +86,7 @@ def test_power_beyond_degree_wraps():
     # t = 0.5, N = 3: U^4 compressed picks up the defect cycle,
     # 0.5^4 + (1 - 0.25) = 0.8125 instead of 0.0625
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
-    c = compress(np.linalg.matrix_power(res.gens[1], 4), res.embedding)
+    c = np.linalg.matrix_power(res.gens[1], 4)
     assert c[0, 0].real == pytest.approx(0.8125, abs=1e-12)
 
 
@@ -103,7 +113,7 @@ def test_doubly_commuting_dilation_pair():
     res = doubly_commuting_dilation([a, b], 2)
     assert res.ambient_dim == 27
     assert res.unitarity_residual() < 1e-12
-    assert double_commutation_residual(res.gens) < 1e-12
+    assert worst_commutator(res.gens)[0] < 1e-12
     for ka in range(-2, 3):
         for kb in range(-2, 3):
             r = verify_power_dilation(res, Word.from_runs([(1, ka), (2, kb)]))
@@ -111,9 +121,9 @@ def test_doubly_commuting_dilation_pair():
 
 
 def test_state_from_a_strided_isometry_column():
-    # a column of a doubly dilation's isometry is a strided view
-    res = doubly_commuting_dilation([np.diag([0.5, 0.2]), np.diag([0.3, -0.1])], 2)
-    xi = res.embedding.isometry[:, 0]
+    # a column of a dilation's unitary is a strided view
+    res = finite_unitary_dilation(np.array([[0.5, 0.2], [0.0, 0.3]]), 2)
+    xi = res.gens[1][:, 0]
     assert not xi.flags.c_contiguous
     state = State.from_vector(xi)
     assert state.vector.flags.c_contiguous
@@ -165,12 +175,13 @@ def _dense_power(a, k):
 
 
 def _dense_residual(res, runs):
+    d = res.contractions.dim
     big = np.eye(res.ambient_dim, dtype=complex)
-    small = np.eye(res.embedding.small_dim, dtype=complex)
+    small = np.eye(d, dtype=complex)
     for f, k in runs:
         big = big @ _dense_power(evaluate_word(Word(((f, False),)), res.gens), k)
         small = small @ _dense_power(res.contractions[f], k)
-    return operator_norm(compress(big, res.embedding) - small)
+    return operator_norm(big[:d, :d] - small)
 
 
 def _assert_matches_dense(res, words):
@@ -186,21 +197,10 @@ def test_power_identity_matches_dense_reference_single():
     res = finite_unitary_dilation(t, 3)
     words = [Word.from_runs([(1, k)]) for k in range(-3, 4)]
     _assert_matches_dense(res, words)
-    # a rotated copy: the word acts on J's columns, which are no longer coordinates
-    q = random_unitary(rng, res.ambient_dim)
-    rotated = DilationResult(
-        gens=GenSet({1: q @ res.gens[1] @ adjoint(q)}),
-        contractions=res.contractions,
-        embedding=Embedding(q @ res.embedding.isometry),
-        degree=3,
-    )
-    _assert_matches_dense(rotated, words)
-    assert max(verify_power_dilation(rotated, w) for w in words) < 1e-12
     # a unitary that is no dilation of t gives O(1) residuals, which must agree too
     wrong = DilationResult(
         gens=GenSet({1: random_unitary(rng, res.ambient_dim)}),
         contractions=res.contractions,
-        embedding=res.embedding,
         degree=3,
     )
     _assert_matches_dense(wrong, words)
@@ -221,11 +221,60 @@ def test_power_identity_matches_dense_reference_doubly():
     swapped = DilationResult(
         gens=GenSet({1: res.gens[2], 2: res.gens[1]}),
         contractions=res.contractions,
-        embedding=res.embedding,
         degree=2,
     )
     _assert_matches_dense(swapped, words)
     assert max(verify_power_dilation(swapped, w) for w in words) > 0.1
+
+
+def _free_model():
+    rho = State.from_density(np.array([[0.7, 0.1], [0.1, 0.3]]))
+    t = np.array([[0.3, 0.4], [0.1, -0.2]])
+    s = np.array([[0.5, 0.0], [0.2j, -0.4]])
+    return free_unitary_dilation([(t, rho), (s, State.basis_vector(2, 1))], 2, 3)
+
+
+def _coordinate_record(name):
+    """``(gens, contractions, coords, table)`` of a single, a 3-factor doubly,
+    a tensor factor's or a free dilation record, with its suite's words."""
+    rng = np.random.default_rng(36)
+    if name == "free":
+        fds = _free_model()
+        table = _alternating_words(fds.unitaries.ids, (1,), fds.trunc, fds.degree, fds.degree)
+        return fds.unitaries, fds.s_ops, fds.coords, table
+    if name == "single":
+        res = finite_unitary_dilation(random_contraction(rng, 3), 3)
+    elif name == "doubly":
+        q = random_unitary(rng, 2)
+        eigs = 0.9 * rng.uniform(size=(3, 2)) * np.exp(2j * np.pi * rng.uniform(size=(3, 2)))
+        res = doubly_commuting_dilation([(q * e) @ adjoint(q) for e in eigs], 2)
+    else:
+        parts = [(random_contraction(rng, d), State.basis_vector(d, 0)) for d in (2, 1)]
+        res = build_model(Scenario(mode="tensor", factors=parts, degree=2)).dilations[0]
+    table = _ordered_words(len(res.gens.ids), res.degree)
+    return res.gens, res.contractions, np.arange(res.contractions.dim), table
+
+
+@pytest.mark.parametrize("name", ["single", "doubly", "tensor", "free"])
+def test_coordinate_identity_matches_dense_isometry(name):
+    gens, contractions, coords, table = _coordinate_record(name)
+    want = dense_dilation_residuals(gens, contractions, coords, [_word(row) for row in table])
+    got, _ = dilation_residuals(gens, contractions, coords, table)
+    np.testing.assert_array_equal(got, want)
+    # three differences a stack: the stacked norms are the per-word ones
+    d = len(coords)
+    with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", 3 * 16 * d * d):
+        many, _ = dilation_residuals(gens, contractions, coords, table)
+    assert len(table) > 3
+    np.testing.assert_array_equal(many, want)
+
+
+def test_free_coordinates_are_the_small_labels_in_order():
+    fds = _free_model()
+    coords = fds.coords
+    assert coords.dtype == np.intp and coords.shape == (fds.fock_h.dim,) and fds.fock_h.dim > 1
+    assert np.all(np.diff(coords) > 0)
+    assert all(fds.fock_k.labels[c] == label for c, label in zip(coords, fds.fock_h.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +367,7 @@ def test_single_dilation_is_exact_on_edge_inputs(case):
     dim = res.ambient_dim
     assert res.unitarity_residual() <= min(1e-13, 16 * dim * EPS)
     table = _ordered_words(1, degree)
-    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, table)
+    residuals, _ = dilation_residuals(res.gens, res.contractions, np.arange(res.contractions.dim), table)
     assert len(residuals) == 2 * degree + 1 and np.max(residuals) <= min(1e-13, dim * EPS)
 
 
@@ -349,5 +398,5 @@ def test_doubly_dilation_is_exact_on_edge_inputs(case):
     dim = res.ambient_dim
     assert res.unitarity_residual() <= min(1e-13, 16 * dim * EPS)
     table = _ordered_words(len(ts), degree)
-    residuals, _ = dilation_residuals(res.gens, res.contractions, res.embedding.isometry, table)
+    residuals, _ = dilation_residuals(res.gens, res.contractions, np.arange(res.contractions.dim), table)
     assert len(residuals) == (2 * degree + 1) ** len(ts) and np.max(residuals) <= min(1e-12, dim * EPS)

@@ -610,8 +610,7 @@ def test_free_independence_negative_control_two_copies():
     # vanish
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
     u = res.gens[1]
-    xi = res.embedding.isometry[:, 0]
-    s = State.from_vector(xi)
+    s = State.basis_vector(res.ambient_dim, 0)  # J e_0
     rep = free_independence_check(s, GenSet({1: u, 2: u}), max_len=2, degree=1, tol=1e-8)
     assert not rep.passed
     assert rep.residual == pytest.approx(1.5) and rep.details["max_entry"] == pytest.approx(0.75)
@@ -1083,7 +1082,7 @@ def test_tensor_factorization_gaps_are_rounding(dims, kind, degree, seed):
 
 def test_faithfulness_positive_cyclic():
     res = finite_unitary_dilation(np.array([[0.5]]), 3)
-    s = State.from_vector(res.embedding.isometry[:, 0])
+    s = State.basis_vector(res.ambient_dim, 0)  # J e_0
     rep = faithfulness_check(s, res.gens, degree=2)
     assert rep.passed
     assert rep.details["span_dim"] == rep.details["gram_rank"]
@@ -1152,7 +1151,8 @@ def test_faithfulness_gram_is_bounded_in_bytes():
     # take 12 MB; under a 1 MiB block they are filled four columns at a time
     diag = [np.diag([0.5, -0.3 + 0.2j]), np.diag([0.1j, 0.6]), np.diag([-0.4, 0.7])]
     res = doubly_commuting_dilation(diag, 2)
-    state = State.from_vector(res.embedding.isometry @ np.array([0.6, 0.8]))
+    # J (0.6, 0.8): the vector's rows on the first coordinates
+    state = State.from_vector(np.pad([0.6, 0.8], (0, res.ambient_dim - 2)))
     words = 1 + 6 + 36 + 216
     assert 16 * res.ambient_dim**2 * words > 12e6
     want = dense_gram_ranks(state, res.gens, 3)

@@ -12,14 +12,11 @@ from freedilation.ncprob import GenSet, parse_word, word_moment
 from freedilation.operator_core import (
     DEFAULT_DIM_CAP,
     ContractionError,
-    Embedding,
-    ShapeMismatchError,
     State,
     StateError,
     adjoint,
     as_matrix,
     check_dim_cap,
-    compress,
     defect_pair,
     operator_norm,
     purify,
@@ -124,20 +121,6 @@ def test_defect_exact_near_unit_singular_value():
 def test_defect_rejects_expansion():
     with pytest.raises(ContractionError):
         defect_pair(np.array([[1.5]]))
-
-
-def test_embedding_compress_and_coordinate():
-    e = Embedding.coordinate(4, [0, 1])
-    assert e.big_dim == 4 and e.small_dim == 2
-    a = np.arange(16.0).reshape(4, 4)
-    np.testing.assert_allclose(compress(a, e), a[:2, :2])
-    with pytest.raises(ShapeMismatchError):
-        compress(np.eye(3), e)
-
-
-def test_embedding_rejects_non_isometry():
-    with pytest.raises(ValueError):
-        Embedding(np.array([[1.0], [1.0]]))
 
 
 def test_state_validation():

@@ -29,12 +29,12 @@ from freedilation.serialization import matrix_to_obj
 ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = ["dilation", "free_product", "harness", "ncprob", "operator_core", "serialization"]
 API = [
-    "BudgetError", "CheckReport", "ContractionError", "DilationResult", "Embedding",
+    "BudgetError", "CheckReport", "ContractionError", "DilationResult",
     "FockBasis", "FockDimensionError", "FreeDilationScenario", "GenSet", "IngestError",
     "Model", "NotDoublyCommutingError", "PointedSpace", "Report", "Scenario",
     "ShapeMismatchError", "State", "StateError", "Word", "adjoint",
-    "build_fock", "build_model", "center", "compress",
-    "defect_pair", "double_commutation_residual", "doubly_commuting_dilation", "emit",
+    "build_fock", "build_model", "center",
+    "defect_pair", "doubly_commuting_dilation", "emit",
     "evaluate_product", "evaluate_word", "faithfulness_check", "finite_unitary_dilation",
     "free_cumulants", "free_independence_check", "free_mixed_moment_oracle",
     "free_mixed_moments", "free_unitary_dilation", "haar_unitary_marginal", "ingest",
@@ -86,7 +86,7 @@ def test_cli_import_and_help_load_no_numpy():
 
 
 def test_public_names_resolve_and_star_import_binds_them():
-    assert len(API) == 67
+    assert len(API) == 64
     got = _python(
         "import json, freedilation\n"
         "names = freedilation.__all__\n"
