@@ -85,7 +85,6 @@ _EXPORTS = {
     "harness": (
         "IngestError",
         "Model",
-        "Report",
         "Scenario",
         "build_model",
         "emit",

@@ -247,16 +247,18 @@ def trace_check(
     sweep = _Sweep(state, gens)
     _gram_budget(sweep, n * n)
     table = _all_words(ids, degree)[1:]
-    # pairs[a, b]: the letters of a after its head, then those of b
-    tails, ends = table[:, h:], np.count_nonzero(table[:, h:], axis=1)
-    pairs = np.zeros((n, n, tails.shape[1] + table.shape[1]), dtype=np.intp)
-    pairs[:, :, : tails.shape[1]] = tails[:, None]
-    pairs[np.arange(n)[:, None, None], np.arange(n)[:, None], ends[:, None, None] + np.arange(table.shape[1])] = table
-    (heads, hi), (rests, ri) = _first_use(table[:, :h]), _first_use(pairs.reshape(n * n, -1))
+    # joined[t, b]: the distinct tail t (a word's letters after its head),
+    # then the letters of b; word a's rest with b is joined[ti[a], b]
+    (tails, ti), width = _first_use(table[:, h:]), table.shape[1]
+    ends = np.count_nonzero(tails, axis=1)
+    joined = np.zeros((len(tails), n, tails.shape[1] + width), dtype=np.intp)
+    joined[:, :, : tails.shape[1]] = tails[:, None]
+    joined[np.arange(len(tails))[:, None, None], np.arange(n)[:, None], ends[:, None, None] + np.arange(width)] = table
+    (heads, hi), (rests, ri) = _first_use(table[:, :h]), _first_use(joined.reshape(len(tails) * n, -1))
     gram = np.empty((len(heads), len(rests)), dtype=complex)  # gram[u, y] = phi(u y)
     for _, (us, ys), block in _grams(sweep, [(0, 1)], {0: heads, 1: rests}):
         gram[us[:, None], ys] = block
-    moments = gram[hi[:, None], ri.reshape(n, n)]  # phi(ab)
+    moments = gram[hi[:, None], ri.reshape(len(tails), n)[ti]]  # phi(ab)
     res = np.abs(moments - moments.T)
     at = int(np.argmax(res))  # the first of the worst
     worst, witness = float(res.flat[at]), None

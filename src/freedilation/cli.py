@@ -107,6 +107,12 @@ def _write(args: argparse.Namespace, obj: dict) -> None:
         raise IngestError(str(exc)) from None
 
 
+def _answer(args: argparse.Namespace, obj: dict, passed: bool = True) -> int:
+    """Write a command's answer with the version; its exit code says whether it passed."""
+    _write(args, {**obj, "version": __version__})
+    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+
+
 def _blas_dim(mode: str, degree: int, rows: list[int]) -> int:
     """The size ``ONE_THREAD_BELOW`` bounds: the dimension of the space in
     single and tensor mode, of one factor's dilation in doubly mode."""
@@ -139,8 +145,7 @@ def _run_suite(args: argparse.Namespace, force_mode: str | None = None, subset=N
     from .harness import run_theorem_suite
 
     report = run_theorem_suite(sc, subset=subset)
-    _write(args, report.to_obj())
-    return EXIT_PASS if report.overall_pass else EXIT_CHECK_FAILED
+    return _answer(args, report, report["overall_pass"])
 
 
 def _build_or_refuse(sc: Scenario):
@@ -176,10 +181,8 @@ def _cmd_check(args) -> int:
         "worst_witness": rep.witness,
         "pass": rep.passed,
         "details": rep.details,
-        "version": __version__,
     }
-    _write(args, obj)
-    return EXIT_PASS if rep.passed else EXIT_CHECK_FAILED
+    return _answer(args, obj, rep.passed)
 
 
 def _parse_or_refuse(parse, text: str):
@@ -208,22 +211,19 @@ def _cmd_moments(args) -> int:
         "budgets": {"degree": sc.degree, "trunc": sc.trunc},
         "mode": sc.mode,
         "results": results,
-        "version": __version__,
     }
-    _write(args, obj)
-    return EXIT_PASS
+    return _answer(args, obj)
 
 
 def _cmd_oracle(args) -> int:
     sc = _load_scenario(args, force_mode="free")
-    from ._freeprob import matrix_marginal, oracle_codes, oracle_comparison
+    from ._freeprob import oracle_codes, oracle_comparison
     from ._moments import moment_budget_check
+    from .harness import _marginals
     from .ncprob import parse_word
 
     model = _build_or_refuse(sc)
-    marginals = {
-        i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
-    }
+    marginals = _marginals(model)
     words = [_parse_or_refuse(parse_word, text) for text in args.word]
     for w in words:
         moment_budget_check(sc, w)
@@ -244,10 +244,8 @@ def _cmd_oracle(args) -> int:
         "worst_witness": max(results, key=lambda r: r["residual"])["word"],
         "pass": worst <= sc.tol,
         "results": results,
-        "version": __version__,
     }
-    _write(args, obj)
-    return EXIT_PASS if worst <= sc.tol else EXIT_CHECK_FAILED
+    return _answer(args, obj, worst <= sc.tol)
 
 
 def _parse_moment_list(obj: object) -> list[complex]:
@@ -296,10 +294,8 @@ def _cmd_cumulants(args) -> int:
         "max_residual": residual,
         "worst_witness": None,
         "pass": residual <= tol,
-        "version": __version__,
     }
-    _write(args, obj)
-    return EXIT_PASS if residual <= tol else EXIT_CHECK_FAILED
+    return _answer(args, obj, residual <= tol)
 
 
 def _cmd_ncpartitions(args) -> int:
@@ -318,10 +314,8 @@ def _cmd_ncpartitions(args) -> int:
         "max_residual": 0.0,
         "worst_witness": None,
         "pass": True,
-        "version": __version__,
     }
-    _write(args, obj)
-    return EXIT_PASS
+    return _answer(args, obj)
 
 
 def build_parser() -> argparse.ArgumentParser:

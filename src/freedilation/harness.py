@@ -52,8 +52,8 @@ if TYPE_CHECKING:
     from .free_product import FreeDilationScenario
 
 # The largest check degree of tensor independence and traciality: the
-# ``n x n x width`` index array of ``trace_check``'s word pairs is outside
-# ``MAX_GRAM_WORK``, and at degree 12 on single_half.json takes 9.7 GB.
+# ``n x n`` pair moments that ``trace_check`` compares are outside
+# ``MAX_GRAM_WORK``, and at degree 12 (n = 8,190 on one factor) take 1.07 GB.
 MAX_SMALL_CHECK_DEGREE = 3
 
 
@@ -398,8 +398,15 @@ def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
     return trace_check(model.state, model.gens, degree=degree, tol=sc.tol)
 
 
+def _marginals(model: Model) -> dict:
+    """Each factor's marginal, keyed by its 1-based id, from the factor models."""
+    from ._freeprob import matrix_marginal
+
+    return {i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)}
+
+
 def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
-    from ._freeprob import MAX_ORACLE_LETTERS, matrix_marginal, oracle_equivalence_check
+    from ._freeprob import MAX_ORACLE_LETTERS, oracle_equivalence_check
 
     # the words reach 2 * degree letters (a run, then its adjoint): refused
     # before they are enumerated, not at the first one over the oracle's cap
@@ -408,11 +415,8 @@ def _check_oracle(sc: Scenario, model: Model) -> CheckReport:
             f"oracle words of degree {sc.degree} reach {2 * sc.degree} letters, "
             f"exceeding oracle cap {MAX_ORACLE_LETTERS}; lower the degree"
         )
-    marginals = {
-        i: matrix_marginal(g, s) for i, (g, s) in enumerate(model.factor_models, start=1)
-    }
     max_blocks = min(sc.max_alt, sc.trunc)
-    rep = oracle_equivalence_check(model.state, model.gens, marginals, max_blocks, sc.degree, sc.tol)
+    rep = oracle_equivalence_check(model.state, model.gens, _marginals(model), max_blocks, sc.degree, sc.tol)
     rep.details["max_blocks"] = max_blocks
     return rep
 
@@ -489,105 +493,66 @@ def suite_plan(sc: Scenario, model: Model) -> list[tuple[str, Callable[[], Check
     return [(name, partial(CHECKS[name], sc, model)) for name in names]
 
 
-@dataclass
-class Report:
-    scenario: dict
-    checks: list[dict]
-    overall_pass: bool
-    version: str = __version__
-    inputs: list[dict] = field(default_factory=list)
+class _Report(dict):
+    """The report dict; ``to_obj`` returns it unchanged, for callers of the
+    former report object (the benchmark's tests in ``perfbench/tests``)."""
 
     def to_obj(self) -> dict:
-        return {
-            "version": self.version,
-            "scenario": self.scenario,
-            "inputs": self.inputs,
-            "checks": self.checks,
-            "overall_pass": self.overall_pass,
-        }
+        return self
 
 
-def run_theorem_suite(sc: Scenario, subset: Sequence[str] | None = None) -> Report:
-    """Build the scenario's model and run every applicable check.
-
-    Construction failures become a failing report entry rather than an
-    exception; ``subset`` restricts the check names to run.
-    """
-    entries: list[dict] = []
+def _entry(name: str, step: Callable[[], CheckReport], tol: float, failed: dict) -> dict:
+    """A report entry: the step's report and the ``seconds`` it took.  A
+    step refused with ``ValueError`` or ``KeyError`` fails, with the error
+    as its witness and ``failed`` as its details; a non-finite residual
+    reads ``inf``."""
     t0 = time.perf_counter()
     try:
+        rep = step()
+    except (ValueError, KeyError) as exc:
+        rep = CheckReport(name, math.inf, tol, False, {"error": str(exc)}, failed)
+    entry = rep.to_obj()
+    if not math.isfinite(entry["residual"]):
+        entry["residual"] = math.inf
+    entry["seconds"] = round(time.perf_counter() - t0, 6)
+    return entry
+
+
+def run_theorem_suite(sc: Scenario, subset: Sequence[str] | None = None) -> dict:
+    """Build the scenario's model and run every applicable check: the
+    report, as the JSON object ``freedilation suite`` writes.
+
+    A refused construction or check is a failing entry rather than an
+    exception; ``subset`` restricts the check names to run.
+    """
+    model = None
+
+    def construct() -> CheckReport:
+        nonlocal model
         if sc.mode == "free" and len(sc.factors) > 1:  # its checks' modules, as in build_model's tensor branch
             from . import _freeprob, _gram  # noqa: F401
         model = build_model(sc)
-        construction = {
-            "name": "construction",
-            "residual": 0.0,
-            "tol": sc.tol,
-            "passed": True,
-            "witness": None,
-            # the bytes of the generators the model holds: in free mode the
-            # dilated and the original factors' letter actions
-            "details": {
-                "ambient_dim": model.gens.dim,
-                "mode": sc.mode,
-                "gen_bytes": model.gens.nbytes
-                + (model.free.s_ops.nbytes if model.free is not None else 0),
-            },
-        }
+        # the bytes of the generators the model holds: in free mode the
+        # dilated and the original factors' letter actions
+        details = {"ambient_dim": model.gens.dim, "mode": sc.mode, "gen_bytes": model.gens.nbytes}
         if model.free is not None:
-            construction["details"]["fock_dim"] = model.free.dim
-            construction["details"]["base_fock_dim"] = model.free.fock_h.dim
-        construction["seconds"] = round(time.perf_counter() - t0, 6)
+            free = model.free
+            details.update(fock_dim=free.dim, base_fock_dim=free.fock_h.dim)
+            details["gen_bytes"] += free.s_ops.nbytes
+        return CheckReport("construction", 0.0, sc.tol, True, None, details)
+
+    entries = [_entry("construction", construct, sc.tol, {"mode": sc.mode})]
+    if model is not None:
         # timings, so under "seconds" keys, which report_fingerprint strips
-        construction["phases"] = {k: {"seconds": round(v, 6)} for k, v in model.phase_seconds.items()}
-        entries.append(construction)
-    except (ValueError, KeyError) as exc:
-        entries.append(
-            {
-                "name": "construction",
-                "residual": float("inf"),
-                "tol": sc.tol,
-                "passed": False,
-                "witness": {"error": str(exc)},
-                "details": {"mode": sc.mode},
-                "seconds": round(time.perf_counter() - t0, 6),
-            }
-        )
-        return _finalize_report(sc, entries)
-
-    for name, thunk in suite_plan(sc, model):
-        if subset is not None and name not in subset:
-            continue
-        t0 = time.perf_counter()
-        try:
-            rep = thunk()
-            entry = rep.to_obj()
-        except (ValueError, KeyError) as exc:
-            entry = {
-                "name": name,
-                "residual": float("inf"),
-                "tol": sc.tol,
-                "passed": False,
-                "witness": {"error": str(exc)},
-                "details": {},
-            }
-        entry["seconds"] = round(time.perf_counter() - t0, 6)
-        entries.append(entry)
-
-    return _finalize_report(sc, entries)
-
-
-def _finalize_report(sc: Scenario, entries: list[dict]) -> Report:
-    for entry in entries:
-        entry.setdefault("seconds", 0.0)
-        if isinstance(entry.get("residual"), float) and not np.isfinite(entry["residual"]):
-            entry["residual"] = float("inf")
-    overall = all(entry["passed"] for entry in entries)
-    return Report(
+        entries[0]["phases"] = {k: {"seconds": round(v, 6)} for k, v in model.phase_seconds.items()}
+        plan = suite_plan(sc, model)
+        entries += [_entry(name, step, sc.tol, {}) for name, step in plan if subset is None or name in subset]
+    return _Report(
+        version=__version__,
         scenario=sc.to_obj(),
-        checks=entries,
-        overall_pass=overall,
         inputs=[{"path": p, "sha256": h} for p, h in sc.sources],
+        checks=entries,
+        overall_pass=all(entry["passed"] for entry in entries),
     )
 
 
@@ -613,23 +578,20 @@ def render_text(report_obj: dict) -> str:
             f"mode={sc.get('mode')} factors={len(sc.get('factors', []))} "
             f"degree={sc.get('degree')} trunc={sc.get('trunc')} seed={sc.get('seed')}"
         )
-    rows = []
-    for entry in report_obj.get("checks", []):
-        rows.append(
-            (
-                entry["name"],
-                f"{entry['residual']:.3e}",
-                f"{entry['tol']:.1e}",
-                "pass" if entry["passed"] else "FAIL",
-                json.dumps(entry.get("witness")) if entry.get("witness") else "-",
-            )
+    header = ("check", "residual", "tol", "ok", "witness")
+    rows = [
+        (
+            entry["name"],
+            f"{entry['residual']:.3e}",
+            f"{entry['tol']:.1e}",
+            "pass" if entry["passed"] else "FAIL",
+            json.dumps(entry.get("witness")) if entry.get("witness") else "-",
         )
+        for entry in report_obj.get("checks", [])
+    ]
     if rows:
-        widths = [max(len(r[i]) for r in rows + [("check", "residual", "tol", "ok", "witness")]) for i in range(5)]
-        header = ("check", "residual", "tol", "ok", "witness")
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for r in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in (header, *rows)]
     lines.append(
         "overall: " + ("pass" if report_obj.get("overall_pass") else "FAIL")
     )

@@ -12,6 +12,7 @@ Gram certificates of independence and traciality are in ``_gram``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from operator import eq, itemgetter
@@ -32,8 +33,8 @@ from .operator_core import (
 )
 
 MAX_GRAM_WORDS = 4096
-# the longest word ``Word.from_runs`` expands; power_dilation reaches 4,999
-# letters under the 5,000 dimension cap
+# the longest word ``Word.from_runs`` expands, and so the longest parsed
+# word (``parse_word``, every ``--word``); word tables never pass through it
 MAX_WORD_LETTERS = 2**16
 # bytes of the stacked word images of one column block of a faithfulness
 # Gram; their conjugate, for the Gram product, takes as much again
@@ -48,25 +49,16 @@ SAMPLE_PANEL_BYTES = 128 * 2**10
 # words and combinations
 
 
-@lru_cache(maxsize=None)
-def _letter(factor: int, star: bool) -> tuple[int, bool]:
-    return (factor, star)
-
-
 @dataclass(frozen=True, slots=True)
 class Word:
     """Finite product of generators and adjoints; ``letters`` is a tuple of
-    ``(factor id, star flag)`` pairs, empty meaning the unit.
-
-    Words share one tuple per distinct letter and keep no ``__dict__``, so a
-    sweep over thousands of words costs about a pointer per letter."""
+    ``(factor id, star flag)`` pairs, empty meaning the unit.  Word lists
+    run as code tables (:func:`_codes`), not as words."""
 
     letters: tuple[tuple[int, bool], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "letters", tuple(_letter(int(f), bool(s)) for f, s in self.letters)
-        )
+        object.__setattr__(self, "letters", tuple((int(f), bool(s)) for f, s in self.letters))
 
     @staticmethod
     def from_runs(runs: Iterable[tuple[int, int]]) -> "Word":
@@ -278,21 +270,35 @@ _code_word = lru_cache(maxsize=None)(lambda code: _word((code,)))
 
 
 # a table's walk: its rows in visiting order, the letters each keeps of the
-# row before, and every row's codes, last letter first
-WalkPlan = tuple[list[int], list[int], list[list[int]]]
+# row before, every row's codes, last letter first, and each visit's stack
+# steps: whether it pops the panel it resumes from, and the depths it pushes
+WalkPlan = tuple[list[int], list[int], list[list[int]], list[tuple[bool, list[int]]]]
 
 
 def _walk_plan(table: np.ndarray) -> WalkPlan:
     """A table's walk: the words sorted by their reversed letters, each
     keeping the suffix it shares with the word before, which ``map(eq,
-    ...)`` finds without a Python step per letter."""
+    ...)`` finds without a Python step per letter.
+
+    A walk holds a suffix's panel only while a later word resumes from it:
+    after word ``t``, at depth ``keep[t + 1]`` and each later keep smaller
+    than all before it (a next-smaller chain, built backwards).  Word ``t``
+    pops the panel it resumes from unless its own chain holds that depth,
+    and pushes its chain's depths above ``keep[t]``."""
     backs = [list(filter(None, reversed(row.tolist()))) for row in table]
     order = sorted(range(len(backs)), key=backs.__getitem__)
     keep, done = [], []
     for todo in map(backs.__getitem__, order):
         keep.append([*map(eq, todo, done), False].index(False))
         done = todo
-    return order, keep, backs
+    chain, steps = [], []  # chain: the depths later words resume from, increasing
+    for k in reversed(keep):
+        at = bisect_left(chain, k)
+        held = chain[at : at + 1] == [k]  # a later word resumes from k too
+        steps.append((not held, chain[at + held :]))
+        chain[at:] = [k]
+    steps.reverse()
+    return order, keep, backs, steps
 
 
 class _Sweep:
@@ -324,15 +330,18 @@ class _Sweep:
     def walk(self, plan: WalkPlan, panel: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(i, word i applied to panel)`` for every word of a
         table, in the order of its :func:`_walk_plan`: a stack keeps the
-        applied suffix of the current word, so each distinct suffix costs
-        one code (:meth:`apply`), and only the stack's panels are live."""
-        order, keep, backs = plan
-        stack = [panel]  # stack[j]: the last j letters of the last word applied
-        for i, k in zip(order, keep):
-            del stack[k + 1 :]
-            for code in backs[i][k:]:
-                stack.append(self.apply(code, stack[-1]))
-            yield i, stack[-1]
+        applied suffixes that later words resume from, so each distinct
+        suffix costs one code (:meth:`apply`), and only the stack's panels
+        and the current image are live."""
+        order, keep, backs, steps = plan
+        stack = [panel]  # the panels of the plan's chain, deepest last
+        for i, k, (pop, pushes) in zip(order, keep, steps):
+            image = stack.pop() if pop else stack[-1]
+            for depth, code in enumerate(backs[i][k:], k + 1):
+                image = self.apply(code, image)
+                if depth in pushes:
+                    stack.append(image)
+            yield i, image
 
     def blocks(
         self, plan: WalkPlan, panel: np.ndarray, size: int, means: np.ndarray | None = None
@@ -441,6 +450,8 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 def _first_use(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A table's distinct rows in order of first use, and each row's index among them."""
+    if rows.shape[1] == 0:  # rows of no codes are all the one empty row
+        return rows[:1], np.zeros(len(rows), dtype=np.intp)
     _, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))

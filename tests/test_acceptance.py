@@ -291,8 +291,8 @@ def test_11_determinism(capsys):
         samples=5,
         seed=42,
     )
-    a = report_fingerprint(run_theorem_suite(sc).to_obj())
-    b = report_fingerprint(run_theorem_suite(sc).to_obj())
+    a = report_fingerprint(run_theorem_suite(sc))
+    b = report_fingerprint(run_theorem_suite(sc))
     _verdict(
         capsys, 11, "determinism", a == b,
         "two suite runs, timing-stripped reports byte-identical",

@@ -533,7 +533,7 @@ def test_free_suite_of_purified_density_factors_of_different_dimensions(case):
     factors, degree, seed = case
     budgets = dict(degree=degree, trunc=2, check_degree=2, max_alt=3, samples=5, seed=seed)
     sc = Scenario(mode="free", factors=factors, **budgets)
-    report = run_theorem_suite(sc).to_obj()
+    report = run_theorem_suite(sc)
     checks = {c["name"]: c for c in report["checks"]}
     assert report["overall_pass"], [(c["name"], c["residual"], c["witness"]) for c in report["checks"]]
     assert set(checks) >= {"unitarity", "dilation_identity", "free_independence", "oracle_equivalence"}

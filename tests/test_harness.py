@@ -257,11 +257,11 @@ def test_ordered_words_shape():
 def test_suite_single_scalar_passes():
     sc = Scenario(mode="single", factors=[_scalar_factor(0.5)], samples=10)
     report = run_theorem_suite(sc)
-    names = [c["name"] for c in report.checks]
+    names = [c["name"] for c in report["checks"]]
     assert names == ["construction", "unitarity", "power_dilation", "faithfulness"]
-    assert report.overall_pass
-    assert all(c["passed"] for c in report.checks)
-    assert report.checks[0]["details"]["ambient_dim"] == 4
+    assert report["overall_pass"]
+    assert all(c["passed"] for c in report["checks"])
+    assert report["checks"][0]["details"]["ambient_dim"] == 4
 
 
 def test_suite_doubly_includes_commutation():
@@ -269,9 +269,9 @@ def test_suite_doubly_includes_commutation():
     s = State.basis_vector(2, 0)
     sc = Scenario(mode="doubly", factors=[(t, s), (t * 0.5, s)], degree=2, samples=5)
     report = run_theorem_suite(sc)
-    names = [c["name"] for c in report.checks]
+    names = [c["name"] for c in report["checks"]]
     assert "double_commutation" in names
-    assert report.overall_pass
+    assert report["overall_pass"]
 
 
 def test_suite_construction_failure_is_a_failing_entry():
@@ -279,22 +279,22 @@ def test_suite_construction_failure_is_a_failing_entry():
     s = State.from_vector(np.array([1.0, 0.0]))
     sc = Scenario(mode="free", factors=[(t, s), (t, s)], degree=3, trunc=4)
     report = run_theorem_suite(sc)  # 5601-dimensional space exceeds the cap
-    assert not report.overall_pass
-    assert report.checks[0]["name"] == "construction"
-    assert not report.checks[0]["passed"]
-    assert "error" in report.checks[0]["witness"]
+    assert not report["overall_pass"]
+    assert report["checks"][0]["name"] == "construction"
+    assert not report["checks"][0]["passed"]
+    assert "error" in report["checks"][0]["witness"]
 
 
 def test_suite_subset_restriction():
     sc = Scenario(mode="single", factors=[_scalar_factor(0.5)])
     report = run_theorem_suite(sc, subset=["unitarity"])
-    assert [c["name"] for c in report.checks] == ["construction", "unitarity"]
+    assert [c["name"] for c in report["checks"]] == ["construction", "unitarity"]
 
 
 def test_report_fingerprint_ignores_timing():
     sc = Scenario(mode="single", factors=[_scalar_factor(0.5)], samples=5)
-    a = run_theorem_suite(sc).to_obj()
-    b = run_theorem_suite(sc).to_obj()
+    a = run_theorem_suite(sc)
+    b = run_theorem_suite(sc)
     assert report_fingerprint(a) == report_fingerprint(b)
     mutated = json.loads(json.dumps(a))
     mutated["checks"][0]["seconds"] = 99.0
@@ -307,8 +307,8 @@ def test_construction_reports_phase_seconds_outside_the_fingerprint():
     # free mode times all five construction phases, the other modes the
     # three of a block dilation; every phase time sits under a "seconds"
     # key, which the fingerprint (and the benchmark's report digest) strips
-    free = run_theorem_suite(ingest(SCENARIOS / "free_pair.json"), subset=[]).to_obj()
-    single = run_theorem_suite(Scenario(mode="single", factors=[_scalar_factor(0.5)]), subset=[]).to_obj()
+    free = run_theorem_suite(ingest(SCENARIOS / "free_pair.json"), subset=[])
+    single = run_theorem_suite(Scenario(mode="single", factors=[_scalar_factor(0.5)]), subset=[])
     phases = {name: entry["checks"][0]["phases"] for name, entry in (("free", free), ("single", single))}
     assert sorted(phases["free"]) == ["block_dilation", "defects", "embedding", "fock_basis", "left_action"]
     assert sorted(phases["single"]) == ["block_dilation", "defects", "embedding"]
@@ -323,10 +323,65 @@ def test_construction_reports_phase_seconds_outside_the_fingerprint():
 
 def test_render_text_table():
     sc = Scenario(mode="single", factors=[_scalar_factor(0.5)], samples=5)
-    text = render_text(run_theorem_suite(sc).to_obj())
+    text = render_text(run_theorem_suite(sc))
     assert "unitarity" in text
     assert "overall: pass" in text
     assert "FAIL" not in text
+
+
+ENTRY_KEYS = {"name", "residual", "tol", "passed", "witness", "details", "seconds"}
+
+
+def test_every_entry_has_one_shape(monkeypatch):
+    # a construction that passes (which adds its phases) or is refused, a
+    # check that raises and a check with a NaN residual: one set of keys,
+    # and a refused or non-finite residual reads inf
+    sc = Scenario(mode="single", factors=[_scalar_factor(0.5)])
+    built = run_theorem_suite(sc, subset=[])["checks"]
+    assert set(built[0]) == ENTRY_KEYS | {"phases"} and built[0]["passed"]
+    refused = run_theorem_suite(replace(sc, degree=10**7))
+    assert not refused["overall_pass"] and [set(c) for c in refused["checks"]] == [ENTRY_KEYS]
+    assert refused["checks"][0]["residual"] == float("inf")
+    assert refused["checks"][0]["details"] == {"mode": "single"}
+
+    def raises(sc, model):
+        raise KeyError("no such factor")
+
+    def nan(sc, model):
+        return ncprob.CheckReport("power_dilation", float("nan"), sc.tol, False, None, {"words": 1})
+
+    monkeypatch.setitem(CHECKS, "unitarity", raises)
+    monkeypatch.setitem(CHECKS, "power_dilation", nan)
+    report = run_theorem_suite(sc, subset=["unitarity", "power_dilation"])
+    construction, raised, not_finite = report["checks"]
+    assert not report["overall_pass"] and construction["passed"]
+    assert set(raised) == set(not_finite) == ENTRY_KEYS
+    assert raised["residual"] == not_finite["residual"] == float("inf")
+    assert (raised["witness"], raised["details"]) == ({"error": "'no such factor'"}, {})
+    assert (not_finite["witness"], not_finite["details"]) == (None, {"words": 1})
+
+
+def _without_seconds(x):
+    if isinstance(x, dict):
+        return {k: _without_seconds(v) for k, v in x.items() if k != "seconds"}
+    if isinstance(x, list):
+        return [_without_seconds(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize(
+    "name, degree", [("single_half", None), ("doubly_diag", None), ("free_pair", None), ("free_pair", 999999)]
+)
+def test_suite_report_is_the_json_the_cli_writes(tmp_path, name, degree):
+    # the same object, seconds aside, down to its lists (no tuple survives
+    # into the report); degree 999999 is a refused construction
+    path, out = SCENARIOS / f"{name}.json", tmp_path / "report.json"
+    extra = [] if degree is None else ["--degree", str(degree)]
+    code = main(["suite", "--input", str(path), "--output", str(out), *extra])
+    report = run_theorem_suite(ingest(path, {"degree": degree}))
+    assert _without_seconds(report) == _without_seconds(json.loads(out.read_text()))
+    assert report["overall_pass"] == (degree is None)
+    assert code == (0 if degree is None else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +479,7 @@ def test_cli_check_matches_suite_entry(tmp_path, capsys, scenario, prop, check):
     else:
         path = str(SCENARIOS / f"{scenario}.json")
     report = run_theorem_suite(ingest(path), subset=[check])
-    entry = json.loads(json.dumps(report.checks[-1]))
+    entry = json.loads(json.dumps(report["checks"][-1]))
     assert entry["name"] == check
     code = main(["check", "--input", path, "--property", prop])
     obj = json.loads(capsys.readouterr().out)
@@ -543,7 +598,7 @@ def test_over_budget_word_spans_are_refused_before_any_word(monkeypatch, capsys,
 
 def test_suite_records_a_check_degree_over_the_cap_as_a_failed_entry():
     sc = replace(ingest(SCENARIOS / "free_pair.json"), check_degree=4)
-    report = run_theorem_suite(sc, subset=("traciality",)).to_obj()
+    report = run_theorem_suite(sc, subset=("traciality",))
     (entry,) = [c for c in report["checks"] if c["name"] == "traciality"]
     assert not report["overall_pass"] and not entry["passed"]
     assert entry["witness"] == {"error": _SMALL_CHECK_CAP.replace("40", "4")}
@@ -696,8 +751,8 @@ def test_suite_dimension_cap_in_every_mode(mode):
     # far beyond any memory: refused before allocation, as a failing entry
     factors = [_scalar_factor(0.5), _scalar_factor(0.3)][: 1 if mode == "single" else 2]
     report = run_theorem_suite(Scenario(mode=mode, factors=factors, degree=10**7))
-    assert [c["name"] for c in report.checks] == ["construction"]
-    assert "exceeds cap 5000" in report.checks[0]["witness"]["error"]
+    assert [c["name"] for c in report["checks"]] == ["construction"]
+    assert "exceeds cap 5000" in report["checks"][0]["witness"]["error"]
 
 
 def test_cli_dimension_cap(capsys):
@@ -761,7 +816,7 @@ def test_suite_word_objects_do_not_grow_with_the_degree(monkeypatch, name, low, 
 
 def test_suite_counters_in_free_and_dense_modes():
     sc = ingest(SCENARIOS / "free_pair.json")
-    report = run_theorem_suite(sc, subset=("unitarity", "dilation_identity")).to_obj()
+    report = run_theorem_suite(sc, subset=("unitarity", "dilation_identity"))
     entries = {c["name"]: c for c in report["checks"]}
     model = build_model(sc)
     fds = model.free
@@ -787,7 +842,7 @@ def test_suite_counters_in_free_and_dense_modes():
         "fock_dim": 241,
         "fock_h_dim": 1,
     }
-    single = run_theorem_suite(ingest(SCENARIOS / "single_half.json")).to_obj()
+    single = run_theorem_suite(ingest(SCENARIOS / "single_half.json"))
     entries = {c["name"]: c for c in single["checks"]}
     dim = entries["construction"]["details"]["ambient_dim"]
     assert entries["unitarity"]["details"] == {"columns": dim, "words": 1, "letters_applied": 2}
@@ -796,7 +851,7 @@ def test_suite_counters_in_free_and_dense_modes():
     rng = np.random.default_rng(3)
     factors = [(np.diag(rng.uniform(-0.8, 0.8, 2)).astype(complex), State.basis_vector(2, 0))]
     tensor = Scenario(mode="tensor", factors=factors * 2, degree=1, check_degree=2, samples=5)
-    details = run_theorem_suite(tensor, subset=("tensor_independence",)).checks[1]["details"]
+    details = run_theorem_suite(tensor, subset=("tensor_independence",))["checks"][1]["details"]
     assert details["commutators"] == 2  # [A_1, A_2] and [A_1*, A_2]
     # per factor the word moments' halves, two letters for the L* in
     # {T*, T} and two for the R in {T, T*}, then its 6 nonempty words, the
@@ -804,7 +859,7 @@ def test_suite_counters_in_free_and_dense_modes():
     assert details["letters_applied"] == 2 * (2 + 2 + 6)
     assert (details["entries"], details["factors"]) == (49, [1, 2])
     doubly = Scenario(mode="doubly", factors=factors * 3, degree=1)
-    details = run_theorem_suite(doubly, subset=("double_commutation",)).checks[1]["details"]
+    details = run_theorem_suite(doubly, subset=("double_commutation",))["checks"][1]["details"]
     # [A_i, A_j] and [A_i*, A_j] per pair, on the columns over the pair's two
     # C^2 legs and the C^2 leg they share
     assert details == {"operators": 3, "commutators": 6, "columns": 2 * 2 * 2}
@@ -819,7 +874,7 @@ def test_construction_reports_generator_bytes_in_every_mode():
         Scenario(mode="doubly", factors=factors, degree=2),
         Scenario(mode="tensor", factors=factors[:2], degree=2),
     ):
-        construction, power = run_theorem_suite(sc, subset=("power_dilation",)).to_obj()["checks"]
+        construction, power = run_theorem_suite(sc, subset=("power_dilation",))["checks"]
         model = build_model(sc)
         details = construction["details"]
         assert details["gen_bytes"] == model.gens.nbytes

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -336,16 +337,44 @@ def test_walk_plan_matches_the_per_letter_walk(rows, seed):
     rows += rows[: len(rows) // 2] + [row[1:] for row in rows[::3]]
     table = ncprob._table(rows)
     want = per_letter_walk(table)
-    order, keep, backs = ncprob._walk_plan(table)
+    plan = order, keep, backs, _ = ncprob._walk_plan(table)
     assert [(i, backs[i][k:]) for i, k in zip(order, keep)] == want
     rng = np.random.default_rng(seed)
     gens = GenSet({f: random_contraction(rng, 2) for f in (1, 2, 3)})
     sweep, panel = ncprob._Sweep(None, gens), rng.standard_normal((2, 2)) + 0j
-    walked = list(sweep.walk((order, keep, backs), panel))
+    walked = list(sweep.walk(plan, panel))
     assert [i for i, _ in walked] == [i for i, _ in want]
     assert sweep.letters == sum(len(codes) for _, codes in want)
     for i, image in walked:
         np.testing.assert_array_equal(image, apply_word(ncprob._word(table[i]), gens, panel))
+
+
+def test_walk_holds_a_bounded_stack_on_a_long_chain():
+    # U^k and U*^k up to k = 300: each word resumes from the one before, so
+    # the walk holds its base, the word it resumes from and the new image,
+    # where a stack of the current word's applied suffix held k panels; it
+    # visits the per-letter walk's words and applies the same codes
+    table = ncprob._ordered_words(1, 300)
+    rng = np.random.default_rng(5)
+    gens = GenSet({1: random_contraction(rng, 3)})
+    sweep, panel = ncprob._Sweep(None, gens), rng.standard_normal((3, 2)) + 0j
+    freed, apply = [], sweep.apply
+
+    def counted(code, x):
+        out = apply(code, x)
+        weakref.finalize(out, freed.append, code)
+        return out
+
+    sweep.apply = counted
+    want, walked, most = per_letter_walk(table), [], 0
+    for i, image in sweep.walk(ncprob._walk_plan(table), panel):
+        most = max(most, sweep.letters - len(freed))  # the images still alive
+        walked.append(i)
+        if i % 37 == 0:
+            np.testing.assert_array_equal(image, apply_word(ncprob._word(table[i]), gens, panel))
+    assert walked == [i for i, _ in want]
+    assert sweep.letters == sum(len(codes) for _, codes in want) == 600
+    assert most <= 3
 
 
 @st.composite

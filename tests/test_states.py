@@ -137,7 +137,7 @@ def test_rank_one_density_gives_the_vector_states_residuals(mode, seed):
     densities = [State.from_density(np.outer(s.vector, np.conj(s.vector))) for s in vectors]
     assert all(s.columns.shape[1] == 1 for s in densities)
     reports = [
-        run_theorem_suite(_scenario(mode, mats, states, 2, seed)).to_obj() for states in (vectors, densities)
+        run_theorem_suite(_scenario(mode, mats, states, 2, seed)) for states in (vectors, densities)
     ]
     assert reports[0]["overall_pass"] and reports[1]["overall_pass"]
     pairs = list(zip(reports[0]["checks"], reports[1]["checks"]))
