@@ -24,6 +24,22 @@ from .operator_core import DEFAULT_TOL, AxisAction, State, as_matrix, check_dim_
 # --max-alt 6 8.6e6 x 2,185 (1.9e10)
 MAX_GRAM_WORK = 2**32
 
+# The largest check degree of tensor independence and traciality: the
+# ``n x n`` pair moments that :func:`trace_check` compares are outside
+# ``MAX_GRAM_WORK``, and at degree 12 (n = 8,190 on one factor) take 1.07 GB.
+MAX_SMALL_CHECK_DEGREE = 3
+
+
+def _small_degree(degree: int) -> int:
+    """The check degree of tensor independence and traciality, refused above
+    ``MAX_SMALL_CHECK_DEGREE``."""
+    if degree > MAX_SMALL_CHECK_DEGREE:
+        raise BudgetError(
+            f"check degree {degree} exceeds cap {MAX_SMALL_CHECK_DEGREE} of tensor independence "
+            "and traciality; lower the check degree"
+        )
+    return degree
+
 
 def _gram_budget(sweep: _Sweep, entries: int) -> None:
     """Refuse a certificate's Grams of ``entries`` entries in all on the
@@ -239,13 +255,14 @@ def trace_check(
     and ``phi(ab) = phi(u y)`` for ``y = t b``: a Gram of :func:`_grams`
     over the heads ``u``, every word of ``1 .. ceil(degree / 2)`` letters
     and so closed under adjoint, and the distinct ``y``.  More than
-    ``MAX_GRAM_WORK`` of ``G`` raises :class:`BudgetError` before any word
-    is built.
+    ``MAX_GRAM_WORK`` of ``G``, or a degree above ``MAX_SMALL_CHECK_DEGREE``,
+    raises :class:`BudgetError` before any word is built.
     """
     ids = list(gens.ids)
     n, h = _span_size(2 * len(ids), degree) - 1, (degree + 1) // 2
     sweep = _Sweep(state, gens)
     _gram_budget(sweep, n * n)
+    _small_degree(degree)
     table = _all_words(ids, degree)[1:]
     # joined[t, b]: the distinct tail t (a word's letters after its head),
     # then the letters of b; word a's rest with b is joined[ti[a], b]

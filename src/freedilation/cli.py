@@ -68,16 +68,20 @@ CHECK_PROPERTIES = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, need_input: bool = True) -> None:
-    p.add_argument("--input", required=need_input, help="scenario or data file (JSON)")
+def _add_io(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="scenario or data file (JSON)")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.add_argument("--tol", type=float, default=None, help="pass/fail tolerance override")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """The options of a command that reads a scenario."""
+    _add_io(p)
     p.add_argument("--degree", type=int, default=None, help="dilation degree N override")
     p.add_argument("--trunc-len", type=int, default=None, help="free product truncation length L override")
     p.add_argument("--max-alt", type=int, default=None, help="max alternation length for word sweeps")
     p.add_argument("--samples", type=int, default=None, help="accepted and recorded; no check samples")
     p.add_argument("--seed", type=int, default=None, help="accepted and recorded; no check draws")
-    p.add_argument("--format", choices=("json", "text"), default="json", help="report format")
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -92,7 +96,7 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _write(args: argparse.Namespace, obj: dict) -> None:
-    if args.format == "text" and "checks" in obj:
+    if args.format == "text":
         from .harness import render_text
 
         text = render_text(obj)
@@ -318,30 +322,29 @@ def _cmd_ncpartitions(args) -> int:
     return _answer(args, obj)
 
 
+def _add_suite(sub, name: str, text: str, mode: str | None = None, subset: tuple | None = None) -> None:
+    """A command that runs the suite, or ``subset`` of it, and writes its report."""
+    p = sub.add_parser(name, help=text)
+    _add_common(p)
+    p.add_argument("--format", choices=("json", "text"), default="json", help="a JSON report or a table")
+    p.set_defaults(fn=partial(_run_suite, force_mode=mode, subset=subset))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freedilation",
         description="Finite unitary dilations with certified independence properties",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(format="json")  # only the suite commands take --format
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dilate", help="dilate a single contraction and verify its powers")
-    _add_common(p)
-    p.set_defaults(fn=partial(_run_suite, force_mode="single", subset=("unitarity", "power_dilation")))
-
-    p = sub.add_parser("dilate-doubly", help="simultaneously dilate a doubly commuting tuple")
-    _add_common(p)
+    suite = partial(_add_suite, sub)
+    suite("dilate", "dilate a single contraction and verify its powers", "single", ("unitarity", "power_dilation"))
     subset = ("unitarity", "power_dilation", "double_commutation")
-    p.set_defaults(fn=partial(_run_suite, force_mode="doubly", subset=subset))
-
-    p = sub.add_parser("dilate-free", help="freely independent joint dilation on the truncated free product")
-    _add_common(p)
-    p.set_defaults(fn=partial(_run_suite, force_mode="free"))
-
-    p = sub.add_parser("suite", help="run every applicable certificate for a scenario")
-    _add_common(p)
-    p.set_defaults(fn=_run_suite)
+    suite("dilate-doubly", "simultaneously dilate a doubly commuting tuple", "doubly", subset)
+    suite("dilate-free", "freely independent joint dilation on the truncated free product", "free")
+    suite("suite", "run every applicable certificate for a scenario")
 
     p = sub.add_parser("check", help="run one certificate")
     _add_common(p)
@@ -366,14 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("cumulants", help="free cumulants from a moment list, with round-trip check")
-    _add_common(p)
+    _add_io(p)
     p.set_defaults(fn=_cmd_cumulants)
 
     p = sub.add_parser("ncpartitions", help="enumerate noncrossing partitions")
     p.add_argument("--size", type=int, required=True, help="ground set size (1..12)")
     p.add_argument("--list", action="store_true", help="include the partitions themselves")
     p.add_argument("--output", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(fn=_cmd_ncpartitions)
 
     return parser

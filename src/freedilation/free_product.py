@@ -36,10 +36,6 @@ from .operator_core import (
     purify,
 )
 
-# a basis word: tuple of (factor id, complement index), adjacent factors distinct
-FockLabel = tuple[tuple[int, int], ...]
-
-
 class FockDimensionError(ValueError):
     """The truncated free product is too large: its words up to ``length``
     letters alone span ``dim > cap`` dimensions."""
@@ -99,19 +95,22 @@ class PointedSpace:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Canonically ordered basis of a truncated free product: the vacuum plus
-    alternating words of complement indices, by length then lexicographically;
-    ``lengths`` holds each basis word's length."""
+    """Canonically ordered basis of a truncated free product: the vacuum,
+    then the alternating words ``(i, m) + t`` of complement indices by
+    length, factor ``i``, index ``m`` and tail ``t``.  ``lengths`` and
+    ``firsts`` hold each word's length and first factor (0 for the vacuum);
+    ``prepend[i][n] = (tails, grid)`` holds the words of length ``n < max_len``
+    that do not start with ``i`` and, at ``grid[m, j]``, ``(i, m) + tails[j]``."""
 
     factors: dict
     max_len: int
-    labels: tuple[FockLabel, ...]
-    position: dict
     lengths: np.ndarray = field(compare=False)
+    firsts: np.ndarray = field(compare=False)
+    prepend: dict = field(compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return self.lengths.size
 
     def short_indices(self) -> np.ndarray:
         """Columns whose word length is strictly below the truncation length."""
@@ -135,11 +134,7 @@ def _fock_dims(complement_dims: Mapping[int, int]) -> Iterator[int]:
         }
 
 
-def build_fock(
-    factors: Mapping[int, PointedSpace] | Sequence[PointedSpace], max_len: int
-) -> FockBasis:
-    if not isinstance(factors, Mapping):
-        factors = {i + 1: ps for i, ps in enumerate(factors)}
+def build_fock(factors: Mapping[int, PointedSpace], max_len: int) -> FockBasis:
     if not factors:
         raise ValueError("build_fock needs at least one factor")
     if max_len < 1:
@@ -152,29 +147,26 @@ def build_fock(
         if dim > DEFAULT_DIM_CAP:
             raise FockDimensionError(dim, DEFAULT_DIM_CAP, length)
 
-    labels: list[FockLabel] = [()]
-    counts = [1]  # the words of each length
-    for length in range(1, max_len + 1):
-        stack: list[FockLabel] = [()]
-        for _ in range(length):
-            stack = [
-                lab + ((i, m),)
-                for lab in stack
-                for i in ids
-                if not lab or lab[-1][0] != i
-                for m in range(compl[i])
-            ]
-        if not stack:
-            break  # no word of this length, so none longer either
-        labels.extend(sorted(stack))
-        counts.append(len(stack))
-    position = {lab: p for p, lab in enumerate(labels)}
+    firsts = [np.zeros(1, dtype=np.intp)]  # each length's first factors
+    prepend: dict = {i: [] for i in ids}
+    start = 0  # the position of the last length's first word
+    # the next length: each factor's letters in turn, prepended to the last
+    # length's words that do not start with it; one with no word ends it
+    while len(firsts) <= max_len and firsts[-1].size:
+        top = start + firsts[-1].size
+        for i in ids:
+            tails = start + np.flatnonzero(firsts[-1] != i)
+            grid = top + np.arange(compl[i] * tails.size).reshape(compl[i], tails.size)
+            prepend[i].append((tails, grid))
+            top += grid.size
+        start += firsts[-1].size
+        firsts.append(np.repeat(ids, [prepend[i][-1][1].size for i in ids]))
     return FockBasis(
         factors=dict(factors),
         max_len=max_len,
-        labels=tuple(labels),
-        position=position,
-        lengths=np.repeat(np.arange(len(counts)), counts),
+        lengths=np.repeat(np.arange(len(firsts)), [f.size for f in firsts]),
+        firsts=np.concatenate(firsts),
+        prepend={i: tuple(p) for i, p in prepend.items()},
     )
 
 
@@ -285,26 +277,17 @@ def left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> FockAction
     frame = np.concatenate([ps.base_vector.reshape(-1, 1), ps.complement_basis], axis=1)
     block = adjoint(frame) @ a @ frame
 
-    pos = fb.position
-    prefixes = [((factor, m),) for m in range(ps.complement_dim)]
-    groups: list[list[int]] = []
-    singles: list[int] = []
-    for p, lab in enumerate(fb.labels):
-        if lab and lab[0][0] == factor:
-            continue  # a group member, placed with its tail
-        if len(lab) < fb.max_len:
-            groups.append([p] + [pos[head + lab] for head in prefixes])
-        else:
-            singles.append(p)
-    order = np.concatenate(
-        [np.array(groups, dtype=np.intp).T.ravel(), np.array(singles, dtype=np.intp)]
-    )
+    # each short word ``t`` that does not start with the factor heads the
+    # group ``t, (factor, 0) + t, ...``; the full-length ones are only scaled
+    groups = np.concatenate([np.vstack(pair) for pair in fb.prepend[factor]], axis=1)
+    singles = np.flatnonzero((fb.lengths == fb.max_len) & (fb.firsts != factor))
+    order = np.concatenate([groups.ravel(), singles])
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     return FockAction(
         order=order,
         inverse=inverse,
-        grouped=order.size - len(singles),
+        grouped=groups.size,
         block=block,
         block_star=adjoint(block).copy(),
     )
@@ -319,7 +302,7 @@ class FreeDilationScenario:
     construction applied to the original contractions (both keyed by factor
     id 1..n, both :class:`FockAction` letters, never dense matrices), and
     ``coords`` (strictly increasing) holds the positions in ``fock_k`` of
-    ``fock_h``'s labels, which map identically: the inclusion ``J`` between
+    ``fock_h``'s words, which map identically: the inclusion ``J`` between
     the two product spaces.
     ``vacuum`` is the joint state; single-factor moments match the input
     states exactly, and mixed moments realize free independence inside the
@@ -410,7 +393,12 @@ def free_unitary_dilation(
     s_ops = GenSet({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
     clock.lap("left_action")
 
-    coords = np.array([fock_k.position[lab] for lab in fock_h.labels], dtype=np.intp)
+    # an h-word ``(i, m) + t`` sits at ``(i, m) + coords[t]`` in ``fock_k``
+    coords = np.zeros(fock_h.dim, dtype=np.intp)
+    for n in range(len(fock_h.prepend[1])):
+        for i in ids:
+            (tails_h, grid_h), (tails_k, grid_k) = fock_h.prepend[i][n], fock_k.prepend[i][n]
+            coords[grid_h] = grid_k[: len(grid_h), np.searchsorted(tails_k, coords[tails_h])]
     vacuum = State.basis_vector(fock_k.dim, 0)
     clock.lap("embedding")
     return FreeDilationScenario(

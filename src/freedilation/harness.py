@@ -31,7 +31,6 @@ from .dilation import (
     unitarity_residual,
 )
 from .ncprob import (
-    BudgetError,
     CheckReport,
     GenSet,
     _alternating_words,
@@ -50,11 +49,6 @@ from .serialization import (
 
 if TYPE_CHECKING:
     from .free_product import FreeDilationScenario
-
-# The largest check degree of tensor independence and traciality: the
-# ``n x n`` pair moments that ``trace_check`` compares are outside
-# ``MAX_GRAM_WORK``, and at degree 12 (n = 8,190 on one factor) take 1.07 GB.
-MAX_SMALL_CHECK_DEGREE = 3
 
 
 @dataclass
@@ -358,20 +352,11 @@ def _check_power_dilation(sc: Scenario, model: Model) -> CheckReport:
     )
 
 
-def _small_check_degree(sc: Scenario) -> int:
-    """The check degree of tensor independence and traciality, at most ``MAX_SMALL_CHECK_DEGREE``."""
-    if sc.check_degree > MAX_SMALL_CHECK_DEGREE:
-        raise BudgetError(
-            f"check degree {sc.check_degree} exceeds cap {MAX_SMALL_CHECK_DEGREE} of tensor independence "
-            "and traciality; lower the check degree"
-        )
-    return sc.check_degree
-
-
 def _check_tensor_independence(sc: Scenario, model: Model) -> CheckReport:
-    from ._gram import tensor_independence_check
+    from ._gram import _small_degree, tensor_independence_check
 
-    return tensor_independence_check(model.state, model.gens, degree=_small_check_degree(sc), tol=sc.tol)
+    degree = _small_degree(sc.check_degree)
+    return tensor_independence_check(model.state, model.gens, degree=degree, tol=sc.tol)
 
 
 def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
@@ -387,9 +372,9 @@ def _check_free_independence(sc: Scenario, model: Model) -> CheckReport:
 
 
 def _check_traciality(sc: Scenario, model: Model) -> CheckReport:
-    from ._gram import trace_check
+    from ._gram import _small_degree, trace_check
 
-    degree = _small_check_degree(sc)
+    degree = _small_degree(sc.check_degree)
     if model.free is not None:
         # a product of two words of at most ``trunc`` letters each goes no
         # deeper than ``trunc`` on a path back to the vacuum, so its vacuum

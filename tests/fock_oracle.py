@@ -1,8 +1,10 @@
-"""Dense loop builder of the left action on a truncated free product, the
-reference ``free_product.left_representation`` is tested against.
+"""Loop builders of a truncated free product's basis words and of the left
+action on it, the references ``free_product.build_fock`` and
+``free_product.left_representation`` are tested against.
 
-It walks every basis word and writes the image of its first letter into a
-``dim x dim`` matrix, so it is meant for small Fock spaces only.
+The basis words are built as label tuples and sorted, and the left action
+walks every word and writes the image of its first letter into a ``dim x
+dim`` matrix, so both are meant for small Fock spaces only.
 """
 
 import itertools
@@ -19,6 +21,44 @@ def fock_dimension(complement_dims, max_len):
     dimensions, truncated at words of ``max_len`` letters."""
     *_, dim = itertools.islice(_fock_dims(complement_dims), max_len + 1)
     return dim
+
+
+def fock_labels(fb: FockBasis) -> list:
+    """The basis words of ``fb`` as tuples of ``(factor, complement index)``
+    pairs, adjacent factors distinct: the vacuum ``()``, then each length's
+    words sorted."""
+    compl = {i: ps.complement_dim for i, ps in fb.factors.items()}
+    labels, stack = [()], [()]
+    for _ in range(fb.max_len):
+        stack = [
+            lab + ((i, m),)
+            for lab in stack
+            for i in sorted(compl)
+            if not lab or lab[-1][0] != i
+            for m in range(compl[i])
+        ]
+        if not stack:
+            break
+        labels.extend(sorted(stack))
+    return labels
+
+
+def fock_order(factor: int, fb: FockBasis) -> tuple[list, int]:
+    """``FockAction.order`` and ``grouped`` of factor ``factor``'s left
+    action, from the labels: each short word ``t`` that does not start with
+    the factor heads the group ``t, (factor, 0) + t, ...``, group-major,
+    then the full-length words that do not start with it."""
+    labels = fock_labels(fb)
+    pos = {lab: p for p, lab in enumerate(labels)}
+    heads = [lab for lab in labels if not lab or lab[0][0] != factor]
+    groups = [
+        [pos[lab]] + [pos[((factor, m),) + lab] for m in range(fb.factors[factor].complement_dim)]
+        for lab in heads
+        if len(lab) < fb.max_len
+    ]
+    singles = [pos[lab] for lab in heads if len(lab) == fb.max_len]
+    grouped = [p for column in zip(*groups) for p in column]
+    return grouped + singles, len(grouped)
 
 
 def dense_left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> np.ndarray:
@@ -45,8 +85,9 @@ def dense_left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> np.n
 
     dim = fb.dim
     out = np.zeros((dim, dim), dtype=complex)
-    pos = fb.position
-    for p, lab in enumerate(fb.labels):
+    labels = fock_labels(fb)
+    pos = {lab: p for p, lab in enumerate(labels)}
+    for p, lab in enumerate(labels):
         if lab and lab[0][0] == factor:
             m0 = lab[0][1]
             tail = lab[1:]

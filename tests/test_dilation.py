@@ -32,12 +32,14 @@ from freedilation.operator_core import (
     ContractionError,
     State,
     adjoint,
+    defect_pair,
     operator_norm,
     random_contraction,
     random_unitary,
 )
 
 from certificate_oracles import dense_dilation_residuals
+from fock_oracle import fock_labels
 from kron_oracle import kron_doubly_dilation
 from word_list_oracles import ordered_words
 
@@ -269,12 +271,35 @@ def test_coordinate_identity_matches_dense_isometry(name):
     np.testing.assert_array_equal(many, want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_single_dilation_degree_is_the_edge(d, n):
+    # the degree budget N is where the identity stops holding: within it
+    # J* U^k J = T^k to rounding, and one power past it
+    # J* U^{N+1} J = T^{N+1} + D_{T*} D_T, so U^{+-(N+1)} miss by
+    # ||D_{T*} D_T||, which is at least 1 - ||T||^2 since both defects are
+    # at least sqrt(1 - ||T||^2) I (equal for d = 1, up to rounding)
+    t = random_contraction(np.random.default_rng([d, n]), d, 0.9)
+    res = finite_unitary_dilation(t, n)
+    table = _ordered_words(1, n + 1)
+    got, _ = dilation_residuals(res.gens, res.contractions, np.arange(d), table)
+    powers = np.count_nonzero(table, axis=1) * np.where(table[:, 0] == 3, -1, 1)
+    assert sorted(powers) == list(range(-n - 1, n + 2))
+    bound = (n + 1) * d * np.finfo(float).eps
+    assert got[np.abs(powers) <= n].max() <= bound
+    d_t, d_ts = defect_pair(t)
+    gap = operator_norm(d_ts @ d_t)
+    assert gap >= 1 - operator_norm(t) ** 2 - bound > 0.1
+    np.testing.assert_allclose(got[np.abs(powers) == n + 1], gap, rtol=0, atol=bound)
+
+
 def test_free_coordinates_are_the_small_labels_in_order():
     fds = _free_model()
     coords = fds.coords
     assert coords.dtype == np.intp and coords.shape == (fds.fock_h.dim,) and fds.fock_h.dim > 1
     assert np.all(np.diff(coords) > 0)
-    assert all(fds.fock_k.labels[c] == label for c, label in zip(coords, fds.fock_h.labels))
+    big, small = fock_labels(fds.fock_k), fock_labels(fds.fock_h)
+    assert [big[c] for c in coords] == small
 
 
 # ---------------------------------------------------------------------------

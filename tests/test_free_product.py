@@ -27,7 +27,7 @@ from freedilation.ncprob import (
 from freedilation.harness import Scenario, run_theorem_suite
 from freedilation.operator_core import State, adjoint, operator_norm, random_contraction, random_state
 
-from fock_oracle import dense, dense_left_representation, fock_dimension
+from fock_oracle import dense, dense_left_representation, fock_dimension, fock_labels, fock_order
 from word_list_oracles import alternating_words_within
 
 
@@ -66,16 +66,19 @@ def test_fock_dimension_closed_forms():
 def test_build_fock_canonical_order():
     p2 = PointedSpace.from_state_vector(np.array([1.0, 0.0]))
     fb = build_fock({1: p2, 2: p2}, 2)
-    assert fb.labels == (
+    assert fock_labels(fb) == [
         (),
         ((1, 0),),
         ((2, 0),),
         ((1, 0), (2, 0)),
         ((2, 0), (1, 0)),
-    )
+    ]
     assert fb.dim == 5
-    assert fb.position[((2, 0), (1, 0))] == 4
     assert fb.lengths.tolist() == [0, 1, 1, 2, 2]
+    assert fb.firsts.tolist() == [0, 1, 2, 1, 2]
+    # ((2, 0), (1, 0)) is (2, 0) prepended to ((1, 0),)
+    assert [(t.tolist(), g.tolist()) for t, g in fb.prepend[2]] == [([0], [[2]]), ([1], [[4]])]
+    assert [(t.tolist(), g.tolist()) for t, g in fb.prepend[1]] == [([0], [[1]]), ([2], [[3]])]
     assert fb.short_indices().tolist() == [0, 1, 2]
 
 
@@ -90,8 +93,11 @@ def test_build_fock_one_factor_huge_truncation():
     p = PointedSpace.from_state_vector(np.eye(3)[:, 0])
     assert fock_dimension({1: 2}, 200_000) == 3
     fb = build_fock({1: p}, 200_000)
-    assert fb.labels == ((), ((1, 0),), ((1, 1),))
-    assert fb.lengths.tolist() == [0, 1, 1]
+    assert fock_labels(fb) == [(), ((1, 0),), ((1, 1),)]
+    assert fb.lengths.tolist() == [0, 1, 1] and fb.firsts.tolist() == [0, 1, 1]
+    # the map ends at the last length with a word; every word of one letter
+    # starts with the one factor, so none is a tail it prepends to
+    assert [(t.tolist(), g.tolist()) for t, g in fb.prepend[1]] == [([0], [[1], [2]]), ([], [[], []])]
 
 
 def test_left_representation_identity_is_identity():
@@ -166,6 +172,28 @@ def test_left_representation_matches_dense_oracle(case):
     assert got.shape == panel.shape and action.shape == m.shape
     scale = operator_norm(a) * np.linalg.norm(panel)
     assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fock_operands())
+def test_fock_map_matches_the_reference_labels(case):
+    # the basis map is the sorted label tuples': each word's length and
+    # first factor, each factor's tails per length and the positions of the
+    # words it prepends to them, and so the groups of its left action
+    factor, a, fb, _, _ = case
+    labels = fock_labels(fb)
+    assert fb.lengths.tolist() == [len(lab) for lab in labels]
+    assert fb.firsts.tolist() == [lab[0][0] if lab else 0 for lab in labels]
+    for i, steps in fb.prepend.items():
+        assert len(steps) == min(fb.max_len, fb.lengths.max() + 1)
+        for n, (tails, grid) in enumerate(steps):
+            assert tails.tolist() == [p for p, lab in enumerate(labels) if len(lab) == n and fb.firsts[p] != i]
+            assert grid.shape == (fb.factors[i].complement_dim, tails.size)
+            for (m, j), p in np.ndenumerate(grid):
+                assert labels[p] == ((i, m),) + labels[tails[j]]
+    action = left_representation(factor, a, fb)
+    order, grouped = fock_order(factor, fb)
+    assert action.order.tolist() == order and action.grouped == grouped
 
 
 def test_left_representation_dimension_mismatch():
@@ -519,6 +547,17 @@ def _density_factors(draw):
         rho = v @ adjoint(v)
         factors.append((random_contraction(rng, dim, 0.95), State.from_density(rho / np.trace(rho).real)))
     return factors, draw(st.integers(1, 2)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_density_factors(), st.integers(1, 2))
+def test_free_coordinates_are_the_label_lookups(case, trunc):
+    # J maps each small Fock word to the big word of the same labels: the
+    # upstairs complement keeps the small one's indices first
+    factors, degree, _ = case
+    fds = free_unitary_dilation(factors, degree, trunc)
+    pos = {lab: p for p, lab in enumerate(fock_labels(fds.fock_k))}
+    assert fds.coords.tolist() == [pos[lab] for lab in fock_labels(fds.fock_h)]
 
 
 @settings(max_examples=12, deadline=None)

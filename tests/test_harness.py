@@ -442,9 +442,26 @@ def test_cli_check_trace_on_single(tmp_path, capsys):
         tmp_path,
         {"factors": [{"matrix": matrix_to_obj(_scalar(0.5))}], "samples": 5},
     )
-    code = main(["check", "--input", path, "--property", "trace", "--format", "text"])
+    code = main(["check", "--input", path, "--property", "trace"])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cumulants", "--input", str(SCENARIOS / "semicircle_moments.json"), "--degree", "3"],
+        ["check", "--input", str(SCENARIOS / "free_pair.json"), "--property", "free", "--format", "text"],
+    ],
+    ids=["cumulants-degree", "check-format"],
+)
+def test_cli_options_that_reach_nothing_are_refused(capsys, argv):
+    # cumulants reads a moment list, not a scenario, and only the suite
+    # commands render their report as a table: exit 2, not an ignored option
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _tensor_obj():

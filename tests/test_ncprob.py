@@ -990,6 +990,22 @@ def test_over_budget_spans_are_refused_before_any_word(monkeypatch, check, entri
     assert str(err.value) == message
 
 
+def test_trace_check_refuses_a_degree_over_its_cap_before_any_word(monkeypatch):
+    # single_half's dilation (dim 4) at degree 12: 8,190 words pass
+    # MAX_GRAM_WORK (8,190^2 x 4 x 1), but the n x n pair moments would take
+    # 1.07 GB; the cap refuses them before a word exists
+    def refuse(*args):
+        raise AssertionError("a word span was enumerated")
+
+    monkeypatch.setattr(_gram, "_all_words", refuse)
+    res = finite_unitary_dilation(np.array([[0.5]]), 3)
+    assert _gram.MAX_SMALL_CHECK_DEGREE == 3 and 8190**2 * res.gens.dim < _gram.MAX_GRAM_WORK
+    message = "check degree 12 exceeds cap 3 of tensor independence and traciality; lower the check degree"
+    with pytest.raises(BudgetError) as err:
+        trace_check(State.basis_vector(res.gens.dim, 0), res.gens, degree=12)
+    assert str(err.value) == message
+
+
 def _spy_letters(monkeypatch):
     """Record every letter a sweep applies."""
     seen, apply = [], ncprob._Sweep.apply
@@ -1007,7 +1023,7 @@ def test_trace_gram_matches_dense_reference():
     # density state and in one factor: max |G - G^T| of the dense Gram,
     # and the witness names a pair of that gap
     rng = np.random.default_rng(3)
-    for n, degree, kind in ((3, 2, "density"), (1, 4, "vector"), (2, 3, "kernel")):
+    for n, degree, kind in ((3, 2, "density"), (1, 3, "vector"), (2, 3, "kernel")):
         gens = GenSet({f: random_contraction(rng, 3, 0.9) for f in range(1, n + 1)})
         state = _panel_state(rng, 3, kind)
         rep = trace_check(state, gens, degree=degree)

@@ -22,7 +22,7 @@ from freedilation.cli import (
     build_parser,
     main,
 )
-from freedilation.harness import Scenario, build_model, emit, report_fingerprint
+from freedilation.harness import Scenario, build_model, emit, ingest, report_fingerprint, run_theorem_suite
 from freedilation.operator_core import random_contraction, random_state
 from freedilation.serialization import matrix_to_obj
 
@@ -167,12 +167,25 @@ def test_cli_picks_one_blas_thread_for_small_scenarios(first, argv, preset, want
     assert got == want
 
 
-def _workloads():
-    """The benchmark's scenario generators, loaded from their file."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+def _perfbench(name):
+    """A benchmark module (the scenario generators, the gate), loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.mark.parametrize("workload", ["free_pair", "free_wide", "dense_modes"])
+def test_benchmark_workloads_meet_the_gate(tmp_path, workload):
+    # the benchmark's gate on each of its scenarios at seeds 1 and 2, run in
+    # this process: every check passes, and a repeat has the same fingerprint
+    workloads, gate = _perfbench("workloads"), _perfbench("gate")
+    for seed in (1, 2):
+        for path in workloads.generate(workload, seed, tmp_path / str(seed), root=ROOT):
+            sc = ingest(path, {"seed": seed})
+            report = run_theorem_suite(sc)
+            assert gate.problems(report, 0, sc.mode) == [], path.name
+            assert report_fingerprint(run_theorem_suite(sc)) == report_fingerprint(report), path.name
 
 
 def _tensor_scenario(tmp_path):
@@ -208,7 +221,7 @@ def test_pre_read_dimension_is_the_model_dimension(tmp_path):
         (["dilate-doubly", "--input", doubly], "doubly"),
         (["check", "--input", doubly, "--property", "tensor"], "tensor"),
     ]
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     for seed in range(3):
         for path in workloads.generate("dense_modes", seed, tmp_path / "bench" / str(seed)):
             runs.append((["suite", "--input", str(path)], None))
