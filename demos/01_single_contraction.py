@@ -13,6 +13,7 @@ from freedilation import (
     finite_unitary_dilation,
     operator_norm,
     parse_word,
+    unitarity_residual,
     verify_power_dilation,
 )
 
@@ -34,7 +35,7 @@ print()
 print("the dilation in block form (rows/cols are copies of C^1):")
 print(u.real)
 print()
-print("unitarity residual ||U*U - I|| =", res.unitarity_residual())
+print("unitarity residual ||U*U - I|| =", unitarity_residual(res.gens, 1))
 print()
 
 print("compressions of powers, k = 0..N and adjoints:")

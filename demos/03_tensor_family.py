@@ -13,9 +13,8 @@ from freedilation import (
     make_tensor_independent,
     random_contraction,
     tensor_independence_check,
-    word_moment,
 )
-from freedilation.ncprob import parse_word
+from freedilation.ncprob import Word, parse_word, word_moments
 
 rng = np.random.default_rng(4)
 
@@ -34,10 +33,11 @@ print()
 print("mixed moments factorize across the tensor factors:")
 for text in ("1^1 2^1", "1^2 2^-1", "2^1 1^1"):
     w = parse_word(text)
-    joint_val = word_moment(joint, gens, w)
+    # the word and each of its runs alone, in one call
+    joint_val, *marginals = word_moments(joint, gens, [w, *(Word.from_runs([run]) for run in w.runs())])
     split = 1.0 + 0.0j
-    for f, k in w.runs():
-        split *= word_moment(joint, gens, parse_word(f"{f}^{k}"))
+    for m in marginals:
+        split *= complex(m)
     print(f"  phi({text:10s}) = {joint_val:+.6f}   product of marginals = {split:+.6f}")
 print()
 

@@ -15,9 +15,8 @@ from freedilation import (
     free_unitary_dilation,
     haar_unitary_marginal,
     trace_check,
-    word_moment,
 )
-from freedilation.ncprob import Word
+from freedilation.ncprob import Word, word_moments
 
 s = State.basis_vector(1, 0)
 fds = free_unitary_dilation([(np.zeros((1, 1)), s), (np.zeros((1, 1)), s)], 3, 4)
@@ -30,7 +29,7 @@ print()
 
 print("single-letter moments phi(U_i^k), k = -3..3:")
 for i in (1, 2):
-    row = [word_moment(vac, gens, Word.from_runs([(i, k)])) for k in range(-3, 4)]
+    row = word_moments(vac, gens, [Word.from_runs([(i, k)]) for k in range(-3, 4)])
     print(f"  U_{i}:", " ".join(f"{v.real:+.3f}" for v in row))
 print("only k = 0 survives: each factor is a Haar unitary in distribution")
 print()
@@ -39,7 +38,7 @@ marginals = {1: haar_unitary_marginal(), 2: haar_unitary_marginal()}
 print("products against the oracle:")
 for k in (1, 2):
     w = Word.from_runs([(1, 1), (2, 1)] * k)
-    got = word_moment(vac, gens, w)
+    got = complex(word_moments(vac, gens, [w])[0])
     want = free_mixed_moment_oracle(marginals, w)
     print(f"  phi((U1 U2)^{k}) = {got.real:+.3e}   oracle {want.real:+.3e}")
 print()

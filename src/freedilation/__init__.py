@@ -54,7 +54,6 @@ _EXPORTS = {
         "faithfulness_check",
         "free_mixed_moment_oracle",
         "parse_word",
-        "word_moment",
     ),
     "_gram": (
         "free_independence_check",
@@ -80,7 +79,6 @@ _EXPORTS = {
         "free_unitary_dilation",
         "left_representation",
         "restricted_unitarity_residual",
-        "verify_free_dilation",
     ),
     "harness": (
         "IngestError",

@@ -78,9 +78,6 @@ class DilationResult:
     def ambient_dim(self) -> int:
         return self.gens.dim
 
-    def unitarity_residual(self) -> float:
-        return max(unitarity_residual(self.gens, f) for f in self.gens.ids)
-
 
 def unitarity_residual(gens: GenSet, factor: int, cols: Sequence[int] | None = None) -> float:
     """``||(U*U - I) P||`` for ``U = gens[factor]`` and ``P`` the identity

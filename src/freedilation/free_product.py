@@ -4,8 +4,8 @@ Each factor gets its own finite unitary dilation; the joint model places all
 of them on the free product of the pointed ambient spaces, truncated at a
 maximum word length.  The left action of factor ``i`` touches only the first
 letter of a basis word, so products of few letters are unaffected by the
-truncation: moments and dilation identities are exact inside explicit budgets
-and every verifier states its budget.
+truncation: moments and dilation identities are exact inside explicit budgets,
+which the suite's word enumerations keep (README "Budgets").
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dilation import (
-    DilationResult,
-    dilation_residuals,
-    finite_unitary_dilation,
-    unitarity_residual,
-)
-from .ncprob import BudgetError, GenSet, Word, _codes
+from .dilation import DilationResult, finite_unitary_dilation, unitarity_residual
+from .ncprob import GenSet
 from .operator_core import (
     DEFAULT_DIM_CAP,
     DEFAULT_TOL,
@@ -303,7 +298,10 @@ class FreeDilationScenario:
     id 1..n, both :class:`FockAction` letters, never dense matrices), and
     ``coords`` (strictly increasing) holds the positions in ``fock_k`` of
     ``fock_h``'s words, which map identically: the inclusion ``J`` between
-    the two product spaces.
+    the two product spaces.  The record keeps each value once: the degree
+    is each dilation's ``degree``, the truncation length ``fock_k.max_len``,
+    factor ``i``'s pointed space ``fock_h.factors[i]`` and its lifted
+    contraction ``dilations[i - 1].contractions[1]``.
     ``vacuum`` is the joint state; single-factor moments match the input
     states exactly, and mixed moments realize free independence inside the
     stated budgets.  ``phase_seconds`` holds the seconds the construction
@@ -312,10 +310,6 @@ class FreeDilationScenario:
     ``embedding``.
     """
 
-    degree: int
-    trunc: int
-    factor_ops: tuple[np.ndarray, ...]
-    pointed: tuple[PointedSpace, ...]
     dilations: tuple[DilationResult, ...]
     fock_h: FockBasis
     fock_k: FockBasis
@@ -327,7 +321,7 @@ class FreeDilationScenario:
 
     @property
     def n_factors(self) -> int:
-        return len(self.factor_ops)
+        return len(self.dilations)
 
     @property
     def dim(self) -> int:
@@ -340,7 +334,7 @@ class FreeDilationScenario:
         if not 1 <= factor <= self.n_factors:
             raise ValueError(f"factor id {factor} outside 1..{self.n_factors}")
         res = self.dilations[factor - 1]
-        xi = _pad_rows(self.pointed[factor - 1].base_vector, res.ambient_dim)
+        xi = _pad_rows(self.fock_h.factors[factor].base_vector, res.ambient_dim)
         return GenSet({factor: res.gens[1]}), State.from_vector(xi)
 
 
@@ -402,10 +396,6 @@ def free_unitary_dilation(
     vacuum = State.basis_vector(fock_k.dim, 0)
     clock.lap("embedding")
     return FreeDilationScenario(
-        degree=n_degree,
-        trunc=trunc_len,
-        factor_ops=tuple(mats),
-        pointed=tuple(pointed_h),
         dilations=tuple(dils),
         fock_h=fock_h,
         fock_k=fock_k,
@@ -431,28 +421,3 @@ def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> flo
         raise ValueError(f"factor id {factor} outside 1..{fds.n_factors}")
     cols = fds.unitaries[factor].pattern_columns(fds.fock_k.short_indices())
     return unitarity_residual(fds.unitaries, factor, cols)
-
-
-def verify_free_dilation(fds: FreeDilationScenario, word: Word) -> float:
-    """Residual of the free dilation identity
-    ``J* U_{i1}^{k1} ... U_{im}^{km} J = S_{i1}^{k1} ... S_{im}^{km}``: the
-    one-word case of :func:`~.dilation.dilation_residuals`.
-
-    Any factor sequence is allowed, with nonnegative powers, total power
-    (the word's length) ``<= degree`` and at most ``trunc`` runs; other
-    words raise :class:`BudgetError`, they are never silently evaluated.
-    """
-    if len(word) > fds.degree:
-        raise BudgetError(f"total power {len(word)} exceeds dilation degree {fds.degree}")
-    runs = word.runs()
-    n = fds.n_factors
-    if any(not 1 <= f <= n for f, _ in runs):
-        raise BudgetError(f"word uses factor outside 1..{n}")
-    if any(k < 0 for _, k in runs):
-        raise BudgetError("free variant admits nonnegative powers only")
-    if len(runs) > fds.trunc:
-        raise BudgetError(
-            f"alternation length {len(runs)} exceeds truncation length {fds.trunc}"
-        )
-    residuals, _ = dilation_residuals(fds.unitaries, fds.s_ops, fds.coords, _codes([word]))
-    return float(residuals[0])

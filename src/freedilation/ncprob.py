@@ -73,15 +73,8 @@ class Word:
             )
         return Word(tuple((f, k < 0) for f, k in runs for _ in range(abs(k))))
 
-    @property
-    def adjoint(self) -> "Word":
-        return Word(tuple((f, not s) for f, s in reversed(self.letters)))
-
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
 
     def runs(self) -> tuple[tuple[int, int], ...]:
         """Signed power runs, merging consecutive letters with equal factor and flag."""
@@ -461,11 +454,6 @@ def _first_use(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def word_moments(state: State, gens: GenSet, words: Sequence[Word]) -> np.ndarray:
     """``phi(w)`` for every word, from half-words (:meth:`_Sweep.word_moments`)."""
     return _Sweep(state, gens).word_moments(_codes(words))
-
-
-def word_moment(state: State, gens: GenSet, word: Word) -> complex:
-    """:func:`word_moments` of one word."""
-    return complex(word_moments(state, gens, [word])[0])
 
 
 def free_mixed_moment_oracle(marginals: Mapping[int, Callable], word: Word) -> complex:

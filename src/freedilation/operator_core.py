@@ -309,10 +309,6 @@ class State:
         v[index] = 1.0
         return State.from_vector(v)
 
-    @staticmethod
-    def maximally_mixed(dim: int) -> "State":
-        return State.from_density(np.eye(dim, dtype=complex) / dim)
-
 
 def purify(state: State):
     """Vector-state purification of a state.

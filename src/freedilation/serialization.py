@@ -24,20 +24,31 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     }
 
 
+def _size(obj: dict, key: str) -> int:
+    """A declared size: a JSON integer, never a bool, float or string truncated to one."""
+    if type(obj[key]) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {obj[key]!r}")
+    return obj[key]
+
+
+def _entry(pair) -> complex:
+    """An ``[re, im]`` pair of JSON numbers, each an int or a float, never a bool or a string."""
+    re, im = pair
+    if type(re) not in (int, float) or type(im) not in (int, float):
+        raise ValueError(f"entry {[re, im]!r} must be two numbers")
+    return complex(re, im)
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a size of 1e400
+        rows, cols, data = _size(obj, "rows"), _size(obj, "cols"), obj["data"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 1 or cols < 1:  # a factor or density on no space
         raise ValueError(f"matrix shape {rows}x{cols} has no entries")
     if len(data) != rows or any(len(row) != cols for row in data):
         raise ValueError(f"matrix data does not match declared shape {rows}x{cols}")
-    m = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        for j, (re, im) in enumerate(row):
-            m[i, j] = complex(re, im)
-    return as_matrix(m)
+    return as_matrix(np.array([[_entry(pair) for pair in row] for row in data], dtype=complex))
 
 
 def state_to_obj(s: State) -> dict:
@@ -51,14 +62,13 @@ def state_to_obj(s: State) -> dict:
 
 def state_from_obj(obj: dict) -> State:
     try:
-        kind, dim, data = obj["kind"], int(obj["dim"]), obj["data"]
-    except (KeyError, TypeError, OverflowError) as exc:
+        kind, dim, data = obj["kind"], _size(obj, "dim"), obj["data"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
     if kind == "vector":
         if len(data) != dim:
             raise ValueError(f"state vector has {len(data)} entries, declared dim {dim}")
-        v = np.array([complex(re, im) for re, im in data])
-        return State.from_vector(v)
+        return State.from_vector(np.array([_entry(pair) for pair in data]))
     if kind == "density":
         rho = matrix_from_obj({"rows": dim, "cols": dim, "data": data})
         return State.from_density(rho)

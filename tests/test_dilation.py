@@ -75,7 +75,7 @@ def test_unitarity_and_power_exactness_random():
         degree = int(rng.integers(1, 5))
         t = random_contraction(rng, dim)
         res = finite_unitary_dilation(t, degree)
-        assert res.unitarity_residual() < 1e-12
+        assert unitarity_residual(res.gens, 1) < 1e-12
         u = res.gens[1]
         for k in range(degree + 1):
             c = np.linalg.matrix_power(u, k)[:dim, :dim]
@@ -114,7 +114,7 @@ def test_doubly_commuting_dilation_pair():
     a, b = _commuting_normal_pair(rng, 3)
     res = doubly_commuting_dilation([a, b], 2)
     assert res.ambient_dim == 27
-    assert res.unitarity_residual() < 1e-12
+    assert max(unitarity_residual(res.gens, f) for f in (1, 2)) < 1e-12
     assert worst_commutator(res.gens)[0] < 1e-12
     for ka in range(-2, 3):
         for kb in range(-2, 3):
@@ -242,7 +242,8 @@ def _coordinate_record(name):
     rng = np.random.default_rng(36)
     if name == "free":
         fds = _free_model()
-        table = _alternating_words(fds.unitaries.ids, (1,), fds.trunc, fds.degree, fds.degree)
+        trunc, degree = fds.fock_k.max_len, fds.dilations[0].degree
+        table = _alternating_words(fds.unitaries.ids, (1,), trunc, degree, degree)
         return fds.unitaries, fds.s_ops, fds.coords, table
     if name == "single":
         res = finite_unitary_dilation(random_contraction(rng, 3), 3)
@@ -349,9 +350,6 @@ def test_unitarity_residual_matches_dense_reference():
             got = unitarity_residual(res.gens, f)
             assert got <= 1e-14
             assert got == pytest.approx(_dense_unitarity(dense[f - 1]), abs=1e-15)
-        assert res.unitarity_residual() == max(
-            unitarity_residual(res.gens, f) for f in res.gens.ids
-        )
     # far from unitary, so the comparison is not lost in rounding
     t = random_contraction(rng, 5, 0.5)
     assert unitarity_residual(GenSet({1: t}), 1) == pytest.approx(_dense_unitarity(t), rel=1e-12)
@@ -390,7 +388,7 @@ def test_single_dilation_is_exact_on_edge_inputs(case):
     t, degree = case
     res = finite_unitary_dilation(t, degree)
     dim = res.ambient_dim
-    assert res.unitarity_residual() <= min(1e-13, 16 * dim * EPS)
+    assert unitarity_residual(res.gens, 1) <= min(1e-13, 16 * dim * EPS)
     table = _ordered_words(1, degree)
     residuals, _ = dilation_residuals(res.gens, res.contractions, np.arange(res.contractions.dim), table)
     assert len(residuals) == 2 * degree + 1 and np.max(residuals) <= min(1e-13, dim * EPS)
@@ -421,7 +419,7 @@ def test_doubly_dilation_is_exact_on_edge_inputs(case):
     ts, degree = case
     res = doubly_commuting_dilation(ts, degree)
     dim = res.ambient_dim
-    assert res.unitarity_residual() <= min(1e-13, 16 * dim * EPS)
+    assert max(unitarity_residual(res.gens, f) for f in res.gens.ids) <= min(1e-13, 16 * dim * EPS)
     table = _ordered_words(len(ts), degree)
     residuals, _ = dilation_residuals(res.gens, res.contractions, np.arange(res.contractions.dim), table)
     assert len(residuals) == (2 * degree + 1) ** len(ts) and np.max(residuals) <= min(1e-12, dim * EPS)

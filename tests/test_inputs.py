@@ -68,6 +68,16 @@ def _write(folder, name, content):
             "factors[0].state: malformed state object",
         ),
         (
+            {"sc.json": {"factors": [{"matrix": {"rows": 1.9, "cols": "1", "data": [[[0.5, True]]]}}]}},
+            ["dilate"],
+            "factors[0].matrix: malformed matrix object: 'rows' must be an integer, got 1.9",
+        ),
+        (
+            {"sc.json": {"factors": [{"matrix": MATRIX, "state": {"kind": "vector", "dim": 1, "data": [[1, True]]}}]}},
+            ["dilate"],
+            "factors[0].state: entry [1, True] must be two numbers",
+        ),
+        (
             {"sc.json": {"factors": [{"matrix": {"rows": 0, "cols": 0, "data": []}}]}},
             ["suite"],
             "factors[0].matrix: matrix shape 0x0 has no entries",
@@ -84,7 +94,7 @@ def _write(folder, name, content):
     ],
     ids=[
         "not-utf8-matrix-part", "not-utf8-state-part", "not-utf8-cumulants", "deep-cumulants", "long-integer",
-        "rows-1e400", "cols-1e400", "dim-1e400", "no-rows", "tol-past-float",
+        "rows-1e400", "cols-1e400", "dim-1e400", "rows-float", "entry-bool", "no-rows", "tol-past-float",
         "moment-1e400", "moment-nan", "moment-past-float", "moments-overflow",
     ],
 )

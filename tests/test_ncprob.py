@@ -40,7 +40,6 @@ from freedilation.ncprob import (
     free_mixed_moment_oracle,
     parse_word,
     state_moment,
-    word_moment,
     word_moments,
     worst_commutator,
 )
@@ -102,7 +101,8 @@ def test_parse_word_rejects_garbage():
 
 def test_word_adjoint_and_blocks():
     w = parse_word("1^2 2^-1")
-    assert w.adjoint.format() == "2^1 1^-2"
+    # the adjoint is the reversed codes, each ``c ^ 1``, as the sweeps read it
+    assert ncprob._word(ncprob._codes([w])[0][::-1] ^ 1).format() == "2^1 1^-2"
     assert w.blocks() == ((1, (False, False)), (2, (True,)))
     assert parse_word("1^1 1^-1 2^1").blocks() == ((1, (False, True)), (2, (False,)))
 
@@ -275,7 +275,7 @@ def _states_and_word_lists(draw):
     words: list[Word] = []
     for _ in range(draw(st.integers(0, 12))):
         base = draw(st.sampled_from(words)) if words and draw(st.booleans()) else Word()
-        words.append(Word(tuple(draw(st.lists(letters, max_size=3)))) * base)
+        words.append(Word(tuple(draw(st.lists(letters, max_size=3))) + base.letters))
     return mats, state, words
 
 
@@ -307,7 +307,7 @@ def test_word_moments_edge_lists():
     w = parse_word("1^1 2^1 1^-1")
     got = word_moments(s, gens, [Word(), w, w, Word()])
     assert got[0] == got[3] == 1.0
-    assert got[1] == got[2] == word_moment(s, gens, w)
+    assert got[1] == got[2] == word_moments(s, gens, [w])[0]
 
 
 def test_word_moments_apply_each_distinct_suffix_once(monkeypatch):
@@ -425,7 +425,7 @@ def _generator_sets_states_and_words(draw):
 def test_word_moments_from_halves_match_per_word_products(case):
     # phi(L R) = <R v, L* v> is exact: each moment matches the whole word
     # applied by apply_word to within 1e-13 of its letters' norms, and has
-    # the same digits alone (word_moment), in any list and in any blocks
+    # the same digits alone, in any list and in any blocks
     gens, state, words = case
     got = word_moments(state, gens, words)
     eye = np.eye(gens.dim, dtype=complex)
@@ -437,7 +437,7 @@ def test_word_moments_from_halves_match_per_word_products(case):
             want = np.vdot(state.density.conj().T, apply_word(w, gens, eye))
         scale = math.prod(norm[f] for f, _ in w.letters)
         assert abs(value - want) <= 1e-13 * scale
-        assert word_moment(state, gens, w) == value
+        assert word_moments(state, gens, [w])[0] == value
     assert np.array_equal(word_moments(state, gens, words[::-1])[::-1], got)
     with mock.patch.object(ncprob, "SAMPLE_PANEL_BYTES", 1):  # one L* image a block
         assert np.array_equal(word_moments(state, gens, words), got)
@@ -499,7 +499,7 @@ def test_state_moment_vector_vs_density():
     s = State.from_density(rho)
     w = parse_word("1^2 1^-1")
     expected = np.trace(rho @ t @ t @ adjoint(t))
-    assert word_moment(s, gens, w) == pytest.approx(expected, abs=1e-12)
+    assert word_moments(s, gens, [w])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_center_kills_mean():
@@ -508,7 +508,7 @@ def test_center_kills_mean():
     comb = ((parse_word("1^1"),), [1])
     words, coeffs = center(comb, s, gens)
     assert words == (parse_word("1^1"), Word(()))  # the unit joins at -phi
-    assert coeffs[1] == -word_moment(s, gens, parse_word("1^1"))
+    assert coeffs[1] == -word_moments(s, gens, [parse_word("1^1")])[0]
     assert abs(state_moment(s, gens, [(words, coeffs)])) < 1e-14
 
 
@@ -1040,7 +1040,7 @@ def test_trace_check_positive_maximally_mixed():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    s = State.maximally_mixed(3)
+    s = State.from_density(np.eye(3) / 3)
     rep = trace_check(s, GenSet({1: a * 0.1, 2: b * 0.1}), degree=3, tol=1e-10)
     assert rep.passed, rep.residual
 
@@ -1434,7 +1434,6 @@ def test_state_moment_of_element_product():
     a = ((parse_word("1^1"), Word(())), [2.0, 1.0])
     b = ((parse_word("2^1"),), [1.0j])
     lhs = state_moment(s, gens, [a, b])
-    rhs = 2.0 * 1.0j * word_moment(s, gens, parse_word("1^1 2^1")) + 1.0j * word_moment(
-        s, gens, parse_word("2^1")
-    )
+    ab, b_alone = word_moments(s, gens, [parse_word("1^1 2^1"), parse_word("2^1")])
+    rhs = 2.0 * 1.0j * ab + 1.0j * b_alone
     assert lhs == pytest.approx(rhs, abs=1e-12)

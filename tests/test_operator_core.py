@@ -7,8 +7,8 @@ import pytest
 
 import freedilation.operator_core as operator_core
 from freedilation.cli import main
-from freedilation.dilation import finite_unitary_dilation
-from freedilation.ncprob import GenSet, parse_word, word_moment
+from freedilation.dilation import finite_unitary_dilation, unitarity_residual
+from freedilation.ncprob import GenSet, parse_word, word_moments
 from freedilation.operator_core import (
     DEFAULT_DIM_CAP,
     ContractionError,
@@ -110,7 +110,7 @@ def test_defect_exact_near_unit_singular_value():
     # a singular value 2e-10 below 1 is a genuine (tiny) defect, not a zero:
     # the block dilation stays unitary to machine precision
     res = finite_unitary_dilation(np.diag([1.0 - 2e-10, 0.3]), 3)
-    assert res.unitarity_residual() <= 1e-14
+    assert unitarity_residual(res.gens, 1) <= 1e-14
     # the edges: a norm inside 1 + tol is clipped to 1, a zero has full defects
     d_t, d_ts = defect_pair(np.array([[1.0 + 1e-12]]))
     assert d_t[0, 0] == 0.0 and d_ts[0, 0] == 0.0
@@ -138,13 +138,14 @@ def test_state_evaluation_vector_vs_density():
     s_den = State.from_density(np.outer(v, v))
     gens = GenSet({1: np.array([[1.0, 2.0], [3.0, 4.0]])})
     w = parse_word("1^1")
-    assert word_moment(s_vec, gens, w) == pytest.approx(word_moment(s_den, gens, w))
+    assert word_moments(s_vec, gens, [w]) == pytest.approx(word_moments(s_den, gens, [w]))
 
 
 def test_maximally_mixed_is_normalized_trace():
-    s = State.maximally_mixed(3)
+    s = State.from_density(np.eye(3) / 3)
     a = np.diag([1.0, 2.0, 3.0])
     assert np.trace(s.density @ a) == pytest.approx(2.0)
+    assert word_moments(s, GenSet({1: a}), [parse_word("1^1")])[0] == pytest.approx(2.0)
 
 
 def test_purify_reproduces_density_moments():

@@ -52,6 +52,18 @@ def test_matrix_from_obj_validates():
         matrix_from_obj({"rows": 1, "cols": 1, "data": [[[1.0]]]})
     with pytest.raises(ValueError):
         matrix_from_obj({"rows": 1, "cols": 1})
+    # sizes are JSON integers and entries JSON numbers: nothing is truncated
+    # (``int(1.9)``) or converted (``complex(0.5, True)``)
+    for rows, cols, entry, match in [
+        (1.9, 1, [0.5, 0.0], "'rows' must be an integer, got 1.9"),
+        (1, "1", [0.5, 0.0], "'cols' must be an integer, got '1'"),
+        (True, 1, [0.5, 0.0], "'rows' must be an integer, got True"),
+        (1, 1, [0.5, True], r"entry \[0.5, True\] must be two numbers"),
+        (1, 1, ["0.5", 0.0], "entry .* must be two numbers"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            matrix_from_obj({"rows": rows, "cols": cols, "data": [[entry]]})
+    assert np.array_equal(matrix_from_obj({"rows": 1, "cols": 1, "data": [[[1, 0]]]}), [[1.0]])  # int parts are numbers
 
 
 def test_state_round_trips():
@@ -77,6 +89,14 @@ def test_state_from_obj_validates():
         state_from_obj({"kind": "vector", "dim": 2, "data": [[1.0, 0.0]]})
     with pytest.raises(ValueError):
         state_from_obj({"kind": "spin", "dim": 1, "data": [[1.0, 0.0]]})
+    for obj, match in [
+        ({"kind": "vector", "dim": 1.2, "data": [[1.0, 0.0]]}, "'dim' must be an integer, got 1.2"),
+        ({"kind": "density", "dim": False, "data": [[[1.0, 0.0]]]}, "'dim' must be an integer, got False"),
+        ({"kind": "vector", "dim": 1, "data": [[1.0, False]]}, "must be two numbers"),
+        ({"kind": "density", "dim": 1, "data": [[[True, 0.0]]]}, "must be two numbers"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            state_from_obj(obj)
 
 
 def test_file_round_trip(tmp_path):

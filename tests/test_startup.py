@@ -1,10 +1,12 @@
 """Start-up contract: what importing the package and the command line loads
 and sets, each checked in a fresh interpreter."""
 
+import ast
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,7 +47,7 @@ API = [
     "render_text", "report_fingerprint", "restricted_unitarity_residual",
     "run_theorem_suite", "scenario_from_obj",
     "state_from_obj", "state_to_obj", "tensor_independence_check", "trace_check",
-    "unitarity_residual", "verify_free_dilation", "verify_power_dilation", "word_moment",
+    "unitarity_residual", "verify_power_dilation",
 ]
 TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
 THREADS = "OPENBLAS_NUM_THREADS"
@@ -86,7 +88,7 @@ def test_cli_import_and_help_load_no_numpy():
 
 
 def test_public_names_resolve_and_star_import_binds_them():
-    assert len(API) == 63
+    assert len(API) == 61
     got = _python(
         "import json, freedilation\n"
         "names = freedilation.__all__\n"
@@ -98,6 +100,35 @@ def test_public_names_resolve_and_star_import_binds_them():
     )
     assert sorted(got["all"]) == sorted(API + SUBMODULES)
     assert got["missing"] == [] and got["unbound"] == []
+
+
+def test_every_public_name_has_a_caller():
+    # the public surface is what the system calls: each exported name is
+    # used by the package, a demo or the benchmark outside its own
+    # definition, so a name that only tests or the README use fails here
+    import freedilation
+
+    paths = [
+        *(p for p in (ROOT / "src" / "freedilation").glob("*.py") if p.name != "__init__.py"),
+        *(ROOT / "demos").glob("*.py"),
+        *(ROOT / "perfbench").rglob("*.py"),
+    ]
+    sources = []  # each file's lines, and the line span of each top-level definition
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        defs = ast.parse(text).body
+        spans = {d.name: (d.lineno, d.end_lineno) for d in defs if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+        sources.append((text.splitlines(), spans))
+
+    def called(name):
+        word = re.compile(rf"\b{name}\b")
+        for lines, spans in sources:
+            lo, hi = spans.get(name, (0, -1))
+            if any(word.search(line) for k, line in enumerate(lines, 1) if not lo <= k <= hi):
+                return True
+        return False
+
+    assert [name for name in freedilation.__all__ if not called(name)] == []
 
 
 def test_unknown_name_is_an_attribute_error():
