@@ -74,7 +74,6 @@ _EXPORTS = {
         "FockBasis",
         "FockDimensionError",
         "FreeDilationScenario",
-        "PointedSpace",
         "build_fock",
         "free_unitary_dilation",
         "left_representation",

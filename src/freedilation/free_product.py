@@ -10,9 +10,8 @@ which the suite's word enumerations keep (README "Budgets").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +25,6 @@ from .operator_core import (
     State,
     _pad_rows,
     adjoint,
-    as_matrix,
-    operator_norm,
     purify,
 )
 
@@ -45,103 +42,56 @@ class FockDimensionError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class PointedSpace:
-    """A finite-dimensional space with a distinguished unit vector and an
-    orthonormal basis of its complement."""
-
-    base_vector: np.ndarray
-    complement_basis: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.base_vector, dtype=complex).reshape(-1)
-        comp = np.asarray(self.complement_basis, dtype=complex)
-        if comp.ndim != 2 or comp.shape != (xi.size, xi.size - 1):
-            raise ValueError(
-                f"complement basis must be {xi.size}x{xi.size - 1}, got {comp.shape}"
-            )
-        frame = np.concatenate([xi.reshape(-1, 1), comp], axis=1)
-        gram = adjoint(frame) @ frame
-        if operator_norm(gram - np.eye(xi.size)) > DEFAULT_TOL:
-            raise ValueError("base vector and complement basis must form an orthonormal basis")
-        object.__setattr__(self, "base_vector", xi)
-        object.__setattr__(self, "complement_basis", comp)
-
-    @property
-    def dim(self) -> int:
-        return self.base_vector.size
-
-    @property
-    def complement_dim(self) -> int:
-        return self.dim - 1
-
-    @staticmethod
-    def from_state_vector(xi: np.ndarray) -> "PointedSpace":
-        """Complete a unit vector to an orthonormal basis (QR of ``[xi | I]``)."""
-        xi = np.asarray(xi, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(xi)
-        if abs(norm - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"pointed vector must be unit, got norm {norm}")
-        xi = xi / norm
-        d = xi.size
-        q, _ = np.linalg.qr(np.concatenate([xi.reshape(-1, 1), np.eye(d)], axis=1)[:, : d + 1])
-        return PointedSpace(base_vector=xi, complement_basis=q[:, 1:d])
+def _frame(xi: np.ndarray) -> np.ndarray:
+    """The frame ``F = [xi | complement basis]`` of a pointed space: ``xi``
+    normalised, then the complement from the QR of ``[xi | I]``."""
+    xi = xi / np.linalg.norm(xi)
+    d = xi.size
+    q, _ = np.linalg.qr(np.concatenate([xi.reshape(-1, 1), np.eye(d)], axis=1))
+    return np.concatenate([xi.reshape(-1, 1), q[:, 1:d]], axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockBasis:
     """Canonically ordered basis of a truncated free product: the vacuum,
     then the alternating words ``(i, m) + t`` of complement indices by
     length, factor ``i``, index ``m`` and tail ``t``.  ``lengths`` and
     ``firsts`` hold each word's length and first factor (0 for the vacuum);
     ``prepend[i][n] = (tails, grid)`` holds the words of length ``n < max_len``
-    that do not start with ``i`` and, at ``grid[m, j]``, ``(i, m) + tails[j]``."""
+    that do not start with ``i`` and, at ``grid[m, j]``, ``(i, m) + tails[j]``;
+    so factor ``i``'s complement dimension is ``prepend[i][0][1].shape[0]``."""
 
-    factors: dict
     max_len: int
-    lengths: np.ndarray = field(compare=False)
-    firsts: np.ndarray = field(compare=False)
-    prepend: dict = field(compare=False)
+    lengths: np.ndarray
+    firsts: np.ndarray
+    prepend: dict
 
     @property
     def dim(self) -> int:
         return self.lengths.size
 
-    def short_indices(self) -> np.ndarray:
-        """Columns whose word length is strictly below the truncation length."""
-        return np.flatnonzero(self.lengths < self.max_len)
+    def short_columns(self, factor: int) -> np.ndarray:
+        """Sorted columns of the words shorter than ``max_len`` on which
+        factor ``factor``'s left action has the unitarity residual of all of
+        them (:func:`restricted_unitarity_residual`): from ``max_len`` 2 on,
+        the vacuum's whole group, and the head of the first group whose tail
+        has ``max_len - 1`` letters, if one exists."""
+        steps = self.prepend[factor]
+        tails, grid = steps[0]
+        cols = [tails, grid[:, 0]] if self.max_len > 1 else []
+        if len(steps) == self.max_len:  # the map reaches tails of max_len - 1 letters
+            cols.append(steps[-1][0][:1])
+        return np.sort(np.concatenate(cols))
 
 
-def _fock_dims(complement_dims: Mapping[int, int]) -> Iterator[int]:
-    """Dimensions of the free product truncated at word lengths 0, 1, 2, ...;
-    ends once no word of the next length exists, the dimension being constant
-    from there on."""
-    ids = sorted(complement_dims)
-    total = 1
-    ways = {i: complement_dims[i] for i in ids}  # next-length words by first factor
-    while True:
-        yield total
-        if not any(ways.values()):
-            return
-        total += sum(ways.values())
-        ways = {
-            i: complement_dims[i] * sum(ways[j] for j in ids if j != i) for i in ids
-        }
-
-
-def build_fock(factors: Mapping[int, PointedSpace], max_len: int) -> FockBasis:
-    if not factors:
+def build_fock(compl: Mapping[int, int], max_len: int) -> FockBasis:
+    """The free product of spaces with complement dimensions ``compl`` (by
+    factor id), truncated at words of ``max_len`` letters."""
+    if not compl:
         raise ValueError("build_fock needs at least one factor")
     if max_len < 1:
         raise ValueError(f"truncation length must be >= 1, got {max_len}")
-    ids = sorted(factors)
-    compl = {i: factors[i].complement_dim for i in ids}
-    # refused at the first length past the cap, before the exact dimension of
-    # a huge truncation length is computed
-    for length, dim in enumerate(itertools.islice(_fock_dims(compl), max_len + 1)):
-        if dim > DEFAULT_DIM_CAP:
-            raise FockDimensionError(dim, DEFAULT_DIM_CAP, length)
-
+    ids = sorted(compl)
     firsts = [np.zeros(1, dtype=np.intp)]  # each length's first factors
     prepend: dict = {i: [] for i in ids}
     start = 0  # the position of the last length's first word
@@ -149,15 +99,18 @@ def build_fock(factors: Mapping[int, PointedSpace], max_len: int) -> FockBasis:
     # length's words that do not start with it; one with no word ends it
     while len(firsts) <= max_len and firsts[-1].size:
         top = start + firsts[-1].size
+        tails = {i: start + np.flatnonzero(firsts[-1] != i) for i in ids}
+        # refused at the first length past the cap, before its grids exist
+        dim = top + sum(compl[i] * tails[i].size for i in ids)
+        if dim > DEFAULT_DIM_CAP:
+            raise FockDimensionError(dim, DEFAULT_DIM_CAP, len(firsts))
         for i in ids:
-            tails = start + np.flatnonzero(firsts[-1] != i)
-            grid = top + np.arange(compl[i] * tails.size).reshape(compl[i], tails.size)
-            prepend[i].append((tails, grid))
+            grid = top + np.arange(compl[i] * tails[i].size).reshape(compl[i], tails[i].size)
+            prepend[i].append((tails[i], grid))
             top += grid.size
         start += firsts[-1].size
         firsts.append(np.repeat(ids, [prepend[i][-1][1].size for i in ids]))
     return FockBasis(
-        factors=dict(factors),
         max_len=max_len,
         lengths=np.repeat(np.arange(len(firsts)), [f.size for f in firsts]),
         firsts=np.concatenate(firsts),
@@ -193,7 +146,7 @@ class FockAction(LetterAction):
 
     def __post_init__(self):
         # the groups partition the positions only if ``order`` is a
-        # permutation; :meth:`pattern_columns` relies on it
+        # permutation; :meth:`FockBasis.short_columns` relies on it
         order, inverse, dim = self.order, self.inverse, self.order.size
         if (
             order.shape != (dim,)
@@ -229,48 +182,22 @@ class FockAction(LetterAction):
         np.multiply(x[g:], block[0, 0], out=out[g:])
         return out.take(self.inverse, axis=0)
 
-    def pattern_columns(self, cols: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The columns of ``cols`` in one group per pattern, a pattern being
-        the set of a group's members that ``cols`` holds, and in one
-        full-length word if ``cols`` holds any.
 
-        Groups are disjoint in rows and in columns and all carry ``block``,
-        and a full-length word is only scaled, so on the columns ``P`` of
-        ``cols`` the products ``U*U - I`` and ``U U* - I`` are block diagonal
-        up to the permutation: one block per group that meets ``cols``,
-        ``(B*B - I)[:, pattern]`` or ``(B B* - I)[:, pattern]``, and one
-        scalar per full-length word.  Each norm on ``P`` is the largest of
-        those blocks', so it is the same on the returned columns, exactly.
-        """
-        rows, g = self.block.shape[0], self.grouped
-        held = np.zeros(self.order.size, dtype=bool)
-        held[np.asarray(cols, dtype=np.intp)] = True
-        held = held[self.order]  # group-major, as ``order``
-        groups = held[:g].reshape(rows, -1)
-        _, first = np.unique(groups.T, axis=0, return_index=True)
-        keep = np.zeros_like(groups)
-        keep[:, first] = groups[:, first]
-        picks = np.concatenate([np.flatnonzero(keep), g + np.flatnonzero(held[g:])[:1]])
-        return np.sort(self.order[picks])
-
-
-def left_representation(factor: int, a: np.ndarray, fb: FockBasis) -> FockAction:
-    """The left action of ``a`` (an operator on factor ``factor``'s space) on
-    the truncated free product, as a :class:`FockAction`.
+def left_representation(factor: int, block: np.ndarray, fb: FockBasis) -> FockAction:
+    """The left action on the truncated free product of an operator ``a`` on
+    factor ``factor``'s space, given as its block ``F* a F`` in the factor's
+    frame ``F = [xi | complement basis]``, as a :class:`FockAction`.
 
     The base-vector component of the image of a word's first letter keeps or
     shortens the word, the complement component prepends or rewrites a
     letter, and components that would exceed the truncation length are
     dropped.
     """
-    if factor not in fb.factors:
-        raise KeyError(f"unknown factor id {factor}; known ids: {sorted(fb.factors)}")
-    ps = fb.factors[factor]
-    a = as_matrix(a)
-    if a.shape != (ps.dim, ps.dim):
-        raise ValueError(f"operator shape {a.shape} does not match factor dim {ps.dim}")
-    frame = np.concatenate([ps.base_vector.reshape(-1, 1), ps.complement_basis], axis=1)
-    block = adjoint(frame) @ a @ frame
+    if factor not in fb.prepend:
+        raise KeyError(f"unknown factor id {factor}; known ids: {sorted(fb.prepend)}")
+    rows = fb.prepend[factor][0][1].shape[0] + 1
+    if block.shape != (rows, rows):
+        raise ValueError(f"block shape {block.shape} does not match factor {factor}'s frame of {rows}")
 
     # each short word ``t`` that does not start with the factor heads the
     # group ``t, (factor, 0) + t, ...``; the full-length ones are only scaled
@@ -300,8 +227,9 @@ class FreeDilationScenario:
     ``fock_h``'s words, which map identically: the inclusion ``J`` between
     the two product spaces.  The record keeps each value once: the degree
     is each dilation's ``degree``, the truncation length ``fock_k.max_len``,
-    factor ``i``'s pointed space ``fock_h.factors[i]`` and its lifted
-    contraction ``dilations[i - 1].contractions[1]``.
+    and factor ``i``'s lifted contraction ``dilations[i - 1].contractions[1]``.
+    ``frames[i - 1]`` is factor ``i``'s frame on its purified space, its
+    pointed vector first.
     ``vacuum`` is the joint state; single-factor moments match the input
     states exactly, and mixed moments realize free independence inside the
     stated budgets.  ``phase_seconds`` holds the seconds the construction
@@ -311,6 +239,7 @@ class FreeDilationScenario:
     """
 
     dilations: tuple[DilationResult, ...]
+    frames: tuple[np.ndarray, ...]
     fock_h: FockBasis
     fock_k: FockBasis
     unitaries: GenSet
@@ -334,7 +263,7 @@ class FreeDilationScenario:
         if not 1 <= factor <= self.n_factors:
             raise ValueError(f"factor id {factor} outside 1..{self.n_factors}")
         res = self.dilations[factor - 1]
-        xi = _pad_rows(self.fock_h.factors[factor].base_vector, res.ambient_dim)
+        xi = _pad_rows(self.frames[factor - 1][:, 0], res.ambient_dim)
         return GenSet({factor: res.gens[1]}), State.from_vector(xi)
 
 
@@ -356,35 +285,32 @@ def free_unitary_dilation(
         raise ValueError("free_unitary_dilation needs at least one factor")
     clock = PhaseClock()
     mats: list[np.ndarray] = []
-    xis: list[np.ndarray] = []
+    frames: list[np.ndarray] = []
     for t, state in factors:
         pure, lift = purify(state)
         mats.append(lift(t))
-        xis.append(pure.columns[:, 0])
-
-    pointed_h = [PointedSpace.from_state_vector(xi) for xi in xis]
+        frames.append(_frame(pure.columns[:, 0]))
     clock.lap("defects")
     dils = [finite_unitary_dilation(m, n_degree, tol) for m in mats]
     for res in dils:
         clock.add(res.phase_seconds)
 
-    pointed_k: list[PointedSpace] = []
-    for ps, res in zip(pointed_h, dils):
-        big = res.ambient_dim
-        # embedded complement first, then the pure dilation blocks: every
-        # small-space label keeps its complement index upstairs
-        comp_k = np.concatenate(
-            [_pad_rows(ps.complement_basis, big), np.eye(big, dtype=complex)[:, ps.dim :]], axis=1
-        )
-        pointed_k.append(PointedSpace(base_vector=_pad_rows(ps.base_vector, big), complement_basis=comp_k))
-
+    # the small frame embedded first, then the pure dilation blocks: every
+    # small-space label keeps its complement index upstairs
+    frames_k = [
+        np.concatenate([_pad_rows(f, big), np.eye(big, dtype=complex)[:, len(f) :]], axis=1)
+        for f, big in zip(frames, (res.ambient_dim for res in dils))
+    ]
     ids = range(1, len(factors) + 1)
-    fock_k = build_fock({i: pointed_k[i - 1] for i in ids}, trunc_len)
-    fock_h = build_fock({i: pointed_h[i - 1] for i in ids}, trunc_len)
+    fock_k = build_fock({i: len(frames_k[i - 1]) - 1 for i in ids}, trunc_len)
+    fock_h = build_fock({i: len(frames[i - 1]) - 1 for i in ids}, trunc_len)
     clock.lap("fock_basis")
 
-    unitaries = GenSet({i: left_representation(i, dils[i - 1].gens[1], fock_k) for i in ids})
-    s_ops = GenSet({i: left_representation(i, mats[i - 1], fock_h) for i in ids})
+    def act(i: int, a: np.ndarray, frame: np.ndarray, fb: FockBasis) -> FockAction:
+        return left_representation(i, adjoint(frame) @ a @ frame, fb)
+
+    unitaries = GenSet({i: act(i, dils[i - 1].gens[1], frames_k[i - 1], fock_k) for i in ids})
+    s_ops = GenSet({i: act(i, mats[i - 1], frames[i - 1], fock_h) for i in ids})
     clock.lap("left_action")
 
     # an h-word ``(i, m) + t`` sits at ``(i, m) + coords[t]`` in ``fock_k``
@@ -397,6 +323,7 @@ def free_unitary_dilation(
     clock.lap("embedding")
     return FreeDilationScenario(
         dilations=tuple(dils),
+        frames=tuple(frames),
         fock_h=fock_h,
         fock_k=fock_k,
         unitaries=unitaries,
@@ -413,11 +340,12 @@ def restricted_unitarity_residual(fds: FreeDilationScenario, factor: int) -> flo
 
     The left action of a unitary is isometric except where the truncation
     drops a prepended letter, so the residual vanishes on short words.  It
-    is taken on :meth:`FockAction.pattern_columns` of the short words, where
-    the norms are the same: a tail of at most ``L-2`` letters, whose whole
-    group is short, and a tail of ``L-1`` letters, only short itself.
+    is taken on :meth:`FockBasis.short_columns`, where the norms are the
+    same, exactly: the groups are disjoint in rows and columns and all carry
+    one block, and the short words meet a group in one of two patterns, a
+    tail of at most ``L-2`` letters with its whole group and a tail of
+    ``L-1`` letters alone; one group of each pattern carries the norms.
     """
     if not 1 <= factor <= fds.n_factors:
         raise ValueError(f"factor id {factor} outside 1..{fds.n_factors}")
-    cols = fds.unitaries[factor].pattern_columns(fds.fock_k.short_indices())
-    return unitarity_residual(fds.unitaries, factor, cols)
+    return unitarity_residual(fds.unitaries, factor, fds.fock_k.short_columns(factor))

@@ -114,7 +114,7 @@ def _load_part(value, loader: Callable, what: str):
     """A factor part: a matrix or state object, validated by ``loader``."""
     try:
         return loader(value)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise IngestError(f"{what}: {exc}") from None
 
 
@@ -281,8 +281,7 @@ def _check_unitarity(sc: Scenario, model: Model) -> CheckReport:
         witness = {"restricted_to": f"words shorter than {sc.trunc}"}
         # U*U and U U* on the short columns of one Fock group per pattern,
         # where their norms are those over all the short columns, exactly
-        short = model.free.fock_k.short_indices()
-        columns = max(len(gens[i].pattern_columns(short)) for i in gens.ids)
+        columns = max(len(model.free.fock_k.short_columns(i)) for i in gens.ids)
         per_factor = 2
     else:
         # U*U on each generator's support columns, where the norm is exact

@@ -32,11 +32,15 @@ def _size(obj: dict, key: str) -> int:
 
 
 def _entry(pair) -> complex:
-    """An ``[re, im]`` pair of JSON numbers, each an int or a float, never a bool or a string."""
+    """An ``[re, im]`` pair of JSON numbers, each an int or a float within
+    the float range, never a bool or a string."""
     re, im = pair
     if type(re) not in (int, float) or type(im) not in (int, float):
         raise ValueError(f"entry {[re, im]!r} must be two numbers")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError:  # an integer past the float range
+        raise ValueError("entry has an integer part past the float range") from None
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:

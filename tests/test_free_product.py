@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from freedilation.dilation import dilation_residuals, unitarity_residual
 from freedilation.free_product import (
     FockDimensionError,
-    PointedSpace,
+    _frame,
     build_fock,
     free_unitary_dilation,
     left_representation,
     restricted_unitarity_residual,
 )
+from freedilation._freeprob import matrix_marginal, oracle_comparison
 from freedilation._gram import free_independence_check
 from freedilation.ncprob import (
     GenSet,
@@ -29,7 +30,14 @@ from freedilation.ncprob import (
 from freedilation.harness import Scenario, run_theorem_suite
 from freedilation.operator_core import State, adjoint, operator_norm, random_contraction, random_state
 
-from fock_oracle import dense, dense_left_representation, fock_dimension, fock_labels, fock_order
+from fock_oracle import (
+    dense,
+    dense_left_representation,
+    fock_dimension,
+    fock_labels,
+    fock_order,
+    pattern_columns,
+)
 from word_list_oracles import alternating_words_within
 
 
@@ -40,24 +48,32 @@ def _scalar_pair(n_degree=3, trunc=4):
     return free_unitary_dilation([(t1, s), (t2, s)], n_degree, trunc)
 
 
+def _short(fb):
+    """The positions of the words shorter than the truncation length."""
+    return np.flatnonzero(fb.lengths < fb.max_len)
+
+
+def _block(frame, a):
+    """``F* a F``: the block the left action of ``a`` carries."""
+    return adjoint(frame) @ a @ frame
+
+
 def _identity_residuals(fds, words):
     """``||J* w(U) J - w(S)||`` for each word, as the suite's dilation identity reads it."""
     return dilation_residuals(fds.unitaries, fds.s_ops, fds.coords, _codes(words))[0]
 
 
 # ---------------------------------------------------------------------------
-# pointed spaces and Fock basis
+# frames and Fock basis
 
 
-def test_pointed_space_from_vector():
-    ps = PointedSpace.from_state_vector(np.array([0.6, 0.8]))
-    assert ps.dim == 2 and ps.complement_dim == 1
-    assert abs(np.vdot(ps.base_vector, ps.complement_basis[:, 0])) < 1e-12
-
-
-def test_pointed_space_rejects_skewed_frame():
-    with pytest.raises(ValueError):
-        PointedSpace(np.array([1.0, 0.0]), np.array([[1.0], [0.0]]))
+def test_frame_is_unitary_with_the_unit_vector_first():
+    rng = np.random.default_rng(5)
+    for xi in (np.array([0.6, 0.8]), np.array([1.0 + 0j]), rng.normal(size=3) + 1j * rng.normal(size=3)):
+        f = _frame(xi)
+        assert f.shape == (xi.size, xi.size)
+        np.testing.assert_allclose(f[:, 0], xi / np.linalg.norm(xi), atol=0)
+        assert operator_norm(adjoint(f) @ f - np.eye(xi.size)) < 1e-14
 
 
 def test_fock_dimension_closed_forms():
@@ -71,8 +87,7 @@ def test_fock_dimension_closed_forms():
 
 
 def test_build_fock_canonical_order():
-    p2 = PointedSpace.from_state_vector(np.array([1.0, 0.0]))
-    fb = build_fock({1: p2, 2: p2}, 2)
+    fb = build_fock({1: 1, 2: 1}, 2)
     assert fock_labels(fb) == [
         (),
         ((1, 0),),
@@ -86,20 +101,24 @@ def test_build_fock_canonical_order():
     # ((2, 0), (1, 0)) is (2, 0) prepended to ((1, 0),)
     assert [(t.tolist(), g.tolist()) for t, g in fb.prepend[2]] == [([0], [[2]]), ([1], [[4]])]
     assert [(t.tolist(), g.tolist()) for t, g in fb.prepend[1]] == [([0], [[1]]), ([2], [[3]])]
-    assert fb.short_indices().tolist() == [0, 1, 2]
+    # each factor's vacuum group, and the head of the first tail of one letter
+    assert [fb.short_columns(i).tolist() for i in (1, 2)] == [[0, 1, 2], [0, 1, 2]]
 
 
 def test_build_fock_dim_cap():
-    p = PointedSpace.from_state_vector(np.eye(8)[:, 0])
-    with pytest.raises(FockDimensionError):
-        build_fock({1: p, 2: p}, 4)  # 5,601 > 5,000
+    with pytest.raises(FockDimensionError) as err:
+        build_fock({1: 7, 2: 7}, 4)  # 5,601 > 5,000
+    assert (err.value.dim, err.value.length) == (5601, 4)
+    # refused at the first length past the cap, before its grids are built
+    with pytest.raises(FockDimensionError) as err:
+        build_fock({1: 10**12, 2: 10**12}, 10**6)
+    assert (err.value.dim, err.value.length) == (1 + 2 * 10**12, 1)
 
 
 def test_build_fock_one_factor_huge_truncation():
     # one factor has no word longer than one letter: both loops stop there
-    p = PointedSpace.from_state_vector(np.eye(3)[:, 0])
     assert fock_dimension({1: 2}, 200_000) == 3
-    fb = build_fock({1: p}, 200_000)
+    fb = build_fock({1: 2}, 200_000)
     assert fock_labels(fb) == [(), ((1, 0),), ((1, 1),)]
     assert fb.lengths.tolist() == [0, 1, 1] and fb.firsts.tolist() == [0, 1, 1]
     # the map ends at the last length with a word; every word of one letter
@@ -108,37 +127,36 @@ def test_build_fock_one_factor_huge_truncation():
 
 
 def test_left_representation_identity_is_identity():
-    p = PointedSpace.from_state_vector(np.array([0.6, 0.8]))
-    fb = build_fock({1: p, 2: p}, 3)
-    m = dense(left_representation(1, np.eye(2), fb))
+    fb = build_fock({1: 1, 2: 1}, 3)
+    m = dense(left_representation(1, _block(_frame(np.array([0.6, 0.8])), np.eye(2)), fb))
     np.testing.assert_allclose(m, np.eye(fb.dim), atol=1e-12)
 
 
 def test_left_representation_state_compatibility():
     # <lambda(a) vacuum, vacuum> must equal <a xi, xi> for any factor operator
     rng = np.random.default_rng(17)
-    p = PointedSpace.from_state_vector(np.array([0.6, 0.8]))
-    fb = build_fock({1: p, 2: p}, 3)
+    xi, frame = np.array([0.6, 0.8]), _frame(np.array([0.6, 0.8]))
+    fb = build_fock({1: 1, 2: 1}, 3)
     for _ in range(50):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m = dense(left_representation(1, a, fb))
-        assert m[0, 0] == pytest.approx(np.vdot(p.base_vector, a @ p.base_vector), abs=1e-12)
+        m = dense(left_representation(1, _block(frame, a), fb))
+        assert m[0, 0] == pytest.approx(np.vdot(xi, a @ xi), abs=1e-12)
 
 
 def test_left_representation_respects_adjoints():
     rng = np.random.default_rng(23)
-    p = PointedSpace.from_state_vector(np.array([0.8, 0.6]))
-    fb = build_fock({1: p, 2: p}, 3)
+    frame = _frame(np.array([0.8, 0.6]))
+    fb = build_fock({1: 1, 2: 1}, 3)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     np.testing.assert_allclose(
-        adjoint(dense(left_representation(1, a, fb))),
-        dense(left_representation(1, adjoint(a), fb)),
+        adjoint(dense(left_representation(1, _block(frame, a), fb))),
+        dense(left_representation(1, _block(frame, adjoint(a)), fb)),
         atol=1e-12,
     )
     # a starred letter applies the same adjoint
     np.testing.assert_allclose(
-        dense(left_representation(1, a, fb), star=True),
-        dense_left_representation(1, adjoint(a), fb),
+        dense(left_representation(1, _block(frame, a), fb), star=True),
+        dense_left_representation(1, _block(frame, adjoint(a)), fb),
         atol=1e-12,
     )
 
@@ -146,38 +164,37 @@ def test_left_representation_respects_adjoints():
 @st.composite
 def _fock_operands(draw):
     """Factors of different dimensions (a 1-dim factor has no complement),
-    a non-normal operator of any rank on one of them, a truncation length
-    1..4, and a vector or panel on the truncated free product."""
+    the block in its random frame of a non-normal operator of any rank on
+    one of them, a truncation length 1..4, and a vector or panel on the
+    truncated free product."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    factors = {}
-    for i, d in enumerate(dims, start=1):
-        xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        factors[i] = PointedSpace.from_state_vector(xi / np.linalg.norm(xi))
-    fb = build_fock(factors, draw(st.integers(1, 4)))
+    compl = {i: d - 1 for i, d in enumerate(dims, start=1)}
+    fb = build_fock(compl, draw(st.integers(1, 4)))
     factor = draw(st.integers(1, len(dims)))
     d = dims[factor - 1]
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rank = draw(st.integers(0, d))
     u, sv, vh = np.linalg.svd(a)
     sv[rank:] = 0.0
-    a = (u * sv) @ vh
+    frame = _frame(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    block = _block(frame, (u * sv) @ vh)
     cols = draw(st.sampled_from([None, 1, 3]))
     shape = (fb.dim,) if cols is None else (fb.dim, cols)
     panel = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return factor, a, fb, panel, draw(st.booleans())
+    return factor, block, fb, compl, panel, draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
 @given(_fock_operands())
 def test_left_representation_matches_dense_oracle(case):
-    factor, a, fb, panel, star = case
-    action = left_representation(factor, a, fb)
-    m = dense_left_representation(factor, a, fb)
+    factor, block, fb, _, panel, star = case
+    action = left_representation(factor, block, fb)
+    m = dense_left_representation(factor, block, fb)
     want = (adjoint(m) if star else m) @ panel
     got = action.apply(panel, star)
     assert got.shape == panel.shape and action.shape == m.shape
-    scale = operator_norm(a) * np.linalg.norm(panel)
+    scale = operator_norm(block) * np.linalg.norm(panel)
     assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
 
 
@@ -187,7 +204,7 @@ def test_fock_map_matches_the_reference_labels(case):
     # the basis map is the sorted label tuples': each word's length and
     # first factor, each factor's tails per length and the positions of the
     # words it prepends to them, and so the groups of its left action
-    factor, a, fb, _, _ = case
+    factor, block, fb, compl, _, _ = case
     labels = fock_labels(fb)
     assert fb.lengths.tolist() == [len(lab) for lab in labels]
     assert fb.firsts.tolist() == [lab[0][0] if lab else 0 for lab in labels]
@@ -195,19 +212,20 @@ def test_fock_map_matches_the_reference_labels(case):
         assert len(steps) == min(fb.max_len, fb.lengths.max() + 1)
         for n, (tails, grid) in enumerate(steps):
             assert tails.tolist() == [p for p, lab in enumerate(labels) if len(lab) == n and fb.firsts[p] != i]
-            assert grid.shape == (fb.factors[i].complement_dim, tails.size)
+            assert grid.shape == (compl[i], tails.size)
             for (m, j), p in np.ndenumerate(grid):
                 assert labels[p] == ((i, m),) + labels[tails[j]]
-    action = left_representation(factor, a, fb)
+    action = left_representation(factor, block, fb)
     order, grouped = fock_order(factor, fb)
     assert action.order.tolist() == order and action.grouped == grouped
 
 
 def test_left_representation_dimension_mismatch():
-    p = PointedSpace.from_state_vector(np.array([1.0, 0.0]))
-    fb = build_fock({1: p}, 2)
-    with pytest.raises(ValueError):
+    fb = build_fock({1: 1}, 2)
+    with pytest.raises(ValueError, match="frame of 2"):
         left_representation(1, np.eye(3), fb)
+    with pytest.raises(KeyError):
+        left_representation(2, np.eye(2), fb)
     action = left_representation(1, np.eye(2), fb)
     with pytest.raises(ValueError, match="Fock dim 2"):
         action.apply(np.ones(3, dtype=complex), False)
@@ -267,7 +285,7 @@ def _dense_restricted_unitarity(u, cols):
 
 def test_restricted_unitarity_matches_dense_reference():
     fds = _scalar_pair()
-    cols = fds.fock_k.short_indices()
+    cols = _short(fds.fock_k)
     for i in (1, 2):
         u = dense(fds.unitaries[i])
         got = restricted_unitarity_residual(fds, i)
@@ -281,7 +299,7 @@ def test_restricted_unitarity_matches_dense_reference():
 
 def test_truncation_breaks_unitarity_only_on_long_words():
     fds = _scalar_pair()
-    short = fds.fock_k.short_indices()
+    short = _short(fds.fock_k)
     assert len(short) < fds.dim
     for i in (1, 2):
         assert unitarity_residual(fds.unitaries, i) > 0.5
@@ -294,7 +312,7 @@ def test_restricted_unitarity_forms_no_dense_product():
         (0.5 * np.array([[0.0, 1.0], [1.0, 0.5]]), State.basis_vector(2, 0)),
     ]
     fds = free_unitary_dilation(factors, 2, 3)
-    assert fds.dim == 311 and len(fds.fock_k.short_indices()) == 61
+    assert fds.dim == 311 and len(_short(fds.fock_k)) == 61
     dense_bytes = fds.dim * fds.dim * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -319,33 +337,64 @@ def _mixed_factors(kind):
     return [(np.array([[0.3, 0.4], [0.1, -0.2]]), rho), scalar]
 
 
+@st.composite
+def _fock_blocks(draw):
+    """1-3 factors of complement dimensions 0-3, a truncation length 1-4,
+    and one factor's left action by a random block, far from unitary."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    compl = dict(enumerate(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)), start=1))
+    fb = build_fock(compl, draw(st.integers(1, 4)))
+    factor = draw(st.integers(1, len(compl)))
+    rows = compl[factor] + 1
+    block = rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+    return factor, fb, GenSet({factor: left_representation(factor, block, fb)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fock_blocks())
+def test_short_columns_are_the_pattern_scan(case):
+    # the map gives the columns the scan over group patterns finds: one
+    # group whose members are all short and one that is short only in its
+    # head; with no complement (c = 0) a group is one word, so both are one
+    # pattern and the scan keeps one column of the two
+    factor, fb, gens = case
+    short = _short(fb)
+    cols = fb.short_columns(factor)
+    scan = pattern_columns(gens[factor], short)
+    assert (np.diff(cols) > 0).all() and set(cols) <= set(short)
+    if gens[factor].block.shape[0] > 1:
+        assert cols.tolist() == scan.tolist()
+    else:
+        assert set(scan) <= set(cols) and len(cols) <= 2
+    assert unitarity_residual(gens, factor, cols) == pytest.approx(
+        unitarity_residual(gens, factor, short), rel=1e-12
+    )
+
+
 @pytest.mark.parametrize("trunc", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["vector", "density"])
 def test_pattern_columns_give_the_full_short_panel_residual(kind, trunc):
-    # exact reduction: one Fock group per column pattern has the norms of all
-    # the short columns, for unitaries and for the far from unitary left
-    # actions of the contractions and of a scaled dilation; so it has those
-    # of any columns, full-length words among them
+    # exact reduction: the short columns of the map, one Fock group per
+    # column pattern, have the norms of all the short columns, for unitaries
+    # and for the far from unitary left actions of the contractions and of a
+    # scaled dilation; and the reference scan gives one group per pattern
+    # with the norms of any columns, full-length words among them
     rng = np.random.default_rng(trunc)
     fds = free_unitary_dilation(_mixed_factors(kind), 1, trunc)
-    short_k, short_h = fds.fock_k.short_indices(), fds.fock_h.short_indices()
     scaled = GenSet(
-        {
-            i: left_representation(i, 0.9 * fds.dilations[i - 1].gens[1], fds.fock_k)
-            for i in fds.unitaries.ids
-        }
+        {i: left_representation(i, 0.9 * fds.unitaries[i].block, fds.fock_k) for i in fds.unitaries.ids}
     )
     for i in fds.unitaries.ids:
-        full = unitarity_residual(fds.unitaries, i, short_k)
+        full = unitarity_residual(fds.unitaries, i, _short(fds.fock_k))
         assert restricted_unitarity_residual(fds, i) == pytest.approx(full, abs=1e-15)
-        for gens, short in ((fds.s_ops, short_h), (scaled, short_k)):
-            cols = gens[i].pattern_columns(short)
-            assert len(cols) <= gens[i].block.shape[0] + 1 and set(cols) <= set(short)
+        for gens, fb in ((fds.s_ops, fds.fock_h), (scaled, fds.fock_k)):
+            short, cols = _short(fb), fb.short_columns(i)
+            assert set(pattern_columns(gens[i], short)) <= set(cols) <= set(short)
             want = unitarity_residual(gens, i, short)
             assert want > 0.1
             assert unitarity_residual(gens, i, cols) == pytest.approx(want, rel=1e-12)
             some = np.flatnonzero(rng.random(gens.dim) < 0.5)
-            assert unitarity_residual(gens, i, gens[i].pattern_columns(some)) == pytest.approx(
+            assert unitarity_residual(gens, i, pattern_columns(gens[i], some)) == pytest.approx(
                 unitarity_residual(gens, i, some), rel=1e-12
             )
 
@@ -353,13 +402,13 @@ def test_pattern_columns_give_the_full_short_panel_residual(kind, trunc):
 def test_pattern_columns_of_free_pair():
     # L = 4: of the 79 short words, the first group whose members are all
     # short (the vacuum's) and the first tail of 3 letters, whose members
-    # are not
+    # are not; the map's columns are the scan's
     fds = _scalar_pair()
-    short = fds.fock_k.short_indices()
+    short = _short(fds.fock_k)
     assert len(short) == 79
     for i in (1, 2):
-        cols = fds.unitaries[i].pattern_columns(short)
-        assert set(cols) <= set(short)
+        cols = fds.fock_k.short_columns(i)
+        assert cols.tolist() == pattern_columns(fds.unitaries[i], short).tolist()
         assert sorted(fds.fock_k.lengths[cols]) == [0, 1, 1, 1, 3]
 
 
@@ -384,7 +433,7 @@ def test_fock_action_refuses_a_broken_permutation():
 def test_restricted_unitarity_at_trunc_six_stays_small():
     # free_pair at L = 6 (dim 2,185): the 727 short columns alone took 25 MB
     fds = _scalar_pair(trunc=6)
-    assert fds.dim == 2185 and len(fds.fock_k.short_indices()) == 727
+    assert fds.dim == 2185 and len(_short(fds.fock_k)) == 727
     restricted_unitarity_residual(fds, 1)
     tracemalloc.start()
     try:
@@ -670,3 +719,29 @@ def test_free_independence_clip_edge_is_twice_the_truncation(trunc):
             assert past.details["max_entry"] <= 2 ** (m + 1) * ((m + 1) * 3 + 1) * fds.dim * EPS
         else:
             assert past.residual > 1.0, past.residual
+
+
+@pytest.mark.parametrize("trunc", [1, 2])
+def test_vacuum_moment_block_edge_is_twice_the_truncation(trunc):
+    # `moments` and `oracle` refuse a word of more than L factor blocks
+    # (moment_budget_check).  That budget is conservative: word_moments reads
+    # phi(w) = <R v, L* v>, and each half of a word of b blocks climbs at
+    # most ceil(b/2) Fock levels, so every word of at most 2L blocks matches
+    # the free moment oracle of the factor marginals within rounding.  The
+    # edge is 2L + 1 blocks: a middle block such as 1^-1 1^1 reaches a
+    # full-length word, where U* U scales it by |B[0, 0]|^2, not 1.
+    table = _alternating_words((1, 2), (1, -1), 2 * trunc + 1, 2, 2 * trunc + 2)
+    factor = table >> 1
+    blocks = 1 + np.count_nonzero((np.diff(factor, axis=1) != 0) & (table[:, 1:] > 0), axis=1)
+    within, past = blocks <= 2 * trunc, blocks == 2 * trunc + 1
+    assert within.any() and past.any() and (within | past).all()
+    for seed, degree, kind in itertools.product(range(3), (2, 3), ("vector", "density")):
+        rng = np.random.default_rng([seed, trunc, degree])
+        factors = [(random_contraction(rng, 2, 0.9), random_state(rng, 2, kind)) for _ in range(2)]
+        fds = free_unitary_dilation(factors, degree, trunc)
+        marginals = {i: matrix_marginal(*fds.factor_model(i)) for i in (1, 2)}
+        _, _, gap, _ = oracle_comparison(fds.vacuum, fds.unitaries, marginals, table)
+        # at most 2L + 2 letters, each a contraction adding at most dim eps
+        bound = (2 * trunc + 2) * fds.dim * EPS
+        assert gap[within].max() <= bound, (seed, degree, kind, gap[within].max(), bound)
+        assert gap[past].max() > 0.1, (seed, degree, kind, gap[past].max())

@@ -78,6 +78,11 @@ def _write(folder, name, content):
             "factors[0].state: entry [1, True] must be two numbers",
         ),
         (
+            {"sc.json": {"factors": [{"matrix": {"rows": 1, "cols": 1, "data": [[[10**400, 0]]]}}]}},
+            ["suite"],
+            "factors[0].matrix: entry has an integer part past the float range",
+        ),
+        (
             {"sc.json": {"factors": [{"matrix": {"rows": 0, "cols": 0, "data": []}}]}},
             ["suite"],
             "factors[0].matrix: matrix shape 0x0 has no entries",
@@ -94,7 +99,7 @@ def _write(folder, name, content):
     ],
     ids=[
         "not-utf8-matrix-part", "not-utf8-state-part", "not-utf8-cumulants", "deep-cumulants", "long-integer",
-        "rows-1e400", "cols-1e400", "dim-1e400", "rows-float", "entry-bool", "no-rows", "tol-past-float",
+        "rows-1e400", "cols-1e400", "dim-1e400", "rows-float", "entry-bool", "entry-past-float", "no-rows", "tol-past-float",
         "moment-1e400", "moment-nan", "moment-past-float", "moments-overflow",
     ],
 )

@@ -60,6 +60,8 @@ def test_matrix_from_obj_validates():
         (True, 1, [0.5, 0.0], "'rows' must be an integer, got True"),
         (1, 1, [0.5, True], r"entry \[0.5, True\] must be two numbers"),
         (1, 1, ["0.5", 0.0], "entry .* must be two numbers"),
+        (1, 1, [10**400, 0], "entry has an integer part past the float range"),
+        (1, 1, [0.5, -(10**400)], "entry has an integer part past the float range"),
     ]:
         with pytest.raises(ValueError, match=match):
             matrix_from_obj({"rows": rows, "cols": cols, "data": [[entry]]})
@@ -94,6 +96,8 @@ def test_state_from_obj_validates():
         ({"kind": "density", "dim": False, "data": [[[1.0, 0.0]]]}, "'dim' must be an integer, got False"),
         ({"kind": "vector", "dim": 1, "data": [[1.0, False]]}, "must be two numbers"),
         ({"kind": "density", "dim": 1, "data": [[[True, 0.0]]]}, "must be two numbers"),
+        ({"kind": "vector", "dim": 1, "data": [[10**400, 0]]}, "past the float range"),
+        ({"kind": "density", "dim": 1, "data": [[[1, 10**400]]]}, "past the float range"),
     ]:
         with pytest.raises(ValueError, match=match):
             state_from_obj(obj)

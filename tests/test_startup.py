@@ -33,7 +33,7 @@ SUBMODULES = ["dilation", "free_product", "harness", "ncprob", "operator_core", 
 API = [
     "BudgetError", "CheckReport", "ContractionError", "DilationResult",
     "FockBasis", "FockDimensionError", "FreeDilationScenario", "GenSet", "IngestError",
-    "Model", "NotDoublyCommutingError", "PointedSpace", "Scenario",
+    "Model", "NotDoublyCommutingError", "Scenario",
     "ShapeMismatchError", "State", "StateError", "Word", "adjoint",
     "build_fock", "build_model", "center",
     "defect_pair", "doubly_commuting_dilation", "emit",
@@ -88,7 +88,7 @@ def test_cli_import_and_help_load_no_numpy():
 
 
 def test_public_names_resolve_and_star_import_binds_them():
-    assert len(API) == 61
+    assert len(API) == 60
     got = _python(
         "import json, freedilation\n"
         "names = freedilation.__all__\n"
